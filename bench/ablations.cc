@@ -20,7 +20,8 @@ double Run(JobConfig job) { return bench::RunSpeed(job); }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::InitBenchJobs(argc, argv);
   std::printf("Ablations: VGG16 unless noted, 32 GPUs, 100 Gbps\n\n");
 
   {

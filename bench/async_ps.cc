@@ -22,7 +22,8 @@ double Gain(const ModelProfile& model, bool async_mode) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::InitBenchJobs(argc, argv);
   std::printf("Asynchronous PS (sec. 6.1): ByteScheduler speedup, sync vs async training\n"
               "(MXNet PS RDMA, 32 GPUs, 100 Gbps)\n\n");
   Table table({"model", "sync speedup", "async speedup"});

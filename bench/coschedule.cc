@@ -22,7 +22,8 @@ JobConfig PsJob(const ModelProfile& model) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::InitBenchJobs(argc, argv);
   std::printf("Co-scheduling (sec. 7): two jobs sharing one 4-machine PS cluster\n"
               "(MXNet PS RDMA, 100 Gbps, ByteScheduler in every configuration)\n\n");
 

@@ -9,7 +9,8 @@
 
 using namespace bsched;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::InitBenchJobs(argc, argv);
   std::printf("Extra models (sec. 6.2): 32 GPUs, MXNet PS RDMA, 100 Gbps\n\n");
   Table table({"model", "baseline", "bytescheduler", "speedup", "paper"});
   struct Row {

@@ -8,7 +8,8 @@
 
 using namespace bsched;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::InitBenchJobs(argc, argv);
   Setup setup;
   setup.name = "contrived PS";
   setup.framework = Framework::kMxnet;

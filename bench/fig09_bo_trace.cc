@@ -13,7 +13,8 @@
 
 using namespace bsched;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::InitBenchJobs(argc, argv);
   JobConfig job = bench::MakeJob(Vgg16(), Setup::MxnetNcclRdma(), 4, Bandwidth::Gbps(100));
 
   AutoTunerOptions opt;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
@@ -141,6 +142,14 @@ void PrintScalingFigure(const std::string& title, const ModelProfile& model, boo
 
 int InitBenchJobs(int argc, const char* const* argv) {
   const Flags flags(argc, argv);
+  if (!flags.errors().empty()) {
+    // A malformed token (say "-jobs 4") would otherwise run the defaults.
+    for (const std::string& token : flags.errors()) {
+      std::fprintf(stderr, "%s: malformed flag '%s' (use --name or --name=value)\n", argv[0],
+                   token.c_str());
+    }
+    std::exit(2);
+  }
   const int jobs = static_cast<int>(flags.GetInt("jobs", 0));
   SweepRunner::SetDefaultJobs(jobs);
   g_obs_flags = ParseObsFlags(flags);

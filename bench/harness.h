@@ -65,7 +65,9 @@ std::string GainPercent(double sched, double baseline);
 // installs the result as the process-wide sweep worker count, plus the
 // shared observability flags (--trace / --metrics / --obs) consumed by
 // MaybeWriteObsArtifacts and the sharded-execution flag (--shards K) applied
-// by MakeJob. Returns the effective jobs value.
+// by MakeJob. Returns the effective jobs value. A malformed token (a single
+// dash such as "-jobs", or a bare "--") prints Flags::errors() to stderr and
+// exits with status 2 instead of running the defaults.
 int InitBenchJobs(int argc, const char* const* argv);
 
 // Shard count from --shards (0 = serial single-Simulator execution). MakeJob

@@ -29,7 +29,7 @@ struct LinkChurnResult {
 
 // One round: `messages` chained sends over a fresh simulator + link, sizes
 // cycling through a small deterministic set so the per-message arithmetic is
-// exercised across the wheel's time scales. Returns CPU-time throughput.
+// exercised across time scales. Returns CPU-time throughput.
 inline LinkChurnResult RunLinkChurn(bool idle_model, int messages) {
   Simulator sim;
   Link link(&sim, "bench.up", Bandwidth::Gbps(10), TransportModel::Tcp());

@@ -4,10 +4,9 @@
 // wall-clock of one reference figure sweep at --jobs 1 vs --jobs N, then
 // writes BENCH_sim.json so future PRs can compare against this baseline.
 //
-// The event-loop measurement runs the same workload on three engines:
-//  - the timer-wheel Simulator (the default production queue),
-//  - the binary-heap Simulator (QueuePolicy::kBinaryHeap, the differential
-//    baseline the wheel must never fall behind by more than 10%),
+// The event-loop measurement runs the same workload on two engines, which
+// must agree on a workload checksum:
+//  - the Simulator (pooled slots and EventFn over a binary heap),
 //  - LegacySimulator, an in-tree copy of the pre-pooling event loop
 //    (per-event std::function + shared_ptr<bool> token on a
 //    std::priority_queue), so speedups are measured, not asserted.
@@ -18,7 +17,7 @@
 // the honest numbers let a multi-core reader judge the scaling themselves.
 //
 // When the output file from a previous run exists (or --baseline points at
-// one), the run fails if wheel churn throughput regressed more than 10%
+// one), the run fails if churn throughput regressed more than 10%
 // against it — this is the `ctest -L perf` regression gate.
 //
 // Flags: --jobs N          parallel sweep workers (default: hardware concurrency)
@@ -29,7 +28,6 @@
 //        --skip-sweep      measure the event loop only (quick smoke mode)
 //        --max-regression F       allowed churn slowdown vs baseline
 //                                 (default 0.10 — the >10% regression gate)
-//        --min-wheel-vs-heap F    wheel/heap churn floor (default 0.9)
 //        --max-idle-regression F  allowed link-churn slowdown of the
 //                                 enabled-but-idle RateModel path vs the
 //                                 static link path (default 0.03 — the
@@ -65,11 +63,6 @@ using bench::ChurnResult;
 using bench::LegacySimulator;
 using bench::MeasureChurn;
 using bench::SecondsSince;
-
-// MeasureChurn default-constructs its Sim; this pins the non-default policy.
-struct HeapSimulator : Simulator {
-  HeapSimulator() : Simulator(QueuePolicy::kBinaryHeap) {}
-};
 
 // ---- reference figure sweep -----------------------------------------------
 
@@ -116,7 +109,7 @@ ShardRow MeasureShards(int shards) {
   return row;
 }
 
-// Reads the previous run's wheel churn throughput; 0 when absent/unreadable.
+// Reads the previous run's churn throughput; 0 when absent/unreadable.
 double BaselineEventsPerSec(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -147,7 +140,6 @@ int main(int argc, char** argv) {
   const int rounds = static_cast<int>(flags.GetInt("rounds", 3));
   const bool skip_sweep = flags.GetBool("skip-sweep", false);
   const double max_regression = flags.GetDouble("max-regression", 0.10);
-  const double min_wheel_vs_heap = flags.GetDouble("min-wheel-vs-heap", 0.9);
   const double max_idle_regression = flags.GetDouble("max-idle-regression", 0.03);
   const int host_cpus = static_cast<int>(std::thread::hardware_concurrency());
 
@@ -157,23 +149,18 @@ int main(int argc, char** argv) {
   std::printf("micro_sim: event-loop and sweep perf baseline (jobs=%d, host_cpus=%d)\n", jobs,
               host_cpus);
 
-  const ChurnResult wheel = MeasureChurn<Simulator, EventHandle>(churn_events, rounds);
-  const ChurnResult heap = MeasureChurn<HeapSimulator, EventHandle>(churn_events, rounds);
+  const ChurnResult sim = MeasureChurn<Simulator, EventHandle>(churn_events, rounds);
   const ChurnResult legacy =
       MeasureChurn<LegacySimulator, LegacySimulator::Handle>(churn_events, rounds);
-  if (wheel.checksum != legacy.checksum || heap.checksum != legacy.checksum) {
-    std::fprintf(stderr, "FATAL: churn checksums diverge (wheel %llu, heap %llu, legacy %llu)\n",
-                 static_cast<unsigned long long>(wheel.checksum),
-                 static_cast<unsigned long long>(heap.checksum),
+  if (sim.checksum != legacy.checksum) {
+    std::fprintf(stderr, "FATAL: churn checksums diverge (simulator %llu, legacy %llu)\n",
+                 static_cast<unsigned long long>(sim.checksum),
                  static_cast<unsigned long long>(legacy.checksum));
     return 1;
   }
-  const double speedup_vs_legacy = wheel.events_per_sec / legacy.events_per_sec;
-  const double wheel_vs_heap = wheel.events_per_sec / heap.events_per_sec;
-  std::printf("  event loop: wheel %.2fM events/sec, heap %.2fM, legacy %.2fM\n",
-              wheel.events_per_sec / 1e6, heap.events_per_sec / 1e6, legacy.events_per_sec / 1e6);
-  std::printf("  wheel vs legacy: %.2fx   wheel vs heap: %.2fx\n", speedup_vs_legacy,
-              wheel_vs_heap);
+  const double speedup_vs_legacy = sim.events_per_sec / legacy.events_per_sec;
+  std::printf("  event loop: %.2fM events/sec, legacy %.2fM (%.2fx)\n", sim.events_per_sec / 1e6,
+              legacy.events_per_sec / 1e6, speedup_vs_legacy);
 
   // Dynamic-network zero-cost gate: the integrating transmit path with an
   // identity RateModel installed must track the legacy fixed-rate link path.
@@ -233,11 +220,8 @@ int main(int argc, char** argv) {
   std::fprintf(out, "    \"workload\": \"churn\",\n");
   std::fprintf(out, "    \"events\": %d,\n", churn_events);
   std::fprintf(out, "    \"rounds\": %d,\n", rounds);
-  std::fprintf(out, "    \"queue\": \"timer_wheel\",\n");
-  std::fprintf(out, "    \"events_per_sec\": %.0f,\n", wheel.events_per_sec);
-  std::fprintf(out, "    \"heap_events_per_sec\": %.0f,\n", heap.events_per_sec);
+  std::fprintf(out, "    \"events_per_sec\": %.0f,\n", sim.events_per_sec);
   std::fprintf(out, "    \"legacy_events_per_sec\": %.0f,\n", legacy.events_per_sec);
-  std::fprintf(out, "    \"wheel_vs_heap\": %.3f,\n", wheel_vs_heap);
   std::fprintf(out, "    \"speedup_vs_legacy\": %.3f\n", speedup_vs_legacy);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"rate_model\": {\n");
@@ -280,17 +264,6 @@ int main(int argc, char** argv) {
   // window, so each gate confirms a miss with an independent re-measure and
   // fails only when the regression survives both samples.
   int failures = 0;
-  double gated_ratio = wheel_vs_heap;
-  if (gated_ratio < min_wheel_vs_heap) {
-    const ChurnResult w2 = MeasureChurn<Simulator, EventHandle>(churn_events, rounds);
-    const ChurnResult h2 = MeasureChurn<HeapSimulator, EventHandle>(churn_events, rounds);
-    gated_ratio = std::max(gated_ratio, w2.events_per_sec / h2.events_per_sec);
-  }
-  if (gated_ratio < min_wheel_vs_heap) {
-    std::fprintf(stderr, "PERF GATE: timer wheel fell below %.2fx of the binary heap (%.3fx)\n",
-                 min_wheel_vs_heap, gated_ratio);
-    ++failures;
-  }
   {
     double gated_overhead = idle_overhead;
     if (gated_overhead > max_idle_regression) {
@@ -308,7 +281,7 @@ int main(int argc, char** argv) {
   }
   if (baseline_rate > 0.0) {
     const double floor = (1.0 - max_regression) * baseline_rate;
-    double gated_rate = wheel.events_per_sec;
+    double gated_rate = sim.events_per_sec;
     if (gated_rate < floor) {
       const ChurnResult confirm = MeasureChurn<Simulator, EventHandle>(churn_events, rounds);
       gated_rate = std::max(gated_rate, confirm.events_per_sec);

@@ -44,7 +44,8 @@ std::string Mb(Bytes b) { return Table::Num(static_cast<double>(b) / 1e6, 1); }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::InitBenchJobs(argc, argv);
   std::printf("Table 1: best (partition MB, credit MB) per model and architecture\n"
               "(grid search over an %dx%d log lattice; 32 GPUs, 100 Gbps)\n\n",
               kLattice, kLattice);

@@ -71,10 +71,11 @@ PsBackend::PsBackend(Simulator* sim, const PsConfig& config) : sim_(sim), config
                                                config_.transport));
     shard_cpus_.push_back(std::make_unique<Resource>(ShardSim(s), name + ".cpu"));
   }
-  slots_.resize(static_cast<size_t>(config_.num_shards));
-  pending_acks_.resize(static_cast<size_t>(config_.num_workers));
+  workers_.resize(static_cast<size_t>(config_.num_workers));
+  shards_.resize(static_cast<size_t>(config_.num_shards));
+  arrived_words_ = (config_.num_workers + 63) / 64;
+  hops_.resize(Sharded() ? static_cast<size_t>(config_.coord->shards()) : 1);
   push_retransmits_.assign(static_cast<size_t>(config_.num_workers), 0);
-  push_rounds_.resize(static_cast<size_t>(config_.num_workers));
   stale_push_drops_.assign(static_cast<size_t>(config_.num_shards), 0);
   if (config_.faults != nullptr) {
     BSCHED_CHECK(config_.retry_backoff >= 1.0);
@@ -124,17 +125,77 @@ bool PsBackend::Tracing() const {
   return config_.obs != nullptr && config_.obs->tracing();
 }
 
-void PsBackend::Forward(int src, int dst, uint64_t channel, SimTime delay, EventFn fn) {
+uint32_t PsBackend::SlotIndex::Get(int64_t tensor_id, int partition) {
+  const auto [it, added] = tensors_.try_emplace(tensor_id, static_cast<uint32_t>(parts_.size()));
+  if (added) {
+    parts_.emplace_back();
+  }
+  std::vector<uint32_t>& row = parts_[it->second];
+  if (static_cast<size_t>(partition) >= row.size()) {
+    row.resize(static_cast<size_t>(partition) + 1, kNone);
+  }
+  if (row[partition] == kNone) {
+    row[partition] = size_++;
+  }
+  return row[partition];
+}
+
+uint32_t PsBackend::WorkerSlot(int worker, int64_t tensor_id, int partition) {
+  WorkerState& ws = workers_[worker];
+  const uint32_t slot = ws.index.Get(tensor_id, partition);
+  if (slot == ws.rounds.size()) {
+    ws.rounds.emplace_back();
+    if (config_.faults != nullptr) {
+      ws.acks.emplace_back();
+    }
+  }
+  return slot;
+}
+
+uint32_t PsBackend::ShardSlot(int shard, int64_t tensor_id, int partition) {
+  ShardState& ss = shards_[shard];
+  const uint32_t slot = ss.index.Get(tensor_id, partition);
+  if (slot == ss.aggregated.size()) {
+    ss.aggregated.push_back(0);
+    ss.arrived.resize(ss.arrived.size() + arrived_words_, 0);
+    ss.arrivals.push_back(0);
+    ss.accepted_round.resize(ss.accepted_round.size() + config_.num_workers, 0);
+    ss.pending_head.push_back(kNone);
+    ss.pending_tail.push_back(kNone);
+  }
+  return slot;
+}
+
+uint32_t PsBackend::NewHop(int pool) { return hops_[pool].Acquire(); }
+
+void PsBackend::FreeHop(int pool, uint32_t hop) {
+  Hop& h = At(pool, hop);
+  h.on_finish = nullptr;
+  h.next = kNone;
+  hops_[pool].Release(hop);
+}
+
+void PsBackend::Forward(int src, int dst, uint64_t channel, SimTime delay, uint32_t hop,
+                        HopStep step) {
   if (Sharded()) {
-    config_.coord->Post(src, dst, channel, delay, std::move(fn));
+    // The hop crosses threads by value: each pool is touched only by its
+    // own coordinator shard.
+    Hop moved = std::move(At(src, hop));
+    FreeHop(src, hop);
+    config_.coord->Post(src, dst, channel, delay,
+                        [this, dst, step, moved = std::move(moved)]() mutable {
+                          const uint32_t local = NewHop(dst);
+                          At(dst, local) = std::move(moved);
+                          (this->*step)(dst, local);
+                        });
     return;
   }
   // Serial path: reproduce Link::SendWithFlush's delivery wrapper exactly —
   // a zero wire flight runs inline, anything else schedules.
   if (delay.nanos() == 0) {
-    fn();
+    (this->*step)(dst, hop);
   } else {
-    sim_->Schedule(delay, std::move(fn));
+    sim_->Schedule(delay, [this, dst, hop, step] { (this->*step)(dst, hop); });
   }
 }
 
@@ -163,112 +224,164 @@ void PsBackend::Start(const SubCommTask& subtask, std::function<void()> on_finis
 void PsBackend::HandlePush(const SubCommTask& subtask, std::function<void()> on_finish) {
   const int shard = ShardFor(subtask.tensor_id, subtask.partition);
   const int worker = subtask.worker;
-  Simulator* wsim = WorkerSim(worker);
-  const SimTime submit = wsim->Now();
   // Aggregation round for this slot from this worker: the data leg and any
   // retransmits of it all carry this round number, letting the shard drop a
   // stale duplicate whose original also made it through. A fresh push task
   // opens a new round; a Core-level retry re-enters here with the *same*
   // task id and must stay in its round, or its duplicate copy would count
   // as a phantom arrival in the next one.
-  auto& prev = push_rounds_[worker][AckKey{subtask.tensor_id, subtask.partition}];
-  if (prev.first != subtask.task || prev.second == 0) {
-    prev.first = subtask.task;
-    ++prev.second;
+  PushRound& prev =
+      workers_[worker].rounds[WorkerSlot(worker, subtask.tensor_id, subtask.partition)];
+  if (prev.task != subtask.task || prev.round == 0) {
+    prev.task = subtask.task;
+    ++prev.round;
   }
-  const uint64_t round = prev.second;
+  const int pool = worker_cshard_[worker];
+  const uint32_t hop = NewHop(pool);
+  Hop& h = At(pool, hop);
+  h.subtask = subtask;
+  h.on_finish = std::move(on_finish);
+  h.shard = shard;
+  h.round = prev.round;
+  h.submit = WorkerSim(worker)->Now();
   uplinks_[worker]->SendCrossShard(
-      subtask.bytes, MsgScale(worker, shard),
-      /*on_flushed=*/
-      [this, subtask, shard, worker, wsim, submit, round,
-       on_finish = std::move(on_finish)]() mutable {
-        // Sender-side completion (the stack flushed the partition): this is
-        // what returns scheduler credit, after a small completion latency.
-        // From here the data leg is the backend's responsibility; with faults
-        // enabled an ack timer guarantees it eventually reaches the shard.
-        if (Tracing()) {
-          const std::string track = "net/worker" + std::to_string(worker) + ".up";
-          TraceRecorder* trace = config_.obs->trace();
-          trace->AddSpan(track, PartName(subtask.tensor_id, subtask.partition) + ".push", submit,
-                         wsim->Now(),
-                         {TraceArg::Int("bytes", subtask.bytes),
-                          TraceArg::Int("layer", subtask.layer),
-                          TraceArg::Int("shard", shard)});
-          if (subtask.flow != 0) {
-            trace->AddFlow(track, "flush", wsim->Now(), subtask.flow, FlowPhase::kStep);
-          }
+      subtask.bytes, MsgScale(worker, shard), [this, pool, hop] { OnPushFlushed(pool, hop); },
+      [this, pool, hop](SimTime wire) { OnUplinkDelivered(pool, hop, wire); });
+}
+
+void PsBackend::OnPushFlushed(int pool, uint32_t hop) {
+  // Sender-side completion (the stack flushed the partition): this is what
+  // returns scheduler credit, after a small completion latency. From here the
+  // data leg is the backend's responsibility; with faults enabled an ack
+  // timer guarantees it eventually reaches the shard.
+  Hop& h = At(pool, hop);
+  const SubCommTask& subtask = h.subtask;
+  const int worker = subtask.worker;
+  Simulator* wsim = WorkerSim(worker);
+  if (Tracing()) {
+    const std::string track = "net/worker" + std::to_string(worker) + ".up";
+    TraceRecorder* trace = config_.obs->trace();
+    trace->AddSpan(track, PartName(subtask.tensor_id, subtask.partition) + ".push", h.submit,
+                   wsim->Now(),
+                   {TraceArg::Int("bytes", subtask.bytes), TraceArg::Int("layer", subtask.layer),
+                    TraceArg::Int("shard", h.shard)});
+    if (subtask.flow != 0) {
+      trace->AddFlow(track, "flush", wsim->Now(), subtask.flow, FlowPhase::kStep);
+    }
+  }
+  if (config_.faults != nullptr) {
+    ArmPushAckTimer(worker, subtask, h.shard, /*attempt=*/0, h.round);
+  }
+  // Flush notification goes to this worker's own scheduler core — a
+  // same-entity hop, so it stays a local schedule in sharded mode too.
+  wsim->Schedule(config_.control_latency, std::move(h.on_finish));
+}
+
+void PsBackend::OnUplinkDelivered(int pool, uint32_t hop, SimTime wire) {
+  if (wire == Link::kDropped) {
+    FreeHop(pool, hop);  // lost on the wire; the ack timer retransmits
+    return;
+  }
+  // Store-and-forward: after the wire flight the partition serializes into
+  // the shard NIC, where copies from all workers contend.
+  const Hop& h = At(pool, hop);
+  const int worker = h.subtask.worker;
+  Forward(pool, shard_cshard_[h.shard], Chan(kChanPushData, worker, h.shard), wire, hop,
+          &PsBackend::OnPushAtShard);
+}
+
+void PsBackend::OnPushAtShard(int pool, uint32_t hop) {
+  const Hop& h = At(pool, hop);
+  const int shard = h.shard;
+  // Delivered like Link::Send: a zero wire flight arrives inline.
+  ingresses_[shard]->SendCrossShard(
+      h.subtask.bytes, /*on_flushed=*/nullptr, [this, pool, hop](SimTime wire) {
+        if (wire == Link::kDropped) {
+          FreeHop(pool, hop);
+        } else if (wire.nanos() == 0) {
+          OnPushArrived(pool, hop);
+        } else {
+          ShardSim(At(pool, hop).shard)->Schedule(wire, [this, pool, hop] {
+            OnPushArrived(pool, hop);
+          });
         }
-        if (config_.faults != nullptr) {
-          ArmPushAckTimer(subtask, shard, /*attempt=*/0, round);
-        }
-        // Flush notification goes to this worker's own scheduler core — a
-        // same-entity hop, so it stays a local schedule in sharded mode too.
-        wsim->Schedule(config_.control_latency, std::move(on_finish));
-      },
-      /*deliver=*/
-      [this, subtask, shard, worker, round](SimTime wire) {
-        // Store-and-forward: after the wire flight the partition serializes
-        // into the shard NIC, where copies from all workers contend.
-        Forward(worker_cshard_[worker], shard_cshard_[shard],
-                Chan(kChanPushData, worker, shard), wire, [this, subtask, shard, round] {
-                  ingresses_[shard]->Send(subtask.bytes, [this, subtask, shard, round] {
-                    OnPushArrived(subtask, shard, round);
-                  });
-                });
       });
 }
 
-void PsBackend::SendPushData(const SubCommTask& subtask, int shard, uint64_t round) {
+void PsBackend::SendPushData(int worker, const SubCommTask& subtask, int shard, uint64_t round) {
   // Retransmission path: re-occupies the uplink (a resend spends real
   // bandwidth) but carries no flush callback — credit was already returned.
   // Shares the first transmission's channel: both ride the same FIFO uplink,
   // so their flush order (and thus channel order) matches wire order.
-  const int worker = subtask.worker;
+  const int pool = worker_cshard_[worker];
+  const uint32_t hop = NewHop(pool);
+  Hop& h = At(pool, hop);
+  h.subtask = subtask;
+  h.shard = shard;
+  h.round = round;
   uplinks_[worker]->SendCrossShard(
       subtask.bytes, MsgScale(worker, shard), /*on_flushed=*/nullptr,
-      [this, subtask, shard, worker, round](SimTime wire) {
-        Forward(worker_cshard_[worker], shard_cshard_[shard],
-                Chan(kChanPushData, worker, shard), wire, [this, subtask, shard, round] {
-                  ingresses_[shard]->Send(subtask.bytes, [this, subtask, shard, round] {
-                    OnPushArrived(subtask, shard, round);
-                  });
-                });
-      });
+      [this, pool, hop](SimTime wire) { OnUplinkDelivered(pool, hop, wire); });
 }
 
-void PsBackend::ArmPushAckTimer(const SubCommTask& subtask, int shard, int attempt,
+void PsBackend::ArmPushAckTimer(int worker, const SubCommTask& subtask, int shard, int attempt,
                                 uint64_t round) {
   // Runs on (and schedules on) the owning worker's simulator.
-  const int worker = subtask.worker;
-  const AckKey key{subtask.tensor_id, subtask.partition};
-  EventHandle& pending = pending_acks_[worker][key];
+  const uint32_t slot = WorkerSlot(worker, subtask.tensor_id, subtask.partition);
+  PendingAck& ack = workers_[worker].acks[slot];
   // Supersede a stale timer left by a previous aggregation round of the same
-  // (tensor, partition, worker) slot (async mode reuses keys freely).
-  pending.Cancel();
+  // (tensor, partition, worker) slot (async mode reuses slots freely).
+  ack.timer.Cancel();
+  ack.subtask = subtask;
+  ack.shard = shard;
+  ack.attempt = attempt;
+  ack.round = round;
+  ack.armed = true;
   double scale = 1.0;
   for (int i = 0; i < attempt; ++i) {
     scale *= config_.retry_backoff;
   }
   const SimTime timeout = SimTime(
       static_cast<int64_t>(static_cast<double>(config_.push_ack_timeout.nanos()) * scale));
-  pending = WorkerSim(worker)->Schedule(timeout, [this, subtask, shard, worker, attempt,
-                                                  round]() {
-    pending_acks_[worker].erase(AckKey{subtask.tensor_id, subtask.partition});
-    BSCHED_CHECK(attempt < config_.max_push_retries &&
-                 "push data leg exhausted its retransmit budget");
-    ++push_retransmits_[worker];
-    if (config_.faults != nullptr) {
-      config_.faults->RecordBackendRetransmit(worker, subtask.layer, subtask.partition,
-                                              attempt + 1);
-    }
-    if (!rate_ctrl_.empty()) {
-      // Loss signal: the data leg timed out, so back off this worker's
-      // uplink before spending bandwidth on the retransmit.
-      rate_ctrl_[worker]->OnLoss();
-    }
-    ArmPushAckTimer(subtask, shard, attempt + 1, round);
-    SendPushData(subtask, shard, round);
-  });
+  ack.timer =
+      WorkerSim(worker)->Schedule(timeout, [this, worker, slot] { OnAckTimeout(worker, slot); });
+}
+
+void PsBackend::OnAckTimeout(int worker, uint32_t slot) {
+  PendingAck& ack = workers_[worker].acks[slot];
+  ack.armed = false;
+  const SubCommTask subtask = ack.subtask;
+  const int shard = ack.shard;
+  const int attempt = ack.attempt;
+  const uint64_t round = ack.round;
+  BSCHED_CHECK(attempt < config_.max_push_retries &&
+               "push data leg exhausted its retransmit budget");
+  ++push_retransmits_[worker];
+  if (config_.faults != nullptr) {
+    config_.faults->RecordBackendRetransmit(worker, subtask.layer, subtask.partition,
+                                            attempt + 1);
+  }
+  if (!rate_ctrl_.empty()) {
+    // Loss signal: the data leg timed out, so back off this worker's
+    // uplink before spending bandwidth on the retransmit.
+    rate_ctrl_[worker]->OnLoss();
+  }
+  ArmPushAckTimer(worker, subtask, shard, attempt + 1, round);
+  SendPushData(worker, subtask, shard, round);
+}
+
+void PsBackend::CancelPushAck(int worker, int64_t tensor_id, int partition) {
+  PendingAck& ack = workers_[worker].acks[WorkerSlot(worker, tensor_id, partition)];
+  if (!ack.armed) {
+    return;
+  }
+  ack.timer.Cancel();
+  ack.armed = false;
+  // Clean ack: recover the uplink's pacing. Runs on the worker's own
+  // simulator, like the timer it cancels.
+  if (!rate_ctrl_.empty()) {
+    rate_ctrl_[worker]->OnAck();
+  }
 }
 
 SimTime PsBackend::ScaledUpdateTime(int shard, Bytes bytes) const {
@@ -301,9 +414,15 @@ void PsBackend::RecordUpdateSpan(int shard, int64_t tensor, int partition, uint6
   }
 }
 
-void PsBackend::OnPushArrived(const SubCommTask& subtask, int shard, uint64_t round) {
+void PsBackend::OnPushArrived(int pool, uint32_t hop) {
   // Runs on the PS shard's simulator.
+  Hop& h = At(pool, hop);
+  const SubCommTask& subtask = h.subtask;
   const int worker = subtask.worker;
+  const int shard = h.shard;
+  ShardState& ss = shards_[shard];
+  const uint32_t slot = ShardSlot(shard, subtask.tensor_id, subtask.partition);
+  h.slot = slot;
   {
     // Round guard: drop a copy whose round was already counted — its ack
     // timer fired while the original was merely slow (long outage window or
@@ -311,147 +430,160 @@ void PsBackend::OnPushArrived(const SubCommTask& subtask, int shard, uint64_t ro
     // would seed the slot's *next* aggregation round with a phantom arrival.
     // Checked before the ack-cancel below: any pending timer now belongs to
     // a newer round and must keep running.
+    //
+    // Known abort (not fixed here; a fix changes the fault-injected
+    // fingerprints): a Core retry of a push re-enters HandlePush with the
+    // same task, so it keeps the round, and when it flushes after that round
+    // was accepted here it arms a fresh ack timer. Its copies then arrive as
+    // stale and return below, before the ack-cancel, so that timer is never
+    // cancelled: it retransmits, each retransmit is dropped here again, and
+    // the retry budget runs out at the CHECK in OnAckTimeout ("push data leg
+    // exhausted its retransmit budget").
     uint64_t& accepted =
-        slots_[shard][{subtask.tensor_id, subtask.partition}].accepted_round[worker];
-    if (round <= accepted) {
+        ss.accepted_round[static_cast<size_t>(slot) * config_.num_workers + worker];
+    if (h.round <= accepted) {
       ++stale_push_drops_[shard];
+      FreeHop(pool, hop);
       return;
     }
-    accepted = round;
+    accepted = h.round;
   }
   if (config_.faults != nullptr) {
     if (!Sharded()) {
-      auto& acks = pending_acks_[worker];
-      auto ack = acks.find(AckKey{subtask.tensor_id, subtask.partition});
-      if (ack != acks.end()) {
-        ack->second.Cancel();
-        acks.erase(ack);
-        if (!rate_ctrl_.empty()) {
-          rate_ctrl_[worker]->OnAck();
-        }
-      }
+      CancelPushAck(worker, subtask.tensor_id, subtask.partition);
     } else {
       // The ack timer lives on the worker's shard: send an explicit ack
       // message back. It pays a control latency, so a timer may fire while
       // the ack is in flight — a spurious but deterministic retransmit, the
       // same race a real unreliable-datagram PS pays.
-      config_.coord->Post(
-          shard_cshard_[shard], worker_cshard_[worker], Chan(kChanAckCancel, shard, worker),
-          config_.control_latency,
-          [this, worker, key = AckKey{subtask.tensor_id, subtask.partition}] {
-            auto& acks = pending_acks_[worker];
-            auto it = acks.find(key);
-            if (it != acks.end()) {
-              it->second.Cancel();
-              acks.erase(it);
-              // Clean ack: recover the uplink's pacing. Runs on the worker's
-              // own shard, like the timer it cancels.
-              if (!rate_ctrl_.empty()) {
-                rate_ctrl_[worker]->OnAck();
-              }
-            }
-          });
+      config_.coord->Post(shard_cshard_[shard], worker_cshard_[worker],
+                          Chan(kChanAckCancel, shard, worker), config_.control_latency,
+                          [this, worker, tensor = subtask.tensor_id,
+                           partition = subtask.partition] {
+                            CancelPushAck(worker, tensor, partition);
+                          });
     }
   }
   if (Tracing() && subtask.flow != 0) {
     config_.obs->trace()->AddFlow("ps/shard" + std::to_string(shard), "arrive", sim_->Now(),
                                   subtask.flow, FlowPhase::kStep);
   }
-  SlotState& slot = slots_[shard][{subtask.tensor_id, subtask.partition}];
-  const SimTime update_time = ScaledUpdateTime(shard, subtask.bytes);
-  if (!config_.synchronous) {
-    // Async PS: apply each worker's gradient on arrival; parameters become
-    // pullable after the first update.
-    shard_cpus_[shard]->Submit(update_time, [this, shard, tensor = subtask.tensor_id,
-                                             partition = subtask.partition,
-                                             bytes = subtask.bytes, flow = subtask.flow,
-                                             update_time] {
-      RecordUpdateSpan(shard, tensor, partition, flow, update_time);
-      SlotState& s = slots_[shard][{tensor, partition}];
-      if (!s.aggregated) {
-        s.aggregated = true;
-      }
-      auto pending = std::move(s.pending_pulls);
-      s.pending_pulls.clear();
-      for (auto& p : pending) {
-        DeliverPull(shard, p.subtask, bytes, std::move(p.on_finish));
-      }
-    });
-    return;
-  }
-  // A set, not a counter: a retransmitted copy racing its merely-delayed
-  // original must not count the same worker twice within a round.
-  slot.arrived.insert(worker);
-  if (static_cast<int>(slot.arrived.size()) < config_.num_workers) {
-    return;
-  }
-  slot.arrived.clear();
-  // All workers' gradients for this partition arrived: run the update, then
-  // release any pulls that were admitted early.
-  shard_cpus_[shard]->Submit(update_time, [this, shard, tensor = subtask.tensor_id,
-                                           partition = subtask.partition, bytes = subtask.bytes,
-                                           flow = subtask.flow, update_time] {
-    RecordUpdateSpan(shard, tensor, partition, flow, update_time);
-    SlotState& s = slots_[shard][{tensor, partition}];
-    s.aggregated = true;
-    auto pending = std::move(s.pending_pulls);
-    s.pending_pulls.clear();
-    for (auto& p : pending) {
-      DeliverPull(shard, p.subtask, bytes, std::move(p.on_finish));
+  h.update_time = ScaledUpdateTime(shard, subtask.bytes);
+  if (config_.synchronous) {
+    // A bitset, not a counter: a retransmitted copy racing its
+    // merely-delayed original must not count the same worker twice within
+    // a round.
+    uint64_t* arrived = &ss.arrived[static_cast<size_t>(slot) * arrived_words_];
+    const uint64_t bit = uint64_t{1} << (worker % 64);
+    if ((arrived[worker / 64] & bit) == 0) {
+      arrived[worker / 64] |= bit;
+      ++ss.arrivals[slot];
     }
-    if (listeners_.empty()) {
+    if (ss.arrivals[slot] < config_.num_workers) {
+      FreeHop(pool, hop);
       return;
     }
-    if (!Sharded()) {
-      // Listener-major, worker-minor: matches the legacy order, where each
-      // single listener looped workers 0..N-1 internally.
-      for (const auto& listener : listeners_) {
-        for (int w = 0; w < config_.num_workers; ++w) {
-          listener(tensor, partition, w);
-        }
+    std::fill(arrived, arrived + arrived_words_, 0);
+    ss.arrivals[slot] = 0;
+  }
+  // Sync: all workers' gradients for this partition arrived. Async: apply
+  // each worker's gradient on arrival; parameters become pullable after the
+  // first update. Either way run the update, then release any pulls that
+  // were admitted early.
+  shard_cpus_[shard]->Submit(h.update_time, [this, pool, hop] { OnUpdated(pool, hop); });
+}
+
+void PsBackend::OnUpdated(int pool, uint32_t hop) {
+  const Hop& h = At(pool, hop);
+  const int shard = h.shard;
+  const uint32_t slot = h.slot;
+  const int64_t tensor = h.subtask.tensor_id;
+  const int partition = h.subtask.partition;
+  const Bytes bytes = h.subtask.bytes;
+  RecordUpdateSpan(shard, tensor, partition, h.subtask.flow, h.update_time);
+  FreeHop(pool, hop);
+  ShardState& ss = shards_[shard];
+  ss.aggregated[slot] = 1;
+  uint32_t pull = ss.pending_head[slot];
+  ss.pending_head[slot] = kNone;
+  ss.pending_tail[slot] = kNone;
+  while (pull != kNone) {
+    Hop& p = At(pool, pull);
+    const uint32_t next = p.next;
+    p.next = kNone;
+    p.deliver_bytes = bytes;
+    DeliverPull(pool, pull);
+    pull = next;
+  }
+  if (!config_.synchronous || listeners_.empty()) {
+    return;
+  }
+  if (!Sharded()) {
+    // Listener-major, worker-minor: matches the legacy order, where each
+    // single listener looped workers 0..N-1 internally.
+    for (const auto& listener : listeners_) {
+      for (int w = 0; w < config_.num_workers; ++w) {
+        listener(tensor, partition, w);
       }
-      return;
     }
-    // Sharded: the notification is a shard -> worker control message, so
-    // each worker's listeners run on that worker's own shard.
-    for (int w = 0; w < config_.num_workers; ++w) {
-      config_.coord->Post(shard_cshard_[shard], worker_cshard_[w],
-                          Chan(kChanAggNotify, shard, w), config_.control_latency,
-                          [this, tensor, partition, w] {
-                            for (const auto& listener : listeners_) {
-                              listener(tensor, partition, w);
-                            }
-                          });
-    }
-  });
+    return;
+  }
+  // Sharded: the notification is a shard -> worker control message, so
+  // each worker's listeners run on that worker's own shard.
+  for (int w = 0; w < config_.num_workers; ++w) {
+    config_.coord->Post(shard_cshard_[shard], worker_cshard_[w], Chan(kChanAggNotify, shard, w),
+                        config_.control_latency, [this, tensor, partition, w] {
+                          for (const auto& listener : listeners_) {
+                            listener(tensor, partition, w);
+                          }
+                        });
+  }
 }
 
 void PsBackend::HandlePull(const SubCommTask& subtask, std::function<void()> on_finish) {
   const int shard = ShardFor(subtask.tensor_id, subtask.partition);
   const int worker = subtask.worker;
+  const int pool = worker_cshard_[worker];
+  const uint32_t hop = NewHop(pool);
+  Hop& h = At(pool, hop);
+  h.subtask = subtask;
+  h.on_finish = std::move(on_finish);
+  h.shard = shard;
   // Pull request reaches the shard after a control-message latency (a
   // worker -> shard hop, so it crosses via Post in sharded mode).
-  Forward(worker_cshard_[worker], shard_cshard_[shard], Chan(kChanPullReq, worker, shard),
-          config_.control_latency,
-          [this, subtask, shard, on_finish = std::move(on_finish)]() mutable {
-            SlotState& slot = slots_[shard][{subtask.tensor_id, subtask.partition}];
-            if (!slot.aggregated) {
-              slot.pending_pulls.push_back(PendingPull{subtask, std::move(on_finish)});
-              return;
-            }
-            DeliverPull(shard, subtask, subtask.bytes, std::move(on_finish));
-          });
+  Forward(pool, shard_cshard_[shard], Chan(kChanPullReq, worker, shard), config_.control_latency,
+          hop, &PsBackend::OnPullRequest);
 }
 
-void PsBackend::DeliverPull(int shard, const SubCommTask& subtask, Bytes bytes,
-                            std::function<void()> on_finish) {
+void PsBackend::OnPullRequest(int pool, uint32_t hop) {
+  Hop& h = At(pool, hop);
+  const int shard = h.shard;
+  ShardState& ss = shards_[shard];
+  const uint32_t slot = ShardSlot(shard, h.subtask.tensor_id, h.subtask.partition);
+  if (!ss.aggregated[slot]) {
+    if (ss.pending_tail[slot] == kNone) {
+      ss.pending_head[slot] = hop;
+    } else {
+      At(pool, ss.pending_tail[slot]).next = hop;
+    }
+    ss.pending_tail[slot] = hop;
+    return;
+  }
+  h.deliver_bytes = h.subtask.bytes;
+  DeliverPull(pool, hop);
+}
+
+void PsBackend::DeliverPull(int pool, uint32_t hop) {
   // Runs on the PS shard's simulator.
-  const int worker = subtask.worker;
+  Hop& h = At(pool, hop);
+  const int worker = h.subtask.worker;
+  const int shard = h.shard;
   if (Tracing()) {
     // Wrap the completion so the downlink span and the flow hop are stamped
     // at actual delivery time (after egress + downlink serialization).
     const SimTime submit = sim_->Now();
-    on_finish = [this, subtask, bytes, submit, on_finish = std::move(on_finish)]() mutable {
+    h.on_finish = [this, subtask = h.subtask, bytes = h.deliver_bytes, submit,
+                   on_finish = std::move(h.on_finish)]() mutable {
       const std::string track = "net/worker" + std::to_string(subtask.worker) + ".down";
       TraceRecorder* trace = config_.obs->trace();
       trace->AddSpan(track, PartName(subtask.tensor_id, subtask.partition) + ".pull", submit,
@@ -463,28 +595,47 @@ void PsBackend::DeliverPull(int shard, const SubCommTask& subtask, Bytes bytes,
     };
   }
   egresses_[shard]->SendCrossShard(
-      bytes, MsgScale(worker, shard), /*on_flushed=*/nullptr,
-      [this, shard, worker, bytes, on_finish = std::move(on_finish)](SimTime wire) mutable {
-        Forward(shard_cshard_[shard], worker_cshard_[worker],
-                Chan(kChanPullData, shard, worker), wire,
-                [this, worker, bytes, on_finish = std::move(on_finish)]() mutable {
-                  downlinks_[worker]->Send(bytes, std::move(on_finish));
-                });
+      h.deliver_bytes, MsgScale(worker, shard), /*on_flushed=*/nullptr,
+      [this, pool, hop](SimTime wire) {
+        if (wire == Link::kDropped) {
+          FreeHop(pool, hop);  // the Core's retry timer re-requests the pull
+          return;
+        }
+        const Hop& sent = At(pool, hop);
+        const int to = sent.subtask.worker;
+        Forward(pool, worker_cshard_[to], Chan(kChanPullData, sent.shard, to), wire, hop,
+                &PsBackend::OnPullAtWorker);
       });
 }
 
+void PsBackend::OnPullAtWorker(int pool, uint32_t hop) {
+  Hop& h = At(pool, hop);
+  const int worker = h.subtask.worker;
+  const Bytes bytes = h.deliver_bytes;
+  std::function<void()> on_finish = std::move(h.on_finish);
+  FreeHop(pool, hop);
+  downlinks_[worker]->Send(bytes, std::move(on_finish));
+}
+
 void PsBackend::ResetAggregationState() {
-  for (auto& shard_slots : slots_) {
-    shard_slots.clear();
-  }
-  for (auto& worker_acks : pending_acks_) {
-    for (auto& [key, handle] : worker_acks) {
-      handle.Cancel();
+  for (WorkerState& ws : workers_) {
+    for (PendingAck& ack : ws.acks) {
+      ack.timer.Cancel();
     }
-    worker_acks.clear();
+    ws = WorkerState();
   }
-  for (auto& worker_rounds : push_rounds_) {
-    worker_rounds.clear();
+  for (int s = 0; s < config_.num_shards; ++s) {
+    ShardState& ss = shards_[s];
+    // Pulls parked on a slot are dropped with it.
+    const int pool = shard_cshard_[s];
+    for (uint32_t pull : ss.pending_head) {
+      while (pull != kNone) {
+        const uint32_t next = At(pool, pull).next;
+        FreeHop(pool, pull);
+        pull = next;
+      }
+    }
+    ss = ShardState();
   }
 }
 
@@ -539,10 +690,14 @@ void PsBackend::ExportMetrics() {
 std::string PsBackend::DebugString() const {
   int pending_pulls = 0;
   int waiting_slots = 0;
-  for (const auto& shard_slots : slots_) {
-    for (const auto& [key, slot] : shard_slots) {
-      pending_pulls += static_cast<int>(slot.pending_pulls.size());
-      if (!slot.arrived.empty()) {
+  for (int s = 0; s < config_.num_shards; ++s) {
+    const ShardState& ss = shards_[s];
+    for (size_t slot = 0; slot < ss.arrivals.size(); ++slot) {
+      for (uint32_t pull = ss.pending_head[slot]; pull != kNone;
+           pull = hops_[shard_cshard_[s]][pull].next) {
+        ++pending_pulls;
+      }
+      if (ss.arrivals[slot] > 0) {
         ++waiting_slots;
       }
     }
@@ -551,8 +706,10 @@ std::string PsBackend::DebugString() const {
                     " slots_awaiting_arrivals=" + std::to_string(waiting_slots);
   if (config_.faults != nullptr) {
     size_t unacked = 0;
-    for (const auto& worker_acks : pending_acks_) {
-      unacked += worker_acks.size();
+    for (const WorkerState& ws : workers_) {
+      for (const PendingAck& ack : ws.acks) {
+        unacked += ack.armed ? 1 : 0;
+      }
     }
     out += " unacked_pushes=" + std::to_string(unacked) +
            " retransmits=" + std::to_string(push_retransmits());

@@ -27,19 +27,31 @@
 // surviving into the next round can make that worker's arrival count early —
 // a semantic staleness real async PS systems also accept — but never lose or
 // double-aggregate a round.) Control messages are assumed reliable.
+//
+// State layout: every (tensor, partition) slot an entity touches gets a
+// compact id from that entity's SlotIndex, and all per-slot state — push
+// rounds and ack timers per worker, aggregation bitsets, accepted rounds and
+// pending-pull FIFOs per PS shard — lives in vectors indexed by it. Ids are
+// never raw tensor ids: co-scheduled jobs offset theirs by 1 << 20. A push
+// data leg or pull in flight is one pooled Hop record, and every callback
+// along its path (link flush and delivery, shard CPU, Forward) captures only
+// {this, pool, hop index}, which std::function and EventFn store inline, so
+// a job's steady state allocates nothing here. State is partitioned by the
+// entity that owns it (worker or PS shard) and hops by coordinator shard, so
+// sharded mode touches each piece from one thread only.
 #ifndef SRC_COMM_PS_BACKEND_H_
 #define SRC_COMM_PS_BACKEND_H_
 
+#include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/comm/backend.h"
+#include "src/common/pool.h"
 #include "src/fault/fault_injector.h"
 #include "src/net/link.h"
 #include "src/net/net_dynamics.h"
@@ -180,31 +192,86 @@ class PsBackend : public CommBackend {
   void ExportMetrics();
 
  private:
-  // A pull admitted before its slot aggregated; replayed on aggregation.
-  // Carries the full subtask so the replayed delivery keeps its flow id.
-  struct PendingPull {
-    SubCommTask subtask;
-    std::function<void()> on_finish;
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  // Compact ids for the (tensor, partition) slots one entity has touched,
+  // assigned in first-touch order.
+  class SlotIndex {
+   public:
+    // The slot's id; a new slot gets id size() (callers grow their vectors).
+    uint32_t Get(int64_t tensor_id, int partition);
+    uint32_t size() const { return size_; }
+
+   private:
+    std::unordered_map<int64_t, uint32_t> tensors_;  // tensor id -> row of parts_
+    std::vector<std::vector<uint32_t>> parts_;       // partition -> slot id
+    uint32_t size_ = 0;
   };
 
-  // Aggregation state for one (layer, partition) slot on its shard.
-  struct SlotState {
-    // Workers whose gradient copy arrived this aggregation round; a set (not
-    // a count) so retransmitted duplicates cannot inflate the round.
-    std::set<int> arrived;
-    bool aggregated = false;
-    // Highest push round accepted per worker. Every data leg carries its
-    // sender-side round number; a copy at or below the accepted round is a
-    // stale duplicate — its retransmit timer fired while the original was
+  // One push data leg (first transmission or retransmit) or one pull, from
+  // the worker's Start to the shard update or the pull delivery. Fields are
+  // filled as the hop progresses.
+  struct Hop {
+    SubCommTask subtask;
+    std::function<void()> on_finish;  // empty for retransmitted legs
+    int shard = 0;
+    uint32_t slot = kNone;  // shard-local slot, set at the shard
+    uint32_t next = kNone;  // pending-pull FIFO link
+    uint64_t round = 0;     // push: aggregation round (see push rounds below)
+    SimTime submit;         // push: uplink submit time (trace span)
+    SimTime update_time;    // push: shard update duration (trace span)
+    Bytes deliver_bytes = 0;  // pull: delivered payload size
+  };
+  // What a hop does next, on the entity it was forwarded to.
+  using HopStep = void (PsBackend::*)(int pool, uint32_t hop);
+
+  // Sender-side push round per slot: (last push task id, round). A new task
+  // id is a new aggregation round; a repeated id is a Core-level retry of the
+  // same push, which re-enters HandlePush but must keep its original round
+  // so the shard can recognise duplicate copies. The round rides the data
+  // leg and all its retransmits and is checked against the shard's accepted
+  // round.
+  struct PushRound {
+    CommTaskId task = kInvalidCommTask;
+    uint64_t round = 0;
+  };
+  // The ack timer of a push data leg awaiting its shard arrival (faults
+  // enabled only); a later arm for the slot supersedes it.
+  struct PendingAck {
+    EventHandle timer;
+    SubCommTask subtask;
+    int shard = 0;
+    int attempt = 0;
+    uint64_t round = 0;
+    bool armed = false;
+  };
+  // Per-worker state, touched only on the worker's simulator.
+  struct WorkerState {
+    SlotIndex index;
+    std::vector<PushRound> rounds;  // by worker-local slot
+    std::vector<PendingAck> acks;   // by worker-local slot; faults only
+  };
+  // Aggregation state of one PS shard by shard-local slot, touched only on
+  // the shard's simulator.
+  struct ShardState {
+    SlotIndex index;
+    std::vector<uint8_t> aggregated;
+    // Workers whose gradient copy arrived this aggregation round: a bitset
+    // (arrived_words_ words per slot) plus its popcount, so retransmitted
+    // duplicates cannot inflate the round.
+    std::vector<uint64_t> arrived;
+    std::vector<int> arrivals;
+    // Highest push round accepted per (slot, worker). Every data leg carries
+    // its sender-side round number; a copy at or below the accepted round is
+    // a stale duplicate — its retransmit timer fired while the original was
     // merely slow (a long outage or a heavily derated volatile link), both
     // copies arrived, and counting the second would pollute the *next*
     // aggregation round for this slot.
-    std::map<int, uint64_t> accepted_round;
-    // Pull deliveries admitted before aggregation completed.
-    std::vector<PendingPull> pending_pulls;
+    std::vector<uint64_t> accepted_round;
+    // FIFO of pull hops admitted before aggregation completed.
+    std::vector<uint32_t> pending_head;
+    std::vector<uint32_t> pending_tail;
   };
-
-  using AckKey = std::pair<int64_t, int>;  // (tensor, partition); maps are per worker
 
   bool Tracing() const;
   bool Sharded() const { return config_.coord != nullptr; }
@@ -220,25 +287,47 @@ class PsBackend : public CommBackend {
   void RecordUpdateSpan(int shard, int64_t tensor, int partition, uint64_t flow,
                         SimTime update_time);
   int ShardFor(int64_t tensor_id, int partition) const;
+  // Slot ids, growing the owner's vectors on first touch.
+  uint32_t WorkerSlot(int worker, int64_t tensor_id, int partition);
+  uint32_t ShardSlot(int shard, int64_t tensor_id, int partition);
+
+  Hop& At(int pool, uint32_t hop) { return hops_[pool][hop]; }
+  uint32_t NewHop(int pool);
+  void FreeHop(int pool, uint32_t hop);
+
   void HandlePush(const SubCommTask& subtask, std::function<void()> on_finish);
   void HandlePull(const SubCommTask& subtask, std::function<void()> on_finish);
-  void OnPushArrived(const SubCommTask& subtask, int shard, uint64_t round);
-  // `bytes` is the delivered payload size: the pull's own size on the direct
-  // path, the aggregating push's size when replayed from pending_pulls.
-  void DeliverPull(int shard, const SubCommTask& subtask, Bytes bytes,
-                   std::function<void()> on_finish);
-  void SendPushData(const SubCommTask& subtask, int shard, uint64_t round);
-  void ArmPushAckTimer(const SubCommTask& subtask, int shard, int attempt, uint64_t round);
+  // Hop steps, in path order. Push: uplink flush -> uplink delivery ->
+  // ingress -> arrival -> shard update. Pull: request at the shard ->
+  // egress -> downlink.
+  void OnPushFlushed(int pool, uint32_t hop);
+  void OnUplinkDelivered(int pool, uint32_t hop, SimTime wire);
+  void OnPushAtShard(int pool, uint32_t hop);
+  void OnPushArrived(int pool, uint32_t hop);
+  void OnUpdated(int pool, uint32_t hop);
+  void OnPullRequest(int pool, uint32_t hop);
+  // Sends the pull's hop.deliver_bytes: the pull's own size on the direct
+  // path, the aggregating push's size when replayed from the pending FIFO.
+  void DeliverPull(int pool, uint32_t hop);
+  void OnPullAtWorker(int pool, uint32_t hop);
+
+  void SendPushData(int worker, const SubCommTask& subtask, int shard, uint64_t round);
+  void ArmPushAckTimer(int worker, const SubCommTask& subtask, int shard, int attempt,
+                       uint64_t round);
+  void OnAckTimeout(int worker, uint32_t slot);
+  // The shard saw the slot's push from `worker`: stop its ack timer.
+  void CancelPushAck(int worker, int64_t tensor_id, int partition);
   // Pacing multiplier for one worker<->shard transfer (1.0 without the
   // two-tier topology; 1/oversubscription across racks). Applied on the
   // sender-side link, where the per-message overhead is paid.
   double MsgScale(int worker, int shard) const;
   SimTime ScaledUpdateTime(int shard, Bytes bytes) const;
-  // Runs `fn` on the destination entity `delay` after the caller's now.
-  // Serial: schedule on sim_ (delay 0 runs inline, matching the link wrapper
-  // in Link::SendWithFlush). Sharded: ShardCoordinator::Post on `channel`
-  // from coordinator shard `src` to `dst`.
-  void Forward(int src, int dst, uint64_t channel, SimTime delay, EventFn fn);
+  // Runs `step` for `hop` (in pool `src`) on the destination entity `delay`
+  // after the caller's now. Serial: schedule on sim_ (delay 0 runs inline,
+  // matching the link wrapper in Link::SendWithFlush). Sharded: the hop
+  // moves by value through ShardCoordinator::Post on `channel` into pool
+  // `dst`.
+  void Forward(int src, int dst, uint64_t channel, SimTime delay, uint32_t hop, HopStep step);
 
   Simulator* sim_;  // null in sharded mode
   PsConfig config_;
@@ -254,21 +343,13 @@ class PsBackend : public CommBackend {
   std::vector<std::unique_ptr<Link>> ingresses_;   // network -> shard
   std::vector<std::unique_ptr<Link>> egresses_;    // shard -> network
   std::vector<std::unique_ptr<Resource>> shard_cpus_;
-  // Aggregation state, partitioned by owning PS shard (only that shard's
-  // simulator touches its map, which is what makes sharded mode race-free).
-  std::vector<std::map<std::pair<int64_t, int>, SlotState>> slots_;
+  std::vector<WorkerState> workers_;
+  std::vector<ShardState> shards_;
+  int arrived_words_ = 1;  // bitset words per slot in ShardState::arrived
+  // Hop pools, one per coordinator shard (one in serial mode).
+  std::vector<Pool<Hop>> hops_;
   std::vector<std::function<void(int64_t tensor_id, int partition, int worker)>> listeners_;
-  // Un-acked push data legs awaiting shard arrival (faults enabled only);
-  // partitioned by worker, whose simulator owns the timers.
-  std::vector<std::map<AckKey, EventHandle>> pending_acks_;
   std::vector<uint64_t> push_retransmits_;  // per worker
-  // Sender-side push round per (tensor, partition): (last push task id,
-  // round). A new task id is a new aggregation round; a repeated id is a
-  // Core-level retry of the same push, which re-enters HandlePush but must
-  // keep its original round so the shard can recognise duplicate copies.
-  // The round rides the data leg and all its retransmits and is checked
-  // against SlotState::accepted_round at the shard. Partitioned by worker.
-  std::vector<std::map<AckKey, std::pair<CommTaskId, uint64_t>>> push_rounds_;
   std::vector<uint64_t> stale_push_drops_;  // per shard
   // Per-worker AIMD controllers on the uplinks (empty unless dynamics with
   // aimd.enable); each runs on its worker's simulator.

@@ -37,10 +37,24 @@ SchedulerCore::SchedulerCore(SchedulerConfig config, CommBackend* backend, int w
   }
 }
 
+SchedulerCore::TaskState& SchedulerCore::Task(CommTaskId id) {
+  BSCHED_CHECK(id >= 0 && id < next_task_id_ && task_index_[id] != kNoRecord);
+  return tasks_[task_index_[id]];
+}
+
+const SchedulerCore::TaskState& SchedulerCore::Task(CommTaskId id) const {
+  BSCHED_CHECK(id >= 0 && id < next_task_id_ && task_index_[id] != kNoRecord);
+  return tasks_[task_index_[id]];
+}
+
 CommTaskId SchedulerCore::Enqueue(CommTaskDesc desc) {
   BSCHED_CHECK(desc.tensor_bytes > 0);
   const CommTaskId id = next_task_id_++;
-  TaskState state;
+  const uint32_t slot = tasks_.Acquire();
+  task_index_.push_back(slot);
+  TaskState& state = tasks_[slot];
+  state.partition_bytes.clear();
+  state.partitions_finished = 0;
 
   // CommTask.partition(size): split into SubCommTasks no larger than the
   // configured partition size (zero-copy in real frameworks; here we only
@@ -59,14 +73,11 @@ CommTaskId SchedulerCore::Enqueue(CommTaskDesc desc) {
   }
   state.partition_notified.assign(state.partition_bytes.size(), false);
   state.desc = std::move(desc);
-  tasks_.emplace(id, std::move(state));
   return id;
 }
 
 void SchedulerCore::NotifyReady(CommTaskId id) {
-  auto it = tasks_.find(id);
-  BSCHED_CHECK(it != tasks_.end());
-  TaskState& state = it->second;
+  TaskState& state = Task(id);
   for (int p = 0; p < static_cast<int>(state.partition_bytes.size()); ++p) {
     if (!state.partition_notified[p]) {
       EnqueueReady(state, id, p);
@@ -76,9 +87,7 @@ void SchedulerCore::NotifyReady(CommTaskId id) {
 }
 
 void SchedulerCore::NotifyReadyPartition(CommTaskId id, int partition) {
-  auto it = tasks_.find(id);
-  BSCHED_CHECK(it != tasks_.end());
-  TaskState& state = it->second;
+  TaskState& state = Task(id);
   BSCHED_CHECK(partition >= 0);
   BSCHED_CHECK(partition < static_cast<int>(state.partition_bytes.size()));
   if (!state.partition_notified[partition]) {
@@ -88,9 +97,7 @@ void SchedulerCore::NotifyReadyPartition(CommTaskId id, int partition) {
 }
 
 int SchedulerCore::NumPartitions(CommTaskId id) const {
-  auto it = tasks_.find(id);
-  BSCHED_CHECK(it != tasks_.end());
-  return static_cast<int>(it->second.partition_bytes.size());
+  return static_cast<int>(Task(id).partition_bytes.size());
 }
 
 SubTaskKey SchedulerCore::KeyFor(const SubCommTask& subtask) {
@@ -106,9 +113,30 @@ SubTaskKey SchedulerCore::KeyFor(const SubCommTask& subtask) {
   return key;
 }
 
+void SchedulerCore::FreeRecord(uint32_t rec) {
+  SubTaskRecord& r = records_[rec];
+  r.in_flight = false;
+  r.credit_waiting = false;
+  r.attempts = 0;
+  records_.Release(rec);
+}
+
+void SchedulerCore::PushQueue(const SubTaskKey& key, uint32_t rec) {
+  queue_.push_back(QueueEntry{key, rec});
+  std::push_heap(queue_.begin(), queue_.end(), QueueAfter());
+}
+
+void SchedulerCore::PopQueue() {
+  std::pop_heap(queue_.begin(), queue_.end(), QueueAfter());
+  queue_.pop_back();
+}
+
 void SchedulerCore::EnqueueReady(TaskState& state, CommTaskId id, int partition) {
   state.partition_notified[partition] = true;
-  SubCommTask subtask;
+  const uint32_t rec = records_.Acquire();
+  SubTaskRecord& r = records_[rec];
+  SubCommTask& subtask = r.subtask;
+  subtask = SubCommTask{};
   subtask.task = id;
   subtask.worker = state.desc.worker;
   subtask.layer = state.desc.layer;
@@ -117,11 +145,11 @@ void SchedulerCore::EnqueueReady(TaskState& state, CommTaskId id, int partition)
   subtask.partition = partition;
   subtask.bytes = state.partition_bytes[partition];
   subtask.type = state.desc.type;
-  QueuedSubTask entry{subtask, 0};
   if (sim_ != nullptr) {
-    entry.ready_at = sim_->Now();
+    r.ready_at = sim_->Now();
   }
-  queue_.emplace(KeyFor(subtask), std::move(entry));
+  r.key = KeyFor(subtask);
+  PushQueue(r.key, rec);
 }
 
 void SchedulerCore::TrySchedule() {
@@ -132,46 +160,44 @@ void SchedulerCore::TrySchedule() {
   }
   scheduling_ = true;
   while (!queue_.empty()) {
-    const SubCommTask& head = queue_.begin()->second.subtask;
+    const uint32_t rec = queue_.front().record;
+    SubTaskRecord& head = records_[rec];
     // Credits model the *sender's* buffer (§4.2): pushes and all-reduce
     // operations fill it; pull responses are sent by the server and consume
     // the server-side egress queue instead, so they admit freely.
-    const bool charges_credit = head.type != CommOpType::kPull;
+    const bool charges_credit = head.subtask.type != CommOpType::kPull;
     // Algorithm 1 line 16: wait unless the credit covers the head subtask.
     // A subtask larger than the whole credit pool is admitted only when the
     // pool is full, otherwise it could never start.
-    const bool can_start =
-        !charges_credit || credit_ >= head.bytes || credit_ == config_.credit_bytes;
+    const bool can_start = !charges_credit || credit_ >= head.subtask.bytes ||
+                           credit_ == config_.credit_bytes;
     if (!can_start) {
       // Stamp the moment the head first starved on credit; RecordAdmit
       // splits the wait span there. No event is scheduled, so the
       // simulation trajectory is unchanged whether or not anyone traces.
-      QueuedSubTask& blocked = queue_.begin()->second;
-      if (!blocked.credit_waiting && sim_ != nullptr) {
-        blocked.credit_waiting = true;
-        blocked.credit_wait_since = sim_->Now();
+      if (!head.credit_waiting && sim_ != nullptr) {
+        head.credit_waiting = true;
+        head.credit_wait_since = sim_->Now();
       }
       break;
     }
-    const SubTaskKey key = queue_.begin()->first;
-    QueuedSubTask entry = std::move(queue_.begin()->second);
     const size_t depth_before = queue_.size();
-    queue_.erase(queue_.begin());
-    const Bytes charged = charges_credit ? std::min(entry.subtask.bytes, credit_) : 0;
+    PopQueue();
+    const Bytes charged = charges_credit ? std::min(head.subtask.bytes, credit_) : 0;
     credit_ -= charged;
     BSCHED_DCHECK(credit_ >= 0);
     ++subtasks_started_;
     if (obs_ != nullptr) {
-      RecordAdmit(entry, key, charged, depth_before);
+      RecordAdmit(head, charged, depth_before);
     }
-    StartAttempt(entry.subtask, key, charged, entry.attempts);
+    StartAttempt(rec, charged);
   }
   scheduling_ = false;
 }
 
-void SchedulerCore::RecordAdmit(QueuedSubTask& entry, const SubTaskKey& key, Bytes charged,
-                                size_t queue_depth_before) {
-  SubCommTask& st = entry.subtask;
+void SchedulerCore::RecordAdmit(SubTaskRecord& r, Bytes charged, size_t queue_depth_before) {
+  SubCommTask& st = r.subtask;
+  const SubTaskKey& key = r.key;
   if (m_queue_depth_ != nullptr) {
     m_queue_depth_->Observe(static_cast<int64_t>(queue_depth_before));
     m_credit_in_use_->Observe(config_.credit_bytes == SchedulerConfig::kUnlimited
@@ -209,11 +235,8 @@ void SchedulerCore::RecordAdmit(QueuedSubTask& entry, const SubTaskKey& key, Byt
     }
   }
 
-  auto task_it = tasks_.find(st.task);
-  const std::string& tensor =
-      task_it != tasks_.end() && !task_it->second.desc.name.empty()
-          ? task_it->second.desc.name
-          : "L" + std::to_string(st.layer);
+  const std::string& name = Task(st.task).desc.name;
+  const std::string& tensor = !name.empty() ? name : "L" + std::to_string(st.layer);
   const std::string base =
       tensor + ".p" + std::to_string(st.partition) + "." + ToString(st.type);
   const SimTime now = sim_->Now();
@@ -221,18 +244,17 @@ void SchedulerCore::RecordAdmit(QueuedSubTask& entry, const SubTaskKey& key, Byt
   // Wait decomposition: queue-wait (ready → first credit starvation at the
   // head, or admit when credit never blocked) and credit-wait (starvation →
   // admit). The critical-path analyzer attributes the two separately.
-  const SimTime wait_end =
-      entry.credit_waiting ? std::max(entry.ready_at, entry.credit_wait_since) : now;
-  if (wait_end > entry.ready_at) {
-    trace->AddSpan(track_, base + ".wait", entry.ready_at, wait_end,
+  const SimTime wait_end = r.credit_waiting ? std::max(r.ready_at, r.credit_wait_since) : now;
+  if (wait_end > r.ready_at) {
+    trace->AddSpan(track_, base + ".wait", r.ready_at, wait_end,
                    {TraceArg::Int("layer", st.layer), TraceArg::Int("partition", st.partition),
-                    TraceArg::Int("bytes", st.bytes), TraceArg::Int("attempt", entry.attempts),
+                    TraceArg::Int("bytes", st.bytes), TraceArg::Int("attempt", r.attempts),
                     TraceArg::Int("charged", charged)});
   }
-  if (entry.credit_waiting && now > entry.credit_wait_since) {
-    trace->AddSpan(track_, base + ".credit_wait", entry.credit_wait_since, now,
+  if (r.credit_waiting && now > r.credit_wait_since) {
+    trace->AddSpan(track_, base + ".credit_wait", r.credit_wait_since, now,
                    {TraceArg::Int("layer", st.layer), TraceArg::Int("partition", st.partition),
-                    TraceArg::Int("bytes", st.bytes), TraceArg::Int("attempt", entry.attempts),
+                    TraceArg::Int("bytes", st.bytes), TraceArg::Int("attempt", r.attempts),
                     TraceArg::Int("charged", charged)});
   }
   trace->AddFlow(track_, base + ".admit", now, st.flow, phase);
@@ -246,35 +268,29 @@ SimTime SchedulerCore::AttemptTimeout(int attempts) const {
   return SimTime(static_cast<int64_t>(static_cast<double>(config_.retry.timeout.nanos()) * scale));
 }
 
-void SchedulerCore::StartAttempt(const SubCommTask& subtask, const SubTaskKey& key, Bytes charged,
-                                 int attempts) {
+void SchedulerCore::StartAttempt(uint32_t rec, Bytes charged) {
+  SubTaskRecord& r = records_[rec];
+  r.charged = charged;
+  // The backend gets a copy: a backend that completes synchronously re-enters
+  // the Core, which may release and reuse this record while Start still
+  // reads the subtask.
+  const SubCommTask subtask = r.subtask;
   if (!recovery_enabled()) {
-    backend_->Start(subtask,
-                    [this, subtask, charged]() { OnSubTaskFinish(subtask, charged); });
+    backend_->Start(subtask, [this, rec] { OnSubTaskFinish(rec); });
     return;
   }
-  const uint64_t generation = ++next_generation_;
-  const auto inflight_key = std::make_pair(subtask.task, subtask.partition);
-  InFlight& fl = inflight_[inflight_key];
-  fl.subtask = subtask;
-  fl.key = key;
-  fl.charged = charged;
-  fl.attempts = attempts;
-  fl.generation = generation;
-  fl.timeout = sim_->Schedule(
-      AttemptTimeout(attempts),
-      [this, task = subtask.task, partition = subtask.partition, generation]() {
-        OnAttemptTimeout(task, partition, generation);
-      });
-  backend_->Start(subtask,
-                  [this, task = subtask.task, partition = subtask.partition, generation]() {
-                    OnAttemptFinish(task, partition, generation);
-                  });
+  const uint32_t generation = ++next_generation_;
+  r.in_flight = true;
+  r.generation = generation;
+  ++in_flight_;
+  r.timeout = sim_->Schedule(AttemptTimeout(r.attempts),
+                             [this, rec, generation] { OnAttemptTimeout(rec, generation); });
+  backend_->Start(subtask, [this, rec, generation] { OnAttemptFinish(rec, generation); });
 }
 
-void SchedulerCore::OnAttemptFinish(CommTaskId task, int partition, uint64_t generation) {
-  auto it = inflight_.find({task, partition});
-  if (it == inflight_.end() || it->second.generation != generation) {
+void SchedulerCore::OnAttemptFinish(uint32_t rec, uint32_t generation) {
+  SubTaskRecord& r = records_[rec];
+  if (!r.in_flight || r.generation != generation) {
     // A delayed copy of an attempt that already timed out (and was retried)
     // or of a partition that already finished: the message was late, not
     // lost. Counting it would double-finish the partition and leak credit.
@@ -284,34 +300,36 @@ void SchedulerCore::OnAttemptFinish(CommTaskId task, int partition, uint64_t gen
     }
     return;
   }
-  InFlight fl = std::move(it->second);
-  inflight_.erase(it);
-  fl.timeout.Cancel();
-  OnSubTaskFinish(fl.subtask, fl.charged);
+  r.in_flight = false;
+  --in_flight_;
+  r.timeout.Cancel();
+  OnSubTaskFinish(rec);
 }
 
-void SchedulerCore::OnAttemptTimeout(CommTaskId task, int partition, uint64_t generation) {
-  auto it = inflight_.find({task, partition});
-  if (it == inflight_.end() || it->second.generation != generation) {
+void SchedulerCore::OnAttemptTimeout(uint32_t rec, uint32_t generation) {
+  SubTaskRecord& r = records_[rec];
+  if (!r.in_flight || r.generation != generation) {
     return;  // stale timer (attempt completed; Cancel raced the pop)
   }
-  InFlight fl = std::move(it->second);
-  inflight_.erase(it);
+  r.in_flight = false;
+  --in_flight_;
   ++timeouts_fired_;
   // Credit restoration: the lost attempt's bytes are no longer in flight.
-  credit_ += fl.charged;
+  credit_ += r.charged;
   BSCHED_DCHECK(credit_ <= config_.credit_bytes);
   if (faults_ != nullptr) {
-    faults_->RecordCoreTimeout(fl.subtask.worker, fl.subtask.layer, fl.subtask.partition,
-                               fl.attempts + 1, fl.charged);
+    faults_->RecordCoreTimeout(r.subtask.worker, r.subtask.layer, r.subtask.partition,
+                               r.attempts + 1, r.charged);
   }
-  if (fl.attempts >= config_.retry.max_retries) {
+  if (r.attempts >= config_.retry.max_retries) {
     ++subtasks_abandoned_;
     if (faults_ != nullptr) {
       faults_->RecordAbandon();
     }
     if (config_.retry.on_abandon) {
-      config_.retry.on_abandon(fl.subtask);
+      const SubCommTask abandoned = r.subtask;
+      FreeRecord(rec);
+      config_.retry.on_abandon(abandoned);
       TrySchedule();  // the freed credit may admit queued work
       return;
     }
@@ -323,12 +341,17 @@ void SchedulerCore::OnAttemptTimeout(CommTaskId task, int partition, uint64_t ge
   }
   // Requeue at the ORIGINAL priority key: the retry competes exactly where
   // the partition always belonged, not behind newer arrivals.
-  queue_.emplace(fl.key, QueuedSubTask{fl.subtask, fl.attempts + 1, sim_->Now()});
+  ++r.attempts;
+  r.ready_at = sim_->Now();
+  r.credit_waiting = false;
+  PushQueue(r.key, rec);
   TrySchedule();
 }
 
-void SchedulerCore::OnSubTaskFinish(SubCommTask subtask, Bytes charged) {
-  credit_ += charged;
+void SchedulerCore::OnSubTaskFinish(uint32_t rec) {
+  const SubCommTask subtask = records_[rec].subtask;
+  credit_ += records_[rec].charged;
+  FreeRecord(rec);
   BSCHED_DCHECK(credit_ <= config_.credit_bytes);
   if (obs_ != nullptr && obs_->tracing() && sim_ != nullptr && subtask.flow != 0 &&
       subtask.type != CommOpType::kPush) {
@@ -337,13 +360,11 @@ void SchedulerCore::OnSubTaskFinish(SubCommTask subtask, Bytes charged) {
     obs_->trace()->AddFlow(track_, "finish", sim_->Now(), subtask.flow, FlowPhase::kEnd);
     obs_->EndPartitionFlow(subtask.worker, subtask.tensor_id, subtask.partition);
   }
-  auto it = tasks_.find(subtask.task);
-  BSCHED_CHECK(it != tasks_.end());
-  TaskState& state = it->second;
+  TaskState& state = Task(subtask.task);
   ++state.partitions_finished;
 
   // Copy the callbacks out: both may re-enter the Core (enqueue/ready new
-  // tasks), and on_finish-driven erase would invalidate `state`.
+  // tasks), which may reuse this task's pool record.
   const bool task_done =
       state.partitions_finished == static_cast<int>(state.partition_bytes.size());
   auto on_partition_finish = state.desc.on_partition_finish;
@@ -351,7 +372,10 @@ void SchedulerCore::OnSubTaskFinish(SubCommTask subtask, Bytes charged) {
   if (task_done) {
     ++tasks_finished_;
     on_finish = std::move(state.desc.on_finish);
-    tasks_.erase(it);
+    state.desc.on_finish = nullptr;
+    state.desc.on_partition_finish = nullptr;
+    tasks_.Release(task_index_[subtask.task]);
+    task_index_[subtask.task] = kNoRecord;
   }
   if (on_partition_finish) {
     on_partition_finish(subtask.partition);
@@ -382,9 +406,9 @@ std::string SchedulerCore::DebugString() const {
   std::string out = "core[" + std::to_string(worker_id_) + "] credit=" + std::to_string(credit_) +
                     "/" + std::to_string(config_.credit_bytes) +
                     " queued=" + std::to_string(queue_.size()) +
-                    " unfinished_tasks=" + std::to_string(tasks_.size());
+                    " unfinished_tasks=" + std::to_string(tasks_.held());
   if (!queue_.empty()) {
-    const SubCommTask& head = queue_.begin()->second.subtask;
+    const SubCommTask& head = records_[queue_.front().record].subtask;
     out += " head=(layer=" + std::to_string(head.layer) + " " + ToString(head.type) +
            " part=" + std::to_string(head.partition) + " bytes=" + std::to_string(head.bytes) +
            ")";
@@ -394,7 +418,7 @@ std::string SchedulerCore::DebugString() const {
            " retries=" + std::to_string(retries_) +
            " late=" + std::to_string(late_completions_) +
            " abandoned=" + std::to_string(subtasks_abandoned_) +
-           " inflight=" + std::to_string(inflight_.size()) + ")";
+           " inflight=" + std::to_string(in_flight_) + ")";
   }
   return out;
 }

@@ -13,17 +13,23 @@
 // and the next attempt backs off exponentially; completions of timed-out
 // attempts are recognized by generation and ignored, so a delayed (rather
 // than lost) message can never double-finish a partition or leak credit.
+//
+// Hot-path layout: tasks and partitions live in pooled records reused across
+// the run, the ready queue is a binary heap of (SubTaskKey, record index)
+// pairs (keys are unique, so it pops in exactly the order an ordered map
+// would), and every callback the Core hands out captures only `this` plus a
+// record index and attempt generation — 16 bytes, which std::function and
+// EventFn store inline — so steady-state admission allocates nothing.
 #ifndef SRC_CORE_SCHEDULER_CORE_H_
 #define SRC_CORE_SCHEDULER_CORE_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/comm/backend.h"
+#include "src/common/pool.h"
 #include "src/core/comm_task.h"
 #include "src/sim/simulator.h"
 
@@ -78,7 +84,7 @@ class SchedulerCore {
   uint64_t retries() const { return retries_; }
   uint64_t late_completions() const { return late_completions_; }
   uint64_t subtasks_abandoned() const { return subtasks_abandoned_; }
-  size_t subtasks_in_flight() const { return inflight_.size(); }
+  size_t subtasks_in_flight() const { return in_flight_; }
 
   // Exports end-of-run totals (sched.w<id>.subtasks_started, retries,
   // timeouts, ...) into the obs metrics registry. Call once after the run;
@@ -86,6 +92,10 @@ class SchedulerCore {
   void ExportMetrics() const;
 
  private:
+  static constexpr uint32_t kNoRecord = UINT32_MAX;
+
+  // One CommTask from Enqueue until its last partition finishes; pooled, so
+  // a finished task's vectors keep their capacity for the next one.
   struct TaskState {
     CommTaskDesc desc;
     std::vector<Bytes> partition_bytes;
@@ -93,11 +103,12 @@ class SchedulerCore {
     int partitions_finished = 0;
   };
 
-  // Queue entry: the subtask plus how many attempts have already timed out
-  // (0 for first admissions; requeued retries carry their attempt count).
-  struct QueuedSubTask {
+  // One partition from the moment it is notified ready until it finishes:
+  // queued, admitted, and (with recovery) requeued after a timeout.
+  struct SubTaskRecord {
     SubCommTask subtask;
-    int attempts = 0;
+    SubTaskKey key;  // original priority key, reused on requeue
+    int attempts = 0;  // attempts that already timed out
     // When this entry became schedulable (valid only when tracing with a
     // Simulator); admit time minus this is the queue-wait span.
     SimTime ready_at;
@@ -108,34 +119,43 @@ class SchedulerCore {
     // critical-path analyzer attributes separately.
     SimTime credit_wait_since;
     bool credit_waiting = false;
+    // Recovery layer: the admitted attempt under timeout watch.
+    bool in_flight = false;
+    Bytes charged = 0;
+    uint32_t generation = 0;  // stale-completion filter
+    EventHandle timeout;
   };
 
-  // One admitted subtask being watched by the recovery layer.
-  struct InFlight {
-    SubCommTask subtask;
-    SubTaskKey key;  // original priority key, reused on requeue
-    Bytes charged = 0;
-    int attempts = 0;        // 0-based attempt index
-    uint64_t generation = 0; // stale-completion filter
-    EventHandle timeout;
+  struct QueueEntry {
+    SubTaskKey key;
+    uint32_t record;
+  };
+  // Min-heap order on the key: true when `a` is less urgent than `b`.
+  struct QueueAfter {
+    bool operator()(const QueueEntry& a, const QueueEntry& b) const { return b.key < a.key; }
   };
 
   bool recovery_enabled() const { return config_.retry.enabled() && sim_ != nullptr; }
   SimTime AttemptTimeout(int attempts) const;
 
-  // Records admit-time metrics/trace/flow for one admitted entry; mutates
-  // entry.subtask.flow. `queue_depth_before` is the queue size at pop time.
-  void RecordAdmit(QueuedSubTask& entry, const SubTaskKey& key, Bytes charged,
-                   size_t queue_depth_before);
+  TaskState& Task(CommTaskId id);
+  const TaskState& Task(CommTaskId id) const;
+  void FreeRecord(uint32_t rec);
+  void PushQueue(const SubTaskKey& key, uint32_t rec);
+  void PopQueue();
+
+  // Records admit-time metrics/trace/flow for one admitted record; mutates
+  // its subtask.flow. `queue_depth_before` is the queue size at pop time.
+  void RecordAdmit(SubTaskRecord& r, Bytes charged, size_t queue_depth_before);
 
   SubTaskKey KeyFor(const SubCommTask& subtask);
   void EnqueueReady(TaskState& state, CommTaskId id, int partition);
   void TrySchedule();
-  void StartAttempt(const SubCommTask& subtask, const SubTaskKey& key, Bytes charged,
-                    int attempts);
-  void OnAttemptFinish(CommTaskId task, int partition, uint64_t generation);
-  void OnAttemptTimeout(CommTaskId task, int partition, uint64_t generation);
-  void OnSubTaskFinish(SubCommTask subtask, Bytes charged);
+  void StartAttempt(uint32_t rec, Bytes charged);
+  void OnAttemptFinish(uint32_t rec, uint32_t generation);
+  void OnAttemptTimeout(uint32_t rec, uint32_t generation);
+  // Returns the record's credit, releases it and runs the task callbacks.
+  void OnSubTaskFinish(uint32_t rec);
 
   SchedulerConfig config_;
   CommBackend* backend_;
@@ -155,13 +175,16 @@ class SchedulerCore {
 
   CommTaskId next_task_id_ = 0;
   uint64_t next_arrival_seq_ = 0;
-  uint64_t next_generation_ = 0;
+  uint32_t next_generation_ = 0;
   Bytes credit_;
-  std::map<CommTaskId, TaskState> tasks_;
-  // Ready SubCommTasks ordered by priority key; begin() is the head.
-  std::map<SubTaskKey, QueuedSubTask> queue_;
-  // Admitted subtasks under timeout watch, keyed by (task, partition).
-  std::map<std::pair<CommTaskId, int>, InFlight> inflight_;
+  // Task pool, plus the pool index of every task id ever issued (kNoRecord
+  // once the task finished).
+  Pool<TaskState> tasks_;
+  std::vector<uint32_t> task_index_;
+  Pool<SubTaskRecord> records_;
+  // Ready partitions; front() is the head (lowest key).
+  std::vector<QueueEntry> queue_;
+  size_t in_flight_ = 0;  // records under timeout watch
   bool scheduling_ = false;
 
   uint64_t subtasks_started_ = 0;

@@ -10,15 +10,17 @@
 namespace bsched {
 
 Link::Link(Simulator* sim, std::string name, Bandwidth line_rate, const TransportModel& transport)
-    : sim_(sim), line_rate_(line_rate), transport_(transport), resource_(sim, std::move(name)) {}
+    : sim_(sim), line_rate_(line_rate), transport_(transport), name_(std::move(name)) {
+  BSCHED_CHECK(sim_ != nullptr);
+}
 
 void Link::Send(Bytes size, std::function<void()> on_delivered) {
-  SendWithFlush(size, nullptr, std::move(on_delivered));
+  Enqueue(Msg{size, 1.0, nullptr, nullptr, std::move(on_delivered)});
 }
 
 void Link::SetFaultInjector(FaultInjector* faults) {
   faults_ = faults;
-  site_hash_ = FaultPlan::HashSite(resource_.name());
+  site_hash_ = FaultPlan::HashSite(name_);
 }
 
 void Link::SetObs(ObsContext* obs) {
@@ -31,7 +33,7 @@ void Link::SetObs(ObsContext* obs) {
     return;
   }
   MetricsRegistry* m = obs->metrics();
-  const std::string prefix = "net." + resource_.name();
+  const std::string prefix = "net." + name_;
   obs_bytes_ = m->counter(prefix + ".bytes");
   obs_msgs_ = m->counter(prefix + ".msgs");
   obs_queue_ns_ = m->histogram(prefix + ".queue_ns");
@@ -42,43 +44,28 @@ void Link::ExportMetrics() {
   if (obs_ == nullptr || obs_->metrics() == nullptr) {
     return;
   }
-  obs_->metrics()->gauge("net." + resource_.name() + ".busy_ns")->Set(busy_time().nanos());
+  obs_->metrics()->gauge("net." + name_ + ".busy_ns")->Set(busy_time().nanos());
 }
-
-SimTime Link::busy_time() const {
-  return dyn_ != nullptr ? dyn_->busy_time : resource_.busy_time();
-}
-
-uint64_t Link::messages_sent() const {
-  return dyn_ != nullptr ? dyn_->msgs_done : resource_.jobs_completed();
-}
-
-size_t Link::queue_length() const {
-  return dyn_ != nullptr ? dyn_->queue.size() : resource_.queue_length();
-}
-
-bool Link::busy() const { return dyn_ != nullptr ? dyn_->busy : resource_.busy(); }
 
 SimTime Link::DrainTime() const {
-  return dyn_ != nullptr ? DynDrainTime() : resource_.DrainTime();
+  SimTime t = busy_ ? current_end_ : sim_->Now();
+  for (size_t i = busy_ ? 1 : 0; i < msgs_.size(); ++i) {
+    const Msg& m = msgs_[i];
+    if (dyn_ == nullptr) {
+      t += MessageTime(m.size);
+    } else {
+      // Nominal estimate at the message's pacing scale (matches the static
+      // estimate exactly when the scale is 1.0).
+      t += transport_.MessageTime(
+          Bandwidth::BytesPerSec(line_rate_.bytes_per_sec() * m.msg_scale), m.size);
+    }
+  }
+  return t;
 }
 
 void Link::SendWithFlush(Bytes size, std::function<void()> on_flushed,
                          std::function<void()> on_delivered) {
-  if (!on_delivered) {
-    SendCrossShard(size, std::move(on_flushed), nullptr);
-    return;
-  }
-  SendCrossShard(size, std::move(on_flushed),
-                 [this, on_delivered = std::move(on_delivered)](SimTime wire) mutable {
-                   if (wire.nanos() == 0) {
-                     on_delivered();
-                   } else {
-                     // Delivery completes after the pipelined latency; the link
-                     // itself is already free for the next message.
-                     sim_->Schedule(wire, std::move(on_delivered));
-                   }
-                 });
+  Enqueue(Msg{size, 1.0, std::move(on_flushed), nullptr, std::move(on_delivered)});
 }
 
 void Link::SendCrossShard(Bytes size, std::function<void()> on_flushed,
@@ -88,6 +75,11 @@ void Link::SendCrossShard(Bytes size, std::function<void()> on_flushed,
 
 void Link::SendCrossShard(Bytes size, double msg_scale, std::function<void()> on_flushed,
                           std::function<void(SimTime)> deliver) {
+  Enqueue(Msg{size, msg_scale, std::move(on_flushed), std::move(deliver), nullptr});
+}
+
+void Link::Enqueue(Msg msg) {
+  const Bytes size = msg.size;
   bytes_sent_ += size;
   if (obs_bytes_ != nullptr) {
     obs_bytes_->Inc(static_cast<uint64_t>(size));
@@ -98,27 +90,62 @@ void Link::SendCrossShard(Bytes size, double msg_scale, std::function<void()> on
     obs_inflight_->Add(size);
   }
   if (dyn_ != nullptr) {
-    DynSend(size, msg_scale, std::move(on_flushed), std::move(deliver));
-    return;
+    BSCHED_CHECK(msg.msg_scale > 0.0);
+  } else {
+    BSCHED_CHECK(msg.msg_scale == 1.0 && "per-message pacing needs a RateModel installed");
   }
-  BSCHED_CHECK(msg_scale == 1.0 && "per-message pacing needs a RateModel installed");
-  resource_.Submit(MessageTime(size), [this, size, on_flushed = std::move(on_flushed),
-                                       deliver = std::move(deliver)]() mutable {
-    FinishSend(size, on_flushed, deliver);
-  });
+  msgs_.push_back(std::move(msg));
+  if (!busy_) {
+    StartNext();
+  }
 }
 
-void Link::FinishSend(Bytes size, std::function<void()>& on_flushed,
-                      std::function<void(SimTime)>& deliver) {
+void Link::StartNext() {
+  BSCHED_DCHECK(!busy_);
+  if (msgs_.empty()) {
+    return;
+  }
+  busy_ = true;
+  busy_since_ = sim_->Now();
+  const Msg& msg = msgs_.front();
+  if (dyn_ != nullptr) {
+    DynState& d = *dyn_;
+    d.current_scale = msg.msg_scale;
+    d.remaining = static_cast<double>(msg.size);
+    d.anchor = sim_->Now() + transport_.serial_overhead;
+    DynScheduleCompletion();
+    return;
+  }
+  const SimTime occupancy = MessageTime(msg.size);
+  current_end_ = sim_->Now() + occupancy;
+  sim_->Schedule(occupancy, [this] { OnSent(); });
+}
+
+void Link::OnSent() {
+  busy_ = false;
+  busy_time_ += sim_->Now() - busy_since_;
+  ++msgs_done_;
+  // Completion callbacks run before the next message starts, mirroring
+  // Resource::OnJobDone (the ACK handler fires before the NIC pulls the next
+  // WQE). A callback may submit new traffic, which starts itself.
+  FinishSend();
+  if (!busy_ && !msgs_.empty()) {
+    StartNext();
+  }
+}
+
+void Link::FinishSend() {
+  // Pop before running callbacks: they may send on this link again.
+  Msg msg = msgs_.pop_front();
   // Flush == left the NIC queue; decrement here so fault drops (which
   // never deliver) still settle the gauge.
   if (obs_inflight_ != nullptr) {
-    obs_inflight_->Add(-size);
+    obs_inflight_->Add(-msg.size);
   }
-  if (on_flushed) {
-    on_flushed();
+  if (msg.on_flushed) {
+    msg.on_flushed();
   }
-  if (!deliver) {
+  if (!msg.deliver && !msg.on_delivered) {
     return;
   }
   SimTime total = transport_.latency;
@@ -130,18 +157,30 @@ void Link::FinishSend(Bytes size, std::function<void()>& on_flushed,
     // zero-rate segments.
     const FaultInjector::MessageFault fate = faults_->OnMessageSend(site_hash_, sim_->Now());
     if (fate.drop) {
-      return;  // lost in the network; recovery retransmits
+      // Lost in the network; recovery retransmits.
+      if (msg.deliver) {
+        msg.deliver(kDropped);
+      }
+      return;
     }
     total += fate.delay;
   }
-  deliver(total);
+  if (msg.deliver) {
+    msg.deliver(total);
+  } else if (total.nanos() == 0) {
+    msg.on_delivered();
+  } else {
+    // Delivery completes after the pipelined latency; the link itself is
+    // already free for the next message.
+    sim_->Schedule(total, std::move(msg.on_delivered));
+  }
 }
 
 // --- Dynamic rate path ----------------------------------------------------
 
 void Link::SetRateModel(RateModel model) {
   BSCHED_CHECK(dyn_ == nullptr && "rate model already installed");
-  BSCHED_CHECK(bytes_sent_ == 0 && !resource_.busy() &&
+  BSCHED_CHECK(bytes_sent_ == 0 && !busy_ &&
                "install the rate model before any traffic");
   dyn_ = std::make_unique<DynState>();
   dyn_->model = std::move(model);
@@ -151,7 +190,7 @@ double Link::DynRate(SimTime t) const {
   const DynState& d = *dyn_;
   // Operation order matters for the zero-cost contract: with all scales at
   // 1.0 this must reduce to exactly EffectiveRate's line * efficiency.
-  const double scale = d.model.ScaleAt(t) * d.ctrl_scale * d.current.msg_scale;
+  const double scale = d.model.ScaleAt(t) * d.ctrl_scale * d.current_scale;
   return std::min(line_rate_.bytes_per_sec() * scale * transport_.efficiency,
                   transport_.goodput_cap.bytes_per_sec());
 }
@@ -199,49 +238,9 @@ void Link::DynDrainUntil(SimTime until) {
   d.anchor = until;
 }
 
-void Link::DynSend(Bytes size, double msg_scale, std::function<void()> on_flushed,
-                   std::function<void(SimTime)> deliver) {
-  BSCHED_CHECK(msg_scale > 0.0);
-  dyn_->queue.push_back(DynMessage{size, msg_scale, std::move(on_flushed), std::move(deliver)});
-  if (!dyn_->busy) {
-    DynStartNext();
-  }
-}
-
-void Link::DynStartNext() {
-  DynState& d = *dyn_;
-  BSCHED_DCHECK(!d.busy);
-  if (d.queue.empty()) {
-    return;
-  }
-  d.current = std::move(d.queue.front());
-  d.queue.pop_front();
-  d.busy = true;
-  d.busy_since = sim_->Now();
-  d.remaining = static_cast<double>(d.current.size);
-  d.anchor = sim_->Now() + transport_.serial_overhead;
-  DynScheduleCompletion();
-}
-
 void Link::DynScheduleCompletion() {
-  DynState& d = *dyn_;
-  d.completion_at = DynFinishTime();
-  d.completion = sim_->Schedule(d.completion_at - sim_->Now(), [this] { DynOnComplete(); });
-}
-
-void Link::DynOnComplete() {
-  DynState& d = *dyn_;
-  d.busy = false;
-  d.busy_time += sim_->Now() - d.busy_since;
-  ++d.msgs_done;
-  DynMessage msg = std::move(d.current);
-  // Completion callbacks run before the next message starts, mirroring
-  // Resource::OnJobDone (the ACK handler fires before the NIC pulls the next
-  // WQE). A callback may submit new traffic, which starts itself.
-  FinishSend(msg.size, msg.on_flushed, msg.deliver);
-  if (!d.busy && !d.queue.empty()) {
-    DynStartNext();
-  }
+  current_end_ = DynFinishTime();
+  dyn_->completion = sim_->Schedule(current_end_ - sim_->Now(), [this] { OnSent(); });
 }
 
 void Link::SetCtrlScale(double scale) {
@@ -251,7 +250,7 @@ void Link::SetCtrlScale(double scale) {
   if (scale == d.ctrl_scale) {
     return;
   }
-  if (d.busy) {
+  if (busy_) {
     // Settle bytes serialized under the old scale, then re-pace the rest.
     DynDrainUntil(sim_->Now());
     d.ctrl_scale = scale;
@@ -261,18 +260,6 @@ void Link::SetCtrlScale(double scale) {
   } else {
     d.ctrl_scale = scale;
   }
-}
-
-SimTime Link::DynDrainTime() const {
-  const DynState& d = *dyn_;
-  SimTime t = d.busy ? d.completion_at : sim_->Now();
-  for (const DynMessage& m : d.queue) {
-    // Nominal estimate at the message's pacing scale (matches the legacy
-    // DrainTime exactly when scales are 1.0).
-    t += transport_.MessageTime(Bandwidth::BytesPerSec(line_rate_.bytes_per_sec() * m.msg_scale),
-                                m.size);
-  }
-  return t;
 }
 
 double Link::CurrentRateBps() const {

@@ -5,9 +5,10 @@
 // directions busy; unpartitioned ones waste half the bandwidth).
 //
 // Two transmission paths share one flush/fault/deliver epilogue:
-//   - Legacy fixed-rate path (default): occupancy is a single Resource job of
-//     MessageTime(size). Zero-cost contract: without a RateModel installed the
-//     event sequence is bit-identical to what it was before dynamics existed.
+//   - Legacy fixed-rate path (default): occupancy is one completion event
+//     MessageTime(size) after the message starts, FIFO behind earlier ones.
+//     Zero-cost contract: without a RateModel installed the event sequence
+//     is bit-identical to what it was before dynamics existed.
 //   - Dynamic path (SetRateModel): occupancy integrates the link's
 //     time-varying rate — schedule scale × AIMD controller scale × per-message
 //     scale (cross-rack derating) — re-pacing the in-flight transfer whenever
@@ -18,7 +19,6 @@
 #ifndef SRC_NET_LINK_H_
 #define SRC_NET_LINK_H_
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -27,7 +27,7 @@
 #include "src/fault/fault_injector.h"
 #include "src/net/rate_model.h"
 #include "src/net/transport.h"
-#include "src/sim/resource.h"
+#include "src/sim/fifo_ring.h"
 #include "src/sim/simulator.h"
 
 namespace bsched {
@@ -57,8 +57,9 @@ class Link {
   // obs counters, fault fate), but instead of scheduling the delivery on this
   // link's own Simulator, hands the computed wire flight (pipelined latency
   // plus any injected delay) to `deliver` at flush time. The caller forwards
-  // it across the shard boundary (ShardCoordinator::Post). Dropped messages
-  // never invoke `deliver`, exactly as they never invoke on_delivered.
+  // it across the shard boundary (ShardCoordinator::Post), or lands it
+  // itself. A message the fault injector drops calls `deliver(kDropped)`, so
+  // a caller that keeps per-message state in a pool can reclaim it.
   void SendCrossShard(Bytes size, std::function<void()> on_flushed,
                       std::function<void(SimTime wire_flight)> deliver);
   // With a per-message pacing scale (two-tier topology: cross-rack transfers
@@ -66,6 +67,8 @@ class Link {
   // msg_scale == 1.0.
   void SendCrossShard(Bytes size, double msg_scale, std::function<void()> on_flushed,
                       std::function<void(SimTime wire_flight)> deliver);
+  // Wire flight passed to SendCrossShard's `deliver` for a dropped message.
+  static constexpr SimTime kDropped = SimTime::Max();
 
   // Time a message of `size` occupies this link at the nominal (static) rate
   // (excludes pipelined latency). Scheduler estimates use this even under
@@ -76,11 +79,12 @@ class Link {
   const TransportModel& transport() const { return transport_; }
 
   Bytes bytes_sent() const { return bytes_sent_; }
-  SimTime busy_time() const;
-  uint64_t messages_sent() const;
-  size_t queue_length() const;
-  bool busy() const;
-  const std::string& name() const { return resource_.name(); }
+  SimTime busy_time() const { return busy_time_; }
+  uint64_t messages_sent() const { return msgs_done_; }
+  // Messages waiting behind the one in transmission.
+  size_t queue_length() const { return msgs_.size() - (busy_ ? 1 : 0); }
+  bool busy() const { return busy_; }
+  const std::string& name() const { return name_; }
   // Virtual time at which all currently queued work will have drained
   // (queued messages estimated at their nominal per-message rate).
   SimTime DrainTime() const;
@@ -117,42 +121,41 @@ class Link {
   void ExportMetrics();
 
  private:
-  struct DynMessage {
+  // A message from submission to flush. The callbacks live here rather than
+  // in the completion event, which captures only `this`, so a sender whose
+  // callbacks fit std::function's inline buffer sends without allocating.
+  struct Msg {
     Bytes size = 0;
     double msg_scale = 1.0;
     std::function<void()> on_flushed;
     std::function<void(SimTime)> deliver;
+    std::function<void()> on_delivered;
   };
   // State for the dynamic path; allocated only by SetRateModel so idle links
   // pay one pointer of overhead.
   struct DynState {
     RateModel model;
     double ctrl_scale = 1.0;
-    std::deque<DynMessage> queue;
-    bool busy = false;
-    DynMessage current;
+    // Pacing scale of the message in transmission (msgs_.front()).
+    double current_scale = 1.0;
     // Payload bytes left to serialize as of `anchor` (transmission starts at
     // message start + serial_overhead; before that, anchor is that start).
     double remaining = 0.0;
     SimTime anchor;
-    SimTime busy_since;
-    SimTime completion_at;
     EventHandle completion;
-    SimTime busy_time;
-    uint64_t msgs_done = 0;
     uint64_t repaces = 0;
   };
 
-  // Shared epilogue for both paths: inflight gauge, flush callback, fault
-  // fate, delivery handoff. Runs at occupancy end.
-  void FinishSend(Bytes size, std::function<void()>& on_flushed,
-                  std::function<void(SimTime)>& deliver);
+  void Enqueue(Msg msg);
+  // Starts transmitting msgs_.front(), if any.
+  void StartNext();
+  // Occupancy end of the front message (both paths).
+  void OnSent();
+  // Shared epilogue for both paths, at occupancy end: pops the front message
+  // and runs its inflight gauge, flush callback, fault fate and delivery.
+  void FinishSend();
 
-  void DynSend(Bytes size, double msg_scale, std::function<void()> on_flushed,
-               std::function<void(SimTime)> deliver);
-  void DynStartNext();
   void DynScheduleCompletion();
-  void DynOnComplete();
   // Settles `remaining` through the rate trajectory up to `until` (controller
   // rate changes integrate the old scale before switching).
   void DynDrainUntil(SimTime until);
@@ -161,12 +164,16 @@ class Link {
   SimTime DynFinishTime() const;
   // Effective serialization rate (bytes/sec) for the current message at t.
   double DynRate(SimTime t) const;
-  SimTime DynDrainTime() const;
 
   Simulator* sim_;
   Bandwidth line_rate_;
   TransportModel transport_;
-  Resource resource_;
+  std::string name_;
+  bool busy_ = false;
+  SimTime busy_since_;
+  SimTime busy_time_;
+  SimTime current_end_;  // occupancy end of the message in transmission
+  uint64_t msgs_done_ = 0;
   Bytes bytes_sent_ = 0;
   FaultInjector* faults_ = nullptr;
   uint64_t site_hash_ = 0;
@@ -176,6 +183,9 @@ class Link {
   Counter* obs_msgs_ = nullptr;
   Histogram* obs_queue_ns_ = nullptr;
   Gauge* obs_inflight_ = nullptr;
+  // Messages submitted and not yet flushed, in FIFO (= flush) order; the
+  // front one is in transmission while busy_.
+  FifoRing<Msg> msgs_;
   std::unique_ptr<DynState> dyn_;
 };
 

@@ -1,37 +1,19 @@
-// Event-queue policies for the discrete-event simulator. The Simulator owns
-// event *semantics* (slot pool, liveness, lazy-skip accounting, compaction
-// triggers); a queue only orders raw (when, seq) entries. Two interchangeable
-// policies are provided:
-//
-//  - HeapEventQueue: the original binary min-heap (std::*_heap over a flat
-//    vector). Simple, O(log n) per op, pointer-free.
-//  - TimerWheelEventQueue: a 4-level x 256-slot hierarchical timer wheel
-//    (calendar queue). Near-future events sit in a small "near" heap below a
-//    moving horizon; farther events land in cache-friendly per-slot vectors
-//    selected by bit-sliced timestamps, with per-level occupancy bitmaps for
-//    an idle-advance fast path (one ctz per empty 64-slot span). Push is O(1)
-//    for anything beyond the horizon, and batches of same-slot events drain
-//    with one cascade instead of n heap sift-downs.
-//
-// Both policies expose the exact same observable contract — entries pop in
-// strict (when, seq) order, cancelled entries included — so a Simulator built
-// on either produces bit-identical event trajectories. tests/event_queue_test
-// enforces this differentially.
+// Queue entries of the discrete-event simulator. The Simulator keeps its
+// pending events in a binary min-heap of these (std::*_heap over a flat
+// vector) and owns everything else about an event — callback slot, liveness,
+// lazy-skip accounting, compaction — so the heap only ever permutes 32-byte
+// (when, seq, generation, slot) records, never callbacks. Entries pop in
+// strict (when, seq) order, cancelled entries included; tests/event_queue_test
+// checks Simulator trajectories against a sorted reference.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <vector>
 
 #include "src/common/units.h"
 
 namespace bsched {
 
-// 32 bytes; queues permute these, never the callbacks (which stay in the
-// Simulator's slot pool).
 struct EventEntry {
   SimTime when;
   uint64_t seq;
@@ -48,102 +30,6 @@ struct EventAfter {
     }
     return a.seq > b.seq;
   }
-};
-
-// Ordering contract: PopEarliest yields entries in strict (when, seq) order,
-// including cancelled (dead) entries — the Simulator counts and discards
-// those, so both policies share one lazy-cancellation code path.
-class EventQueue {
- public:
-  virtual ~EventQueue() = default;
-
-  virtual void Push(const EventEntry& entry) = 0;
-  // Copies the earliest entry into *out without removing it. Returns false if
-  // empty. May reorganize internal structure (wheel cascades), never content.
-  virtual bool PeekEarliest(EventEntry* out) = 0;
-  // Removes the earliest entry into *out. Returns false if empty.
-  virtual bool PopEarliest(EventEntry* out) = 0;
-  // Entries currently held, including cancelled ones not yet reclaimed.
-  virtual size_t size() const = 0;
-  // Drops every entry for which `dead` returns true (compaction pass).
-  virtual void Compact(const std::function<bool(const EventEntry&)>& dead) = 0;
-
-  bool Empty() const { return size() == 0; }
-};
-
-// Selects the queue backing a Simulator. kTimerWheel is the default engine;
-// kBinaryHeap is kept as the differential-testing and benchmarking baseline.
-enum class QueuePolicy {
-  kTimerWheel,
-  kBinaryHeap,
-};
-
-std::unique_ptr<EventQueue> MakeEventQueue(QueuePolicy policy);
-
-class HeapEventQueue final : public EventQueue {
- public:
-  void Push(const EventEntry& entry) override;
-  bool PeekEarliest(EventEntry* out) override;
-  bool PopEarliest(EventEntry* out) override;
-  size_t size() const override { return heap_.size(); }
-  void Compact(const std::function<bool(const EventEntry&)>& dead) override;
-
- private:
-  std::vector<EventEntry> heap_;  // binary min-heap via std::*_heap
-};
-
-class TimerWheelEventQueue final : public EventQueue {
- public:
-  static constexpr int kLevels = 4;
-  static constexpr int kSlotsPerLevel = 256;
-  // Level l covers granules of 2^(8 + 8l) ns: 256ns, 65.5us, 16.8ms, 4.29s.
-  // The whole wheel spans 2^40 ns (~18.3 min) past the horizon; anything
-  // farther waits in an overflow pen until the horizon reaches its window.
-  static constexpr int kShift0 = 8;
-
-  void Push(const EventEntry& entry) override;
-  bool PeekEarliest(EventEntry* out) override;
-  bool PopEarliest(EventEntry* out) override;
-  size_t size() const override { return size_; }
-  void Compact(const std::function<bool(const EventEntry&)>& dead) override;
-
- private:
-  static constexpr int kWordsPerLevel = kSlotsPerLevel / 64;
-
-  static int LevelShift(int level) { return kShift0 + 8 * level; }
-  // Slot index of `when` within level `level`'s ring.
-  static int SlotIndex(uint64_t when, int level) {
-    return static_cast<int>((when >> LevelShift(level)) & (kSlotsPerLevel - 1));
-  }
-
-  // Files an entry into near_/wheel/overflow based on the current horizon.
-  // Does not touch size_ (used for both fresh pushes and cascades).
-  void Place(const EventEntry& entry);
-  void SetBit(int level, int idx);
-  void ClearBit(int level, int idx);
-  bool BitSet(int level, int idx) const;
-  // First occupied slot index >= from at `level`, or -1.
-  int FindOccupied(int level, int from) const;
-  // Re-files every entry of wheel slot (level, idx) under the current
-  // horizon; entries descend at least one level (or reach near_).
-  void CascadeSlot(int level, int idx);
-  // Cascades any occupied slot sitting at a level's current horizon cursor
-  // (top level first, so entries chain downward in one pass). Such slots
-  // appear when the horizon crosses into a fresh upper-level granule.
-  void Normalize();
-  // Refills near_ from the wheel/overflow by advancing the horizon to the
-  // next occupied region. No-op when near_ is already non-empty.
-  void AdvanceToNext();
-
-  // Events strictly below horizon_, ordered; globally earliest when non-empty
-  // (every wheel/overflow entry is at or past the horizon).
-  std::vector<EventEntry> near_;
-  std::vector<EventEntry> slots_[kLevels][kSlotsPerLevel];
-  uint64_t occupancy_[kLevels][kWordsPerLevel] = {};
-  std::vector<EventEntry> overflow_;
-  uint64_t horizon_ = 0;     // ns; wheel slot positions are relative to this
-  size_t wheel_count_ = 0;   // entries resident in slots_ (not near_/overflow_)
-  size_t size_ = 0;
 };
 
 }  // namespace bsched

@@ -10,7 +10,7 @@ Resource::Resource(Simulator* sim, std::string name) : sim_(sim), name_(std::mov
   BSCHED_CHECK(sim_ != nullptr);
 }
 
-void Resource::Submit(SimTime duration, std::function<void()> on_done) {
+void Resource::Submit(SimTime duration, EventFn on_done) {
   BSCHED_CHECK(duration.nanos() >= 0);
   queue_.push_back(Job{duration, std::move(on_done)});
   if (!busy_) {
@@ -23,20 +23,19 @@ void Resource::StartNext() {
   if (queue_.empty()) {
     return;
   }
-  Job job = std::move(queue_.front());
-  queue_.pop_front();
+  current_ = queue_.pop_front();
   busy_ = true;
-  current_job_end_ = sim_->Now() + job.duration;
-  sim_->Schedule(job.duration,
-                 [this, on_done = std::move(job.on_done), duration = job.duration]() mutable {
-                   OnJobDone(std::move(on_done), duration);
-                 });
+  current_job_end_ = sim_->Now() + current_.duration;
+  sim_->Schedule(current_.duration, [this] { OnJobDone(); });
 }
 
-void Resource::OnJobDone(std::function<void()> on_done, SimTime duration) {
+void Resource::OnJobDone() {
   busy_ = false;
-  busy_time_ += duration;
+  busy_time_ += current_.duration;
   ++jobs_completed_;
+  // Move the callback out first: it may submit work that starts right away
+  // and overwrites current_.
+  EventFn on_done = std::move(current_.on_done);
   // The completion callback runs before the next job starts, matching a real
   // stack where the ACK/CQE handler fires before the NIC pulls the next WQE.
   if (on_done) {
@@ -49,8 +48,8 @@ void Resource::OnJobDone(std::function<void()> on_done, SimTime duration) {
 
 SimTime Resource::DrainTime() const {
   SimTime t = busy_ ? current_job_end_ : sim_->Now();
-  for (const Job& job : queue_) {
-    t += job.duration;
+  for (size_t i = 0; i < queue_.size(); ++i) {
+    t += queue_[i].duration;
   }
   return t;
 }

@@ -8,11 +8,10 @@
 #define SRC_SIM_RESOURCE_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 
 #include "src/common/units.h"
+#include "src/sim/fifo_ring.h"
 #include "src/sim/simulator.h"
 
 namespace bsched {
@@ -25,7 +24,10 @@ class Resource {
 
   // Enqueues a job that holds the resource for `duration`, then invokes
   // `on_done` (may be empty). Starts immediately if the resource is idle.
-  void Submit(SimTime duration, std::function<void()> on_done);
+  // The running job stays in the Resource and its completion event captures
+  // only `this`, so a callback that fits EventFn's inline buffer makes the
+  // whole job allocation-free.
+  void Submit(SimTime duration, EventFn on_done);
 
   bool busy() const { return busy_; }
   size_t queue_length() const { return queue_.size(); }
@@ -42,17 +44,18 @@ class Resource {
  private:
   struct Job {
     SimTime duration;
-    std::function<void()> on_done;
+    EventFn on_done;
   };
 
   void StartNext();
-  void OnJobDone(std::function<void()> on_done, SimTime duration);
+  void OnJobDone();
 
   Simulator* sim_;
   std::string name_;
   bool busy_ = false;
   SimTime current_job_end_;
-  std::deque<Job> queue_;
+  Job current_;
+  FifoRing<Job> queue_;
   SimTime busy_time_;
   uint64_t jobs_completed_ = 0;
 };

@@ -11,14 +11,14 @@
 
 namespace bsched {
 
-ShardCoordinator::ShardCoordinator(int shards, SimTime lookahead, QueuePolicy policy)
+ShardCoordinator::ShardCoordinator(int shards, SimTime lookahead)
     : lookahead_(lookahead) {
   BSCHED_CHECK(shards >= 1);
   // Conservative PDES needs positive lookahead.
   BSCHED_CHECK(lookahead_.nanos() > 0);
   sims_.reserve(shards);
   for (int i = 0; i < shards; ++i) {
-    sims_.push_back(std::make_unique<Simulator>(policy));
+    sims_.push_back(std::make_unique<Simulator>());
   }
   outboxes_.resize(shards);
   if (shards > 1) {

@@ -40,8 +40,7 @@ class ShardCoordinator {
  public:
   // `lookahead` must be positive: a zero-latency fabric has no conservative
   // window and must use the serial path.
-  ShardCoordinator(int shards, SimTime lookahead,
-                   QueuePolicy policy = QueuePolicy::kTimerWheel);
+  ShardCoordinator(int shards, SimTime lookahead);
   ShardCoordinator(const ShardCoordinator&) = delete;
   ShardCoordinator& operator=(const ShardCoordinator&) = delete;
   ~ShardCoordinator();

@@ -65,7 +65,8 @@ EventHandle Simulator::ScheduleAt(SimTime when, EventFn fn) {
   }
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
-  queue_->Push(EventEntry{when, next_seq_++, s.generation, slot});
+  heap_.push_back(EventEntry{when, next_seq_++, s.generation, slot});
+  std::push_heap(heap_.begin(), heap_.end(), EventAfter());
   ++live_;
   return EventHandle(this, slot, s.generation);
 }
@@ -98,16 +99,23 @@ void Simulator::CancelEvent(uint32_t slot, uint64_t generation) {
 }
 
 void Simulator::MaybeCompact() {
-  if (queue_->size() < kCompactMinEntries || queue_->size() < 2 * live_) {
+  if (heap_.size() < kCompactMinEntries || heap_.size() < 2 * live_) {
     return;
   }
-  queue_->Compact([this](const EventEntry& e) { return !EntryLive(e); });
+  std::erase_if(heap_, [this](const EventEntry& e) { return !EntryLive(e); });
+  std::make_heap(heap_.begin(), heap_.end(), EventAfter());
   ++compactions_;
 }
 
+void Simulator::PopHead() {
+  std::pop_heap(heap_.begin(), heap_.end(), EventAfter());
+  heap_.pop_back();
+}
+
 bool Simulator::Step() {
-  EventEntry e;
-  while (queue_->PopEarliest(&e)) {
+  while (!heap_.empty()) {
+    const EventEntry e = heap_.front();
+    PopHead();
     if (!EntryLive(e)) {
       ++skipped_cancelled_;
       continue;
@@ -119,13 +127,13 @@ bool Simulator::Step() {
 }
 
 bool Simulator::NextEventTime(SimTime* when) {
-  EventEntry e;
-  while (queue_->PeekEarliest(&e)) {
+  while (!heap_.empty()) {
+    const EventEntry& e = heap_.front();
     if (EntryLive(e)) {
       *when = e.when;
       return true;
     }
-    queue_->PopEarliest(&e);
+    PopHead();
     ++skipped_cancelled_;
   }
   return false;
@@ -133,22 +141,22 @@ bool Simulator::NextEventTime(SimTime* when) {
 
 uint64_t Simulator::Run(SimTime deadline) {
   uint64_t count = 0;
-  EventEntry e;
-  while (queue_->PeekEarliest(&e)) {
+  while (!heap_.empty()) {
+    const EventEntry e = heap_.front();
     // Discard cancelled entries here rather than firing past them: a
     // cancelled head must not let an event beyond `deadline` fire. Each
     // discarded entry is popped (and counted) exactly once, even when the
     // deadline lands in the middle of a compaction-heavy stretch —
     // compaction only ever removes entries that were never popped.
     if (!EntryLive(e)) {
-      queue_->PopEarliest(&e);
+      PopHead();
       ++skipped_cancelled_;
       continue;
     }
     if (e.when > deadline) {
       break;
     }
-    queue_->PopEarliest(&e);
+    PopHead();
     Fire(e);
     ++count;
   }

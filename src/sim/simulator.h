@@ -9,18 +9,16 @@
 // run, so steady-state scheduling allocates nothing), callbacks are stored
 // in a small-buffer-optimized EventFn (no per-event std::function heap
 // allocation), and cancellation is a slot-generation check instead of a
-// per-event shared_ptr control block. Cancelled entries still queued are
-// lazily skipped, and the queue is compacted when they pile up. Entry
-// ordering is delegated to a pluggable EventQueue policy (timer wheel by
-// default, binary heap as the differential baseline); both produce
-// bit-identical event trajectories.
+// per-event shared_ptr control block. Pending events are ordered by a binary
+// min-heap of 32-byte EventEntry records (src/sim/event_queue.h) owned by the
+// Simulator; cancelled entries still queued are lazily skipped, and the heap
+// is compacted when they pile up.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -39,6 +37,7 @@ class EventFn {
   static constexpr size_t kInlineBytes = 48;
 
   EventFn() = default;
+  EventFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor): empty callback
 
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventFn> &&
@@ -156,8 +155,7 @@ class EventHandle {
 
 class Simulator {
  public:
-  explicit Simulator(QueuePolicy policy = QueuePolicy::kTimerWheel)
-      : queue_(MakeEventQueue(policy)) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -195,7 +193,7 @@ class Simulator {
   size_t PendingEvents() const { return live_; }
   // Raw queue entries, including cancelled events not yet reclaimed; equals
   // PendingEvents() after compaction. Debugging / test hook.
-  size_t QueuedEvents() const { return queue_->size(); }
+  size_t QueuedEvents() const { return heap_.size(); }
   // Slots ever allocated; stays flat under steady-state churn (pool reuse).
   size_t AllocatedSlots() const { return slots_.size(); }
   uint64_t processed_events() const { return processed_; }
@@ -220,8 +218,9 @@ class Simulator {
   // and returns it to the free list.
   void ReleaseSlot(uint32_t slot);
   void CancelEvent(uint32_t slot, uint64_t generation);
-  // Rebuilds the queue without stale entries once they dominate it.
+  // Rebuilds the heap without stale entries once they dominate it.
   void MaybeCompact();
+  void PopHead();
 
   SimTime now_;
   uint64_t next_seq_ = 0;
@@ -229,7 +228,7 @@ class Simulator {
   uint64_t compactions_ = 0;
   uint64_t skipped_cancelled_ = 0;
   size_t live_ = 0;
-  std::unique_ptr<EventQueue> queue_;
+  std::vector<EventEntry> heap_;  // binary min-heap via std::*_heap
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
 };

@@ -1,291 +1,210 @@
-// Differential tests for the event-queue policies: the timer wheel and the
-// legacy binary heap must be observationally identical, both at the raw
-// EventQueue level (pop order of arbitrary entry mixes, including cancelled
-// entries and far-future timers) and at the Simulator level (fired-callback
-// order, PendingEvents/QueuedEvents accounting, skip/compaction counters)
-// under randomized schedule/cancel/compact workloads.
+// Oracle tests for the Simulator's event queue (a binary min-heap of
+// (when, seq) entries): every test drives a Simulator and the sorted
+// reference model of tests/sim_reference.h with the same operations and
+// compares fired order, clock, live and queued counts, lazy skips and
+// compactions — under randomized interleavings of near, far and very far
+// timers, same-timestamp ties, mass cancellation, NextEventTime peeks, and
+// Run(deadline) with cancellations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
+#include "tests/sim_reference.h"
 
 namespace bsched {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Raw queue level: both policies must yield the exact same entry stream.
-
-std::vector<EventEntry> DrainAll(EventQueue* q) {
-  std::vector<EventEntry> out;
-  EventEntry e;
-  while (q->PopEarliest(&e)) {
-    out.push_back(e);
-  }
-  return out;
-}
-
-void ExpectSameStream(const std::vector<EventEntry>& a,
-                      const std::vector<EventEntry>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].when.nanos(), b[i].when.nanos()) << "at index " << i;
-    EXPECT_EQ(a[i].seq, b[i].seq) << "at index " << i;
-    EXPECT_EQ(a[i].slot, b[i].slot) << "at index " << i;
-  }
-}
-
 TEST(EventQueueDifferentialTest, RandomizedInterleavedPushPop) {
   for (uint64_t seed = 0; seed < 8; ++seed) {
     Rng rng(seed * 1000003 + 17);
-    HeapEventQueue heap;
-    TimerWheelEventQueue wheel;
-    uint64_t seq = 0;
-    std::vector<EventEntry> heap_popped, wheel_popped;
-    int64_t low_water = 0;  // pops advance time; pushes must not go backwards
+    SimLockstep s;
+    int next_id = 0;
     for (int op = 0; op < 20000; ++op) {
-      if (rng.NextDouble() < 0.6 || heap.size() == 0) {
-        // Mix of near (ns..us), far (ms), and very far (minutes+) timers, the
-        // last landing beyond the wheel's 2^40ns span to force overflow.
-        int64_t when;
+      if (rng.NextDouble() < 0.6 || s.sim().Empty()) {
+        // Near (ns..us), far (ms), and very far (minutes+) timers.
+        int64_t delay;
         const double r = rng.NextDouble();
         if (r < 0.70) {
-          when = low_water + rng.UniformInt(0, 4000);
+          delay = rng.UniformInt(0, 4000);
         } else if (r < 0.90) {
-          when = low_water + rng.UniformInt(0, 50'000'000);
+          delay = rng.UniformInt(0, 50'000'000);
         } else {
-          when = low_water + rng.UniformInt(0, int64_t{1} << 42);
+          delay = rng.UniformInt(int64_t{1} << 40, int64_t{1} << 42);
         }
-        EventEntry e{SimTime::Nanos(when), seq, seq, static_cast<uint32_t>(seq)};
-        ++seq;
-        heap.Push(e);
-        wheel.Push(e);
+        s.Schedule(delay, next_id++);
       } else {
-        EventEntry he, we;
-        ASSERT_TRUE(heap.PopEarliest(&he));
-        ASSERT_TRUE(wheel.PopEarliest(&we));
-        EXPECT_EQ(he.when.nanos(), we.when.nanos());
-        EXPECT_EQ(he.seq, we.seq);
-        low_water = he.when.nanos();
-        heap_popped.push_back(he);
-        wheel_popped.push_back(we);
+        s.Step();
       }
-      ASSERT_EQ(heap.size(), wheel.size());
+      if (op % 1000 == 0) {
+        s.ExpectSameState();
+      }
     }
-    auto heap_rest = DrainAll(&heap);
-    auto wheel_rest = DrainAll(&wheel);
-    ExpectSameStream(heap_popped, wheel_popped);
-    ExpectSameStream(heap_rest, wheel_rest);
+    s.Run();
+    s.ExpectSame();
   }
 }
 
 TEST(EventQueueDifferentialTest, SameTimestampTiesPopInSeqOrder) {
-  HeapEventQueue heap;
-  TimerWheelEventQueue wheel;
-  // Many entries at identical timestamps, pushed out of seq order.
-  std::vector<uint64_t> seqs;
-  for (uint64_t s = 0; s < 64; ++s) {
-    seqs.push_back(s);
+  SimLockstep s;
+  for (int i = 0; i < 500; ++i) {
+    // Five distinct timestamps, heavily tied; some events chain a follow-up
+    // that lands on a later tie group.
+    s.Schedule((i % 5) * 100, i, i % 7 == 0 ? 100 : -1);
   }
-  Rng rng(7);
-  for (size_t i = seqs.size(); i > 1; --i) {
-    std::swap(seqs[i - 1], seqs[rng.UniformInt(0, static_cast<int64_t>(i) - 1)]);
+  s.Run();
+  s.ExpectSame();
+  // Within each timestamp, events fire in scheduling order.
+  const auto& fired = s.ref().fired();
+  for (size_t i = 1; i < fired.size(); ++i) {
+    ASSERT_LE(fired[i - 1].second, fired[i].second);
   }
-  for (uint64_t s : seqs) {
-    EventEntry e{SimTime::Micros(5), s, 0, static_cast<uint32_t>(s)};
-    heap.Push(e);
-    wheel.Push(e);
+  std::vector<int> at_zero;
+  for (const auto& [id, when] : fired) {
+    if (when == 0) {
+      at_zero.push_back(id);
+    }
   }
-  auto hp = DrainAll(&heap);
-  auto wp = DrainAll(&wheel);
-  ASSERT_EQ(hp.size(), 64u);
-  for (uint64_t s = 0; s < 64; ++s) {
-    EXPECT_EQ(hp[s].seq, s);
-    EXPECT_EQ(wp[s].seq, s);
-  }
+  EXPECT_TRUE(std::is_sorted(at_zero.begin(), at_zero.end()));
+  EXPECT_EQ(at_zero.size(), 100u);
 }
 
 TEST(EventQueueDifferentialTest, CompactDropsExactlyDeadEntries) {
   for (uint64_t seed = 0; seed < 4; ++seed) {
     Rng rng(seed + 99);
-    HeapEventQueue heap;
-    TimerWheelEventQueue wheel;
-    std::vector<bool> dead;
-    for (uint64_t s = 0; s < 3000; ++s) {
-      int64_t when = rng.UniformInt(0, int64_t{1} << 41);  // spans all levels
-      EventEntry e{SimTime::Nanos(when), s, 0, static_cast<uint32_t>(s)};
-      heap.Push(e);
-      wheel.Push(e);
-      dead.push_back(rng.NextDouble() < 0.7);
+    SimLockstep s;
+    for (int i = 0; i < 2000; ++i) {
+      s.Schedule(rng.UniformInt(0, int64_t{1} << 36), i);
     }
-    auto is_dead = [&dead](const EventEntry& e) { return dead[e.seq]; };
-    heap.Compact(is_dead);
-    wheel.Compact(is_dead);
-    ASSERT_EQ(heap.size(), wheel.size());
-    auto hp = DrainAll(&heap);
-    auto wp = DrainAll(&wheel);
-    ExpectSameStream(hp, wp);
-    for (const EventEntry& e : hp) {
-      EXPECT_FALSE(dead[e.seq]);
+    std::vector<size_t> order(s.handles());
+    for (size_t i = 0; i < order.size(); ++i) {
+      order[i] = i;
     }
+    for (size_t i = order.size() - 1; i > 0; --i) {
+      std::swap(order[i], order[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(i)))]);
+    }
+    uint64_t compactions = 0;
+    for (size_t i = 0; i < order.size() * 9 / 10; ++i) {
+      s.Cancel(order[i]);
+      s.ExpectSameState();
+      if (s.sim().compactions() > compactions) {
+        // A compaction pass leaves exactly the live entries.
+        compactions = s.sim().compactions();
+        EXPECT_EQ(s.sim().QueuedEvents(), s.sim().PendingEvents());
+      }
+    }
+    EXPECT_GE(compactions, 1u);
+    EXPECT_EQ(s.Run(), 200u);
+    s.ExpectSame();
   }
 }
 
 TEST(EventQueueDifferentialTest, PeekMatchesPopAndDoesNotConsume) {
-  HeapEventQueue heap;
-  TimerWheelEventQueue wheel;
-  Rng rng(42);
-  for (uint64_t s = 0; s < 500; ++s) {
-    EventEntry e{SimTime::Nanos(rng.UniformInt(0, 10'000'000)), s, 0,
-                 static_cast<uint32_t>(s)};
-    heap.Push(e);
-    wheel.Push(e);
+  Rng rng(7);
+  SimLockstep s;
+  for (int i = 0; i < 3000; ++i) {
+    s.Schedule(rng.NextDouble() < 0.3 ? 1000 : rng.UniformInt(0, int64_t{1} << 36), i);
+    if (rng.NextDouble() < 0.3) {
+      s.Cancel(static_cast<size_t>(rng.UniformInt(0, i)));
+    }
   }
-  EventEntry pk, pp;
-  while (wheel.size() > 0) {
-    ASSERT_TRUE(wheel.PeekEarliest(&pk));
-    ASSERT_TRUE(wheel.PeekEarliest(&pp));  // repeated peek: same entry
-    EXPECT_EQ(pk.seq, pp.seq);
-    const size_t before = wheel.size();
-    ASSERT_TRUE(wheel.PopEarliest(&pp));
-    EXPECT_EQ(pk.seq, pp.seq);
-    EXPECT_EQ(pk.when.nanos(), pp.when.nanos());
-    EXPECT_EQ(wheel.size(), before - 1);
-    EventEntry hh;
-    ASSERT_TRUE(heap.PopEarliest(&hh));
-    EXPECT_EQ(hh.seq, pp.seq);
+  while (true) {
+    SimTime peek;
+    int64_t ref_peek = 0;
+    const bool has = s.sim().NextEventTime(&peek);
+    ASSERT_EQ(has, s.ref().NextEventTime(&ref_peek));
+    if (!has) {
+      break;
+    }
+    ASSERT_EQ(peek.nanos(), ref_peek);
+    // Peeking again is idempotent and fires nothing.
+    const uint64_t processed = s.sim().processed_events();
+    SimTime again;
+    ASSERT_TRUE(s.sim().NextEventTime(&again));
+    EXPECT_EQ(again, peek);
+    EXPECT_EQ(s.sim().processed_events(), processed);
+    ASSERT_TRUE(s.Step());
+    EXPECT_EQ(s.sim().Now(), peek);
   }
+  s.ExpectSame();
+  EXPECT_TRUE(s.sim().Empty());
 }
 
-// Regression guard for the horizon/normalize interplay: a dense run of
-// events right below a level boundary followed by one just above it must not
-// skip the entry parked in the upper level's cursor slot.
-TEST(EventQueueTest, WheelDoesNotSkipAcrossGranuleBoundaries) {
-  TimerWheelEventQueue wheel;
-  uint64_t seq = 0;
-  // Entry just past the 2^16 boundary (level-1 territory), then fill the
-  // level-0 ring right up to the boundary and drain everything.
+// Timestamps straddling power-of-two boundaries from 2^16 ns to past 2^41 ns
+// fire in time order.
+TEST(EventQueueTest, FarApartTimestampsFireInOrder) {
+  Simulator sim;
   std::vector<int64_t> whens = {(int64_t{1} << 16) + 10};
   for (int64_t t = 0; t < (int64_t{1} << 16); t += 997) {
     whens.push_back(t);
   }
-  // And one far entry in level-2/3 land plus one in overflow.
   whens.push_back((int64_t{1} << 33) + 5);
   whens.push_back((int64_t{1} << 41) + 123);
+  std::vector<int64_t> fired;
   for (int64_t w : whens) {
-    wheel.Push(EventEntry{SimTime::Nanos(w), seq++, 0, 0});
-  }
-  auto popped = DrainAll(&wheel);
-  ASSERT_EQ(popped.size(), whens.size());
-  std::sort(whens.begin(), whens.end());
-  for (size_t i = 0; i < whens.size(); ++i) {
-    EXPECT_EQ(popped[i].when.nanos(), whens[i]);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Simulator level: both policies drive identical event trajectories under a
-// randomized schedule/cancel/run workload, with identical accounting.
-
-struct SimScript {
-  // Records everything observable about one simulator run.
-  std::vector<int> fired;
-  std::vector<size_t> pending_after_op;
-  std::vector<size_t> queued_after_op;
-  uint64_t processed = 0;
-  uint64_t compactions = 0;
-  uint64_t skipped = 0;
-  int64_t final_now = 0;
-
-  bool operator==(const SimScript& o) const {
-    return fired == o.fired && pending_after_op == o.pending_after_op &&
-           queued_after_op == o.queued_after_op && processed == o.processed &&
-           compactions == o.compactions && skipped == o.skipped &&
-           final_now == o.final_now;
-  }
-};
-
-SimScript RunRandomWorkload(QueuePolicy policy, uint64_t seed) {
-  Simulator sim(policy);
-  Rng rng(seed);
-  SimScript script;
-  std::vector<EventHandle> handles;
-  int next_id = 0;
-  for (int op = 0; op < 4000; ++op) {
-    const double r = rng.NextDouble();
-    if (r < 0.45) {
-      // Schedule with a mix of tie-heavy, near, far, and overflow delays;
-      // the callback occasionally schedules a follow-up or cancels a peer.
-      int64_t delay;
-      const double d = rng.NextDouble();
-      if (d < 0.3) {
-        delay = 100;  // deliberate same-timestamp ties
-      } else if (d < 0.8) {
-        delay = rng.UniformInt(0, 100'000);
-      } else if (d < 0.95) {
-        delay = rng.UniformInt(0, 40'000'000);
-      } else {
-        delay = rng.UniformInt(int64_t{1} << 40, int64_t{1} << 42);
-      }
-      const int id = next_id++;
-      const bool chain = rng.NextDouble() < 0.25;
-      handles.push_back(sim.Schedule(SimTime::Nanos(delay), [&script, &sim, id, chain] {
-        script.fired.push_back(id);
-        if (chain) {
-          const int sub = -id - 1;
-          sim.Schedule(SimTime::Nanos(50), [&script, sub] { script.fired.push_back(sub); });
-        }
-      }));
-    } else if (r < 0.75 && !handles.empty()) {
-      handles[rng.UniformInt(0, static_cast<int64_t>(handles.size()) - 1)].Cancel();
-    } else if (r < 0.9) {
-      sim.Step();
-    } else {
-      // Bounded run: deadline a little past now, so some events fire and the
-      // rest stay queued.
-      sim.Run(sim.Now() + SimTime::Nanos(rng.UniformInt(0, 200'000)));
-    }
-    script.pending_after_op.push_back(sim.PendingEvents());
-    script.queued_after_op.push_back(sim.QueuedEvents());
+    sim.ScheduleAt(SimTime::Nanos(w), [&sim, &fired] { fired.push_back(sim.Now().nanos()); });
   }
   sim.Run();
-  script.processed = sim.processed_events();
-  script.compactions = sim.compactions();
-  script.skipped = sim.skipped_cancelled();
-  script.final_now = sim.Now().nanos();
-  EXPECT_TRUE(sim.Empty());
-  EXPECT_EQ(sim.PendingEvents(), 0u);
-  return script;
+  std::sort(whens.begin(), whens.end());
+  EXPECT_EQ(fired, whens);
 }
 
+// Randomized schedule / cancel / step / run-to-deadline workloads with
+// chained follow-ups: the two queueing policies — the Simulator's binary heap
+// and the reference's fully sorted map — produce the same whole trajectory
+// and accounting.
 TEST(SimulatorDifferentialTest, PoliciesProduceIdenticalTrajectories) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    SimScript wheel = RunRandomWorkload(QueuePolicy::kTimerWheel, seed);
-    SimScript heap = RunRandomWorkload(QueuePolicy::kBinaryHeap, seed);
-    EXPECT_TRUE(wheel == heap) << "divergence at seed " << seed;
+    Rng rng(seed);
+    SimLockstep s;
+    int next_id = 0;
+    for (int op = 0; op < 4000; ++op) {
+      const double r = rng.NextDouble();
+      if (r < 0.45) {
+        int64_t delay;
+        const double d = rng.NextDouble();
+        if (d < 0.3) {
+          delay = 100;  // deliberate same-timestamp ties
+        } else if (d < 0.8) {
+          delay = rng.UniformInt(0, 100'000);
+        } else if (d < 0.95) {
+          delay = rng.UniformInt(0, 40'000'000);
+        } else {
+          delay = rng.UniformInt(int64_t{1} << 40, int64_t{1} << 42);
+        }
+        s.Schedule(delay, next_id++, rng.NextDouble() < 0.25 ? 50 : -1);
+      } else if (r < 0.75 && s.handles() > 0) {
+        s.Cancel(static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(s.handles()) - 1)));
+      } else if (r < 0.9) {
+        s.Step();
+      } else {
+        s.Run(s.sim().Now().nanos() + rng.UniformInt(0, 200'000));
+      }
+      s.ExpectSameState();
+    }
+    s.Run();
+    s.ExpectSame();
+    EXPECT_TRUE(s.sim().Empty());
   }
 }
 
 TEST(SimulatorDifferentialTest, CancellationSemanticsMatch) {
-  for (QueuePolicy policy : {QueuePolicy::kTimerWheel, QueuePolicy::kBinaryHeap}) {
-    Simulator sim(policy);
-    int fired = 0;
-    EventHandle h = sim.Schedule(SimTime::Micros(10), [&] { ++fired; });
-    sim.Schedule(SimTime::Micros(20), [&] { ++fired; });
-    h.Cancel();
-    h.Cancel();  // idempotent
-    EXPECT_EQ(sim.PendingEvents(), 1u);
-    EXPECT_EQ(sim.QueuedEvents(), 2u);  // cancelled entry still queued (lazy)
-    sim.Run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(sim.skipped_cancelled(), 1u);
-  }
+  Simulator sim;
+  int fired = 0;
+  EventHandle h = sim.Schedule(SimTime::Micros(10), [&] { ++fired; });
+  sim.Schedule(SimTime::Micros(20), [&] { ++fired; });
+  h.Cancel();
+  h.Cancel();  // idempotent
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  EXPECT_EQ(sim.QueuedEvents(), 2u);  // cancelled entry still queued (lazy)
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.skipped_cancelled(), 1u);
 }
 
 }  // namespace

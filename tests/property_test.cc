@@ -1,12 +1,17 @@
 // Parameterized property sweeps across the full configuration space:
 // determinism, liveness (no deadlock for arbitrary knob settings), the
-// "ByteScheduler never loses" property, and scheduler-core credit
-// conservation under randomized event orders.
+// "ByteScheduler never loses" property, scheduler-core credit conservation
+// under randomized event orders, and the Simulator and Core admission oracles
+// (sorted-reference event trajectories, ordered-map admission order).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <map>
+#include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/comm/backend.h"
@@ -16,6 +21,7 @@
 #include "src/runtime/cluster.h"
 #include "src/runtime/training_job.h"
 #include "src/sim/simulator.h"
+#include "tests/sim_reference.h"
 
 namespace bsched {
 namespace {
@@ -192,54 +198,261 @@ TEST_P(CoreFuzzTest, CreditConservedUnderRandomCompletionOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoreFuzzTest, ::testing::Range<uint64_t>(0, 16));
 
-// ---- queue-policy differential property -------------------------------------
+// ---- simulator trajectory oracle ---------------------------------------------
 
-// For any randomized schedule/cancel/run-to-deadline workload, a Simulator on
-// the timer wheel and one on the legacy binary heap must fire the same events
-// in the same order with identical accounting. This is the property backing
-// the wheel's role as the default engine (deeper structural cases live in
-// tests/event_queue_test.cc).
-class QueuePolicyFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+// For any randomized schedule/cancel/run-to-deadline workload, the Simulator
+// fires the same events at the same times, with the same live/queued counts,
+// lazy skips and compactions, as a fully sorted reference queue (deeper
+// structural cases live in tests/event_queue_test.cc).
+class SimulatorOracleFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(QueuePolicyFuzzTest, WheelAndHeapTrajectoriesAreIdentical) {
-  auto run = [](QueuePolicy policy, uint64_t seed) {
-    Simulator sim(policy);
-    Rng rng(seed);
-    std::vector<int64_t> trace;
-    std::vector<EventHandle> handles;
-    int next_id = 0;
-    for (int op = 0; op < 1500; ++op) {
-      const double r = rng.NextDouble();
-      if (r < 0.5) {
-        const int id = next_id++;
-        // Ties, near timers, far timers past several wheel levels.
-        const int64_t delay =
-            rng.NextDouble() < 0.3 ? 1000 : rng.UniformInt(0, int64_t{1} << 36);
-        handles.push_back(sim.Schedule(SimTime::Nanos(delay), [&trace, &sim, id] {
-          trace.push_back(id);
-          trace.push_back(sim.Now().nanos());
-        }));
-      } else if (r < 0.8 && !handles.empty()) {
-        handles[rng.UniformInt(0, static_cast<int64_t>(handles.size()) - 1)].Cancel();
-      } else {
-        sim.Run(sim.Now() + SimTime::Nanos(rng.UniformInt(0, 1'000'000)));
-        trace.push_back(static_cast<int64_t>(sim.PendingEvents()));
-        trace.push_back(static_cast<int64_t>(sim.QueuedEvents()));
-      }
+TEST_P(SimulatorOracleFuzzTest, TrajectoryMatchesSortedReference) {
+  Rng rng(GetParam());
+  SimLockstep s;
+  int next_id = 0;
+  for (int op = 0; op < 1500; ++op) {
+    const double r = rng.NextDouble();
+    if (r < 0.5) {
+      // Ties, near timers, and timers up to ~1 simulated minute out.
+      const int64_t delay = rng.NextDouble() < 0.3 ? 1000 : rng.UniformInt(0, int64_t{1} << 36);
+      s.Schedule(delay, next_id++);
+    } else if (r < 0.8 && s.handles() > 0) {
+      s.Cancel(static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(s.handles()) - 1)));
+    } else {
+      s.Run(s.sim().Now().nanos() + rng.UniformInt(0, 1'000'000));
+      s.ExpectSameState();
     }
-    sim.Run();
-    trace.push_back(static_cast<int64_t>(sim.processed_events()));
-    trace.push_back(static_cast<int64_t>(sim.skipped_cancelled()));
-    trace.push_back(static_cast<int64_t>(sim.compactions()));
-    trace.push_back(sim.Now().nanos());
-    return trace;
-  };
-  const uint64_t seed = GetParam();
-  EXPECT_EQ(run(QueuePolicy::kTimerWheel, seed), run(QueuePolicy::kBinaryHeap, seed));
+  }
+  s.Run();
+  s.ExpectSame();
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, QueuePolicyFuzzTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorOracleFuzzTest,
                          ::testing::Range(uint64_t{1}, uint64_t{13}));
+
+// ---- scheduler-core admission oracle -------------------------------------------
+
+// The Core's ready queue is a binary heap on SubTaskKey. Keys are unique, so
+// for any interleaving of Enqueue, NotifyReady(Partition), completions (late
+// ones included) and retry timeouts it must admit exactly what an ordered
+// std::map of the same keys admits. CoreModel replays Algorithm 1 on such a
+// map: credit check on the head, retries requeued at their original key with
+// timeouts growing by the backoff.
+class CoreModel {
+ public:
+  explicit CoreModel(const SchedulerConfig& config)
+      : config_(config), credit_(config.credit_bytes) {}
+
+  CommTaskId Enqueue(int layer, CommOpType type, Bytes bytes) {
+    Task task{layer, type, {}, {}};
+    const Bytes unit = config_.partition_bytes;
+    if (unit <= 0 || unit >= bytes) {
+      task.parts.push_back(bytes);
+    } else {
+      for (Bytes left = bytes; left > 0; left -= task.parts.back()) {
+        task.parts.push_back(std::min(unit, left));
+      }
+    }
+    task.notified.assign(task.parts.size(), false);
+    tasks_.push_back(std::move(task));
+    return static_cast<CommTaskId>(tasks_.size() - 1);
+  }
+
+  void NotifyPartition(CommTaskId id, int partition) {
+    Task& task = tasks_[id];
+    if (!task.notified[partition]) {
+      task.notified[partition] = true;
+      SubTaskKey key;
+      key.arrival_seq = next_seq_++;
+      if (config_.policy == SchedulerConfig::Policy::kPriority) {
+        key.layer = task.layer;
+        key.type_rank = task.type == CommOpType::kPush ? 1 : 0;
+      }
+      queue_.emplace(key, Queued{id, partition, 0});
+    }
+    TrySchedule();
+  }
+
+  void NotifyAll(CommTaskId id) {
+    for (int p = 0; p < static_cast<int>(tasks_[id].parts.size()); ++p) {
+      NotifyPartition(id, p);
+    }
+  }
+
+  // Completion of admission `index` (ignored when that attempt timed out).
+  void Complete(size_t index) {
+    Attempt& a = attempts_[index];
+    if (!a.live) {
+      return;
+    }
+    a.live = false;
+    timers_.erase({a.deadline, index});
+    credit_ += a.charged;
+    TrySchedule();
+  }
+
+  // Fires every retry timer due by `until`, in (deadline, arming) order.
+  void AdvanceTo(int64_t until) {
+    while (!timers_.empty() && timers_.begin()->first <= until) {
+      const size_t index = timers_.begin()->second;
+      now_ = timers_.begin()->first;
+      timers_.erase(timers_.begin());
+      Attempt& a = attempts_[index];
+      a.live = false;
+      credit_ += a.charged;
+      queue_.emplace(a.key, Queued{a.task, a.partition, a.attempts + 1});
+      TrySchedule();
+    }
+  }
+
+  bool AllNotified(CommTaskId id) const {
+    const auto& n = tasks_[id].notified;
+    return std::find(n.begin(), n.end(), false) == n.end();
+  }
+  const std::vector<std::pair<CommTaskId, int>>& admitted() const { return admitted_; }
+  Bytes credit() const { return credit_; }
+  size_t queue_length() const { return queue_.size(); }
+
+ private:
+  struct Task {
+    int layer;
+    CommOpType type;
+    std::vector<Bytes> parts;
+    std::vector<bool> notified;
+  };
+  struct Queued {
+    CommTaskId task;
+    int partition;
+    int attempts;
+  };
+  struct Attempt {
+    SubTaskKey key;
+    CommTaskId task;
+    int partition;
+    int attempts;
+    Bytes charged;
+    int64_t deadline;
+    bool live;
+  };
+
+  void TrySchedule() {
+    while (!queue_.empty()) {
+      const auto [key, q] = *queue_.begin();
+      const Task& task = tasks_[q.task];
+      const Bytes bytes = task.parts[q.partition];
+      const bool charges = task.type != CommOpType::kPull;
+      if (charges && credit_ < bytes && credit_ != config_.credit_bytes) {
+        return;
+      }
+      queue_.erase(queue_.begin());
+      const Bytes charged = charges ? std::min(bytes, credit_) : 0;
+      credit_ -= charged;
+      const int64_t deadline = now_ + (config_.retry.timeout.nanos() << q.attempts);
+      timers_.insert({deadline, attempts_.size()});
+      attempts_.push_back(Attempt{key, q.task, q.partition, q.attempts, charged, deadline, true});
+      admitted_.emplace_back(q.task, q.partition);
+    }
+  }
+
+  SchedulerConfig config_;
+  Bytes credit_;
+  int64_t now_ = 0;
+  uint64_t next_seq_ = 0;
+  std::vector<Task> tasks_;
+  std::map<SubTaskKey, Queued> queue_;
+  std::vector<Attempt> attempts_;
+  std::set<std::pair<int64_t, size_t>> timers_;
+  std::vector<std::pair<CommTaskId, int>> admitted_;
+};
+
+// Records admissions and hands their completion callbacks to the test.
+class AdmissionLog : public CommBackend {
+ public:
+  void Start(const SubCommTask& subtask, std::function<void()> on_finish) override {
+    admitted.emplace_back(subtask.task, subtask.partition);
+    finishes.push_back(std::move(on_finish));
+  }
+  std::vector<std::pair<CommTaskId, int>> admitted;
+  std::vector<std::function<void()>> finishes;
+};
+
+class CoreOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CoreOracleTest, AdmissionOrderMatchesOrderedMapReference) {
+  Rng rng(GetParam() * 7919 + 3);
+  SchedulerConfig config = SchedulerConfig::ByteScheduler(
+      KiB(static_cast<int64_t>(rng.UniformInt(16, 1024))),
+      KiB(static_cast<int64_t>(rng.UniformInt(64, 4096))));
+  if (GetParam() % 3 == 0) {
+    config.policy = SchedulerConfig::Policy::kFifo;
+  }
+  config.retry.timeout = SimTime::Micros(5);
+  config.retry.backoff = 2.0;
+  config.retry.max_retries = 40;
+  Simulator sim;
+  AdmissionLog backend;
+  SchedulerCore core(config, &backend, 0, &sim);
+  CoreModel model(config);
+
+  std::vector<CommTaskId> open;  // tasks with partitions not yet notified
+  std::vector<bool> completed;   // per admission: completion delivered
+  for (int op = 0; op < 3000; ++op) {
+    const double r = rng.NextDouble();
+    if (r < 0.15 || open.empty()) {
+      CommTaskDesc desc;
+      desc.layer = static_cast<int>(rng.UniformInt(0, 12));
+      const double t = rng.NextDouble();
+      desc.type = t < 0.4   ? CommOpType::kPush
+                  : t < 0.8 ? CommOpType::kPull
+                            : CommOpType::kAllReduce;
+      desc.tensor_bytes = rng.UniformInt(1, MiB(3));
+      const CommTaskId model_id = model.Enqueue(desc.layer, desc.type, desc.tensor_bytes);
+      ASSERT_EQ(core.Enqueue(std::move(desc)), model_id);
+      open.push_back(model_id);
+    } else if (r < 0.45) {
+      const size_t i =
+          static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(open.size()) - 1));
+      const CommTaskId id = open[i];
+      if (rng.NextDouble() < 0.3) {
+        core.NotifyReady(id);
+        model.NotifyAll(id);
+      } else {
+        const int p = static_cast<int>(rng.UniformInt(0, core.NumPartitions(id) - 1));
+        core.NotifyReadyPartition(id, p);
+        model.NotifyPartition(id, p);
+      }
+      if (model.AllNotified(id)) {
+        open.erase(open.begin() + static_cast<long>(i));
+      }
+    } else if (r < 0.85) {
+      // Complete a random admission not completed yet; a timed-out attempt's
+      // completion arrives late and must be ignored.
+      completed.resize(backend.finishes.size(), false);
+      std::vector<size_t> candidates;
+      for (size_t i = 0; i < completed.size(); ++i) {
+        if (!completed[i]) {
+          candidates.push_back(i);
+        }
+      }
+      if (!candidates.empty()) {
+        const size_t i = candidates[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(candidates.size()) - 1))];
+        completed[i] = true;
+        backend.finishes[i]();
+        model.Complete(i);
+      }
+    } else {
+      const int64_t until = sim.Now().nanos() + rng.UniformInt(0, 20'000);
+      sim.Run(SimTime::Nanos(until));
+      model.AdvanceTo(until);
+    }
+    ASSERT_EQ(backend.admitted, model.admitted()) << "op " << op;
+    ASSERT_EQ(core.credit(), model.credit()) << "op " << op;
+    ASSERT_EQ(core.queue_length(), model.queue_length()) << "op " << op;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CoreOracleTest, ::testing::Range<uint64_t>(0, 12));
 
 }  // namespace
 }  // namespace bsched

@@ -7,6 +7,7 @@
 #include "src/sim/resource.h"
 #include "src/sim/shard_coordinator.h"
 #include "src/sim/simulator.h"
+#include "tests/sim_reference.h"
 
 namespace bsched {
 namespace {
@@ -422,50 +423,40 @@ TEST(ResourceTest, InterleavedWithOtherResources) {
 // cancellation triggers compaction while the deadline lands inside the
 // surviving stretch. Every cancelled entry must be accounted exactly once —
 // either lazily skipped at pop time or reclaimed by a compaction pass, never
-// both — and both queue policies must agree on every counter.
+// both — and the counters must match the sorted reference model.
 TEST(SimulatorTest, DeadlineInsideCompactionPassDoesNotDoubleCountSkips) {
-  struct Outcome {
-    uint64_t fired_by_deadline, fired_total, skipped, compactions;
-    size_t pending_mid, queued_end;
-  };
-  auto run = [](QueuePolicy policy) {
-    Simulator sim(policy);
-    std::vector<EventHandle> handles;
-    int fired = 0;
-    for (int i = 1; i <= 300; ++i) {
-      handles.push_back(sim.Schedule(SimTime::Micros(i), [&fired] { ++fired; }));
-    }
-    // At 50us, cancel events scheduled for 101..300us: compaction triggers
-    // inside the running simulation, below the 150us deadline.
-    sim.Schedule(SimTime::Micros(50) + SimTime::Nanos(1), [&handles] {
-      for (int i = 100; i < 300; ++i) {
-        handles[i].Cancel();
-      }
-    });
-    Outcome o;
-    o.fired_by_deadline = sim.Run(SimTime::Micros(150));
-    o.pending_mid = sim.PendingEvents();
-    o.fired_total = o.fired_by_deadline + sim.Run();
-    o.skipped = sim.skipped_cancelled();
-    o.compactions = sim.compactions();
-    o.queued_end = sim.QueuedEvents();
-    return o;
-  };
-  for (QueuePolicy policy : {QueuePolicy::kTimerWheel, QueuePolicy::kBinaryHeap}) {
-    Outcome o = run(policy);
-    EXPECT_EQ(o.fired_by_deadline, 101u);  // 1..100us events + the canceller
-    EXPECT_EQ(o.pending_mid, 0u);          // everything past 100us was cancelled
-    EXPECT_EQ(o.fired_total, 101u);
-    EXPECT_GE(o.compactions, 1u);
-    // 200 cancellations, each reclaimed once: lazily at pop or by compaction.
-    EXPECT_LE(o.skipped, 200u);
-    EXPECT_EQ(o.queued_end, 0u);
+  Simulator sim;
+  RefSim ref;
+  std::vector<EventHandle> handles;
+  int fired = 0;
+  for (int i = 1; i <= 300; ++i) {
+    handles.push_back(sim.Schedule(SimTime::Micros(i), [&fired] { ++fired; }));
+    ref.Schedule(SimTime::Micros(i).nanos(), i);
   }
-  Outcome wheel = run(QueuePolicy::kTimerWheel);
-  Outcome heap = run(QueuePolicy::kBinaryHeap);
-  EXPECT_EQ(wheel.skipped, heap.skipped);
-  EXPECT_EQ(wheel.compactions, heap.compactions);
-  EXPECT_EQ(wheel.fired_by_deadline, heap.fired_by_deadline);
+  // At 50us, cancel events scheduled for 101..300us: compaction triggers
+  // inside the running simulation, below the 150us deadline.
+  sim.Schedule(SimTime::Micros(50) + SimTime::Nanos(1), [&handles] {
+    for (int i = 100; i < 300; ++i) {
+      handles[i].Cancel();
+    }
+  });
+  ref.Schedule((SimTime::Micros(50) + SimTime::Nanos(1)).nanos(), 0);
+  ref.Run((SimTime::Micros(50) + SimTime::Nanos(1)).nanos());
+  for (size_t i = 100; i < 300; ++i) {
+    ref.Cancel(i);
+  }
+  const uint64_t fired_by_deadline = sim.Run(SimTime::Micros(150));
+  EXPECT_EQ(fired_by_deadline, 101u);  // 1..100us events + the canceller
+  EXPECT_EQ(sim.PendingEvents(), 0u);  // everything past 100us was cancelled
+  EXPECT_EQ(fired_by_deadline + sim.Run(), 101u);
+  EXPECT_GE(sim.compactions(), 1u);
+  // 200 cancellations, each reclaimed once: lazily at pop or by compaction.
+  EXPECT_LE(sim.skipped_cancelled(), 200u);
+  EXPECT_EQ(sim.QueuedEvents(), 0u);
+  ref.Run(INT64_MAX);
+  EXPECT_EQ(sim.skipped_cancelled(), ref.skipped());
+  EXPECT_EQ(sim.compactions(), ref.compactions());
+  EXPECT_EQ(sim.processed_events(), ref.processed());
 }
 
 // ---------------------------------------------------------------------------
