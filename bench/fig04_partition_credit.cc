@@ -29,14 +29,10 @@ double SpeedWith(Bandwidth bw, Bytes partition, Bytes credit) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::InitBenchJobs(argc, argv);  // --shards K runs every cell sharded
+  bench::InitBenchJobs(argc, argv);
   const std::vector<Bytes> sizes = {KiB(80),  KiB(160), KiB(240), KiB(320),
                                     KiB(400), KiB(480), KiB(560), KiB(640), KiB(750)};
-  std::printf("Figure 4: VGG16, MXNet PS TCP, FIFO scheduling, 32 GPUs");
-  if (bench::BenchShards() > 0) {
-    std::printf(" [sharded DES, %d shards]", bench::BenchShards());
-  }
-  std::printf("\n\n");
+  std::printf("Figure 4: VGG16, MXNet PS TCP, FIFO scheduling, 32 GPUs\n\n");
 
   std::printf("(a) speed vs partition size (credit = 8x partition)\n");
   Table a({"partition(KB)", "1Gbps (img/s)", "10Gbps (img/s)"});

@@ -7,18 +7,18 @@
 // with partitioning recovers overlap that FIFO head-of-line blocking wastes.
 //
 // The amplitude sweep's cells are independent simulations evaluated on the
-// SweepRunner pool; rows are bit-identical at any --jobs value and at any
-// --shards K >= 1 (the dynamic fabric derives every schedule from
-// (seed, link name), never from shard layout).
+// SweepRunner pool; rows are bit-identical at any --jobs value. Every cell
+// sets JobConfig::delayed_notify: the PS push-ack cancel and aggregation
+// notifications arrive as control messages, which is how the recorded rows
+// were produced.
 //
 // Flags: --jobs N          sweep workers (default: hardware concurrency)
-//        --shards K        sharded parallel-DES per cell (default 1)
 //        --model NAME      zoo model (default resnet50)
 //        --gbps F          per-NIC bandwidth (default 25)
 //        --seed N          dynamics seed (default 3)
 //        --csv PATH        also write the rows as CSV
-//        --check-determinism  recompute the sweep at --jobs 1 vs N and at
-//                          shards 1/2/8 and require byte-identical CSV rows
+//        --check-determinism  recompute the sweep at --jobs 1 and require
+//                          byte-identical CSV rows
 //        --require-growing-gain  fail unless ByteScheduler's gain over
 //                          vanilla is larger at the highest amplitude than
 //                          at amplitude 0 (the figure's acceptance check)
@@ -74,29 +74,29 @@ struct SweepSpec {
   uint64_t seed = 3;
 };
 
-JobConfig CellJob(const SweepSpec& spec, SchedMode mode, double amplitude, int shards) {
+JobConfig CellJob(const SweepSpec& spec, SchedMode mode, double amplitude) {
   JobConfig job = bench::WithMode(
       bench::MakeJob(ModelByName(spec.model), Setup::MxnetPsTcp(), /*num_machines=*/2,
                      Bandwidth::Gbps(spec.gbps)),
       mode);
   job.warmup_iters = 1;
   job.measure_iters = 3;
-  job.shards = shards;
+  job.delayed_notify = true;
   job.dynamics = Fabric(spec.seed, amplitude);
   return job;
 }
 
 // The full figure: one row per amplitude, both modes, cells evaluated
-// concurrently on the pool. Deterministic: rows depend only on (seed,
-// shards), never on `jobs`.
-std::vector<VolatilityRow> ComputeSweep(const SweepSpec& spec, int shards, int jobs) {
+// concurrently on the pool. Deterministic: rows depend only on the spec,
+// never on `jobs`.
+std::vector<VolatilityRow> ComputeSweep(const SweepSpec& spec, int jobs) {
   SweepRunner runner(jobs);
   const std::vector<double> speeds =
       runner.ParallelFor(kAmplitudes.size() * 2, [&](size_t index) {
         const double amplitude = kAmplitudes[index / 2];
         const SchedMode mode =
             (index % 2 == 0) ? SchedMode::kVanilla : SchedMode::kByteScheduler;
-        return bench::RunSpeed(CellJob(spec, mode, amplitude, shards));
+        return bench::RunSpeed(CellJob(spec, mode, amplitude));
       });
   std::vector<VolatilityRow> rows;
   for (size_t i = 0; i < kAmplitudes.size(); ++i) {
@@ -110,7 +110,7 @@ std::vector<VolatilityRow> ComputeSweep(const SweepSpec& spec, int shards, int j
 }
 
 // CSV with full double precision: the determinism check compares these
-// strings byte for byte across --jobs and --shards values.
+// strings byte for byte across --jobs values.
 std::string ToCsv(const std::vector<VolatilityRow>& rows) {
   std::ostringstream out;
   out << "amplitude,vanilla_img_s,bytescheduler_img_s,gain\n";
@@ -128,7 +128,7 @@ std::string ToCsv(const std::vector<VolatilityRow>& rows) {
 // preset running only the net-dyn label). Returns false when the merged
 // document fails to re-parse or the file cannot be written.
 bool AppendBenchSection(const std::string& path, const std::vector<VolatilityRow>& rows,
-                        const SweepSpec& spec, int shards) {
+                        const SweepSpec& spec) {
   std::string text = "{\n}\n";
   {
     std::ifstream in(path);
@@ -166,7 +166,6 @@ bool AppendBenchSection(const std::string& path, const std::vector<VolatilityRow
   std::snprintf(gbps_buf, sizeof(gbps_buf), "%.1f", spec.gbps);
   section << "    \"gbps\": " << gbps_buf << ",\n";
   section << "    \"seed\": " << spec.seed << ",\n";
-  section << "    \"shards\": " << shards << ",\n";
   section << "    \"rows\": [";
   for (size_t i = 0; i < rows.size(); ++i) {
     char buf[200];
@@ -199,24 +198,25 @@ int main(int argc, char** argv) {
   using namespace bsched;
 
   const Flags flags(argc, argv);
-  const int jobs = bench::InitBenchJobs(argc, argv);
+  const int jobs = bench::InitBenchJobs(argc, argv,
+                                        {"model", "gbps", "seed", "csv", "bench-append",
+                                         "check-determinism", "require-growing-gain"});
   SweepSpec spec;
   spec.model = flags.GetString("model", spec.model);
   spec.gbps = flags.GetDouble("gbps", spec.gbps);
   spec.seed = static_cast<uint64_t>(
       flags.GetInt("seed", static_cast<int64_t>(spec.seed)));
-  const int shards = static_cast<int>(flags.GetInt("shards", 1));
   const std::string csv_path = flags.GetString("csv", "");
   const std::string bench_path = flags.GetString("bench-append", "");
   const bool check_determinism = flags.GetBool("check-determinism", false);
   const bool require_growing_gain = flags.GetBool("require-growing-gain", false);
 
+  // "shards=1" is literal text: perfbench/reference/eval.txt pins this header.
   std::printf("Figure 15: volatility sweep (%s, mxnet ps tcp, 2 machines, %.0f Gbps, "
-              "seed=%llu, shards=%d, jobs=%d)\n",
-              spec.model.c_str(), spec.gbps,
-              static_cast<unsigned long long>(spec.seed), shards, jobs);
+              "seed=%llu, shards=1, jobs=%d)\n",
+              spec.model.c_str(), spec.gbps, static_cast<unsigned long long>(spec.seed), jobs);
 
-  const std::vector<VolatilityRow> rows = ComputeSweep(spec, shards, jobs);
+  const std::vector<VolatilityRow> rows = ComputeSweep(spec, jobs);
   std::printf("  %-10s %14s %16s %8s\n", "amplitude", "vanilla img/s", "bytesched img/s",
               "gain");
   for (const VolatilityRow& row : rows) {
@@ -227,23 +227,12 @@ int main(int argc, char** argv) {
   int failures = 0;
 
   if (check_determinism) {
-    // Bit-identical rows at any worker count and any shard count >= 1.
-    const std::string reference = ToCsv(rows);
-    if (ToCsv(ComputeSweep(spec, shards, 1)) != reference) {
+    // Bit-identical rows at any worker count.
+    if (ToCsv(ComputeSweep(spec, 1)) != ToCsv(rows)) {
       std::fprintf(stderr, "FATAL: sweep rows depend on --jobs\n");
       ++failures;
-    }
-    const std::string at_shard1 =
-        shards == 1 ? reference : ToCsv(ComputeSweep(spec, 1, jobs));
-    for (const int k : {2, 8}) {
-      if (ToCsv(ComputeSweep(spec, k, jobs)) != at_shard1) {
-        std::fprintf(stderr, "FATAL: sweep rows diverge at shards=%d\n", k);
-        ++failures;
-      }
-    }
-    if (failures == 0) {
-      std::printf("  determinism: rows byte-identical at jobs {1,%d} and shards {1,2,8}\n",
-                  jobs);
+    } else {
+      std::printf("  determinism: rows byte-identical at jobs {1,%d}\n", jobs);
     }
   }
 
@@ -274,7 +263,7 @@ int main(int argc, char** argv) {
   }
 
   if (!bench_path.empty()) {
-    if (AppendBenchSection(bench_path, rows, spec, shards)) {
+    if (AppendBenchSection(bench_path, rows, spec)) {
       std::printf("  appended fig15_volatility section to %s\n", bench_path.c_str());
     } else {
       std::fprintf(stderr, "cannot append fig15_volatility section to %s\n",

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 
 #include "src/common/flags.h"
 #include "src/common/trace.h"
@@ -18,9 +19,6 @@ namespace {
 
 // Artifact paths captured by InitBenchJobs for MaybeWriteObsArtifacts.
 ObsFlags g_obs_flags;
-
-// --shards value captured by InitBenchJobs; applied by MakeJob.
-int g_shards = 0;
 
 }  // namespace
 
@@ -39,11 +37,6 @@ JobConfig MakeJob(const ModelProfile& model, const Setup& setup, int num_machine
   job.bandwidth = bandwidth;
   job.warmup_iters = 2;
   job.measure_iters = 5;
-  // Sharded parallel-DES is PS-only; all-reduce cells quietly stay serial so
-  // one --shards flag can drive a mixed-architecture figure.
-  if (setup.arch == ArchType::kPs) {
-    job.shards = g_shards;
-  }
   return job;
 }
 
@@ -140,24 +133,34 @@ void PrintScalingFigure(const std::string& title, const ModelProfile& model, boo
               Bandwidth::Gbps(100)));
 }
 
-int InitBenchJobs(int argc, const char* const* argv) {
+int InitBenchJobs(int argc, const char* const* argv,
+                  std::initializer_list<std::string_view> extra) {
   const Flags flags(argc, argv);
-  if (!flags.errors().empty()) {
-    // A malformed token (say "-jobs 4") would otherwise run the defaults.
-    for (const std::string& token : flags.errors()) {
-      std::fprintf(stderr, "%s: malformed flag '%s' (use --name or --name=value)\n", argv[0],
-                   token.c_str());
+  // A malformed token (say "-jobs 4") or an unknown name (say a typo'd
+  // "--job 4") would otherwise run the defaults.
+  bool ok = true;
+  for (const std::string& token : flags.errors()) {
+    std::fprintf(stderr, "%s: malformed flag '%s' (use --name or --name=value)\n", argv[0],
+                 token.c_str());
+    ok = false;
+  }
+  constexpr std::string_view kShared[] = {"jobs",       "trace",        "metrics",
+                                          "timeseries", "sample-every", "obs"};
+  for (const std::string& name : flags.names()) {
+    if (std::find(std::begin(kShared), std::end(kShared), name) == std::end(kShared) &&
+        std::find(extra.begin(), extra.end(), name) == extra.end()) {
+      std::fprintf(stderr, "%s: unknown flag '--%s'\n", argv[0], name.c_str());
+      ok = false;
     }
+  }
+  if (!ok) {
     std::exit(2);
   }
   const int jobs = static_cast<int>(flags.GetInt("jobs", 0));
   SweepRunner::SetDefaultJobs(jobs);
   g_obs_flags = ParseObsFlags(flags);
-  g_shards = static_cast<int>(flags.GetInt("shards", 0));
   return SweepRunner::DefaultJobs();
 }
-
-int BenchShards() { return g_shards; }
 
 void MaybeWriteObsArtifacts(const JobConfig& job) {
   if (!g_obs_flags.enabled()) {
@@ -173,7 +176,6 @@ void MaybeWriteObsArtifacts(const JobConfig& job) {
       &metrics, SimTime::Micros(g_obs_flags.sample_every_us > 0 ? g_obs_flags.sample_every_us
                                                                 : 100));
   JobConfig run = WithMode(job, SchedMode::kByteScheduler);
-  run.shards = 0;  // trace sinks require the serial path
   run.trace = g_obs_flags.trace_path.empty() ? nullptr : &trace;
   // The time-series recorder samples metric handles, so it implies metrics.
   run.metrics =

@@ -3,7 +3,9 @@
 #ifndef BENCH_HARNESS_H_
 #define BENCH_HARNESS_H_
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/table.h"
@@ -63,17 +65,14 @@ std::string GainPercent(double sched, double baseline);
 
 // Parses the common bench flags (--jobs N, default hardware concurrency) and
 // installs the result as the process-wide sweep worker count, plus the
-// shared observability flags (--trace / --metrics / --obs) consumed by
-// MaybeWriteObsArtifacts and the sharded-execution flag (--shards K) applied
-// by MakeJob. Returns the effective jobs value. A malformed token (a single
-// dash such as "-jobs", or a bare "--") prints Flags::errors() to stderr and
-// exits with status 2 instead of running the defaults.
-int InitBenchJobs(int argc, const char* const* argv);
-
-// Shard count from --shards (0 = serial single-Simulator execution). MakeJob
-// applies it to PS-architecture jobs only; results are bit-identical at any
-// K >= 1 (see JobConfig::shards).
-int BenchShards();
+// shared observability flags (--trace / --metrics / --timeseries /
+// --sample-every / --obs) consumed by MaybeWriteObsArtifacts. Returns the
+// effective jobs value. `extra` names the binary's own flags. A malformed
+// token (a single dash such as "-jobs", or a bare "--") or a --name outside
+// the shared and extra names prints an error to stderr and exits with
+// status 2 instead of running the defaults.
+int InitBenchJobs(int argc, const char* const* argv,
+                  std::initializer_list<std::string_view> extra = {});
 
 // When InitBenchJobs saw --trace/--metrics/--timeseries/--sample-every/
 // --obs: reruns `job` (forced to ByteScheduler mode, serially — the trace

@@ -11,11 +11,6 @@
 //    (per-event std::function + shared_ptr<bool> token on a
 //    std::priority_queue), so speedups are measured, not asserted.
 //
-// A shard-scaling section times one reference PS job under the sharded
-// coordinator at --shards 1/2/4/8 and records host_cpus alongside: on a
-// single-core container the barrier overhead makes sharding a slowdown, and
-// the honest numbers let a multi-core reader judge the scaling themselves.
-//
 // When the output file from a previous run exists (or --baseline points at
 // one), the run fails if churn throughput regressed more than 10%
 // against it — this is the `ctest -L perf` regression gate.
@@ -81,34 +76,6 @@ double MeasureSweep(int jobs) {
   return sec;
 }
 
-// ---- shard scaling --------------------------------------------------------
-
-struct ShardRow {
-  int shards = 0;  // 0 = serial single-Simulator path
-  double wall_sec = 0.0;
-  double events_per_sec = 0.0;
-  double samples_per_sec = 0.0;  // bit-identical across shards >= 1
-};
-
-ShardRow MeasureShards(int shards) {
-  JobConfig job = bench::WithMode(
-      bench::MakeJob(Vgg16(), Setup::MxnetPsTcp(), /*num_machines=*/4, Bandwidth::Gbps(10)),
-      SchedMode::kByteScheduler);
-  job.warmup_iters = 1;
-  job.measure_iters = 3;
-  job.shards = shards;
-  const auto start = std::chrono::steady_clock::now();
-  const JobResult result = RunTrainingJob(job);
-  ShardRow row;
-  row.shards = shards;
-  row.wall_sec = SecondsSince(start);
-  row.events_per_sec = row.wall_sec > 0 ? static_cast<double>(result.sim_events) / row.wall_sec : 0;
-  row.samples_per_sec = result.samples_per_sec;
-  std::printf("  shard scaling: shards=%d  %.3f s  %.2fM events/sec  (%.1f img/s)\n", shards,
-              row.wall_sec, row.events_per_sec / 1e6, row.samples_per_sec);
-  return row;
-}
-
 // Reads the previous run's churn throughput; 0 when absent/unreadable.
 double BaselineEventsPerSec(const std::string& path) {
   std::ifstream in(path);
@@ -133,7 +100,10 @@ int main(int argc, char** argv) {
   using namespace bsched;
 
   const Flags flags(argc, argv);
-  const int jobs = bench::InitBenchJobs(argc, argv);
+  const int jobs = bench::InitBenchJobs(
+      argc, argv,
+      {"out", "baseline", "churn-events", "rounds", "skip-sweep", "max-regression",
+       "max-idle-regression", "link-msgs"});
   const std::string out_path = flags.GetString("out", "BENCH_sim.json");
   const std::string baseline_path = flags.GetString("baseline", out_path);
   const int churn_events = static_cast<int>(flags.GetInt("churn-events", 300000));
@@ -180,23 +150,6 @@ int main(int argc, char** argv) {
               link_static.msgs_per_sec / 1e6, link_idle.msgs_per_sec / 1e6,
               -100.0 * idle_overhead);
 
-  std::vector<ShardRow> shard_rows;
-  if (!skip_sweep) {
-    for (int shards : {0, 1, 2, 4, 8}) {
-      shard_rows.push_back(MeasureShards(shards));
-    }
-    // Cheap determinism cross-check while we are here: every sharded row
-    // must report the same simulated speed regardless of shard count.
-    for (size_t i = 2; i < shard_rows.size(); ++i) {
-      if (shard_rows[i].samples_per_sec != shard_rows[1].samples_per_sec) {
-        std::fprintf(stderr, "FATAL: sharded speed diverges at shards=%d (%.17g vs %.17g)\n",
-                     shard_rows[i].shards, shard_rows[i].samples_per_sec,
-                     shard_rows[1].samples_per_sec);
-        return 1;
-      }
-    }
-  }
-
   double serial_sec = 0.0;
   double parallel_sec = 0.0;
   if (!skip_sweep) {
@@ -231,19 +184,6 @@ int main(int argc, char** argv) {
   std::fprintf(out, "    \"idle_msgs_per_sec\": %.0f,\n", link_idle.msgs_per_sec);
   std::fprintf(out, "    \"idle_overhead\": %.4f,\n", idle_overhead);
   std::fprintf(out, "    \"max_idle_regression\": %.4f\n", max_idle_regression);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"shard_scaling\": {\n");
-  std::fprintf(out, "    \"model\": \"vgg16\",\n");
-  std::fprintf(out, "    \"setup\": \"mxnet_ps_tcp\",\n");
-  std::fprintf(out, "    \"measured\": %s,\n", shard_rows.empty() ? "false" : "true");
-  std::fprintf(out, "    \"rows\": [");
-  for (size_t i = 0; i < shard_rows.size(); ++i) {
-    std::fprintf(out,
-                 "%s\n      {\"shards\": %d, \"wall_sec\": %.4f, \"events_per_sec\": %.0f}",
-                 i == 0 ? "" : ",", shard_rows[i].shards, shard_rows[i].wall_sec,
-                 shard_rows[i].events_per_sec);
-  }
-  std::fprintf(out, "%s]\n", shard_rows.empty() ? "" : "\n    ");
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"figure_sweep\": {\n");
   std::fprintf(out, "    \"model\": \"vgg16\",\n");

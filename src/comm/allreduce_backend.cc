@@ -63,8 +63,7 @@ void AllReduceBackend::Start(const SubCommTask& subtask, std::function<void()> o
     wait = SimTime(((now + cycle - 1) / cycle) * cycle - now);
   }
   if (config_.faults != nullptr) {
-    const FaultInjector::MessageFault fate =
-        config_.faults->OnMessageSend(ring_site_hash_, sim_->Now());
+    const FaultInjector::MessageFault fate = config_.faults->OnMessageSend(ring_site_hash_);
     if (fate.drop) {
       // The collective launch is lost (e.g. a worker missed the negotiation);
       // the master Core's timeout recovery relaunches the operation.

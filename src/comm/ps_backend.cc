@@ -14,67 +14,32 @@ std::string PartName(int64_t tensor, int partition) {
   return "t" + std::to_string(tensor) + ".p" + std::to_string(partition);
 }
 
-// Cross-shard channel kinds (see Chan()). One ordered stream per
-// (kind, source entity, destination entity).
-constexpr uint64_t kChanPushData = 1;   // worker uplink -> shard ingress
-constexpr uint64_t kChanAckCancel = 2;  // shard -> worker (push acknowledged)
-constexpr uint64_t kChanPullReq = 3;    // worker -> shard (pull request)
-constexpr uint64_t kChanPullData = 4;   // shard egress -> worker downlink
-constexpr uint64_t kChanAggNotify = 5;  // shard -> worker (aggregation listener)
-
 }  // namespace
 
 PsBackend::PsBackend(Simulator* sim, const PsConfig& config) : sim_(sim), config_(config) {
+  BSCHED_CHECK(sim_ != nullptr);
   BSCHED_CHECK(config_.num_workers > 0);
   BSCHED_CHECK(config_.num_shards > 0);
-  if (Sharded()) {
-    // Sharded mode: entities live on the coordinator's per-shard simulators;
-    // a separate serial Simulator would be a second, disconnected clock.
-    BSCHED_CHECK(sim_ == nullptr);
-    // Every cross-entity hop must satisfy the conservative lookahead bound.
-    BSCHED_CHECK(config_.coord->lookahead() <= config_.control_latency);
-    BSCHED_CHECK(config_.coord->lookahead() <= config_.transport.latency);
-    // Flow traces record global interleavings; only commutative metric
-    // counters are shard-count-invariant.
-    BSCHED_CHECK(config_.obs == nullptr || !config_.obs->tracing());
-    const int k = config_.coord->shards();
-    for (int w = 0; w < config_.num_workers; ++w) {
-      worker_cshard_.push_back(w % k);
-      worker_sims_.push_back(config_.coord->shard(w % k));
-    }
-    for (int s = 0; s < config_.num_shards; ++s) {
-      shard_cshard_.push_back(s % k);
-      shard_sims_.push_back(config_.coord->shard(s % k));
-    }
-  } else {
-    BSCHED_CHECK(sim_ != nullptr);
-    worker_sims_.assign(config_.num_workers, sim_);
-    shard_sims_.assign(config_.num_shards, sim_);
-    worker_cshard_.assign(config_.num_workers, 0);
-    shard_cshard_.assign(config_.num_shards, 0);
-  }
   TransportModel receiver = config_.transport;
   receiver.serial_overhead = SimTime();
   receiver.latency = SimTime();
   for (int w = 0; w < config_.num_workers; ++w) {
     const std::string name = "worker" + std::to_string(w);
-    uplinks_.push_back(std::make_unique<Link>(WorkerSim(w), name + ".up", config_.link_rate,
-                                              config_.transport));
+    uplinks_.push_back(
+        std::make_unique<Link>(sim_, name + ".up", config_.link_rate, config_.transport));
     downlinks_.push_back(
-        std::make_unique<Link>(WorkerSim(w), name + ".down", config_.link_rate, receiver));
+        std::make_unique<Link>(sim_, name + ".down", config_.link_rate, receiver));
   }
   for (int s = 0; s < config_.num_shards; ++s) {
     const std::string name = "shard" + std::to_string(s);
-    ingresses_.push_back(
-        std::make_unique<Link>(ShardSim(s), name + ".in", config_.link_rate, receiver));
-    egresses_.push_back(std::make_unique<Link>(ShardSim(s), name + ".out", config_.link_rate,
-                                               config_.transport));
-    shard_cpus_.push_back(std::make_unique<Resource>(ShardSim(s), name + ".cpu"));
+    ingresses_.push_back(std::make_unique<Link>(sim_, name + ".in", config_.link_rate, receiver));
+    egresses_.push_back(
+        std::make_unique<Link>(sim_, name + ".out", config_.link_rate, config_.transport));
+    shard_cpus_.push_back(std::make_unique<Resource>(sim_, name + ".cpu"));
   }
   workers_.resize(static_cast<size_t>(config_.num_workers));
   shards_.resize(static_cast<size_t>(config_.num_shards));
   arrived_words_ = (config_.num_workers + 63) / 64;
-  hops_.resize(Sharded() ? static_cast<size_t>(config_.coord->shards()) : 1);
   push_retransmits_.assign(static_cast<size_t>(config_.num_workers), 0);
   stale_push_drops_.assign(static_cast<size_t>(config_.num_shards), 0);
   if (config_.faults != nullptr) {
@@ -166,36 +131,19 @@ uint32_t PsBackend::ShardSlot(int shard, int64_t tensor_id, int partition) {
   return slot;
 }
 
-uint32_t PsBackend::NewHop(int pool) { return hops_[pool].Acquire(); }
-
-void PsBackend::FreeHop(int pool, uint32_t hop) {
-  Hop& h = At(pool, hop);
+void PsBackend::FreeHop(uint32_t hop) {
+  Hop& h = hops_[hop];
   h.on_finish = nullptr;
   h.next = kNone;
-  hops_[pool].Release(hop);
+  hops_.Release(hop);
 }
 
-void PsBackend::Forward(int src, int dst, uint64_t channel, SimTime delay, uint32_t hop,
-                        HopStep step) {
-  if (Sharded()) {
-    // The hop crosses threads by value: each pool is touched only by its
-    // own coordinator shard.
-    Hop moved = std::move(At(src, hop));
-    FreeHop(src, hop);
-    config_.coord->Post(src, dst, channel, delay,
-                        [this, dst, step, moved = std::move(moved)]() mutable {
-                          const uint32_t local = NewHop(dst);
-                          At(dst, local) = std::move(moved);
-                          (this->*step)(dst, local);
-                        });
-    return;
-  }
-  // Serial path: reproduce Link::SendWithFlush's delivery wrapper exactly —
-  // a zero wire flight runs inline, anything else schedules.
+void PsBackend::Forward(SimTime delay, uint32_t hop, HopStep step) {
+  // A zero wire flight runs inline, like Link::Send's delivery.
   if (delay.nanos() == 0) {
-    (this->*step)(dst, hop);
+    (this->*step)(hop);
   } else {
-    sim_->Schedule(delay, [this, dst, hop, step] { (this->*step)(dst, hop); });
+    sim_->Schedule(delay, [this, hop, step] { (this->*step)(hop); });
   }
 }
 
@@ -236,97 +184,80 @@ void PsBackend::HandlePush(const SubCommTask& subtask, std::function<void()> on_
     prev.task = subtask.task;
     ++prev.round;
   }
-  const int pool = worker_cshard_[worker];
-  const uint32_t hop = NewHop(pool);
-  Hop& h = At(pool, hop);
+  const uint32_t hop = hops_.Acquire();
+  Hop& h = hops_[hop];
   h.subtask = subtask;
   h.on_finish = std::move(on_finish);
   h.shard = shard;
   h.round = prev.round;
-  h.submit = WorkerSim(worker)->Now();
-  uplinks_[worker]->SendCrossShard(
-      subtask.bytes, MsgScale(worker, shard), [this, pool, hop] { OnPushFlushed(pool, hop); },
-      [this, pool, hop](SimTime wire) { OnUplinkDelivered(pool, hop, wire); });
+  h.submit = sim_->Now();
+  uplinks_[worker]->SendFlight(
+      subtask.bytes, [this, hop] { OnPushFlushed(hop); },
+      [this, hop](SimTime wire) { OnUplinkDelivered(hop, wire); }, MsgScale(worker, shard));
 }
 
-void PsBackend::OnPushFlushed(int pool, uint32_t hop) {
+void PsBackend::OnPushFlushed(uint32_t hop) {
   // Sender-side completion (the stack flushed the partition): this is what
   // returns scheduler credit, after a small completion latency. From here the
   // data leg is the backend's responsibility; with faults enabled an ack
   // timer guarantees it eventually reaches the shard.
-  Hop& h = At(pool, hop);
+  Hop& h = hops_[hop];
   const SubCommTask& subtask = h.subtask;
   const int worker = subtask.worker;
-  Simulator* wsim = WorkerSim(worker);
   if (Tracing()) {
     const std::string track = "net/worker" + std::to_string(worker) + ".up";
     TraceRecorder* trace = config_.obs->trace();
     trace->AddSpan(track, PartName(subtask.tensor_id, subtask.partition) + ".push", h.submit,
-                   wsim->Now(),
+                   sim_->Now(),
                    {TraceArg::Int("bytes", subtask.bytes), TraceArg::Int("layer", subtask.layer),
                     TraceArg::Int("shard", h.shard)});
     if (subtask.flow != 0) {
-      trace->AddFlow(track, "flush", wsim->Now(), subtask.flow, FlowPhase::kStep);
+      trace->AddFlow(track, "flush", sim_->Now(), subtask.flow, FlowPhase::kStep);
     }
   }
   if (config_.faults != nullptr) {
     ArmPushAckTimer(worker, subtask, h.shard, /*attempt=*/0, h.round);
   }
-  // Flush notification goes to this worker's own scheduler core — a
-  // same-entity hop, so it stays a local schedule in sharded mode too.
-  wsim->Schedule(config_.control_latency, std::move(h.on_finish));
+  sim_->Schedule(config_.control_latency, std::move(h.on_finish));
 }
 
-void PsBackend::OnUplinkDelivered(int pool, uint32_t hop, SimTime wire) {
+void PsBackend::OnUplinkDelivered(uint32_t hop, SimTime wire) {
   if (wire == Link::kDropped) {
-    FreeHop(pool, hop);  // lost on the wire; the ack timer retransmits
+    FreeHop(hop);  // lost on the wire; the ack timer retransmits
     return;
   }
   // Store-and-forward: after the wire flight the partition serializes into
   // the shard NIC, where copies from all workers contend.
-  const Hop& h = At(pool, hop);
-  const int worker = h.subtask.worker;
-  Forward(pool, shard_cshard_[h.shard], Chan(kChanPushData, worker, h.shard), wire, hop,
-          &PsBackend::OnPushAtShard);
+  Forward(wire, hop, &PsBackend::OnPushAtShard);
 }
 
-void PsBackend::OnPushAtShard(int pool, uint32_t hop) {
-  const Hop& h = At(pool, hop);
-  const int shard = h.shard;
-  // Delivered like Link::Send: a zero wire flight arrives inline.
-  ingresses_[shard]->SendCrossShard(
-      h.subtask.bytes, /*on_flushed=*/nullptr, [this, pool, hop](SimTime wire) {
-        if (wire == Link::kDropped) {
-          FreeHop(pool, hop);
-        } else if (wire.nanos() == 0) {
-          OnPushArrived(pool, hop);
-        } else {
-          ShardSim(At(pool, hop).shard)->Schedule(wire, [this, pool, hop] {
-            OnPushArrived(pool, hop);
-          });
-        }
-      });
+void PsBackend::OnPushAtShard(uint32_t hop) {
+  const Hop& h = hops_[hop];
+  ingresses_[h.shard]->SendFlight(h.subtask.bytes, /*on_flushed=*/nullptr,
+                                  [this, hop](SimTime wire) {
+                                    if (wire == Link::kDropped) {
+                                      FreeHop(hop);
+                                    } else {
+                                      Forward(wire, hop, &PsBackend::OnPushArrived);
+                                    }
+                                  });
 }
 
 void PsBackend::SendPushData(int worker, const SubCommTask& subtask, int shard, uint64_t round) {
   // Retransmission path: re-occupies the uplink (a resend spends real
   // bandwidth) but carries no flush callback — credit was already returned.
-  // Shares the first transmission's channel: both ride the same FIFO uplink,
-  // so their flush order (and thus channel order) matches wire order.
-  const int pool = worker_cshard_[worker];
-  const uint32_t hop = NewHop(pool);
-  Hop& h = At(pool, hop);
+  const uint32_t hop = hops_.Acquire();
+  Hop& h = hops_[hop];
   h.subtask = subtask;
   h.shard = shard;
   h.round = round;
-  uplinks_[worker]->SendCrossShard(
-      subtask.bytes, MsgScale(worker, shard), /*on_flushed=*/nullptr,
-      [this, pool, hop](SimTime wire) { OnUplinkDelivered(pool, hop, wire); });
+  uplinks_[worker]->SendFlight(
+      subtask.bytes, /*on_flushed=*/nullptr,
+      [this, hop](SimTime wire) { OnUplinkDelivered(hop, wire); }, MsgScale(worker, shard));
 }
 
 void PsBackend::ArmPushAckTimer(int worker, const SubCommTask& subtask, int shard, int attempt,
                                 uint64_t round) {
-  // Runs on (and schedules on) the owning worker's simulator.
   const uint32_t slot = WorkerSlot(worker, subtask.tensor_id, subtask.partition);
   PendingAck& ack = workers_[worker].acks[slot];
   // Supersede a stale timer left by a previous aggregation round of the same
@@ -343,8 +274,7 @@ void PsBackend::ArmPushAckTimer(int worker, const SubCommTask& subtask, int shar
   }
   const SimTime timeout = SimTime(
       static_cast<int64_t>(static_cast<double>(config_.push_ack_timeout.nanos()) * scale));
-  ack.timer =
-      WorkerSim(worker)->Schedule(timeout, [this, worker, slot] { OnAckTimeout(worker, slot); });
+  ack.timer = sim_->Schedule(timeout, [this, worker, slot] { OnAckTimeout(worker, slot); });
 }
 
 void PsBackend::OnAckTimeout(int worker, uint32_t slot) {
@@ -377,8 +307,7 @@ void PsBackend::CancelPushAck(int worker, int64_t tensor_id, int partition) {
   }
   ack.timer.Cancel();
   ack.armed = false;
-  // Clean ack: recover the uplink's pacing. Runs on the worker's own
-  // simulator, like the timer it cancels.
+  // Clean ack: recover the uplink's pacing.
   if (!rate_ctrl_.empty()) {
     rate_ctrl_[worker]->OnAck();
   }
@@ -389,16 +318,14 @@ SimTime PsBackend::ScaledUpdateTime(int shard, Bytes bytes) const {
       SimTime::Seconds(static_cast<double>(bytes) / config_.update_bytes_per_sec) +
       config_.update_fixed_overhead;
   if (config_.faults != nullptr) {
-    // The owning shard's clock decides which slowdown episode is active.
-    return config_.faults->ScaleShard(shard, update_time, ShardSim(shard)->Now());
+    return config_.faults->ScaleShard(shard, update_time);
   }
   return update_time;
 }
 
 // Records the shard-CPU update execution window. Called from the update's
 // completion callback, so the window is [now - update_time, now] (the shard
-// CPU is a FIFO resource: the job ran contiguously and just ended). Tracing
-// is serial-mode-only, so sim_ is the right clock here.
+// CPU is a FIFO resource: the job ran contiguously and just ended).
 void PsBackend::RecordUpdateSpan(int shard, int64_t tensor, int partition, uint64_t flow,
                                  SimTime update_time) {
   if (!Tracing()) {
@@ -414,9 +341,8 @@ void PsBackend::RecordUpdateSpan(int shard, int64_t tensor, int partition, uint6
   }
 }
 
-void PsBackend::OnPushArrived(int pool, uint32_t hop) {
-  // Runs on the PS shard's simulator.
-  Hop& h = At(pool, hop);
+void PsBackend::OnPushArrived(uint32_t hop) {
+  Hop& h = hops_[hop];
   const SubCommTask& subtask = h.subtask;
   const int worker = subtask.worker;
   const int shard = h.shard;
@@ -443,25 +369,23 @@ void PsBackend::OnPushArrived(int pool, uint32_t hop) {
         ss.accepted_round[static_cast<size_t>(slot) * config_.num_workers + worker];
     if (h.round <= accepted) {
       ++stale_push_drops_[shard];
-      FreeHop(pool, hop);
+      FreeHop(hop);
       return;
     }
     accepted = h.round;
   }
   if (config_.faults != nullptr) {
-    if (!Sharded()) {
-      CancelPushAck(worker, subtask.tensor_id, subtask.partition);
+    if (config_.delayed_notify) {
+      // The ack is a control message back to the worker and pays a control
+      // latency, so a timer may fire while it is in flight: a spurious but
+      // deterministic retransmit, the race a real unreliable-datagram PS
+      // pays.
+      sim_->Schedule(config_.control_latency,
+                     [this, worker, tensor = subtask.tensor_id, partition = subtask.partition] {
+                       CancelPushAck(worker, tensor, partition);
+                     });
     } else {
-      // The ack timer lives on the worker's shard: send an explicit ack
-      // message back. It pays a control latency, so a timer may fire while
-      // the ack is in flight — a spurious but deterministic retransmit, the
-      // same race a real unreliable-datagram PS pays.
-      config_.coord->Post(shard_cshard_[shard], worker_cshard_[worker],
-                          Chan(kChanAckCancel, shard, worker), config_.control_latency,
-                          [this, worker, tensor = subtask.tensor_id,
-                           partition = subtask.partition] {
-                            CancelPushAck(worker, tensor, partition);
-                          });
+      CancelPushAck(worker, subtask.tensor_id, subtask.partition);
     }
   }
   if (Tracing() && subtask.flow != 0) {
@@ -480,7 +404,7 @@ void PsBackend::OnPushArrived(int pool, uint32_t hop) {
       ++ss.arrivals[slot];
     }
     if (ss.arrivals[slot] < config_.num_workers) {
-      FreeHop(pool, hop);
+      FreeHop(hop);
       return;
     }
     std::fill(arrived, arrived + arrived_words_, 0);
@@ -490,35 +414,35 @@ void PsBackend::OnPushArrived(int pool, uint32_t hop) {
   // each worker's gradient on arrival; parameters become pullable after the
   // first update. Either way run the update, then release any pulls that
   // were admitted early.
-  shard_cpus_[shard]->Submit(h.update_time, [this, pool, hop] { OnUpdated(pool, hop); });
+  shard_cpus_[shard]->Submit(h.update_time, [this, hop] { OnUpdated(hop); });
 }
 
-void PsBackend::OnUpdated(int pool, uint32_t hop) {
-  const Hop& h = At(pool, hop);
+void PsBackend::OnUpdated(uint32_t hop) {
+  const Hop& h = hops_[hop];
   const int shard = h.shard;
   const uint32_t slot = h.slot;
   const int64_t tensor = h.subtask.tensor_id;
   const int partition = h.subtask.partition;
   const Bytes bytes = h.subtask.bytes;
   RecordUpdateSpan(shard, tensor, partition, h.subtask.flow, h.update_time);
-  FreeHop(pool, hop);
+  FreeHop(hop);
   ShardState& ss = shards_[shard];
   ss.aggregated[slot] = 1;
   uint32_t pull = ss.pending_head[slot];
   ss.pending_head[slot] = kNone;
   ss.pending_tail[slot] = kNone;
   while (pull != kNone) {
-    Hop& p = At(pool, pull);
+    Hop& p = hops_[pull];
     const uint32_t next = p.next;
     p.next = kNone;
     p.deliver_bytes = bytes;
-    DeliverPull(pool, pull);
+    DeliverPull(pull);
     pull = next;
   }
   if (!config_.synchronous || listeners_.empty()) {
     return;
   }
-  if (!Sharded()) {
+  if (!config_.delayed_notify) {
     // Listener-major, worker-minor: matches the legacy order, where each
     // single listener looped workers 0..N-1 internally.
     for (const auto& listener : listeners_) {
@@ -528,35 +452,29 @@ void PsBackend::OnUpdated(int pool, uint32_t hop) {
     }
     return;
   }
-  // Sharded: the notification is a shard -> worker control message, so
-  // each worker's listeners run on that worker's own shard.
+  // Delayed: one shard -> worker control message per worker, each running
+  // that worker's listeners.
   for (int w = 0; w < config_.num_workers; ++w) {
-    config_.coord->Post(shard_cshard_[shard], worker_cshard_[w], Chan(kChanAggNotify, shard, w),
-                        config_.control_latency, [this, tensor, partition, w] {
-                          for (const auto& listener : listeners_) {
-                            listener(tensor, partition, w);
-                          }
-                        });
+    sim_->Schedule(config_.control_latency, [this, tensor, partition, w] {
+      for (const auto& listener : listeners_) {
+        listener(tensor, partition, w);
+      }
+    });
   }
 }
 
 void PsBackend::HandlePull(const SubCommTask& subtask, std::function<void()> on_finish) {
-  const int shard = ShardFor(subtask.tensor_id, subtask.partition);
-  const int worker = subtask.worker;
-  const int pool = worker_cshard_[worker];
-  const uint32_t hop = NewHop(pool);
-  Hop& h = At(pool, hop);
+  const uint32_t hop = hops_.Acquire();
+  Hop& h = hops_[hop];
   h.subtask = subtask;
   h.on_finish = std::move(on_finish);
-  h.shard = shard;
-  // Pull request reaches the shard after a control-message latency (a
-  // worker -> shard hop, so it crosses via Post in sharded mode).
-  Forward(pool, shard_cshard_[shard], Chan(kChanPullReq, worker, shard), config_.control_latency,
-          hop, &PsBackend::OnPullRequest);
+  h.shard = ShardFor(subtask.tensor_id, subtask.partition);
+  // Pull request reaches the shard after a control-message latency.
+  Forward(config_.control_latency, hop, &PsBackend::OnPullRequest);
 }
 
-void PsBackend::OnPullRequest(int pool, uint32_t hop) {
-  Hop& h = At(pool, hop);
+void PsBackend::OnPullRequest(uint32_t hop) {
+  Hop& h = hops_[hop];
   const int shard = h.shard;
   ShardState& ss = shards_[shard];
   const uint32_t slot = ShardSlot(shard, h.subtask.tensor_id, h.subtask.partition);
@@ -564,18 +482,17 @@ void PsBackend::OnPullRequest(int pool, uint32_t hop) {
     if (ss.pending_tail[slot] == kNone) {
       ss.pending_head[slot] = hop;
     } else {
-      At(pool, ss.pending_tail[slot]).next = hop;
+      hops_[ss.pending_tail[slot]].next = hop;
     }
     ss.pending_tail[slot] = hop;
     return;
   }
   h.deliver_bytes = h.subtask.bytes;
-  DeliverPull(pool, hop);
+  DeliverPull(hop);
 }
 
-void PsBackend::DeliverPull(int pool, uint32_t hop) {
-  // Runs on the PS shard's simulator.
-  Hop& h = At(pool, hop);
+void PsBackend::DeliverPull(uint32_t hop) {
+  Hop& h = hops_[hop];
   const int worker = h.subtask.worker;
   const int shard = h.shard;
   if (Tracing()) {
@@ -594,26 +511,24 @@ void PsBackend::DeliverPull(int pool, uint32_t hop) {
       on_finish();
     };
   }
-  egresses_[shard]->SendCrossShard(
-      h.deliver_bytes, MsgScale(worker, shard), /*on_flushed=*/nullptr,
-      [this, pool, hop](SimTime wire) {
+  egresses_[shard]->SendFlight(
+      h.deliver_bytes, /*on_flushed=*/nullptr,
+      [this, hop](SimTime wire) {
         if (wire == Link::kDropped) {
-          FreeHop(pool, hop);  // the Core's retry timer re-requests the pull
-          return;
+          FreeHop(hop);  // the Core's retry timer re-requests the pull
+        } else {
+          Forward(wire, hop, &PsBackend::OnPullAtWorker);
         }
-        const Hop& sent = At(pool, hop);
-        const int to = sent.subtask.worker;
-        Forward(pool, worker_cshard_[to], Chan(kChanPullData, sent.shard, to), wire, hop,
-                &PsBackend::OnPullAtWorker);
-      });
+      },
+      MsgScale(worker, shard));
 }
 
-void PsBackend::OnPullAtWorker(int pool, uint32_t hop) {
-  Hop& h = At(pool, hop);
+void PsBackend::OnPullAtWorker(uint32_t hop) {
+  Hop& h = hops_[hop];
   const int worker = h.subtask.worker;
   const Bytes bytes = h.deliver_bytes;
   std::function<void()> on_finish = std::move(h.on_finish);
-  FreeHop(pool, hop);
+  FreeHop(hop);
   downlinks_[worker]->Send(bytes, std::move(on_finish));
 }
 
@@ -624,14 +539,12 @@ void PsBackend::ResetAggregationState() {
     }
     ws = WorkerState();
   }
-  for (int s = 0; s < config_.num_shards; ++s) {
-    ShardState& ss = shards_[s];
+  for (ShardState& ss : shards_) {
     // Pulls parked on a slot are dropped with it.
-    const int pool = shard_cshard_[s];
     for (uint32_t pull : ss.pending_head) {
       while (pull != kNone) {
-        const uint32_t next = At(pool, pull).next;
-        FreeHop(pool, pull);
+        const uint32_t next = hops_[pull].next;
+        FreeHop(pull);
         pull = next;
       }
     }
@@ -690,11 +603,9 @@ void PsBackend::ExportMetrics() {
 std::string PsBackend::DebugString() const {
   int pending_pulls = 0;
   int waiting_slots = 0;
-  for (int s = 0; s < config_.num_shards; ++s) {
-    const ShardState& ss = shards_[s];
+  for (const ShardState& ss : shards_) {
     for (size_t slot = 0; slot < ss.arrivals.size(); ++slot) {
-      for (uint32_t pull = ss.pending_head[slot]; pull != kNone;
-           pull = hops_[shard_cshard_[s]][pull].next) {
+      for (uint32_t pull = ss.pending_head[slot]; pull != kNone; pull = hops_[pull].next) {
         ++pending_pulls;
       }
       if (ss.arrivals[slot] > 0) {

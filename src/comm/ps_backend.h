@@ -35,10 +35,8 @@
 // never raw tensor ids: co-scheduled jobs offset theirs by 1 << 20. A push
 // data leg or pull in flight is one pooled Hop record, and every callback
 // along its path (link flush and delivery, shard CPU, Forward) captures only
-// {this, pool, hop index}, which std::function and EventFn store inline, so
-// a job's steady state allocates nothing here. State is partitioned by the
-// entity that owns it (worker or PS shard) and hops by coordinator shard, so
-// sharded mode touches each piece from one thread only.
+// {this, hop index}, which std::function and EventFn store inline, so a
+// job's steady state allocates nothing here.
 #ifndef SRC_COMM_PS_BACKEND_H_
 #define SRC_COMM_PS_BACKEND_H_
 
@@ -58,7 +56,6 @@
 #include "src/net/rate_controller.h"
 #include "src/net/transport.h"
 #include "src/sim/resource.h"
-#include "src/sim/shard_coordinator.h"
 #include "src/sim/simulator.h"
 
 namespace bsched {
@@ -99,26 +96,19 @@ struct PsConfig {
   // link gets a deterministic RateModel keyed on (seed, link name), worker
   // uplinks optionally get AIMD rate controllers fed by the push ack timers,
   // and cross-rack transfers under the two-tier topology are paced at
-  // line_rate / oversubscription. All decisions run on the owning entity's
-  // simulator, so sharded runs stay bit-identical at any shard count.
+  // line_rate / oversubscription.
   const NetDynamicsConfig* dynamics = nullptr;
 
-  // Sharded parallel-DES mode. When set, each worker's entities (uplink,
-  // downlink, ack timers) live on coordinator shard (worker % shards) and
-  // each PS shard's entities (ingress, egress, CPU, slot state) on shard
-  // (ps_shard % shards); every hop between a worker and a PS shard crosses
-  // via ShardCoordinator::Post with a fixed merge order, so results are
-  // bit-identical at any shard count. Requires coord->lookahead() <=
-  // min(control_latency, transport.latency) and a trace-free ObsContext
-  // (metric counters are commutative sums; flow traces are not). The serial
-  // path (coord == nullptr) is byte-for-byte the legacy event sequence.
-  ShardCoordinator* coord = nullptr;
+  // Delivers the shard's push-ack cancel and each worker's aggregation
+  // notification as control messages control_latency after the shard
+  // event, one event per worker, instead of as synchronous calls.
+  // fig15_volatility's recorded rows were produced in this mode.
+  bool delayed_notify = false;
 };
 
 class PsBackend : public CommBackend {
  public:
-  // `sim` hosts every entity in serial mode; it must be null when
-  // config.coord is set (entities then live on the coordinator's shards).
+  // `sim` hosts every entity (links, shard CPUs, timers).
   PsBackend(Simulator* sim, const PsConfig& config);
 
   void Start(const SubCommTask& subtask, std::function<void()> on_finish) override;
@@ -136,9 +126,8 @@ class PsBackend : public CommBackend {
   // stack while holding sender credit, which can deadlock credit-limited
   // schedulers across workers (each waiting for another's queued push).
   // Multiple listeners are supported (co-scheduled jobs sharing the backend).
-  // The worker-indexed signature is what lets sharded mode deliver each
-  // worker's notification on that worker's own shard; serial mode invokes
-  // workers 0..N-1 synchronously at aggregation time, as before.
+  // Workers 0..N-1 are notified synchronously at aggregation time, or each
+  // control_latency later in its own event under PsConfig::delayed_notify.
   void AddAggregationListener(
       std::function<void(int64_t tensor_id, int partition, int worker)> fn) {
     listeners_.push_back(std::move(fn));
@@ -155,16 +144,15 @@ class PsBackend : public CommBackend {
   Link& worker_uplink(int worker) { return *uplinks_[worker]; }
   Link& worker_downlink(int worker) { return *downlinks_[worker]; }
 
-  // Retransmissions attempted for lost push data legs (0 without faults);
-  // summed over workers, so the total is shard-count-invariant.
+  // Retransmissions attempted for lost push data legs (0 without faults),
+  // summed over workers.
   uint64_t push_retransmits() const {
     uint64_t total = 0;
     for (uint64_t r : push_retransmits_) total += r;
     return total;
   }
 
-  // AIMD rate-control activity (0 without dynamics); commutative sums over
-  // workers/links, so totals are shard-count-invariant.
+  // AIMD rate-control activity (0 without dynamics), summed over workers.
   uint64_t rate_ctrl_decreases() const {
     uint64_t total = 0;
     for (const auto& c : rate_ctrl_) total += c->decreases();
@@ -179,8 +167,8 @@ class PsBackend : public CommBackend {
   uint64_t link_repaces() const;
 
   // Stale retransmitted push copies dropped at the shard because their round
-  // was already counted (both the original and the retransmit arrived).
-  // Summed over shards, so the total is shard-count-invariant.
+  // was already counted (both the original and the retransmit arrived),
+  // summed over shards.
   uint64_t stale_push_drops() const {
     uint64_t total = 0;
     for (uint64_t d : stale_push_drops_) total += d;
@@ -223,7 +211,7 @@ class PsBackend : public CommBackend {
     Bytes deliver_bytes = 0;  // pull: delivered payload size
   };
   // What a hop does next, on the entity it was forwarded to.
-  using HopStep = void (PsBackend::*)(int pool, uint32_t hop);
+  using HopStep = void (PsBackend::*)(uint32_t hop);
 
   // Sender-side push round per slot: (last push task id, round). A new task
   // id is a new aggregation round; a repeated id is a Core-level retry of the
@@ -245,14 +233,13 @@ class PsBackend : public CommBackend {
     uint64_t round = 0;
     bool armed = false;
   };
-  // Per-worker state, touched only on the worker's simulator.
+  // Per-worker state.
   struct WorkerState {
     SlotIndex index;
     std::vector<PushRound> rounds;  // by worker-local slot
     std::vector<PendingAck> acks;   // by worker-local slot; faults only
   };
-  // Aggregation state of one PS shard by shard-local slot, touched only on
-  // the shard's simulator.
+  // Aggregation state of one PS shard by shard-local slot.
   struct ShardState {
     SlotIndex index;
     std::vector<uint8_t> aggregated;
@@ -274,16 +261,6 @@ class PsBackend : public CommBackend {
   };
 
   bool Tracing() const;
-  bool Sharded() const { return config_.coord != nullptr; }
-  // Simulated clock of the entity (worker NIC stack / shard CPU) hosting the
-  // current callback; in serial mode both are the single shared Simulator.
-  Simulator* WorkerSim(int worker) const { return worker_sims_[worker]; }
-  Simulator* ShardSim(int shard) const { return shard_sims_[shard]; }
-  // Cross-shard channel ids: one ordered stream per (message kind, source
-  // entity, destination entity). Stable across shard counts by construction.
-  static uint64_t Chan(uint64_t kind, int a, int b) {
-    return (kind << 32) | (static_cast<uint64_t>(a) << 16) | static_cast<uint64_t>(b);
-  }
   void RecordUpdateSpan(int shard, int64_t tensor, int partition, uint64_t flow,
                         SimTime update_time);
   int ShardFor(int64_t tensor_id, int partition) const;
@@ -291,25 +268,23 @@ class PsBackend : public CommBackend {
   uint32_t WorkerSlot(int worker, int64_t tensor_id, int partition);
   uint32_t ShardSlot(int shard, int64_t tensor_id, int partition);
 
-  Hop& At(int pool, uint32_t hop) { return hops_[pool][hop]; }
-  uint32_t NewHop(int pool);
-  void FreeHop(int pool, uint32_t hop);
+  void FreeHop(uint32_t hop);
 
   void HandlePush(const SubCommTask& subtask, std::function<void()> on_finish);
   void HandlePull(const SubCommTask& subtask, std::function<void()> on_finish);
   // Hop steps, in path order. Push: uplink flush -> uplink delivery ->
   // ingress -> arrival -> shard update. Pull: request at the shard ->
   // egress -> downlink.
-  void OnPushFlushed(int pool, uint32_t hop);
-  void OnUplinkDelivered(int pool, uint32_t hop, SimTime wire);
-  void OnPushAtShard(int pool, uint32_t hop);
-  void OnPushArrived(int pool, uint32_t hop);
-  void OnUpdated(int pool, uint32_t hop);
-  void OnPullRequest(int pool, uint32_t hop);
+  void OnPushFlushed(uint32_t hop);
+  void OnUplinkDelivered(uint32_t hop, SimTime wire);
+  void OnPushAtShard(uint32_t hop);
+  void OnPushArrived(uint32_t hop);
+  void OnUpdated(uint32_t hop);
+  void OnPullRequest(uint32_t hop);
   // Sends the pull's hop.deliver_bytes: the pull's own size on the direct
   // path, the aggregating push's size when replayed from the pending FIFO.
-  void DeliverPull(int pool, uint32_t hop);
-  void OnPullAtWorker(int pool, uint32_t hop);
+  void DeliverPull(uint32_t hop);
+  void OnPullAtWorker(uint32_t hop);
 
   void SendPushData(int worker, const SubCommTask& subtask, int shard, uint64_t round);
   void ArmPushAckTimer(int worker, const SubCommTask& subtask, int shard, int attempt,
@@ -322,20 +297,12 @@ class PsBackend : public CommBackend {
   // sender-side link, where the per-message overhead is paid.
   double MsgScale(int worker, int shard) const;
   SimTime ScaledUpdateTime(int shard, Bytes bytes) const;
-  // Runs `step` for `hop` (in pool `src`) on the destination entity `delay`
-  // after the caller's now. Serial: schedule on sim_ (delay 0 runs inline,
-  // matching the link wrapper in Link::SendWithFlush). Sharded: the hop
-  // moves by value through ShardCoordinator::Post on `channel` into pool
-  // `dst`.
-  void Forward(int src, int dst, uint64_t channel, SimTime delay, uint32_t hop, HopStep step);
+  // Runs `step` for `hop` `delay` from now (inline when delay is zero, as
+  // Link::Send delivers a zero wire flight).
+  void Forward(SimTime delay, uint32_t hop, HopStep step);
 
-  Simulator* sim_;  // null in sharded mode
+  Simulator* sim_;
   PsConfig config_;
-  // Entity-to-simulator mapping (all point at sim_ in serial mode).
-  std::vector<Simulator*> worker_sims_;
-  std::vector<Simulator*> shard_sims_;
-  std::vector<int> worker_cshard_;  // coordinator shard index per worker
-  std::vector<int> shard_cshard_;   // coordinator shard index per PS shard
   // Sender-side links pay the per-message overhead θ; receiver-side links
   // model serialization into the receiving NIC only.
   std::vector<std::unique_ptr<Link>> uplinks_;     // worker -> network
@@ -346,13 +313,12 @@ class PsBackend : public CommBackend {
   std::vector<WorkerState> workers_;
   std::vector<ShardState> shards_;
   int arrived_words_ = 1;  // bitset words per slot in ShardState::arrived
-  // Hop pools, one per coordinator shard (one in serial mode).
-  std::vector<Pool<Hop>> hops_;
+  Pool<Hop> hops_;
   std::vector<std::function<void(int64_t tensor_id, int partition, int worker)>> listeners_;
   std::vector<uint64_t> push_retransmits_;  // per worker
   std::vector<uint64_t> stale_push_drops_;  // per shard
   // Per-worker AIMD controllers on the uplinks (empty unless dynamics with
-  // aimd.enable); each runs on its worker's simulator.
+  // aimd.enable).
   std::vector<std::unique_ptr<RateController>> rate_ctrl_;
 };
 

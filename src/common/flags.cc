@@ -36,6 +36,14 @@ Flags::Flags(int argc, const char* const* argv) {
 
 bool Flags::Has(const std::string& name) const { return values_.count(name) > 0; }
 
+std::vector<std::string> Flags::names() const {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : values_) {
+    out.push_back(name);
+  }
+  return out;
+}
+
 std::string Flags::GetString(const std::string& name, const std::string& def) const {
   auto it = values_.find(name);
   return it != values_.end() ? it->second : def;

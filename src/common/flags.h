@@ -23,6 +23,8 @@ class Flags {
   const std::vector<std::string>& positional() const { return positional_; }
   // Tokens that looked malformed (e.g. "-x"), for error reporting.
   const std::vector<std::string>& errors() const { return errors_; }
+  // Names of every --flag given, sorted.
+  std::vector<std::string> names() const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -54,7 +54,13 @@ class SweepRunner {
   // Pool execution stats (per-worker task counts, idle time, task
   // durations). Empty when everything ran inline (jobs == 1 or no parallel
   // RunAll happened yet).
-  PoolStats Stats() const { return pool_ != nullptr ? pool_->Stats() : PoolStats{}; }
+  PoolStats Stats() const {
+    if (pool_ == nullptr) {
+      return PoolStats{};
+    }
+    pool_->WaitIdle();
+    return pool_->Stats();
+  }
 
   // Process-wide default worker count used when a SweepRunner (or one of the
   // sweep entry points taking a `jobs` parameter) is given jobs == 0.

@@ -66,6 +66,11 @@ void ThreadPool::Submit(std::function<void()> task) {
   cv_.notify_one();
 }
 
+void ThreadPool::WaitIdle() {
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_cv_.wait(lock, [this] { return running_ == 0 && tasks_.empty(); });
+}
+
 PoolStats ThreadPool::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   PoolStats snapshot;
@@ -86,6 +91,7 @@ void ThreadPool::WorkerLoop(int index) {
       }
       task = std::move(tasks_.front());
       tasks_.pop_front();
+      ++running_;
     }
     const auto task_start = std::chrono::steady_clock::now();
     task();
@@ -94,6 +100,9 @@ void ThreadPool::WorkerLoop(int index) {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_[index].tasks;
       stats_[index].task_sec.Add(elapsed);
+      if (--running_ == 0 && tasks_.empty()) {
+        idle_cv_.notify_all();
+      }
     }
   }
 }

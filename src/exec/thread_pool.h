@@ -51,11 +51,18 @@ class ThreadPool {
   // Callable at any time; in-progress tasks are not yet counted.
   PoolStats Stats() const;
 
+  // Blocks until the queue is empty and every started task is counted in
+  // Stats(). A task's own completion signal can run before its worker
+  // records it, so callers that need exact counts wait here first.
+  void WaitIdle();
+
  private:
   void WorkerLoop(int index);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
+  std::condition_variable idle_cv_;
+  int running_ = 0;  // tasks taken off the queue and not yet counted
   std::deque<std::function<void()>> tasks_;
   bool stopping_ = false;
   // Written by each worker under mu_ (wait exit / task completion).

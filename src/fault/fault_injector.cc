@@ -1,7 +1,6 @@
 #include "src/fault/fault_injector.h"
 
 #include <cmath>
-#include <mutex>
 
 #include "src/common/check.h"
 
@@ -23,10 +22,7 @@ std::string FaultStats::DebugString() const {
 
 FaultInjector::FaultInjector(const FaultPlanConfig& config, Simulator* sim, TraceRecorder* trace)
     : plan_(config), sim_(sim), trace_(trace) {
-  // Sharded runs have no single simulator; they pass sim == nullptr, which is
-  // fine because the only sim use is trace timestamps and tracing is
-  // serial-mode-only.
-  BSCHED_CHECK(sim_ != nullptr || trace_ == nullptr);
+  BSCHED_CHECK(sim_ != nullptr);
   if (trace_ == nullptr) {
     return;
   }
@@ -41,8 +37,8 @@ void FaultInjector::Instant(const std::string& track, const std::string& name) {
   }
 }
 
-FaultInjector::MessageFault FaultInjector::OnMessageSend(uint64_t site_hash, SimTime now) {
-  std::lock_guard<std::mutex> lock(mu_);
+FaultInjector::MessageFault FaultInjector::OnMessageSend(uint64_t site_hash) {
+  const SimTime now = sim_->Now();
   ++stats_.messages_seen;
   const uint64_t msg_index = site_msg_counts_[site_hash]++;
   MessageFault fate;
@@ -61,23 +57,21 @@ FaultInjector::MessageFault FaultInjector::OnMessageSend(uint64_t site_hash, Sim
   return fate;
 }
 
-SimTime FaultInjector::ScaleCompute(int worker, SimTime duration, SimTime now) {
-  const double factor = plan_.ComputeFactor(worker, now);
+SimTime FaultInjector::ScaleCompute(int worker, SimTime duration) {
+  const double factor = plan_.ComputeFactor(worker, sim_->Now());
   if (factor <= 1.0) {
     return duration;
   }
-  std::lock_guard<std::mutex> lock(mu_);
   ++stats_.compute_slowdowns;
   Instant("faults/injected", "straggler w" + std::to_string(worker));
   return SimTime(static_cast<int64_t>(static_cast<double>(duration.nanos()) * factor));
 }
 
-SimTime FaultInjector::ScaleShard(int shard, SimTime duration, SimTime now) {
-  const double factor = plan_.ShardFactor(shard, now);
+SimTime FaultInjector::ScaleShard(int shard, SimTime duration) {
+  const double factor = plan_.ShardFactor(shard, sim_->Now());
   if (factor <= 1.0) {
     return duration;
   }
-  std::lock_guard<std::mutex> lock(mu_);
   ++stats_.shard_slowdowns;
   Instant("faults/injected", "shard_slow s" + std::to_string(shard));
   return SimTime(static_cast<int64_t>(static_cast<double>(duration.nanos()) * factor));
@@ -85,7 +79,6 @@ SimTime FaultInjector::ScaleShard(int shard, SimTime duration, SimTime now) {
 
 void FaultInjector::RecordCoreTimeout(int worker, int layer, int partition, int attempt,
                                       Bytes restored) {
-  std::lock_guard<std::mutex> lock(mu_);
   ++stats_.core_timeouts;
   stats_.credit_restored += restored;
   Instant("faults/recovery", "timeout w" + std::to_string(worker) + " L" + std::to_string(layer) +
@@ -94,22 +87,18 @@ void FaultInjector::RecordCoreTimeout(int worker, int layer, int partition, int 
 }
 
 void FaultInjector::RecordCoreRetry() {
-  std::lock_guard<std::mutex> lock(mu_);
   ++stats_.core_retries;
 }
 
 void FaultInjector::RecordLateCompletion() {
-  std::lock_guard<std::mutex> lock(mu_);
   ++stats_.core_late_completions;
 }
 
 void FaultInjector::RecordAbandon() {
-  std::lock_guard<std::mutex> lock(mu_);
   ++stats_.core_abandoned;
 }
 
 void FaultInjector::RecordBackendRetransmit(int worker, int layer, int partition, int attempt) {
-  std::lock_guard<std::mutex> lock(mu_);
   ++stats_.backend_retransmits;
   Instant("faults/recovery", "retransmit w" + std::to_string(worker) + " L" +
                                  std::to_string(layer) + ".p" + std::to_string(partition) + " #" +

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 
 #include "src/common/trace.h"
@@ -63,14 +62,12 @@ class FaultInjector {
 
   // One message leaving the link identified by `site_hash` now. Updates stats
   // and the trace; callers apply the returned fate to the delivery.
-  MessageFault OnMessageSend(uint64_t site_hash, SimTime now);
+  MessageFault OnMessageSend(uint64_t site_hash);
 
-  // Scale a compute / shard-update duration by any active slowdown episode.
-  // `now` is the caller's simulated clock: in sharded runs one injector is
-  // shared across per-shard Simulators, so the entity's own clock — not any
-  // single Simulator's — decides which episode is active.
-  SimTime ScaleCompute(int worker, SimTime duration, SimTime now);
-  SimTime ScaleShard(int shard, SimTime duration, SimTime now);
+  // Scale a compute / shard-update duration by any slowdown episode active
+  // now.
+  SimTime ScaleCompute(int worker, SimTime duration);
+  SimTime ScaleShard(int shard, SimTime duration);
 
   // Recovery-side recording.
   void RecordCoreTimeout(int worker, int layer, int partition, int attempt, Bytes restored);
@@ -86,13 +83,9 @@ class FaultInjector {
  private:
   void Instant(const std::string& track, const std::string& name);
 
-  FaultPlan plan_;  // immutable after construction; safe to read concurrently
+  FaultPlan plan_;
   Simulator* sim_;
   TraceRecorder* trace_;
-  // Counters are mutated from every shard's thread in sharded runs; mu_
-  // serializes them. All increments are commutative sums, so totals stay
-  // bit-identical at any shard count. Tracing stays serial-mode-only.
-  mutable std::mutex mu_;
   FaultStats stats_;
   // Site-local message counters feeding the deterministic drop draw.
   std::map<uint64_t, uint64_t> site_msg_counts_;

@@ -63,18 +63,8 @@ SimTime Link::DrainTime() const {
   return t;
 }
 
-void Link::SendWithFlush(Bytes size, std::function<void()> on_flushed,
-                         std::function<void()> on_delivered) {
-  Enqueue(Msg{size, 1.0, std::move(on_flushed), nullptr, std::move(on_delivered)});
-}
-
-void Link::SendCrossShard(Bytes size, std::function<void()> on_flushed,
-                          std::function<void(SimTime)> deliver) {
-  SendCrossShard(size, 1.0, std::move(on_flushed), std::move(deliver));
-}
-
-void Link::SendCrossShard(Bytes size, double msg_scale, std::function<void()> on_flushed,
-                          std::function<void(SimTime)> deliver) {
+void Link::SendFlight(Bytes size, std::function<void()> on_flushed,
+                      std::function<void(SimTime)> deliver, double msg_scale) {
   Enqueue(Msg{size, msg_scale, std::move(on_flushed), std::move(deliver), nullptr});
 }
 
@@ -155,7 +145,7 @@ void Link::FinishSend() {
     // delivery to the outage's end — the discrete-fault face of "rate 0 for
     // the outage window" (FaultPlan::OutageDeferral), shared with RateModel
     // zero-rate segments.
-    const FaultInjector::MessageFault fate = faults_->OnMessageSend(site_hash_, sim_->Now());
+    const FaultInjector::MessageFault fate = faults_->OnMessageSend(site_hash_);
     if (fate.drop) {
       // Lost in the network; recovery retransmits.
       if (msg.deliver) {

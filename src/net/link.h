@@ -48,26 +48,18 @@ class Link {
   void Send(Bytes size, std::function<void()> on_delivered);
 
   // Like Send, but also reports the sender-side flush (occupancy end, when
-  // the stack accepts the next message). ps-lite-style push completions are
-  // flush-time events; delivery-time events drive the receiving side.
-  void SendWithFlush(Bytes size, std::function<void()> on_flushed,
-                     std::function<void()> on_delivered);
-
-  // Sharded-mode variant: identical sender-side behavior (occupancy, flush,
-  // obs counters, fault fate), but instead of scheduling the delivery on this
-  // link's own Simulator, hands the computed wire flight (pipelined latency
-  // plus any injected delay) to `deliver` at flush time. The caller forwards
-  // it across the shard boundary (ShardCoordinator::Post), or lands it
-  // itself. A message the fault injector drops calls `deliver(kDropped)`, so
-  // a caller that keeps per-message state in a pool can reclaim it.
-  void SendCrossShard(Bytes size, std::function<void()> on_flushed,
-                      std::function<void(SimTime wire_flight)> deliver);
-  // With a per-message pacing scale (two-tier topology: cross-rack transfers
-  // run at line_rate / oversubscription). Requires the dynamic path unless
-  // msg_scale == 1.0.
-  void SendCrossShard(Bytes size, double msg_scale, std::function<void()> on_flushed,
-                      std::function<void(SimTime wire_flight)> deliver);
-  // Wire flight passed to SendCrossShard's `deliver` for a dropped message.
+  // the stack accepts the next message; ps-lite-style push completions are
+  // flush-time events) and, instead of scheduling the delivery itself, hands
+  // the computed wire flight (pipelined latency plus any injected delay) to
+  // `deliver` at flush time; the caller lands the message. A message the
+  // fault injector drops calls `deliver(kDropped)`, so a caller that keeps
+  // per-message state in a pool can reclaim it. `msg_scale` is the
+  // per-message pacing scale of the two-tier topology (cross-rack transfers
+  // run at line_rate / oversubscription); values other than 1.0 need a
+  // RateModel installed.
+  void SendFlight(Bytes size, std::function<void()> on_flushed,
+                  std::function<void(SimTime wire_flight)> deliver, double msg_scale = 1.0);
+  // Wire flight passed to SendFlight's `deliver` for a dropped message.
   static constexpr SimTime kDropped = SimTime::Max();
 
   // Time a message of `size` occupies this link at the nominal (static) rate

@@ -3,7 +3,7 @@
 // oversubscribed two-tier rack topology, and loss-driven AIMD rate control.
 // Everything derives deterministically from (seed, link name), mirroring the
 // FaultPlan discipline, so enabling dynamics keeps results bit-identical at
-// any --shards K / --jobs N. A default-constructed config is fully disabled
+// any --jobs N. A default-constructed config is fully disabled
 // and leaves the legacy fixed-rate Link path untouched (zero cost).
 #ifndef SRC_NET_NET_DYNAMICS_H_
 #define SRC_NET_NET_DYNAMICS_H_

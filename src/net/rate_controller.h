@@ -2,8 +2,7 @@
 // backend's ack/retransmit machinery is the feedback signal: a push whose ack
 // timer fires (loss) multiplicatively decreases the sender's pacing scale; a
 // clean ack additively recovers it toward full rate. The controller only
-// touches its own worker's uplink on that worker's simulator, so decisions
-// replay bit-identically at any shard count.
+// touches its own worker's uplink.
 #ifndef SRC_NET_RATE_CONTROLLER_H_
 #define SRC_NET_RATE_CONTROLLER_H_
 

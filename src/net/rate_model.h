@@ -4,8 +4,7 @@
 // pure data built deterministically up front (seeded random-walk drift,
 // CASSINI-style on/off cross traffic, explicit steps), so a link's rate
 // trajectory is a pure function of (seed, link name, time) — the same
-// discipline FaultPlan uses — and results stay bit-identical at any shard
-// count. The Link consumes the schedule via ScaleAt/NextChangeAfter and
+// discipline FaultPlan uses. The Link consumes the schedule via ScaleAt/NextChangeAfter and
 // re-paces in-flight transfers across scale boundaries (src/net/link.cc).
 #ifndef SRC_NET_RATE_MODEL_H_
 #define SRC_NET_RATE_MODEL_H_

@@ -170,9 +170,8 @@ void TimeSeriesRecorder::Start() {
 
 void TimeSeriesRecorder::WriteCsv(std::ostream& os) const {
   os << "time_ns,scope,metric,kind,value,count,sum,p50,p95,p99\n";
-  // Merge per-scope series in fixed (time, scope) order — the same ordering
-  // discipline the shard coordinator uses — so the merged stream is
-  // independent of which thread recorded which scope and of the shard count.
+  // Merge per-scope series in fixed (time, scope) order, so the merged stream
+  // does not depend on the order in which scopes' ticks fired.
   struct Ref {
     int64_t time_ns;
     size_t scope;

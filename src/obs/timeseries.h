@@ -6,21 +6,15 @@
 // (ROADMAP item 3).
 //
 // Sampling is driven by ordinary Simulator timer events, grouped into
-// *scopes*: each scope binds to one simulator and samples only metrics that
-// are written exclusively by events on that simulator (worker w's scheduler,
-// NIC links and GPU). Under the sharded parallel-DES coordinator every
-// scope's tick chain therefore runs on the shard thread that owns its
-// sources — relaxed atomic reads observe writes made by the same thread, so
-// the sampled values are exact and shard-count-invariant. Per-scope series
-// are merged in fixed (time, scope) order at export, the same discipline
-// shard_coordinator uses for cross-shard messages, which makes the CSV
-// byte-identical at any --shards K and any --jobs N.
+// *scopes*: each scope binds to the job's simulator and samples one worker's
+// metrics (its scheduler, NIC links and GPU). Per-scope series are merged in
+// fixed (time, scope) order at export, which makes the CSV byte-identical at
+// any --jobs N.
 //
 // Zero-cost when disabled: a job with no recorder schedules no tick events
 // and the simulation is bit-identical to a build without this file. An
-// *enabled* recorder adds tick events (so event totals grow, identically at
-// any shard count) but never mutates scheduler/network state, so iteration
-// timings are unchanged.
+// *enabled* recorder adds tick events (so event totals grow) but never
+// mutates scheduler/network state, so iteration timings are unchanged.
 #ifndef SRC_OBS_TIMESERIES_H_
 #define SRC_OBS_TIMESERIES_H_
 
@@ -42,8 +36,7 @@ class TimeSeriesRecorder {
  public:
   // `registry` must outlive the recorder; `interval` is the sampling cadence
   // in simulated time (must be > 0). Keep it a few times smaller than an
-  // iteration and no smaller than the coordinator lookahead — see
-  // EXPERIMENTS.md §Observability for cadence guidance.
+  // iteration — see EXPERIMENTS.md §Observability for cadence guidance.
   TimeSeriesRecorder(MetricsRegistry* registry, SimTime interval);
   TimeSeriesRecorder(const TimeSeriesRecorder&) = delete;
   TimeSeriesRecorder& operator=(const TimeSeriesRecorder&) = delete;
@@ -53,11 +46,11 @@ class TimeSeriesRecorder {
   bool started() const { return started_; }
 
   // Registers a sampling scope on `sim`. Every source added to the scope
-  // must be written only by events running on `sim` (per-worker metrics in
-  // sharded mode). `active` is polled after each sample: the first tick on
-  // which it returns false records the scope's final row and stops the
-  // chain, so the predicate must eventually go false for the simulation to
-  // drain (e.g. "engine not AllDone yet"). Returns the scope id.
+  // must be written only by events running on `sim`. `active` is polled
+  // after each sample: the first tick on which it returns false records the
+  // scope's final row and stops the chain, so the predicate must eventually
+  // go false for the simulation to drain (e.g. "engine not AllDone yet").
+  // Returns the scope id.
   int AddScope(const std::string& name, Simulator* sim, std::function<bool()> active);
 
   // Source registration (before Start()): handles are resolved get-or-create
@@ -65,7 +58,7 @@ class TimeSeriesRecorder {
   // Counters and gauges record their instantaneous value per tick; sketches
   // record the *per-window* delta of a histogram (count, sum, p50/p95/p99 of
   // the observations that landed since the previous tick). Probes call an
-  // arbitrary function (e.g. a Resource's busy time) on the scope's thread.
+  // arbitrary function (e.g. a Resource's busy time).
   void SampleCounter(int scope, const std::string& metric);
   void SampleGauge(int scope, const std::string& metric);
   void SampleSketch(int scope, const std::string& metric);
@@ -111,8 +104,7 @@ class TimeSeriesRecorder {
     Simulator* sim = nullptr;
     std::function<bool()> active;
     std::vector<Source> sources;
-    // Appended only from the scope's own simulator thread; read at export
-    // after the run joined.
+    // Appended by the scope's tick chain; read at export after the run.
     std::vector<Tick> ticks;
   };
 

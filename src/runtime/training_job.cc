@@ -18,7 +18,6 @@
 #include "src/obs/obs.h"
 #include "src/obs/timeseries.h"
 #include "src/sim/resource.h"
-#include "src/sim/shard_coordinator.h"
 #include "src/sim/simulator.h"
 
 namespace bsched {
@@ -66,24 +65,7 @@ class TrainingJob {
 
   TrainingJob(const JobConfig& config, const Shared& shared)
       : config_(config), shared_(shared) {
-    if (config_.shards > 0) {
-      BSCHED_CHECK(config_.setup.arch == ArchType::kPs &&
-                   "sharded execution is PS-only (all-reduce runs one master Core)");
-      BSCHED_CHECK(shared_.sim == nullptr && shared_.ps == nullptr &&
-                   "sharded execution cannot share co-scheduled infrastructure");
-      BSCHED_CHECK(config_.trace == nullptr &&
-                   "flow traces record global interleavings; sharded runs are metrics-only");
-      const SimTime lookahead =
-          std::min(PsConfig().control_latency, config_.setup.transport.latency);
-      BSCHED_CHECK(lookahead.nanos() > 0 &&
-                   "sharded execution needs a latency-bearing transport (lookahead > 0)");
-      coord_ = std::make_unique<ShardCoordinator>(config_.shards, lookahead);
-      // sim_ stays null: every entity lives on one of the coordinator's
-      // per-shard simulators (see WorkerSim), and any stray serial-path use
-      // should crash loudly rather than silently desynchronize.
-    } else {
-      sim_ = shared_.sim != nullptr ? shared_.sim : &owned_sim_;
-    }
+    sim_ = shared_.sim != nullptr ? shared_.sim : &owned_sim_;
     if ((config_.trace != nullptr || config_.metrics != nullptr) && shared_.sim == nullptr) {
       // Observability is wired only for jobs owning their substrate; flow
       // bookkeeping is single-threaded per simulator, and co-scheduled jobs
@@ -132,9 +114,7 @@ class TrainingJob {
     // representative worker chain suffices; PS workers contend at shards and
     // must all be simulated.
     sim_workers_ = (config_.setup.arch == ArchType::kPs) ? config_.num_machines : 1;
-    // Per-worker BP-end stamps, merged (max) at Collect: in sharded mode each
-    // worker records on its own shard, so a single shared max cell would race.
-    worker_bp_end_.assign(sim_workers_, std::vector<SimTime>(total_iters_));
+    iter_bp_end_.assign(total_iters_, SimTime());
   }
 
   // Builds the substrate and launches the engines (events pending in sim).
@@ -172,20 +152,11 @@ class TrainingJob {
 
   JobResult Run() {
     Prepare();
-    if (coord_ != nullptr) {
-      coord_->Run();
-    } else {
-      sim_->Run();
-    }
+    sim_->Run();
     return Finish();
   }
 
  private:
-  // Simulator hosting worker `worker`'s entities (its GPU, engine, Core and
-  // NIC-side state): the serial Simulator, or the worker's coordinator shard.
-  Simulator* WorkerSim(int worker) const {
-    return coord_ != nullptr ? coord_->shard(worker % config_.shards) : sim_;
-  }
   // ---- construction of the substrate -------------------------------------
 
   void BuildBackend() {
@@ -206,7 +177,7 @@ class TrainingJob {
           ps.max_push_retries = config_.chaos->max_retries;
         }
         ps.obs = obs_;
-        ps.coord = coord_.get();
+        ps.delayed_notify = config_.delayed_notify;
         if (config_.dynamics.has_value() && config_.dynamics->enabled()) {
           ps.dynamics = &*config_.dynamics;
         }
@@ -225,9 +196,7 @@ class TrainingJob {
         // granularity; vanilla frameworks issue the pull only once the whole
         // tensor's push completed (tensor-level chaining, §2.2).
         const bool tensor_level = config_.mode == SchedMode::kVanilla;
-        // Invoked once per worker (sharded mode delivers each worker's
-        // notification on that worker's own shard), so the body touches only
-        // worker-indexed state.
+        // Invoked once per worker.
         ps_->AddAggregationListener([this, tensor_level](int64_t tensor_id, int partition,
                                                          int w) {
           const int64_t local = tensor_id - shared_.tensor_offset;
@@ -295,33 +264,27 @@ class TrainingJob {
     const int num_cores = (config_.setup.arch == ArchType::kPs) ? sim_workers_ : 1;
     for (int w = 0; w < num_cores; ++w) {
       owned_cores_.push_back(
-          std::make_unique<SchedulerCore>(sched, backend_, w, WorkerSim(w), faults_.get(), obs_));
+          std::make_unique<SchedulerCore>(sched, backend_, w, sim_, faults_.get(), obs_));
       cores_.push_back(owned_cores_.back().get());
     }
   }
 
   void BuildWorkers() {
     for (int w = 0; w < sim_workers_; ++w) {
-      Simulator* wsim = WorkerSim(w);
-      gpus_.push_back(std::make_unique<Resource>(wsim, "gpu" + std::to_string(w)));
+      gpus_.push_back(std::make_unique<Resource>(sim_, "gpu" + std::to_string(w)));
       if (IsImperative(config_.setup.framework)) {
-        imp_engines_.push_back(std::make_unique<ImperativeEngine>(wsim));
+        imp_engines_.push_back(std::make_unique<ImperativeEngine>(sim_));
         BuildImperativeWorker(w);
       } else {
-        dag_engines_.push_back(std::make_unique<DagEngine>(wsim));
+        dag_engines_.push_back(std::make_unique<DagEngine>(sim_));
         BuildDeclarativeWorker(w);
       }
     }
   }
 
-  // Registers one sampling scope per worker on that worker's simulator
-  // (= its coordinator shard in sharded mode). Every sampled source is
-  // written exclusively by events on the worker's own simulator — scheduler
-  // handles by its Core, net.worker<w>.* by its NIC links (the PS egress
-  // forwards pull data to the worker's shard before the downlink sends), the
-  // GPU probe by its Resource — so the tick reads are exact at any shard
-  // count. The scope stops at the first tick after the worker's engine
-  // drained, keeping the simulation finite.
+  // Registers one sampling scope per worker: its scheduler handles,
+  // net.worker<w>.* link metrics and GPU probe. The scope stops at the first
+  // tick after the worker's engine drained, keeping the simulation finite.
   void SetupTimeSeries() {
     if (config_.timeseries == nullptr) {
       return;
@@ -337,7 +300,7 @@ class TrainingJob {
         active = [engine] { return !engine->AllDone(); };
       }
       const std::string ws = std::to_string(w);
-      const int scope = rec.AddScope("w" + ws, WorkerSim(w), std::move(active));
+      const int scope = rec.AddScope("w" + ws, sim_, std::move(active));
       rec.SampleCounter(scope, "net.worker" + ws + ".up.bytes");
       rec.SampleCounter(scope, "net.worker" + ws + ".down.bytes");
       rec.SampleGauge(scope, "net.worker" + ws + ".up.inflight_bytes");
@@ -371,35 +334,26 @@ class TrainingJob {
   DagEngine::OpFn ComputeOp(int worker, SimTime duration, std::string name = "",
                             int bp_end_iter = -1) {
     Resource* gpu = gpus_[worker].get();
-    Simulator* wsim = WorkerSim(worker);
-    return [this, gpu, wsim, worker, duration, name = std::move(name),
+    return [this, gpu, worker, duration, name = std::move(name),
             bp_end_iter](DagEngine::Done done) {
-      const SimTime queued_at = wsim->Now();
+      const SimTime queued_at = sim_->Now();
       SimTime effective = duration;
       if (faults_ != nullptr) {
-        // Straggler episode: this worker's kernels run slower for a while,
-        // judged by the worker's own clock (shards advance independently
-        // within a lookahead window).
-        effective = faults_->ScaleCompute(worker, effective, wsim->Now());
+        // Straggler episode: this worker's kernels run slower for a while.
+        effective = faults_->ScaleCompute(worker, effective);
       }
-      gpu->Submit(effective, [this, wsim, worker, queued_at, name, bp_end_iter,
+      gpu->Submit(effective, [this, worker, queued_at, name, bp_end_iter,
                              done = std::move(done)] {
         if (bp_end_iter >= 0) {
-          RecordBpEnd(worker, bp_end_iter, wsim->Now());
+          iter_bp_end_[bp_end_iter] = std::max(iter_bp_end_[bp_end_iter], sim_->Now());
         }
         if (config_.trace != nullptr) {
           config_.trace->AddSpan("worker" + std::to_string(worker) + "/gpu", name, queued_at,
-                                 wsim->Now());
+                                 sim_->Now());
         }
         done();
       });
     };
-  }
-
-  // Records the completion of BP for (worker, iter); Collect() takes the
-  // slowest worker's time as the iteration's BP end.
-  void RecordBpEnd(int worker, int iter, SimTime now) {
-    worker_bp_end_[worker][iter] = std::max(worker_bp_end_[worker][iter], now);
   }
 
   // Starts the full PS communication for one tensor on `worker`'s Core: a
@@ -770,28 +724,19 @@ class TrainingJob {
 
   JobResult Collect() {
     JobResult result;
-    // Total processed events is shard-count-invariant (same global event set
-    // regardless of partition), so the sharded oracle can compare it.
-    result.sim_events =
-        coord_ != nullptr ? coord_->total_processed() : sim_->processed_events();
+    result.sim_events = sim_->processed_events();
     for (const auto& core : cores_) {
       result.subtasks_started += core->subtasks_started();
     }
-    std::vector<SimTime> iter_bp_end(total_iters_);
-    for (int k = 0; k < total_iters_; ++k) {
-      for (int w = 0; w < sim_workers_; ++w) {
-        iter_bp_end[k] = std::max(iter_bp_end[k], worker_bp_end_[w][k]);
-      }
-    }
-    result.iter_end_times = iter_bp_end;
+    result.iter_end_times = iter_bp_end_;
     if (faults_ != nullptr) {
       result.fault_stats = faults_->stats();
     }
     for (const auto& core : cores_) {
       result.subtasks_abandoned += core->subtasks_abandoned();
     }
-    const SimTime start = iter_bp_end[config_.warmup_iters - 1];
-    const SimTime end = iter_bp_end[total_iters_ - 1];
+    const SimTime start = iter_bp_end_[config_.warmup_iters - 1];
+    const SimTime end = iter_bp_end_[total_iters_ - 1];
     const double span_sec = (end - start).ToSeconds();
     BSCHED_CHECK(span_sec > 0);
     result.avg_iter_time = SimTime::Seconds(span_sec / config_.measure_iters);
@@ -824,22 +769,10 @@ class TrainingJob {
     if (ar_ != nullptr) {
       ar_->ExportMetrics();
     }
-    if (coord_ != nullptr) {
-      // Only shard-count-invariant gauges are exported in sharded mode:
-      // allocated_slots / skipped_cancelled / compactions depend on how
-      // events landed on shards, and the sharded oracle compares metric
-      // snapshots byte for byte across shard counts.
-      reg.gauge("sim.processed_events")
-          ->Set(static_cast<int64_t>(coord_->total_processed()));
-      reg.gauge("sim.windows")->Set(static_cast<int64_t>(coord_->windows()));
-      reg.gauge("sim.cross_shard_messages")
-          ->Set(static_cast<int64_t>(coord_->messages_posted()));
-    } else {
-      reg.gauge("sim.processed_events")->Set(static_cast<int64_t>(sim_->processed_events()));
-      reg.gauge("sim.allocated_slots")->Set(static_cast<int64_t>(sim_->AllocatedSlots()));
-      reg.gauge("sim.skipped_cancelled")->Set(static_cast<int64_t>(sim_->skipped_cancelled()));
-      reg.gauge("sim.compactions")->Set(static_cast<int64_t>(sim_->compactions()));
-    }
+    reg.gauge("sim.processed_events")->Set(static_cast<int64_t>(sim_->processed_events()));
+    reg.gauge("sim.allocated_slots")->Set(static_cast<int64_t>(sim_->AllocatedSlots()));
+    reg.gauge("sim.skipped_cancelled")->Set(static_cast<int64_t>(sim_->skipped_cancelled()));
+    reg.gauge("sim.compactions")->Set(static_cast<int64_t>(sim_->compactions()));
     for (size_t w = 0; w < gpus_.size(); ++w) {
       reg.gauge("gpu.w" + std::to_string(w) + ".busy_ns")
           ->Set(gpus_[w]->busy_time().nanos());
@@ -862,8 +795,7 @@ class TrainingJob {
   int sim_workers_ = 0;
 
   Simulator owned_sim_;
-  Simulator* sim_ = nullptr;  // null in sharded mode (see WorkerSim)
-  std::unique_ptr<ShardCoordinator> coord_;
+  Simulator* sim_ = nullptr;
   // Observability sinks (flow bookkeeping + metrics handles); set only for
   // jobs owning their substrate, see the ctor.
   ObsContext obs_storage_;
@@ -879,9 +811,8 @@ class TrainingJob {
   std::vector<std::unique_ptr<DagEngine>> dag_engines_;
   std::vector<std::unique_ptr<ImperativeEngine>> imp_engines_;
   std::vector<std::unique_ptr<DependencyProxy>> proxies_;
-  // BP-finish stamp per (worker, iteration); each worker writes only its own
-  // row (on its own shard in sharded mode), merged by max at Collect().
-  std::vector<std::vector<SimTime>> worker_bp_end_;
+  // BP-finish stamp per iteration: the slowest worker's.
+  std::vector<SimTime> iter_bp_end_;
   // Latest pull CommTask per (worker, layer); targets of the aggregation
   // listener in synchronous PS mode.
   std::vector<std::vector<CommTaskId>> pull_task_ids_;
@@ -910,7 +841,6 @@ std::vector<JobResult> RunCoscheduledPsJobs(const std::vector<JobConfig>& jobs,
     BSCHED_CHECK(!job.chaos.has_value() && "chaos mode is unsupported for co-scheduled jobs");
     BSCHED_CHECK((!job.dynamics.has_value() || !job.dynamics->enabled()) &&
                  "dynamic network is unsupported for co-scheduled jobs");
-    BSCHED_CHECK(job.shards == 0 && "sharded execution is unsupported for co-scheduled jobs");
   }
 
   Simulator sim;

@@ -70,24 +70,17 @@ struct JobConfig {
   // fed by the push ack timers (src/net/net_dynamics.h). Unset or disabled
   // (the default config) leaves the legacy fixed-rate link path untouched —
   // the simulation is event-for-event identical to a build without the
-  // dynamic fabric. Schedules derive from (seed, link name), so results stay
-  // bit-identical at any `shards` count. Not supported for co-scheduled jobs.
+  // dynamic fabric. Schedules derive from (seed, link name). Not supported
+  // for co-scheduled jobs.
   std::optional<NetDynamicsConfig> dynamics;
 
-  // Sharded parallel-DES execution (PS architecture only): partition the
-  // fabric across `shards` coordinator shards — worker w's entities (GPU,
-  // engine, Core, NIC links, ack timers) on shard w % shards, PS shard s's
-  // (ingress, egress, CPU, aggregation slots) on shard s % shards — and run
-  // them under the conservative lookahead-window coordinator
-  // (src/sim/shard_coordinator.h). 0 (default) = the serial single-Simulator
-  // path. Results are bit-identical for any shards >= 1 (`shards == 1` is the
-  // single-threaded oracle baseline); the serial path keeps its own legacy
-  // event order, which differs slightly (acks and aggregation notifications
-  // become explicit control messages in sharded mode). Requires a
-  // latency-bearing transport (the lookahead must be positive), a null
-  // `trace` (metrics are fine — they are commutative sums), and no shared
-  // co-scheduled infrastructure.
-  int shards = 0;
+  // PS jobs owning their backend: the shard's push-ack cancel and each
+  // worker's aggregation notification arrive control_latency later, as
+  // their own events, instead of as synchronous calls
+  // (PsConfig::delayed_notify). Speeds stay within a few percent of the
+  // default; fig15_volatility sets it because its recorded rows were
+  // produced this way.
+  bool delayed_notify = false;
 
   int warmup_iters = 2;
   int measure_iters = 6;
@@ -111,9 +104,7 @@ struct JobConfig {
   // write) and a job owning its substrate; must be un-started and outlive
   // RunTrainingJob. Null disables sampling with zero cost (bit-identical
   // simulation); an enabled recorder adds tick events but never perturbs
-  // iteration timing, and its merged CSV is byte-identical at any
-  // `shards` >= 1 (serial `shards == 0` keeps its own legacy event order,
-  // exactly as documented on `shards`).
+  // iteration timing.
   TimeSeriesRecorder* timeseries = nullptr;
 
   int total_gpus() const { return num_machines * gpus_per_machine; }

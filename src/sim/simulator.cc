@@ -126,19 +126,6 @@ bool Simulator::Step() {
   return false;
 }
 
-bool Simulator::NextEventTime(SimTime* when) {
-  while (!heap_.empty()) {
-    const EventEntry& e = heap_.front();
-    if (EntryLive(e)) {
-      *when = e.when;
-      return true;
-    }
-    PopHead();
-    ++skipped_cancelled_;
-  }
-  return false;
-}
-
 uint64_t Simulator::Run(SimTime deadline) {
   uint64_t count = 0;
   while (!heap_.empty()) {

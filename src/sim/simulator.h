@@ -2,8 +2,8 @@
 // GPU compute streams, PS shards, the ring) advance by scheduling callbacks
 // on one Simulator instance, which makes every experiment deterministic.
 // Distinct Simulator instances share nothing, so independent simulations can
-// run on separate threads (see src/exec/sweep_runner.h and the sharded
-// parallel-DES coordinator in src/sim/shard_coordinator.h).
+// run on separate threads (see src/exec/sweep_runner.h); one job always runs
+// on exactly one Simulator.
 //
 // Hot-path design: events live in a pooled slot table (reused across the
 // run, so steady-state scheduling allocates nothing), callbacks are stored
@@ -181,11 +181,6 @@ class Simulator {
 
   // Fires the single earliest pending event. Returns false if queue is empty.
   bool Step();
-
-  // Timestamp of the earliest live event, or false when none remain. Pops
-  // (and counts) cancelled heads along the way, exactly as Run() would; the
-  // shard coordinator uses this to compute lookahead windows.
-  bool NextEventTime(SimTime* when);
 
   // True when no live (non-cancelled, not-yet-fired) events remain.
   bool Empty() const { return live_ == 0; }

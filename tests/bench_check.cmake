@@ -1,0 +1,30 @@
+# Runs one evaluation binary and checks it; the ctest labels golden and
+# flags call it in one of two modes:
+#   cmake -DBIN=<binary> -DGOLDEN=<file> -DACTUAL=<file> [-DUPDATE=ON]
+#         -P bench_check.cmake
+#     runs BIN --jobs 4, writes its stdout to ACTUAL and requires it to equal
+#     GOLDEN byte for byte (UPDATE=ON copies ACTUAL over GOLDEN instead);
+#   cmake -DBIN=<binary> -DARGS=<arg;arg> -DEXPECT_EXIT=<n> -P bench_check.cmake
+#     runs BIN ARGS and requires exit status n.
+if(DEFINED EXPECT_EXIT)
+  execute_process(COMMAND ${BIN} ${ARGS} RESULT_VARIABLE rc OUTPUT_QUIET)
+  if(NOT rc STREQUAL EXPECT_EXIT)
+    list(JOIN ARGS " " args_text)
+    message(FATAL_ERROR "${BIN} ${args_text}: exit status ${rc}, want ${EXPECT_EXIT}")
+  endif()
+  return()
+endif()
+
+execute_process(COMMAND ${BIN} --jobs 4 OUTPUT_FILE ${ACTUAL} RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "${BIN} --jobs 4: exit status ${rc}")
+endif()
+if(UPDATE)
+  configure_file(${ACTUAL} ${GOLDEN} COPYONLY)
+  return()
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${ACTUAL} ${GOLDEN}
+                RESULT_VARIABLE differs)
+if(differs)
+  message(FATAL_ERROR "stdout of ${BIN} --jobs 4 (${ACTUAL}) differs from ${GOLDEN}")
+endif()

@@ -3,8 +3,8 @@
 // reference model of tests/sim_reference.h with the same operations and
 // compares fired order, clock, live and queued counts, lazy skips and
 // compactions — under randomized interleavings of near, far and very far
-// timers, same-timestamp ties, mass cancellation, NextEventTime peeks, and
-// Run(deadline) with cancellations.
+// timers, same-timestamp ties, mass cancellation, and Run(deadline) with
+// cancellations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -102,37 +102,6 @@ TEST(EventQueueDifferentialTest, CompactDropsExactlyDeadEntries) {
     EXPECT_EQ(s.Run(), 200u);
     s.ExpectSame();
   }
-}
-
-TEST(EventQueueDifferentialTest, PeekMatchesPopAndDoesNotConsume) {
-  Rng rng(7);
-  SimLockstep s;
-  for (int i = 0; i < 3000; ++i) {
-    s.Schedule(rng.NextDouble() < 0.3 ? 1000 : rng.UniformInt(0, int64_t{1} << 36), i);
-    if (rng.NextDouble() < 0.3) {
-      s.Cancel(static_cast<size_t>(rng.UniformInt(0, i)));
-    }
-  }
-  while (true) {
-    SimTime peek;
-    int64_t ref_peek = 0;
-    const bool has = s.sim().NextEventTime(&peek);
-    ASSERT_EQ(has, s.ref().NextEventTime(&ref_peek));
-    if (!has) {
-      break;
-    }
-    ASSERT_EQ(peek.nanos(), ref_peek);
-    // Peeking again is idempotent and fires nothing.
-    const uint64_t processed = s.sim().processed_events();
-    SimTime again;
-    ASSERT_TRUE(s.sim().NextEventTime(&again));
-    EXPECT_EQ(again, peek);
-    EXPECT_EQ(s.sim().processed_events(), processed);
-    ASSERT_TRUE(s.Step());
-    EXPECT_EQ(s.sim().Now(), peek);
-  }
-  s.ExpectSame();
-  EXPECT_TRUE(s.sim().Empty());
 }
 
 // Timestamps straddling power-of-two boundaries from 2^16 ns to past 2^41 ns

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -22,8 +23,6 @@
 #include "src/obs/timeseries.h"
 #include "src/tuning/auto_tuner.h"
 #include "src/tuning/search.h"
-
-#include <sstream>
 
 namespace bsched {
 namespace {
@@ -242,22 +241,33 @@ TEST(ParallelGridTest, ScalingGridIsBitIdenticalAcrossWorkerCounts) {
   }
 }
 
-// ---- sharded parallel-DES determinism oracle ------------------------------
+// ---- sweep-shard determinism oracle ---------------------------------------
 //
-// JobConfig::shards > 0 runs a PS job on a ShardCoordinator: K simulators
-// advancing in lookahead windows with cross-shard messages merged at barriers
-// in a fixed order. The contract is that the trajectory depends only on
-// whether the job is sharded, never on K — so every observable below must be
-// bit-identical between --shards 1 and --shards N.
+// A figure sweep is sharded across SweepRunner workers (--jobs N). Every job
+// runs on its own Simulator, so each observable below must be bit-identical
+// whether the sweep runs on one shard or on four. The jobs use
+// JobConfig::delayed_notify, the PS notification path fig15 runs.
 
-JobConfig ShardedOracleJob(int shards) {
-  JobConfig job = bench::WithMode(
-      bench::MakeJob(Vgg16(), Setup::MxnetPsTcp(), /*num_machines=*/3, Bandwidth::Gbps(10)),
-      SchedMode::kByteScheduler);
-  job.warmup_iters = 1;
-  job.measure_iters = 2;
-  job.shards = shards;
-  return job;
+std::vector<JobConfig> ShardedOracleSweep() {
+  std::vector<JobConfig> sweep;
+  for (int machines : {2, 3, 4}) {
+    JobConfig job = bench::WithMode(
+        bench::MakeJob(Vgg16(), Setup::MxnetPsTcp(), machines, Bandwidth::Gbps(10)),
+        SchedMode::kByteScheduler);
+    job.warmup_iters = 1;
+    job.measure_iters = 2;
+    job.delayed_notify = true;
+    sweep.push_back(job);
+  }
+  return sweep;
+}
+
+// Runs `body` on every job of ShardedOracleSweep() across `shards` workers.
+template <typename Fn>
+auto RunShardedSweep(int shards, Fn body) {
+  const std::vector<JobConfig> sweep = ShardedOracleSweep();
+  return SweepRunner(shards).ParallelFor(sweep.size(),
+                                         [&](size_t i) { return body(sweep[i]); });
 }
 
 void ExpectBitIdentical(const JobResult& a, const JobResult& b) {
@@ -274,101 +284,72 @@ void ExpectBitIdentical(const JobResult& a, const JobResult& b) {
 }
 
 TEST(ShardedDeterminismTest, ResultsAreBitIdenticalAcrossShardCounts) {
-  const JobResult one = RunTrainingJob(ShardedOracleJob(1));
-  EXPECT_GT(one.samples_per_sec, 0.0);
-  // 8 shards exceeds the 3-worker entity count: surplus shards idle at every
-  // barrier but must not perturb the merge order.
-  for (int shards : {2, 3, 8}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    ExpectBitIdentical(one, RunTrainingJob(ShardedOracleJob(shards)));
+  auto run = [](const JobConfig& job) { return RunTrainingJob(job); };
+  const std::vector<JobResult> one = RunShardedSweep(1, run);
+  const std::vector<JobResult> four = RunShardedSweep(4, run);
+  ASSERT_EQ(one.size(), four.size());
+  for (size_t i = 0; i < one.size(); ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    EXPECT_GT(one[i].samples_per_sec, 0.0);
+    ExpectBitIdentical(one[i], four[i]);
   }
 }
 
-TEST(ShardedDeterminismTest, ShardedSpeedTracksSerialSpeed) {
-  // The sharded path deliberately turns PS acks/aggregation notifications
-  // into explicit control messages, so it is NOT bit-identical to the serial
-  // single-Simulator path — but the physics are the same control_latency, so
-  // steady-state speed must stay within a few percent.
-  JobConfig serial = ShardedOracleJob(1);
-  serial.shards = 0;
-  const double serial_speed = RunTrainingJob(serial).samples_per_sec;
-  const double sharded_speed = RunTrainingJob(ShardedOracleJob(1)).samples_per_sec;
-  EXPECT_GT(serial_speed, 0.0);
-  EXPECT_NEAR(sharded_speed / serial_speed, 1.0, 0.10);
-}
-
 TEST(ShardedDeterminismTest, MetricsSnapshotIsByteIdenticalAcrossShardCounts) {
-  // The exported metrics snapshot (counters only — assignment-variant gauges
-  // are excluded in sharded mode) must serialize to the same bytes.
-  auto snapshot_json = [](int shards) {
+  // Each job's exported metrics snapshot must serialize to the same bytes.
+  auto snapshot_json = [](JobConfig job) {
     MetricsRegistry metrics;
-    JobConfig job = ShardedOracleJob(shards);
     job.metrics = &metrics;
     RunTrainingJob(job);
     std::ostringstream out;
     metrics.Snapshot().WriteJson(out);
     return out.str();
   };
-  const std::string one = snapshot_json(1);
-  EXPECT_FALSE(one.empty());
-  EXPECT_EQ(one, snapshot_json(3));
+  const std::vector<std::string> one = RunShardedSweep(1, snapshot_json);
+  EXPECT_FALSE(one.front().empty());
+  EXPECT_EQ(one, RunShardedSweep(4, snapshot_json));
 }
 
 TEST(ShardedDeterminismTest, TimeSeriesCsvIsByteIdenticalAcrossShardCounts) {
   // The sim-time sampling pipeline merges per-scope series in fixed
-  // (time, scope) order, so the exported CSV — tick times, instantaneous
-  // values and per-window sketch percentiles alike — must not depend on how
-  // many shard threads produced it.
-  auto series_csv = [](int shards) {
+  // (time, scope) order, so the exported CSV (tick times, instantaneous
+  // values and per-window sketch percentiles alike) must not depend on how
+  // many sweep workers produced it.
+  auto series_csv = [](JobConfig job) {
     MetricsRegistry metrics;
     TimeSeriesRecorder recorder(&metrics, SimTime::Micros(200));
-    JobConfig job = ShardedOracleJob(shards);
     job.metrics = &metrics;
     job.timeseries = &recorder;
     RunTrainingJob(job);
     return recorder.ToCsv();
   };
-  const std::string one = series_csv(1);
-  ASSERT_FALSE(one.empty());
-  // Sanity: the series actually carries sampled rows, not just the header.
-  EXPECT_NE(one.find(",w0,"), std::string::npos)
-      << "expected worker-0 sample rows in:\n"
-      << one.substr(0, 400);
-  for (int shards : {2, 8}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    EXPECT_EQ(one, series_csv(shards));
+  const std::vector<std::string> one = RunShardedSweep(1, series_csv);
+  for (const std::string& csv : one) {
+    // Sanity: the series actually carries sampled rows, not just the header.
+    EXPECT_NE(csv.find(",w0,"), std::string::npos)
+        << "expected worker-0 sample rows in:\n"
+        << csv.substr(0, 400);
   }
+  EXPECT_EQ(one, RunShardedSweep(4, series_csv));
 }
 
-TEST(ShardedDeterminismTest, Fig04StyleGridIsByteIdenticalAcrossShardCounts) {
-  // A miniature of bench/fig04_partition_credit.cc's sweep: the figure CSV a
-  // user would regenerate with --shards must not depend on the shard count.
-  auto grid_csv = [](int shards) {
-    std::ostringstream csv;
-    csv << "partition_kb,img_per_sec\n";
-    for (Bytes p : {KiB(160), KiB(320), KiB(640)}) {
-      JobConfig job = bench::MakeJob(Vgg16(), Setup::MxnetPsTcp(), /*num_machines=*/2,
-                                     Bandwidth::Gbps(10));
-      job.mode = SchedMode::kByteScheduler;
-      SchedulerConfig cfg;
-      cfg.policy = SchedulerConfig::Policy::kFifo;
-      cfg.partition_bytes = p;
-      cfg.credit_bytes = 8 * p;
-      job.sched_override = cfg;
-      job.warmup_iters = 1;
-      job.measure_iters = 2;
-      job.shards = shards;
-      char row[96];
-      std::snprintf(row, sizeof(row), "%llu,%.17g\n",
-                    static_cast<unsigned long long>(p / 1024),
-                    RunTrainingJob(job).samples_per_sec);
-      csv << row;
-    }
-    return csv.str();
-  };
-  const std::string one = grid_csv(1);
-  EXPECT_NE(one.find("img_per_sec"), std::string::npos);
-  EXPECT_EQ(one, grid_csv(2));
+// ---- delayed PS notifications -------------------------------------------
+
+TEST(DelayedNotifyTest, SpeedTracksImmediateNotify) {
+  // JobConfig::delayed_notify turns the PS push-ack cancel and the
+  // aggregation notifications into control messages, so its trajectory is
+  // NOT bit-identical to the synchronous default, but the physics are the
+  // same control_latency, so steady-state speed must stay within 10%.
+  JobConfig job = bench::WithMode(
+      bench::MakeJob(Vgg16(), Setup::MxnetPsTcp(), /*num_machines=*/3, Bandwidth::Gbps(10)),
+      SchedMode::kByteScheduler);
+  job.warmup_iters = 1;
+  job.measure_iters = 2;
+  const double immediate_speed = RunTrainingJob(job).samples_per_sec;
+  job.delayed_notify = true;
+  const double delayed_speed = RunTrainingJob(job).samples_per_sec;
+  EXPECT_GT(immediate_speed, 0.0);
+  EXPECT_NEAR(delayed_speed / immediate_speed, 1.0, 0.10);
 }
 
 }  // namespace

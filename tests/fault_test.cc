@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -121,7 +122,7 @@ TEST(FaultInjectorTest, CountsDropsAndMessages) {
   Simulator sim;
   FaultInjector faults(CertainDropPlan(SimTime::Millis(10)), &sim);
   const uint64_t site = FaultPlan::HashSite("worker0.up");
-  const FaultInjector::MessageFault fate = faults.OnMessageSend(site, SimTime());
+  const FaultInjector::MessageFault fate = faults.OnMessageSend(site);
   EXPECT_TRUE(fate.drop);
   EXPECT_EQ(faults.stats().messages_seen, 1u);
   EXPECT_EQ(faults.stats().drops_injected, 1u);
@@ -675,80 +676,12 @@ TEST(ChaosZeroCostTest, EmptyPlanMatchesFaultFreeRunExactly) {
   EXPECT_GT(armed.fault_stats.messages_seen, 0u);  // the hooks did run
 }
 
-// ---- sharded chaos determinism --------------------------------------------
-//
-// Under the sharded coordinator a retransmission's timeout timer lives on the
-// worker's shard while the ack it races lives on the PS shard, so fault
-// recovery regularly crosses the lookahead barrier. The injected plan, every
-// recovery counter, and the full timing trajectory must still be independent
-// of the shard count.
-
-TEST(ChaosShardBoundaryTest, RecoveryIsBitIdenticalAcrossShardCounts) {
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    JobConfig job = ChaosJobConfig(Setup::MxnetPsRdma(), seed);
-    job.shards = 1;
-    const JobResult one = RunTrainingJob(job);
-    job.shards = 2;
-    const JobResult two = RunTrainingJob(job);
-
-    ExpectRecovered(one);
-    ExpectRecovered(two);
-    EXPECT_EQ(one.sim_events, two.sim_events);
-    EXPECT_EQ(one.avg_iter_time, two.avg_iter_time);
-    ASSERT_EQ(one.iter_end_times.size(), two.iter_end_times.size());
-    for (size_t i = 0; i < one.iter_end_times.size(); ++i) {
-      EXPECT_EQ(one.iter_end_times[i], two.iter_end_times[i]) << "iter " << i;
-    }
-    const FaultStats& a = one.fault_stats;
-    const FaultStats& b = two.fault_stats;
-    EXPECT_EQ(a.messages_seen, b.messages_seen);
-    EXPECT_EQ(a.drops_injected, b.drops_injected);
-    EXPECT_EQ(a.delays_injected, b.delays_injected);
-    EXPECT_EQ(a.delay_injected_total, b.delay_injected_total);
-    EXPECT_EQ(a.compute_slowdowns, b.compute_slowdowns);
-    EXPECT_EQ(a.shard_slowdowns, b.shard_slowdowns);
-    EXPECT_EQ(a.core_timeouts, b.core_timeouts);
-    EXPECT_EQ(a.core_retries, b.core_retries);
-    EXPECT_EQ(a.core_late_completions, b.core_late_completions);
-    EXPECT_EQ(a.core_abandoned, b.core_abandoned);
-    EXPECT_EQ(a.backend_retransmits, b.backend_retransmits);
-    EXPECT_EQ(a.credit_restored, b.credit_restored);
-  }
-}
-
-TEST(ChaosShardBoundaryTest, TimeSeriesCsvIsByteIdenticalAcrossShardCounts) {
-  // The sampling tick chains interleave with retransmission recovery that
-  // crosses the lookahead barrier; the exported series — including the
-  // per-window sketches that see the recovery spikes — must still not depend
-  // on the shard count.
-  for (const uint64_t seed : {uint64_t{1}, uint64_t{3}}) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    auto series_csv = [seed](int shards) {
-      MetricsRegistry metrics;
-      TimeSeriesRecorder recorder(&metrics, SimTime::Micros(200));
-      JobConfig job = ChaosJobConfig(Setup::MxnetPsRdma(), seed);
-      job.shards = shards;
-      job.metrics = &metrics;
-      job.timeseries = &recorder;
-      RunTrainingJob(job);
-      return recorder.ToCsv();
-    };
-    const std::string one = series_csv(1);
-    ASSERT_FALSE(one.empty());
-    EXPECT_NE(one.find(",w0,"), std::string::npos);
-    EXPECT_EQ(one, series_csv(2));
-  }
-}
-
-// ---- chaos on a dynamic-network fabric ------------------------------------
+// ---- chaos on a dynamic-network fabric ----------------------------------
 //
 // The dynamic fabric (src/net/net_dynamics.h) adds volatile link schedules,
 // cross traffic and AIMD rate control on top of the same links the fault
 // fabric perturbs. Both derive every decision from (seed, site, time), so
-// stacking them must not cost any determinism: recovery counters, timings,
-// the metrics snapshot and the sampled time series stay byte-identical at
-// any shard count.
+// stacking them must not cost any determinism.
 
 NetDynamicsConfig VolatileFabric(uint64_t seed) {
   NetDynamicsConfig dyn;
@@ -762,61 +695,113 @@ NetDynamicsConfig VolatileFabric(uint64_t seed) {
   return dyn;
 }
 
-TEST(ChaosShardBoundaryTest, VolatileFabricRecoveryIsBitIdenticalAcrossShardCounts) {
-  struct Run {
-    JobResult result;
-    std::string metrics_json;
-    std::string series_csv;
-  };
-  for (const uint64_t seed : {uint64_t{1}, uint64_t{3}}) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    auto run = [seed](int shards) {
-      Run out;
-      MetricsRegistry metrics;
-      TimeSeriesRecorder recorder(&metrics, SimTime::Micros(200));
-      JobConfig job = ChaosJobConfig(Setup::MxnetPsRdma(), seed);
-      job.dynamics = VolatileFabric(seed);
-      job.shards = shards;
-      job.metrics = &metrics;
-      job.timeseries = &recorder;
-      out.result = RunTrainingJob(job);
-      std::ostringstream json;
-      metrics.Snapshot().WriteJson(json);
-      out.metrics_json = json.str();
-      out.series_csv = recorder.ToCsv();
-      return out;
-    };
-    const Run one = run(1);
-    ExpectRecovered(one.result);
-    ASSERT_FALSE(one.series_csv.empty());
-    // The dynamic fabric was actually live: the recorder sampled the
-    // per-link effective-rate gauges the new layer exports.
-    EXPECT_NE(one.series_csv.find(".up.rate_bps,"), std::string::npos);
-    for (const int shards : {2, 8}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards));
-      const Run other = run(shards);
-      const JobResult& a = one.result;
-      const JobResult& b = other.result;
-      EXPECT_EQ(a.sim_events, b.sim_events);
-      EXPECT_EQ(a.avg_iter_time, b.avg_iter_time);
-      ASSERT_EQ(a.iter_end_times.size(), b.iter_end_times.size());
-      for (size_t i = 0; i < a.iter_end_times.size(); ++i) {
-        EXPECT_EQ(a.iter_end_times[i], b.iter_end_times[i]) << "iter " << i;
-      }
-      EXPECT_EQ(a.fault_stats.messages_seen, b.fault_stats.messages_seen);
-      EXPECT_EQ(a.fault_stats.drops_injected, b.fault_stats.drops_injected);
-      EXPECT_EQ(a.fault_stats.delays_injected, b.fault_stats.delays_injected);
-      EXPECT_EQ(a.fault_stats.delay_injected_total, b.fault_stats.delay_injected_total);
-      EXPECT_EQ(a.fault_stats.core_timeouts, b.fault_stats.core_timeouts);
-      EXPECT_EQ(a.fault_stats.core_retries, b.fault_stats.core_retries);
-      EXPECT_EQ(a.fault_stats.backend_retransmits, b.fault_stats.backend_retransmits);
-      EXPECT_EQ(a.fault_stats.credit_restored, b.fault_stats.credit_restored);
-      EXPECT_EQ(a.rate_ctrl_decreases, b.rate_ctrl_decreases);
-      EXPECT_EQ(a.rate_ctrl_increases, b.rate_ctrl_increases);
-      EXPECT_EQ(a.link_repaces, b.link_repaces);
-      EXPECT_EQ(one.metrics_json, other.metrics_json);
-      EXPECT_EQ(one.series_csv, other.series_csv);
+// ---- sweep-shard chaos determinism ----------------------------------------
+//
+// With JobConfig::delayed_notify the shard's push-ack cancel is a control
+// message, so a retransmit timer can fire while the ack is in flight and
+// recovery takes a different path than with synchronous acks. It must still
+// be a pure function of the job: the result (every recovery counter and the
+// timing trajectory), the metrics snapshot and the sampled time series are
+// byte-identical whether the seed sweep is sharded across one SweepRunner
+// worker (--jobs 1) or four.
+
+struct ChaosRun {
+  JobResult result;
+  std::string metrics_json;
+  std::string series_csv;
+};
+
+// One delayed-notification chaos job per seed, optionally on the volatile
+// fabric, sharded across `shards` sweep workers.
+std::vector<ChaosRun> RunChaosSweep(int shards, const std::vector<uint64_t>& seeds,
+                                    bool volatile_fabric) {
+  return SweepRunner(shards).ParallelFor(seeds.size(), [&](size_t i) {
+    ChaosRun out;
+    MetricsRegistry metrics;
+    TimeSeriesRecorder recorder(&metrics, SimTime::Micros(200));
+    JobConfig job = ChaosJobConfig(Setup::MxnetPsRdma(), seeds[i]);
+    if (volatile_fabric) {
+      job.dynamics = VolatileFabric(seeds[i]);
     }
+    job.delayed_notify = true;
+    job.metrics = &metrics;
+    job.timeseries = &recorder;
+    out.result = RunTrainingJob(job);
+    std::ostringstream json;
+    metrics.Snapshot().WriteJson(json);
+    out.metrics_json = json.str();
+    out.series_csv = recorder.ToCsv();
+    return out;
+  });
+}
+
+void ExpectSameRecovery(const JobResult& a, const JobResult& b) {
+  EXPECT_EQ(std::memcmp(&a.samples_per_sec, &b.samples_per_sec, sizeof(double)), 0);
+  EXPECT_EQ(a.sim_events, b.sim_events);
+  EXPECT_EQ(a.subtasks_started, b.subtasks_started);
+  EXPECT_EQ(a.subtasks_abandoned, b.subtasks_abandoned);
+  EXPECT_EQ(a.avg_iter_time, b.avg_iter_time);
+  EXPECT_EQ(a.iter_end_times, b.iter_end_times);
+  const FaultStats& fa = a.fault_stats;
+  const FaultStats& fb = b.fault_stats;
+  EXPECT_EQ(fa.messages_seen, fb.messages_seen);
+  EXPECT_EQ(fa.drops_injected, fb.drops_injected);
+  EXPECT_EQ(fa.delays_injected, fb.delays_injected);
+  EXPECT_EQ(fa.delay_injected_total, fb.delay_injected_total);
+  EXPECT_EQ(fa.compute_slowdowns, fb.compute_slowdowns);
+  EXPECT_EQ(fa.shard_slowdowns, fb.shard_slowdowns);
+  EXPECT_EQ(fa.core_timeouts, fb.core_timeouts);
+  EXPECT_EQ(fa.core_retries, fb.core_retries);
+  EXPECT_EQ(fa.core_late_completions, fb.core_late_completions);
+  EXPECT_EQ(fa.core_abandoned, fb.core_abandoned);
+  EXPECT_EQ(fa.backend_retransmits, fb.backend_retransmits);
+  EXPECT_EQ(fa.credit_restored, fb.credit_restored);
+  EXPECT_EQ(a.rate_ctrl_decreases, b.rate_ctrl_decreases);
+  EXPECT_EQ(a.rate_ctrl_increases, b.rate_ctrl_increases);
+  EXPECT_EQ(a.link_repaces, b.link_repaces);
+}
+
+TEST(ChaosShardBoundaryTest, RecoveryIsBitIdenticalAcrossShardCounts) {
+  const std::vector<uint64_t> seeds = {1, 2, 3, 4};
+  const std::vector<ChaosRun> one = RunChaosSweep(1, seeds, /*volatile_fabric=*/false);
+  const std::vector<ChaosRun> four = RunChaosSweep(4, seeds, /*volatile_fabric=*/false);
+  ASSERT_EQ(one.size(), four.size());
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    SCOPED_TRACE("seed=" + std::to_string(seeds[i]));
+    ExpectRecovered(one[i].result);
+    ExpectSameRecovery(one[i].result, four[i].result);
+  }
+}
+
+TEST(ChaosShardBoundaryTest, TimeSeriesCsvIsByteIdenticalAcrossShardCounts) {
+  // The sampling tick chains interleave with retransmission recovery; the
+  // exported series, including the per-window sketches that see the
+  // recovery spikes, must still not depend on the sweep's shard count.
+  const std::vector<uint64_t> seeds = {1, 3};
+  const std::vector<ChaosRun> one = RunChaosSweep(1, seeds, /*volatile_fabric=*/false);
+  const std::vector<ChaosRun> four = RunChaosSweep(4, seeds, /*volatile_fabric=*/false);
+  ASSERT_EQ(one.size(), four.size());
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    SCOPED_TRACE("seed=" + std::to_string(seeds[i]));
+    EXPECT_NE(one[i].series_csv.find(",w0,"), std::string::npos);
+    EXPECT_EQ(one[i].series_csv, four[i].series_csv);
+  }
+}
+
+TEST(ChaosShardBoundaryTest, VolatileFabricRecoveryIsBitIdenticalAcrossShardCounts) {
+  const std::vector<uint64_t> seeds = {1, 2, 3, 4};
+  const std::vector<ChaosRun> one = RunChaosSweep(1, seeds, /*volatile_fabric=*/true);
+  const std::vector<ChaosRun> four = RunChaosSweep(4, seeds, /*volatile_fabric=*/true);
+  ASSERT_EQ(one.size(), four.size());
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    SCOPED_TRACE("seed=" + std::to_string(seeds[i]));
+    ExpectRecovered(one[i].result);
+    // The dynamic fabric was actually live: the recorder sampled the
+    // per-link effective-rate gauges it exports.
+    EXPECT_NE(one[i].series_csv.find(".up.rate_bps,"), std::string::npos);
+    ExpectSameRecovery(one[i].result, four[i].result);
+    EXPECT_EQ(one[i].metrics_json, four[i].metrics_json);
+    EXPECT_EQ(one[i].series_csv, four[i].series_csv);
   }
 }
 

@@ -134,17 +134,24 @@ TEST(LinkTest, LatencyPipelinesAcrossMessages) {
   EXPECT_EQ(deliveries[1], 2'500'000);  // +1ms occupancy only
 }
 
-TEST(LinkTest, SendWithFlushSeparatesFlushFromDelivery) {
+TEST(LinkTest, SendFlightSeparatesFlushFromDelivery) {
   Simulator sim;
   TransportModel t = TransportModel::Ideal();
   t.latency = SimTime::Micros(200);
   Link link(&sim, "l", Bandwidth::Gbps(8), t);
   SimTime flushed;
+  SimTime handed_off;
   SimTime delivered;
-  link.SendWithFlush(
-      1'000'000, [&] { flushed = sim.Now(); }, [&] { delivered = sim.Now(); });
+  link.SendFlight(
+      1'000'000, [&] { flushed = sim.Now(); },
+      [&](SimTime wire) {
+        handed_off = sim.Now();
+        sim.Schedule(wire, [&] { delivered = sim.Now(); });
+      });
   sim.Run();
   EXPECT_EQ(flushed, SimTime::Millis(1));
+  // The wire flight is handed over at flush time; the caller lands it.
+  EXPECT_EQ(handed_off, SimTime::Millis(1));
   EXPECT_EQ(delivered, SimTime::Millis(1) + SimTime::Micros(200));
 }
 
@@ -324,8 +331,9 @@ TEST(RateModelOracleTest, CompletionMatchesScheduleIntegralAcrossSeeds) {
     for (int i = 0; i < kMsgs; ++i) {
       sizes.push_back(rng.UniformInt(1'000, 4'000'000));
       scales.push_back(rng.NextDouble() < 0.3 ? 0.25 : 1.0);
-      link.SendCrossShard(sizes[i], scales[i],
-                          [&flushes, &sim] { flushes.push_back(sim.Now().nanos()); }, nullptr);
+      link.SendFlight(
+          sizes[i], [&flushes, &sim] { flushes.push_back(sim.Now().nanos()); }, nullptr,
+          scales[i]);
     }
     sim.Run();
     ASSERT_EQ(flushes.size(), static_cast<size_t>(kMsgs));
@@ -348,7 +356,7 @@ TEST(DynamicLinkTest, ZeroRateWindowStallsAndResumes) {
   link.SetRateModel(RateModel::Piecewise(
       {{SimTime(), 1.0}, {SimTime::Millis(2), 0.0}, {SimTime::Millis(5), 1.0}}));
   SimTime flushed;
-  link.SendWithFlush(4'000'000, [&] { flushed = sim.Now(); }, nullptr);
+  link.SendFlight(4'000'000, [&] { flushed = sim.Now(); }, nullptr);
   sim.Run();
   EXPECT_EQ(flushed, SimTime::Millis(7));
 }
@@ -361,7 +369,7 @@ TEST(DynamicLinkTest, CtrlScaleRepacesInFlightTransfer) {
   Link link(&sim, "l", Bandwidth::Gbps(8), TransportModel::Ideal());
   link.SetRateModel(RateModel());
   SimTime flushed;
-  link.SendWithFlush(8'000'000, [&] { flushed = sim.Now(); }, nullptr);
+  link.SendFlight(8'000'000, [&] { flushed = sim.Now(); }, nullptr);
   sim.Schedule(SimTime::Millis(2), [&] { link.SetCtrlScale(0.5); });
   sim.Schedule(SimTime::Millis(5), [&] { link.SetCtrlScale(1.0); });
   sim.Run();
@@ -389,7 +397,7 @@ TEST(DynamicLinkTest, IdentityModelReproducesLegacyTimings) {
       }
       std::vector<int64_t> flushes;
       for (Bytes size : sizes) {
-        link.SendWithFlush(size, [&] { flushes.push_back(sim.Now().nanos()); }, nullptr);
+        link.SendFlight(size, [&] { flushes.push_back(sim.Now().nanos()); }, nullptr);
       }
       sim.Run();
       return flushes;

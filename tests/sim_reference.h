@@ -72,16 +72,6 @@ class RefSim {
     return count;
   }
 
-  bool NextEventTime(int64_t* when) {
-    while (!queue_.empty()) {
-      if (!PopDeadHead()) {
-        *when = queue_.begin()->first.first;
-        return true;
-      }
-    }
-    return false;
-  }
-
   int64_t now() const { return now_; }
   size_t pending() const { return live_; }
   size_t queued() const { return queue_.size(); }

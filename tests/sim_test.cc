@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/sim/resource.h"
-#include "src/sim/shard_coordinator.h"
 #include "src/sim/simulator.h"
 #include "tests/sim_reference.h"
 
@@ -457,118 +456,6 @@ TEST(SimulatorTest, DeadlineInsideCompactionPassDoesNotDoubleCountSkips) {
   EXPECT_EQ(sim.skipped_cancelled(), ref.skipped());
   EXPECT_EQ(sim.compactions(), ref.compactions());
   EXPECT_EQ(sim.processed_events(), ref.processed());
-}
-
-// ---------------------------------------------------------------------------
-// ShardCoordinator: conservative windowed PDES over per-shard Simulators.
-
-TEST(ShardCoordinatorTest, SingleShardDrainsLikePlainSimulator) {
-  ShardCoordinator coord(1, SimTime::Micros(10));
-  std::vector<int64_t> fire_times;
-  Simulator* sim = coord.shard(0);
-  sim->Schedule(SimTime::Micros(3), [&] { fire_times.push_back(sim->Now().nanos()); });
-  coord.Post(0, 0, /*channel=*/7, SimTime::Micros(10),
-             [&] { fire_times.push_back(sim->Now().nanos()); });
-  const uint64_t fired = coord.Run();
-  EXPECT_EQ(fired, 2u);
-  EXPECT_EQ(fire_times, (std::vector<int64_t>{3000, 10000}));
-  EXPECT_TRUE(coord.Empty());
-  EXPECT_EQ(coord.total_processed(), 2u);
-  EXPECT_EQ(coord.messages_posted(), 1u);
-}
-
-// A ring of entities that interact only via Post() must produce bit-identical
-// receive logs, event counts, and window counts at every shard count.
-struct RingLog {
-  std::vector<int64_t> receives;  // flattened (entity, time) pairs
-  uint64_t processed = 0;
-  uint64_t windows = 0;
-  uint64_t messages = 0;
-
-  bool operator==(const RingLog& o) const {
-    return receives == o.receives && processed == o.processed &&
-           windows == o.windows && messages == o.messages;
-  }
-};
-
-RingLog RunRing(int shards) {
-  constexpr int kEntities = 8;
-  constexpr int kHops = 120;
-  const SimTime lookahead = SimTime::Micros(5);
-  ShardCoordinator coord(shards, lookahead);
-  struct Entity {
-    int hops = 0;
-    std::vector<int64_t> log;
-  };
-  std::vector<Entity> entities(kEntities);
-  auto shard_of = [&](int e) { return e % coord.shards(); };
-  // Each entity forwards around the ring with an entity- and hop-dependent
-  // delay; the receive timeline is a pure function of the topology.
-  std::function<void(int)> receive = [&](int e) {
-    Entity& ent = entities[e];
-    ent.log.push_back(coord.shard(shard_of(e))->Now().nanos());
-    if (++ent.hops >= kHops) {
-      return;
-    }
-    const int next = (e + 1) % kEntities;
-    const SimTime delay = lookahead + SimTime::Nanos(137 * e + 31 * ent.hops);
-    coord.Post(shard_of(e), shard_of(next), /*channel=*/static_cast<uint64_t>(e),
-               delay, [&receive, next] { receive(next); });
-  };
-  for (int e = 0; e < kEntities; ++e) {
-    coord.Post(shard_of(e), shard_of(e), static_cast<uint64_t>(100 + e),
-               lookahead + SimTime::Nanos(e), [&receive, e] { receive(e); });
-  }
-  coord.Run();
-  EXPECT_TRUE(coord.Empty());
-  RingLog out;
-  for (int e = 0; e < kEntities; ++e) {
-    out.receives.push_back(e);
-    for (int64_t t : entities[e].log) {
-      out.receives.push_back(t);
-    }
-  }
-  out.processed = coord.total_processed();
-  out.windows = coord.windows();
-  out.messages = coord.messages_posted();
-  return out;
-}
-
-TEST(ShardCoordinatorTest, RingIsBitIdenticalAtAnyShardCount) {
-  RingLog serial = RunRing(1);
-  EXPECT_GT(serial.processed, 0u);
-  for (int shards : {2, 3, 5, 8}) {
-    RingLog sharded = RunRing(shards);
-    EXPECT_TRUE(sharded == serial) << "divergence at shards=" << shards;
-  }
-}
-
-TEST(ShardCoordinatorTest, EqualTimeCrossShardMessagesMergeByChannelId) {
-  // Two senders on different shards post to shard 0 with identical delivery
-  // times; the fixed merge order (channel id) must decide, not thread timing
-  // or post order. Channel 5 outranks channel 9 even though 9 posts first.
-  for (int trial = 0; trial < 4; ++trial) {
-    ShardCoordinator coord(3, SimTime::Micros(1));
-    std::vector<int> order;
-    coord.Post(2, 0, /*channel=*/9, SimTime::Micros(4), [&] { order.push_back(9); });
-    coord.Post(1, 0, /*channel=*/5, SimTime::Micros(4), [&] { order.push_back(5); });
-    coord.Run();
-    EXPECT_EQ(order, (std::vector<int>{5, 9}));
-  }
-}
-
-TEST(ShardCoordinatorTest, DeadlineIsInclusiveAndResumable) {
-  ShardCoordinator coord(2, SimTime::Micros(1));
-  std::vector<int> fired;
-  coord.shard(0)->Schedule(SimTime::Micros(2), [&] { fired.push_back(1); });
-  coord.shard(1)->Schedule(SimTime::Micros(5), [&] { fired.push_back(2); });
-  coord.shard(0)->Schedule(SimTime::Micros(9), [&] { fired.push_back(3); });
-  EXPECT_EQ(coord.Run(SimTime::Micros(5)), 2u);
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-  EXPECT_FALSE(coord.Empty());
-  EXPECT_EQ(coord.Run(), 1u);
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-  EXPECT_TRUE(coord.Empty());
 }
 
 }  // namespace
