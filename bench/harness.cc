@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 
 #include "src/common/flags.h"
 #include "src/common/trace.h"
@@ -136,24 +135,10 @@ void PrintScalingFigure(const std::string& title, const ModelProfile& model, boo
 int InitBenchJobs(int argc, const char* const* argv,
                   std::initializer_list<std::string_view> extra) {
   const Flags flags(argc, argv);
-  // A malformed token (say "-jobs 4") or an unknown name (say a typo'd
-  // "--job 4") would otherwise run the defaults.
-  bool ok = true;
-  for (const std::string& token : flags.errors()) {
-    std::fprintf(stderr, "%s: malformed flag '%s' (use --name or --name=value)\n", argv[0],
-                 token.c_str());
-    ok = false;
-  }
-  constexpr std::string_view kShared[] = {"jobs",       "trace",        "metrics",
-                                          "timeseries", "sample-every", "obs"};
-  for (const std::string& name : flags.names()) {
-    if (std::find(std::begin(kShared), std::end(kShared), name) == std::end(kShared) &&
-        std::find(extra.begin(), extra.end(), name) == extra.end()) {
-      std::fprintf(stderr, "%s: unknown flag '--%s'\n", argv[0], name.c_str());
-      ok = false;
-    }
-  }
-  if (!ok) {
+  std::vector<std::string_view> known = {"jobs",       "trace",        "metrics",
+                                         "timeseries", "sample-every", "obs"};
+  known.insert(known.end(), extra);
+  if (!flags.CheckNames(argv[0], known)) {
     std::exit(2);
   }
   const int jobs = static_cast<int>(flags.GetInt("jobs", 0));

@@ -59,10 +59,13 @@ Setup SetupByName(const std::string& name, bool* ok) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
-  if (flags.Has("help") || !flags.errors().empty()) {
+  const Flags flags(argc, argv);
+  const bool known = flags.CheckNames(argv[0], {"model", "setup", "mode", "machines", "gbps",
+                                                "partition-kb", "credit-kb", "async", "iters",
+                                                "trace", "help"});
+  if (!known || flags.Has("help")) {
     std::fputs(kUsage, stderr);
-    return flags.Has("help") ? 0 : 1;
+    return known ? 0 : 2;
   }
 
   JobConfig job;

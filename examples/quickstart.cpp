@@ -44,6 +44,10 @@ int main(int argc, char** argv) {
   using namespace bsched;
 
   const Flags flags(argc, argv);
+  if (!flags.CheckNames(argv[0], {"jobs", "chaos", "volatility", "trace", "metrics",
+                                  "timeseries", "sample-every", "obs"})) {
+    return 2;
+  }
   SweepRunner::SetDefaultJobs(static_cast<int>(flags.GetInt("jobs", 0)));
   const bool chaos = flags.Has("chaos");
   const uint64_t chaos_seed =

@@ -1,5 +1,7 @@
 #include "src/common/flags.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 namespace bsched {
@@ -36,12 +38,20 @@ Flags::Flags(int argc, const char* const* argv) {
 
 bool Flags::Has(const std::string& name) const { return values_.count(name) > 0; }
 
-std::vector<std::string> Flags::names() const {
-  std::vector<std::string> out;
-  for (const auto& [name, value] : values_) {
-    out.push_back(name);
+bool Flags::CheckNames(const char* program, const std::vector<std::string_view>& known) const {
+  bool ok = true;
+  for (const std::string& token : errors_) {
+    std::fprintf(stderr, "%s: malformed flag '%s' (use --name or --name=value)\n", program,
+                 token.c_str());
+    ok = false;
   }
-  return out;
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::fprintf(stderr, "%s: unknown flag '--%s'\n", program, name.c_str());
+      ok = false;
+    }
+  }
+  return ok;
 }
 
 std::string Flags::GetString(const std::string& name, const std::string& def) const {

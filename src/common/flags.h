@@ -5,6 +5,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace bsched {
@@ -23,8 +24,11 @@ class Flags {
   const std::vector<std::string>& positional() const { return positional_; }
   // Tokens that looked malformed (e.g. "-x"), for error reporting.
   const std::vector<std::string>& errors() const { return errors_; }
-  // Names of every --flag given, sorted.
-  std::vector<std::string> names() const;
+  // Prints each malformed token and each --name outside `known` to stderr,
+  // prefixed with `program`; returns true when there was none. The bench and
+  // example binaries then exit with status 2, so a typo'd or retired flag
+  // cannot silently run the defaults.
+  bool CheckNames(const char* program, const std::vector<std::string_view>& known) const;
 
  private:
   std::map<std::string, std::string> values_;

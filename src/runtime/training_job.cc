@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,60 +44,104 @@ SchedulerConfig SchedulerConfigFor(const JobConfig& config) {
   return SchedulerConfig::Vanilla();
 }
 
-// Builds and runs one training job. By default owns every simulation entity;
-// co-scheduled jobs (§7) instead share a simulator, a PS fabric and —
-// under the coordinated policy — the per-worker scheduler Cores. The
-// structure mirrors the paper's architecture: engines execute the model DAG,
-// plugins wrap communication ops into CommTasks, per-worker Cores schedule
-// them onto a shared backend.
+// The substrate the jobs of one run share: the simulator, the observability
+// context, the fault injector and the communication backend (PS shards or
+// the all-reduce ring), built from one job's config. A job run alone gets
+// its own Fabric; co-scheduled jobs (§7) share one.
+struct Fabric {
+  explicit Fabric(const JobConfig& config) {
+    if (config.trace != nullptr || config.metrics != nullptr) {
+      obs.emplace(config.trace, config.metrics);
+    }
+    if (config.chaos.has_value()) {
+      faults = std::make_unique<FaultInjector>(*config.chaos, &sim, config.trace);
+    }
+    const bool dynamic = config.dynamics.has_value() && config.dynamics->enabled();
+    if (config.setup.arch == ArchType::kPs) {
+      PsConfig ps_config;
+      ps_config.num_workers = config.num_machines;
+      ps_config.num_shards = config.num_machines;
+      ps_config.link_rate = config.bandwidth;
+      ps_config.transport = config.setup.transport;
+      ps_config.synchronous = !config.ps_async;
+      if (faults != nullptr) {
+        ps_config.faults = faults.get();
+        ps_config.push_ack_timeout = config.chaos->retry_timeout;
+        ps_config.retry_backoff = config.chaos->retry_backoff;
+        ps_config.max_push_retries = config.chaos->max_retries;
+      }
+      ps_config.obs = Obs();
+      ps_config.delayed_notify = config.delayed_notify;
+      if (dynamic) {
+        ps_config.dynamics = &*config.dynamics;
+      }
+      ps = std::make_unique<PsBackend>(&sim, ps_config);
+      backend = ps.get();
+    } else {
+      BSCHED_CHECK(!dynamic && "the dynamic-network fabric is wired for the PS architecture");
+      AllReduceConfig ar_config = AllReduceConfig::Nccl(config.total_gpus(), config.bandwidth,
+                                                        config.setup.transport);
+      if (config.mode == SchedMode::kVanilla) {
+        // Vanilla Horovod negotiates each tensor across workers in periodic
+        // cycles (default cycle_time ~5 ms); ByteScheduler's master-ordered
+        // Core removes that per-tensor negotiation (§5).
+        ar_config.nego_cycle = SimTime::Millis(5);
+      }
+      ar_config.faults = faults.get();
+      ar_config.obs = Obs();
+      ar = std::make_unique<AllReduceBackend>(&sim, ar_config);
+      backend = ar.get();
+    }
+  }
+
+  // Null when the job has neither a trace nor a metrics sink.
+  ObsContext* Obs() { return obs.has_value() ? &*obs : nullptr; }
+
+  Simulator sim;
+  // Flow bookkeeping is single-threaded, one context per simulator.
+  std::optional<ObsContext> obs;
+  std::unique_ptr<FaultInjector> faults;
+  std::unique_ptr<PsBackend> ps;
+  std::unique_ptr<AllReduceBackend> ar;
+  CommBackend* backend = nullptr;
+};
+
+// The scheduler Cores of `config`'s job on `fabric`: one per PS worker, or
+// the single master Core that decides the (global) all-reduce order.
+std::vector<std::unique_ptr<SchedulerCore>> MakeCores(const JobConfig& config,
+                                                      Fabric& fabric) {
+  SchedulerConfig sched = SchedulerConfigFor(config);
+  if (config.chaos.has_value()) {
+    // Arm the Cores' timeout/retry recovery with the plan's retry knobs.
+    sched.retry.timeout = config.chaos->retry_timeout;
+    sched.retry.backoff = config.chaos->retry_backoff;
+    sched.retry.max_retries = config.chaos->max_retries;
+  }
+  const int num_cores = (config.setup.arch == ArchType::kPs) ? config.num_machines : 1;
+  std::vector<std::unique_ptr<SchedulerCore>> cores;
+  for (int w = 0; w < num_cores; ++w) {
+    cores.push_back(std::make_unique<SchedulerCore>(sched, fabric.backend, w, &fabric.sim,
+                                                    fabric.faults.get(), fabric.Obs()));
+  }
+  return cores;
+}
+
+// One training job on a Fabric: engines execute the model DAG, plugins wrap
+// communication ops into CommTasks, and the Cores schedule them onto the
+// fabric's backend — the paper's architecture. Under coordinated
+// co-scheduling the Cores are shared with the other jobs.
 class TrainingJob {
  public:
-  // External infrastructure for co-scheduled jobs.
-  struct Shared {
-    Simulator* sim = nullptr;
-    PsBackend* ps = nullptr;
-    // Non-empty: shared per-worker Cores (coordinated co-scheduling).
-    std::vector<SchedulerCore*> cores;
-    // Disjoint tensor-id range base for this job.
-    int64_t tensor_offset = 0;
-  };
-
-  explicit TrainingJob(const JobConfig& config) : TrainingJob(config, Shared{}) {}
-
-  TrainingJob(const JobConfig& config, const Shared& shared)
-      : config_(config), shared_(shared) {
-    sim_ = shared_.sim != nullptr ? shared_.sim : &owned_sim_;
-    if ((config_.trace != nullptr || config_.metrics != nullptr) && shared_.sim == nullptr) {
-      // Observability is wired only for jobs owning their substrate; flow
-      // bookkeeping is single-threaded per simulator, and co-scheduled jobs
-      // would interleave flows unpredictably.
-      obs_storage_ = ObsContext(config_.trace, config_.metrics);
-      obs_ = &obs_storage_;
-    }
+  // `tensor_offset` is the base of this job's tensor-id range on the
+  // fabric's backend, disjoint from every other job's.
+  TrainingJob(const JobConfig& config, Fabric& fabric,
+              std::span<const std::unique_ptr<SchedulerCore>> cores, int64_t tensor_offset)
+      : config_(config), fabric_(fabric), cores_(cores), tensor_offset_(tensor_offset) {
     if (config_.timeseries != nullptr) {
       BSCHED_CHECK(config_.metrics != nullptr &&
                    "timeseries sampling reads metric handles; set JobConfig::metrics too");
-      BSCHED_CHECK(shared_.sim == nullptr &&
-                   "timeseries sampling is wired only for jobs owning their substrate");
       BSCHED_CHECK(config_.timeseries->registry() == config_.metrics &&
                    "the recorder must be registered against this job's metrics registry");
-    }
-    if (config_.chaos.has_value()) {
-      // Chaos owns its whole substrate: a shared fabric would splice one
-      // job's fault episodes into every co-scheduled job's timeline.
-      BSCHED_CHECK(shared_.sim == nullptr && shared_.ps == nullptr &&
-                   "chaos mode is unsupported with shared (co-scheduled) infrastructure");
-      faults_ = std::make_unique<FaultInjector>(*config_.chaos, sim_, config_.trace);
-    }
-    if (config_.dynamics.has_value() && config_.dynamics->enabled()) {
-      BSCHED_CHECK(config_.setup.arch == ArchType::kPs &&
-                   "the dynamic-network fabric is wired for the PS architecture");
-      BSCHED_CHECK(shared_.sim == nullptr && shared_.ps == nullptr &&
-                   "dynamic network is unsupported with shared (co-scheduled) infrastructure");
-    }
-    if (shared_.ps != nullptr) {
-      BSCHED_CHECK(config_.setup.arch == ArchType::kPs);
-      BSCHED_CHECK(shared_.ps->config().num_workers == config_.num_machines);
     }
     BSCHED_CHECK(config_.num_machines >= 1);
     BSCHED_CHECK(config_.warmup_iters >= 1);
@@ -115,17 +160,17 @@ class TrainingJob {
     // must all be simulated.
     sim_workers_ = (config_.setup.arch == ArchType::kPs) ? config_.num_machines : 1;
     iter_bp_end_.assign(total_iters_, SimTime());
+    slots_.resize(static_cast<size_t>(sim_workers_) * num_layers_);
   }
 
-  // Builds the substrate and launches the engines (events pending in sim).
+  // Wires the job onto the fabric and launches its engines (events pending
+  // in the simulator).
   void Prepare() {
-    BuildBackend();
-    BuildCores();
-    BuildWorkers();
-    for (auto& engine : dag_engines_) {
-      engine->Start();
+    if (fabric_.ps != nullptr && !config_.ps_async) {
+      ListenForAggregation();
     }
-    for (auto& engine : imp_engines_) {
+    BuildWorkers();
+    for (DagEngine* engine : engines_) {
       engine->Start();
     }
     SetupTimeSeries();
@@ -133,150 +178,68 @@ class TrainingJob {
 
   // After the simulator drained: validate liveness and collect results.
   JobResult Finish() {
-    if (getenv("BSCHED_DEBUG_DEADLOCK") != nullptr) {
-      for (auto& core : cores_) {
+    const bool stalled = std::any_of(engines_.begin(), engines_.end(),
+                                     [](const DagEngine* engine) { return !engine->AllDone(); });
+    if (stalled) {
+      for (const auto& core : cores_) {
         std::fprintf(stderr, "%s\n", core->DebugString().c_str());
       }
-      if (ps_ != nullptr) {
-        std::fprintf(stderr, "%s\n", ps_->DebugString().c_str());
+      if (fabric_.ps != nullptr) {
+        std::fprintf(stderr, "%s\n", fabric_.ps->DebugString().c_str());
       }
     }
-    for (auto& engine : dag_engines_) {
-      BSCHED_CHECK(engine->AllDone());
-    }
-    for (auto& engine : imp_engines_) {
-      BSCHED_CHECK(engine->AllDone());
-    }
+    BSCHED_CHECK(!stalled && "an engine stalled; the Core and PS state are dumped above");
     return Collect();
   }
 
-  JobResult Run() {
-    Prepare();
-    sim_->Run();
-    return Finish();
-  }
-
  private:
-  // ---- construction of the substrate -------------------------------------
+  // ---- construction --------------------------------------------------------
 
-  void BuildBackend() {
-    if (config_.setup.arch == ArchType::kPs) {
-      if (shared_.ps != nullptr) {
-        ps_ = shared_.ps;
-      } else {
-        PsConfig ps;
-        ps.num_workers = config_.num_machines;
-        ps.num_shards = config_.num_machines;
-        ps.link_rate = config_.bandwidth;
-        ps.transport = config_.setup.transport;
-        ps.synchronous = !config_.ps_async;
-        if (faults_ != nullptr) {
-          ps.faults = faults_.get();
-          ps.push_ack_timeout = config_.chaos->retry_timeout;
-          ps.retry_backoff = config_.chaos->retry_backoff;
-          ps.max_push_retries = config_.chaos->max_retries;
+  // Server-side notification: aggregated partitions release the
+  // corresponding pull partitions. ByteScheduler pipelines at partition
+  // granularity; vanilla frameworks issue the pull only once the whole
+  // tensor's push completed (tensor-level chaining, §2.2). Invoked once per
+  // worker.
+  void ListenForAggregation() {
+    const bool tensor_level = config_.mode == SchedMode::kVanilla;
+    fabric_.ps->AddAggregationListener([this, tensor_level](int64_t tensor_id, int partition,
+                                                            int w) {
+      const int64_t layer = tensor_id - tensor_offset_;
+      if (layer < 0 || layer >= num_layers_) {
+        return;  // another co-scheduled job's tensor
+      }
+      TensorSlot& slot = Slot(w, static_cast<int>(layer));
+      if (!tensor_level) {
+        if (slot.pull != kInvalidCommTask) {
+          cores_[w]->NotifyReadyPartition(slot.pull, partition);
         }
-        ps.obs = obs_;
-        ps.delayed_notify = config_.delayed_notify;
-        if (config_.dynamics.has_value() && config_.dynamics->enabled()) {
-          ps.dynamics = &*config_.dynamics;
-        }
-        owned_ps_ = std::make_unique<PsBackend>(sim_, ps);
-        ps_ = owned_ps_.get();
+        return;
       }
-      backend_ = ps_;
-      pull_task_ids_.assign(sim_workers_,
-                            std::vector<CommTaskId>(num_layers_, kInvalidCommTask));
-      agg_counts_.assign(sim_workers_, std::vector<int>(num_layers_, 0));
-      push_parts_.assign(sim_workers_, std::vector<int>(num_layers_, 0));
-      agg_done_cbs_.assign(sim_workers_, std::vector<std::function<void()>>(num_layers_));
-      if (!config_.ps_async) {
-        // Server-side notification: aggregated partitions release the
-        // corresponding pull partitions. ByteScheduler pipelines at partition
-        // granularity; vanilla frameworks issue the pull only once the whole
-        // tensor's push completed (tensor-level chaining, §2.2).
-        const bool tensor_level = config_.mode == SchedMode::kVanilla;
-        // Invoked once per worker.
-        ps_->AddAggregationListener([this, tensor_level](int64_t tensor_id, int partition,
-                                                         int w) {
-          const int64_t local = tensor_id - shared_.tensor_offset;
-          if (local < 0 || local >= num_layers_) {
-            return;  // another co-scheduled job's tensor
-          }
-          const int layer = static_cast<int>(local);
-          if (!tensor_level) {
-            const CommTaskId id = pull_task_ids_[w][layer];
-            if (id != kInvalidCommTask) {
-              cores_[w]->NotifyReadyPartition(id, partition);
-            }
-            return;
-          }
-          if (++agg_counts_[w][layer] < push_parts_[w][layer]) {
-            return;
-          }
-          agg_counts_[w][layer] = 0;
-          // Whole tensor aggregated. MXNet-style engines now issue the
-          // pull; barrier engines (TF) complete the send op — the pull
-          // happens at the start of the next step.
-          if (agg_done_cbs_[w][layer]) {
-            auto cb = std::move(agg_done_cbs_[w][layer]);
-            agg_done_cbs_[w][layer] = nullptr;
-            cb();
-          } else if (pull_task_ids_[w][layer] != kInvalidCommTask) {
-            cores_[w]->NotifyReady(pull_task_ids_[w][layer]);
-          }
-        });
+      if (++slot.aggregated < slot.push_parts) {
+        return;
       }
-    } else {
-      AllReduceConfig ar = AllReduceConfig::Nccl(config_.total_gpus(), config_.bandwidth,
-                                                 config_.setup.transport);
-      if (config_.mode == SchedMode::kVanilla) {
-        // Vanilla Horovod negotiates each tensor across workers in periodic
-        // cycles (default cycle_time ~5 ms); ByteScheduler's master-ordered
-        // Core removes that per-tensor negotiation (§5).
-        ar.nego_cycle = SimTime::Millis(5);
+      slot.aggregated = 0;
+      // Whole tensor aggregated. MXNet-style engines now issue the pull;
+      // barrier engines (TF) complete the send op — the pull happens at the
+      // start of the next step.
+      if (slot.on_aggregated) {
+        std::exchange(slot.on_aggregated, nullptr)();
+      } else if (slot.pull != kInvalidCommTask) {
+        cores_[w]->NotifyReady(slot.pull);
       }
-      if (faults_ != nullptr) {
-        ar.faults = faults_.get();
-      }
-      ar.obs = obs_;
-      ar_ = std::make_unique<AllReduceBackend>(sim_, ar);
-      backend_ = ar_.get();
-    }
-  }
-
-  void BuildCores() {
-    if (!shared_.cores.empty()) {
-      // Coordinated co-scheduling: every job's tensors flow through the same
-      // per-worker Cores, competing by (job-local) layer priority.
-      BSCHED_CHECK(static_cast<int>(shared_.cores.size()) == sim_workers_);
-      cores_ = shared_.cores;
-      return;
-    }
-    SchedulerConfig sched = SchedulerConfigFor(config_);
-    if (faults_ != nullptr) {
-      // Arm the Cores' timeout/retry recovery with the plan's retry knobs.
-      sched.retry.timeout = config_.chaos->retry_timeout;
-      sched.retry.backoff = config_.chaos->retry_backoff;
-      sched.retry.max_retries = config_.chaos->max_retries;
-    }
-    // All-reduce: a single master Core decides the (global) operation order.
-    const int num_cores = (config_.setup.arch == ArchType::kPs) ? sim_workers_ : 1;
-    for (int w = 0; w < num_cores; ++w) {
-      owned_cores_.push_back(
-          std::make_unique<SchedulerCore>(sched, backend_, w, sim_, faults_.get(), obs_));
-      cores_.push_back(owned_cores_.back().get());
-    }
+    });
   }
 
   void BuildWorkers() {
     for (int w = 0; w < sim_workers_; ++w) {
-      gpus_.push_back(std::make_unique<Resource>(sim_, "gpu" + std::to_string(w)));
+      gpus_.push_back(std::make_unique<Resource>(&fabric_.sim, "gpu" + std::to_string(w)));
       if (IsImperative(config_.setup.framework)) {
-        imp_engines_.push_back(std::make_unique<ImperativeEngine>(sim_));
+        imp_engines_.push_back(std::make_unique<ImperativeEngine>(&fabric_.sim));
+        engines_.push_back(&imp_engines_.back()->dag());
         BuildImperativeWorker(w);
       } else {
-        dag_engines_.push_back(std::make_unique<DagEngine>(sim_));
+        dag_engines_.push_back(std::make_unique<DagEngine>(&fabric_.sim));
+        engines_.push_back(dag_engines_.back().get());
         BuildDeclarativeWorker(w);
       }
     }
@@ -291,16 +254,10 @@ class TrainingJob {
     }
     TimeSeriesRecorder& rec = *config_.timeseries;
     for (int w = 0; w < sim_workers_; ++w) {
-      std::function<bool()> active;
-      if (!dag_engines_.empty()) {
-        const DagEngine* engine = dag_engines_[w].get();
-        active = [engine] { return !engine->AllDone(); };
-      } else {
-        const ImperativeEngine* engine = imp_engines_[w].get();
-        active = [engine] { return !engine->AllDone(); };
-      }
+      const DagEngine* engine = engines_[w];
       const std::string ws = std::to_string(w);
-      const int scope = rec.AddScope("w" + ws, sim_, std::move(active));
+      const int scope =
+          rec.AddScope("w" + ws, &fabric_.sim, [engine] { return !engine->AllDone(); });
       rec.SampleCounter(scope, "net.worker" + ws + ".up.bytes");
       rec.SampleCounter(scope, "net.worker" + ws + ".down.bytes");
       rec.SampleGauge(scope, "net.worker" + ws + ".up.inflight_bytes");
@@ -311,13 +268,13 @@ class TrainingJob {
       const Resource* gpu = gpus_[w].get();
       rec.SampleProbe(scope, "gpu.w" + ws + ".busy_ns",
                       [gpu] { return gpu->busy_time().nanos(); });
-      if (config_.dynamics.has_value() && config_.dynamics->enabled() && ps_ != nullptr) {
+      if (config_.dynamics.has_value() && config_.dynamics->enabled()) {
         // Per-link effective-rate gauges: the schedule scale times the AIMD
         // controller scale, read at tick time from the worker's own links.
         // Registered only when dynamics is enabled, so disabled-mode CSVs
         // stay byte-identical to pre-dynamics goldens.
-        const Link* up = &ps_->worker_uplink(w);
-        const Link* down = &ps_->worker_downlink(w);
+        const Link* up = &fabric_.ps->worker_uplink(w);
+        const Link* down = &fabric_.ps->worker_downlink(w);
         rec.SampleProbe(scope, "net.worker" + ws + ".up.rate_bps",
                         [up] { return static_cast<int64_t>(up->CurrentRateBps()); });
         rec.SampleProbe(scope, "net.worker" + ws + ".down.rate_bps",
@@ -336,20 +293,20 @@ class TrainingJob {
     Resource* gpu = gpus_[worker].get();
     return [this, gpu, worker, duration, name = std::move(name),
             bp_end_iter](DagEngine::Done done) {
-      const SimTime queued_at = sim_->Now();
+      const SimTime queued_at = fabric_.sim.Now();
       SimTime effective = duration;
-      if (faults_ != nullptr) {
+      if (fabric_.faults != nullptr) {
         // Straggler episode: this worker's kernels run slower for a while.
-        effective = faults_->ScaleCompute(worker, effective);
+        effective = fabric_.faults->ScaleCompute(worker, effective);
       }
       gpu->Submit(effective, [this, worker, queued_at, name, bp_end_iter,
                              done = std::move(done)] {
         if (bp_end_iter >= 0) {
-          iter_bp_end_[bp_end_iter] = std::max(iter_bp_end_[bp_end_iter], sim_->Now());
+          iter_bp_end_[bp_end_iter] = std::max(iter_bp_end_[bp_end_iter], fabric_.sim.Now());
         }
         if (config_.trace != nullptr) {
           config_.trace->AddSpan("worker" + std::to_string(worker) + "/gpu", name, queued_at,
-                                 sim_->Now());
+                                 fabric_.sim.Now());
         }
         done();
       });
@@ -366,30 +323,12 @@ class TrainingJob {
   // `on_done` fires when the pull completes.
   void StartPsTensor(int worker, int layer, std::function<void()> on_done) {
     SchedulerCore& core = *cores_[worker];
-    const Bytes bytes = config_.model.layers[layer].param_bytes;
+    TensorSlot& slot = Slot(worker, layer);
+    const CommTaskId pull_id =
+        core.Enqueue(Desc(worker, layer, CommOpType::kPull, std::move(on_done)));
+    slot.pull = pull_id;
 
-    const Bytes partition_override = PartitionOverride(layer);
-
-    CommTaskDesc pull;
-    pull.worker = worker;
-    pull.layer = layer;
-    pull.tensor_bytes = bytes;
-    pull.type = CommOpType::kPull;
-    pull.name = config_.model.layers[layer].name + ".pull";
-    pull.tensor_id = shared_.tensor_offset + layer;
-    pull.partition_bytes_override = partition_override;
-    pull.on_finish = std::move(on_done);
-    const CommTaskId pull_id = core.Enqueue(std::move(pull));
-    pull_task_ids_[worker][layer] = pull_id;
-
-    CommTaskDesc push;
-    push.worker = worker;
-    push.layer = layer;
-    push.tensor_bytes = bytes;
-    push.type = CommOpType::kPush;
-    push.name = config_.model.layers[layer].name + ".push";
-    push.tensor_id = shared_.tensor_offset + layer;
-    push.partition_bytes_override = partition_override;
+    CommTaskDesc push = Desc(worker, layer, CommOpType::kPush, nullptr);
     if (config_.ps_async) {
       if (config_.mode == SchedMode::kVanilla) {
         // Vanilla engines chain pull after the *whole* push (the paper's 50%
@@ -402,8 +341,25 @@ class TrainingJob {
       }
     }
     const CommTaskId push_id = core.Enqueue(std::move(push));
-    push_parts_[worker][layer] = core.NumPartitions(push_id);
+    slot.push_parts = core.NumPartitions(push_id);
     core.NotifyReady(push_id);
+  }
+
+  // The CommTask of one tensor's `type` operation, scheduled by `worker`'s
+  // Core; `on_finish` fires when all its partitions completed.
+  CommTaskDesc Desc(int worker, int layer, CommOpType type,
+                    std::function<void()> on_finish) const {
+    const Layer& l = config_.model.layers[layer];
+    CommTaskDesc desc;
+    desc.worker = worker;
+    desc.layer = layer;
+    desc.tensor_bytes = l.param_bytes;
+    desc.type = type;
+    desc.name = l.name + "." + ToString(type);
+    desc.tensor_id = tensor_offset_ + layer;
+    desc.partition_bytes_override = PartitionOverride(layer);
+    desc.on_finish = std::move(on_finish);
+    return desc;
   }
 
   // Per-task partition override. Vanilla ps-lite splits tensors above its
@@ -436,38 +392,21 @@ class TrainingJob {
   // overlap — a key reason scheduling gains most on barrier frameworks).
   void StartPsPush(int worker, int layer, std::function<void()> on_done) {
     SchedulerCore& core = *cores_[worker];
-    CommTaskDesc push;
-    push.worker = worker;
-    push.layer = layer;
-    push.tensor_bytes = config_.model.layers[layer].param_bytes;
-    push.type = CommOpType::kPush;
-    push.name = config_.model.layers[layer].name + ".push";
-    push.tensor_id = shared_.tensor_offset + layer;
-    push.partition_bytes_override = PartitionOverride(layer);
-    if (config_.ps_async) {
-      push.on_finish = std::move(on_done);
-    } else {
-      agg_done_cbs_[worker][layer] = std::move(on_done);
+    TensorSlot& slot = Slot(worker, layer);
+    if (!config_.ps_async) {
+      // The send op completes once the whole tensor is aggregated.
+      slot.on_aggregated = std::exchange(on_done, nullptr);
     }
-    const CommTaskId push_id = core.Enqueue(std::move(push));
-    push_parts_[worker][layer] = core.NumPartitions(push_id);
+    const CommTaskId push_id =
+        core.Enqueue(Desc(worker, layer, CommOpType::kPush, std::move(on_done)));
+    slot.push_parts = core.NumPartitions(push_id);
     core.NotifyReady(push_id);
   }
 
   void StartPsPull(int worker, int layer, std::function<void()> on_done) {
     SchedulerCore& core = *cores_[worker];
-    CommTaskDesc pull;
-    pull.worker = worker;
-    pull.layer = layer;
-    pull.tensor_bytes = config_.model.layers[layer].param_bytes;
-    pull.type = CommOpType::kPull;
-    pull.name = config_.model.layers[layer].name + ".pull";
-    pull.tensor_id = shared_.tensor_offset + layer;
-    pull.partition_bytes_override = PartitionOverride(layer);
-    pull.on_finish = std::move(on_done);
-    const CommTaskId pull_id = core.Enqueue(std::move(pull));
     // The step barrier has passed, so aggregation is already complete.
-    core.NotifyReady(pull_id);
+    core.NotifyReady(core.Enqueue(Desc(worker, layer, CommOpType::kPull, std::move(on_done))));
   }
 
   // Starts (or joins) the all-reduce for one tensor. With multiple machines
@@ -475,27 +414,18 @@ class TrainingJob {
   // ring pass completes.
   void StartAllReduceTensor(int layer, std::function<void()> on_done) {
     SchedulerCore& core = *cores_[0];
-    CommTaskDesc task;
-    task.worker = 0;
-    task.layer = layer;
-    task.tensor_bytes = config_.model.layers[layer].param_bytes;
-    task.type = CommOpType::kAllReduce;
-    task.name = config_.model.layers[layer].name + ".allreduce";
-    task.partition_bytes_override = PartitionOverride(layer);
-    task.on_finish = std::move(on_done);
-    const CommTaskId id = core.Enqueue(std::move(task));
-    core.NotifyReady(id);
+    core.NotifyReady(core.Enqueue(Desc(0, layer, CommOpType::kAllReduce, std::move(on_done))));
   }
 
   void StartCommTensor(int worker, int layer, std::function<void()> on_done) {
     if (config_.trace != nullptr) {
-      const SimTime start = sim_->Now();
+      const SimTime start = fabric_.sim.Now();
       const std::string track = "worker" + std::to_string(worker) + "/comm";
       const std::string name =
           config_.model.layers[layer].name +
           (config_.setup.arch == ArchType::kPs ? ".push+pull" : ".allreduce");
       on_done = [this, start, track, name, inner = std::move(on_done)] {
-        config_.trace->AddSpan(track, name, start, sim_->Now());
+        config_.trace->AddSpan(track, name, start, fabric_.sim.Now());
         inner();
       };
     }
@@ -509,7 +439,7 @@ class TrainingJob {
   // ---- declarative frameworks (MXNet, TensorFlow) -------------------------
 
   void BuildDeclarativeWorker(int worker) {
-    DagEngine& dag = *dag_engines_[worker];
+    DagEngine& dag = *engines_[worker];
     const bool barrier = HasGlobalBarrier(config_.setup.framework);
     const bool scheduled = config_.mode != SchedMode::kVanilla;
     const ModelProfile& model = config_.model;
@@ -724,16 +654,14 @@ class TrainingJob {
 
   JobResult Collect() {
     JobResult result;
-    result.sim_events = sim_->processed_events();
+    result.sim_events = fabric_.sim.processed_events();
     for (const auto& core : cores_) {
       result.subtasks_started += core->subtasks_started();
+      result.subtasks_abandoned += core->subtasks_abandoned();
     }
     result.iter_end_times = iter_bp_end_;
-    if (faults_ != nullptr) {
-      result.fault_stats = faults_->stats();
-    }
-    for (const auto& core : cores_) {
-      result.subtasks_abandoned += core->subtasks_abandoned();
+    if (fabric_.faults != nullptr) {
+      result.fault_stats = fabric_.faults->stats();
     }
     const SimTime start = iter_bp_end_[config_.warmup_iters - 1];
     const SimTime end = iter_bp_end_[total_iters_ - 1];
@@ -743,11 +671,11 @@ class TrainingJob {
     const double samples_per_iter =
         static_cast<double>(config_.total_gpus()) * config_.model.batch_per_gpu;
     result.samples_per_sec = samples_per_iter / result.avg_iter_time.ToSeconds();
-    if (ps_ != nullptr) {
-      result.shard_load_imbalance = ps_->ShardLoadImbalance();
-      result.rate_ctrl_decreases = ps_->rate_ctrl_decreases();
-      result.rate_ctrl_increases = ps_->rate_ctrl_increases();
-      result.link_repaces = ps_->link_repaces();
+    if (const PsBackend* ps = fabric_.ps.get()) {
+      result.shard_load_imbalance = ps->ShardLoadImbalance();
+      result.rate_ctrl_decreases = ps->rate_ctrl_decreases();
+      result.rate_ctrl_increases = ps->rate_ctrl_increases();
+      result.link_repaces = ps->link_repaces();
     }
     ExportMetrics(result);
     return result;
@@ -756,23 +684,24 @@ class TrainingJob {
   // End-of-run subsystem totals into the metrics registry (on top of the
   // hot-path histograms/counters recorded while the simulation ran).
   void ExportMetrics(const JobResult& result) {
-    if (obs_ == nullptr || config_.metrics == nullptr) {
+    if (config_.metrics == nullptr) {
       return;
     }
     MetricsRegistry& reg = *config_.metrics;
     for (const auto& core : cores_) {
       core->ExportMetrics();
     }
-    if (ps_ != nullptr) {
-      ps_->ExportMetrics();
+    if (fabric_.ps != nullptr) {
+      fabric_.ps->ExportMetrics();
     }
-    if (ar_ != nullptr) {
-      ar_->ExportMetrics();
+    if (fabric_.ar != nullptr) {
+      fabric_.ar->ExportMetrics();
     }
-    reg.gauge("sim.processed_events")->Set(static_cast<int64_t>(sim_->processed_events()));
-    reg.gauge("sim.allocated_slots")->Set(static_cast<int64_t>(sim_->AllocatedSlots()));
-    reg.gauge("sim.skipped_cancelled")->Set(static_cast<int64_t>(sim_->skipped_cancelled()));
-    reg.gauge("sim.compactions")->Set(static_cast<int64_t>(sim_->compactions()));
+    const Simulator& sim = fabric_.sim;
+    reg.gauge("sim.processed_events")->Set(static_cast<int64_t>(sim.processed_events()));
+    reg.gauge("sim.allocated_slots")->Set(static_cast<int64_t>(sim.AllocatedSlots()));
+    reg.gauge("sim.skipped_cancelled")->Set(static_cast<int64_t>(sim.skipped_cancelled()));
+    reg.gauge("sim.compactions")->Set(static_cast<int64_t>(sim.compactions()));
     for (size_t w = 0; w < gpus_.size(); ++w) {
       reg.gauge("gpu.w" + std::to_string(w) + ".busy_ns")
           ->Set(gpus_[w]->busy_time().nanos());
@@ -788,101 +717,103 @@ class TrainingJob {
     reg.counter("fault.delays_injected")->Inc(result.fault_stats.delays_injected);
   }
 
-  JobConfig config_;
-  Shared shared_;
+  // PS state of one (worker, layer) tensor.
+  struct TensorSlot {
+    // Latest pull task; target of the aggregation listener in synchronous
+    // mode.
+    CommTaskId pull = kInvalidCommTask;
+    // Partition count of the current push task, and how many of them have
+    // aggregated (tensor-level vanilla pull chaining).
+    int push_parts = 0;
+    int aggregated = 0;
+    // TF-vanilla: completion of the in-engine send op, fired when the whole
+    // tensor is aggregated on its shard.
+    std::function<void()> on_aggregated;
+  };
+
+  TensorSlot& Slot(int worker, int layer) { return slots_[worker * num_layers_ + layer]; }
+
+  const JobConfig& config_;
+  Fabric& fabric_;
+  std::span<const std::unique_ptr<SchedulerCore>> cores_;
+  int64_t tensor_offset_ = 0;
   int num_layers_ = 0;
   int total_iters_ = 0;
   int sim_workers_ = 0;
 
-  Simulator owned_sim_;
-  Simulator* sim_ = nullptr;
-  // Observability sinks (flow bookkeeping + metrics handles); set only for
-  // jobs owning their substrate, see the ctor.
-  ObsContext obs_storage_;
-  ObsContext* obs_ = nullptr;
-  std::unique_ptr<FaultInjector> faults_;
-  std::unique_ptr<PsBackend> owned_ps_;
-  PsBackend* ps_ = nullptr;
-  std::unique_ptr<AllReduceBackend> ar_;
-  CommBackend* backend_ = nullptr;
-  std::vector<std::unique_ptr<SchedulerCore>> owned_cores_;
-  std::vector<SchedulerCore*> cores_;
   std::vector<std::unique_ptr<Resource>> gpus_;
+  // Per-worker engine DAG; the engines themselves live in one of the two
+  // owners below, by framework kind.
+  std::vector<DagEngine*> engines_;
   std::vector<std::unique_ptr<DagEngine>> dag_engines_;
   std::vector<std::unique_ptr<ImperativeEngine>> imp_engines_;
   std::vector<std::unique_ptr<DependencyProxy>> proxies_;
   // BP-finish stamp per iteration: the slowest worker's.
   std::vector<SimTime> iter_bp_end_;
-  // Latest pull CommTask per (worker, layer); targets of the aggregation
-  // listener in synchronous PS mode.
-  std::vector<std::vector<CommTaskId>> pull_task_ids_;
-  // Aggregated-partition counters for tensor-level (vanilla) pull chaining.
-  std::vector<std::vector<int>> agg_counts_;
-  // Partition count of the current push task per (worker, layer).
-  std::vector<std::vector<int>> push_parts_;
-  // TF-vanilla: completion callbacks of in-engine send ops, fired when the
-  // whole tensor is aggregated on its shard.
-  std::vector<std::vector<std::function<void()>>> agg_done_cbs_;
+  // [worker * num_layers_ + layer]; PS jobs only.
+  std::vector<TensorSlot> slots_;
 };
+
+// The one runner: builds the Fabric from the first job, gives each job its
+// Cores (its own under kIndependent, one shared set under kCoordinated) and
+// a disjoint tensor-id range, runs the simulation and collects every job.
+std::vector<JobResult> RunOnFabric(std::span<const JobConfig> configs,
+                                   CoschedulePolicy policy) {
+  Fabric fabric(configs.front());
+  std::vector<std::vector<std::unique_ptr<SchedulerCore>>> cores;
+  cores.reserve(configs.size());
+  if (policy == CoschedulePolicy::kCoordinated) {
+    cores.push_back(MakeCores(configs.front(), fabric));
+  }
+  // Disjoint tensor-id ranges keep the jobs' PS aggregation slots and shard
+  // assignment apart on the shared backend.
+  constexpr int64_t kTensorStride = 1 << 20;
+  std::vector<std::unique_ptr<TrainingJob>> jobs;
+  jobs.reserve(configs.size());
+  for (size_t j = 0; j < configs.size(); ++j) {
+    if (policy == CoschedulePolicy::kIndependent) {
+      cores.push_back(MakeCores(configs[j], fabric));
+    }
+    jobs.push_back(std::make_unique<TrainingJob>(configs[j], fabric, cores.back(),
+                                                 static_cast<int64_t>(j) * kTensorStride));
+    jobs.back()->Prepare();
+  }
+  fabric.sim.Run();
+  std::vector<JobResult> results;
+  results.reserve(jobs.size());
+  for (auto& job : jobs) {
+    results.push_back(job->Finish());
+  }
+  return results;
+}
 
 }  // namespace
 
-JobResult RunTrainingJob(const JobConfig& config) { return TrainingJob(config).Run(); }
+JobResult RunTrainingJob(const JobConfig& config) {
+  return RunOnFabric({&config, 1}, CoschedulePolicy::kIndependent).front();
+}
 
 std::vector<JobResult> RunCoscheduledPsJobs(const std::vector<JobConfig>& jobs,
                                             CoschedulePolicy policy) {
   BSCHED_CHECK(!jobs.empty());
+  // The shared Fabric is built from the first job, so every job must agree
+  // with it, and none may ask for what it would ignore.
   const JobConfig& first = jobs.front();
   for (const JobConfig& job : jobs) {
     BSCHED_CHECK(job.setup.arch == ArchType::kPs);
     BSCHED_CHECK(job.num_machines == first.num_machines);
     BSCHED_CHECK(job.bandwidth == first.bandwidth);
+    BSCHED_CHECK(job.setup.transport.name == first.setup.transport.name);
     BSCHED_CHECK(job.ps_async == first.ps_async);
+    BSCHED_CHECK(job.delayed_notify == first.delayed_notify);
     BSCHED_CHECK(!job.chaos.has_value() && "chaos mode is unsupported for co-scheduled jobs");
     BSCHED_CHECK((!job.dynamics.has_value() || !job.dynamics->enabled()) &&
                  "dynamic network is unsupported for co-scheduled jobs");
+    // One flow bookkeeping and one set of metric names per fabric.
+    BSCHED_CHECK(job.trace == nullptr && job.metrics == nullptr && job.timeseries == nullptr &&
+                 "trace, metrics and timeseries are unsupported for co-scheduled jobs");
   }
-
-  Simulator sim;
-  PsConfig ps_config;
-  ps_config.num_workers = first.num_machines;
-  ps_config.num_shards = first.num_machines;
-  ps_config.link_rate = first.bandwidth;
-  ps_config.transport = first.setup.transport;
-  ps_config.synchronous = !first.ps_async;
-  PsBackend ps(&sim, ps_config);
-
-  std::vector<std::unique_ptr<SchedulerCore>> shared_cores;
-  std::vector<SchedulerCore*> shared_core_ptrs;
-  if (policy == CoschedulePolicy::kCoordinated) {
-    const SchedulerConfig sched = SchedulerConfigFor(first);
-    for (int w = 0; w < first.num_machines; ++w) {
-      shared_cores.push_back(std::make_unique<SchedulerCore>(sched, &ps, w));
-      shared_core_ptrs.push_back(shared_cores.back().get());
-    }
-  }
-
-  // Disjoint tensor-id ranges keep each job's aggregation slots and shard
-  // assignment independent even on the shared backend.
-  constexpr int64_t kTensorStride = 1 << 20;
-  std::vector<std::unique_ptr<TrainingJob>> running;
-  running.reserve(jobs.size());
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    TrainingJob::Shared shared;
-    shared.sim = &sim;
-    shared.ps = &ps;
-    shared.cores = shared_core_ptrs;
-    shared.tensor_offset = static_cast<int64_t>(j) * kTensorStride;
-    running.push_back(std::make_unique<TrainingJob>(jobs[j], shared));
-    running.back()->Prepare();
-  }
-  sim.Run();
-  std::vector<JobResult> results;
-  results.reserve(jobs.size());
-  for (auto& job : running) {
-    results.push_back(job->Finish());
-  }
-  return results;
+  return RunOnFabric(jobs, policy);
 }
 
 double LinearScalingSpeed(const ModelProfile& model, int total_gpus) {

@@ -60,8 +60,7 @@ struct JobConfig {
   // slowdowns, recovered by subtask timeout/retry in the Cores and push
   // retransmission in the PS backend. Unset (the default) leaves every fault
   // hook disarmed — the simulation is event-for-event identical to a build
-  // without the fault fabric. Not supported for co-scheduled jobs sharing
-  // infrastructure.
+  // without the fault fabric. Not supported for co-scheduled jobs.
   std::optional<FaultPlanConfig> chaos;
 
   // Dynamic-network fabric (PS architecture only): seeded random-walk
@@ -74,12 +73,12 @@ struct JobConfig {
   // for co-scheduled jobs.
   std::optional<NetDynamicsConfig> dynamics;
 
-  // PS jobs owning their backend: the shard's push-ack cancel and each
-  // worker's aggregation notification arrive control_latency later, as
-  // their own events, instead of as synchronous calls
-  // (PsConfig::delayed_notify). Speeds stay within a few percent of the
-  // default; fig15_volatility sets it because its recorded rows were
-  // produced this way.
+  // PS jobs: the shard's push-ack cancel and each worker's aggregation
+  // notification arrive control_latency later, as their own events, instead
+  // of as synchronous calls (the PS backend's delayed_notify). Speeds stay
+  // within a few percent of the default; fig15_volatility sets it because
+  // its recorded rows were produced this way. Co-scheduled jobs must agree
+  // on it.
   bool delayed_notify = false;
 
   int warmup_iters = 2;
@@ -94,14 +93,14 @@ struct JobConfig {
   // histograms, link byte/queueing metrics, end-of-run subsystem totals);
   // must outlive RunTrainingJob. Null disables metrics. Give each job its
   // own registry when comparing runs — names are not namespaced per job.
-  // Ignored (like `trace`) for co-scheduled jobs on shared infrastructure.
+  // Must be null (like `trace` and `timeseries`) for co-scheduled jobs.
   MetricsRegistry* metrics = nullptr;
 
   // Optional sim-time sampling sink (src/obs/timeseries.h): one scope per
   // worker samples that worker's scheduler, NIC-link and GPU signals on the
   // recorder's cadence, driven by ordinary simulator timer events. Requires
   // `metrics` (the recorder reads the same registry handles the subsystems
-  // write) and a job owning its substrate; must be un-started and outlive
+  // write) and a job run alone; must be un-started and outlive
   // RunTrainingJob. Null disables sampling with zero cost (bit-identical
   // simulation); an enabled recorder adds tick events but never perturbs
   // iteration timing.
@@ -165,9 +164,12 @@ enum class CoschedulePolicy {
 };
 
 // Runs the jobs to completion on one shared cluster and reports per-job
-// results. All jobs must be PS-architecture with the same machine count,
-// bandwidth and transport; the shared Cores (coordinated policy) take their
-// scheduler knobs from the first job.
+// results. The cluster is built from the first job, exactly as
+// RunTrainingJob builds a job's own, so all jobs must be PS-architecture with
+// the same machine count, bandwidth, transport, ps_async and delayed_notify,
+// and none may set chaos, dynamics, trace, metrics or timeseries (each is a
+// CHECK failure). The shared Cores (coordinated policy) take their scheduler
+// knobs from the first job.
 std::vector<JobResult> RunCoscheduledPsJobs(const std::vector<JobConfig>& jobs,
                                             CoschedulePolicy policy);
 TunedParams DefaultTunedParams(const ModelProfile& model, ArchType arch,

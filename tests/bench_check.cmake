@@ -1,9 +1,11 @@
 # Runs one evaluation binary and checks it; the ctest labels golden and
 # flags call it in one of two modes:
-#   cmake -DBIN=<binary> -DGOLDEN=<file> -DACTUAL=<file> [-DUPDATE=ON]
+#   cmake -DBIN=<binary> -DGOLDEN=<file> -DACTUAL=<file> [-DCSV=ON] [-DUPDATE=ON]
 #         -P bench_check.cmake
 #     runs BIN --jobs 4, writes its stdout to ACTUAL and requires it to equal
-#     GOLDEN byte for byte (UPDATE=ON copies ACTUAL over GOLDEN instead);
+#     GOLDEN byte for byte (UPDATE=ON copies ACTUAL over GOLDEN instead); with
+#     CSV=ON the binary writes ACTUAL itself through --csv ACTUAL and its
+#     stdout is dropped;
 #   cmake -DBIN=<binary> -DARGS=<arg;arg> -DEXPECT_EXIT=<n> -P bench_check.cmake
 #     runs BIN ARGS and requires exit status n.
 if(DEFINED EXPECT_EXIT)
@@ -15,9 +17,17 @@ if(DEFINED EXPECT_EXIT)
   return()
 endif()
 
-execute_process(COMMAND ${BIN} --jobs 4 OUTPUT_FILE ${ACTUAL} RESULT_VARIABLE rc)
+if(CSV)
+  file(REMOVE ${ACTUAL})
+  set(cmd ${BIN} --jobs 4 --csv ${ACTUAL})
+  execute_process(COMMAND ${cmd} OUTPUT_QUIET RESULT_VARIABLE rc)
+else()
+  set(cmd ${BIN} --jobs 4)
+  execute_process(COMMAND ${cmd} OUTPUT_FILE ${ACTUAL} RESULT_VARIABLE rc)
+endif()
+list(JOIN cmd " " cmd_text)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "${BIN} --jobs 4: exit status ${rc}")
+  message(FATAL_ERROR "${cmd_text}: exit status ${rc}")
 endif()
 if(UPDATE)
   configure_file(${ACTUAL} ${GOLDEN} COPYONLY)
@@ -26,5 +36,5 @@ endif()
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${ACTUAL} ${GOLDEN}
                 RESULT_VARIABLE differs)
 if(differs)
-  message(FATAL_ERROR "stdout of ${BIN} --jobs 4 (${ACTUAL}) differs from ${GOLDEN}")
+  message(FATAL_ERROR "output of ${cmd_text} (${ACTUAL}) differs from ${GOLDEN}")
 endif()

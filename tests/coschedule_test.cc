@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "src/model/zoo.h"
+#include "src/obs/metrics.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/training_job.h"
 
@@ -31,7 +32,20 @@ TEST(CoscheduleTest, SingleJobMatchesStandaloneRun) {
   const std::vector<JobResult> co =
       RunCoscheduledPsJobs({job}, CoschedulePolicy::kIndependent);
   ASSERT_EQ(co.size(), 1u);
-  EXPECT_EQ(co[0].avg_iter_time, alone.avg_iter_time);
+  EXPECT_EQ(co[0].sim_events, alone.sim_events);
+  EXPECT_EQ(co[0].subtasks_started, alone.subtasks_started);
+  EXPECT_EQ(co[0].iter_end_times, alone.iter_end_times);
+}
+
+TEST(CoscheduleTest, RejectsMetricsOnAnyJob) {
+  // The shared fabric takes its observability sinks from the first job only,
+  // so a sink on another job would be silently dropped.
+  MetricsRegistry metrics;
+  JobConfig second = PsJob(ResNet50(), 2);
+  second.metrics = &metrics;
+  EXPECT_DEATH(RunCoscheduledPsJobs({PsJob(Vgg16(), 2), second},
+                                    CoschedulePolicy::kIndependent),
+               "trace, metrics and timeseries are unsupported for co-scheduled jobs");
 }
 
 TEST(CoscheduleTest, SharingSlowsBothJobs) {
