@@ -55,11 +55,10 @@ NetDynamicsConfig Fabric(uint64_t seed, double amplitude) {
   dyn.seed = seed;
   dyn.volatility_amplitude = amplitude;
   dyn.volatility_period = SimTime::Millis(2);
-  // CASSINI-style on/off background flows ride along at every amplitude so
-  // amplitude 0 still exercises the dynamic path (identity drift only).
+  // CASSINI-style on/off background flows ride along at every nonzero
+  // amplitude; amplitude 0 is the calm fabric (identity schedules).
   dyn.cross_flows = amplitude > 0.0 ? 2 : 0;
   dyn.cross_load = 0.35 * amplitude;
-  dyn.force_enable = true;
   return dyn;
 }
 

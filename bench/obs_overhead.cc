@@ -28,11 +28,7 @@
 //        --tolerance F     allowed slowdown vs baseline (default 0.03)
 //        --sampling-tolerance F  allowed sampling-enabled slowdown vs the
 //                          same baseline (default 0.05)
-//        --idle-tolerance F  allowed link-churn slowdown of the
-//                          enabled-but-idle RateModel path vs the static
-//                          link path measured in the same process (default
-//                          0.03 — the dynamic fabric's zero-cost gate,
-//                          mirroring micro_sim's --max-idle-regression)
+// Any other flag is rejected with exit status 2.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -42,7 +38,6 @@
 #include <string>
 
 #include "bench/churn.h"
-#include "bench/link_churn.h"
 #include "src/common/flags.h"
 #include "src/common/trace.h"
 #include "src/model/zoo.h"
@@ -163,13 +158,16 @@ int main(int argc, char** argv) {
   using namespace bsched;
 
   const Flags flags(argc, argv);
+  if (!flags.CheckNames(argv[0], {"rounds", "churn-events", "out", "baseline", "tolerance",
+                                  "sampling-tolerance"})) {
+    return 2;
+  }
   const int rounds = static_cast<int>(flags.GetInt("rounds", 3));
   const int churn_events = static_cast<int>(flags.GetInt("churn-events", 300000));
   const std::string out_path = flags.GetString("out", "BENCH_obs.json");
   const std::string baseline_path = flags.GetString("baseline", "BENCH_sim.json");
   const double tolerance = flags.GetDouble("tolerance", 0.03);
   const double sampling_tolerance = flags.GetDouble("sampling-tolerance", 0.05);
-  const double idle_tolerance = flags.GetDouble("idle-tolerance", 0.03);
 
   std::printf("obs_overhead: instrumentation cost (rounds=%d)\n", rounds);
 
@@ -227,32 +225,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(sampling_ticks), baseline_path.c_str());
   }
 
-  // 2b. Enabled-but-idle dynamic-network path: the integrating Link transmit
-  //     path with an identity RateModel installed must track the static link
-  //     path (same-process ratio, so the tight default holds even where the
-  //     cross-process gates above need widening).
-  const int link_msgs = static_cast<int>(flags.GetInt("link-msgs", 200000));
-  const bench::LinkChurnResult link_static =
-      bench::MeasureLinkChurn(false, link_msgs, rounds);
-  const bench::LinkChurnResult link_idle = bench::MeasureLinkChurn(true, link_msgs, rounds);
-  if (link_static.checksum != link_idle.checksum) {
-    std::fprintf(stderr, "FATAL: link churn timings diverge (static %llu, idle-model %llu)\n",
-                 static_cast<unsigned long long>(link_static.checksum),
-                 static_cast<unsigned long long>(link_idle.checksum));
-    return 1;
-  }
-  double idle_overhead = 1.0 - link_idle.msgs_per_sec / link_static.msgs_per_sec;
-  if (idle_overhead > idle_tolerance) {
-    const bench::LinkChurnResult s2 = bench::MeasureLinkChurn(false, link_msgs, rounds);
-    const bench::LinkChurnResult i2 = bench::MeasureLinkChurn(true, link_msgs, rounds);
-    idle_overhead = std::min(idle_overhead, 1.0 - i2.msgs_per_sec / s2.msgs_per_sec);
-  }
-  const bool idle_within_tolerance = idle_overhead <= idle_tolerance;
-  std::printf("  link churn (idle rate-model): %.2fM msgs/sec vs static %.2fM (%+.1f%%)%s\n",
-              link_idle.msgs_per_sec / 1e6, link_static.msgs_per_sec / 1e6,
-              -100.0 * idle_overhead,
-              idle_within_tolerance ? "" : "  ** EXCEEDS TOLERANCE **");
-
   // 3. Enabled-mode cost on a reference training job (informational).
   const double off_sec = MeasureJobSec(ObsMode::kOff, rounds);
   const double metrics_sec = MeasureJobSec(ObsMode::kMetrics, rounds);
@@ -287,14 +259,6 @@ int main(int argc, char** argv) {
   std::fprintf(out, "    \"within_tolerance\": %s\n",
                sampling_within_tolerance ? "true" : "false");
   std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"link_churn_idle\": {\n");
-  std::fprintf(out, "    \"messages\": %d,\n", link_msgs);
-  std::fprintf(out, "    \"static_msgs_per_sec\": %.0f,\n", link_static.msgs_per_sec);
-  std::fprintf(out, "    \"idle_msgs_per_sec\": %.0f,\n", link_idle.msgs_per_sec);
-  std::fprintf(out, "    \"slowdown\": %.4f,\n", idle_overhead);
-  std::fprintf(out, "    \"tolerance\": %.4f,\n", idle_tolerance);
-  std::fprintf(out, "    \"within_tolerance\": %s\n", idle_within_tolerance ? "true" : "false");
-  std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"reference_job\": {\n");
   std::fprintf(out, "    \"off_sec\": %.4f,\n", off_sec);
   std::fprintf(out, "    \"metrics_sec\": %.4f,\n", metrics_sec);
@@ -305,5 +269,5 @@ int main(int argc, char** argv) {
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("  wrote %s\n", out_path.c_str());
-  return within_tolerance && sampling_within_tolerance && idle_within_tolerance ? 0 : 1;
+  return within_tolerance && sampling_within_tolerance ? 0 : 1;
 }

@@ -28,7 +28,10 @@
 //                        arc crossing >= 3 tracks, the snapshot carries the
 //                        scheduler/link/fault acceptance metrics, every
 //                        --critical-path iteration reaches --min-coverage
-//                        (default 0.95) and --trace-b track ids match.
+//                        and --trace-b track ids match.
+//        --min-coverage=F  critical-path coverage --check requires per
+//                        iteration (default 0.95)
+// Any other flag is rejected with exit status 2.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -671,6 +674,11 @@ int main(int argc, char** argv) {
   using namespace bsched;
 
   const Flags flags(argc, argv);
+  if (!flags.CheckNames(argv[0], {"trace", "metrics", "timeseries", "timeline", "critical-path",
+                                  "critical-path-csv", "top-k", "trace-b", "check",
+                                  "min-coverage"})) {
+    return 2;
+  }
   const std::string trace_path = flags.GetString("trace", "");
   const std::string metrics_path = flags.GetString("metrics", "");
   const std::string trace_b_path = flags.GetString("trace-b", "");

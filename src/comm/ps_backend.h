@@ -91,11 +91,11 @@ struct PsConfig {
   double retry_backoff = 2.0;
   int max_push_retries = 12;
 
-  // Dynamic-network fabric (null disables; the legacy fixed-rate link path is
-  // then byte-identical to a build without dynamics). When enabled, every
-  // link gets a deterministic RateModel keyed on (seed, link name), worker
-  // uplinks optionally get AIMD rate controllers fed by the push ack timers,
-  // and cross-rack transfers under the two-tier topology are paced at
+  // Dynamic-network fabric (null disables: every link keeps its identity
+  // schedule and runs at its nominal rate). When enabled, every link gets a
+  // deterministic RateModel keyed on (seed, link name), worker uplinks
+  // optionally get AIMD rate controllers fed by the push ack timers, and
+  // cross-rack transfers under the two-tier topology are paced at
   // line_rate / oversubscription.
   const NetDynamicsConfig* dynamics = nullptr;
 

@@ -50,15 +50,10 @@ void Link::ExportMetrics() {
 SimTime Link::DrainTime() const {
   SimTime t = busy_ ? current_end_ : sim_->Now();
   for (size_t i = busy_ ? 1 : 0; i < msgs_.size(); ++i) {
+    // Nominal estimate at the message's pacing scale.
     const Msg& m = msgs_[i];
-    if (dyn_ == nullptr) {
-      t += MessageTime(m.size);
-    } else {
-      // Nominal estimate at the message's pacing scale (matches the static
-      // estimate exactly when the scale is 1.0).
-      t += transport_.MessageTime(
-          Bandwidth::BytesPerSec(line_rate_.bytes_per_sec() * m.msg_scale), m.size);
-    }
+    t += transport_.MessageTime(
+        Bandwidth::BytesPerSec(line_rate_.bytes_per_sec() * m.msg_scale), m.size);
   }
   return t;
 }
@@ -79,11 +74,7 @@ void Link::Enqueue(Msg msg) {
     obs_queue_ns_->Observe((DrainTime() - sim_->Now()).nanos());
     obs_inflight_->Add(size);
   }
-  if (dyn_ != nullptr) {
-    BSCHED_CHECK(msg.msg_scale > 0.0);
-  } else {
-    BSCHED_CHECK(msg.msg_scale == 1.0 && "per-message pacing needs a RateModel installed");
-  }
+  BSCHED_CHECK(msg.msg_scale > 0.0);
   msgs_.push_back(std::move(msg));
   if (!busy_) {
     StartNext();
@@ -98,17 +89,10 @@ void Link::StartNext() {
   busy_ = true;
   busy_since_ = sim_->Now();
   const Msg& msg = msgs_.front();
-  if (dyn_ != nullptr) {
-    DynState& d = *dyn_;
-    d.current_scale = msg.msg_scale;
-    d.remaining = static_cast<double>(msg.size);
-    d.anchor = sim_->Now() + transport_.serial_overhead;
-    DynScheduleCompletion();
-    return;
-  }
-  const SimTime occupancy = MessageTime(msg.size);
-  current_end_ = sim_->Now() + occupancy;
-  sim_->Schedule(occupancy, [this] { OnSent(); });
+  current_scale_ = msg.msg_scale;
+  remaining_ = static_cast<double>(msg.size);
+  anchor_ = sim_->Now() + transport_.serial_overhead;
+  ScheduleCompletion();
 }
 
 void Link::OnSent() {
@@ -166,40 +150,37 @@ void Link::FinishSend() {
   }
 }
 
-// --- Dynamic rate path ----------------------------------------------------
+// --- Rate integration -----------------------------------------------------
 
 void Link::SetRateModel(RateModel model) {
-  BSCHED_CHECK(dyn_ == nullptr && "rate model already installed");
   BSCHED_CHECK(bytes_sent_ == 0 && !busy_ &&
                "install the rate model before any traffic");
-  dyn_ = std::make_unique<DynState>();
-  dyn_->model = std::move(model);
+  model_ = std::move(model);
 }
 
-double Link::DynRate(SimTime t) const {
-  const DynState& d = *dyn_;
-  // Operation order matters for the zero-cost contract: with all scales at
-  // 1.0 this must reduce to exactly EffectiveRate's line * efficiency.
-  const double scale = d.model.ScaleAt(t) * d.ctrl_scale * d.current_scale;
+double Link::Rate(SimTime t) const {
+  // Operation order matters: with unit schedule and controller scales this
+  // must reduce to exactly EffectiveRate(line * msg_scale), i.e.
+  // (line * msg_scale) * efficiency.
+  const double scale = model_.ScaleAt(t) * ctrl_scale_ * current_scale_;
   return std::min(line_rate_.bytes_per_sec() * scale * transport_.efficiency,
                   transport_.goodput_cap.bytes_per_sec());
 }
 
-SimTime Link::DynFinishTime() const {
-  const DynState& d = *dyn_;
-  double remaining = d.remaining;
-  SimTime t = d.anchor;
+SimTime Link::FinishTime() const {
+  double remaining = remaining_;
+  SimTime t = anchor_;
   while (true) {
-    const SimTime next = d.model.NextChangeAfter(t);
-    const double rate = DynRate(t);
+    const SimTime next = model_.NextChangeAfter(t);
+    const double rate = Rate(t);
     if (rate <= 0.0) {
       // Zero-rate window (outage segment); progress resumes at the next step.
       BSCHED_CHECK(next < SimTime::Max() && "transfer stalled on a terminal zero-rate segment");
       t = next;
       continue;
     }
-    // Same arithmetic as Bandwidth::TransmitTime so the identity schedule
-    // lands on the identical nanosecond.
+    // Same arithmetic as Bandwidth::TransmitTime so a flat schedule lands on
+    // the nanosecond TransportModel::MessageTime predicts.
     const SimTime fin = t + SimTime(static_cast<int64_t>(std::llround(remaining / rate * 1e9)));
     if (next == SimTime::Max() || fin <= next) {
       return fin;
@@ -210,61 +191,49 @@ SimTime Link::DynFinishTime() const {
   }
 }
 
-void Link::DynDrainUntil(SimTime until) {
-  DynState& d = *dyn_;
-  if (until <= d.anchor) {
+void Link::DrainUntil(SimTime until) {
+  if (until <= anchor_) {
     return;  // still paying serial overhead; nothing serialized yet
   }
-  SimTime t = d.anchor;
+  SimTime t = anchor_;
   while (t < until) {
-    const SimTime next = std::min(d.model.NextChangeAfter(t), until);
-    const double rate = DynRate(t);
+    const SimTime next = std::min(model_.NextChangeAfter(t), until);
+    const double rate = Rate(t);
     if (rate > 0.0) {
-      d.remaining -= rate * (next - t).ToSeconds();
-      if (d.remaining < 0.0) d.remaining = 0.0;
+      remaining_ -= rate * (next - t).ToSeconds();
+      if (remaining_ < 0.0) remaining_ = 0.0;
     }
     t = next;
   }
-  d.anchor = until;
+  anchor_ = until;
 }
 
-void Link::DynScheduleCompletion() {
-  current_end_ = DynFinishTime();
-  dyn_->completion = sim_->Schedule(current_end_ - sim_->Now(), [this] { OnSent(); });
+void Link::ScheduleCompletion() {
+  current_end_ = FinishTime();
+  completion_ = sim_->Schedule(current_end_ - sim_->Now(), [this] { OnSent(); });
 }
 
 void Link::SetCtrlScale(double scale) {
-  BSCHED_CHECK(dyn_ != nullptr && "SetCtrlScale needs the dynamic path installed");
   BSCHED_CHECK(scale > 0.0);
-  DynState& d = *dyn_;
-  if (scale == d.ctrl_scale) {
+  if (scale == ctrl_scale_) {
     return;
   }
   if (busy_) {
     // Settle bytes serialized under the old scale, then re-pace the rest.
-    DynDrainUntil(sim_->Now());
-    d.ctrl_scale = scale;
-    d.completion.Cancel();
-    ++d.repaces;
-    DynScheduleCompletion();
+    DrainUntil(sim_->Now());
+    ctrl_scale_ = scale;
+    completion_.Cancel();
+    ++repaces_;
+    ScheduleCompletion();
   } else {
-    d.ctrl_scale = scale;
+    ctrl_scale_ = scale;
   }
 }
 
 double Link::CurrentRateBps() const {
-  if (dyn_ == nullptr) {
-    return effective_rate().bytes_per_sec();
-  }
-  const DynState& d = *dyn_;
-  const double scale = d.model.ScaleAt(sim_->Now()) * d.ctrl_scale;
+  const double scale = model_.ScaleAt(sim_->Now()) * ctrl_scale_;
   return std::min(line_rate_.bytes_per_sec() * scale * transport_.efficiency,
                   transport_.goodput_cap.bytes_per_sec());
 }
-
-DuplexLink::DuplexLink(Simulator* sim, const std::string& name, Bandwidth line_rate,
-                       const TransportModel& transport)
-    : up_(sim, name + ".up", line_rate, transport),
-      down_(sim, name + ".down", line_rate, transport) {}
 
 }  // namespace bsched

@@ -1,26 +1,24 @@
 // Directional network links. A Link serializes message transmissions in FIFO
-// order at the transport's effective rate; a DuplexLink bundles the two
-// directions of a full-duplex NIC, which is what makes the paper's
-// push/pull pipelining argument observable (partitioned tensors keep both
-// directions busy; unpartitioned ones waste half the bandwidth).
+// order at the transport's effective rate; a worker's NIC is two Links, one
+// per direction, which is what makes the paper's push/pull pipelining
+// argument observable (partitioned tensors keep both directions busy;
+// unpartitioned ones waste half the bandwidth).
 //
-// Two transmission paths share one flush/fault/deliver epilogue:
-//   - Legacy fixed-rate path (default): occupancy is one completion event
-//     MessageTime(size) after the message starts, FIFO behind earlier ones.
-//     Zero-cost contract: without a RateModel installed the event sequence
-//     is bit-identical to what it was before dynamics existed.
-//   - Dynamic path (SetRateModel): occupancy integrates the link's
-//     time-varying rate — schedule scale × AIMD controller scale × per-message
-//     scale (cross-rack derating) — re-pacing the in-flight transfer whenever
-//     the controller changes rates mid-message. With an identity schedule and
-//     unit scales the integral collapses to the exact legacy arithmetic
-//     (same llround, same operation order), so enabled-but-idle dynamics
-//     reproduce legacy timings bit-for-bit.
+// Every message occupies the link for the transport's serial overhead plus
+// the time its bytes take to serialize at the link's instantaneous rate:
+// line rate x the RateModel's schedule scale x the AIMD controller scale x
+// the message's own pacing scale (cross-rack derating) x the transport's
+// efficiency, capped at its goodput ceiling. A controller rate change
+// mid-message re-paces the in-flight transfer from the bytes it has
+// serialized so far.
+// With the default identity schedule and unit scales the integral reduces to
+// TransportModel::MessageTime at the nominal rate, to the nanosecond (same
+// llround, same operation order), so a link nobody reconfigures is the
+// paper's fixed-bandwidth FIFO queue plus per-message overhead θ.
 #ifndef SRC_NET_LINK_H_
 #define SRC_NET_LINK_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "src/common/units.h"
@@ -55,16 +53,16 @@ class Link {
   // fault injector drops calls `deliver(kDropped)`, so a caller that keeps
   // per-message state in a pool can reclaim it. `msg_scale` is the
   // per-message pacing scale of the two-tier topology (cross-rack transfers
-  // run at line_rate / oversubscription); values other than 1.0 need a
-  // RateModel installed.
+  // run at line_rate / oversubscription); it must be positive.
   void SendFlight(Bytes size, std::function<void()> on_flushed,
                   std::function<void(SimTime wire_flight)> deliver, double msg_scale = 1.0);
   // Wire flight passed to SendFlight's `deliver` for a dropped message.
   static constexpr SimTime kDropped = SimTime::Max();
 
-  // Time a message of `size` occupies this link at the nominal (static) rate
-  // (excludes pipelined latency). Scheduler estimates use this even under
-  // dynamics — admission planning sees the advertised rate, not the future.
+  // Time a message of `size` occupies this link at the nominal rate
+  // (excludes pipelined latency). Scheduler estimates use this even under a
+  // varying schedule — admission planning sees the advertised rate, not the
+  // future.
   SimTime MessageTime(Bytes size) const { return transport_.MessageTime(line_rate_, size); }
 
   Bandwidth effective_rate() const { return transport_.EffectiveRate(line_rate_); }
@@ -81,20 +79,17 @@ class Link {
   // (queued messages estimated at their nominal per-message rate).
   SimTime DrainTime() const;
 
-  // --- Dynamic rate path -----------------------------------------------
-  // Installs a time-varying capacity schedule and switches transmissions to
-  // the integrating path. Must be called before any traffic.
+  // Replaces the capacity schedule (identity by default). Must be called
+  // before any traffic.
   void SetRateModel(RateModel model);
-  bool has_rate_model() const { return dyn_ != nullptr; }
   // AIMD controller hook: rescales the link's pacing and re-paces the
   // in-flight transfer from the bytes it has actually serialized so far.
   void SetCtrlScale(double scale);
-  double ctrl_scale() const { return dyn_ != nullptr ? dyn_->ctrl_scale : 1.0; }
+  double ctrl_scale() const { return ctrl_scale_; }
   // In-flight transfers re-paced by controller rate changes (obs counter).
-  uint64_t repace_events() const { return dyn_ != nullptr ? dyn_->repaces : 0; }
+  uint64_t repace_events() const { return repaces_; }
   // Instantaneous effective rate (bytes/sec) under the current schedule and
-  // controller scale; static effective rate when no model is installed.
-  // Passive — feeds the time-series rate gauges.
+  // controller scale. Passive — feeds the time-series rate gauges.
   double CurrentRateBps() const;
 
   // Fault injection: when set, every delivery consults the injector at flush
@@ -123,39 +118,25 @@ class Link {
     std::function<void(SimTime)> deliver;
     std::function<void()> on_delivered;
   };
-  // State for the dynamic path; allocated only by SetRateModel so idle links
-  // pay one pointer of overhead.
-  struct DynState {
-    RateModel model;
-    double ctrl_scale = 1.0;
-    // Pacing scale of the message in transmission (msgs_.front()).
-    double current_scale = 1.0;
-    // Payload bytes left to serialize as of `anchor` (transmission starts at
-    // message start + serial_overhead; before that, anchor is that start).
-    double remaining = 0.0;
-    SimTime anchor;
-    EventHandle completion;
-    uint64_t repaces = 0;
-  };
 
   void Enqueue(Msg msg);
   // Starts transmitting msgs_.front(), if any.
   void StartNext();
-  // Occupancy end of the front message (both paths).
+  // Occupancy end of the front message.
   void OnSent();
-  // Shared epilogue for both paths, at occupancy end: pops the front message
-  // and runs its inflight gauge, flush callback, fault fate and delivery.
+  // At occupancy end: pops the front message and runs its inflight gauge,
+  // flush callback, fault fate and delivery.
   void FinishSend();
 
-  void DynScheduleCompletion();
-  // Settles `remaining` through the rate trajectory up to `until` (controller
-  // rate changes integrate the old scale before switching).
-  void DynDrainUntil(SimTime until);
-  // Completion time of the current message from (anchor, remaining) by
+  void ScheduleCompletion();
+  // Settles `remaining_` through the rate trajectory up to `until`
+  // (controller rate changes integrate the old scale before switching).
+  void DrainUntil(SimTime until);
+  // Completion time of the current message from (anchor_, remaining_) by
   // walking the schedule's segments.
-  SimTime DynFinishTime() const;
+  SimTime FinishTime() const;
   // Effective serialization rate (bytes/sec) for the current message at t.
-  double DynRate(SimTime t) const;
+  double Rate(SimTime t) const;
 
   Simulator* sim_;
   Bandwidth line_rate_;
@@ -178,26 +159,16 @@ class Link {
   // Messages submitted and not yet flushed, in FIFO (= flush) order; the
   // front one is in transmission while busy_.
   FifoRing<Msg> msgs_;
-  std::unique_ptr<DynState> dyn_;
-};
-
-// The two directions of one NIC.
-class DuplexLink {
- public:
-  DuplexLink(Simulator* sim, const std::string& name, Bandwidth line_rate,
-             const TransportModel& transport);
-
-  Link& up() { return up_; }
-  Link& down() { return down_; }
-
-  void SetFaultInjector(FaultInjector* faults) {
-    up_.SetFaultInjector(faults);
-    down_.SetFaultInjector(faults);
-  }
-
- private:
-  Link up_;
-  Link down_;
+  RateModel model_;
+  double ctrl_scale_ = 1.0;
+  // Pacing scale of the message in transmission (msgs_.front()).
+  double current_scale_ = 1.0;
+  // Payload bytes left to serialize as of `anchor_` (transmission starts at
+  // message start + serial_overhead; before that, anchor_ is that start).
+  double remaining_ = 0.0;
+  SimTime anchor_;
+  EventHandle completion_;
+  uint64_t repaces_ = 0;
 };
 
 }  // namespace bsched

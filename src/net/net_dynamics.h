@@ -3,8 +3,8 @@
 // oversubscribed two-tier rack topology, and loss-driven AIMD rate control.
 // Everything derives deterministically from (seed, link name), mirroring the
 // FaultPlan discipline, so enabling dynamics keeps results bit-identical at
-// any --jobs N. A default-constructed config is fully disabled
-// and leaves the legacy fixed-rate Link path untouched (zero cost).
+// any --jobs N. A default-constructed config is fully disabled: every link
+// keeps its identity schedule, so timings are the nominal fixed-rate ones.
 #ifndef SRC_NET_NET_DYNAMICS_H_
 #define SRC_NET_NET_DYNAMICS_H_
 
@@ -47,17 +47,12 @@ struct NetDynamicsConfig {
 
   AimdConfig aimd;
 
-  // Install identity rate models even when no knob is active. The zero-cost
-  // regression tests and the enabled-but-idle perf gates measure exactly this
-  // path: dynamic pacing machinery on, schedules flat.
-  bool force_enable = false;
-
   bool volatile_links() const {
     return volatility_amplitude > 0.0 || cross_flows > 0 || down_scale != 1.0;
   }
   bool topology() const { return racks > 1 && oversubscription > 1.0; }
   bool enabled() const {
-    return force_enable || volatile_links() || topology() || aimd.enable;
+    return volatile_links() || topology() || aimd.enable;
   }
 };
 

@@ -13,7 +13,6 @@ RateController::RateController(Link* link, const AimdConfig& config)
   BSCHED_CHECK(config.min_scale > 0.0 && config.min_scale <= 1.0);
   BSCHED_CHECK(config.multiplicative_decrease > 0.0 && config.multiplicative_decrease < 1.0);
   BSCHED_CHECK(config.additive_increase > 0.0);
-  BSCHED_CHECK(link->has_rate_model() && "AIMD needs the dynamic link path installed");
 }
 
 void RateController::OnLoss() {

@@ -67,10 +67,11 @@ struct JobConfig {
   // bandwidth drift, on/off cross traffic, asymmetric up/down rates, an
   // oversubscribed two-tier rack topology, and loss-driven AIMD rate control
   // fed by the push ack timers (src/net/net_dynamics.h). Unset or disabled
-  // (the default config) leaves the legacy fixed-rate link path untouched —
-  // the simulation is event-for-event identical to a build without the
-  // dynamic fabric. Schedules derive from (seed, link name). Not supported
-  // for co-scheduled jobs.
+  // (the default config) leaves every link on its identity schedule at its
+  // nominal rate, and registers no rate gauges or controllers — the
+  // simulation is event-for-event identical to a run without the field.
+  // Schedules derive from (seed, link name). Not supported for co-scheduled
+  // jobs.
   std::optional<NetDynamicsConfig> dynamics;
 
   // PS jobs: the shard's push-ack cancel and each worker's aggregation

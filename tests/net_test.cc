@@ -105,17 +105,39 @@ TEST(LinkTest, SmallPartitionsWasteBandwidth) {
   EXPECT_EQ((many - one), SimTime::Micros(300) * 127);
 }
 
-TEST(DuplexLinkTest, DirectionsAreIndependent) {
-  Simulator sim;
-  DuplexLink nic(&sim, "nic", Bandwidth::Gbps(8), TransportModel::Ideal());
-  SimTime up_done;
-  SimTime down_done;
-  nic.up().Send(1'000'000, [&] { up_done = sim.Now(); });
-  nic.down().Send(1'000'000, [&] { down_done = sim.Now(); });
-  sim.Run();
-  // Full duplex: both finish at 1ms, not serialized to 2ms.
-  EXPECT_EQ(up_done, SimTime::Millis(1));
-  EXPECT_EQ(down_done, SimTime::Millis(1));
+TEST(LinkTest, FlushesLandOnNominalMessageTime) {
+  // The exact-timing contract every golden rests on: on a link that keeps
+  // its default identity schedule, back-to-back messages flush exactly
+  // TransportModel::MessageTime apart at the line rate scaled by each
+  // message's pacing scale — the rate integral adds no rounding of its own.
+  for (const double scale : {1.0, 0.25}) {
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+      Rng rng(seed ^ 0x51c6e1ULL);
+      for (const TransportModel& t : {TransportModel::Tcp(), TransportModel::Rdma()}) {
+        const Bandwidth line = Bandwidth::Gbps(rng.Uniform(1.0, 100.0));
+        std::vector<Bytes> sizes;
+        for (int i = 0; i < 8; ++i) {
+          sizes.push_back(rng.UniformInt(1'000, 8'000'000));
+        }
+        Simulator sim;
+        Link link(&sim, "l", line, t);
+        std::vector<int64_t> flushes;
+        for (Bytes size : sizes) {
+          link.SendFlight(
+              size, [&] { flushes.push_back(sim.Now().nanos()); }, nullptr, scale);
+        }
+        sim.Run();
+        ASSERT_EQ(flushes.size(), sizes.size());
+        SimTime expected;
+        for (size_t i = 0; i < sizes.size(); ++i) {
+          expected += t.MessageTime(Bandwidth::BytesPerSec(line.bytes_per_sec() * scale),
+                                    sizes[i]);
+          EXPECT_EQ(flushes[i], expected.nanos())
+              << t.name << " scale " << scale << " seed " << seed << " msg " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(LinkTest, LatencyPipelinesAcrossMessages) {
@@ -270,7 +292,7 @@ TEST(NetDynamicsTest, CrossRackScaleDeratesSpineTransfers) {
   EXPECT_DOUBLE_EQ(CrossRackScale(dyn, 0, 1), 1.0);
 }
 
-// ---- dynamic-path trajectory oracle ---------------------------------------
+// ---- rate-integral trajectory oracle --------------------------------------
 
 // Independent closed-form oracle: integrates the rate trajectory segment by
 // segment and inverts the integral at nanosecond resolution (the same
@@ -367,7 +389,6 @@ TEST(DynamicLinkTest, CtrlScaleRepacesInFlightTransfer) {
   // it at 5 ms leaves 4.5 MB at full rate -> completion at 9.5 ms.
   Simulator sim;
   Link link(&sim, "l", Bandwidth::Gbps(8), TransportModel::Ideal());
-  link.SetRateModel(RateModel());
   SimTime flushed;
   link.SendFlight(8'000'000, [&] { flushed = sim.Now(); }, nullptr);
   sim.Schedule(SimTime::Millis(2), [&] { link.SetCtrlScale(0.5); });
@@ -378,38 +399,9 @@ TEST(DynamicLinkTest, CtrlScaleRepacesInFlightTransfer) {
   EXPECT_DOUBLE_EQ(link.ctrl_scale(), 1.0);
 }
 
-TEST(DynamicLinkTest, IdentityModelReproducesLegacyTimings) {
-  // The dynamic path with an identity schedule must land every flush on the
-  // exact nanosecond the legacy Resource path produces.
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    Rng rng(seed ^ 0x51c6e1ULL);
-    TransportModel t = seed % 2 == 0 ? TransportModel::Tcp() : TransportModel::Rdma();
-    const Bandwidth line = Bandwidth::Gbps(rng.Uniform(1.0, 100.0));
-    std::vector<Bytes> sizes;
-    for (int i = 0; i < 8; ++i) {
-      sizes.push_back(rng.UniformInt(1'000, 8'000'000));
-    }
-    auto run = [&](bool dynamic) {
-      Simulator sim;
-      Link link(&sim, "l", line, t);
-      if (dynamic) {
-        link.SetRateModel(RateModel());
-      }
-      std::vector<int64_t> flushes;
-      for (Bytes size : sizes) {
-        link.SendFlight(size, [&] { flushes.push_back(sim.Now().nanos()); }, nullptr);
-      }
-      sim.Run();
-      return flushes;
-    };
-    EXPECT_EQ(run(false), run(true)) << "seed " << seed;
-  }
-}
-
 TEST(RateControllerTest, AimdBacksOffAndRecovers) {
   Simulator sim;
   Link link(&sim, "l", Bandwidth::Gbps(8), TransportModel::Ideal());
-  link.SetRateModel(RateModel());
   AimdConfig cfg;
   cfg.enable = true;
   cfg.additive_increase = 0.25;
@@ -494,13 +486,14 @@ TEST(NetDynZeroCostTest, DisabledConfigMatchesUnsetByteForByte) {
 }
 
 TEST(NetDynZeroCostTest, EnabledButIdleModelsMatchDisabledTimings) {
-  // force_enable installs identity rate models on every link: the dynamic
-  // transmission path runs for real, but flat schedules must reproduce the
-  // legacy timings exactly (same llround arithmetic), so everything except
-  // the extra rate_bps time-series rows is byte-identical.
+  // AIMD alone enables the fabric: identity schedules on every link, rate
+  // gauges registered and one controller per uplink. Ack timers are armed
+  // only under faults, so on this fault-free job the controllers never act,
+  // and everything except the extra rate_bps time-series rows must be
+  // byte-identical to the unset run.
   const ObsArtifacts unset = RunWithArtifacts(std::nullopt);
   NetDynamicsConfig idle;
-  idle.force_enable = true;
+  idle.aimd.enable = true;
   const ObsArtifacts enabled = RunWithArtifacts(idle);
   EXPECT_EQ(unset.sim_events, enabled.sim_events);
   EXPECT_EQ(unset.iter_end_times, enabled.iter_end_times);
