@@ -1,12 +1,14 @@
 // Regenerates Table 1: best partition size and credit size (MB) found by
 // exhaustive grid search for VGG16 / ResNet50 / Transformer under MXNet PS
 // RDMA and MXNet NCCL RDMA, 32 GPUs, 100 Gbps.
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <vector>
 
 #include "bench/harness.h"
 #include "src/common/table.h"
+#include "src/exec/sweep_runner.h"
 #include "src/model/zoo.h"
 #include "src/tuning/auto_tuner.h"
 #include "src/tuning/search.h"
@@ -17,24 +19,31 @@ namespace {
 
 constexpr int kLattice = 8;
 
+// Profiles every lattice point concurrently, then picks the best in lattice
+// order, so the result does not depend on the worker count.
 TunedParams GridBest(const ModelProfile& model, const Setup& setup) {
   JobConfig job = bench::MakeJob(model, setup, 4, Bandwidth::Gbps(100));
   job.measure_iters = 3;
   AutoTunerOptions opt;
-  opt.noise_frac = 0.0;
   opt.partition_lo = KiB(256);
-  AutoTuner tuner(job, opt);
+  const AutoTuner tuner(job, opt);
   GridSearch grid(2, kLattice);
+  std::vector<TunedParams> points(static_cast<size_t>(grid.total_points()));
+  for (TunedParams& point : points) {
+    const std::vector<double> x = grid.Suggest();
+    point = TunedParams{tuner.PartitionFromUnit(x[0]), tuner.CreditFromUnit(x[1])};
+  }
+  const std::vector<double> speeds =
+      SweepRunner().ParallelFor(points.size(), [&tuner, &points](size_t i) {
+        return tuner.EvaluateConfigured(points[i].partition_bytes, points[i].credit_bytes);
+      });
   TunedParams best{};
   double best_speed = 0.0;
-  for (int t = 0; t < grid.total_points(); ++t) {
-    const std::vector<double> x = grid.Suggest();
-    const Bytes partition = tuner.PartitionFromUnit(x[0]);
-    const Bytes credit = tuner.CreditFromUnit(x[1]);
-    const double speed = tuner.EvaluateObjective(partition, credit);
-    if (speed > best_speed) {
-      best_speed = speed;
-      best = TunedParams{partition, std::max(credit, partition)};
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (speeds[i] > best_speed) {
+      best_speed = speeds[i];
+      best = TunedParams{points[i].partition_bytes,
+                         std::max(points[i].credit_bytes, points[i].partition_bytes)};
     }
   }
   return best;

@@ -53,7 +53,6 @@ CommTaskId SchedulerCore::Enqueue(CommTaskDesc desc) {
   const uint32_t slot = tasks_.Acquire();
   task_index_.push_back(slot);
   TaskState& state = tasks_[slot];
-  state.partition_bytes.clear();
   state.partitions_finished = 0;
 
   // CommTask.partition(size): split into SubCommTasks no larger than the
@@ -61,27 +60,28 @@ CommTaskId SchedulerCore::Enqueue(CommTaskDesc desc) {
   // track sizes).
   const Bytes unit = desc.partition_bytes_override > 0 ? desc.partition_bytes_override
                                                        : config_.partition_bytes;
-  if (unit <= 0 || unit >= desc.tensor_bytes) {
-    state.partition_bytes.push_back(desc.tensor_bytes);
-  } else {
-    Bytes remaining = desc.tensor_bytes;
-    while (remaining > 0) {
-      const Bytes piece = std::min(unit, remaining);
-      state.partition_bytes.push_back(piece);
-      remaining -= piece;
-    }
-  }
-  state.partition_notified.assign(state.partition_bytes.size(), false);
+  state.unit = unit <= 0 || unit >= desc.tensor_bytes ? desc.tensor_bytes : unit;
+  const Bytes partitions = (desc.tensor_bytes + state.unit - 1) / state.unit;
+  state.partition_notified.assign(static_cast<size_t>(partitions), false);
   state.desc = std::move(desc);
   return id;
 }
 
 void SchedulerCore::NotifyReady(CommTaskId id) {
   TaskState& state = Task(id);
-  for (int p = 0; p < static_cast<int>(state.partition_bytes.size()); ++p) {
-    if (!state.partition_notified[p]) {
-      EnqueueReady(state, id, p);
+  const int n = state.num_partitions();
+  // Each maximal block of not-yet-notified partitions becomes one run.
+  for (int p = 0; p < n;) {
+    if (state.partition_notified[p]) {
+      ++p;
+      continue;
     }
+    int end = p + 1;
+    while (end < n && !state.partition_notified[end]) {
+      ++end;
+    }
+    EnqueueRun(state, id, p, end);
+    p = end;
   }
   TrySchedule();
 }
@@ -89,67 +89,84 @@ void SchedulerCore::NotifyReady(CommTaskId id) {
 void SchedulerCore::NotifyReadyPartition(CommTaskId id, int partition) {
   TaskState& state = Task(id);
   BSCHED_CHECK(partition >= 0);
-  BSCHED_CHECK(partition < static_cast<int>(state.partition_bytes.size()));
+  BSCHED_CHECK(partition < state.num_partitions());
   if (!state.partition_notified[partition]) {
-    EnqueueReady(state, id, partition);
+    EnqueueRun(state, id, partition, partition + 1);
   }
   TrySchedule();
 }
 
 int SchedulerCore::NumPartitions(CommTaskId id) const {
-  return static_cast<int>(Task(id).partition_bytes.size());
+  return Task(id).num_partitions();
 }
 
-SubTaskKey SchedulerCore::KeyFor(const SubCommTask& subtask) {
+SubTaskKey SchedulerCore::KeyFor(const CommTaskDesc& desc, uint64_t seq) const {
   SubTaskKey key;
-  key.arrival_seq = next_arrival_seq_++;
+  key.arrival_seq = seq;
   if (config_.policy == SchedulerConfig::Policy::kPriority) {
-    key.layer = subtask.layer;
+    key.layer = desc.layer;
     // Pulls ahead of pushes at the same layer: a finished pull directly
     // unblocks next-iteration forward compute.
-    key.type_rank = (subtask.type == CommOpType::kPush) ? 1 : 0;
+    key.type_rank = (desc.type == CommOpType::kPush) ? 1 : 0;
   }
   // For kFifo the key is pure arrival order (layer and type_rank stay 0).
   return key;
 }
 
-void SchedulerCore::FreeRecord(uint32_t rec) {
+uint32_t SchedulerCore::NewRecord(const QueueEntry& entry) {
+  const TaskState& state = Task(entry.task);
+  const uint32_t rec = records_.Acquire();
   SubTaskRecord& r = records_[rec];
-  r.in_flight = false;
-  r.credit_waiting = false;
-  r.attempts = 0;
-  records_.Release(rec);
+  r = SubTaskRecord{};
+  r.task = entry.task;
+  r.bytes = state.PartitionBytes(entry.next);
+  r.key = entry.key;
+  r.ready_at = entry.ready_at;
+  r.partition = entry.next;
+  r.type = state.desc.type;
+  return rec;
 }
 
-void SchedulerCore::PushQueue(const SubTaskKey& key, uint32_t rec) {
-  queue_.push_back(QueueEntry{key, rec});
+SubCommTask SchedulerCore::Subtask(const SubTaskRecord& r) const {
+  const CommTaskDesc& desc = Task(r.task).desc;
+  SubCommTask subtask;
+  subtask.task = r.task;
+  subtask.worker = desc.worker;
+  subtask.layer = desc.layer;
+  subtask.tensor_id = desc.tensor_id >= 0 ? desc.tensor_id : desc.layer;
+  subtask.partition = r.partition;
+  subtask.bytes = r.bytes;
+  subtask.type = r.type;
+  subtask.flow = r.flow;
+  return subtask;
+}
+
+void SchedulerCore::PushQueue(const QueueEntry& entry) {
+  queued_ += static_cast<size_t>(entry.end - entry.next);
+  queue_.push_back(entry);
   std::push_heap(queue_.begin(), queue_.end(), QueueAfter());
 }
 
-void SchedulerCore::PopQueue() {
+void SchedulerCore::PopHead() {
+  --queued_;
+  QueueEntry& head = queue_.front();
+  if (++head.next < head.end) {
+    // The run's next partition holds the next seq, and no other entry's key
+    // lies between the two, so the heap needs no sift.
+    ++head.key.arrival_seq;
+    head.record = kNoRecord;
+    return;
+  }
   std::pop_heap(queue_.begin(), queue_.end(), QueueAfter());
   queue_.pop_back();
 }
 
-void SchedulerCore::EnqueueReady(TaskState& state, CommTaskId id, int partition) {
-  state.partition_notified[partition] = true;
-  const uint32_t rec = records_.Acquire();
-  SubTaskRecord& r = records_[rec];
-  SubCommTask& subtask = r.subtask;
-  subtask = SubCommTask{};
-  subtask.task = id;
-  subtask.worker = state.desc.worker;
-  subtask.layer = state.desc.layer;
-  subtask.tensor_id =
-      state.desc.tensor_id >= 0 ? state.desc.tensor_id : state.desc.layer;
-  subtask.partition = partition;
-  subtask.bytes = state.partition_bytes[partition];
-  subtask.type = state.desc.type;
-  if (sim_ != nullptr) {
-    r.ready_at = sim_->Now();
-  }
-  r.key = KeyFor(subtask);
-  PushQueue(r.key, rec);
+void SchedulerCore::EnqueueRun(TaskState& state, CommTaskId id, int begin, int end) {
+  std::fill(state.partition_notified.begin() + begin, state.partition_notified.begin() + end,
+            true);
+  const SimTime now = sim_ != nullptr ? sim_->Now() : SimTime();
+  PushQueue(QueueEntry{KeyFor(state.desc, next_arrival_seq_), id, now, begin, end, kNoRecord});
+  next_arrival_seq_ += static_cast<uint64_t>(end - begin);
 }
 
 void SchedulerCore::TrySchedule() {
@@ -160,16 +177,21 @@ void SchedulerCore::TrySchedule() {
   }
   scheduling_ = true;
   while (!queue_.empty()) {
+    // The head partition's record is built here, on first reaching the head:
+    // the credit-wait stamp below needs one.
+    if (queue_.front().record == kNoRecord) {
+      queue_.front().record = NewRecord(queue_.front());
+    }
     const uint32_t rec = queue_.front().record;
     SubTaskRecord& head = records_[rec];
     // Credits model the *sender's* buffer (§4.2): pushes and all-reduce
     // operations fill it; pull responses are sent by the server and consume
     // the server-side egress queue instead, so they admit freely.
-    const bool charges_credit = head.subtask.type != CommOpType::kPull;
+    const bool charges_credit = head.type != CommOpType::kPull;
     // Algorithm 1 line 16: wait unless the credit covers the head subtask.
     // A subtask larger than the whole credit pool is admitted only when the
     // pool is full, otherwise it could never start.
-    const bool can_start = !charges_credit || credit_ >= head.subtask.bytes ||
+    const bool can_start = !charges_credit || credit_ >= head.bytes ||
                            credit_ == config_.credit_bytes;
     if (!can_start) {
       // Stamp the moment the head first starved on credit; RecordAdmit
@@ -181,9 +203,9 @@ void SchedulerCore::TrySchedule() {
       }
       break;
     }
-    const size_t depth_before = queue_.size();
-    PopQueue();
-    const Bytes charged = charges_credit ? std::min(head.subtask.bytes, credit_) : 0;
+    const size_t depth_before = queued_;
+    PopHead();
+    const Bytes charged = charges_credit ? std::min(head.bytes, credit_) : 0;
     credit_ -= charged;
     BSCHED_DCHECK(credit_ >= 0);
     ++subtasks_started_;
@@ -196,14 +218,13 @@ void SchedulerCore::TrySchedule() {
 }
 
 void SchedulerCore::RecordAdmit(SubTaskRecord& r, Bytes charged, size_t queue_depth_before) {
-  SubCommTask& st = r.subtask;
   const SubTaskKey& key = r.key;
   if (m_queue_depth_ != nullptr) {
     m_queue_depth_->Observe(static_cast<int64_t>(queue_depth_before));
     m_credit_in_use_->Observe(config_.credit_bytes == SchedulerConfig::kUnlimited
                                   ? 0
                                   : config_.credit_bytes - credit_);
-    m_partition_bytes_->Observe(st.bytes);
+    m_partition_bytes_->Observe(r.bytes);
     // A preemption in the paper's sense: this admission outranks the one
     // before it, i.e. a higher-priority partition jumped the FIFO order a
     // vanilla scheduler would have used.
@@ -221,16 +242,17 @@ void SchedulerCore::RecordAdmit(SubTaskRecord& r, Bytes charged, size_t queue_de
   // Assign (or continue) the partition's flow arc. Pushes and all-reduce
   // operations open the arc; a pull continues the arc its push opened, or
   // opens its own for pulls with no tracked push (e.g. step-start reads).
+  const SubCommTask st = Subtask(r);
   FlowPhase phase = FlowPhase::kStep;
-  if (st.flow == 0) {
+  if (r.flow == 0) {
     if (st.type == CommOpType::kPull) {
-      st.flow = obs_->LookupPartitionFlow(st.worker, st.tensor_id, st.partition);
-      if (st.flow == 0) {
-        st.flow = obs_->BeginPartitionFlow(st.worker, st.tensor_id, st.partition);
+      r.flow = obs_->LookupPartitionFlow(st.worker, st.tensor_id, st.partition);
+      if (r.flow == 0) {
+        r.flow = obs_->BeginPartitionFlow(st.worker, st.tensor_id, st.partition);
         phase = FlowPhase::kStart;
       }
     } else {
-      st.flow = obs_->BeginPartitionFlow(st.worker, st.tensor_id, st.partition);
+      r.flow = obs_->BeginPartitionFlow(st.worker, st.tensor_id, st.partition);
       phase = FlowPhase::kStart;
     }
   }
@@ -257,7 +279,7 @@ void SchedulerCore::RecordAdmit(SubTaskRecord& r, Bytes charged, size_t queue_de
                     TraceArg::Int("bytes", st.bytes), TraceArg::Int("attempt", r.attempts),
                     TraceArg::Int("charged", charged)});
   }
-  trace->AddFlow(track_, base + ".admit", now, st.flow, phase);
+  trace->AddFlow(track_, base + ".admit", now, r.flow, phase);
 }
 
 SimTime SchedulerCore::AttemptTimeout(int attempts) const {
@@ -274,7 +296,7 @@ void SchedulerCore::StartAttempt(uint32_t rec, Bytes charged) {
   // The backend gets a copy: a backend that completes synchronously re-enters
   // the Core, which may release and reuse this record while Start still
   // reads the subtask.
-  const SubCommTask subtask = r.subtask;
+  const SubCommTask subtask = Subtask(r);
   if (!recovery_enabled()) {
     backend_->Start(subtask, [this, rec] { OnSubTaskFinish(rec); });
     return;
@@ -318,8 +340,9 @@ void SchedulerCore::OnAttemptTimeout(uint32_t rec, uint32_t generation) {
   credit_ += r.charged;
   BSCHED_DCHECK(credit_ <= config_.credit_bytes);
   if (faults_ != nullptr) {
-    faults_->RecordCoreTimeout(r.subtask.worker, r.subtask.layer, r.subtask.partition,
-                               r.attempts + 1, r.charged);
+    const CommTaskDesc& desc = Task(r.task).desc;
+    faults_->RecordCoreTimeout(desc.worker, desc.layer, r.partition, r.attempts + 1,
+                               r.charged);
   }
   if (r.attempts >= config_.retry.max_retries) {
     ++subtasks_abandoned_;
@@ -327,8 +350,8 @@ void SchedulerCore::OnAttemptTimeout(uint32_t rec, uint32_t generation) {
       faults_->RecordAbandon();
     }
     if (config_.retry.on_abandon) {
-      const SubCommTask abandoned = r.subtask;
-      FreeRecord(rec);
+      const SubCommTask abandoned = Subtask(r);
+      records_.Release(rec);
       config_.retry.on_abandon(abandoned);
       TrySchedule();  // the freed credit may admit queued work
       return;
@@ -344,29 +367,32 @@ void SchedulerCore::OnAttemptTimeout(uint32_t rec, uint32_t generation) {
   ++r.attempts;
   r.ready_at = sim_->Now();
   r.credit_waiting = false;
-  PushQueue(r.key, rec);
+  PushQueue(QueueEntry{r.key, r.task, r.ready_at, r.partition, r.partition + 1, rec});
   TrySchedule();
 }
 
 void SchedulerCore::OnSubTaskFinish(uint32_t rec) {
-  const SubCommTask subtask = records_[rec].subtask;
-  credit_ += records_[rec].charged;
-  FreeRecord(rec);
+  const SubTaskRecord& r = records_[rec];
+  const CommTaskId id = r.task;
+  const int partition = r.partition;
+  credit_ += r.charged;
   BSCHED_DCHECK(credit_ <= config_.credit_bytes);
-  if (obs_ != nullptr && obs_->tracing() && sim_ != nullptr && subtask.flow != 0 &&
-      subtask.type != CommOpType::kPush) {
+  if (obs_ != nullptr && obs_->tracing() && sim_ != nullptr && r.flow != 0 &&
+      r.type != CommOpType::kPush) {
     // The pull (or ring op) completing ends the partition's arc; a push's
     // arc stays open for its pull to continue.
-    obs_->trace()->AddFlow(track_, "finish", sim_->Now(), subtask.flow, FlowPhase::kEnd);
-    obs_->EndPartitionFlow(subtask.worker, subtask.tensor_id, subtask.partition);
+    const SubCommTask st = Subtask(r);
+    obs_->trace()->AddFlow(track_, "finish", sim_->Now(), st.flow, FlowPhase::kEnd);
+    obs_->EndPartitionFlow(st.worker, st.tensor_id, st.partition);
   }
-  TaskState& state = Task(subtask.task);
+  records_.Release(rec);
+  TaskState& state = Task(id);
   ++state.partitions_finished;
 
   // Copy the callbacks out: both may re-enter the Core (enqueue/ready new
   // tasks), which may reuse this task's pool record.
   const bool task_done =
-      state.partitions_finished == static_cast<int>(state.partition_bytes.size());
+      state.partitions_finished == state.num_partitions();
   auto on_partition_finish = state.desc.on_partition_finish;
   std::function<void()> on_finish;
   if (task_done) {
@@ -374,11 +400,11 @@ void SchedulerCore::OnSubTaskFinish(uint32_t rec) {
     on_finish = std::move(state.desc.on_finish);
     state.desc.on_finish = nullptr;
     state.desc.on_partition_finish = nullptr;
-    tasks_.Release(task_index_[subtask.task]);
-    task_index_[subtask.task] = kNoRecord;
+    tasks_.Release(task_index_[id]);
+    task_index_[id] = kNoRecord;
   }
   if (on_partition_finish) {
-    on_partition_finish(subtask.partition);
+    on_partition_finish(partition);
   }
   if (on_finish) {
     on_finish();
@@ -399,19 +425,20 @@ void SchedulerCore::ExportMetrics() const {
   m->counter(prefix + ".late_completions")->Inc(late_completions_);
   m->counter(prefix + ".abandoned")->Inc(subtasks_abandoned_);
   m->gauge(prefix + ".credit_final")->Set(credit_);
-  m->gauge(prefix + ".queue_len_final")->Set(static_cast<int64_t>(queue_.size()));
+  m->gauge(prefix + ".queue_len_final")->Set(static_cast<int64_t>(queued_));
 }
 
 std::string SchedulerCore::DebugString() const {
   std::string out = "core[" + std::to_string(worker_id_) + "] credit=" + std::to_string(credit_) +
                     "/" + std::to_string(config_.credit_bytes) +
-                    " queued=" + std::to_string(queue_.size()) +
+                    " queued=" + std::to_string(queued_) +
                     " unfinished_tasks=" + std::to_string(tasks_.held());
   if (!queue_.empty()) {
-    const SubCommTask& head = records_[queue_.front().record].subtask;
-    out += " head=(layer=" + std::to_string(head.layer) + " " + ToString(head.type) +
-           " part=" + std::to_string(head.partition) + " bytes=" + std::to_string(head.bytes) +
-           ")";
+    const QueueEntry& head = queue_.front();
+    const TaskState& task = Task(head.task);
+    out += " head=(layer=" + std::to_string(task.desc.layer) + " " + ToString(task.desc.type) +
+           " part=" + std::to_string(head.next) +
+           " bytes=" + std::to_string(task.PartitionBytes(head.next)) + ")";
   }
   if (recovery_enabled()) {
     out += " retry(timeouts=" + std::to_string(timeouts_fired_) +

@@ -14,15 +14,25 @@
 // attempts are recognized by generation and ignored, so a delayed (rather
 // than lost) message can never double-finish a partition or leak credit.
 //
-// Hot-path layout: tasks and partitions live in pooled records reused across
-// the run, the ready queue is a binary heap of (SubTaskKey, record index)
-// pairs (keys are unique, so it pops in exactly the order an ordered map
-// would), and every callback the Core hands out captures only `this` plus a
-// record index and attempt generation — 16 bytes, which std::function and
-// EventFn store inline — so steady-state admission allocates nothing.
+// Hot-path layout: the ready queue is a binary heap of *runs*. A run is a
+// block [next, end) of one task's partitions that became ready together and
+// hold consecutive arrival seqs; its heap key is the front partition's
+// SubTaskKey. As in the paper's zero-copy CommTask.partition(), a queued
+// partition is only an offset into its task: the per-partition record is
+// built when the partition reaches the head of the queue. Admitting a run's
+// front advances the entry in place (next + 1, seq + 1) without a sift. Seqs
+// are unique and a run's seqs are reserved for it, so no other key lies
+// between two consecutive seqs of the run: the heap stays valid, and
+// partitions are admitted in exactly the order a heap (or ordered map) of
+// one entry per partition would admit them. Tasks and records are pooled
+// and reused across the run, and every callback the Core hands out captures
+// only `this` plus a record index and attempt generation — 16 bytes, which
+// std::function and EventFn store inline — so steady-state admission
+// allocates nothing.
 #ifndef SRC_CORE_SCHEDULER_CORE_H_
 #define SRC_CORE_SCHEDULER_CORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -73,7 +83,8 @@ class SchedulerCore {
   // Live scheduler state (used by tests and by auto-tuning instrumentation).
   Bytes credit() const { return credit_; }
   Bytes credit_cap() const { return config_.credit_bytes; }
-  size_t queue_length() const { return queue_.size(); }
+  // Ready partitions not yet admitted (partitions, not runs).
+  size_t queue_length() const { return queued_; }
   uint64_t subtasks_started() const { return subtasks_started_; }
   uint64_t tasks_finished() const { return tasks_finished_; }
   const SchedulerConfig& config() const { return config_; }
@@ -95,39 +106,56 @@ class SchedulerCore {
   static constexpr uint32_t kNoRecord = UINT32_MAX;
 
   // One CommTask from Enqueue until its last partition finishes; pooled, so
-  // a finished task's vectors keep their capacity for the next one.
+  // a finished task's vector keeps its capacity for the next one. Every
+  // partition holds `unit` bytes except a shorter last one.
   struct TaskState {
     CommTaskDesc desc;
-    std::vector<Bytes> partition_bytes;
-    std::vector<bool> partition_notified;
+    Bytes unit = 0;
+    std::vector<bool> partition_notified;  // one per partition
     int partitions_finished = 0;
+
+    int num_partitions() const { return static_cast<int>(partition_notified.size()); }
+    Bytes PartitionBytes(int p) const { return std::min(unit, desc.tensor_bytes - p * unit); }
   };
 
-  // One partition from the moment it is notified ready until it finishes:
-  // queued, admitted, and (with recovery) requeued after a timeout.
+  // One partition from the moment it reaches the head of the queue until it
+  // finishes: at the head, admitted, and (with recovery) requeued after a
+  // timeout. Only per-partition state lives here; worker, layer and tensor
+  // id are read from the task when the SubCommTask is built.
   struct SubTaskRecord {
-    SubCommTask subtask;
-    SubTaskKey key;  // original priority key, reused on requeue
-    int attempts = 0;  // attempts that already timed out
-    // When this entry became schedulable (valid only when tracing with a
-    // Simulator); admit time minus this is the queue-wait span.
+    CommTaskId task = kInvalidCommTask;
+    Bytes bytes = 0;
+    uint64_t flow = 0;  // trace flow arc (0 = untracked)
+    SubTaskKey key;     // original priority key, reused on requeue
+    // When this partition became schedulable (valid only with a Simulator);
+    // admit time minus this is the queue-wait span.
     SimTime ready_at;
-    // When this entry, at the head of the queue, first blocked on credit
+    // When this partition, at the head of the queue, first blocked on credit
     // (valid only with a Simulator when credit_waiting is set). Splits the
     // wait span into queue-wait (behind higher-priority work) and
     // credit-wait (Algorithm 1 line 16 starvation) — the boundary the
     // critical-path analyzer attributes separately.
     SimTime credit_wait_since;
-    bool credit_waiting = false;
     // Recovery layer: the admitted attempt under timeout watch.
-    bool in_flight = false;
     Bytes charged = 0;
-    uint32_t generation = 0;  // stale-completion filter
     EventHandle timeout;
+    int partition = 0;
+    CommOpType type = CommOpType::kPush;
+    int attempts = 0;         // attempts that already timed out
+    uint32_t generation = 0;  // stale-completion filter
+    bool credit_waiting = false;
+    bool in_flight = false;
   };
 
+  // One run of ready partitions [next, end) of `task`; `key` is the front
+  // partition's key. `record` is the front's record once it has been built
+  // (at the head of the queue, or by a timeout requeue), else kNoRecord.
   struct QueueEntry {
     SubTaskKey key;
+    CommTaskId task;
+    SimTime ready_at;
+    int next;
+    int end;
     uint32_t record;
   };
   // Min-heap order on the key: true when `a` is less urgent than `b`.
@@ -140,16 +168,24 @@ class SchedulerCore {
 
   TaskState& Task(CommTaskId id);
   const TaskState& Task(CommTaskId id) const;
-  void FreeRecord(uint32_t rec);
-  void PushQueue(const SubTaskKey& key, uint32_t rec);
-  void PopQueue();
+  // Builds the record of the front partition of `entry`.
+  uint32_t NewRecord(const QueueEntry& entry);
+  // The SubCommTask the backend sees for record `r`.
+  SubCommTask Subtask(const SubTaskRecord& r) const;
+  void PushQueue(const QueueEntry& entry);
+  // Removes the head partition: advances its run in place, or pops the run
+  // when it was the last partition.
+  void PopHead();
 
   // Records admit-time metrics/trace/flow for one admitted record; mutates
-  // its subtask.flow. `queue_depth_before` is the queue size at pop time.
+  // its flow. `queue_depth_before` is the queue length at pop time.
   void RecordAdmit(SubTaskRecord& r, Bytes charged, size_t queue_depth_before);
 
-  SubTaskKey KeyFor(const SubCommTask& subtask);
-  void EnqueueReady(TaskState& state, CommTaskId id, int partition);
+  // The key of a partition with arrival seq `seq` of a task described by
+  // `desc`.
+  SubTaskKey KeyFor(const CommTaskDesc& desc, uint64_t seq) const;
+  // Enqueues partitions [begin, end) of task `id` as one run.
+  void EnqueueRun(TaskState& state, CommTaskId id, int begin, int end);
   void TrySchedule();
   void StartAttempt(uint32_t rec, Bytes charged);
   void OnAttemptFinish(uint32_t rec, uint32_t generation);
@@ -182,8 +218,9 @@ class SchedulerCore {
   Pool<TaskState> tasks_;
   std::vector<uint32_t> task_index_;
   Pool<SubTaskRecord> records_;
-  // Ready partitions; front() is the head (lowest key).
+  // Runs of ready partitions; front() is the head (lowest key).
   std::vector<QueueEntry> queue_;
+  size_t queued_ = 0;     // partitions in queue_
   size_t in_flight_ = 0;  // records under timeout watch
   bool scheduling_ = false;
 

@@ -8,10 +8,13 @@
 // capture grown past std::function's 16-byte inline buffer, a map in a
 // backend, a deque in a link) trips them. The co-scheduled run also gates
 // peak live heap bytes: its second job's tensor ids start at 1 << 20, so
-// storage indexed by raw tensor id shows up as megabytes.
+// storage indexed by raw tensor id shows up as megabytes. So do four points
+// of the tuning lattice's small-partition corner, where state that grows
+// with partition count (queued partitions, in-flight messages) dominates.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -71,13 +74,25 @@ namespace {
 
 // Steady-state allocations per fired event, measured on this code: 0.0158
 // (PS), 1.196 (ring: a sub-millisecond job whose few events are outnumbered
-// by the per-iteration engine ops it builds), 0.0524 (co-scheduled). Before
+// by the per-iteration engine ops it builds), 0.0501 (co-scheduled). Before
 // the PS/Core/link records were pooled the same runs measured 2.28, 2.43
-// and 2.32. Peak live bytes of the co-scheduled 1+3-iteration run: 1.59 MiB.
+// and 2.32.
 constexpr double kPsBound = 0.02;
 constexpr double kRingBound = 1.25;
 constexpr double kCoscheduleBound = 0.06;
-constexpr int64_t kCoschedulePeakBytes = int64_t{5} << 19;  // 2.5 MiB
+
+// Peak live heap bytes, bounded ~10% above this code's measurement. Before
+// the Core queued runs of partitions, built a partition's record only at the
+// head of the queue and stopped storing one size per partition, the same
+// runs peaked at: co-scheduled 1.57 MiB; VGG16 64 KiB/64 KiB 8.60 MiB,
+// 64 KiB/512 MiB 17.47 MiB; Transformer 64 KiB/64 KiB 12.46 MiB,
+// 64 KiB/512 MiB 28.33 MiB.
+constexpr int64_t MiBytes(double mib) { return static_cast<int64_t>(mib * (1 << 20)); }
+constexpr int64_t kCoschedulePeakBytes = MiBytes(1.19);              // 1.08 MiB
+constexpr int64_t kVgg16SmallCreditPeakBytes = MiBytes(3.04);        // 2.76 MiB
+constexpr int64_t kVgg16LargeCreditPeakBytes = MiBytes(15.0);        // 13.65 MiB
+constexpr int64_t kTransformerSmallCreditPeakBytes = MiBytes(3.27);  // 2.97 MiB
+constexpr int64_t kTransformerLargeCreditPeakBytes = MiBytes(28.1);  // 25.51 MiB
 
 struct Sample {
   uint64_t allocs = 0;
@@ -131,6 +146,24 @@ JobConfig Job(const ModelProfile& model, const Setup& setup, Bandwidth bandwidth
   return job;
 }
 
+// One point of the tuning lattice, built as AutoTuner::EvaluateConfigured
+// builds it: 1 warm-up and 3 measured iterations, credit floored at one
+// partition.
+JobConfig LatticeJob(const ModelProfile& model, Bytes partition, Bytes credit) {
+  JobConfig job = Job(model, Setup::MxnetPsRdma(), Bandwidth::Gbps(100), 3);
+  job.partition_bytes = partition;
+  job.credit_bytes = std::max(credit, partition);
+  return job;
+}
+
+int64_t LatticePeakBytes(const ModelProfile& model, Bytes credit, const char* name) {
+  const Sample sample =
+      Count([&] { return RunTrainingJob(LatticeJob(model, KiB(64), credit)).sim_events; });
+  std::printf("%s: peak %.2f MiB live\n", name,
+              static_cast<double>(sample.peak_bytes) / (1 << 20));
+  return sample.peak_bytes;
+}
+
 // The reference PS job: VGG16, MXNet PS TCP, 4x8 GPUs, 10 Gbps, ByteScheduler.
 TEST(AllocTest, PsJobSteadyStateAllocsPerEvent) {
   const double per_event = SteadyAllocsPerEvent(
@@ -164,6 +197,26 @@ TEST(AllocTest, CoscheduledJobsStayDenseAndAllocationLight) {
   EXPECT_LE(SteadyAllocsPerEvent(run, "coscheduled jobs"), kCoscheduleBound);
   const Sample sample = Count([&] { return run(3); });
   EXPECT_LE(sample.peak_bytes, kCoschedulePeakBytes);
+}
+
+// The lattice's small-partition corner (64 KiB partitions) at its smallest
+// and largest credit.
+TEST(AllocTest, LatticeCornerVgg16SmallCreditPeak) {
+  EXPECT_LE(LatticePeakBytes(Vgg16(), KiB(64), "vgg16 64K/64K"), kVgg16SmallCreditPeakBytes);
+}
+
+TEST(AllocTest, LatticeCornerVgg16LargeCreditPeak) {
+  EXPECT_LE(LatticePeakBytes(Vgg16(), MiB(512), "vgg16 64K/512M"), kVgg16LargeCreditPeakBytes);
+}
+
+TEST(AllocTest, LatticeCornerTransformerSmallCreditPeak) {
+  EXPECT_LE(LatticePeakBytes(Transformer(), KiB(64), "transformer 64K/64K"),
+            kTransformerSmallCreditPeakBytes);
+}
+
+TEST(AllocTest, LatticeCornerTransformerLargeCreditPeak) {
+  EXPECT_LE(LatticePeakBytes(Transformer(), MiB(512), "transformer 64K/512M"),
+            kTransformerLargeCreditPeakBytes);
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 # Runs one evaluation binary and checks it; the ctest labels golden and
-# flags call it in one of two modes:
+# flags call it in one of three modes:
 #   cmake -DBIN=<binary> -DGOLDEN=<file> -DACTUAL=<file> [-DCSV=ON] [-DUPDATE=ON]
 #         -P bench_check.cmake
 #     runs BIN --jobs 4, writes its stdout to ACTUAL and requires it to equal
 #     GOLDEN byte for byte (UPDATE=ON copies ACTUAL over GOLDEN instead); with
 #     CSV=ON the binary writes ACTUAL itself through --csv ACTUAL and its
 #     stdout is dropped;
+#   cmake -DBIN=<binary> -DGOLDEN=<file> -DACTUAL=<file> -DTRACE=<file>
+#         -DTRACE_SHA256=<file> [-DUPDATE=ON] -P bench_check.cmake
+#     runs BIN --metrics ACTUAL --trace TRACE and requires ACTUAL to equal
+#     GOLDEN byte for byte and TRACE's sha256 to equal the hash recorded in
+#     TRACE_SHA256 (UPDATE=ON rewrites GOLDEN and TRACE_SHA256 instead);
 #   cmake -DBIN=<binary> -DARGS=<arg;arg> -DEXPECT_EXIT=<n> -P bench_check.cmake
 #     runs BIN ARGS and requires exit status n.
 if(DEFINED EXPECT_EXIT)
@@ -17,7 +22,11 @@ if(DEFINED EXPECT_EXIT)
   return()
 endif()
 
-if(CSV)
+if(DEFINED TRACE)
+  file(REMOVE ${ACTUAL} ${TRACE})
+  set(cmd ${BIN} --metrics ${ACTUAL} --trace ${TRACE})
+  execute_process(COMMAND ${cmd} OUTPUT_QUIET RESULT_VARIABLE rc)
+elseif(CSV)
   file(REMOVE ${ACTUAL})
   set(cmd ${BIN} --jobs 4 --csv ${ACTUAL})
   execute_process(COMMAND ${cmd} OUTPUT_QUIET RESULT_VARIABLE rc)
@@ -29,12 +38,25 @@ list(JOIN cmd " " cmd_text)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${cmd_text}: exit status ${rc}")
 endif()
+if(DEFINED TRACE)
+  file(SHA256 ${TRACE} trace_hash)
+endif()
 if(UPDATE)
   configure_file(${ACTUAL} ${GOLDEN} COPYONLY)
+  if(DEFINED TRACE)
+    file(WRITE ${TRACE_SHA256} "${trace_hash}\n")
+  endif()
   return()
 endif()
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${ACTUAL} ${GOLDEN}
                 RESULT_VARIABLE differs)
 if(differs)
   message(FATAL_ERROR "output of ${cmd_text} (${ACTUAL}) differs from ${GOLDEN}")
+endif()
+if(DEFINED TRACE)
+  file(STRINGS ${TRACE_SHA256} want_hash LIMIT_COUNT 1)
+  if(NOT trace_hash STREQUAL want_hash)
+    message(FATAL_ERROR
+            "${cmd_text}: ${TRACE} hashes to ${trace_hash}, ${TRACE_SHA256} records ${want_hash}")
+  endif()
 endif()

@@ -18,6 +18,8 @@
 #include "src/common/rng.h"
 #include "src/core/scheduler_core.h"
 #include "src/model/zoo.h"
+#include "src/obs/metrics.h"
+#include "src/obs/obs.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/training_job.h"
 #include "src/sim/simulator.h"
@@ -232,12 +234,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorOracleFuzzTest,
 
 // ---- scheduler-core admission oracle -------------------------------------------
 
-// The Core's ready queue is a binary heap on SubTaskKey. Keys are unique, so
-// for any interleaving of Enqueue, NotifyReady(Partition), completions (late
-// ones included) and retry timeouts it must admit exactly what an ordered
-// std::map of the same keys admits. CoreModel replays Algorithm 1 on such a
+// The Core's ready queue is a binary heap of runs of partitions, keyed by each
+// run's front SubTaskKey and advanced in place as the front is admitted. Keys
+// are unique, so for any interleaving of Enqueue, NotifyReady(Partition),
+// completions (late ones included) and retry timeouts it must admit exactly
+// what an ordered std::map with one entry per partition admits. CoreModel replays Algorithm 1 on such a
 // map: credit check on the head, retries requeued at their original key with
-// timeouts growing by the backoff.
+// timeouts growing by the backoff. It also derives the admission metrics the
+// Core reports: the queue_depth histogram (queue size at each admission) and
+// the preemption count (admissions that outrank the one before).
 class CoreModel {
  public:
   explicit CoreModel(const SchedulerConfig& config)
@@ -259,24 +264,17 @@ class CoreModel {
   }
 
   void NotifyPartition(CommTaskId id, int partition) {
-    Task& task = tasks_[id];
-    if (!task.notified[partition]) {
-      task.notified[partition] = true;
-      SubTaskKey key;
-      key.arrival_seq = next_seq_++;
-      if (config_.policy == SchedulerConfig::Policy::kPriority) {
-        key.layer = task.layer;
-        key.type_rank = task.type == CommOpType::kPush ? 1 : 0;
-      }
-      queue_.emplace(key, Queued{id, partition, 0});
-    }
+    MakeReady(id, partition);
     TrySchedule();
   }
 
+  // Every partition becomes ready before any is admitted, so the queue
+  // depths admission observes include the whole tensor.
   void NotifyAll(CommTaskId id) {
     for (int p = 0; p < static_cast<int>(tasks_[id].parts.size()); ++p) {
-      NotifyPartition(id, p);
+      MakeReady(id, p);
     }
+    TrySchedule();
   }
 
   // Completion of admission `index` (ignored when that attempt timed out).
@@ -312,6 +310,9 @@ class CoreModel {
   const std::vector<std::pair<CommTaskId, int>>& admitted() const { return admitted_; }
   Bytes credit() const { return credit_; }
   size_t queue_length() const { return queue_.size(); }
+  uint64_t depth_count() const { return depth_count_; }
+  int64_t depth_sum() const { return depth_sum_; }
+  uint64_t preemptions() const { return preemptions_; }
 
  private:
   struct Task {
@@ -335,6 +336,20 @@ class CoreModel {
     bool live;
   };
 
+  void MakeReady(CommTaskId id, int partition) {
+    Task& task = tasks_[id];
+    if (!task.notified[partition]) {
+      task.notified[partition] = true;
+      SubTaskKey key;
+      key.arrival_seq = next_seq_++;
+      if (config_.policy == SchedulerConfig::Policy::kPriority) {
+        key.layer = task.layer;
+        key.type_rank = task.type == CommOpType::kPush ? 1 : 0;
+      }
+      queue_.emplace(key, Queued{id, partition, 0});
+    }
+  }
+
   void TrySchedule() {
     while (!queue_.empty()) {
       const auto [key, q] = *queue_.begin();
@@ -344,6 +359,13 @@ class CoreModel {
       if (charges && credit_ < bytes && credit_ != config_.credit_bytes) {
         return;
       }
+      ++depth_count_;
+      depth_sum_ += static_cast<int64_t>(queue_.size());
+      if (has_last_key_ && key < last_key_) {
+        ++preemptions_;
+      }
+      last_key_ = key;
+      has_last_key_ = true;
       queue_.erase(queue_.begin());
       const Bytes charged = charges ? std::min(bytes, credit_) : 0;
       credit_ -= charged;
@@ -363,6 +385,11 @@ class CoreModel {
   std::vector<Attempt> attempts_;
   std::set<std::pair<int64_t, size_t>> timers_;
   std::vector<std::pair<CommTaskId, int>> admitted_;
+  uint64_t depth_count_ = 0;
+  int64_t depth_sum_ = 0;
+  uint64_t preemptions_ = 0;
+  SubTaskKey last_key_;
+  bool has_last_key_ = false;
 };
 
 // Records admissions and hands their completion callbacks to the test.
@@ -391,8 +418,12 @@ TEST_P(CoreOracleTest, AdmissionOrderMatchesOrderedMapReference) {
   config.retry.max_retries = 40;
   Simulator sim;
   AdmissionLog backend;
-  SchedulerCore core(config, &backend, 0, &sim);
+  MetricsRegistry metrics;
+  ObsContext obs(nullptr, &metrics);
+  SchedulerCore core(config, &backend, 0, &sim, nullptr, &obs);
   CoreModel model(config);
+  const Histogram* queue_depth = metrics.histogram("sched.w0.queue_depth");
+  const Counter* preemptions = metrics.counter("sched.w0.preemptions");
 
   std::vector<CommTaskId> open;  // tasks with partitions not yet notified
   std::vector<bool> completed;   // per admission: completion delivered
@@ -449,6 +480,13 @@ TEST_P(CoreOracleTest, AdmissionOrderMatchesOrderedMapReference) {
     ASSERT_EQ(backend.admitted, model.admitted()) << "op " << op;
     ASSERT_EQ(core.credit(), model.credit()) << "op " << op;
     ASSERT_EQ(core.queue_length(), model.queue_length()) << "op " << op;
+    ASSERT_EQ(queue_depth->count(), model.depth_count()) << "op " << op;
+    ASSERT_EQ(queue_depth->sum(), model.depth_sum()) << "op " << op;
+    ASSERT_EQ(preemptions->value(), model.preemptions()) << "op " << op;
+    const std::string debug = core.DebugString();
+    ASSERT_NE(debug.find(" queued=" + std::to_string(model.queue_length()) + " "),
+              std::string::npos)
+        << debug << " (op " << op << ")";
   }
 }
 
