@@ -22,8 +22,6 @@
 //        --require-growing-gain  fail unless ByteScheduler's gain over
 //                          vanilla is larger at the highest amplitude than
 //                          at amplitude 0 (the figure's acceptance check)
-//        --bench-append PATH  insert a "fig15_volatility" section into an
-//                          existing BENCH_sim.json (micro_sim's output)
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -35,7 +33,6 @@
 #include "src/exec/sweep_runner.h"
 #include "src/model/zoo.h"
 #include "src/net/net_dynamics.h"
-#include "src/obs/json_lite.h"
 #include "src/runtime/training_job.h"
 
 namespace bsched {
@@ -122,74 +119,6 @@ std::string ToCsv(const std::vector<VolatilityRow>& rows) {
   return out.str();
 }
 
-// Inserts (or replaces) a "fig15_volatility" section in BENCH_sim.json,
-// creating the file when micro_sim has not written one (e.g. a sanitizer
-// preset running only the net-dyn label). Returns false when the merged
-// document fails to re-parse or the file cannot be written.
-bool AppendBenchSection(const std::string& path, const std::vector<VolatilityRow>& rows,
-                        const SweepSpec& spec) {
-  std::string text = "{\n}\n";
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::stringstream buf;
-      buf << in.rdbuf();
-      text = buf.str();
-    }
-  }
-
-  // Replace a section left by a previous append: cut from the comma that
-  // precedes the key (or from the opening brace when it is the only key)
-  // through the end, then re-close the object.
-  const size_t key = text.find("\"fig15_volatility\"");
-  if (key != std::string::npos) {
-    const size_t comma = text.rfind(',', key);
-    text.resize(comma != std::string::npos ? comma : text.find('{') + 1);
-    text += "\n}\n";
-  }
-  const size_t close = text.rfind('}');
-  if (close == std::string::npos) {
-    return false;
-  }
-  std::string head = text.substr(0, close);
-  while (!head.empty() && (head.back() == '\n' || head.back() == ' ')) {
-    head.pop_back();
-  }
-  const bool first_key = head == "{";
-
-  std::ostringstream section;
-  section << (first_key ? "" : ",") << "\n  \"fig15_volatility\": {\n";
-  section << "    \"model\": \"" << spec.model << "\",\n";
-  section << "    \"setup\": \"mxnet_ps_tcp\",\n";
-  char gbps_buf[64];
-  std::snprintf(gbps_buf, sizeof(gbps_buf), "%.1f", spec.gbps);
-  section << "    \"gbps\": " << gbps_buf << ",\n";
-  section << "    \"seed\": " << spec.seed << ",\n";
-  section << "    \"rows\": [";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    char buf[200];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n      {\"amplitude\": %.1f, \"vanilla\": %.2f, "
-                  "\"bytescheduler\": %.2f, \"gain\": %.4f}",
-                  i == 0 ? "" : ",", rows[i].amplitude, rows[i].vanilla,
-                  rows[i].bytescheduler, rows[i].gain());
-    section << buf;
-  }
-  section << "\n    ]\n  }\n}\n";
-
-  const std::string merged = head + section.str();
-  obs::JsonValue parsed;
-  if (!obs::ParseJson(merged, &parsed)) {
-    return false;
-  }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << merged;
-  return true;
-}
-
 }  // namespace
 }  // namespace bsched
 
@@ -198,15 +127,14 @@ int main(int argc, char** argv) {
 
   const Flags flags(argc, argv);
   const int jobs = bench::InitBenchJobs(argc, argv,
-                                        {"model", "gbps", "seed", "csv", "bench-append",
-                                         "check-determinism", "require-growing-gain"});
+                                        {"model", "gbps", "seed", "csv", "check-determinism",
+                                         "require-growing-gain"});
   SweepSpec spec;
   spec.model = flags.GetString("model", spec.model);
   spec.gbps = flags.GetDouble("gbps", spec.gbps);
   spec.seed = static_cast<uint64_t>(
       flags.GetInt("seed", static_cast<int64_t>(spec.seed)));
   const std::string csv_path = flags.GetString("csv", "");
-  const std::string bench_path = flags.GetString("bench-append", "");
   const bool check_determinism = flags.GetBool("check-determinism", false);
   const bool require_growing_gain = flags.GetBool("require-growing-gain", false);
 
@@ -258,16 +186,6 @@ int main(int argc, char** argv) {
     } else {
       out << ToCsv(rows);
       std::printf("  wrote %s\n", csv_path.c_str());
-    }
-  }
-
-  if (!bench_path.empty()) {
-    if (AppendBenchSection(bench_path, rows, spec)) {
-      std::printf("  appended fig15_volatility section to %s\n", bench_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot append fig15_volatility section to %s\n",
-                   bench_path.c_str());
-      ++failures;
     }
   }
 

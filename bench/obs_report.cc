@@ -53,25 +53,6 @@
 namespace bsched {
 namespace {
 
-struct Span {
-  int tid = 0;
-  double ts = 0.0;   // microseconds
-  double dur = 0.0;  // microseconds
-  std::string name;
-};
-
-struct FlowPoint {
-  int tid = 0;
-  double ts = 0.0;
-  char ph = 't';  // 's' start, 't' step, 'f' end
-};
-
-struct TraceData {
-  std::map<int, std::string> track_names;  // tid -> thread_name
-  std::vector<Span> spans;
-  std::map<uint64_t, std::vector<FlowPoint>> flows;  // flow id -> points
-};
-
 struct MetricsData {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, int64_t> gauges;
@@ -89,63 +70,19 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
-bool LoadTrace(const std::string& path, TraceData* out) {
+// Reads and parses a Chrome trace once; the report sections, the track
+// stability check and the critical-path analysis all read the one CpInput.
+bool LoadTrace(const std::string& path, obs::CpInput* out) {
   std::string text;
   if (!ReadFile(path, &text)) {
     std::fprintf(stderr, "error: cannot read trace %s\n", path.c_str());
     return false;
   }
-  obs::JsonValue root;
   std::string error;
-  if (!obs::ParseJson(text, &root, &error) || !root.is_array()) {
+  if (!obs::LoadCpInputFromChromeTrace(text, out, &error)) {
     std::fprintf(stderr, "error: %s is not a Chrome trace array (%s)\n", path.c_str(),
                  error.c_str());
     return false;
-  }
-  for (const obs::JsonValue& ev : root.array) {
-    if (!ev.is_object()) {
-      continue;
-    }
-    const obs::JsonValue* ph = ev.Find("ph");
-    if (ph == nullptr || !ph->is_string() || ph->str.empty()) {
-      continue;
-    }
-    const int tid = static_cast<int>(ev.Find("tid") != nullptr ? ev.Find("tid")->IntOr(0) : 0);
-    const double ts = ev.Find("ts") != nullptr ? ev.Find("ts")->NumberOr(0.0) : 0.0;
-    switch (ph->str[0]) {
-      case 'M': {
-        const obs::JsonValue* name = ev.Find("name");
-        const obs::JsonValue* args = ev.Find("args");
-        if (name != nullptr && name->StringOr("") == "thread_name" && args != nullptr) {
-          const obs::JsonValue* track = args->Find("name");
-          if (track != nullptr && track->is_string()) {
-            out->track_names[tid] = track->str;
-          }
-        }
-        break;
-      }
-      case 'X': {
-        Span span;
-        span.tid = tid;
-        span.ts = ts;
-        span.dur = ev.Find("dur") != nullptr ? ev.Find("dur")->NumberOr(0.0) : 0.0;
-        const obs::JsonValue* name = ev.Find("name");
-        span.name = name != nullptr ? name->StringOr("") : "";
-        out->spans.push_back(std::move(span));
-        break;
-      }
-      case 's':
-      case 't':
-      case 'f': {
-        const obs::JsonValue* id = ev.Find("id");
-        if (id != nullptr && id->is_number()) {
-          out->flows[static_cast<uint64_t>(id->number)].push_back(FlowPoint{tid, ts, ph->str[0]});
-        }
-        break;
-      }
-      default:
-        break;
-    }
   }
   return true;
 }
@@ -317,14 +254,14 @@ double Intersection(const Intervals& a, const Intervals& b) {
   return total;
 }
 
-std::string TrackName(const TraceData& trace, int tid) {
+std::string TrackName(const obs::CpInput& trace, int tid) {
   const auto it = trace.track_names.find(tid);
   return it != trace.track_names.end() ? it->second : "tid" + std::to_string(tid);
 }
 
-int DistinctTracks(const std::vector<FlowPoint>& points) {
+int DistinctTracks(const std::vector<obs::CpFlowPoint>& points) {
   std::vector<int> tids;
-  for (const FlowPoint& p : points) {
+  for (const obs::CpFlowPoint& p : points) {
     tids.push_back(p.tid);
   }
   std::sort(tids.begin(), tids.end());
@@ -339,15 +276,15 @@ struct TraceSummary {
   int multi_track_arcs = 0;  // flow arcs crossing >= 3 distinct tracks
 };
 
-TraceSummary ReportTrace(const TraceData& trace) {
+TraceSummary ReportTrace(const obs::CpInput& trace) {
   TraceSummary summary;
   std::map<int, Intervals> by_track;
   double first = 1e300;
   double last = -1e300;
-  for (const Span& span : trace.spans) {
-    by_track[span.tid].emplace_back(span.ts, span.ts + span.dur);
-    first = std::min(first, span.ts);
-    last = std::max(last, span.ts + span.dur);
+  for (const obs::CpSpan& span : trace.spans) {
+    by_track[span.tid].emplace_back(span.ts_us, span.ts_us + span.dur_us);
+    first = std::min(first, span.ts_us);
+    last = std::max(last, span.ts_us + span.dur_us);
   }
   if (trace.spans.empty()) {
     std::printf("trace: no spans\n\n");
@@ -364,7 +301,7 @@ TraceSummary ReportTrace(const TraceData& trace) {
     merged_by_track[tid] = Merge(std::move(spans));
   }
   std::map<int, size_t> span_counts;
-  for (const Span& span : trace.spans) {
+  for (const obs::CpSpan& span : trace.spans) {
     ++span_counts[span.tid];
   }
   for (const auto& [tid, merged] : merged_by_track) {
@@ -432,11 +369,11 @@ TraceSummary ReportTrace(const TraceData& trace) {
 
   // Flow arcs: a partition's life across tracks.
   int complete = 0;
-  const std::vector<FlowPoint>* sample = nullptr;
+  const std::vector<obs::CpFlowPoint>* sample = nullptr;
   for (const auto& [id, points] : trace.flows) {
     bool has_start = false;
     bool has_end = false;
-    for (const FlowPoint& p : points) {
+    for (const obs::CpFlowPoint& p : points) {
       has_start |= p.ph == 's';
       has_end |= p.ph == 'f';
     }
@@ -454,11 +391,13 @@ TraceSummary ReportTrace(const TraceData& trace) {
   std::printf("arcs: %zu total, %d complete (start+end), %d crossing >= 3 tracks\n",
               trace.flows.size(), complete, summary.multi_track_arcs);
   if (sample != nullptr) {
-    std::vector<FlowPoint> path = *sample;
+    std::vector<obs::CpFlowPoint> path = *sample;
     std::stable_sort(path.begin(), path.end(),
-                     [](const FlowPoint& a, const FlowPoint& b) { return a.ts < b.ts; });
+                     [](const obs::CpFlowPoint& a, const obs::CpFlowPoint& b) {
+                       return a.ts_us < b.ts_us;
+                     });
     std::printf("sample arc:");
-    for (const FlowPoint& p : path) {
+    for (const obs::CpFlowPoint& p : path) {
       std::printf(" -> %s", TrackName(trace, p.tid).c_str());
     }
     std::printf("\n");
@@ -521,23 +460,9 @@ void ReportTimeline(const TimelineData& timeline) {
   std::printf("\n");
 }
 
-obs::CriticalPathReport ReportCriticalPath(const std::string& trace_path, int top_k,
-                                           const std::string& csv_path, bool* loaded) {
-  *loaded = false;
-  obs::CriticalPathReport report;
-  std::string text;
-  if (!ReadFile(trace_path, &text)) {
-    std::fprintf(stderr, "error: cannot read trace %s\n", trace_path.c_str());
-    return report;
-  }
-  obs::CpInput input;
-  std::string error;
-  if (!obs::LoadCpInputFromChromeTrace(text, &input, &error)) {
-    std::fprintf(stderr, "error: %s: %s\n", trace_path.c_str(), error.c_str());
-    return report;
-  }
-  report = obs::AnalyzeCriticalPath(input, top_k);
-  *loaded = true;
+obs::CriticalPathReport ReportCriticalPath(const obs::CpInput& trace, int top_k,
+                                           const std::string& csv_path) {
+  obs::CriticalPathReport report = obs::AnalyzeCriticalPath(trace, top_k);
   std::printf("-- critical path (per-iteration longest-path decomposition) --\n");
   if (report.iterations.empty()) {
     std::printf("no iteration windows (trace carries no per-worker backprop spans)\n\n");
@@ -578,7 +503,7 @@ obs::CriticalPathReport ReportCriticalPath(const std::string& trace_path, int to
 // Satellite check: span track ids must be stable across two identical runs —
 // the TraceRecorder assigns tids in first-use order, so any cross-run drift
 // means the instrumented run's track creation order is nondeterministic.
-bool CheckTrackStability(const TraceData& a, const TraceData& b) {
+bool CheckTrackStability(const obs::CpInput& a, const obs::CpInput& b) {
   bool ok = true;
   for (const auto& [tid, name] : a.track_names) {
     const auto it = b.track_names.find(tid);
@@ -601,10 +526,10 @@ bool CheckTrackStability(const TraceData& a, const TraceData& b) {
   }
   std::map<int, size_t> spans_a;
   std::map<int, size_t> spans_b;
-  for (const Span& s : a.spans) {
+  for (const obs::CpSpan& s : a.spans) {
     ++spans_a[s.tid];
   }
-  for (const Span& s : b.spans) {
+  for (const obs::CpSpan& s : b.spans) {
     ++spans_b[s.tid];
   }
   if (spans_a != spans_b) {
@@ -704,7 +629,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  TraceData trace;
+  obs::CpInput trace;
   TraceSummary trace_summary;
   const bool have_trace = !trace_path.empty();
   if (have_trace) {
@@ -720,7 +645,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: --trace-b needs --trace=PATH\n");
       return 2;
     }
-    TraceData trace_b;
+    obs::CpInput trace_b;
     if (!LoadTrace(trace_b_path, &trace_b)) {
       return 2;
     }
@@ -728,9 +653,8 @@ int main(int argc, char** argv) {
   }
 
   obs::CriticalPathReport cp_report;
-  bool cp_loaded = true;
   if (critical_path) {
-    cp_report = ReportCriticalPath(trace_path, top_k, cp_csv_path, &cp_loaded);
+    cp_report = ReportCriticalPath(trace, top_k, cp_csv_path);
   }
 
   TimelineData timeline;
@@ -758,7 +682,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
     if (critical_path) {
-      if (!cp_loaded || cp_report.iterations.empty()) {
+      if (cp_report.iterations.empty()) {
         std::fprintf(stderr, "CHECK FAILED: critical-path analysis produced no iterations\n");
         ok = false;
       } else if (cp_report.MinCoverage() < min_coverage) {

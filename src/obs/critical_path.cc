@@ -303,7 +303,7 @@ bool LoadCpInputFromChromeTrace(const std::string& json, CpInput* out, std::stri
     return false;
   }
   // Pass 1: tid -> track name from the thread_name metadata events.
-  std::map<int, std::string> track_names;
+  std::map<int, std::string>& track_names = out->track_names;
   for (const JsonValue& ev : root.array) {
     if (!ev.is_object()) {
       continue;
@@ -332,15 +332,16 @@ bool LoadCpInputFromChromeTrace(const std::string& json, CpInput* out, std::stri
     if (ph == nullptr || !ph->is_string() || ph->str.empty()) {
       continue;
     }
-    const JsonValue* tid = ev.Find("tid");
-    const auto track_it =
-        track_names.find(tid != nullptr ? static_cast<int>(tid->IntOr(0)) : 0);
+    const JsonValue* tid_value = ev.Find("tid");
+    const int tid = tid_value != nullptr ? static_cast<int>(tid_value->IntOr(0)) : 0;
+    const auto track_it = track_names.find(tid);
     const std::string track = track_it != track_names.end() ? track_it->second : "";
     const JsonValue* ts = ev.Find("ts");
     const JsonValue* name = ev.Find("name");
     switch (ph->str[0]) {
       case 'X': {
         CpSpan span;
+        span.tid = tid;
         span.track = track;
         span.name = name != nullptr ? name->StringOr("") : "";
         span.ts_us = ts != nullptr ? ts->NumberOr(0.0) : 0.0;
@@ -362,6 +363,7 @@ bool LoadCpInputFromChromeTrace(const std::string& json, CpInput* out, std::stri
         const JsonValue* id = ev.Find("id");
         if (id != nullptr && id->is_number()) {
           CpFlowPoint point;
+          point.tid = tid;
           point.track = track;
           point.name = name != nullptr ? name->StringOr("") : "";
           point.ts_us = ts != nullptr ? ts->NumberOr(0.0) : 0.0;

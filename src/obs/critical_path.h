@@ -8,8 +8,9 @@
 // the four resources the scheduler can trade against each other.
 //
 // Inputs are producer-agnostic plain structs; bench/obs_report fills them
-// from a Chrome trace JSON (LoadCpInputFromChromeTrace), tests can fill them
-// synthetically or round-trip a TraceRecorder through the same loader.
+// from a Chrome trace JSON (LoadCpInputFromChromeTrace) and builds its whole
+// trace report from them, tests can fill them synthetically or round-trip a
+// TraceRecorder through the same loader.
 #ifndef SRC_OBS_CRITICAL_PATH_H_
 #define SRC_OBS_CRITICAL_PATH_H_
 
@@ -21,8 +22,9 @@
 
 namespace bsched::obs {
 
-// One complete span ("X" event) with its track resolved to a name.
+// One complete span ("X" event): its track id and that track's name.
 struct CpSpan {
+  int tid = 0;
   std::string track;
   std::string name;
   double ts_us = 0.0;
@@ -34,6 +36,7 @@ struct CpSpan {
 
 // One flow event ("s"/"t"/"f") of a partition's arc.
 struct CpFlowPoint {
+  int tid = 0;
   std::string track;
   std::string name;
   double ts_us = 0.0;
@@ -41,6 +44,7 @@ struct CpFlowPoint {
 };
 
 struct CpInput {
+  std::map<int, std::string> track_names;  // tid -> thread_name metadata
   std::vector<CpSpan> spans;
   std::map<uint64_t, std::vector<CpFlowPoint>> flows;  // flow id -> points
 };
