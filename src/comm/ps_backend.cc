@@ -37,6 +37,23 @@ PsBackend::PsBackend(Simulator* sim, const PsConfig& config) : sim_(sim), config
         std::make_unique<Link>(sim_, name + ".out", config_.link_rate, config_.transport));
     shard_cpus_.push_back(std::make_unique<Resource>(sim_, name + ".cpu"));
   }
+  // Every flight's token is its hop; each link role lands it on its next step.
+  for (auto& link : uplinks_) {
+    link->SetFlightHandlers([this](uint32_t hop) { OnPushFlushed(hop); },
+                            [this](uint32_t hop, SimTime wire) {
+                              Land(hop, wire, &PsBackend::OnPushAtShard);
+                            });
+  }
+  for (auto& link : ingresses_) {
+    link->SetFlightHandlers(nullptr, [this](uint32_t hop, SimTime wire) {
+      Land(hop, wire, &PsBackend::OnPushArrived);
+    });
+  }
+  for (auto& link : egresses_) {
+    link->SetFlightHandlers(nullptr, [this](uint32_t hop, SimTime wire) {
+      Land(hop, wire, &PsBackend::OnPullAtWorker);
+    });
+  }
   workers_.resize(static_cast<size_t>(config_.num_workers));
   shards_.resize(static_cast<size_t>(config_.num_shards));
   arrived_words_ = (config_.num_workers + 63) / 64;
@@ -138,6 +155,16 @@ void PsBackend::FreeHop(uint32_t hop) {
   hops_.Release(hop);
 }
 
+void PsBackend::Land(uint32_t hop, SimTime wire, HopStep step) {
+  if (wire == Link::kDropped) {
+    // Lost on the wire: a push's ack timer retransmits it, a pull's Core
+    // retry timer re-requests it.
+    FreeHop(hop);
+  } else {
+    Forward(wire, hop, step);
+  }
+}
+
 void PsBackend::Forward(SimTime delay, uint32_t hop, HopStep step) {
   // A zero wire flight runs inline, like Link::Send's delivery.
   if (delay.nanos() == 0) {
@@ -191,9 +218,7 @@ void PsBackend::HandlePush(const SubCommTask& subtask, std::function<void()> on_
   h.shard = shard;
   h.round = prev.round;
   h.submit = sim_->Now();
-  uplinks_[worker]->SendFlight(
-      subtask.bytes, [this, hop] { OnPushFlushed(hop); },
-      [this, hop](SimTime wire) { OnUplinkDelivered(hop, wire); }, MsgScale(worker, shard));
+  uplinks_[worker]->SendFlight(subtask.bytes, hop, /*flush=*/true, MsgScale(worker, shard));
 }
 
 void PsBackend::OnPushFlushed(uint32_t hop) {
@@ -221,26 +246,11 @@ void PsBackend::OnPushFlushed(uint32_t hop) {
   sim_->Schedule(config_.control_latency, std::move(h.on_finish));
 }
 
-void PsBackend::OnUplinkDelivered(uint32_t hop, SimTime wire) {
-  if (wire == Link::kDropped) {
-    FreeHop(hop);  // lost on the wire; the ack timer retransmits
-    return;
-  }
+void PsBackend::OnPushAtShard(uint32_t hop) {
   // Store-and-forward: after the wire flight the partition serializes into
   // the shard NIC, where copies from all workers contend.
-  Forward(wire, hop, &PsBackend::OnPushAtShard);
-}
-
-void PsBackend::OnPushAtShard(uint32_t hop) {
   const Hop& h = hops_[hop];
-  ingresses_[h.shard]->SendFlight(h.subtask.bytes, /*on_flushed=*/nullptr,
-                                  [this, hop](SimTime wire) {
-                                    if (wire == Link::kDropped) {
-                                      FreeHop(hop);
-                                    } else {
-                                      Forward(wire, hop, &PsBackend::OnPushArrived);
-                                    }
-                                  });
+  ingresses_[h.shard]->SendFlight(h.subtask.bytes, hop, /*flush=*/false);
 }
 
 void PsBackend::SendPushData(int worker, const SubCommTask& subtask, int shard, uint64_t round) {
@@ -251,9 +261,7 @@ void PsBackend::SendPushData(int worker, const SubCommTask& subtask, int shard, 
   h.subtask = subtask;
   h.shard = shard;
   h.round = round;
-  uplinks_[worker]->SendFlight(
-      subtask.bytes, /*on_flushed=*/nullptr,
-      [this, hop](SimTime wire) { OnUplinkDelivered(hop, wire); }, MsgScale(worker, shard));
+  uplinks_[worker]->SendFlight(subtask.bytes, hop, /*flush=*/false, MsgScale(worker, shard));
 }
 
 void PsBackend::ArmPushAckTimer(int worker, const SubCommTask& subtask, int shard, int attempt,
@@ -511,16 +519,7 @@ void PsBackend::DeliverPull(uint32_t hop) {
       on_finish();
     };
   }
-  egresses_[shard]->SendFlight(
-      h.deliver_bytes, /*on_flushed=*/nullptr,
-      [this, hop](SimTime wire) {
-        if (wire == Link::kDropped) {
-          FreeHop(hop);  // the Core's retry timer re-requests the pull
-        } else {
-          Forward(wire, hop, &PsBackend::OnPullAtWorker);
-        }
-      },
-      MsgScale(worker, shard));
+  egresses_[shard]->SendFlight(h.deliver_bytes, hop, /*flush=*/false, MsgScale(worker, shard));
 }
 
 void PsBackend::OnPullAtWorker(uint32_t hop) {

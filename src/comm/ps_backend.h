@@ -33,10 +33,12 @@
 // rounds and ack timers per worker, aggregation bitsets, accepted rounds and
 // pending-pull FIFOs per PS shard — lives in vectors indexed by it. Ids are
 // never raw tensor ids: co-scheduled jobs offset theirs by 1 << 20. A push
-// data leg or pull in flight is one pooled Hop record, and every callback
-// along its path (link flush and delivery, shard CPU, Forward) captures only
+// data leg or pull in flight is one pooled Hop record named by its index. A
+// link carries the index as its message token to flight handlers installed
+// once per link role, and the shard CPU and Forward callbacks capture only
 // {this, hop index}, which std::function and EventFn store inline, so a
-// job's steady state allocates nothing here.
+// job's steady state allocates nothing here. Only a pull's last leg, the
+// worker downlink, parks its completion callback in the link (Link::Send).
 #ifndef SRC_COMM_PS_BACKEND_H_
 #define SRC_COMM_PS_BACKEND_H_
 
@@ -272,11 +274,9 @@ class PsBackend : public CommBackend {
 
   void HandlePush(const SubCommTask& subtask, std::function<void()> on_finish);
   void HandlePull(const SubCommTask& subtask, std::function<void()> on_finish);
-  // Hop steps, in path order. Push: uplink flush -> uplink delivery ->
-  // ingress -> arrival -> shard update. Pull: request at the shard ->
-  // egress -> downlink.
+  // Hop steps, in path order. Push: uplink flush -> ingress -> arrival ->
+  // shard update. Pull: request at the shard -> egress -> downlink.
   void OnPushFlushed(uint32_t hop);
-  void OnUplinkDelivered(uint32_t hop, SimTime wire);
   void OnPushAtShard(uint32_t hop);
   void OnPushArrived(uint32_t hop);
   void OnUpdated(uint32_t hop);
@@ -300,6 +300,9 @@ class PsBackend : public CommBackend {
   // Runs `step` for `hop` `delay` from now (inline when delay is zero, as
   // Link::Send delivers a zero wire flight).
   void Forward(SimTime delay, uint32_t hop, HopStep step);
+  // A link's flight delivery: forwards `hop` to `step` after the wire
+  // flight, or frees it if the flight was dropped.
+  void Land(uint32_t hop, SimTime wire, HopStep step);
 
   Simulator* sim_;
   PsConfig config_;

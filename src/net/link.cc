@@ -15,7 +15,9 @@ Link::Link(Simulator* sim, std::string name, Bandwidth line_rate, const Transpor
 }
 
 void Link::Send(Bytes size, std::function<void()> on_delivered) {
-  Enqueue(Msg{size, 1.0, nullptr, nullptr, std::move(on_delivered)});
+  const uint32_t token = callbacks_.Acquire();
+  callbacks_[token] = std::move(on_delivered);
+  Enqueue(Msg{size, 1.0, token, kCallback});
 }
 
 void Link::SetFaultInjector(FaultInjector* faults) {
@@ -58,9 +60,15 @@ SimTime Link::DrainTime() const {
   return t;
 }
 
-void Link::SendFlight(Bytes size, std::function<void()> on_flushed,
-                      std::function<void(SimTime)> deliver, double msg_scale) {
-  Enqueue(Msg{size, msg_scale, std::move(on_flushed), std::move(deliver), nullptr});
+void Link::SetFlightHandlers(std::function<void(uint32_t)> on_flushed,
+                             std::function<void(uint32_t, SimTime)> deliver) {
+  on_flushed_ = std::move(on_flushed);
+  deliver_ = std::move(deliver);
+}
+
+void Link::SendFlight(Bytes size, uint32_t token, bool flush, double msg_scale) {
+  BSCHED_CHECK(!flush || on_flushed_ != nullptr);
+  Enqueue(Msg{size, msg_scale, token, flush ? kFlushed : kFlight});
 }
 
 void Link::Enqueue(Msg msg) {
@@ -116,10 +124,19 @@ void Link::FinishSend() {
   if (obs_inflight_ != nullptr) {
     obs_inflight_->Add(-msg.size);
   }
-  if (msg.on_flushed) {
-    msg.on_flushed();
+  if (msg.kind == kFlushed) {
+    on_flushed_(msg.token);
   }
-  if (!msg.deliver && !msg.on_delivered) {
+  std::function<void()> on_delivered;
+  if (msg.kind == kCallback) {
+    // Release the slot before delivering: the callback may Send again.
+    on_delivered = std::move(callbacks_[msg.token]);
+    callbacks_[msg.token] = nullptr;
+    callbacks_.Release(msg.token);
+    if (on_delivered == nullptr) {
+      return;
+    }
+  } else if (deliver_ == nullptr) {
     return;
   }
   SimTime total = transport_.latency;
@@ -131,22 +148,23 @@ void Link::FinishSend() {
     // zero-rate segments.
     const FaultInjector::MessageFault fate = faults_->OnMessageSend(site_hash_);
     if (fate.drop) {
-      // Lost in the network; recovery retransmits.
-      if (msg.deliver) {
-        msg.deliver(kDropped);
+      // Lost in the network; recovery retransmits. A Send's callback is
+      // destroyed undelivered.
+      if (msg.kind != kCallback) {
+        deliver_(msg.token, kDropped);
       }
       return;
     }
     total += fate.delay;
   }
-  if (msg.deliver) {
-    msg.deliver(total);
+  if (msg.kind != kCallback) {
+    deliver_(msg.token, total);
   } else if (total.nanos() == 0) {
-    msg.on_delivered();
+    on_delivered();
   } else {
     // Delivery completes after the pipelined latency; the link itself is
     // already free for the next message.
-    sim_->Schedule(total, std::move(msg.on_delivered));
+    sim_->Schedule(total, std::move(on_delivered));
   }
 }
 

@@ -15,12 +15,19 @@
 // TransportModel::MessageTime at the nominal rate, to the nanosecond (same
 // llround, same operation order), so a link nobody reconfigures is the
 // paper's fixed-bandwidth FIFO queue plus per-message overhead θ.
+//
+// A queued message is a 24-byte record: size, pacing scale and a token. A
+// flight's token is the sender's own index (the PS backend's hop), handed to
+// the flush and delivery handlers the sender installs once per link; a
+// Send's token indexes the link's pool of parked delivery callbacks.
 #ifndef SRC_NET_LINK_H_
 #define SRC_NET_LINK_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
+#include "src/common/pool.h"
 #include "src/common/units.h"
 #include "src/fault/fault_injector.h"
 #include "src/net/rate_model.h"
@@ -42,20 +49,27 @@ class Link {
   // Enqueues a message of `size` bytes. `on_delivered` fires when the message
   // reaches the far end: occupancy (serialization + serial overhead) plus the
   // transport's pipelined latency. The link frees at occupancy end, so
-  // subsequent messages overlap with in-flight latency.
+  // subsequent messages overlap with in-flight latency. The link parks the
+  // callback until the message's flush; a null one only occupies the link.
   void Send(Bytes size, std::function<void()> on_delivered);
 
-  // Like Send, but also reports the sender-side flush (occupancy end, when
-  // the stack accepts the next message; ps-lite-style push completions are
-  // flush-time events) and, instead of scheduling the delivery itself, hands
-  // the computed wire flight (pipelined latency plus any injected delay) to
-  // `deliver` at flush time; the caller lands the message. A message the
-  // fault injector drops calls `deliver(kDropped)`, so a caller that keeps
-  // per-message state in a pool can reclaim it. `msg_scale` is the
-  // per-message pacing scale of the two-tier topology (cross-rack transfers
-  // run at line_rate / oversubscription); it must be positive.
-  void SendFlight(Bytes size, std::function<void()> on_flushed,
-                  std::function<void(SimTime wire_flight)> deliver, double msg_scale = 1.0);
+  // Like Send, but for a sender that keeps its per-message state itself and
+  // names it by `token`. At flush time (occupancy end, when the stack accepts
+  // the next message; ps-lite-style push completions are flush-time events)
+  // the link calls the installed `on_flushed(token)` if `flush` is set, and
+  // then, instead of scheduling the delivery itself, hands the computed wire
+  // flight (pipelined latency plus any injected delay) to `deliver(token,
+  // wire_flight)`; the caller lands the message. A message the fault
+  // injector drops calls `deliver(token, kDropped)`, so the caller can
+  // reclaim its state. `msg_scale` is the per-message pacing scale of the
+  // two-tier topology (cross-rack transfers run at line_rate /
+  // oversubscription); it must be positive.
+  void SendFlight(Bytes size, uint32_t token, bool flush, double msg_scale = 1.0);
+  // Installs SendFlight's handlers; call once, before the first flight.
+  // Either may be null: flights then skip that step (and, without
+  // `deliver`, the fault fate too).
+  void SetFlightHandlers(std::function<void(uint32_t token)> on_flushed,
+                         std::function<void(uint32_t token, SimTime wire_flight)> deliver);
   // Wire flight passed to SendFlight's `deliver` for a dropped message.
   static constexpr SimTime kDropped = SimTime::Max();
 
@@ -108,16 +122,20 @@ class Link {
   void ExportMetrics();
 
  private:
-  // A message from submission to flush. The callbacks live here rather than
-  // in the completion event, which captures only `this`, so a sender whose
-  // callbacks fit std::function's inline buffer sends without allocating.
+  // What FinishSend does with a message at its flush.
+  enum Kind : uint8_t {
+    kCallback,  // Send: the token indexes callbacks_
+    kFlight,    // SendFlight: deliver_(token, wire)
+    kFlushed,   // SendFlight with flush: on_flushed_(token), then as kFlight
+  };
+  // A message from submission to flush.
   struct Msg {
     Bytes size = 0;
     double msg_scale = 1.0;
-    std::function<void()> on_flushed;
-    std::function<void(SimTime)> deliver;
-    std::function<void()> on_delivered;
+    uint32_t token = 0;
+    uint8_t kind = kCallback;
   };
+  static_assert(sizeof(Msg) <= 24);
 
   void Enqueue(Msg msg);
   // Starts transmitting msgs_.front(), if any.
@@ -125,7 +143,7 @@ class Link {
   // Occupancy end of the front message.
   void OnSent();
   // At occupancy end: pops the front message and runs its inflight gauge,
-  // flush callback, fault fate and delivery.
+  // flush handler, fault fate and delivery.
   void FinishSend();
 
   void ScheduleCompletion();
@@ -159,6 +177,10 @@ class Link {
   // Messages submitted and not yet flushed, in FIFO (= flush) order; the
   // front one is in transmission while busy_.
   FifoRing<Msg> msgs_;
+  // Delivery callbacks of queued Send messages, by token.
+  Pool<std::function<void()>> callbacks_;
+  std::function<void(uint32_t)> on_flushed_;
+  std::function<void(uint32_t, SimTime)> deliver_;
   RateModel model_;
   double ctrl_scale_ = 1.0;
   // Pacing scale of the message in transmission (msgs_.front()).

@@ -30,8 +30,8 @@ class FifoRing {
     ++size_;
   }
 
-  // Removes and returns the front element; its cell is reset to T() so the
-  // ring holds no stale callbacks.
+  // Removes and returns the front element; its cell is reset to T() so a
+  // ring of callback-holding records (Resource jobs) holds no stale ones.
   T pop_front() {
     T value = std::move(buf_[head_]);
     buf_[head_] = T();

@@ -6,11 +6,15 @@
 // The bounds are the counts of the pooled implementation plus a little
 // headroom; a change that brings back per-event allocations (a callback
 // capture grown past std::function's 16-byte inline buffer, a map in a
-// backend, a deque in a link) trips them. The co-scheduled run also gates
-// peak live heap bytes: its second job's tensor ids start at 1 << 20, so
-// storage indexed by raw tensor id shows up as megabytes. So do four points
-// of the tuning lattice's small-partition corner, where state that grows
-// with partition count (queued partitions, in-flight messages) dominates.
+// backend, a deque in place of a link's message ring) trips them. The
+// co-scheduled run also gates peak live heap bytes: its second job's tensor
+// ids start at 1 << 20, so storage indexed by raw tensor id shows up as
+// megabytes. So do four points of the tuning lattice's small-partition
+// corner, where state that grows with partition count (queued partitions,
+// queued link messages, PS hops) dominates, and Figure 4's heaviest cell,
+// where pulls, which take no credit, fill the shard egress and worker
+// downlink queues. A queued link message that grows back from its 24 bytes
+// (say, by carrying its callbacks again) trips these peak bounds.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -86,13 +90,17 @@ constexpr double kCoscheduleBound = 0.06;
 // head of the queue and stopped storing one size per partition, the same
 // runs peaked at: co-scheduled 1.57 MiB; VGG16 64 KiB/64 KiB 8.60 MiB,
 // 64 KiB/512 MiB 17.47 MiB; Transformer 64 KiB/64 KiB 12.46 MiB,
-// 64 KiB/512 MiB 28.33 MiB.
+// 64 KiB/512 MiB 28.33 MiB. Before a queued link message shrank from three
+// std::functions (112 bytes) to a 24-byte token record, the large-credit
+// corners peaked at 13.65 MiB (VGG16) and 25.51 MiB (Transformer), and
+// Figure 4's heaviest cell at 20.78 MiB.
 constexpr int64_t MiBytes(double mib) { return static_cast<int64_t>(mib * (1 << 20)); }
-constexpr int64_t kCoschedulePeakBytes = MiBytes(1.19);              // 1.08 MiB
-constexpr int64_t kVgg16SmallCreditPeakBytes = MiBytes(3.04);        // 2.76 MiB
-constexpr int64_t kVgg16LargeCreditPeakBytes = MiBytes(15.0);        // 13.65 MiB
-constexpr int64_t kTransformerSmallCreditPeakBytes = MiBytes(3.27);  // 2.97 MiB
-constexpr int64_t kTransformerLargeCreditPeakBytes = MiBytes(28.1);  // 25.51 MiB
+constexpr int64_t kCoschedulePeakBytes = MiBytes(1.19);              // 1.01 MiB
+constexpr int64_t kVgg16SmallCreditPeakBytes = MiBytes(3.04);        // 2.78 MiB
+constexpr int64_t kVgg16LargeCreditPeakBytes = MiBytes(12.0);        // 10.91 MiB
+constexpr int64_t kTransformerSmallCreditPeakBytes = MiBytes(3.27);  // 2.99 MiB
+constexpr int64_t kTransformerLargeCreditPeakBytes = MiBytes(20.3);  // 18.43 MiB
+constexpr int64_t kFig04HeaviestCellPeakBytes = MiBytes(17.2);       // 15.66 MiB
 
 struct Sample {
   uint64_t allocs = 0;
@@ -164,6 +172,27 @@ int64_t LatticePeakBytes(const ModelProfile& model, Bytes credit, const char* na
   return sample.peak_bytes;
 }
 
+// Figure 4's heaviest cell, built as fig04_partition_credit's SpeedWith
+// builds it: VGG16, MXNet PS TCP, 4x8 GPUs at 1 Gbps, FIFO policy, 80 KiB
+// partitions, 640 KiB credit, 2 warm-up and 3 measured iterations.
+JobConfig Fig04HeaviestCellJob() {
+  JobConfig job;
+  job.model = Vgg16();
+  job.setup = Setup::MxnetPsTcp();
+  job.num_machines = 4;
+  job.gpus_per_machine = 8;
+  job.bandwidth = Bandwidth::Gbps(1);
+  job.mode = SchedMode::kByteScheduler;
+  SchedulerConfig cfg;
+  cfg.policy = SchedulerConfig::Policy::kFifo;
+  cfg.partition_bytes = KiB(80);
+  cfg.credit_bytes = KiB(640);
+  job.sched_override = cfg;
+  job.warmup_iters = 2;
+  job.measure_iters = 3;
+  return job;
+}
+
 // The reference PS job: VGG16, MXNet PS TCP, 4x8 GPUs, 10 Gbps, ByteScheduler.
 TEST(AllocTest, PsJobSteadyStateAllocsPerEvent) {
   const double per_event = SteadyAllocsPerEvent(
@@ -217,6 +246,13 @@ TEST(AllocTest, LatticeCornerTransformerSmallCreditPeak) {
 TEST(AllocTest, LatticeCornerTransformerLargeCreditPeak) {
   EXPECT_LE(LatticePeakBytes(Transformer(), MiB(512), "transformer 64K/512M"),
             kTransformerLargeCreditPeakBytes);
+}
+
+TEST(AllocTest, Fig04HeaviestCellPeak) {
+  const Sample sample = Count([] { return RunTrainingJob(Fig04HeaviestCellJob()).sim_events; });
+  std::printf("fig04 80K/640K 1Gbps: peak %.2f MiB live\n",
+              static_cast<double>(sample.peak_bytes) / (1 << 20));
+  EXPECT_LE(sample.peak_bytes, kFig04HeaviestCellPeakBytes);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -10,6 +11,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/trace.h"
+#include "src/fault/fault_injector.h"
 #include "src/model/zoo.h"
 #include "src/net/link.h"
 #include "src/net/net_dynamics.h"
@@ -122,9 +124,10 @@ TEST(LinkTest, FlushesLandOnNominalMessageTime) {
         Simulator sim;
         Link link(&sim, "l", line, t);
         std::vector<int64_t> flushes;
-        for (Bytes size : sizes) {
-          link.SendFlight(
-              size, [&] { flushes.push_back(sim.Now().nanos()); }, nullptr, scale);
+        link.SetFlightHandlers([&](uint32_t) { flushes.push_back(sim.Now().nanos()); },
+                               nullptr);
+        for (size_t i = 0; i < sizes.size(); ++i) {
+          link.SendFlight(sizes[i], static_cast<uint32_t>(i), /*flush=*/true, scale);
         }
         sim.Run();
         ASSERT_EQ(flushes.size(), sizes.size());
@@ -164,17 +167,114 @@ TEST(LinkTest, SendFlightSeparatesFlushFromDelivery) {
   SimTime flushed;
   SimTime handed_off;
   SimTime delivered;
-  link.SendFlight(
-      1'000'000, [&] { flushed = sim.Now(); },
-      [&](SimTime wire) {
+  link.SetFlightHandlers(
+      [&](uint32_t token) {
+        EXPECT_EQ(token, 7u);
+        flushed = sim.Now();
+      },
+      [&](uint32_t token, SimTime wire) {
+        EXPECT_EQ(token, 7u);
         handed_off = sim.Now();
         sim.Schedule(wire, [&] { delivered = sim.Now(); });
       });
+  link.SendFlight(1'000'000, /*token=*/7, /*flush=*/true);
   sim.Run();
   EXPECT_EQ(flushed, SimTime::Millis(1));
   // The wire flight is handed over at flush time; the caller lands it.
   EXPECT_EQ(handed_off, SimTime::Millis(1));
   EXPECT_EQ(delivered, SimTime::Millis(1) + SimTime::Micros(200));
+}
+
+TEST(LinkTest, SendAndSendFlightShareOneFifo) {
+  // Send and SendFlight messages interleave in one FIFO: each token reaches
+  // its own handler exactly once, in flush order, and each Send runs its own
+  // callback one latency after its flush.
+  Simulator sim;
+  TransportModel t = TransportModel::Ideal();
+  t.latency = SimTime::Micros(200);
+  Link link(&sim, "l", Bandwidth::Gbps(8), t);  // 1 MB flushes every 1 ms
+  std::vector<std::string> log;
+  auto stamp = [&](const std::string& what) {
+    log.push_back(what + "@" + std::to_string(sim.Now().nanos()));
+  };
+  link.SetFlightHandlers([&](uint32_t token) { stamp("flush" + std::to_string(token)); },
+                         [&](uint32_t token, SimTime wire) {
+                           stamp("deliver" + std::to_string(token) + "+" +
+                                 std::to_string(wire.nanos()));
+                         });
+  link.Send(1'000'000, [&] { stamp("send0"); });
+  link.SendFlight(1'000'000, /*token=*/11, /*flush=*/true);
+  link.SendFlight(1'000'000, /*token=*/12, /*flush=*/false);
+  link.Send(1'000'000, [&] { stamp("send3"); });
+  link.SendFlight(1'000'000, /*token=*/14, /*flush=*/true);
+  sim.Run();
+  const std::vector<std::string> expected = {
+      "send0@1200000",            "flush11@2000000", "deliver11+200000@2000000",
+      "deliver12+200000@3000000", "send3@4200000",   "flush14@5000000",
+      "deliver14+200000@5000000"};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(link.messages_sent(), 5u);
+}
+
+TEST(LinkTest, DroppedMessagesReachTheirOwners) {
+  // Every message inside the certain-drop window is lost: a dropped flight
+  // hands (token, kDropped) to its deliver handler, and a dropped Send
+  // destroys its callback without running it.
+  Simulator sim;
+  FaultPlanConfig plan;
+  plan.seed = 5;
+  plan.horizon = SimTime::Millis(10);
+  plan.site_prob = 1.0;
+  plan.drop_episodes = 1;
+  plan.drop_prob = 1.0;
+  plan.drop_len = SimTime::Millis(10);
+  FaultInjector faults(plan, &sim);
+  Link link(&sim, "l", Bandwidth::Gbps(8), TransportModel::Ideal());
+  link.SetFaultInjector(&faults);
+  std::vector<uint32_t> dropped;
+  link.SetFlightHandlers(nullptr, [&](uint32_t token, SimTime wire) {
+    EXPECT_EQ(wire, Link::kDropped);
+    dropped.push_back(token);
+  });
+  auto owner = std::make_shared<int>(0);
+  link.SendFlight(1'000'000, /*token=*/3, /*flush=*/false);
+  link.Send(1'000'000, [owner] { ++*owner; });
+  link.SendFlight(1'000'000, /*token=*/4, /*flush=*/false);
+  EXPECT_EQ(owner.use_count(), 2);
+  sim.Run();
+  EXPECT_EQ(dropped, (std::vector<uint32_t>{3, 4}));
+  EXPECT_EQ(*owner, 0);
+  EXPECT_EQ(owner.use_count(), 1);
+  EXPECT_EQ(faults.stats().drops_injected, 3u);
+}
+
+TEST(LinkTest, DeliveryMaySendAgainOnTheSameLink) {
+  // A delivered message's callback slot is reused by the next Send: one
+  // made from inside the delivery callback itself (zero latency delivers
+  // inline at the flush) or one made while the message is still on the wire.
+  // Every message must run its own callback, exactly once.
+  for (const SimTime latency : {SimTime(), SimTime::Micros(200)}) {
+    Simulator sim;
+    TransportModel t = TransportModel::Ideal();
+    t.latency = latency;
+    Link link(&sim, "l", Bandwidth::Gbps(8), t);  // 1 MB flushes every 1 ms
+    std::vector<std::string> log;
+    const std::string a = "a";  // too large a capture to be stored inline
+    link.Send(1'000'000, [&, a] {
+      link.Send(1'000'000, [&] { log.push_back("b"); });
+      log.push_back(a);
+    });
+    link.Send(1'000'000, [&] { log.push_back("c"); });
+    // After the first flush, before its delivery when latency is nonzero.
+    sim.Schedule(SimTime::Micros(1100),
+                 [&] { link.Send(1'000'000, [&] { log.push_back("d"); }); });
+    sim.Run();
+    const std::vector<std::string> expected =
+        latency.nanos() == 0 ? std::vector<std::string>{"a", "c", "b", "d"}
+                             : std::vector<std::string>{"a", "c", "d", "b"};
+    EXPECT_EQ(log, expected) << latency.nanos();
+    EXPECT_EQ(link.messages_sent(), 4u);
+  }
 }
 
 TEST(LinkTest, BusyAndQueueLength) {
@@ -350,12 +450,12 @@ TEST(RateModelOracleTest, CompletionMatchesScheduleIntegralAcrossSeeds) {
     std::vector<Bytes> sizes;
     std::vector<double> scales;
     std::vector<int64_t> flushes;
+    link.SetFlightHandlers([&flushes, &sim](uint32_t) { flushes.push_back(sim.Now().nanos()); },
+                           nullptr);
     for (int i = 0; i < kMsgs; ++i) {
       sizes.push_back(rng.UniformInt(1'000, 4'000'000));
       scales.push_back(rng.NextDouble() < 0.3 ? 0.25 : 1.0);
-      link.SendFlight(
-          sizes[i], [&flushes, &sim] { flushes.push_back(sim.Now().nanos()); }, nullptr,
-          scales[i]);
+      link.SendFlight(sizes[i], static_cast<uint32_t>(i), /*flush=*/true, scales[i]);
     }
     sim.Run();
     ASSERT_EQ(flushes.size(), static_cast<size_t>(kMsgs));
@@ -378,7 +478,8 @@ TEST(DynamicLinkTest, ZeroRateWindowStallsAndResumes) {
   link.SetRateModel(RateModel::Piecewise(
       {{SimTime(), 1.0}, {SimTime::Millis(2), 0.0}, {SimTime::Millis(5), 1.0}}));
   SimTime flushed;
-  link.SendFlight(4'000'000, [&] { flushed = sim.Now(); }, nullptr);
+  link.SetFlightHandlers([&](uint32_t) { flushed = sim.Now(); }, nullptr);
+  link.SendFlight(4'000'000, /*token=*/0, /*flush=*/true);
   sim.Run();
   EXPECT_EQ(flushed, SimTime::Millis(7));
 }
@@ -390,7 +491,8 @@ TEST(DynamicLinkTest, CtrlScaleRepacesInFlightTransfer) {
   Simulator sim;
   Link link(&sim, "l", Bandwidth::Gbps(8), TransportModel::Ideal());
   SimTime flushed;
-  link.SendFlight(8'000'000, [&] { flushed = sim.Now(); }, nullptr);
+  link.SetFlightHandlers([&](uint32_t) { flushed = sim.Now(); }, nullptr);
+  link.SendFlight(8'000'000, /*token=*/0, /*flush=*/true);
   sim.Schedule(SimTime::Millis(2), [&] { link.SetCtrlScale(0.5); });
   sim.Schedule(SimTime::Millis(5), [&] { link.SetCtrlScale(1.0); });
   sim.Run();
