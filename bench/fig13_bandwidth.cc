@@ -44,8 +44,7 @@ void RunPane(const char* label, const ModelProfile& model, const Setup& setup) {
   };
   // Per-bandwidth cells (including their BO tuning runs) are independent;
   // sweep them concurrently and render in bandwidth order.
-  SweepRunner runner;
-  const std::vector<Cell> cells = runner.ParallelFor(kGbps.size(), [&](size_t i) {
+  const std::vector<Cell> cells = ParallelFor(kGbps.size(), [&](size_t i) {
     JobConfig job = bench::MakeJob(model, setup, 4, Bandwidth::Gbps(kGbps[i]));
     job.measure_iters = 3;
     Cell cell;

@@ -4,10 +4,10 @@
 // MXNet NCCL RDMA. Follows the paper's methodology: the objective is the
 // profiled training speed on an 8x8 (partition, credit) lattice; an algorithm
 // stops when it samples a lattice point within 1% of the lattice optimum.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -26,47 +26,36 @@ constexpr int kLattice = 8;
 constexpr int kRepeats = 8;
 constexpr int kMaxTrials = 64;  // grid needs the full lattice in the worst case
 
-// Caches the true objective on the lattice so each (model, arch) needs at
-// most 64 simulation runs regardless of how many algorithms/seeds search it.
+// The true objective on the lattice, profiled once per (model, arch): 64
+// simulation runs regardless of how many algorithms/seeds search it.
 class LatticeObjective {
  public:
-  explicit LatticeObjective(AutoTuner* tuner) : tuner_(tuner) {}
+  explicit LatticeObjective(const AutoTuner& tuner) {
+    for (int i = 0; i < kLattice; ++i) {
+      for (int j = 0; j < kLattice; ++j) {
+        const double u = static_cast<double>(i) / (kLattice - 1);
+        const double v = static_cast<double>(j) / (kLattice - 1);
+        speed_[i][j] =
+            tuner.EvaluateConfigured(tuner.PartitionFromUnit(u), tuner.CreditFromUnit(v));
+        optimum_ = std::max(optimum_, speed_[i][j]);
+      }
+    }
+  }
 
   int SnapIndex(double u) const {
     return std::min(kLattice - 1, static_cast<int>(std::lround(u * (kLattice - 1))));
   }
 
-  double True(int i, int j) {
-    const auto key = std::make_pair(i, j);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      return it->second;
-    }
-    const double u = static_cast<double>(i) / (kLattice - 1);
-    const double v = static_cast<double>(j) / (kLattice - 1);
-    const double speed =
-        tuner_->EvaluateObjective(tuner_->PartitionFromUnit(u), tuner_->CreditFromUnit(v));
-    cache_.emplace(key, speed);
-    return speed;
-  }
-
-  double Optimum() {
-    double best = 0.0;
-    for (int i = 0; i < kLattice; ++i) {
-      for (int j = 0; j < kLattice; ++j) {
-        best = std::max(best, True(i, j));
-      }
-    }
-    return best;
-  }
+  double True(int i, int j) const { return speed_[i][j]; }
+  double Optimum() const { return optimum_; }
 
  private:
-  AutoTuner* tuner_;
-  std::map<std::pair<int, int>, double> cache_;
+  double speed_[kLattice][kLattice];
+  double optimum_ = 0.0;
 };
 
 // Runs one search until it hits 99% of the lattice optimum; returns trials.
-int TrialsToOptimum(ParamSearch& search, LatticeObjective& objective, double optimum,
+int TrialsToOptimum(ParamSearch& search, const LatticeObjective& objective, double optimum,
                     uint64_t seed) {
   Rng noise(seed ^ 0xabcdef);
   for (int trial = 1; trial <= kMaxTrials; ++trial) {
@@ -85,10 +74,7 @@ int TrialsToOptimum(ParamSearch& search, LatticeObjective& objective, double opt
 void RunPane(const char* label, const ModelProfile& model, const Setup& setup) {
   JobConfig job = bench::MakeJob(model, setup, 4, Bandwidth::Gbps(100));
   job.measure_iters = 3;
-  AutoTunerOptions opt;
-  opt.noise_frac = 0.0;  // the lattice holds true values; noise added per seed
-  AutoTuner tuner(job, opt);
-  LatticeObjective objective(&tuner);
+  const LatticeObjective objective(AutoTuner(job, AutoTunerOptions()));
   const double optimum = objective.Optimum();
 
   Table table({"algorithm", "trials (mean)", "trials (std)"});

@@ -6,8 +6,8 @@
 // links derate, the job turns communication-bound, and priority scheduling
 // with partitioning recovers overlap that FIFO head-of-line blocking wastes.
 //
-// The amplitude sweep's cells are independent simulations evaluated on the
-// SweepRunner pool; rows are bit-identical at any --jobs value. Every cell
+// The amplitude sweep's cells are independent simulations evaluated by
+// ParallelFor; rows are bit-identical at any --jobs value. Every cell
 // sets JobConfig::delayed_notify: the PS push-ack cancel and aggregation
 // notifications arrive as control messages, which is how the recorded rows
 // were produced.
@@ -83,17 +83,18 @@ JobConfig CellJob(const SweepSpec& spec, SchedMode mode, double amplitude) {
 }
 
 // The full figure: one row per amplitude, both modes, cells evaluated
-// concurrently on the pool. Deterministic: rows depend only on the spec,
+// concurrently on `jobs` threads. Deterministic: rows depend only on the spec,
 // never on `jobs`.
 std::vector<VolatilityRow> ComputeSweep(const SweepSpec& spec, int jobs) {
-  SweepRunner runner(jobs);
-  const std::vector<double> speeds =
-      runner.ParallelFor(kAmplitudes.size() * 2, [&](size_t index) {
+  const std::vector<double> speeds = ParallelFor(
+      kAmplitudes.size() * 2,
+      [&](size_t index) {
         const double amplitude = kAmplitudes[index / 2];
         const SchedMode mode =
             (index % 2 == 0) ? SchedMode::kVanilla : SchedMode::kByteScheduler;
         return bench::RunSpeed(CellJob(spec, mode, amplitude));
-      });
+      },
+      jobs);
   std::vector<VolatilityRow> rows;
   for (size_t i = 0; i < kAmplitudes.size(); ++i) {
     VolatilityRow row;

@@ -66,9 +66,9 @@ std::vector<ScalingPane> ComputeScalingGrid(const ModelProfile& model, bool incl
   // Every (setup, GPU count) cell is an independent set of simulations, so
   // the flattened grid evaluates concurrently; results come back in input
   // order, keeping the printed figure bit-identical to a serial sweep.
-  SweepRunner runner(jobs);
-  std::vector<ScalingCell> cells = runner.ParallelFor(
-      setups.size() * cells_per_pane, [&](size_t index) {
+  std::vector<ScalingCell> cells = ParallelFor(
+      setups.size() * cells_per_pane,
+      [&](size_t index) {
         const Setup& setup = setups[index / cells_per_pane];
         const bool p3_pane = include_p3 && setup.name == Setup::MxnetPsTcp().name;
         const int gpus = kGpuCounts[index % cells_per_pane];
@@ -83,7 +83,8 @@ std::vector<ScalingPane> ComputeScalingGrid(const ModelProfile& model, bool incl
           cell.p3 = RunSpeed(WithMode(base, SchedMode::kP3));
         }
         return cell;
-      });
+      },
+      jobs);
 
   std::vector<ScalingPane> panes(setups.size());
   for (size_t s = 0; s < setups.size(); ++s) {
@@ -141,10 +142,11 @@ int InitBenchJobs(int argc, const char* const* argv,
   if (!flags.CheckNames(argv[0], known)) {
     std::exit(2);
   }
-  const int jobs = static_cast<int>(flags.GetInt("jobs", 0));
-  SweepRunner::SetDefaultJobs(jobs);
+  if (!SetDefaultJobsFromFlags(flags, argv[0])) {
+    std::exit(2);
+  }
   g_obs_flags = ParseObsFlags(flags);
-  return SweepRunner::DefaultJobs();
+  return DefaultJobs();
 }
 
 void MaybeWriteObsArtifacts(const JobConfig& job) {

@@ -50,7 +50,7 @@ struct ScalingPane {
 
 // Computes the Figure 10/11/12 grid: every (setup, GPU count) cell across
 // PaperSetups(). Cells are independent simulations; jobs > 1 evaluates them
-// concurrently with bit-identical output (0 = SweepRunner default, i.e. the
+// concurrently with bit-identical output (0 = DefaultJobs(), i.e. the
 // --jobs flag or the hardware concurrency).
 std::vector<ScalingPane> ComputeScalingGrid(const ModelProfile& model, bool include_p3,
                                             int jobs = 0);
@@ -68,9 +68,10 @@ std::string GainPercent(double sched, double baseline);
 // shared observability flags (--trace / --metrics / --timeseries /
 // --sample-every / --obs) consumed by MaybeWriteObsArtifacts. Returns the
 // effective jobs value. `extra` names the binary's own flags. A malformed
-// token (a single dash such as "-jobs", or a bare "--") or a --name outside
-// the shared and extra names prints an error to stderr and exits with
-// status 2 instead of running the defaults.
+// token (a single dash such as "-jobs", or a bare "--"), a --name outside
+// the shared and extra names, or a --jobs value that is not a whole positive
+// number prints an error to stderr and exits with status 2 instead of
+// running the defaults.
 int InitBenchJobs(int argc, const char* const* argv,
                   std::initializer_list<std::string_view> extra = {});
 

@@ -293,7 +293,7 @@ int main(int argc, char** argv) {
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"benchmark\": \"micro_sim\",\n");
   std::fprintf(out, "  \"jobs\": %d,\n", jobs);
-  std::fprintf(out, "  \"hardware_concurrency\": %d,\n", SweepRunner::DefaultJobs());
+  std::fprintf(out, "  \"hardware_concurrency\": %d,\n", DefaultJobs());
   std::fprintf(out, "  \"host_cpus\": %d,\n", host_cpus);
   std::fprintf(out, "  \"event_loop\": {\n");
   std::fprintf(out, "    \"workload\": \"churn\",\n");

@@ -34,7 +34,7 @@ TunedParams GridBest(const ModelProfile& model, const Setup& setup) {
     point = TunedParams{tuner.PartitionFromUnit(x[0]), tuner.CreditFromUnit(x[1])};
   }
   const std::vector<double> speeds =
-      SweepRunner().ParallelFor(points.size(), [&tuner, &points](size_t i) {
+      ParallelFor(points.size(), [&tuner, &points](size_t i) {
         return tuner.EvaluateConfigured(points[i].partition_bytes, points[i].credit_bytes);
       });
   TunedParams best{};

@@ -48,7 +48,9 @@ int main(int argc, char** argv) {
                                   "timeseries", "sample-every", "obs"})) {
     return 2;
   }
-  SweepRunner::SetDefaultJobs(static_cast<int>(flags.GetInt("jobs", 0)));
+  if (!SetDefaultJobsFromFlags(flags, argv[0])) {
+    return 2;
+  }
   const bool chaos = flags.Has("chaos");
   const uint64_t chaos_seed =
       flags.GetBool("chaos", false) ? 1 : static_cast<uint64_t>(flags.GetInt("chaos", 1));
@@ -75,8 +77,7 @@ int main(int argc, char** argv) {
   // simulations: evaluate them concurrently.
   const TunedParams tuned =
       DefaultTunedParams(job.model, job.setup.arch, job.setup.transport, job.bandwidth);
-  SweepRunner runner;
-  const std::vector<JobResult> results = runner.ParallelFor(2, [&](size_t i) {
+  const std::vector<JobResult> results = ParallelFor(2, [&](size_t i) {
     JobConfig run = job;
     if (i == 0) {
       run.mode = SchedMode::kVanilla;

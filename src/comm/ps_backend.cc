@@ -531,26 +531,6 @@ void PsBackend::OnPullAtWorker(uint32_t hop) {
   downlinks_[worker]->Send(bytes, std::move(on_finish));
 }
 
-void PsBackend::ResetAggregationState() {
-  for (WorkerState& ws : workers_) {
-    for (PendingAck& ack : ws.acks) {
-      ack.timer.Cancel();
-    }
-    ws = WorkerState();
-  }
-  for (ShardState& ss : shards_) {
-    // Pulls parked on a slot are dropped with it.
-    for (uint32_t pull : ss.pending_head) {
-      while (pull != kNone) {
-        const uint32_t next = hops_[pull].next;
-        FreeHop(pull);
-        pull = next;
-      }
-    }
-    ss = ShardState();
-  }
-}
-
 Bytes PsBackend::shard_bytes_in(int shard) const {
   BSCHED_CHECK(shard >= 0 && shard < config_.num_shards);
   return ingresses_[shard]->bytes_sent();

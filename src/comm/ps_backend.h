@@ -115,9 +115,6 @@ class PsBackend : public CommBackend {
 
   void Start(const SubCommTask& subtask, std::function<void()> on_finish) override;
 
-  // Clears per-partition aggregation state; call between independent jobs.
-  void ResetAggregationState();
-
   // Human-readable aggregation/pending state for diagnostics.
   std::string DebugString() const;
 

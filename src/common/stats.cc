@@ -28,24 +28,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.n_ == 0) {
-    return;
-  }
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  const size_t n = n_ + other.n_;
-  const double delta = other.mean_ - mean_;
-  mean_ += delta * static_cast<double>(other.n_) / static_cast<double>(n);
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) / static_cast<double>(n);
-  n_ = n;
-}
-
 double Percentile(std::vector<double> values, double p) {
   return PercentileInPlace(values, p);
 }

@@ -14,11 +14,6 @@ class RunningStats {
  public:
   void Add(double x);
 
-  // Folds `other` into this accumulator (Chan et al. parallel combination),
-  // as if every sample fed to `other` had been fed here. Lets SweepRunner
-  // workers keep private accumulators and combine them after the join.
-  void Merge(const RunningStats& other);
-
   size_t count() const { return n_; }
   double mean() const { return n_ > 0 ? mean_ : 0.0; }
   // Sample variance (n-1 denominator); 0 for fewer than two samples.

@@ -1,7 +1,9 @@
 #include "src/exec/sweep_runner.h"
 
-#include <atomic>
-#include <thread>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <string>
 
 namespace bsched {
 namespace {
@@ -15,65 +17,29 @@ int HardwareJobs() {
 
 }  // namespace
 
-void SweepRunner::SetDefaultJobs(int jobs) { g_default_jobs.store(jobs, std::memory_order_relaxed); }
+void SetDefaultJobs(int jobs) { g_default_jobs.store(jobs, std::memory_order_relaxed); }
 
-int SweepRunner::DefaultJobs() {
+int DefaultJobs() {
   const int configured = g_default_jobs.load(std::memory_order_relaxed);
   return configured > 0 ? configured : HardwareJobs();
 }
 
-SweepRunner::SweepRunner(int jobs) : jobs_(jobs > 0 ? jobs : DefaultJobs()) {}
-
-void SweepRunner::RunAll(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) {
-    return;
+bool SetDefaultJobsFromFlags(const Flags& flags, const char* program) {
+  if (!flags.Has("jobs")) {
+    return true;
   }
-  if (jobs_ == 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) {
-      fn(i);
-    }
-    return;
+  const std::string value = flags.GetString("jobs", "");
+  const bool digits_only =
+      !value.empty() && value.find_first_not_of("0123456789") == std::string::npos;
+  // strtoll saturates on overflow, so a huge count fails the range check.
+  const long long jobs = digits_only ? std::strtoll(value.c_str(), nullptr, 10) : 0;
+  if (jobs <= 0 || jobs > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "%s: --jobs needs a whole positive number of threads, got '%s'\n",
+                 program, value.c_str());
+    return false;
   }
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(jobs_);
-  }
-
-  struct Shared {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t remaining;
-    // Lowest-index exception wins so propagation is deterministic.
-    size_t first_error_index;
-    std::exception_ptr error;
-  };
-  auto shared = std::make_shared<Shared>();
-  shared->remaining = n;
-  shared->first_error_index = n;
-
-  for (size_t i = 0; i < n; ++i) {
-    pool_->Submit([shared, &fn, i] {
-      std::exception_ptr error;
-      try {
-        fn(i);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(shared->mu);
-      if (error != nullptr && i < shared->first_error_index) {
-        shared->first_error_index = i;
-        shared->error = error;
-      }
-      if (--shared->remaining == 0) {
-        shared->cv.notify_all();
-      }
-    });
-  }
-
-  std::unique_lock<std::mutex> lock(shared->mu);
-  shared->cv.wait(lock, [&shared] { return shared->remaining == 0; });
-  if (shared->error != nullptr) {
-    std::rethrow_exception(shared->error);
-  }
+  SetDefaultJobs(static_cast<int>(jobs));
+  return true;
 }
 
 }  // namespace bsched

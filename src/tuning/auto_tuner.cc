@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/check.h"
-#include "src/exec/sweep_runner.h"
 
 namespace bsched {
 namespace {
@@ -54,56 +53,33 @@ AutoTuner::Result AutoTuner::Tune(ParamSearch& search) {
   BSCHED_CHECK(search.dims() == 2);
   Result result;
   Bytes last_partition = -1;
-  SweepRunner runner(options_.jobs);
-  const int batch = std::max(1, options_.batch_size);
-  for (int done = 0; done < options_.max_trials;) {
-    const int k = std::min(batch, options_.max_trials - done);
-    const std::vector<std::vector<double>> xs = search.SuggestBatch(k);
-    BSCHED_CHECK(static_cast<int>(xs.size()) == k);
-    std::vector<Trial> trials(k);
-    for (int i = 0; i < k; ++i) {
-      trials[i].partition_bytes = PartitionFromUnit(xs[i][0]);
-      trials[i].credit_bytes = CreditFromUnit(xs[i][1]);
-    }
-    // Draw the measurement jitter in suggestion order before dispatching:
-    // the profiling runs are deterministic, so the observed speeds — and
-    // everything downstream — are bit-identical at any worker count.
-    std::vector<double> jitter(k);
-    for (int i = 0; i < k; ++i) {
-      jitter[i] = 1.0 + options_.noise_frac * rng_.NextGaussian();
-    }
-    const std::vector<double> speeds = runner.ParallelFor(
-        static_cast<size_t>(k), [this, &trials](size_t i) {
-          return EvaluateConfigured(trials[i].partition_bytes, trials[i].credit_bytes);
-        });
+  for (int trial = 0; trial < options_.max_trials; ++trial) {
+    const std::vector<double> x = search.Suggest();
+    Trial t;
+    t.partition_bytes = PartitionFromUnit(x[0]);
+    t.credit_bytes = CreditFromUnit(x[1]);
+    t.speed = EvaluateObjective(t.partition_bytes, t.credit_bytes);
+    search.Observe(x, t.speed);
 
-    for (int i = 0; i < k; ++i) {
-      Trial& t = trials[i];
-      t.speed = speeds[i] * jitter[i];
-      search.Observe(xs[i], t.speed);
-
-      // Tuning cost: the profiling time itself, plus a checkpoint/restart for
-      // PS jobs whenever the partition size changes (§5 "Auto-tuning
-      // support"). Batched trials still pay per-config restarts: the profiled
-      // cluster applies each configuration in sequence.
-      const double profile_sec = options_.profile_iters *
-                                 (t.speed > 0 ? base_.total_gpus() * base_.model.batch_per_gpu /
-                                                    t.speed
-                                              : 0.0);
-      result.tuning_cost_sec += profile_sec;
-      if (base_.setup.arch == ArchType::kPs && t.partition_bytes != last_partition &&
-          last_partition >= 0) {
-        result.tuning_cost_sec += options_.ps_restart_sec;
-      }
-      last_partition = t.partition_bytes;
-
-      if (t.speed > result.best_speed) {
-        result.best_speed = t.speed;
-        result.best = TunedParams{t.partition_bytes, std::max(t.credit_bytes, t.partition_bytes)};
-      }
-      result.trials.push_back(t);
+    // Tuning cost: the profiling time itself, plus a checkpoint/restart for
+    // PS jobs whenever the partition size changes (§5 "Auto-tuning
+    // support").
+    const double profile_sec = options_.profile_iters *
+                               (t.speed > 0 ? base_.total_gpus() * base_.model.batch_per_gpu /
+                                                  t.speed
+                                            : 0.0);
+    result.tuning_cost_sec += profile_sec;
+    if (base_.setup.arch == ArchType::kPs && t.partition_bytes != last_partition &&
+        last_partition >= 0) {
+      result.tuning_cost_sec += options_.ps_restart_sec;
     }
-    done += k;
+    last_partition = t.partition_bytes;
+
+    if (t.speed > result.best_speed) {
+      result.best_speed = t.speed;
+      result.best = TunedParams{t.partition_bytes, std::max(t.credit_bytes, t.partition_bytes)};
+    }
+    result.trials.push_back(t);
   }
   return result;
 }

@@ -30,12 +30,6 @@ struct AutoTunerOptions {
   uint64_t seed = 1;
   // Wall-clock charged per PS restart (checkpoint + reload), §5.
   double ps_restart_sec = 5.0;
-  // Candidates suggested per search round (ParamSearch::SuggestBatch) and
-  // profiled concurrently. 1 reproduces the strictly sequential tuner; any
-  // value yields results independent of `jobs` (bit-identical sweeps).
-  int batch_size = 1;
-  // Worker threads for batch evaluation; 0 = SweepRunner default.
-  int jobs = 0;
 };
 
 class AutoTuner {
@@ -68,7 +62,7 @@ class AutoTuner {
   double EvaluateObjective(Bytes partition, Bytes credit);
 
   // The deterministic part of the objective: profiled speed without jitter.
-  // Const and shared-state-free, so batches evaluate concurrently.
+  // Const and shared-state-free, so lattice points evaluate concurrently.
   double EvaluateConfigured(Bytes partition, Bytes credit) const;
 
   // §7 extension "dynamic partition size": per-layer partition sizes.

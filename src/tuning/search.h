@@ -22,19 +22,6 @@ class ParamSearch {
   // Proposes the next point to evaluate, in [0,1]^dims.
   virtual std::vector<double> Suggest() = 0;
 
-  // Proposes `k` points at once, without observations in between, so the
-  // batch can be evaluated concurrently (AutoSched-style batched tuning).
-  // The default draws Suggest() k times; model-based strategies thus pick
-  // the batch from one posterior snapshot. k == 1 is exactly Suggest().
-  virtual std::vector<std::vector<double>> SuggestBatch(int k) {
-    std::vector<std::vector<double>> xs;
-    xs.reserve(k);
-    for (int i = 0; i < k; ++i) {
-      xs.push_back(Suggest());
-    }
-    return xs;
-  }
-
   // Feeds back the objective value (higher is better) at a suggested point.
   virtual void Observe(const std::vector<double>& x, double y) = 0;
 

@@ -139,18 +139,6 @@ TEST(PsBackendTest, DuplexPushPullOverlap) {
   EXPECT_NEAR((push_done - t0).ToSeconds(), hop, 1e-6);      // sender flush
 }
 
-TEST(PsBackendTest, ResetAggregationStateClearsSlots) {
-  Simulator sim;
-  PsBackend ps(&sim, IdealPs(1, 1));
-  ps.Start(MakeSub(0, 0, 0, MiB(1), CommOpType::kPush), [] {});
-  sim.Run();
-  ps.ResetAggregationState();
-  bool pulled = false;
-  ps.Start(MakeSub(0, 0, 0, MiB(1), CommOpType::kPull), [&] { pulled = true; });
-  sim.Run();
-  EXPECT_FALSE(pulled);  // aggregation state was cleared
-}
-
 TEST(PsBackendTest, ControlLatencyDelaysAck) {
   Simulator sim;
   PsConfig cfg = IdealPs(1, 1);

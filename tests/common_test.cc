@@ -185,42 +185,6 @@ TEST(PercentileTest, InPlaceMatchesFullSort) {
   EXPECT_DOUBLE_EQ(PercentileInPlace(one, 99), 42.0);
 }
 
-TEST(RunningStatsTest, MergeMatchesSingleAccumulator) {
-  Rng rng(31);
-  RunningStats combined;
-  RunningStats parts[4];
-  for (int i = 0; i < 10'000; ++i) {
-    const double v = rng.Gaussian(3.0, 1.5);
-    combined.Add(v);
-    parts[i % 4].Add(v);
-  }
-  RunningStats merged;
-  for (const RunningStats& part : parts) {
-    merged.Merge(part);
-  }
-  EXPECT_EQ(merged.count(), combined.count());
-  EXPECT_NEAR(merged.mean(), combined.mean(), 1e-12);
-  EXPECT_NEAR(merged.variance(), combined.variance(), 1e-9);
-  EXPECT_EQ(merged.min(), combined.min());
-  EXPECT_EQ(merged.max(), combined.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmptySides) {
-  RunningStats filled;
-  filled.Add(1.0);
-  filled.Add(3.0);
-
-  RunningStats target;
-  target.Merge(filled);  // empty.Merge(filled) == copy
-  EXPECT_EQ(target.count(), 2u);
-  EXPECT_DOUBLE_EQ(target.mean(), 2.0);
-
-  RunningStats empty;
-  target.Merge(empty);  // merging an empty accumulator is a no-op
-  EXPECT_EQ(target.count(), 2u);
-  EXPECT_DOUBLE_EQ(target.mean(), 2.0);
-}
-
 TEST(MeanStdDevTest, Vector) {
   std::vector<double> v = {1.0, 2.0, 3.0};
   EXPECT_DOUBLE_EQ(Mean(v), 2.0);

@@ -1,7 +1,7 @@
-// Parallel sweep execution layer: ThreadPool / SweepRunner semantics
-// (ordering, exception propagation), and the serial-vs-parallel
-// bit-exactness guarantees of the sweeps built on it (AutoTuner::Tune and
-// the figure scaling grid).
+// Parallel sweep execution layer: ParallelFor semantics (ordering,
+// exception propagation), and the serial-vs-parallel bit-exactness
+// guarantees of the sweeps built on it (the figure scaling grid and the
+// oracle sweeps below).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,69 +16,27 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "src/common/flags.h"
 #include "src/exec/sweep_runner.h"
-#include "src/exec/thread_pool.h"
 #include "src/model/zoo.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeseries.h"
-#include "src/tuning/auto_tuner.h"
-#include "src/tuning/search.h"
 
 namespace bsched {
 namespace {
 
-// ---- ThreadPool -----------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4);
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&count] { ++count; });
-    }
-  }  // destructor drains the queue
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, AtLeastOneWorker) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1);
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; });
-  while (!ran) {
-    std::this_thread::yield();
-  }
-}
-
-TEST(ThreadPoolTest, TasksRunConcurrently) {
-  ThreadPool pool(2);
-  std::mutex mu;
-  std::condition_variable cv;
-  int arrived = 0;
-  // Two tasks that can only finish once both have started: requires 2 workers.
-  for (int i = 0; i < 2; ++i) {
-    pool.Submit([&] {
-      std::unique_lock<std::mutex> lock(mu);
-      ++arrived;
-      cv.notify_all();
-      cv.wait(lock, [&] { return arrived == 2; });
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(30), [&] { return arrived == 2; }));
-}
-
-// ---- SweepRunner ----------------------------------------------------------
+// ---- ParallelFor (SweepRunnerTest is named after sweep_runner.h) ---------
 
 TEST(SweepRunnerTest, ResultsComeBackInInputOrder) {
-  SweepRunner runner(4);
-  const std::vector<int> results = runner.ParallelFor(64, [](size_t i) {
-    if (i % 7 == 0) {  // stagger completion order
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return static_cast<int>(i * i);
-  });
+  const std::vector<int> results = ParallelFor(
+      64,
+      [](size_t i) {
+        if (i % 7 == 0) {  // stagger completion order
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return static_cast<int>(i * i);
+      },
+      4);
   ASSERT_EQ(results.size(), 64u);
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i], static_cast<int>(i * i));
@@ -87,37 +45,35 @@ TEST(SweepRunnerTest, ResultsComeBackInInputOrder) {
 
 TEST(SweepRunnerTest, SerialAndParallelProduceIdenticalResults) {
   const auto body = [](size_t i) { return 3.0 * static_cast<double>(i) + 1.0; };
-  SweepRunner serial(1);
-  SweepRunner parallel(8);
-  EXPECT_EQ(serial.ParallelFor(33, body), parallel.ParallelFor(33, body));
+  EXPECT_EQ(ParallelFor(33, body, 1), ParallelFor(33, body, 8));
 }
 
 TEST(SweepRunnerTest, VoidBodyRunsEveryIndexExactlyOnce) {
-  SweepRunner runner(4);
   std::vector<std::atomic<int>> hits(50);
-  runner.ParallelFor(50, [&hits](size_t i) { ++hits[i]; });
+  ParallelFor(50, [&hits](size_t i) { ++hits[i]; }, 4);
   for (const std::atomic<int>& h : hits) {
     EXPECT_EQ(h.load(), 1);
   }
 }
 
 TEST(SweepRunnerTest, ZeroAndSingleItemSweeps) {
-  SweepRunner runner(4);
-  EXPECT_TRUE(runner.ParallelFor(0, [](size_t) { return 1; }).empty());
-  const std::vector<int> one = runner.ParallelFor(1, [](size_t i) { return static_cast<int>(i); });
+  EXPECT_TRUE(ParallelFor(0, [](size_t) { return 1; }, 4).empty());
+  const std::vector<int> one = ParallelFor(1, [](size_t i) { return static_cast<int>(i); }, 4);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0], 0);
 }
 
 TEST(SweepRunnerTest, LowestIndexExceptionPropagates) {
-  SweepRunner runner(4);
   try {
-    runner.ParallelFor(16, [](size_t i) -> int {
-      if (i == 11 || i == 5) {
-        throw std::runtime_error("boom at " + std::to_string(i));
-      }
-      return 0;
-    });
+    ParallelFor(
+        16,
+        [](size_t i) -> int {
+          if (i == 11 || i == 5) {
+            throw std::runtime_error("boom at " + std::to_string(i));
+          }
+          return 0;
+        },
+        4);
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "boom at 5");
@@ -125,99 +81,79 @@ TEST(SweepRunnerTest, LowestIndexExceptionPropagates) {
 }
 
 TEST(SweepRunnerTest, SerialExceptionPropagates) {
-  SweepRunner runner(1);
-  EXPECT_THROW(runner.ParallelFor(4, [](size_t) -> int { throw std::runtime_error("x"); }),
+  int started = 0;
+  EXPECT_THROW(ParallelFor(
+                   4,
+                   [&started](size_t) -> int {
+                     ++started;
+                     throw std::runtime_error("x");
+                   },
+                   1),
                std::runtime_error);
+  EXPECT_EQ(started, 1);  // items after the first throw never start
 }
 
 TEST(SweepRunnerTest, DefaultJobsOverride) {
-  const int before = SweepRunner::DefaultJobs();
-  SweepRunner::SetDefaultJobs(3);
-  EXPECT_EQ(SweepRunner::DefaultJobs(), 3);
-  EXPECT_EQ(SweepRunner().jobs(), 3);
-  SweepRunner::SetDefaultJobs(0);  // restore the hardware default
-  EXPECT_GE(SweepRunner::DefaultJobs(), 1);
-  EXPECT_GE(before, 1);
-}
-
-TEST(SweepRunnerTest, UsesMultipleThreadsWhenParallel) {
-  SweepRunner runner(4);
+  const int before = DefaultJobs();
+  SetDefaultJobs(3);
+  EXPECT_EQ(DefaultJobs(), 3);
+  // jobs == 0 picks the default: 3 threads serve a 16-item sweep.
   std::mutex mu;
   std::set<std::thread::id> ids;
   std::atomic<int> arrived{0};
-  runner.ParallelFor(4, [&](size_t) {
+  ParallelFor(16, [&](size_t) {
     ++arrived;
-    // Hold each task open briefly so one worker cannot drain the whole queue.
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    while (arrived.load() < 3 && std::chrono::steady_clock::now() < deadline) {
       std::this_thread::yield();
     }
     std::lock_guard<std::mutex> lock(mu);
     ids.insert(std::this_thread::get_id());
   });
+  EXPECT_EQ(ids.size(), 3u);
+  SetDefaultJobs(0);  // restore the hardware default
+  EXPECT_GE(DefaultJobs(), 1);
+  EXPECT_GE(before, 1);
+}
+
+TEST(SweepRunnerTest, UsesMultipleThreadsWhenParallel) {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  std::atomic<int> arrived{0};
+  ParallelFor(
+      4,
+      [&](size_t) {
+        ++arrived;
+        // Hold each item open briefly so one thread cannot claim every index.
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        ids.insert(std::this_thread::get_id());
+      },
+      4);
   EXPECT_GE(ids.size(), 2u);
 }
 
+TEST(JobsFlagTest, AcceptsOnlyWholePositiveNumbers) {
+  const auto accepts = [](std::vector<const char*> args) {
+    args.insert(args.begin(), "prog");
+    return SetDefaultJobsFromFlags(Flags(static_cast<int>(args.size()), args.data()), "prog");
+  };
+  EXPECT_TRUE(accepts({}));  // absent: keep the default
+  EXPECT_TRUE(accepts({"--jobs", "3"}));
+  EXPECT_EQ(DefaultJobs(), 3);
+  for (const char* bad : {"abc", "-3", "0", "2x", "+2", "", "99999999999999999999"}) {
+    EXPECT_FALSE(accepts({"--jobs", bad})) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(accepts({"--jobs=2x"}));
+  EXPECT_FALSE(accepts({"--jobs"}));  // bare flag parses as "true"
+  EXPECT_EQ(DefaultJobs(), 3);        // a rejected value installs nothing
+  SetDefaultJobs(0);
+}
+
 // ---- serial-vs-parallel bit-exactness of the real sweeps ------------------
-
-AutoTunerOptions BatchedOptions(int jobs) {
-  AutoTunerOptions opt;
-  opt.max_trials = 8;
-  opt.batch_size = 3;  // rounds of 3, 3, 2
-  opt.jobs = jobs;
-  opt.seed = 11;
-  opt.profile_iters = 2;
-  return opt;
-}
-
-JobConfig TunerJob() {
-  JobConfig job;
-  job.model = Vgg16();
-  job.setup = Setup::MxnetPsRdma();
-  job.num_machines = 2;
-  job.bandwidth = Bandwidth::Gbps(100);
-  return job;
-}
-
-TEST(ParallelTuneTest, TuneIsBitIdenticalAcrossWorkerCounts) {
-  AutoTuner serial_tuner(TunerJob(), BatchedOptions(/*jobs=*/1));
-  AutoTuner parallel_tuner(TunerJob(), BatchedOptions(/*jobs=*/8));
-  const AutoTuner::Result a = serial_tuner.TuneWithBo();
-  const AutoTuner::Result b = parallel_tuner.TuneWithBo();
-
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (size_t i = 0; i < a.trials.size(); ++i) {
-    EXPECT_EQ(a.trials[i].partition_bytes, b.trials[i].partition_bytes) << i;
-    EXPECT_EQ(a.trials[i].credit_bytes, b.trials[i].credit_bytes) << i;
-    // Bitwise equality, not approximate: the parallel tuner must reproduce
-    // the serial result stream exactly.
-    EXPECT_EQ(std::memcmp(&a.trials[i].speed, &b.trials[i].speed, sizeof(double)), 0) << i;
-  }
-  EXPECT_EQ(a.best.partition_bytes, b.best.partition_bytes);
-  EXPECT_EQ(a.best.credit_bytes, b.best.credit_bytes);
-  EXPECT_EQ(std::memcmp(&a.best_speed, &b.best_speed, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&a.tuning_cost_sec, &b.tuning_cost_sec, sizeof(double)), 0);
-}
-
-TEST(ParallelTuneTest, BatchSizeOneMatchesLegacySequentialTuner) {
-  // batch_size = 1 must reproduce the strictly sequential pre-batching tuner:
-  // same suggestions, same rng draw order, same trials.
-  AutoTunerOptions sequential = BatchedOptions(/*jobs=*/1);
-  sequential.batch_size = 1;
-  AutoTuner tuner(TunerJob(), sequential);
-  const AutoTuner::Result result = tuner.TuneWithBo();
-
-  // Replay the legacy loop by hand against the same search and seed.
-  AutoTuner replay(TunerJob(), sequential);
-  BayesianOptimizer bo(2, sequential.seed);
-  for (size_t i = 0; i < result.trials.size(); ++i) {
-    const std::vector<double> x = bo.Suggest();
-    const double speed =
-        replay.EvaluateObjective(replay.PartitionFromUnit(x[0]), replay.CreditFromUnit(x[1]));
-    bo.Observe(x, speed);
-    EXPECT_EQ(std::memcmp(&speed, &result.trials[i].speed, sizeof(double)), 0) << i;
-  }
-}
 
 TEST(ParallelGridTest, ScalingGridIsBitIdenticalAcrossWorkerCounts) {
   const std::vector<bench::ScalingPane> serial =
@@ -243,9 +179,9 @@ TEST(ParallelGridTest, ScalingGridIsBitIdenticalAcrossWorkerCounts) {
 
 // ---- sweep-shard determinism oracle ---------------------------------------
 //
-// A figure sweep is sharded across SweepRunner workers (--jobs N). Every job
-// runs on its own Simulator, so each observable below must be bit-identical
-// whether the sweep runs on one shard or on four. The jobs use
+// A figure sweep runs on --jobs N threads. Every job runs on its own
+// Simulator, so each observable below must be bit-identical whether the
+// sweep runs with --jobs 1 or --jobs 4. The jobs use
 // JobConfig::delayed_notify, the PS notification path fig15 runs.
 
 std::vector<JobConfig> ShardedOracleSweep() {
@@ -262,12 +198,11 @@ std::vector<JobConfig> ShardedOracleSweep() {
   return sweep;
 }
 
-// Runs `body` on every job of ShardedOracleSweep() across `shards` workers.
+// Runs `body` on every job of ShardedOracleSweep() on `jobs` threads.
 template <typename Fn>
-auto RunShardedSweep(int shards, Fn body) {
+auto RunShardedSweep(int jobs, Fn body) {
   const std::vector<JobConfig> sweep = ShardedOracleSweep();
-  return SweepRunner(shards).ParallelFor(sweep.size(),
-                                         [&](size_t i) { return body(sweep[i]); });
+  return ParallelFor(sweep.size(), [&](size_t i) { return body(sweep[i]); }, jobs);
 }
 
 void ExpectBitIdentical(const JobResult& a, const JobResult& b) {

@@ -476,8 +476,7 @@ HarnessOutcome RunPsChaosHarness(const FaultPlanConfig& plan_cfg, int rounds) {
 // chaos suite sweeps them concurrently (results collected in seed order).
 
 TEST(ChaosInvariantTest, MixedPlansAcrossTwentySeeds) {
-  SweepRunner runner;
-  const std::vector<HarnessOutcome> outcomes = runner.ParallelFor(20, [](size_t i) {
+  const std::vector<HarnessOutcome> outcomes = ParallelFor(20, [](size_t i) {
     SCOPED_TRACE("seed=" + std::to_string(i + 1));
     return RunPsChaosHarness(HarnessChaos(i + 1), /*rounds=*/40);
   });
@@ -506,8 +505,7 @@ FaultPlanConfig DropHeavyPlan(uint64_t seed) {
 }
 
 TEST(ChaosInvariantTest, DropHeavyPlan) {
-  SweepRunner runner;
-  const std::vector<HarnessOutcome> outcomes = runner.ParallelFor(5, [](size_t i) {
+  const std::vector<HarnessOutcome> outcomes = ParallelFor(5, [](size_t i) {
     SCOPED_TRACE("seed=" + std::to_string(100 + i));
     return RunPsChaosHarness(DropHeavyPlan(100 + i), /*rounds=*/40);
   });
@@ -519,8 +517,7 @@ TEST(ChaosInvariantTest, DropHeavyPlan) {
 }
 
 TEST(ChaosInvariantTest, LatencyAndLinkDownOnlyPlan) {
-  SweepRunner runner;
-  const std::vector<HarnessOutcome> outcomes = runner.ParallelFor(5, [](size_t i) {
+  const std::vector<HarnessOutcome> outcomes = ParallelFor(5, [](size_t i) {
     SCOPED_TRACE("seed=" + std::to_string(200 + i));
     FaultPlanConfig cfg;
     cfg.seed = 200 + i;
@@ -542,10 +539,9 @@ TEST(ChaosInvariantTest, LatencyAndLinkDownOnlyPlan) {
 TEST(ChaosInvariantTest, ParallelGridMatchesSerialGrid) {
   constexpr size_t kSeeds = 6;
   const auto sweep = [](int jobs) {
-    SweepRunner runner(jobs);
-    return runner.ParallelFor(kSeeds, [](size_t i) {
-      return RunPsChaosHarness(HarnessChaos(i + 1), /*rounds=*/20);
-    });
+    return ParallelFor(
+        kSeeds, [](size_t i) { return RunPsChaosHarness(HarnessChaos(i + 1), /*rounds=*/20); },
+        jobs);
   };
   const std::vector<HarnessOutcome> serial = sweep(1);
   const std::vector<HarnessOutcome> parallel = sweep(8);
@@ -702,8 +698,7 @@ NetDynamicsConfig VolatileFabric(uint64_t seed) {
 // recovery takes a different path than with synchronous acks. It must still
 // be a pure function of the job: the result (every recovery counter and the
 // timing trajectory), the metrics snapshot and the sampled time series are
-// byte-identical whether the seed sweep is sharded across one SweepRunner
-// worker (--jobs 1) or four.
+// byte-identical whether the seed sweep runs with --jobs 1 or --jobs 4.
 
 struct ChaosRun {
   JobResult result;
@@ -712,27 +707,30 @@ struct ChaosRun {
 };
 
 // One delayed-notification chaos job per seed, optionally on the volatile
-// fabric, sharded across `shards` sweep workers.
-std::vector<ChaosRun> RunChaosSweep(int shards, const std::vector<uint64_t>& seeds,
+// fabric, on `jobs` sweep threads.
+std::vector<ChaosRun> RunChaosSweep(int jobs, const std::vector<uint64_t>& seeds,
                                     bool volatile_fabric) {
-  return SweepRunner(shards).ParallelFor(seeds.size(), [&](size_t i) {
-    ChaosRun out;
-    MetricsRegistry metrics;
-    TimeSeriesRecorder recorder(&metrics, SimTime::Micros(200));
-    JobConfig job = ChaosJobConfig(Setup::MxnetPsRdma(), seeds[i]);
-    if (volatile_fabric) {
-      job.dynamics = VolatileFabric(seeds[i]);
-    }
-    job.delayed_notify = true;
-    job.metrics = &metrics;
-    job.timeseries = &recorder;
-    out.result = RunTrainingJob(job);
-    std::ostringstream json;
-    metrics.Snapshot().WriteJson(json);
-    out.metrics_json = json.str();
-    out.series_csv = recorder.ToCsv();
-    return out;
-  });
+  return ParallelFor(
+      seeds.size(),
+      [&](size_t i) {
+        ChaosRun out;
+        MetricsRegistry metrics;
+        TimeSeriesRecorder recorder(&metrics, SimTime::Micros(200));
+        JobConfig job = ChaosJobConfig(Setup::MxnetPsRdma(), seeds[i]);
+        if (volatile_fabric) {
+          job.dynamics = VolatileFabric(seeds[i]);
+        }
+        job.delayed_notify = true;
+        job.metrics = &metrics;
+        job.timeseries = &recorder;
+        out.result = RunTrainingJob(job);
+        std::ostringstream json;
+        metrics.Snapshot().WriteJson(json);
+        out.metrics_json = json.str();
+        out.series_csv = recorder.ToCsv();
+        return out;
+      },
+      jobs);
 }
 
 void ExpectSameRecovery(const JobResult& a, const JobResult& b) {

@@ -104,8 +104,8 @@ TEST(MetricsRegistryTest, StableHandles) {
   EXPECT_EQ(g->value(), -4);
 }
 
-// The TSan-visible proof that a shared registry is safe under the exec/
-// thread pool: concurrent relaxed increments lose nothing.
+// The TSan-visible proof that a shared registry is safe under ParallelFor's
+// threads: concurrent relaxed increments lose nothing.
 TEST(MetricsRegistryTest, ConcurrentIncrementsAreExact) {
   MetricsRegistry reg;
   Counter* counter = reg.counter("shared.counter");
@@ -113,14 +113,16 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsAreExact) {
   Histogram* hist = reg.histogram("shared.hist");
   constexpr int kTasks = 16;
   constexpr int kPerTask = 10'000;
-  SweepRunner runner(4);
-  runner.ParallelFor(kTasks, [&](size_t i) {
-    for (int k = 0; k < kPerTask; ++k) {
-      counter->Inc();
-      gauge->Add(1);
-      hist->Observe(static_cast<int64_t>(i) + 1);
-    }
-  });
+  ParallelFor(
+      kTasks,
+      [&](size_t i) {
+        for (int k = 0; k < kPerTask; ++k) {
+          counter->Inc();
+          gauge->Add(1);
+          hist->Observe(static_cast<int64_t>(i) + 1);
+        }
+      },
+      4);
   EXPECT_EQ(counter->value(), static_cast<uint64_t>(kTasks) * kPerTask);
   EXPECT_EQ(gauge->value(), static_cast<int64_t>(kTasks) * kPerTask);
   EXPECT_EQ(reg.histogram("shared.hist")->count(), static_cast<uint64_t>(kTasks) * kPerTask);
@@ -160,7 +162,7 @@ TEST(ObsJobTest, MetricsDoNotPerturbSimulation) {
 }
 
 // The same job snapshots byte-identically whether the surrounding sweep ran
-// serially or on the pool (each run owns a private registry).
+// serially or on four threads (each run owns a private registry).
 TEST(ObsJobTest, SnapshotDeterministicAcrossJobCounts) {
   auto run_once = [](size_t) {
     MetricsRegistry metrics;
@@ -171,10 +173,8 @@ TEST(ObsJobTest, SnapshotDeterministicAcrossJobCounts) {
     metrics.Snapshot().WriteJson(os);
     return os.str();
   };
-  SweepRunner serial(1);
-  SweepRunner parallel(4);
-  const std::vector<std::string> one = serial.ParallelFor(2, run_once);
-  const std::vector<std::string> many = parallel.ParallelFor(4, run_once);
+  const std::vector<std::string> one = ParallelFor(2, run_once, 1);
+  const std::vector<std::string> many = ParallelFor(4, run_once, 4);
   for (const std::string& snapshot : many) {
     EXPECT_EQ(snapshot, one.front());
   }
@@ -314,31 +314,6 @@ TEST(MetricsSnapshotTest, CsvShape) {
   EXPECT_NE(csv.find("counter,c,2"), std::string::npos);
   EXPECT_NE(csv.find("gauge,g,5"), std::string::npos);
   EXPECT_NE(csv.find("histogram,h"), std::string::npos);
-}
-
-// ---- pool stats (per-worker task counts / idle time) ----------------------
-
-TEST(PoolStatsTest, SweepRunnerAccountsEveryTask) {
-  SweepRunner runner(2);
-  constexpr size_t kTasks = 12;
-  std::vector<double> sink = runner.ParallelFor(kTasks, [](size_t i) {
-    double acc = 0.0;
-    for (int k = 0; k < 20'000; ++k) {
-      acc += static_cast<double>((i + 1) * k % 17);
-    }
-    return acc;
-  });
-  EXPECT_EQ(sink.size(), kTasks);
-  const PoolStats stats = runner.Stats();
-  EXPECT_EQ(stats.workers.size(), 2u);
-  EXPECT_EQ(stats.total_tasks(), kTasks);
-  const RunningStats merged = stats.merged_task_sec();
-  EXPECT_EQ(merged.count(), kTasks);
-  EXPECT_GE(merged.min(), 0.0);
-  // Inline runners expose empty stats rather than lying.
-  SweepRunner inline_runner(1);
-  inline_runner.ParallelFor(3, [](size_t) { return 0; });
-  EXPECT_EQ(inline_runner.Stats().total_tasks(), 0u);
 }
 
 // ---- ObsContext flow bookkeeping ------------------------------------------

@@ -136,16 +136,18 @@ TEST(TimeSeriesRecorderTest, CsvIsByteIdenticalAcrossSweepWorkerCounts) {
   // Three instrumented copies of the same job, swept at --jobs 1 vs --jobs 4:
   // every copy's CSV must be byte-identical across both sweeps.
   auto sweep = [](int jobs) {
-    SweepRunner runner(jobs);
-    return runner.ParallelFor(3, [](size_t) {
-      MetricsRegistry metrics;
-      TimeSeriesRecorder rec(&metrics, SimTime::Micros(100));
-      JobConfig job = SmallSampledJob();
-      job.metrics = &metrics;
-      job.timeseries = &rec;
-      RunTrainingJob(job);
-      return rec.ToCsv();
-    });
+    return ParallelFor(
+        3,
+        [](size_t) {
+          MetricsRegistry metrics;
+          TimeSeriesRecorder rec(&metrics, SimTime::Micros(100));
+          JobConfig job = SmallSampledJob();
+          job.metrics = &metrics;
+          job.timeseries = &rec;
+          RunTrainingJob(job);
+          return rec.ToCsv();
+        },
+        jobs);
   };
   const std::vector<std::string> serial = sweep(1);
   const std::vector<std::string> parallel = sweep(4);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -242,6 +243,29 @@ TEST(AutoTunerTest, PsRestartCostCharged) {
   AutoTuner::Result result = tuner.Tune(rnd);
   // 4 partition changes after the first trial -> at least 400s of cost.
   EXPECT_GT(result.tuning_cost_sec, 400.0);
+}
+
+TEST(AutoTunerTest, TuneMatchesHandReplay) {
+  // Tune is the plain sequential loop: Suggest, profile with one jitter
+  // draw, Observe. Replaying that loop by hand against the same search and
+  // seed must reproduce every trial bit for bit.
+  AutoTunerOptions opt;
+  opt.max_trials = 8;
+  opt.seed = 11;
+  opt.profile_iters = 2;
+  AutoTuner tuner(TinyJob(), opt);
+  const AutoTuner::Result result = tuner.TuneWithBo();
+  ASSERT_EQ(result.trials.size(), 8u);
+
+  AutoTuner replay(TinyJob(), opt);
+  BayesianOptimizer bo(2, opt.seed);
+  for (size_t i = 0; i < result.trials.size(); ++i) {
+    const std::vector<double> x = bo.Suggest();
+    const double speed =
+        replay.EvaluateObjective(replay.PartitionFromUnit(x[0]), replay.CreditFromUnit(x[1]));
+    bo.Observe(x, speed);
+    EXPECT_EQ(std::memcmp(&speed, &result.trials[i].speed, sizeof(double)), 0) << i;
+  }
 }
 
 TEST(AutoTunerTest, ObjectiveRewardsSaneParameters) {
