@@ -1,12 +1,15 @@
 #include "src/common/flags.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 
 namespace bsched {
 
-Flags::Flags(int argc, const char* const* argv) {
+Flags::Flags(int argc, const char* const* argv) : program_(argc > 0 ? argv[0] : "") {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -59,14 +62,36 @@ std::string Flags::GetString(const std::string& name, const std::string& def) co
   return it != values_.end() ? it->second : def;
 }
 
-int64_t Flags::GetInt(const std::string& name, int64_t def) const {
+template <typename T>
+T Flags::GetNumber(const std::string& name, T def, const char* what) const {
   auto it = values_.find(name);
-  return it != values_.end() ? std::strtoll(it->second.c_str(), nullptr, 10) : def;
+  if (it == values_.end()) {
+    return def;
+  }
+  // The whole value must parse: no empty value, trailing text, overflow or,
+  // for a double, non-finite result.
+  const std::string& text = it->second;
+  const char* end = text.data() + text.size();
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(value);
+  }
+  if (!ok) {
+    std::fprintf(stderr, "%s: --%s needs %s, got '%s'\n", program_.c_str(), name.c_str(), what,
+                 text.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
+int64_t Flags::GetInt(const std::string& name, int64_t def) const {
+  return GetNumber<int64_t>(name, def, "a whole number");
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
-  auto it = values_.find(name);
-  return it != values_.end() ? std::strtod(it->second.c_str(), nullptr) : def;
+  return GetNumber<double>(name, def, "a finite number");
 }
 
 bool Flags::GetBool(const std::string& name, bool def) const {

@@ -3,6 +3,7 @@
 #ifndef SRC_COMMON_FLAGS_H_
 #define SRC_COMMON_FLAGS_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -16,6 +17,11 @@ class Flags {
 
   bool Has(const std::string& name) const;
   std::string GetString(const std::string& name, const std::string& def) const;
+  // The numeric getters accept only a value that is one whole number token
+  // (and, for GetDouble, finite). Anything else — "2x", "abc", an empty
+  // value, an overflowing "1e999", "nan" — prints the program, the flag and
+  // the value to stderr and exits with status 2, like an unknown flag, so a
+  // typo cannot silently run as 0 or as the default.
   int64_t GetInt(const std::string& name, int64_t def) const;
   double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def) const;
@@ -31,6 +37,10 @@ class Flags {
   bool CheckNames(const char* program, const std::vector<std::string_view>& known) const;
 
  private:
+  template <typename T>
+  T GetNumber(const std::string& name, T def, const char* what) const;
+
+  std::string program_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
   std::vector<std::string> errors_;

@@ -1,10 +1,12 @@
 // Queue entries of the discrete-event simulator. The Simulator keeps its
-// pending events in a binary min-heap of these (std::*_heap over a flat
-// vector) and owns everything else about an event — callback slot, liveness,
-// lazy-skip accounting, compaction — so the heap only ever permutes 32-byte
-// (when, seq, generation, slot) records, never callbacks. Entries pop in
-// strict (when, seq) order, cancelled entries included; tests/event_queue_test
-// checks Simulator trajectories against a sorted reference.
+// pending events in a 4-ary min-heap of these (hole-based sifts over a flat
+// vector, src/sim/simulator.cc) and owns everything else about an event —
+// callback slot, liveness, lazy-skip accounting, compaction — so the heap
+// only ever permutes 16-byte (when, key) records, never callbacks. The key
+// packs the event's schedule order above its slot index; seq is unique, so
+// ordering by (when, key) is exactly the (when, seq) FIFO order. Entries pop
+// in that order, cancelled entries included; tests/event_queue_test checks
+// Simulator trajectories against a sorted reference.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
@@ -16,21 +18,17 @@ namespace bsched {
 
 struct EventEntry {
   SimTime when;
-  uint64_t seq;
-  uint64_t generation;
-  uint32_t slot;
+  uint64_t key;  // seq << 24 | slot (Simulator::kSlotBits)
 };
 
-// Min-heap comparator: true when `a` fires after `b` (later time, or same
-// time but scheduled later — FIFO tie-break).
-struct EventAfter {
-  bool operator()(const EventEntry& a, const EventEntry& b) const {
-    if (a.when != b.when) {
-      return a.when > b.when;
-    }
-    return a.seq > b.seq;
+// Heap order: true when `a` fires before `b` (earlier time, or same time but
+// scheduled earlier — FIFO tie-break).
+inline bool FiresBefore(const EventEntry& a, const EventEntry& b) {
+  if (a.when != b.when) {
+    return a.when < b.when;
   }
-};
+  return a.key < b.key;
+}
 
 }  // namespace bsched
 

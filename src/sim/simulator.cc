@@ -11,17 +11,50 @@ namespace {
 // the queue is large enough for the rebuild to pay for itself.
 constexpr size_t kCompactMinEntries = 64;
 
+// The event heap is 4-ary: node i's children are 4i+1 .. 4i+4. Both sifts
+// move a hole instead of swapping, writing `e` once where it settles.
+constexpr size_t kArity = 4;
+
+void SiftUp(EventEntry* heap, size_t hole, EventEntry e) {
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / kArity;
+    if (!FiresBefore(e, heap[parent])) {
+      break;
+    }
+    heap[hole] = heap[parent];
+    hole = parent;
+  }
+  heap[hole] = e;
+}
+
+void SiftDown(EventEntry* heap, size_t size, size_t hole, EventEntry e) {
+  while (true) {
+    const size_t first = hole * kArity + 1;
+    if (first >= size) {
+      break;
+    }
+    const size_t end = std::min(first + kArity, size);
+    size_t best = first;
+    for (size_t c = first + 1; c < end; ++c) {
+      if (FiresBefore(heap[c], heap[best])) {
+        best = c;
+      }
+    }
+    if (!FiresBefore(heap[best], e)) {
+      break;
+    }
+    heap[hole] = heap[best];
+    hole = best;
+  }
+  heap[hole] = e;
+}
+
 }  // namespace
 
 void EventHandle::Cancel() {
   if (sim_ != nullptr) {
-    sim_->CancelEvent(slot_, generation_);
+    sim_->CancelEvent(key_);
   }
-}
-
-EventHandle Simulator::Schedule(SimTime delay, EventFn fn) {
-  BSCHED_CHECK(delay.nanos() >= 0);
-  return ScheduleAt(now_ + delay, std::move(fn));
 }
 
 namespace {
@@ -53,27 +86,30 @@ void Simulator::SchedulePeriodic(SimTime interval, std::function<bool()> fn) {
   Schedule(interval, PeriodicEvent{this, interval, std::move(fn)});
 }
 
-EventHandle Simulator::ScheduleAt(SimTime when, EventFn fn) {
-  BSCHED_CHECK(when >= now_);
-  uint32_t slot;
+uint32_t Simulator::AcquireSlot() {
   if (!free_slots_.empty()) {
-    slot = free_slots_.back();
+    const uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
-  } else {
-    slot = static_cast<uint32_t>(slots_.size());
-    slots_.emplace_back();
+    return slot;
   }
-  Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  heap_.push_back(EventEntry{when, next_seq_++, s.generation, slot});
-  std::push_heap(heap_.begin(), heap_.end(), EventAfter());
+  BSCHED_CHECK(slots_.size() <= kSlotMask && "more than 2^24 pending events");
+  slots_.emplace_back();
+  return static_cast<uint32_t>(slots_.size() - 1);
+}
+
+EventHandle Simulator::Enqueue(SimTime when, uint32_t slot) {
+  BSCHED_CHECK(next_seq_ < kMaxSeq && "more than 2^40 events scheduled");
+  const uint64_t key = next_seq_++ << kSlotBits | slot;
+  slots_[slot].key = key;
+  heap_.emplace_back();
+  SiftUp(heap_.data(), heap_.size() - 1, EventEntry{when, key});
   ++live_;
-  return EventHandle(this, slot, s.generation);
+  return EventHandle(this, key);
 }
 
 void Simulator::ReleaseSlot(uint32_t slot) {
   Slot& s = slots_[slot];
-  ++s.generation;
+  s.key = kFreeKey;
   s.fn.Reset();
   free_slots_.push_back(slot);
 }
@@ -81,19 +117,21 @@ void Simulator::ReleaseSlot(uint32_t slot) {
 void Simulator::Fire(const EventEntry& e) {
   // Move the callback out and release the slot first: the callback may
   // schedule new events, which can reuse this slot or grow the slot table.
-  EventFn fn = std::move(slots_[e.slot].fn);
-  ReleaseSlot(e.slot);
+  const uint32_t slot = static_cast<uint32_t>(e.key & kSlotMask);
+  EventFn fn = std::move(slots_[slot].fn);
+  ReleaseSlot(slot);
   --live_;
   now_ = e.when;
   ++processed_;
   fn();
 }
 
-void Simulator::CancelEvent(uint32_t slot, uint64_t generation) {
-  if (slot >= slots_.size() || slots_[slot].generation != generation) {
+void Simulator::CancelEvent(uint64_t key) {
+  const uint64_t slot = key & kSlotMask;
+  if (slot >= slots_.size() || slots_[slot].key != key) {
     return;  // already fired, already cancelled, or slot since reused
   }
-  ReleaseSlot(slot);
+  ReleaseSlot(static_cast<uint32_t>(slot));
   --live_;
   MaybeCompact();
 }
@@ -103,13 +141,17 @@ void Simulator::MaybeCompact() {
     return;
   }
   std::erase_if(heap_, [this](const EventEntry& e) { return !EntryLive(e); });
-  std::make_heap(heap_.begin(), heap_.end(), EventAfter());
+  // A sorted array is a valid heap.
+  std::sort(heap_.begin(), heap_.end(), FiresBefore);
   ++compactions_;
 }
 
 void Simulator::PopHead() {
-  std::pop_heap(heap_.begin(), heap_.end(), EventAfter());
+  const EventEntry last = heap_.back();
   heap_.pop_back();
+  if (!heap_.empty()) {
+    SiftDown(heap_.data(), heap_.size(), 0, last);
+  }
 }
 
 bool Simulator::Step() {

@@ -6,35 +6,55 @@
 // on exactly one Simulator.
 //
 // Hot-path design: events live in a pooled slot table (reused across the
-// run, so steady-state scheduling allocates nothing), callbacks are stored
-// in a small-buffer-optimized EventFn (no per-event std::function heap
-// allocation), and cancellation is a slot-generation check instead of a
-// per-event shared_ptr control block. Pending events are ordered by a binary
-// min-heap of 32-byte EventEntry records (src/sim/event_queue.h) owned by the
-// Simulator; cancelled entries still queued are lazily skipped, and the heap
-// is compacted when they pile up.
+// run, so steady-state scheduling allocates nothing). Schedule() builds each
+// callback directly in its slot's small-buffer-optimized EventFn (no
+// per-event std::function heap allocation, and a trivially copyable callback
+// moves by memcpy). Each slot records the key of its pending queue entry, so
+// cancellation and liveness are one key comparison instead of a per-event
+// shared_ptr control block. Pending events are ordered by a 4-ary min-heap
+// of 16-byte (when, seq|slot) EventEntry records (src/sim/event_queue.h)
+// owned by the Simulator; cancelled entries still queued are lazily skipped,
+// and the heap is compacted when they pile up.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/units.h"
 #include "src/sim/event_queue.h"
 
 namespace bsched {
 
-// Move-only callable with small-buffer optimization: callables up to
-// kInlineBytes construct in place; larger ones fall back to one heap
-// allocation (the scheduler's own callbacks all fit inline).
+// Move-only callable with small-buffer optimization. A callable up to
+// kInlineBytes constructs in place; a trivially copyable one (a lambda
+// capturing `this` and a few indices, like every Core, PS and Link event)
+// moves as a fixed-size memcpy and needs no destructor call. A larger
+// callable falls back to one heap allocation.
 class EventFn {
  public:
   static constexpr size_t kInlineBytes = 48;
+
+  // Where a callable of decayed type D is stored.
+  enum class Storage { kTrivial, kInline, kHeap };
+  template <typename D>
+  static constexpr Storage StorageOf() {
+    if constexpr (sizeof(D) > kInlineBytes || alignof(D) > alignof(std::max_align_t) ||
+                  !std::is_nothrow_move_constructible_v<D>) {
+      return Storage::kHeap;
+    } else if constexpr (std::is_trivially_copyable_v<D>) {
+      return Storage::kTrivial;
+    } else {
+      return Storage::kInline;
+    }
+  }
 
   EventFn() = default;
   EventFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor): empty callback
@@ -43,14 +63,7 @@ class EventFn {
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventFn> &&
                                         std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor): callback sink
-    using D = std::decay_t<F>;
-    if constexpr (FitsInline<D>()) {
-      new (storage_) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
-      ops_ = &kHeapOps<D>;
-    }
+    Construct(std::forward<F>(f));
   }
 
   EventFn(EventFn&& other) noexcept { MoveFrom(other); }
@@ -65,12 +78,26 @@ class EventFn {
   EventFn& operator=(const EventFn&) = delete;
   ~EventFn() { Reset(); }
 
+  // Replaces an empty EventFn's callback with `f`, built in place (an
+  // EventFn argument is moved in).
+  template <typename F>
+  void Emplace(F&& f) {
+    if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
+      *this = std::move(f);
+    } else {
+      BSCHED_DCHECK(ops_ == nullptr);
+      Construct(std::forward<F>(f));
+    }
+  }
+
   void operator()() { ops_->invoke(storage_); }
   explicit operator bool() const { return ops_ != nullptr; }
 
   void Reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(storage_);
+      if (ops_->destroy != nullptr) {
+        ops_->destroy(storage_);
+      }
       ops_ = nullptr;
     }
   }
@@ -78,16 +105,12 @@ class EventFn {
  private:
   struct Ops {
     void (*invoke)(void* storage);
-    // Move-constructs dst's payload from src's and destroys src's.
+    // Move-constructs dst's payload from src's and destroys src's; null when
+    // the bytes can simply be copied (trivial payloads, heap pointers).
     void (*relocate)(void* dst, void* src);
+    // Destroys the payload; null when it is trivially destructible.
     void (*destroy)(void* storage);
   };
-
-  template <typename D>
-  static constexpr bool FitsInline() {
-    return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<D>;
-  }
 
   template <typename D>
   static D* Inline(void* storage) {
@@ -97,6 +120,13 @@ class EventFn {
   static D* Heap(void* storage) {
     return *reinterpret_cast<D**>(storage);
   }
+
+  template <typename D>
+  static constexpr Ops kTrivialOps = {
+      [](void* s) { (*Inline<D>(s))(); },
+      nullptr,
+      nullptr,
+  };
 
   template <typename D>
   static constexpr Ops kInlineOps = {
@@ -111,14 +141,30 @@ class EventFn {
   template <typename D>
   static constexpr Ops kHeapOps = {
       [](void* s) { (*Heap<D>(s))(); },
-      [](void* dst, void* src) { *reinterpret_cast<D**>(dst) = Heap<D>(src); },
+      nullptr,
       [](void* s) { delete Heap<D>(s); },
   };
+
+  template <typename F>
+  void Construct(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (StorageOf<D>() == Storage::kHeap) {
+      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
+      ops_ = &kHeapOps<D>;
+    } else {
+      new (storage_) D(std::forward<F>(f));
+      ops_ = StorageOf<D>() == Storage::kTrivial ? &kTrivialOps<D> : &kInlineOps<D>;
+    }
+  }
 
   void MoveFrom(EventFn& other) {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
-      ops_->relocate(storage_, other.storage_);
+      if (ops_->relocate == nullptr) {
+        std::memcpy(storage_, other.storage_, kInlineBytes);
+      } else {
+        ops_->relocate(storage_, other.storage_);
+      }
       other.ops_ = nullptr;
     }
   }
@@ -130,10 +176,11 @@ class EventFn {
 class Simulator;
 
 // Handle returned by Schedule(); allows cancelling a pending event. Copyable;
-// all copies refer to the same event. A handle is a (slot, generation) pair:
-// once the event fires or is cancelled the slot's generation advances, so
-// stale handles (including ones whose slot was reused by a later event) are
-// harmless no-ops. Handles must not outlive their Simulator.
+// all copies refer to the same event. A handle holds the event's queue key
+// (seq << 24 | slot): once the event fires or is cancelled its slot
+// forgets that key, and every later event gets a fresh seq, so stale handles
+// (including ones whose slot was reused by a later event) are harmless
+// no-ops. Handles must not outlive their Simulator.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -145,12 +192,10 @@ class EventHandle {
 
  private:
   friend class Simulator;
-  EventHandle(Simulator* sim, uint32_t slot, uint64_t generation)
-      : sim_(sim), slot_(slot), generation_(generation) {}
+  EventHandle(Simulator* sim, uint64_t key) : sim_(sim), key_(key) {}
 
   Simulator* sim_ = nullptr;
-  uint32_t slot_ = 0;
-  uint64_t generation_ = 0;
+  uint64_t key_ = 0;
 };
 
 class Simulator {
@@ -161,12 +206,23 @@ class Simulator {
 
   SimTime Now() const { return now_; }
 
-  // Schedules `fn` to run at Now() + delay. Events at equal times fire in
-  // scheduling order (stable FIFO tie-break).
-  EventHandle Schedule(SimTime delay, EventFn fn);
+  // Schedules `fn` (any void() callable, or an EventFn) to run at
+  // Now() + delay; the callable is built directly in the event's slot.
+  // Events at equal times fire in scheduling order (stable FIFO tie-break).
+  template <typename F>
+  EventHandle Schedule(SimTime delay, F&& fn) {
+    BSCHED_CHECK(delay.nanos() >= 0);
+    return ScheduleAt(now_ + delay, std::forward<F>(fn));
+  }
 
   // Schedules `fn` at an absolute time, which must be >= Now().
-  EventHandle ScheduleAt(SimTime when, EventFn fn);
+  template <typename F>
+  EventHandle ScheduleAt(SimTime when, F&& fn) {
+    BSCHED_CHECK(when >= now_);
+    const uint32_t slot = AcquireSlot();
+    slots_[slot].fn.Emplace(std::forward<F>(fn));
+    return Enqueue(when, slot);
+  }
 
   // Fires `fn` at Now() + interval and then every `interval` after, until it
   // returns false (the final false tick is still a processed event). The
@@ -199,20 +255,32 @@ class Simulator {
  private:
   friend class EventHandle;
 
+  // An entry's key is seq << kSlotBits | slot; seq is unique, so (when, key)
+  // order is (when, seq) order.
+  static constexpr int kSlotBits = 24;
+  static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
+  static constexpr uint64_t kMaxSeq = uint64_t{1} << (64 - kSlotBits);
+  // Never a real key (seq < kMaxSeq): marks a free slot.
+  static constexpr uint64_t kFreeKey = UINT64_MAX;
+
   struct Slot {
-    uint64_t generation = 0;
+    uint64_t key = kFreeKey;  // key of the pending entry, kFreeKey when free
     EventFn fn;
   };
 
   bool EntryLive(const EventEntry& e) const {
-    return slots_[e.slot].generation == e.generation;
+    return slots_[e.key & kSlotMask].key == e.key;
   }
+  // Pops a free slot (or grows the table); its EventFn is empty.
+  uint32_t AcquireSlot();
+  // Keys the slot's event with the next seq and pushes its entry.
+  EventHandle Enqueue(SimTime when, uint32_t slot);
   // Fires `e`, which must be live: releases its slot, advances time, runs fn.
   void Fire(const EventEntry& e);
-  // Advances the slot's generation (invalidating queued entries and handles)
-  // and returns it to the free list.
+  // Forgets the slot's key (invalidating queued entries and handles),
+  // destroys its callback and returns it to the free list.
   void ReleaseSlot(uint32_t slot);
-  void CancelEvent(uint32_t slot, uint64_t generation);
+  void CancelEvent(uint64_t key);
   // Rebuilds the heap without stale entries once they dominate it.
   void MaybeCompact();
   void PopHead();
@@ -223,7 +291,7 @@ class Simulator {
   uint64_t compactions_ = 0;
   uint64_t skipped_cancelled_ = 0;
   size_t live_ = 0;
-  std::vector<EventEntry> heap_;  // binary min-heap via std::*_heap
+  std::vector<EventEntry> heap_;  // 4-ary min-heap by (when, key)
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
 };

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
@@ -221,6 +223,31 @@ TEST(TableTest, RowPaddedToHeaderWidth) {
 TEST(TableTest, NumFormatting) {
   EXPECT_EQ(Table::Num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::Num(10.0, 0), "10");
+}
+
+// A numeric flag must be one whole finite number token; anything else exits
+// 2 with the program, flag and value on stderr instead of parsing a prefix,
+// reading as 0, or saturating to infinity.
+TEST(FlagsTest, NumbersMustBeWholeFiniteTokens) {
+  const char* argv[] = {"prog", "--n=2x", "--x=abc", "--e=", "--big=1e999", "--nan=nan",
+                        "--ok=-7", "--real=2.5e3"};
+  const Flags flags(8, argv);
+  EXPECT_EQ(flags.GetInt("ok", 0), -7);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("real", 0), 2500.0);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("ok", 0), -7.0);
+  EXPECT_EXIT(flags.GetInt("n", 0), ::testing::ExitedWithCode(2), "prog: --n needs a whole .*'2x'");
+  EXPECT_EXIT(flags.GetDouble("n", 0), ::testing::ExitedWithCode(2), "prog: --n .*'2x'");
+  EXPECT_EXIT(flags.GetInt("x", 0), ::testing::ExitedWithCode(2), "prog: --x .*'abc'");
+  EXPECT_EXIT(flags.GetDouble("x", 0), ::testing::ExitedWithCode(2), "prog: --x .*'abc'");
+  EXPECT_EXIT(flags.GetInt("e", 0), ::testing::ExitedWithCode(2), "prog: --e .*''");
+  EXPECT_EXIT(flags.GetDouble("e", 0), ::testing::ExitedWithCode(2), "prog: --e .*''");
+  EXPECT_EXIT(flags.GetInt("big", 0), ::testing::ExitedWithCode(2), "'1e999'");
+  EXPECT_EXIT(flags.GetDouble("big", 0), ::testing::ExitedWithCode(2),
+              "prog: --big needs a finite number, got '1e999'");
+  EXPECT_EXIT(flags.GetInt("nan", 0), ::testing::ExitedWithCode(2), "'nan'");
+  EXPECT_EXIT(flags.GetDouble("nan", 0), ::testing::ExitedWithCode(2), "'nan'");
+  // Absent flags still take the default.
+  EXPECT_EQ(flags.GetInt("absent", 42), 42);
 }
 
 }  // namespace

@@ -1,14 +1,15 @@
-// Oracle tests for the Simulator's event queue (a binary min-heap of
-// (when, seq) entries): every test drives a Simulator and the sorted
+// Oracle tests for the Simulator's event queue (a 4-ary min-heap of
+// (when, seq|slot) entries): every test drives a Simulator and the sorted
 // reference model of tests/sim_reference.h with the same operations and
 // compares fired order, clock, live and queued counts, lazy skips and
 // compactions — under randomized interleavings of near, far and very far
-// timers, same-timestamp ties, mass cancellation, and Run(deadline) with
-// cancellations.
+// timers, same-timestamp ties, mass cancellation, a heap ten levels deep, and
+// Run(deadline) with cancellations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -104,6 +105,54 @@ TEST(EventQueueDifferentialTest, CompactDropsExactlyDeadEntries) {
   }
 }
 
+// A heap deeper than nine full 4-ary levels (more than 87,381 entries):
+// pops while its last family holds each of 1..4 children, then cancellations
+// that trigger a compaction and continue past it, so stale entries are both
+// compacted away and lazily skipped, with pops and deadline runs in between.
+TEST(EventQueueDifferentialTest, DeepHeapCancellationsCrossCompaction) {
+  constexpr size_t kNineFullLevels = (1 + 4 + 16 + 64 + 256 + 1024 + 4096 + 16384 + 65536);
+  Rng rng(4242);
+  SimLockstep s;
+  for (int i = 0; i < 100'003; ++i) {
+    // Coarse times give many same-timestamp ties; some events chain.
+    s.Schedule(rng.UniformInt(0, 1'000'000) * 64, i, i % 11 == 0 ? 64 : -1);
+  }
+  ASSERT_GT(s.sim().QueuedEvents(), kNineFullLevels);
+  std::set<size_t> last_family_sizes;
+  for (int i = 0; last_family_sizes.size() < 4; ++i) {
+    ASSERT_LT(i, 64);
+    last_family_sizes.insert((s.sim().QueuedEvents() - 1) % 4);
+    s.Step();
+    s.ExpectSameState();
+  }
+  std::vector<size_t> order(s.handles());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+  }
+  for (size_t i = order.size() - 1; i > 0; --i) {
+    std::swap(order[i], order[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(i)))]);
+  }
+  size_t cancels_after_compaction = 0;
+  for (size_t i = 0; i < order.size() * 7 / 10; ++i) {
+    s.Cancel(order[i]);
+    if (s.sim().compactions() > 0) {
+      ++cancels_after_compaction;
+    }
+    if (i % 997 == 0) {
+      s.Step();
+      s.ExpectSameState();
+    }
+  }
+  s.ExpectSameState();
+  EXPECT_EQ(s.sim().compactions(), 1u);
+  EXPECT_GT(cancels_after_compaction, 10'000u);
+  s.Run(s.sim().Now().nanos() + 16'000'000);
+  s.ExpectSameState();
+  s.Run();
+  s.ExpectSame();
+  EXPECT_GT(s.sim().skipped_cancelled(), 10'000u);
+}
+
 // Timestamps straddling power-of-two boundaries from 2^16 ns to past 2^41 ns
 // fire in time order.
 TEST(EventQueueTest, FarApartTimestampsFireInOrder) {
@@ -124,10 +173,9 @@ TEST(EventQueueTest, FarApartTimestampsFireInOrder) {
 }
 
 // Randomized schedule / cancel / step / run-to-deadline workloads with
-// chained follow-ups: the two queueing policies — the Simulator's binary heap
-// and the reference's fully sorted map — produce the same whole trajectory
-// and accounting.
-TEST(SimulatorDifferentialTest, PoliciesProduceIdenticalTrajectories) {
+// chained follow-ups: the Simulator's 4-ary heap and the reference's fully
+// sorted map produce the same whole trajectory and accounting.
+TEST(SimulatorDifferentialTest, HeapMatchesSortedReference) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     Rng rng(seed);
     SimLockstep s;

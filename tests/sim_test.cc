@@ -2,6 +2,7 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "src/sim/resource.h"
@@ -259,8 +260,8 @@ TEST(SimulatorTest, StaleHandleDoesNotCancelSlotReuser) {
   EventHandle old_handle = sim.Schedule(SimTime::Micros(1), [&] { ++first; });
   sim.Run();
   EXPECT_EQ(first, 1);
-  // The new event reuses the fired event's pooled slot; the stale handle's
-  // generation no longer matches, so Cancel must be a no-op.
+  // The new event reuses the fired event's pooled slot under a new key; the
+  // stale handle's key no longer matches, so Cancel must be a no-op.
   EventHandle fresh = sim.Schedule(SimTime::Micros(1), [&] { ++second; });
   EXPECT_EQ(sim.AllocatedSlots(), 1u);
   old_handle.Cancel();
@@ -277,7 +278,7 @@ TEST(SimulatorTest, StaleHandleAfterCancellationDoesNotCancelSlotReuser) {
   int fired = 0;
   EventHandle doomed = sim.Schedule(SimTime::Micros(1), [] { FAIL(); });
   doomed.Cancel();
-  EventHandle copy = doomed;  // copies share the stale (slot, generation)
+  EventHandle copy = doomed;  // copies share the stale key
   sim.Schedule(SimTime::Micros(2), [&] { ++fired; });  // reuses the slot
   copy.Cancel();
   doomed.Cancel();
@@ -340,6 +341,96 @@ TEST(SimulatorTest, LargeCallbackFallsBackToHeapCorrectly) {
   });
   sim.Run();
   EXPECT_EQ(sum, 3 * (15 * 16 / 2));
+}
+
+// Schedules make(token)'s callable three times — it fires, it is cancelled,
+// it is still pending when its Simulator dies — directly and wrapped in an
+// EventFn. Each run must invoke it at most once and destroy every copy of it
+// exactly once; `holds` says whether the callable owns a reference to
+// `token` (then use_count must return to 1 each time).
+template <typename Make>
+void ExpectFiresOnceAndDestroysOnce(Make make, bool holds) {
+  auto token = std::make_shared<int>(0);
+  const long pending_uses = holds ? 2 : 1;
+  for (bool wrap : {false, true}) {
+    SCOPED_TRACE(wrap ? "EventFn argument" : "callable argument");
+    auto schedule = [&](Simulator& sim) {
+      return wrap ? sim.Schedule(SimTime::Micros(1), EventFn(make(token)))
+                  : sim.Schedule(SimTime::Micros(1), make(token));
+    };
+    *token = 0;
+    {
+      Simulator sim;
+      schedule(sim);
+      EXPECT_EQ(token.use_count(), pending_uses);
+      sim.Run();
+      EXPECT_EQ(*token, 1);
+      EXPECT_EQ(token.use_count(), 1);
+    }
+    {
+      Simulator sim;
+      EventHandle h = schedule(sim);
+      EXPECT_EQ(token.use_count(), pending_uses);
+      h.Cancel();
+      EXPECT_EQ(token.use_count(), 1);
+      sim.Run();
+      EXPECT_EQ(*token, 1);
+    }
+    {
+      Simulator sim;
+      schedule(sim);
+      EXPECT_EQ(token.use_count(), pending_uses);
+    }
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(token.use_count(), 1);
+  }
+}
+
+TEST(EventFnTest, TrivialInlineCallableFiresOnceAndNeedsNoDestructor) {
+  auto make = [](const std::shared_ptr<int>& token) { return [n = token.get()] { ++*n; }; };
+  static_assert(EventFn::StorageOf<decltype(make(nullptr))>() == EventFn::Storage::kTrivial);
+  ExpectFiresOnceAndDestroysOnce(make, /*holds=*/false);
+}
+
+TEST(EventFnTest, NonTrivialInlineCallableIsDestroyedExactlyOnce) {
+  auto make = [](const std::shared_ptr<int>& token) { return [token] { ++*token; }; };
+  static_assert(EventFn::StorageOf<decltype(make(nullptr))>() == EventFn::Storage::kInline);
+  ExpectFiresOnceAndDestroysOnce(make, /*holds=*/true);
+}
+
+TEST(EventFnTest, HeapCallableIsDestroyedExactlyOnce) {
+  auto make = [](const std::shared_ptr<int>& token) {
+    return [token, pad = std::array<int64_t, 6>{}] { *token += 1 + static_cast<int>(pad[0]); };
+  };
+  static_assert(EventFn::StorageOf<decltype(make(nullptr))>() == EventFn::Storage::kHeap);
+  ExpectFiresOnceAndDestroysOnce(make, /*holds=*/true);
+}
+
+// Moving an EventFn hands its payload over on every storage path: the moved
+// from object is empty and destroying both releases the capture once.
+TEST(EventFnTest, MovesTransferOwnership) {
+  auto token = std::make_shared<int>(0);
+  {
+    EventFn a = [token] { ++*token; };
+    EventFn b = [token, pad = std::array<int64_t, 6>{}] { *token += 1 + static_cast<int>(pad[0]); };
+    EventFn c = [n = token.get()] { ++*n; };
+    EXPECT_EQ(token.use_count(), 3);
+    EventFn moved_a = std::move(a);
+    EventFn moved_b = std::move(b);
+    EventFn moved_c;
+    moved_c = std::move(c);
+    EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): moved-from is empty
+    EXPECT_FALSE(b);  // NOLINT(bugprone-use-after-move)
+    EXPECT_FALSE(c);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(token.use_count(), 3);
+    moved_a();
+    moved_b();
+    moved_c();
+    EXPECT_EQ(*token, 3);
+    moved_b = std::move(moved_a);  // destroys b's payload, takes a's
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(ResourceTest, IdleResourceStartsImmediately) {
