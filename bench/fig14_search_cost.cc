@@ -92,10 +92,8 @@ void RunPane(const char* label, const ModelProfile& model, const Setup& setup) {
         search = std::make_unique<BayesianOptimizer>(2, seed);
       } else if (std::string(algo) == "SGD") {
         search = std::make_unique<SgdMomentumSearch>(2, seed);
-      } else if (std::string(algo) == "Random") {
-        search = std::make_unique<RandomSearch>(2, seed);
       } else {
-        search = std::make_unique<GridSearch>(2, kLattice);
+        search = std::make_unique<RandomSearch>(2, seed);
       }
       stats.Add(TrialsToOptimum(*search, objective, optimum, seed));
     }

@@ -51,7 +51,6 @@ NetDynamicsConfig Fabric(uint64_t seed, double amplitude) {
   NetDynamicsConfig dyn;
   dyn.seed = seed;
   dyn.volatility_amplitude = amplitude;
-  dyn.volatility_period = SimTime::Millis(2);
   // CASSINI-style on/off background flows ride along at every nonzero
   // amplitude; amplitude 0 is the calm fabric (identity schedules).
   dyn.cross_flows = amplitude > 0.0 ? 2 : 0;

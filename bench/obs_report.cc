@@ -209,51 +209,6 @@ bool LoadTimeline(const std::string& path, TimelineData* out) {
   return true;
 }
 
-// ---- interval arithmetic (all in trace microseconds) ----------------------
-
-using Intervals = std::vector<std::pair<double, double>>;
-
-Intervals Merge(Intervals spans) {
-  std::sort(spans.begin(), spans.end());
-  Intervals merged;
-  for (const auto& [start, end] : spans) {
-    if (!merged.empty() && start <= merged.back().second) {
-      merged.back().second = std::max(merged.back().second, end);
-    } else {
-      merged.emplace_back(start, end);
-    }
-  }
-  return merged;
-}
-
-double TotalLength(const Intervals& merged) {
-  double total = 0.0;
-  for (const auto& [start, end] : merged) {
-    total += end - start;
-  }
-  return total;
-}
-
-// Total length of the intersection of two merged interval lists.
-double Intersection(const Intervals& a, const Intervals& b) {
-  double total = 0.0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const double lo = std::max(a[i].first, b[j].first);
-    const double hi = std::min(a[i].second, b[j].second);
-    if (hi > lo) {
-      total += hi - lo;
-    }
-    if (a[i].second < b[j].second) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return total;
-}
-
 std::string TrackName(const obs::CpInput& trace, int tid) {
   const auto it = trace.track_names.find(tid);
   return it != trace.track_names.end() ? it->second : "tid" + std::to_string(tid);
@@ -278,7 +233,7 @@ struct TraceSummary {
 
 TraceSummary ReportTrace(const obs::CpInput& trace) {
   TraceSummary summary;
-  std::map<int, Intervals> by_track;
+  std::map<int, obs::Intervals> by_track;
   double first = 1e300;
   double last = -1e300;
   for (const obs::CpSpan& span : trace.spans) {
@@ -296,16 +251,16 @@ TraceSummary ReportTrace(const obs::CpInput& trace) {
 
   // Per-track utilization.
   Table util({"track", "spans", "busy ms", "util %"});
-  std::map<int, Intervals> merged_by_track;
+  std::map<int, obs::Intervals> merged_by_track;
   for (auto& [tid, spans] : by_track) {
-    merged_by_track[tid] = Merge(std::move(spans));
+    merged_by_track[tid] = obs::Normalize(std::move(spans));
   }
   std::map<int, size_t> span_counts;
   for (const obs::CpSpan& span : trace.spans) {
     ++span_counts[span.tid];
   }
   for (const auto& [tid, merged] : merged_by_track) {
-    const double busy = TotalLength(merged);
+    const double busy = obs::Total(merged);
     util.AddRow({TrackName(trace, tid), std::to_string(span_counts[tid]),
                  Table::Num(busy / 1e3, 3), Table::Num(100.0 * busy / summary.wall_us, 1)});
   }
@@ -316,14 +271,11 @@ TraceSummary ReportTrace(const obs::CpInput& trace) {
   std::map<int, int> gpu_tid;   // worker -> tid of workerN/gpu
   std::map<int, int> comm_tid;  // worker -> tid of workerN/comm
   for (const auto& [tid, name] : trace.track_names) {
-    if (name.rfind("worker", 0) != 0) {
-      continue;
-    }
+    const int worker = obs::WorkerOf(name, "worker");
     const size_t slash = name.find('/');
-    if (slash == std::string::npos) {
+    if (worker < 0 || slash == std::string::npos) {
       continue;
     }
-    const int worker = std::atoi(name.substr(6, slash - 6).c_str());
     const std::string kind = name.substr(slash + 1);
     if (kind == "gpu") {
       gpu_tid[worker] = tid;
@@ -339,11 +291,11 @@ TraceSummary ReportTrace(const obs::CpInput& trace) {
       if (ct == comm_tid.end()) {
         continue;
       }
-      const Intervals& gpu = merged_by_track[gtid];
-      const Intervals& comm = merged_by_track[ct->second];
-      const double gpu_ms = TotalLength(gpu) / 1e3;
-      const double comm_ms = TotalLength(comm) / 1e3;
-      const double both_ms = Intersection(gpu, comm) / 1e3;
+      const obs::Intervals& gpu = merged_by_track[gtid];
+      const obs::Intervals& comm = merged_by_track[ct->second];
+      const double gpu_ms = obs::Total(gpu) / 1e3;
+      const double comm_ms = obs::Total(comm) / 1e3;
+      const double both_ms = obs::IntersectionLength(gpu, comm) / 1e3;
       const double denom = std::min(gpu_ms, comm_ms);
       gpu_busy.push_back(gpu_ms);
       overlap.AddRow({std::to_string(worker), Table::Num(gpu_ms, 3), Table::Num(comm_ms, 3),
@@ -430,9 +382,9 @@ void ReportMetrics(const MetricsData& metrics) {
     for (const auto& [name, snap] : metrics.histograms) {
       const double mean =
           snap.count > 0 ? static_cast<double>(snap.sum) / static_cast<double>(snap.count) : 0.0;
-      table.AddRow({name, std::to_string(snap.count), Table::Num(mean, 1),
-                    Table::Num(snap.Quantile(50), 1), Table::Num(snap.Quantile(90), 1),
-                    Table::Num(snap.Quantile(99), 1)});
+      const std::vector<double> p = snap.Percentiles({50, 90, 99});
+      table.AddRow({name, std::to_string(snap.count), Table::Num(mean, 1), Table::Num(p[0], 1),
+                    Table::Num(p[1], 1), Table::Num(p[2], 1)});
     }
     std::printf("-- histograms (log2 buckets; quantiles approximate) --\n");
     table.RenderAscii(std::cout);

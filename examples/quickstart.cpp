@@ -146,7 +146,6 @@ int main(int argc, char** argv) {
     NetDynamicsConfig dyn;
     dyn.seed = volatility_seed;
     dyn.volatility_amplitude = 0.7;
-    dyn.volatility_period = SimTime::Millis(2);
     dyn.cross_flows = 2;
     dyn.cross_load = 0.5;
     dyn.down_scale = 0.8;

@@ -3,9 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "src/common/check.h"
 #include "src/obs/obs.h"
 
@@ -73,12 +70,6 @@ void AllReduceBackend::Start(const SubCommTask& subtask, std::function<void()> o
   }
   // The launch/negotiation phase runs host-side, concurrently with whatever
   // the ring is currently transferring; the ring pass itself serializes.
-  if (getenv("BSCHED_DEBUG_RING") != nullptr) {
-    std::fprintf(stderr, "ring op layer=%d bytes=%lld wait=%s ring=%s W=%d rate=%.1fGbps\n",
-                 subtask.layer, static_cast<long long>(subtask.bytes), wait.ToString().c_str(),
-                 RingTime(subtask.bytes).ToString().c_str(), config_.num_workers,
-                 config_.transport.EffectiveRate(config_.link_rate).ToGbps());
-  }
   if (config_.obs != nullptr && config_.obs->tracing()) {
     // Instrumented launch: the extra captures push this lambda past EventFn's
     // inline buffer, so it stays a separate path — the lean lambda below is

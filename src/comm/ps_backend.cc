@@ -75,7 +75,6 @@ PsBackend::PsBackend(Simulator* sim, const PsConfig& config) : sim_(sim), config
   }
   if (config_.dynamics != nullptr && config_.dynamics->enabled()) {
     const NetDynamicsConfig& dyn = *config_.dynamics;
-    BSCHED_CHECK(dyn.racks <= 1 || config_.num_workers >= 1);
     // Each link's schedule is keyed on its stable name; the asymmetric
     // down_scale derates the worker receive direction.
     for (auto& link : uplinks_) link->SetRateModel(BuildLinkRateModel(dyn, link->name(), false));
@@ -84,7 +83,7 @@ PsBackend::PsBackend(Simulator* sim, const PsConfig& config) : sim_(sim), config
     for (auto& link : egresses_) link->SetRateModel(BuildLinkRateModel(dyn, link->name(), false));
     if (dyn.aimd.enable) {
       for (int w = 0; w < config_.num_workers; ++w) {
-        rate_ctrl_.push_back(std::make_unique<RateController>(uplinks_[w].get(), dyn.aimd));
+        rate_ctrl_.push_back(std::make_unique<RateController>(uplinks_[w].get()));
       }
     }
   }
@@ -97,10 +96,6 @@ uint64_t PsBackend::link_repaces() const {
   for (const auto& link : ingresses_) total += link->repace_events();
   for (const auto& link : egresses_) total += link->repace_events();
   return total;
-}
-
-double PsBackend::MsgScale(int worker, int shard) const {
-  return config_.dynamics != nullptr ? CrossRackScale(*config_.dynamics, worker, shard) : 1.0;
 }
 
 bool PsBackend::Tracing() const {
@@ -218,7 +213,7 @@ void PsBackend::HandlePush(const SubCommTask& subtask, std::function<void()> on_
   h.shard = shard;
   h.round = prev.round;
   h.submit = sim_->Now();
-  uplinks_[worker]->SendFlight(subtask.bytes, hop, /*flush=*/true, MsgScale(worker, shard));
+  uplinks_[worker]->SendFlight(subtask.bytes, hop, /*flush=*/true);
 }
 
 void PsBackend::OnPushFlushed(uint32_t hop) {
@@ -261,7 +256,7 @@ void PsBackend::SendPushData(int worker, const SubCommTask& subtask, int shard, 
   h.subtask = subtask;
   h.shard = shard;
   h.round = round;
-  uplinks_[worker]->SendFlight(subtask.bytes, hop, /*flush=*/false, MsgScale(worker, shard));
+  uplinks_[worker]->SendFlight(subtask.bytes, hop, /*flush=*/false);
 }
 
 void PsBackend::ArmPushAckTimer(int worker, const SubCommTask& subtask, int shard, int attempt,
@@ -276,12 +271,8 @@ void PsBackend::ArmPushAckTimer(int worker, const SubCommTask& subtask, int shar
   ack.attempt = attempt;
   ack.round = round;
   ack.armed = true;
-  double scale = 1.0;
-  for (int i = 0; i < attempt; ++i) {
-    scale *= config_.retry_backoff;
-  }
-  const SimTime timeout = SimTime(
-      static_cast<int64_t>(static_cast<double>(config_.push_ack_timeout.nanos()) * scale));
+  const SimTime timeout =
+      BackoffTimeout(config_.push_ack_timeout, config_.retry_backoff, attempt);
   ack.timer = sim_->Schedule(timeout, [this, worker, slot] { OnAckTimeout(worker, slot); });
 }
 
@@ -501,7 +492,6 @@ void PsBackend::OnPullRequest(uint32_t hop) {
 
 void PsBackend::DeliverPull(uint32_t hop) {
   Hop& h = hops_[hop];
-  const int worker = h.subtask.worker;
   const int shard = h.shard;
   if (Tracing()) {
     // Wrap the completion so the downlink span and the flow hop are stamped
@@ -519,7 +509,7 @@ void PsBackend::DeliverPull(uint32_t hop) {
       on_finish();
     };
   }
-  egresses_[shard]->SendFlight(h.deliver_bytes, hop, /*flush=*/false, MsgScale(worker, shard));
+  egresses_[shard]->SendFlight(h.deliver_bytes, hop, /*flush=*/false);
 }
 
 void PsBackend::OnPullAtWorker(uint32_t hop) {

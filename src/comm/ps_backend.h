@@ -95,10 +95,8 @@ struct PsConfig {
 
   // Dynamic-network fabric (null disables: every link keeps its identity
   // schedule and runs at its nominal rate). When enabled, every link gets a
-  // deterministic RateModel keyed on (seed, link name), worker uplinks
-  // optionally get AIMD rate controllers fed by the push ack timers, and
-  // cross-rack transfers under the two-tier topology are paced at
-  // line_rate / oversubscription.
+  // deterministic RateModel keyed on (seed, link name), and worker uplinks
+  // optionally get AIMD rate controllers fed by the push ack timers.
   const NetDynamicsConfig* dynamics = nullptr;
 
   // Delivers the shard's push-ack cancel and each worker's aggregation
@@ -289,10 +287,6 @@ class PsBackend : public CommBackend {
   void OnAckTimeout(int worker, uint32_t slot);
   // The shard saw the slot's push from `worker`: stop its ack timer.
   void CancelPushAck(int worker, int64_t tensor_id, int partition);
-  // Pacing multiplier for one worker<->shard transfer (1.0 without the
-  // two-tier topology; 1/oversubscription across racks). Applied on the
-  // sender-side link, where the per-message overhead is paid.
-  double MsgScale(int worker, int shard) const;
   SimTime ScaledUpdateTime(int shard, Bytes bytes) const;
   // Runs `step` for `hop` `delay` from now (inline when delay is zero, as
   // Link::Send delivers a zero wire flight).

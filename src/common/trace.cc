@@ -5,14 +5,11 @@
 #include "src/common/check.h"
 
 namespace bsched {
-namespace {
 
-// Full JSON string escaping: quotes, backslashes, and control characters
-// (tensor names like grad["fc1"] or layer\tname must survive round-trip).
-std::string Escape(const std::string& s) {
+std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
+  for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -34,6 +31,8 @@ std::string Escape(const std::string& s) {
   return out;
 }
 
+namespace {
+
 // Fixed-precision microsecond timestamps: default double formatting drops
 // sub-microsecond digits past 6 significant figures, which breaks span
 // ordering for long runs.
@@ -51,7 +50,7 @@ void WriteArgs(std::ostream& os, const std::vector<TraceArg>& args) {
       os << ",";
     }
     first = false;
-    os << '"' << Escape(arg.key) << "\":";
+    os << '"' << JsonEscape(arg.key) << "\":";
     switch (arg.kind) {
       case TraceArg::Kind::kInt:
         os << arg.int_value;
@@ -60,7 +59,7 @@ void WriteArgs(std::ostream& os, const std::vector<TraceArg>& args) {
         os << arg.double_value;
         break;
       case TraceArg::Kind::kString:
-        os << '"' << Escape(arg.string_value) << '"';
+        os << '"' << JsonEscape(arg.string_value) << '"';
         break;
     }
   }
@@ -159,7 +158,7 @@ void TraceRecorder::WriteChromeTrace(std::ostream& os) const {
     }
     first = false;
     os << R"({"ph":"M","pid":1,"tid":)" << tid
-       << R"(,"name":"thread_name","args":{"name":")" << Escape(*by_tid[tid]) << "\"}}";
+       << R"(,"name":"thread_name","args":{"name":")" << JsonEscape(*by_tid[tid]) << "\"}}";
   }
   for (const Event& ev : events_) {
     const int tid = track_ids_.at(ev.track);
@@ -170,11 +169,11 @@ void TraceRecorder::WriteChromeTrace(std::ostream& os) const {
     switch (ev.kind) {
       case EventKind::kInstant:
         os << R"({"ph":"i","pid":1,"tid":)" << tid << R"(,"ts":)" << Micros(ev.start)
-           << R"(,"s":"t","name":")" << Escape(ev.name) << "\"}";
+           << R"(,"s":"t","name":")" << JsonEscape(ev.name) << "\"}";
         break;
       case EventKind::kSpan:
         os << R"({"ph":"X","pid":1,"tid":)" << tid << R"(,"ts":)" << Micros(ev.start)
-           << R"(,"dur":)" << Micros(ev.end - ev.start) << R"(,"name":")" << Escape(ev.name)
+           << R"(,"dur":)" << Micros(ev.end - ev.start) << R"(,"name":")" << JsonEscape(ev.name)
            << '"';
         if (!ev.args.empty()) {
           WriteArgs(os, ev.args);
@@ -192,7 +191,7 @@ void TraceRecorder::WriteChromeTrace(std::ostream& os) const {
           // contains this point rather than the next slice to start.
           os << R"(,"bp":"e")";
         }
-        os << R"(,"name":")" << Escape(ev.name) << "\"}";
+        os << R"(,"name":")" << JsonEscape(ev.name) << "\"}";
         break;
       }
     }

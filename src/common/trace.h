@@ -18,11 +18,17 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/units.h"
 
 namespace bsched {
+
+// Escapes a string for embedding in a JSON string literal: quotes,
+// backslashes, and control characters (as \uXXXX or the short forms), so
+// tensor names like grad["fc1"] or layer\tname survive a round-trip.
+std::string JsonEscape(std::string_view s);
 
 // One typed key/value entry of a span's "args" metadata.
 struct TraceArg {

@@ -19,6 +19,14 @@ std::string SimTime::ToString() const {
   return buf;
 }
 
+SimTime BackoffTimeout(SimTime timeout, double backoff, int attempt) {
+  double scale = 1.0;
+  for (int i = 0; i < attempt; ++i) {
+    scale *= backoff;
+  }
+  return SimTime(static_cast<int64_t>(static_cast<double>(timeout.nanos()) * scale));
+}
+
 std::string FormatBytes(Bytes b) {
   char buf[64];
   if (b >= GiB(1)) {

@@ -44,6 +44,10 @@ class SimTime {
   int64_t ns_;
 };
 
+// Timeout of retry attempt `attempt` (0 = the first try) under exponential
+// backoff: timeout * backoff^attempt, truncated to whole nanoseconds.
+SimTime BackoffTimeout(SimTime timeout, double backoff, int attempt);
+
 // A byte count. Plain alias: byte counts mix with sizes frequently enough that
 // a wrapper class costs more than it protects.
 using Bytes = int64_t;

@@ -282,14 +282,6 @@ void SchedulerCore::RecordAdmit(SubTaskRecord& r, Bytes charged, size_t queue_de
   trace->AddFlow(track_, base + ".admit", now, r.flow, phase);
 }
 
-SimTime SchedulerCore::AttemptTimeout(int attempts) const {
-  double scale = 1.0;
-  for (int i = 0; i < attempts; ++i) {
-    scale *= config_.retry.backoff;
-  }
-  return SimTime(static_cast<int64_t>(static_cast<double>(config_.retry.timeout.nanos()) * scale));
-}
-
 void SchedulerCore::StartAttempt(uint32_t rec, Bytes charged) {
   SubTaskRecord& r = records_[rec];
   r.charged = charged;
@@ -305,7 +297,9 @@ void SchedulerCore::StartAttempt(uint32_t rec, Bytes charged) {
   r.in_flight = true;
   r.generation = generation;
   ++in_flight_;
-  r.timeout = sim_->Schedule(AttemptTimeout(r.attempts),
+  const SimTime timeout =
+      BackoffTimeout(config_.retry.timeout, config_.retry.backoff, r.attempts);
+  r.timeout = sim_->Schedule(timeout,
                              [this, rec, generation] { OnAttemptTimeout(rec, generation); });
   backend_->Start(subtask, [this, rec, generation] { OnAttemptFinish(rec, generation); });
 }

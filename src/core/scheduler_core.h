@@ -88,7 +88,6 @@ class SchedulerCore {
   uint64_t subtasks_started() const { return subtasks_started_; }
   uint64_t tasks_finished() const { return tasks_finished_; }
   const SchedulerConfig& config() const { return config_; }
-  int worker_id() const { return worker_id_; }
 
   // Recovery counters (all zero when retry is disabled or no fault fired).
   uint64_t timeouts_fired() const { return timeouts_fired_; }
@@ -164,7 +163,6 @@ class SchedulerCore {
   };
 
   bool recovery_enabled() const { return config_.retry.enabled() && sim_ != nullptr; }
-  SimTime AttemptTimeout(int attempts) const;
 
   TaskState& Task(CommTaskId id);
   const TaskState& Task(CommTaskId id) const;

@@ -44,7 +44,6 @@ class DagEngine {
   bool started() const { return started_; }
   bool AllDone() const { return ops_completed_ == ops_.size(); }
   size_t ops_completed() const { return ops_completed_; }
-  size_t num_ops() const { return ops_.size(); }
   const std::string& OpName(OpId id) const;
   bool OpDone(OpId id) const;
 

@@ -1,13 +1,16 @@
 // Dependency Proxy (§3.3): an engine operation created by ByteScheduler that
 // claims dependencies from/to other operations without the engine knowing
-// about communication scheduling. When the engine starts the Proxy, the
-// scheduler is notified (CommTask.notify_ready()); the Proxy then holds its
-// position in the graph until the scheduler releases it.
+// about communication scheduling. One proxy guards one layer of one worker:
+// each finished communication of the layer releases it once, and the proxy
+// op of iteration k holds its position in the graph (or the imperative
+// stream) until k releases have happened. Declarative engines install one op
+// per iteration (WaitFor); PyTorch's forward pre-hook is copied into every
+// iteration's op, so it counts its own starts (WaitForNext).
 #ifndef SRC_ENGINE_PROXY_H_
 #define SRC_ENGINE_PROXY_H_
 
-#include <functional>
 #include <utility>
+#include <vector>
 
 #include "src/engine/dag_engine.h"
 
@@ -19,26 +22,25 @@ class DependencyProxy {
   DependencyProxy(const DependencyProxy&) = delete;
   DependencyProxy& operator=(const DependencyProxy&) = delete;
 
-  // Invoked when the engine starts the proxy op, i.e. when all original
-  // precedent operations have finished. Typically wired to notify_ready().
-  void set_on_start(std::function<void()> fn) { on_start_ = std::move(fn); }
+  // Op body that completes once `releases` Release() calls have happened
+  // (before or after the engine starts it).
+  DagEngine::OpFn WaitFor(int releases);
 
-  // Builds the op body to install into an engine. The op completes only once
-  // Release() has been called (before or after the engine starts it).
-  DagEngine::OpFn MakeOpFn();
+  // Op body whose n-th start (counting from 0) waits for n releases. The
+  // count lives in the proxy, so every copy of the body shares it.
+  DagEngine::OpFn WaitForNext();
 
-  // Lets the proxy finish; called by scheduler logic (e.g. on CommTask start
-  // or notify_finish, depending on which side of the operation it guards).
+  // One communication of the layer finished. Completes, inline, the op
+  // waiting for this many releases, if it has started.
   void Release();
 
-  bool started() const { return started_; }
-  bool released() const { return released_; }
-
  private:
-  std::function<void()> on_start_;
-  DagEngine::Done pending_done_;
-  bool started_ = false;
-  bool released_ = false;
+  void Wait(int releases, DagEngine::Done done);
+
+  int released_ = 0;
+  int next_wait_ = 0;
+  // Started ops still waiting, with the release count each needs.
+  std::vector<std::pair<int, DagEngine::Done>> waiting_;
 };
 
 }  // namespace bsched

@@ -77,7 +77,6 @@ class FaultInjector {
   void RecordBackendRetransmit(int worker, int layer, int partition, int attempt);
 
   const FaultStats& stats() const { return stats_; }
-  const FaultPlan& plan() const { return plan_; }
   std::string DebugString() const { return stats_.DebugString(); }
 
  private:

@@ -17,7 +17,7 @@ Link::Link(Simulator* sim, std::string name, Bandwidth line_rate, const Transpor
 void Link::Send(Bytes size, std::function<void()> on_delivered) {
   const uint32_t token = callbacks_.Acquire();
   callbacks_[token] = std::move(on_delivered);
-  Enqueue(Msg{size, 1.0, token, kCallback});
+  Enqueue(Msg{size, token, kCallback});
 }
 
 void Link::SetFaultInjector(FaultInjector* faults) {
@@ -52,10 +52,7 @@ void Link::ExportMetrics() {
 SimTime Link::DrainTime() const {
   SimTime t = busy_ ? current_end_ : sim_->Now();
   for (size_t i = busy_ ? 1 : 0; i < msgs_.size(); ++i) {
-    // Nominal estimate at the message's pacing scale.
-    const Msg& m = msgs_[i];
-    t += transport_.MessageTime(
-        Bandwidth::BytesPerSec(line_rate_.bytes_per_sec() * m.msg_scale), m.size);
+    t += MessageTime(msgs_[i].size);
   }
   return t;
 }
@@ -66,9 +63,9 @@ void Link::SetFlightHandlers(std::function<void(uint32_t)> on_flushed,
   deliver_ = std::move(deliver);
 }
 
-void Link::SendFlight(Bytes size, uint32_t token, bool flush, double msg_scale) {
+void Link::SendFlight(Bytes size, uint32_t token, bool flush) {
   BSCHED_CHECK(!flush || on_flushed_ != nullptr);
-  Enqueue(Msg{size, msg_scale, token, flush ? kFlushed : kFlight});
+  Enqueue(Msg{size, token, flush ? kFlushed : kFlight});
 }
 
 void Link::Enqueue(Msg msg) {
@@ -82,8 +79,7 @@ void Link::Enqueue(Msg msg) {
     obs_queue_ns_->Observe((DrainTime() - sim_->Now()).nanos());
     obs_inflight_->Add(size);
   }
-  BSCHED_CHECK(msg.msg_scale > 0.0);
-  msgs_.push_back(std::move(msg));
+  msgs_.push_back(msg);
   if (!busy_) {
     StartNext();
   }
@@ -96,9 +92,7 @@ void Link::StartNext() {
   }
   busy_ = true;
   busy_since_ = sim_->Now();
-  const Msg& msg = msgs_.front();
-  current_scale_ = msg.msg_scale;
-  remaining_ = static_cast<double>(msg.size);
+  remaining_ = static_cast<double>(msgs_.front().size);
   anchor_ = sim_->Now() + transport_.serial_overhead;
   ScheduleCompletion();
 }
@@ -178,9 +172,8 @@ void Link::SetRateModel(RateModel model) {
 
 double Link::Rate(SimTime t) const {
   // Operation order matters: with unit schedule and controller scales this
-  // must reduce to exactly EffectiveRate(line * msg_scale), i.e.
-  // (line * msg_scale) * efficiency.
-  const double scale = model_.ScaleAt(t) * ctrl_scale_ * current_scale_;
+  // must reduce to exactly EffectiveRate(line), i.e. line * efficiency.
+  const double scale = model_.ScaleAt(t) * ctrl_scale_;
   return std::min(line_rate_.bytes_per_sec() * scale * transport_.efficiency,
                   transport_.goodput_cap.bytes_per_sec());
 }
@@ -248,10 +241,6 @@ void Link::SetCtrlScale(double scale) {
   }
 }
 
-double Link::CurrentRateBps() const {
-  const double scale = model_.ScaleAt(sim_->Now()) * ctrl_scale_;
-  return std::min(line_rate_.bytes_per_sec() * scale * transport_.efficiency,
-                  transport_.goodput_cap.bytes_per_sec());
-}
+double Link::CurrentRateBps() const { return Rate(sim_->Now()); }
 
 }  // namespace bsched

@@ -7,8 +7,7 @@
 // Every message occupies the link for the transport's serial overhead plus
 // the time its bytes take to serialize at the link's instantaneous rate:
 // line rate x the RateModel's schedule scale x the AIMD controller scale x
-// the message's own pacing scale (cross-rack derating) x the transport's
-// efficiency, capped at its goodput ceiling. A controller rate change
+// the transport's efficiency, capped at its goodput ceiling. A controller rate change
 // mid-message re-paces the in-flight transfer from the bytes it has
 // serialized so far.
 // With the default identity schedule and unit scales the integral reduces to
@@ -16,7 +15,7 @@
 // llround, same operation order), so a link nobody reconfigures is the
 // paper's fixed-bandwidth FIFO queue plus per-message overhead θ.
 //
-// A queued message is a 24-byte record: size, pacing scale and a token. A
+// A queued message is a 16-byte record: size, token and kind. A
 // flight's token is the sender's own index (the PS backend's hop), handed to
 // the flush and delivery handlers the sender installs once per link; a
 // Send's token indexes the link's pool of parked delivery callbacks.
@@ -61,10 +60,8 @@ class Link {
   // flight (pipelined latency plus any injected delay) to `deliver(token,
   // wire_flight)`; the caller lands the message. A message the fault
   // injector drops calls `deliver(token, kDropped)`, so the caller can
-  // reclaim its state. `msg_scale` is the per-message pacing scale of the
-  // two-tier topology (cross-rack transfers run at line_rate /
-  // oversubscription); it must be positive.
-  void SendFlight(Bytes size, uint32_t token, bool flush, double msg_scale = 1.0);
+  // reclaim its state.
+  void SendFlight(Bytes size, uint32_t token, bool flush);
   // Installs SendFlight's handlers; call once, before the first flight.
   // Either may be null: flights then skip that step (and, without
   // `deliver`, the fault fate too).
@@ -79,7 +76,6 @@ class Link {
   // future.
   SimTime MessageTime(Bytes size) const { return transport_.MessageTime(line_rate_, size); }
 
-  Bandwidth effective_rate() const { return transport_.EffectiveRate(line_rate_); }
   const TransportModel& transport() const { return transport_; }
 
   Bytes bytes_sent() const { return bytes_sent_; }
@@ -111,7 +107,6 @@ class Link {
   // never delivers; delayed messages add the injected latency on the wire.
   // Null (the default) keeps the exact fault-free event sequence.
   void SetFaultInjector(FaultInjector* faults);
-  FaultInjector* fault_injector() const { return faults_; }
 
   // Observability: registers and caches this link's metric handles
   // (net.<name>.bytes/.msgs/.queue_ns/.inflight_bytes). Null obs (or obs
@@ -131,11 +126,10 @@ class Link {
   // A message from submission to flush.
   struct Msg {
     Bytes size = 0;
-    double msg_scale = 1.0;
     uint32_t token = 0;
     uint8_t kind = kCallback;
   };
-  static_assert(sizeof(Msg) <= 24);
+  static_assert(sizeof(Msg) <= 16);
 
   void Enqueue(Msg msg);
   // Starts transmitting msgs_.front(), if any.
@@ -153,7 +147,7 @@ class Link {
   // Completion time of the current message from (anchor_, remaining_) by
   // walking the schedule's segments.
   SimTime FinishTime() const;
-  // Effective serialization rate (bytes/sec) for the current message at t.
+  // Effective serialization rate (bytes/sec) at t.
   double Rate(SimTime t) const;
 
   Simulator* sim_;
@@ -183,8 +177,6 @@ class Link {
   std::function<void(uint32_t, SimTime)> deliver_;
   RateModel model_;
   double ctrl_scale_ = 1.0;
-  // Pacing scale of the message in transmission (msgs_.front()).
-  double current_scale_ = 1.0;
   // Payload bytes left to serialize as of `anchor_` (transmission starts at
   // message start + serial_overhead; before that, anchor_ is that start).
   double remaining_ = 0.0;

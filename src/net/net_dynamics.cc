@@ -26,25 +26,21 @@ RateModel BuildLinkRateModel(const NetDynamicsConfig& config, const std::string&
   if (config.volatility_amplitude > 0.0) {
     model = RateModel::Compose(
         model, RateModel::RandomWalk(config.seed ^ site ^ 0xd71f7a11ULL,
-                                     config.volatility_amplitude, config.volatility_period,
-                                     config.horizon));
+                                     config.volatility_amplitude,
+                                     NetDynamicsConfig::kVolatilityPeriod,
+                                     NetDynamicsConfig::kHorizon));
   }
   if (config.cross_flows > 0) {
     model = RateModel::Compose(
         model, RateModel::CrossTraffic(config.seed ^ site ^ 0xc7055ee4ULL, config.cross_flows,
-                                       config.cross_load, config.cross_period, config.cross_duty,
-                                       config.horizon));
+                                       config.cross_load, NetDynamicsConfig::kCrossPeriod,
+                                       NetDynamicsConfig::kCrossDuty,
+                                       NetDynamicsConfig::kHorizon));
   }
   if (down && config.down_scale != 1.0) {
     model = RateModel::Compose(model, RateModel::Constant(config.down_scale));
   }
   return model;
-}
-
-double CrossRackScale(const NetDynamicsConfig& config, int worker, int shard) {
-  if (!config.topology()) return 1.0;
-  const bool same_rack = (worker % config.racks) == (shard % config.racks);
-  return same_rack ? 1.0 : 1.0 / config.oversubscription;
 }
 
 }  // namespace bsched

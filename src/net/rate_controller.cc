@@ -7,23 +7,17 @@
 
 namespace bsched {
 
-RateController::RateController(Link* link, const AimdConfig& config)
-    : link_(link), config_(config) {
-  BSCHED_CHECK(link != nullptr);
-  BSCHED_CHECK(config.min_scale > 0.0 && config.min_scale <= 1.0);
-  BSCHED_CHECK(config.multiplicative_decrease > 0.0 && config.multiplicative_decrease < 1.0);
-  BSCHED_CHECK(config.additive_increase > 0.0);
-}
+RateController::RateController(Link* link) : link_(link) { BSCHED_CHECK(link != nullptr); }
 
 void RateController::OnLoss() {
-  scale_ = std::max(config_.min_scale, scale_ * config_.multiplicative_decrease);
+  scale_ = std::max(kMinScale, scale_ * kMultiplicativeDecrease);
   ++decreases_;
   link_->SetCtrlScale(scale_);
 }
 
 void RateController::OnAck() {
   if (scale_ >= 1.0) return;
-  scale_ = std::min(1.0, scale_ + config_.additive_increase);
+  scale_ = std::min(1.0, scale_ + kAdditiveIncrease);
   ++increases_;
   link_->SetCtrlScale(scale_);
 }

@@ -13,18 +13,21 @@ namespace bsched {
 class Link;
 
 struct AimdConfig {
+  // One RateController per worker uplink.
   bool enable = false;
-  // Scale recovered per clean ack and retained floor after decreases.
-  double additive_increase = 0.05;
-  double multiplicative_decrease = 0.5;
-  double min_scale = 0.1;
 };
 
 class RateController {
  public:
-  RateController(Link* link, const AimdConfig& config);
+  // Scale recovered per clean ack, factor applied per loss, and the floor
+  // decreases stop at.
+  static constexpr double kAdditiveIncrease = 0.05;
+  static constexpr double kMultiplicativeDecrease = 0.5;
+  static constexpr double kMinScale = 0.1;
 
-  // Ack timer fired: back off multiplicatively (floored at min_scale).
+  explicit RateController(Link* link);
+
+  // Ack timer fired: back off multiplicatively (floored at kMinScale).
   void OnLoss();
   // Ack arrived in time: recover additively toward full rate.
   void OnAck();
@@ -35,7 +38,6 @@ class RateController {
 
  private:
   Link* link_;
-  AimdConfig config_;
   double scale_ = 1.0;
   uint64_t decreases_ = 0;
   uint64_t increases_ = 0;

@@ -9,10 +9,6 @@
 #include "src/obs/json_lite.h"
 
 namespace bsched::obs {
-namespace {
-
-// Closed-open [start, end) microsecond intervals, kept sorted and disjoint.
-using Intervals = std::vector<std::pair<double, double>>;
 
 Intervals Normalize(Intervals iv) {
   std::sort(iv.begin(), iv.end());
@@ -30,7 +26,6 @@ Intervals Normalize(Intervals iv) {
   return out;
 }
 
-// Intersection of normalized `iv` with [lo, hi).
 Intervals Clip(const Intervals& iv, double lo, double hi) {
   Intervals out;
   for (const auto& [a, b] : iv) {
@@ -43,7 +38,6 @@ Intervals Clip(const Intervals& iv, double lo, double hi) {
   return out;
 }
 
-// Set difference a \ b of normalized interval lists.
 Intervals Subtract(const Intervals& a, const Intervals& b) {
   Intervals out;
   size_t j = 0;
@@ -78,8 +72,25 @@ double Total(const Intervals& iv) {
   return total;
 }
 
-// Parses a worker index out of "worker<w>/gpu"-style track names; -1 when
-// the prefix does not match or no digits follow.
+double IntersectionLength(const Intervals& a, const Intervals& b) {
+  double total = 0.0;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    const double lo = std::max(a[i].first, b[j].first);
+    const double hi = std::min(a[i].second, b[j].second);
+    if (hi > lo) {
+      total += hi - lo;
+    }
+    if (a[i].second < b[j].second) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return total;
+}
+
 int WorkerOf(const std::string& track, const std::string& prefix) {
   if (track.size() <= prefix.size() || track.compare(0, prefix.size(), prefix) != 0) {
     return -1;
@@ -96,6 +107,8 @@ int WorkerOf(const std::string& track, const std::string& prefix) {
   }
   return any ? w : -1;
 }
+
+namespace {
 
 bool EndsWith(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&

@@ -18,9 +18,32 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace bsched::obs {
+
+// ---- interval sets ---------------------------------------------------------
+// Closed-open [start, end) microsecond intervals. A normalized list is sorted
+// and disjoint; Clip, Subtract, Total and IntersectionLength take normalized
+// lists.
+using Intervals = std::vector<std::pair<double, double>>;
+
+// Sorts, drops empty intervals and merges touching or overlapping ones.
+Intervals Normalize(Intervals iv);
+// Intersection of `iv` with [lo, hi).
+Intervals Clip(const Intervals& iv, double lo, double hi);
+// Set difference a \ b.
+Intervals Subtract(const Intervals& a, const Intervals& b);
+// Summed length.
+double Total(const Intervals& iv);
+// Summed length of a ∩ b.
+double IntersectionLength(const Intervals& a, const Intervals& b);
+
+// Parses the worker index out of a "<prefix><w>..." track name, e.g.
+// WorkerOf("worker3/gpu", "worker") == 3; -1 when the prefix does not match
+// or no digits follow.
+int WorkerOf(const std::string& track, const std::string& prefix);
 
 // One complete span ("X" event): its track id and that track's name.
 struct CpSpan {

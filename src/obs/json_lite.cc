@@ -1,7 +1,6 @@
 #include "src/obs/json_lite.h"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 
 namespace bsched {
@@ -264,31 +263,6 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
 
 bool ParseJson(std::string_view text, JsonValue* out, std::string* error) {
   return Parser(text).Parse(out, error);
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c) & 0xFF);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace obs

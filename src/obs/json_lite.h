@@ -46,10 +46,6 @@ struct JsonValue {
 // non-null, stores a message with the byte offset of the problem.
 bool ParseJson(std::string_view text, JsonValue* out, std::string* error = nullptr);
 
-// Escapes a string for embedding in a JSON string literal: quotes,
-// backslashes, and control characters (as \uXXXX or the short forms).
-std::string JsonEscape(std::string_view s);
-
 }  // namespace obs
 }  // namespace bsched
 

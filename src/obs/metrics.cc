@@ -5,7 +5,7 @@
 #include <span>
 
 #include "src/common/stats.h"
-#include "src/obs/json_lite.h"
+#include "src/common/trace.h"
 
 namespace bsched {
 
@@ -45,27 +45,6 @@ HistogramSnapshot Histogram::Snapshot() const {
   }
   snap.sum = sum_.load(std::memory_order_relaxed);
   return snap;
-}
-
-double HistogramSnapshot::Quantile(double q) const {
-  if (count == 0) {
-    return 0.0;
-  }
-  const double target = q / 100.0 * static_cast<double>(count);
-  uint64_t cum = 0;
-  for (const auto& [index, c] : buckets) {
-    cum += c;
-    if (static_cast<double>(cum) >= target) {
-      // Interpolate within the bucket's value range by the target's position
-      // among the bucket's samples.
-      const double lo = static_cast<double>(Histogram::BucketLowerBound(index));
-      const double hi = static_cast<double>(Histogram::BucketUpperBound(index));
-      const double into = static_cast<double>(c) - (static_cast<double>(cum) - target);
-      const double frac = into / static_cast<double>(c);
-      return lo + (hi - lo) * frac;
-    }
-  }
-  return static_cast<double>(Histogram::BucketUpperBound(buckets.back().first));
 }
 
 std::vector<double> HistogramSnapshot::Percentiles(const std::vector<double>& ps) const {
@@ -141,21 +120,21 @@ void MetricsSnapshot::WriteJson(std::ostream& os) const {
   os << "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, v] : counters) {
-    os << (first ? "\n" : ",\n") << "    \"" << obs::JsonEscape(name) << "\": " << v;
+    os << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name) << "\": " << v;
     first = false;
   }
   os << (first ? "},\n" : "\n  },\n");
   os << "  \"gauges\": {";
   first = true;
   for (const auto& [name, v] : gauges) {
-    os << (first ? "\n" : ",\n") << "    \"" << obs::JsonEscape(name) << "\": " << v;
+    os << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name) << "\": " << v;
     first = false;
   }
   os << (first ? "},\n" : "\n  },\n");
   os << "  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms) {
-    os << (first ? "\n" : ",\n") << "    \"" << obs::JsonEscape(name) << "\": {\"count\": "
+    os << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name) << "\": {\"count\": "
        << h.count << ", \"sum\": " << h.sum << ", \"buckets\": [";
     bool first_bucket = true;
     for (const auto& [index, c] : h.buckets) {

@@ -50,10 +50,6 @@ struct HistogramSnapshot {
   int64_t sum = 0;
   std::vector<std::pair<int, uint64_t>> buckets;
 
-  // Approximate quantile (q in [0, 100]) by linear interpolation inside the
-  // target bucket's [lower, upper] value range. 0 for an empty histogram.
-  double Quantile(double q) const;
-
   // Percentile estimates (each p in [0, 100]) computed by expanding the log2
   // buckets into a bounded set of evenly-spread representative samples and
   // selecting with PercentileInPlace — the same selection the rest of the

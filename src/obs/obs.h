@@ -42,8 +42,6 @@ class ObsContext {
   // partition; the backend steps it through link/shard hops; the matching
   // pull's completion closes it. Ids are never 0 (0 = "no flow").
 
-  uint64_t NewFlow() { return ++last_flow_; }
-
   // Opens (or reopens, for a new iteration reusing the same slot) the flow of
   // one (worker, tensor, partition) and returns its id.
   uint64_t BeginPartitionFlow(int worker, int64_t tensor_id, int partition) {

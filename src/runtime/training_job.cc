@@ -444,8 +444,11 @@ class TrainingJob {
     const bool scheduled = config_.mode != SchedMode::kVanilla;
     const ModelProfile& model = config_.model;
 
-    std::vector<OpId> prev_comm(num_layers_, kInvalidOp);       // in-engine comm ops
-    std::vector<DependencyProxy*> prev_proxy(num_layers_, nullptr);  // barrier crossing
+    // ByteScheduler on a barrier framework (Fig. 7) crosses the barrier: the
+    // next iteration's forward ops wait on the layer's Dependency Proxy.
+    const bool crossing = scheduled && barrier && !config_.disable_barrier_crossing;
+
+    std::vector<OpId> prev_comm(num_layers_, kInvalidOp);  // in-engine comm ops
     OpId prev_barrier = kInvalidOp;
 
     for (int k = 0; k < total_iters_; ++k) {
@@ -467,9 +470,9 @@ class TrainingJob {
           if (prev_comm[i] != kInvalidOp) {
             dag.AddDep(prev_comm[i], f[i]);
           }
-          if (prev_proxy[i] != nullptr) {
+          if (crossing && k > 0) {
             OpId proxy_op = dag.AddOp("proxy_f" + std::to_string(k) + "_" + std::to_string(i),
-                                      prev_proxy[i]->MakeOpFn());
+                                      Proxy(worker, i).WaitFor(k));
             dag.AddDep(proxy_op, f[i]);
             if (i > 0) {
               // The proxy guards this layer's forward op within the chain.
@@ -506,26 +509,21 @@ class TrainingJob {
           !scheduled && barrier && config_.setup.arch == ArchType::kPs;
       std::vector<OpId> comm(num_layers_);
       std::fill(prev_comm.begin(), prev_comm.end(), kInvalidOp);
-      std::fill(prev_proxy.begin(), prev_proxy.end(), nullptr);
       for (int i = 0; i < num_layers_; ++i) {
         const std::string name = "comm" + std::to_string(k) + "_" + std::to_string(i);
         if (tf_vanilla_ps) {
           comm[i] = dag.AddOp(name, [this, worker, i](DagEngine::Done done) {
             StartPsPush(worker, i, std::move(done));
           });
-        } else if (scheduled && barrier && !config_.disable_barrier_crossing) {
-          // ByteScheduler on a barrier framework (Fig. 7): the engine op is
-          // asynchronous — it hands the tensor to the Core and returns so the
-          // barrier can pass; a Dependency Proxy blocks the next iteration's
-          // forward op until notify_finish.
-          auto proxy = std::make_unique<DependencyProxy>();
-          DependencyProxy* proxy_ptr = proxy.get();
-          proxies_.push_back(std::move(proxy));
-          comm[i] = dag.AddOp(name, [this, worker, i, proxy_ptr](DagEngine::Done done) {
-            StartCommTensor(worker, i, [proxy_ptr] { proxy_ptr->Release(); });
+        } else if (crossing) {
+          // The engine op is asynchronous: it hands the tensor to the Core
+          // and returns so the barrier can pass; the layer's Dependency Proxy
+          // blocks the next iteration's forward op until notify_finish.
+          DependencyProxy* proxy = &Proxy(worker, i);
+          comm[i] = dag.AddOp(name, [this, worker, i, proxy](DagEngine::Done done) {
+            StartCommTensor(worker, i, [proxy] { proxy->Release(); });
             done();  // returns immediately: communication runs out-of-engine
           });
-          prev_proxy[i] = proxy_ptr;
         } else {
           // Vanilla, or ByteScheduler on a barrier-free framework (Fig. 6):
           // the engine op completes when the communication finishes.
@@ -562,58 +560,24 @@ class TrainingJob {
 
   // ---- imperative framework (PyTorch) -------------------------------------
 
-  // Per-layer gate used by the PyTorch plugin's hooks: the forward pre-hook
-  // of iteration k waits until the layer's communication of iteration k-1 has
-  // finished. This is the imperative-engine embodiment of the Dependency
-  // Proxy — the hook op holds its stream position until released.
-  struct LayerGate {
-    int finished = 0;
-    int next_wait = 0;  // successive hook invocations = successive iterations
-    std::vector<std::pair<int, DagEngine::Done>> waiters;
-
-    void Arrive(DagEngine::Done done) {
-      const int needed = next_wait++;
-      if (finished >= needed) {
-        done();
-      } else {
-        waiters.emplace_back(needed, std::move(done));
-      }
-    }
-
-    void FinishOne() {
-      ++finished;
-      std::vector<DagEngine::Done> ready;
-      std::erase_if(waiters, [&](auto& w) {
-        if (w.first <= finished) {
-          ready.push_back(std::move(w.second));
-          return true;
-        }
-        return false;
-      });
-      for (auto& done : ready) {
-        done();
-      }
-    }
-  };
-
   void BuildImperativeWorker(int worker) {
     ImperativeEngine& eng = *imp_engines_[worker];
     const bool scheduled = config_.mode != SchedMode::kVanilla;
     const ModelProfile& model = config_.model;
 
-    auto gates = std::make_shared<std::vector<LayerGate>>(num_layers_);
     if (scheduled) {
       for (int i = 0; i < num_layers_; ++i) {
+        DependencyProxy* proxy = &Proxy(worker, i);
         // register_forward_pre_hook: blocks this layer's forward compute
         // until its previous-iteration communication completed (Fig. 8).
-        eng.RegisterForwardPreHook(i, [gates, i](DagEngine::Done done) {
-          (*gates)[i].Arrive(std::move(done));
-        });
+        // Every iteration's op runs a copy of the hook; the proxy counts
+        // their starts.
+        eng.RegisterForwardPreHook(i, proxy->WaitForNext());
         // register_hook on the gradient: hands the tensor to the Core the
         // moment BP produces it, then returns (communication runs
         // out-of-engine, crossing the step barrier).
-        eng.RegisterBackwardHook(i, [this, gates, i, worker](DagEngine::Done done) {
-          StartCommTensor(worker, i, [gates, i] { (*gates)[i].FinishOne(); });
+        eng.RegisterBackwardHook(i, [this, proxy, i, worker](DagEngine::Done done) {
+          StartCommTensor(worker, i, [proxy] { proxy->Release(); });
           done();
         });
       }
@@ -733,6 +697,16 @@ class TrainingJob {
 
   TensorSlot& Slot(int worker, int layer) { return slots_[worker * num_layers_ + layer]; }
 
+  // The Dependency Proxy of one (worker, layer), allocated for all of them
+  // on first use: only jobs whose communication crosses the iteration
+  // boundary out-of-engine have any.
+  DependencyProxy& Proxy(int worker, int layer) {
+    if (proxies_.empty()) {
+      proxies_ = std::vector<DependencyProxy>(sim_workers_ * num_layers_);
+    }
+    return proxies_[worker * num_layers_ + layer];
+  }
+
   const JobConfig& config_;
   Fabric& fabric_;
   std::span<const std::unique_ptr<SchedulerCore>> cores_;
@@ -747,7 +721,8 @@ class TrainingJob {
   std::vector<DagEngine*> engines_;
   std::vector<std::unique_ptr<DagEngine>> dag_engines_;
   std::vector<std::unique_ptr<ImperativeEngine>> imp_engines_;
-  std::vector<std::unique_ptr<DependencyProxy>> proxies_;
+  // [worker * num_layers_ + layer]; see Proxy().
+  std::vector<DependencyProxy> proxies_;
   // BP-finish stamp per iteration: the slowest worker's.
   std::vector<SimTime> iter_bp_end_;
   // [worker * num_layers_ + layer]; PS jobs only.

@@ -96,14 +96,16 @@ constexpr double kCoscheduleBound = 0.06;
 // Figure 4's heaviest cell at 20.78 MiB. Before the event heap's entries
 // shrank from 32 to 16 bytes, the runs below peaked at 1.01, 2.78, 10.91,
 // 2.99, 18.43 and 15.64 MiB; no peak fell by more than 5%, so the bounds
-// stayed.
+// stayed. Before a queued link message shrank from 24 to 16 bytes they
+// peaked at 1.00, 2.77, 10.67, 2.98, 17.85 and 14.93 MiB; again no peak fell
+// by more than 5%.
 constexpr int64_t MiBytes(double mib) { return static_cast<int64_t>(mib * (1 << 20)); }
-constexpr int64_t kCoschedulePeakBytes = MiBytes(1.19);              // 1.00 MiB
+constexpr int64_t kCoschedulePeakBytes = MiBytes(1.19);              // 0.99 MiB
 constexpr int64_t kVgg16SmallCreditPeakBytes = MiBytes(3.04);        // 2.77 MiB
-constexpr int64_t kVgg16LargeCreditPeakBytes = MiBytes(12.0);        // 10.67 MiB
+constexpr int64_t kVgg16LargeCreditPeakBytes = MiBytes(12.0);        // 10.42 MiB
 constexpr int64_t kTransformerSmallCreditPeakBytes = MiBytes(3.27);  // 2.98 MiB
-constexpr int64_t kTransformerLargeCreditPeakBytes = MiBytes(20.3);  // 17.85 MiB
-constexpr int64_t kFig04HeaviestCellPeakBytes = MiBytes(17.2);       // 14.93 MiB
+constexpr int64_t kTransformerLargeCreditPeakBytes = MiBytes(20.3);  // 17.18 MiB
+constexpr int64_t kFig04HeaviestCellPeakBytes = MiBytes(17.2);       // 14.43 MiB
 
 struct Sample {
   uint64_t allocs = 0;

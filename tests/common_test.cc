@@ -47,6 +47,13 @@ TEST(SimTimeTest, ToStringPicksUnit) {
   EXPECT_EQ(SimTime::Seconds(1.25).ToString(), "1.250s");
 }
 
+TEST(SimTimeTest, BackoffTimeoutScalesAndTruncates) {
+  EXPECT_EQ(BackoffTimeout(SimTime::Millis(25), 2.0, 0), SimTime::Millis(25));
+  EXPECT_EQ(BackoffTimeout(SimTime::Millis(25), 2.0, 3), SimTime::Millis(200));
+  // 7 ns * 1.5^2 = 15.75 ns, truncated.
+  EXPECT_EQ(BackoffTimeout(SimTime::Nanos(7), 1.5, 2), SimTime::Nanos(15));
+}
+
 TEST(BytesTest, Helpers) {
   EXPECT_EQ(KiB(1), 1024);
   EXPECT_EQ(MiB(1), 1024 * 1024);

@@ -1,12 +1,12 @@
 // Deterministic work-count gate. One reference job per wiring branch of the
 // training-job runtime (PS push/pull pipelining, TF's vanilla push/pull split,
-// async PS, imperative hooks, the NCCL negotiation cycle, chaos, the dynamic
-// fabric with delayed PS notifications, and both co-scheduling policies)
-// must reproduce the recorded simulator event count, admitted subtasks and
-// per-iteration BP-end times exactly. Unlike a wall-clock gate this neither
-// flakes nor lets a 30% regression through: any change to the event
-// trajectory fails here, and an intentional one updates the table from the
-// values the failure prints.
+// TF's barrier-crossing Dependency Proxies, async PS, imperative hooks, the
+// NCCL negotiation cycle, chaos, the dynamic fabric with delayed PS
+// notifications, and both co-scheduling policies) must reproduce the
+// recorded simulator event count, admitted subtasks and per-iteration BP-end
+// times exactly. Unlike a wall-clock gate this neither flakes nor lets a 30%
+// regression through: any change to the event trajectory fails here, and an
+// intentional one updates the table from the values the failure prints.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -95,6 +95,10 @@ std::vector<Case> Cases() {
        {Job(Vgg16(), Setup::TensorFlowPsTcp(), SchedMode::kVanilla)},
        std::nullopt,
        {{2010, 336, {168421039, 2424120699, 4411562072}}}},
+      {"Vgg16TfPsTcpByteScheduler",
+       {Job(Vgg16(), Setup::TensorFlowPsTcp(), SchedMode::kByteScheduler)},
+       std::nullopt,
+       {{65473, 15276, {168421039, 976761790, 1784739684}}}},
       {"Vgg16MxnetPsRdmaAsync",
        {Async(vgg_ps)},
        std::nullopt,

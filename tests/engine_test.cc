@@ -112,27 +112,47 @@ TEST(DagEngineTest, LongChainDoesNotOverflowStack) {
   EXPECT_TRUE(dag.AllDone());
 }
 
+// Successor op that records whether it ran.
+OpId AddFlagOp(DagEngine* dag, bool* ran) {
+  return dag->AddOp("next", [ran](DagEngine::Done done) {
+    *ran = true;
+    done();
+  });
+}
+
+TEST(ProxyTest, OpWaitsForKReleases) {
+  Simulator sim;
+  DagEngine dag(&sim);
+  DependencyProxy proxy;
+  OpId p = dag.AddOp("proxy", proxy.WaitFor(3));
+  bool after = false;
+  dag.AddDep(p, AddFlagOp(&dag, &after));
+  dag.Start();
+  sim.Run();
+  proxy.Release();
+  proxy.Release();
+  sim.Run();
+  EXPECT_FALSE(after);  // two of the three communications finished
+  proxy.Release();
+  sim.Run();
+  EXPECT_TRUE(after);
+}
+
 TEST(ProxyTest, EngineStartThenRelease) {
   Simulator sim;
   DagEngine dag(&sim);
   DependencyProxy proxy;
-  bool notified = false;
-  proxy.set_on_start([&] { notified = true; });
-  OpId p = dag.AddOp("proxy", proxy.MakeOpFn());
+  OpId p = dag.AddOp("proxy", proxy.WaitFor(1));
   bool after = false;
-  OpId next = dag.AddOp("next", [&](DagEngine::Done done) {
-    after = true;
-    done();
-  });
-  dag.AddDep(p, next);
+  dag.AddDep(p, AddFlagOp(&dag, &after));
   dag.Start();
   sim.Run();
-  // Engine started the proxy (original dependencies met) -> notify fired,
-  // but the successor stays blocked until the scheduler releases it.
-  EXPECT_TRUE(notified);
-  EXPECT_TRUE(proxy.started());
+  // Engine started the proxy (original dependencies met), but the successor
+  // stays blocked until the scheduler releases it.
+  EXPECT_FALSE(dag.OpDone(p));
   EXPECT_FALSE(after);
   proxy.Release();
+  EXPECT_TRUE(dag.OpDone(p));  // the release completes the waiting op inline
   sim.Run();
   EXPECT_TRUE(after);
 }
@@ -142,13 +162,9 @@ TEST(ProxyTest, ReleaseBeforeStartCompletesImmediately) {
   DagEngine dag(&sim);
   DependencyProxy proxy;
   proxy.Release();  // scheduler released before the engine reached the proxy
-  OpId p = dag.AddOp("proxy", proxy.MakeOpFn());
+  OpId p = dag.AddOp("proxy", proxy.WaitFor(1));
   bool after = false;
-  OpId next = dag.AddOp("next", [&](DagEngine::Done done) {
-    after = true;
-    done();
-  });
-  dag.AddDep(p, next);
+  dag.AddDep(p, AddFlagOp(&dag, &after));
   dag.Start();
   sim.Run();
   EXPECT_TRUE(after);
@@ -185,7 +201,7 @@ TEST(ImperativeEngineTest, ForwardPreHookBlocksStream) {
   ImperativeEngine eng(&sim);
   std::vector<std::string> log;
   DependencyProxy proxy;
-  eng.RegisterForwardPreHook(0, proxy.MakeOpFn());
+  eng.RegisterForwardPreHook(0, proxy.WaitFor(1));
   eng.PostForward(0, "f0", TimedOp(&sim, SimTime::Micros(1), &log, "f0"));
   eng.Start();
   sim.Run();
@@ -193,6 +209,28 @@ TEST(ImperativeEngineTest, ForwardPreHookBlocksStream) {
   proxy.Release();
   sim.Run();
   EXPECT_EQ(log, (std::vector<std::string>{"f0"}));
+}
+
+TEST(ImperativeEngineTest, ForwardPreHookCountsIterationsAcrossCopies) {
+  Simulator sim;
+  ImperativeEngine eng(&sim);
+  std::vector<std::string> log;
+  DependencyProxy proxy;
+  // Each PostForward runs its own copy of the hook; iteration k's copy must
+  // wait for k releases, so the count cannot live in the copy.
+  eng.RegisterForwardPreHook(0, proxy.WaitForNext());
+  for (const char* name : {"f0", "f1", "f2"}) {
+    eng.PostForward(0, name, TimedOp(&sim, SimTime::Micros(1), &log, name));
+  }
+  eng.Start();
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"f0"}));
+  proxy.Release();
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"f0", "f1"}));
+  proxy.Release();
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"f0", "f1", "f2"}));
 }
 
 TEST(ImperativeEngineTest, BackwardHookRunsAfterLayer) {

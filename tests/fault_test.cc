@@ -683,7 +683,6 @@ NetDynamicsConfig VolatileFabric(uint64_t seed) {
   NetDynamicsConfig dyn;
   dyn.seed = seed;
   dyn.volatility_amplitude = 0.5;
-  dyn.volatility_period = SimTime::Millis(2);
   dyn.cross_flows = 2;
   dyn.cross_load = 0.4;
   dyn.down_scale = 0.8;

@@ -110,34 +110,30 @@ TEST(LinkTest, SmallPartitionsWasteBandwidth) {
 TEST(LinkTest, FlushesLandOnNominalMessageTime) {
   // The exact-timing contract every golden rests on: on a link that keeps
   // its default identity schedule, back-to-back messages flush exactly
-  // TransportModel::MessageTime apart at the line rate scaled by each
-  // message's pacing scale — the rate integral adds no rounding of its own.
-  for (const double scale : {1.0, 0.25}) {
-    for (uint64_t seed = 1; seed <= 10; ++seed) {
-      Rng rng(seed ^ 0x51c6e1ULL);
-      for (const TransportModel& t : {TransportModel::Tcp(), TransportModel::Rdma()}) {
-        const Bandwidth line = Bandwidth::Gbps(rng.Uniform(1.0, 100.0));
-        std::vector<Bytes> sizes;
-        for (int i = 0; i < 8; ++i) {
-          sizes.push_back(rng.UniformInt(1'000, 8'000'000));
-        }
-        Simulator sim;
-        Link link(&sim, "l", line, t);
-        std::vector<int64_t> flushes;
-        link.SetFlightHandlers([&](uint32_t) { flushes.push_back(sim.Now().nanos()); },
-                               nullptr);
-        for (size_t i = 0; i < sizes.size(); ++i) {
-          link.SendFlight(sizes[i], static_cast<uint32_t>(i), /*flush=*/true, scale);
-        }
-        sim.Run();
-        ASSERT_EQ(flushes.size(), sizes.size());
-        SimTime expected;
-        for (size_t i = 0; i < sizes.size(); ++i) {
-          expected += t.MessageTime(Bandwidth::BytesPerSec(line.bytes_per_sec() * scale),
-                                    sizes[i]);
-          EXPECT_EQ(flushes[i], expected.nanos())
-              << t.name << " scale " << scale << " seed " << seed << " msg " << i;
-        }
+  // TransportModel::MessageTime apart at the line rate — the rate integral
+  // adds no rounding of its own.
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed ^ 0x51c6e1ULL);
+    for (const TransportModel& t : {TransportModel::Tcp(), TransportModel::Rdma()}) {
+      const Bandwidth line = Bandwidth::Gbps(rng.Uniform(1.0, 100.0));
+      std::vector<Bytes> sizes;
+      for (int i = 0; i < 8; ++i) {
+        sizes.push_back(rng.UniformInt(1'000, 8'000'000));
+      }
+      Simulator sim;
+      Link link(&sim, "l", line, t);
+      std::vector<int64_t> flushes;
+      link.SetFlightHandlers([&](uint32_t) { flushes.push_back(sim.Now().nanos()); },
+                             nullptr);
+      for (size_t i = 0; i < sizes.size(); ++i) {
+        link.SendFlight(sizes[i], static_cast<uint32_t>(i), /*flush=*/true);
+      }
+      sim.Run();
+      ASSERT_EQ(flushes.size(), sizes.size());
+      SimTime expected;
+      for (size_t i = 0; i < sizes.size(); ++i) {
+        expected += t.MessageTime(line, sizes[i]);
+        EXPECT_EQ(flushes[i], expected.nanos()) << t.name << " seed " << seed << " msg " << i;
       }
     }
   }
@@ -381,17 +377,6 @@ TEST(NetDynamicsTest, LinkModelsAreDeterministicPerName) {
   EXPECT_TRUE(differs);
 }
 
-TEST(NetDynamicsTest, CrossRackScaleDeratesSpineTransfers) {
-  NetDynamicsConfig dyn;
-  dyn.racks = 2;
-  dyn.oversubscription = 4.0;
-  EXPECT_DOUBLE_EQ(CrossRackScale(dyn, 0, 0), 1.0);   // same rack
-  EXPECT_DOUBLE_EQ(CrossRackScale(dyn, 0, 2), 1.0);   // same rack (2 % 2 == 0)
-  EXPECT_DOUBLE_EQ(CrossRackScale(dyn, 0, 1), 0.25);  // across the spine
-  dyn.racks = 1;
-  EXPECT_DOUBLE_EQ(CrossRackScale(dyn, 0, 1), 1.0);
-}
-
 // ---- rate-integral trajectory oracle --------------------------------------
 
 // Independent closed-form oracle: integrates the rate trajectory segment by
@@ -400,12 +385,12 @@ TEST(NetDynamicsTest, CrossRackScaleDeratesSpineTransfers) {
 // multiplication order than the Link, so agreement within 1 ulp of sim-time
 // is a property check, not a tautology.
 int64_t OracleFinishNs(const RateModel& model, const TransportModel& t, double line_bps,
-                       double msg_scale, Bytes size, SimTime start) {
+                       Bytes size, SimTime start) {
   double remaining = static_cast<double>(size);
   SimTime at = start + t.serial_overhead;
   for (;;) {
     const double rate =
-        std::min(model.ScaleAt(at) * msg_scale * t.efficiency * line_bps,
+        std::min(model.ScaleAt(at) * t.efficiency * line_bps,
                  t.goodput_cap.bytes_per_sec());
     const SimTime next = model.NextChangeAfter(at);
     if (rate <= 0.0) {
@@ -448,21 +433,19 @@ TEST(RateModelOracleTest, CompletionMatchesScheduleIntegralAcrossSeeds) {
     link.SetRateModel(model);
     constexpr int kMsgs = 6;
     std::vector<Bytes> sizes;
-    std::vector<double> scales;
     std::vector<int64_t> flushes;
     link.SetFlightHandlers([&flushes, &sim](uint32_t) { flushes.push_back(sim.Now().nanos()); },
                            nullptr);
     for (int i = 0; i < kMsgs; ++i) {
       sizes.push_back(rng.UniformInt(1'000, 4'000'000));
-      scales.push_back(rng.NextDouble() < 0.3 ? 0.25 : 1.0);
-      link.SendFlight(sizes[i], static_cast<uint32_t>(i), /*flush=*/true, scales[i]);
+      link.SendFlight(sizes[i], static_cast<uint32_t>(i), /*flush=*/true);
     }
     sim.Run();
     ASSERT_EQ(flushes.size(), static_cast<size_t>(kMsgs));
     int64_t start = 0;
     for (int i = 0; i < kMsgs; ++i) {
       const int64_t oracle =
-          OracleFinishNs(model, t, line.bytes_per_sec(), scales[i], sizes[i], SimTime(start));
+          OracleFinishNs(model, t, line.bytes_per_sec(), sizes[i], SimTime(start));
       EXPECT_LE(std::llabs(flushes[i] - oracle), 1)
           << "seed " << seed << " msg " << i << " flush " << flushes[i] << " oracle " << oracle;
       start = flushes[i];  // FIFO: the next transfer starts at this flush
@@ -504,24 +487,21 @@ TEST(DynamicLinkTest, CtrlScaleRepacesInFlightTransfer) {
 TEST(RateControllerTest, AimdBacksOffAndRecovers) {
   Simulator sim;
   Link link(&sim, "l", Bandwidth::Gbps(8), TransportModel::Ideal());
-  AimdConfig cfg;
-  cfg.enable = true;
-  cfg.additive_increase = 0.25;
-  cfg.multiplicative_decrease = 0.5;
-  cfg.min_scale = 0.2;
-  RateController ctrl(&link, cfg);
+  RateController ctrl(&link);
   ctrl.OnLoss();
   EXPECT_DOUBLE_EQ(ctrl.scale(), 0.5);
+  EXPECT_DOUBLE_EQ(link.ctrl_scale(), 0.5);
   ctrl.OnLoss();
   ctrl.OnLoss();
-  EXPECT_DOUBLE_EQ(ctrl.scale(), 0.2);  // floored at min_scale
-  EXPECT_EQ(ctrl.decreases(), 3u);
-  for (int i = 0; i < 10; ++i) {
+  ctrl.OnLoss();
+  EXPECT_DOUBLE_EQ(ctrl.scale(), 0.1);  // 0.0625 floored at kMinScale
+  EXPECT_EQ(ctrl.decreases(), 4u);
+  for (int i = 0; i < 30; ++i) {
     ctrl.OnAck();
   }
   EXPECT_DOUBLE_EQ(ctrl.scale(), 1.0);  // capped at full rate
   EXPECT_DOUBLE_EQ(link.ctrl_scale(), 1.0);
-  EXPECT_EQ(ctrl.increases(), 4u);  // 0.2 -> 0.45 -> 0.7 -> 0.95 -> 1.0
+  EXPECT_EQ(ctrl.increases(), 18u);  // 0.1 -> 0.15 -> ... -> 1.0 in steps of 0.05
 }
 
 // ---- zero-cost regression (dynamics disabled / enabled-but-idle) ----------
@@ -622,8 +602,6 @@ TEST(NetDynEndToEndTest, VolatileFabricRunsAndReportsRateActivity) {
   dyn.volatility_amplitude = 0.5;
   dyn.cross_flows = 2;
   dyn.down_scale = 0.8;
-  dyn.racks = 2;
-  dyn.oversubscription = 2.0;
   job.dynamics = dyn;
   const JobResult volatile_run = RunTrainingJob(job);
   EXPECT_GT(volatile_run.samples_per_sec, 0.0);

@@ -79,12 +79,14 @@ TEST(HistogramTest, ObserveAndSnapshot) {
   EXPECT_EQ(snap.count, 5u);
   EXPECT_EQ(snap.sum, 1011);
   EXPECT_EQ(snap.buckets.size(), 4u);  // only non-empty buckets exported
+  const std::vector<double> p = snap.Percentiles({50, 90, 100});
+  ASSERT_EQ(p.size(), 3u);
   // The median observation (5) lives in bucket 3 = [4, 7].
-  EXPECT_GE(snap.Quantile(50), 4.0);
-  EXPECT_LE(snap.Quantile(50), 7.0);
-  // Quantiles are monotone in q.
-  EXPECT_LE(snap.Quantile(50), snap.Quantile(90));
-  EXPECT_LE(snap.Quantile(90), snap.Quantile(100));
+  EXPECT_GE(p[0], 4.0);
+  EXPECT_LE(p[0], 7.0);
+  // Percentiles are monotone in p.
+  EXPECT_LE(p[0], p[1]);
+  EXPECT_LE(p[1], p[2]);
 }
 
 // ---- registry -------------------------------------------------------------

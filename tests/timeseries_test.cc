@@ -269,6 +269,21 @@ TEST(CriticalPathTest, RanksStragglerPartitionsByArcDuration) {
   EXPECT_DOUBLE_EQ(report.stragglers[0].duration_us(), 80.0);
 }
 
+TEST(CriticalPathTest, IntervalSetHelpers) {
+  // Normalize sorts, drops empty intervals and merges touching ones.
+  const obs::Intervals a = obs::Normalize({{5, 8}, {0, 2}, {3, 3}, {2, 4}});
+  EXPECT_EQ(a, (obs::Intervals{{0, 4}, {5, 8}}));
+  EXPECT_DOUBLE_EQ(obs::Total(a), 7.0);
+  const obs::Intervals b = obs::Normalize({{1, 6}});
+  EXPECT_DOUBLE_EQ(obs::IntersectionLength(a, b), 4.0);  // [1,4) + [5,6)
+  EXPECT_DOUBLE_EQ(obs::IntersectionLength(a, {}), 0.0);
+  EXPECT_EQ(obs::Clip(a, 3, 6), (obs::Intervals{{3, 4}, {5, 6}}));
+  EXPECT_EQ(obs::Subtract(a, b), (obs::Intervals{{0, 1}, {6, 8}}));
+  EXPECT_EQ(obs::WorkerOf("worker12/gpu", "worker"), 12);
+  EXPECT_EQ(obs::WorkerOf("worker/gpu", "worker"), -1);
+  EXPECT_EQ(obs::WorkerOf("net/worker3.up", "worker"), -1);
+}
+
 TEST(CriticalPathTest, CsvHasHeaderAndOneRowPerIteration) {
   obs::CpInput in;
   in.spans.push_back(Span("worker0/gpu", "b0_0", 0, 10));
