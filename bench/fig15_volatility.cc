@@ -71,7 +71,7 @@ struct SweepSpec {
 
 JobConfig CellJob(const SweepSpec& spec, SchedMode mode, double amplitude) {
   JobConfig job = bench::WithMode(
-      bench::MakeJob(ModelByName(spec.model), Setup::MxnetPsTcp(), /*num_machines=*/2,
+      bench::MakeJob(ModelByName(spec.model).value(), Setup::MxnetPsTcp(), /*num_machines=*/2,
                      Bandwidth::Gbps(spec.gbps)),
       mode);
   job.warmup_iters = 1;

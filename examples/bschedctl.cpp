@@ -2,15 +2,15 @@
 // training job entirely from flags, run it, and optionally dump a Chrome
 // trace of the compute/communication overlap.
 //
-// Examples:
-//   ./build/examples/bschedctl --model vgg16 --setup mxnet-ps-rdma \
-//       --machines 4 --gbps 100 --mode bytescheduler
-//   ./build/examples/bschedctl --model transformer --setup pytorch-nccl-tcp \
-//       --mode baseline --trace /tmp/trace.json
-//   ./build/examples/bschedctl --model resnet50 --mode bytescheduler \
-//       --partition-kb 2048 --credit-kb 10240 --async
+// Examples (one command per line):
+//   bschedctl --model vgg16 --setup mxnet-ps-rdma --machines 4 --gbps 100
+//   bschedctl --model transformer --setup pytorch-nccl-tcp --mode baseline --trace
+//   bschedctl --model resnet50 --partition-kb 2048 --credit-kb 10240 --async
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "src/common/flags.h"
@@ -32,7 +32,8 @@ constexpr char kUsage[] = R"(usage: bschedctl [flags]
   --partition-kb / --credit-kb   scheduler knobs (default: auto heuristic)
   --async      asynchronous PS training
   --iters      measured iterations                        (default 5)
-  --trace      path to write a Chrome trace JSON
+  --trace[=path]  write a Chrome trace JSON                (default path trace.json)
+A value outside its flag's range exits with status 2.
 )";
 
 Setup SetupByName(const std::string& name, bool* ok) {
@@ -68,17 +69,43 @@ int main(int argc, char** argv) {
     return known ? 0 : 2;
   }
 
+  // Every value is range-checked here, so a bad one exits 2 naming the flag
+  // (in the shape Flags reports a malformed number) instead of aborting on an
+  // invariant deep inside the run. Counts are stored as int and KiB become
+  // bytes, which bounds the rest.
+  const auto bad = [&](const char* flag, const char* what) {
+    std::fprintf(stderr, "%s: --%s needs %s, got '%s'\n", argv[0], flag, what,
+                 flags.GetString(flag, "").c_str());
+    return 2;
+  };
+  constexpr int64_t kMaxCount = std::numeric_limits<int>::max();
+  constexpr int64_t kMaxKb = std::numeric_limits<Bytes>::max() / 1024;
   JobConfig job;
-  job.model = ModelByName(flags.GetString("model", "vgg16"));
+  const std::optional<ModelProfile> model = ModelByName(flags.GetString("model", "vgg16"));
+  if (!model.has_value()) {
+    return bad("model", "a zoo model name");
+  }
+  job.model = *model;
   bool setup_ok = false;
   job.setup = SetupByName(flags.GetString("setup", "mxnet-ps-rdma"), &setup_ok);
   if (!setup_ok) {
-    std::fprintf(stderr, "unknown --setup\n%s", kUsage);
-    return 1;
+    return bad("setup", "a setup listed in --help");
   }
-  job.num_machines = static_cast<int>(flags.GetInt("machines", 4));
-  job.bandwidth = Bandwidth::Gbps(flags.GetDouble("gbps", 100));
-  job.measure_iters = static_cast<int>(flags.GetInt("iters", 5));
+  const int64_t machines = flags.GetInt("machines", 4);
+  if (machines < 1 || machines > kMaxCount) {
+    return bad("machines", "a whole number >= 1");
+  }
+  job.num_machines = static_cast<int>(machines);
+  const double gbps = flags.GetDouble("gbps", 100);
+  if (gbps <= 0) {
+    return bad("gbps", "a positive number");
+  }
+  job.bandwidth = Bandwidth::Gbps(gbps);
+  const int64_t iters = flags.GetInt("iters", 5);
+  if (iters < 1 || iters > kMaxCount) {
+    return bad("iters", "a whole number >= 1");
+  }
+  job.measure_iters = static_cast<int>(iters);
   job.ps_async = flags.GetBool("async", false);
 
   const std::string mode = flags.GetString("mode", "bytescheduler");
@@ -90,15 +117,23 @@ int main(int argc, char** argv) {
     job.mode = SchedMode::kByteScheduler;
     const TunedParams tuned =
         DefaultTunedParams(job.model, job.setup.arch, job.setup.transport, job.bandwidth);
-    job.partition_bytes = KiB(flags.GetInt("partition-kb", tuned.partition_bytes / 1024));
-    job.credit_bytes = KiB(flags.GetInt("credit-kb", tuned.credit_bytes / 1024));
+    // 0 KiB means no partitioning; the credit must admit something.
+    const int64_t partition_kb = flags.GetInt("partition-kb", tuned.partition_bytes / 1024);
+    if (partition_kb < 0 || partition_kb > kMaxKb) {
+      return bad("partition-kb", "a whole number >= 0");
+    }
+    const int64_t credit_kb = flags.GetInt("credit-kb", tuned.credit_bytes / 1024);
+    if (credit_kb < 1 || credit_kb > kMaxKb) {
+      return bad("credit-kb", "a whole number >= 1");
+    }
+    job.partition_bytes = KiB(partition_kb);
+    job.credit_bytes = KiB(credit_kb);
   } else {
-    std::fprintf(stderr, "unknown --mode\n%s", kUsage);
-    return 1;
+    return bad("mode", "baseline, bytescheduler or p3");
   }
 
   TraceRecorder trace;
-  const std::string trace_path = flags.GetString("trace", "");
+  const std::string trace_path = ParseObsFlags(flags).trace_path;
   if (!trace_path.empty()) {
     job.trace = &trace;
   }

@@ -60,8 +60,6 @@ PsBackend::PsBackend(Simulator* sim, const PsConfig& config) : sim_(sim), config
   push_retransmits_.assign(static_cast<size_t>(config_.num_workers), 0);
   stale_push_drops_.assign(static_cast<size_t>(config_.num_shards), 0);
   if (config_.faults != nullptr) {
-    BSCHED_CHECK(config_.retry_backoff >= 1.0);
-    BSCHED_CHECK(config_.max_push_retries >= 0);
     for (auto& link : uplinks_) link->SetFaultInjector(config_.faults);
     for (auto& link : downlinks_) link->SetFaultInjector(config_.faults);
     for (auto& link : ingresses_) link->SetFaultInjector(config_.faults);
@@ -271,8 +269,8 @@ void PsBackend::ArmPushAckTimer(int worker, const SubCommTask& subtask, int shar
   ack.attempt = attempt;
   ack.round = round;
   ack.armed = true;
-  const SimTime timeout =
-      BackoffTimeout(config_.push_ack_timeout, config_.retry_backoff, attempt);
+  const FaultPlanConfig& policy = config_.faults->config();
+  const SimTime timeout = BackoffTimeout(policy.retry_timeout, policy.retry_backoff, attempt);
   ack.timer = sim_->Schedule(timeout, [this, worker, slot] { OnAckTimeout(worker, slot); });
 }
 
@@ -283,13 +281,10 @@ void PsBackend::OnAckTimeout(int worker, uint32_t slot) {
   const int shard = ack.shard;
   const int attempt = ack.attempt;
   const uint64_t round = ack.round;
-  BSCHED_CHECK(attempt < config_.max_push_retries &&
+  BSCHED_CHECK(attempt < config_.faults->config().max_retries &&
                "push data leg exhausted its retransmit budget");
   ++push_retransmits_[worker];
-  if (config_.faults != nullptr) {
-    config_.faults->RecordBackendRetransmit(worker, subtask.layer, subtask.partition,
-                                            attempt + 1);
-  }
+  config_.faults->RecordBackendRetransmit(worker, subtask.layer, subtask.partition, attempt + 1);
   if (!rate_ctrl_.empty()) {
     // Loss signal: the data leg timed out, so back off this worker's
     // uplink before spending bandwidth on the retransmit.

@@ -18,15 +18,17 @@
 //
 // Fault tolerance: because a push reports success to the scheduler at sender
 // flush, a gradient lost *after* the flush is invisible to the Core — so the
-// backend itself guarantees worker->shard delivery. With fault injection
-// enabled, every push data leg arms an ack timer keyed by (tensor, partition,
-// worker); if the shard has not seen the copy when it fires, the leg is
-// retransmitted with exponential backoff and bounded retries. Shards dedupe
-// arrivals per worker within an aggregation round, so a retransmit racing a
-// merely-delayed original cannot inflate the arrival count. (A stale copy
-// surviving into the next round can make that worker's arrival count early —
-// a semantic staleness real async PS systems also accept — but never lose or
-// double-aggregate a round.) Control messages are assumed reliable.
+// backend itself guarantees worker->shard delivery. With a FaultInjector
+// attached, every push data leg arms an ack timer keyed by (tensor,
+// partition, worker); if the shard has not seen the copy when it fires, the
+// leg is retransmitted with exponential backoff, under the timeout, backoff
+// and retry budget of the injector's FaultPlanConfig, and exhausting the
+// budget aborts the run. Shards dedupe arrivals per worker within an
+// aggregation round, so a retransmit racing a merely-delayed original cannot
+// inflate the arrival count. (A stale copy surviving into the next round can
+// make that worker's arrival count early — a semantic staleness real async PS
+// systems also accept — but never lose or double-aggregate a round.) Control
+// messages are assumed reliable.
 //
 // State layout: every (tensor, partition) slot an entity touches gets a
 // compact id from that entity's SlotIndex, and all per-slot state — push
@@ -80,18 +82,14 @@ struct PsConfig {
   // messages.
   SimTime control_latency = SimTime::Micros(20);
 
-  // Fault injection (null disables it and all recovery machinery; the
-  // fault-free event sequence is then byte-identical to a faultless build).
+  // Fault injection and push retransmission under its plan's recovery
+  // policy (null disables both; the fault-free event sequence is then
+  // byte-identical to a faultless build).
   FaultInjector* faults = nullptr;
   // Observability (null disables): link metrics plus trace spans/flow steps
   // on net/worker* and ps/shard* tracks. Instrumentation is passive — it
   // never schedules events, so the event sequence is unchanged.
   ObsContext* obs = nullptr;
-  // Push data-leg ack timeout; retransmits back off by retry_backoff^attempt
-  // up to max_push_retries. Only armed when `faults` is set.
-  SimTime push_ack_timeout = SimTime::Millis(25);
-  double retry_backoff = 2.0;
-  int max_push_retries = 12;
 
   // Dynamic-network fabric (null disables: every link keeps its identity
   // schedule and runs at its nominal rate). When enabled, every link gets a

@@ -50,47 +50,12 @@ void WriteArgs(std::ostream& os, const std::vector<TraceArg>& args) {
       os << ",";
     }
     first = false;
-    os << '"' << JsonEscape(arg.key) << "\":";
-    switch (arg.kind) {
-      case TraceArg::Kind::kInt:
-        os << arg.int_value;
-        break;
-      case TraceArg::Kind::kDouble:
-        os << arg.double_value;
-        break;
-      case TraceArg::Kind::kString:
-        os << '"' << JsonEscape(arg.string_value) << '"';
-        break;
-    }
+    os << '"' << JsonEscape(arg.key) << "\":" << arg.value;
   }
   os << "}";
 }
 
 }  // namespace
-
-TraceArg TraceArg::Int(std::string key, int64_t v) {
-  TraceArg arg;
-  arg.key = std::move(key);
-  arg.kind = Kind::kInt;
-  arg.int_value = v;
-  return arg;
-}
-
-TraceArg TraceArg::Double(std::string key, double v) {
-  TraceArg arg;
-  arg.key = std::move(key);
-  arg.kind = Kind::kDouble;
-  arg.double_value = v;
-  return arg;
-}
-
-TraceArg TraceArg::Str(std::string key, std::string v) {
-  TraceArg arg;
-  arg.key = std::move(key);
-  arg.kind = Kind::kString;
-  arg.string_value = std::move(v);
-  return arg;
-}
 
 void TraceRecorder::AddSpan(const std::string& track, const std::string& name, SimTime start,
                             SimTime end) {

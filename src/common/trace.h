@@ -4,7 +4,7 @@
 // quantity ByteScheduler optimizes).
 //
 // Beyond plain spans and instants, the recorder supports:
-//  - typed span metadata (TraceArg), rendered as the event's "args" object;
+//  - integer span metadata (TraceArg), rendered as the event's "args" object;
 //  - flow events (Chrome phases "s"/"t"/"f"): points sharing a flow id are
 //    drawn as one connected arc across tracks, which is how a partition's
 //    life (queue admit -> link transit -> shard update -> pull -> finish)
@@ -19,6 +19,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/units.h"
@@ -30,19 +31,12 @@ namespace bsched {
 // tensor names like grad["fc1"] or layer\tname survive a round-trip.
 std::string JsonEscape(std::string_view s);
 
-// One typed key/value entry of a span's "args" metadata.
+// One key/value entry of a span's "args" metadata.
 struct TraceArg {
-  enum class Kind { kInt, kDouble, kString };
-
   std::string key;
-  Kind kind = Kind::kInt;
-  int64_t int_value = 0;
-  double double_value = 0.0;
-  std::string string_value;
+  int64_t value = 0;
 
-  static TraceArg Int(std::string key, int64_t v);
-  static TraceArg Double(std::string key, double v);
-  static TraceArg Str(std::string key, std::string v);
+  static TraceArg Int(std::string key, int64_t v) { return {std::move(key), v}; }
 };
 
 // Position of a flow point within its arc.

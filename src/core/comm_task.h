@@ -81,29 +81,13 @@ struct SubTaskKey {
   friend auto operator<=>(const SubTaskKey&, const SubTaskKey&) = default;
 };
 
-// Scheduling policy + the two tuned knobs of §4.
+// Scheduling policy + the two tuned knobs of §4. Timeout/retry recovery is
+// not a scheduler setting: its policy lives in FaultPlanConfig, and a Core
+// arms it exactly when it is given a FaultInjector.
 struct SchedulerConfig {
   enum class Policy {
     kFifo,      // vanilla framework: admission in ready order
     kPriority,  // ByteScheduler / P3: layer-priority admission
-  };
-
-  // Recovery policy for lost or stalled subtasks (fault injection): a started
-  // subtask that has not completed within `timeout` has its charged credit
-  // restored and is requeued at its original priority; the next attempt waits
-  // timeout * backoff^attempts. A completion arriving after its attempt timed
-  // out is ignored (counted as late). Recovery also requires a Simulator to
-  // arm timers on; timeout 0 (the default) disables it entirely, keeping the
-  // fault-free event sequence byte-identical.
-  struct RetryPolicy {
-    SimTime timeout;
-    double backoff = 2.0;
-    // Retries after the first attempt; exhausting them calls `on_abandon`,
-    // or aborts if unset (a silently leaked partition wedges training).
-    int max_retries = 12;
-    std::function<void(const SubCommTask&)> on_abandon;
-
-    bool enabled() const { return timeout.nanos() > 0; }
   };
 
   static constexpr Bytes kUnlimited = std::numeric_limits<Bytes>::max();
@@ -113,8 +97,6 @@ struct SchedulerConfig {
   Bytes partition_bytes = MiB(4);
   // Credit size c for credit-based preemption (§4.2), in bytes.
   Bytes credit_bytes = MiB(16);
-  // Subtask timeout/retry recovery; disabled by default.
-  RetryPolicy retry;
 
   static constexpr Bytes kNoPartition = 0;
 

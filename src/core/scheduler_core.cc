@@ -20,11 +20,8 @@ SchedulerCore::SchedulerCore(SchedulerConfig config, CommBackend* backend, int w
       credit_(config_.credit_bytes) {
   BSCHED_CHECK(backend_ != nullptr);
   BSCHED_CHECK(config_.credit_bytes > 0);
-  if (config_.retry.enabled()) {
-    BSCHED_CHECK(sim_ != nullptr && "retry recovery needs a Simulator for timeout timers");
-    BSCHED_CHECK(config_.retry.backoff >= 1.0);
-    BSCHED_CHECK(config_.retry.max_retries >= 0);
-  }
+  BSCHED_CHECK((faults_ == nullptr || sim_ != nullptr) &&
+               "retry recovery needs a Simulator for timeout timers");
   if (obs_ != nullptr) {
     track_ = "sched/w" + std::to_string(worker_id_);
     if (obs_->metrics() != nullptr) {
@@ -289,7 +286,7 @@ void SchedulerCore::StartAttempt(uint32_t rec, Bytes charged) {
   // the Core, which may release and reuse this record while Start still
   // reads the subtask.
   const SubCommTask subtask = Subtask(r);
-  if (!recovery_enabled()) {
+  if (faults_ == nullptr) {
     backend_->Start(subtask, [this, rec] { OnSubTaskFinish(rec); });
     return;
   }
@@ -297,8 +294,8 @@ void SchedulerCore::StartAttempt(uint32_t rec, Bytes charged) {
   r.in_flight = true;
   r.generation = generation;
   ++in_flight_;
-  const SimTime timeout =
-      BackoffTimeout(config_.retry.timeout, config_.retry.backoff, r.attempts);
+  const FaultPlanConfig& policy = faults_->config();
+  const SimTime timeout = BackoffTimeout(policy.retry_timeout, policy.retry_backoff, r.attempts);
   r.timeout = sim_->Schedule(timeout,
                              [this, rec, generation] { OnAttemptTimeout(rec, generation); });
   backend_->Start(subtask, [this, rec, generation] { OnAttemptFinish(rec, generation); });
@@ -311,9 +308,7 @@ void SchedulerCore::OnAttemptFinish(uint32_t rec, uint32_t generation) {
     // or of a partition that already finished: the message was late, not
     // lost. Counting it would double-finish the partition and leak credit.
     ++late_completions_;
-    if (faults_ != nullptr) {
-      faults_->RecordLateCompletion();
-    }
+    faults_->RecordLateCompletion();
     return;
   }
   r.in_flight = false;
@@ -333,29 +328,16 @@ void SchedulerCore::OnAttemptTimeout(uint32_t rec, uint32_t generation) {
   // Credit restoration: the lost attempt's bytes are no longer in flight.
   credit_ += r.charged;
   BSCHED_DCHECK(credit_ <= config_.credit_bytes);
-  if (faults_ != nullptr) {
-    const CommTaskDesc& desc = Task(r.task).desc;
-    faults_->RecordCoreTimeout(desc.worker, desc.layer, r.partition, r.attempts + 1,
-                               r.charged);
-  }
-  if (r.attempts >= config_.retry.max_retries) {
+  const CommTaskDesc& desc = Task(r.task).desc;
+  faults_->RecordCoreTimeout(desc.worker, desc.layer, r.partition, r.attempts + 1, r.charged);
+  if (r.attempts >= faults_->config().max_retries) {
+    // A silently dropped partition would wedge training; stop here instead.
     ++subtasks_abandoned_;
-    if (faults_ != nullptr) {
-      faults_->RecordAbandon();
-    }
-    if (config_.retry.on_abandon) {
-      const SubCommTask abandoned = Subtask(r);
-      records_.Release(rec);
-      config_.retry.on_abandon(abandoned);
-      TrySchedule();  // the freed credit may admit queued work
-      return;
-    }
-    BSCHED_CHECK(false && "subtask exhausted its retry budget; no on_abandon handler");
+    faults_->RecordAbandon();
+    BSCHED_CHECK(false && "subtask exhausted its retry budget");
   }
   ++retries_;
-  if (faults_ != nullptr) {
-    faults_->RecordCoreRetry();
-  }
+  faults_->RecordCoreRetry();
   // Requeue at the ORIGINAL priority key: the retry competes exactly where
   // the partition always belonged, not behind newer arrivals.
   ++r.attempts;
@@ -434,7 +416,7 @@ std::string SchedulerCore::DebugString() const {
            " part=" + std::to_string(head.next) +
            " bytes=" + std::to_string(task.PartitionBytes(head.next)) + ")";
   }
-  if (recovery_enabled()) {
+  if (faults_ != nullptr) {
     out += " retry(timeouts=" + std::to_string(timeouts_fired_) +
            " retries=" + std::to_string(retries_) +
            " late=" + std::to_string(late_completions_) +

@@ -6,13 +6,15 @@
 // The Core is framework- and communication-method-agnostic: it sees only
 // CommTaskDescs from plugins and a CommBackend to start partitions on. It is
 // also simulator-agnostic — purely callback-driven — so unit tests drive it
-// with a mock backend. The optional recovery layer (SchedulerConfig::retry)
-// is the one exception: arming per-subtask timeouts needs a clock, so a
-// Simulator is injected when recovery is enabled. On timeout the charged
-// credit is restored, the partition is requeued at its original priority,
-// and the next attempt backs off exponentially; completions of timed-out
-// attempts are recognized by generation and ignored, so a delayed (rather
-// than lost) message can never double-finish a partition or leak credit.
+// with a mock backend. The optional recovery layer is the one exception: it
+// is armed exactly when a FaultInjector is attached, reads its timeout,
+// backoff and retry budget from the injector's FaultPlanConfig, and needs the
+// Simulator for its per-subtask timers. On timeout the charged credit is
+// restored, the partition is requeued at its original priority, and the next
+// attempt backs off exponentially; a partition that exhausts the budget
+// aborts the run. Completions of timed-out attempts are recognized by
+// generation and ignored, so a delayed (rather than lost) message can never
+// double-finish a partition or leak credit.
 //
 // Hot-path layout: the ready queue is a binary heap of *runs*. A run is a
 // block [next, end) of one task's partitions that became ready together and
@@ -52,8 +54,9 @@ class Histogram;
 
 class SchedulerCore {
  public:
-  // `sim` is required only when config.retry is enabled; `faults` (optional)
-  // receives recovery events for global fault statistics and trace output.
+  // `faults` (optional) arms timeout/retry recovery with its plan's policy
+  // and receives recovery events for global fault statistics and trace
+  // output; it requires `sim`, which hosts the timers.
   // `obs` (optional) enables admit-time metrics and, when a Simulator is also
   // present, queue-wait spans and partition flow arcs on track sched/w<id>.
   SchedulerCore(SchedulerConfig config, CommBackend* backend, int worker_id = 0,
@@ -89,7 +92,8 @@ class SchedulerCore {
   uint64_t tasks_finished() const { return tasks_finished_; }
   const SchedulerConfig& config() const { return config_; }
 
-  // Recovery counters (all zero when retry is disabled or no fault fired).
+  // Recovery counters (all zero without a FaultInjector or when no fault
+  // fired).
   uint64_t timeouts_fired() const { return timeouts_fired_; }
   uint64_t retries() const { return retries_; }
   uint64_t late_completions() const { return late_completions_; }
@@ -161,8 +165,6 @@ class SchedulerCore {
   struct QueueAfter {
     bool operator()(const QueueEntry& a, const QueueEntry& b) const { return b.key < a.key; }
   };
-
-  bool recovery_enabled() const { return config_.retry.enabled() && sim_ != nullptr; }
 
   TaskState& Task(CommTaskId id);
   const TaskState& Task(CommTaskId id) const;

@@ -76,6 +76,9 @@ class FaultInjector {
   void RecordAbandon();
   void RecordBackendRetransmit(int worker, int layer, int partition, int attempt);
 
+  // The plan's knobs, including the recovery policy the Cores and the PS
+  // backend arm their timers with.
+  const FaultPlanConfig& config() const { return plan_.config(); }
   const FaultStats& stats() const { return stats_; }
   std::string DebugString() const { return stats_.DebugString(); }
 

@@ -54,6 +54,9 @@ FaultPlanConfig FaultPlanConfig::Chaos(uint64_t seed) {
 FaultPlan::FaultPlan(const FaultPlanConfig& config) : config_(config) {
   BSCHED_CHECK(config_.horizon.nanos() > 0);
   BSCHED_CHECK(config_.drop_prob >= 0.0 && config_.drop_prob <= 1.0);
+  BSCHED_CHECK(config_.retry_timeout.nanos() > 0);
+  BSCHED_CHECK(config_.retry_backoff >= 1.0);
+  BSCHED_CHECK(config_.max_retries >= 0);
   Rng rng(config_.seed ^ 0xfa017a7e5eedULL);
   auto place = [&](FaultKind kind, int count, SimTime len) {
     for (int i = 0; i < count; ++i) {

@@ -39,8 +39,10 @@ struct FaultEpisode {
   uint64_t salt = 0;       // per-episode site-selection salt
 };
 
-// Knobs of the fault model plus the recovery policy the runtime installs when
-// chaos is enabled (documented in EXPERIMENTS.md "Fault injection").
+// Knobs of the fault model plus the recovery policy, whose one home this is:
+// the scheduler Cores and the PS backend read it from the FaultInjector they
+// are given, so recovery is armed exactly when an injector is attached
+// (documented in EXPERIMENTS.md "Fault injection" and "Recovery policy").
 struct FaultPlanConfig {
   uint64_t seed = 1;
   // Episodes are placed uniformly at random inside [0, horizon); nothing is
@@ -69,7 +71,9 @@ struct FaultPlanConfig {
   double shard_slow_factor = 6.0;
   SimTime shard_slow_len = SimTime::Millis(20);
 
-  // Recovery policy (scheduler subtask retry and PS push retransmission).
+  // Recovery policy: a Core subtask attempt or a PS push data leg that has
+  // not completed within retry_timeout * retry_backoff^attempt is retried,
+  // at most max_retries times; exhausting the budget aborts the run.
   SimTime retry_timeout = SimTime::Millis(25);
   double retry_backoff = 2.0;
   int max_retries = 12;

@@ -1,8 +1,7 @@
 #include "src/model/zoo.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "src/common/check.h"
@@ -106,7 +105,7 @@ ModelProfile BertLarge() {
   return m;
 }
 
-ModelProfile ModelByName(const std::string& name) {
+std::optional<ModelProfile> ModelByName(const std::string& name) {
   if (name == "vgg16") {
     return Vgg16();
   }
@@ -125,8 +124,7 @@ ModelProfile ModelByName(const std::string& name) {
   if (name == "bert-large") {
     return BertLarge();
   }
-  std::fprintf(stderr, "unknown model: %s\n", name.c_str());
-  std::abort();
+  return std::nullopt;
 }
 
 ModelProfile ContrivedFig2Model() {

@@ -9,6 +9,7 @@
 #ifndef SRC_MODEL_ZOO_H_
 #define SRC_MODEL_ZOO_H_
 
+#include <optional>
 #include <string>
 
 #include "src/common/rng.h"
@@ -38,8 +39,8 @@ ModelProfile Transformer();
 ModelProfile BertLarge();
 
 // Returns the zoo model with the given name ("vgg16", "vgg19", "alexnet",
-// "resnet50", "transformer", "bert-large"); aborts on unknown names.
-ModelProfile ModelByName(const std::string& name);
+// "resnet50", "transformer", "bert-large"), or nullopt for any other name.
+std::optional<ModelProfile> ModelByName(const std::string& name);
 
 // The 3-layer contrived DNN of the paper's Figure 2 (sizes/durations chosen
 // so the optimal schedule beats FIFO by ~44 %).

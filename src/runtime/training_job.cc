@@ -64,12 +64,7 @@ struct Fabric {
       ps_config.link_rate = config.bandwidth;
       ps_config.transport = config.setup.transport;
       ps_config.synchronous = !config.ps_async;
-      if (faults != nullptr) {
-        ps_config.faults = faults.get();
-        ps_config.push_ack_timeout = config.chaos->retry_timeout;
-        ps_config.retry_backoff = config.chaos->retry_backoff;
-        ps_config.max_push_retries = config.chaos->max_retries;
-      }
+      ps_config.faults = faults.get();
       ps_config.obs = Obs();
       ps_config.delayed_notify = config.delayed_notify;
       if (dynamic) {
@@ -110,13 +105,7 @@ struct Fabric {
 // the single master Core that decides the (global) all-reduce order.
 std::vector<std::unique_ptr<SchedulerCore>> MakeCores(const JobConfig& config,
                                                       Fabric& fabric) {
-  SchedulerConfig sched = SchedulerConfigFor(config);
-  if (config.chaos.has_value()) {
-    // Arm the Cores' timeout/retry recovery with the plan's retry knobs.
-    sched.retry.timeout = config.chaos->retry_timeout;
-    sched.retry.backoff = config.chaos->retry_backoff;
-    sched.retry.max_retries = config.chaos->max_retries;
-  }
+  const SchedulerConfig sched = SchedulerConfigFor(config);
   const int num_cores = (config.setup.arch == ArchType::kPs) ? config.num_machines : 1;
   std::vector<std::unique_ptr<SchedulerCore>> cores;
   for (int w = 0; w < num_cores; ++w) {

@@ -123,7 +123,7 @@ struct JobResult {
   // Injection and recovery counters (all zero unless JobConfig::chaos set).
   FaultStats fault_stats;
   // SubCommTask attempts the Cores abandoned after exhausting retries; always
-  // 0 for a job that ran to completion with the default abort-on-abandon.
+  // 0 for a job that ran to completion, since an exhausted budget aborts.
   uint64_t subtasks_abandoned = 0;
   // Dynamic-network activity (all zero unless JobConfig::dynamics enabled):
   // AIMD backoffs/recoveries and in-flight transfers re-paced mid-message.

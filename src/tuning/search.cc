@@ -10,19 +10,30 @@ namespace {
 
 double Clip01(double v) { return std::clamp(v, 0.0, 1.0); }
 
+// BayesianOptimizer: random draws before the GP is consulted, EI candidates
+// per suggestion, and the EI exploration weight (the paper uses the common
+// default 0.1).
+constexpr int kBoInitSamples = 3;
+constexpr int kBoCandidates = 512;
+constexpr double kBoXi = 0.1;
+
+// SgdMomentumSearch: step length, momentum, forward-difference probe
+// distance, and the non-improving steps that trigger a restart.
+constexpr double kSgdStep = 0.15;
+constexpr double kSgdMomentum = 0.9;
+constexpr double kSgdProbeDelta = 0.08;
+constexpr int kSgdStallRestart = 4;
+
 }  // namespace
 
 // ---- BayesianOptimizer ------------------------------------------------------
 
-BayesianOptimizer::BayesianOptimizer(int dims, uint64_t seed, Options options)
-    : dims_(dims), options_(options), rng_(seed), gp_(dims, options.gp) {
-  BSCHED_CHECK(options_.init_samples >= 1);
-  BSCHED_CHECK(options_.candidates >= 1);
-}
+BayesianOptimizer::BayesianOptimizer(int dims, uint64_t seed)
+    : dims_(dims), rng_(seed), gp_(dims) {}
 
 std::vector<double> BayesianOptimizer::Suggest() {
   std::vector<double> x(dims_);
-  if (gp_.num_samples() < static_cast<size_t>(options_.init_samples)) {
+  if (gp_.num_samples() < static_cast<size_t>(kBoInitSamples)) {
     for (double& v : x) {
       v = rng_.NextDouble();
     }
@@ -32,13 +43,13 @@ std::vector<double> BayesianOptimizer::Suggest() {
   const double best = gp_.best_y();
   double best_ei = -1.0;
   std::vector<double> cand(dims_);
-  for (int c = 0; c < options_.candidates; ++c) {
+  for (int c = 0; c < kBoCandidates; ++c) {
     for (double& v : cand) {
       v = rng_.NextDouble();
     }
     const GaussianProcess::Prediction p = gp_.Predict(cand);
     // xi is relative to the objective scale; use |best| as the scale anchor.
-    const double xi = options_.xi * std::abs(best);
+    const double xi = kBoXi * std::abs(best);
     const double ei = ExpectedImprovement(p.mean, p.variance, best, xi);
     if (ei > best_ei) {
       best_ei = ei;
@@ -90,8 +101,7 @@ std::vector<double> GridSearch::Suggest() {
 
 // ---- SgdMomentumSearch ------------------------------------------------------
 
-SgdMomentumSearch::SgdMomentumSearch(int dims, uint64_t seed, Options options)
-    : dims_(dims), options_(options), rng_(seed) {
+SgdMomentumSearch::SgdMomentumSearch(int dims, uint64_t seed) : dims_(dims), rng_(seed) {
   Restart();
 }
 
@@ -115,8 +125,7 @@ std::vector<double> SgdMomentumSearch::Suggest() {
     // Forward-difference probe along one axis (flipped near the boundary).
     std::vector<double> probe = current_;
     const double delta =
-        (current_[probe_dim_] + options_.probe_delta <= 1.0) ? options_.probe_delta
-                                                             : -options_.probe_delta;
+        (current_[probe_dim_] + kSgdProbeDelta <= 1.0) ? kSgdProbeDelta : -kSgdProbeDelta;
     probe[probe_dim_] = Clip01(current_[probe_dim_] + delta);
     return probe;
   }
@@ -129,7 +138,7 @@ std::vector<double> SgdMomentumSearch::Suggest() {
   std::vector<double> next(dims_);
   for (int d = 0; d < dims_; ++d) {
     const double dir = norm > 1e-12 ? gradient_[d] / norm : 0.0;
-    velocity_[d] = options_.momentum * velocity_[d] + options_.step * dir;
+    velocity_[d] = kSgdMomentum * velocity_[d] + kSgdStep * dir;
     next[d] = Clip01(current_[d] + velocity_[d]);
   }
   return next;
@@ -162,7 +171,7 @@ void SgdMomentumSearch::Observe(const std::vector<double>& x, double y) {
   current_y_ = y;
   probe_dim_ = 0;
   gradient_.assign(dims_, 0.0);
-  if (stalls_ >= options_.stall_restart) {
+  if (stalls_ >= kSgdStallRestart) {
     Restart();
   }
 }

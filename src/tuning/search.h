@@ -6,8 +6,7 @@
 #ifndef SRC_TUNING_SEARCH_H_
 #define SRC_TUNING_SEARCH_H_
 
-#include <memory>
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -25,29 +24,19 @@ class ParamSearch {
   // Feeds back the objective value (higher is better) at a suggested point.
   virtual void Observe(const std::vector<double>& x, double y) = 0;
 
-  virtual const std::string& name() const = 0;
   virtual int dims() const = 0;
 };
 
-// Bayesian Optimization: GP surrogate + Expected Improvement, maximized over
-// random candidate points. The first `init_samples` suggestions are
-// space-filling random draws.
+// Bayesian Optimization: GP surrogate (default hyperparameters) + Expected
+// Improvement, maximized over random candidate points; the first few
+// suggestions are space-filling random draws. Its settings are fixed
+// constants (search.cc), as in the paper's tuner.
 class BayesianOptimizer : public ParamSearch {
  public:
-  struct Options {
-    int init_samples = 3;
-    int candidates = 512;
-    // EI exploration weight; the paper uses the common default 0.1.
-    double xi = 0.1;
-    GaussianProcess::Hyper gp;
-  };
-
-  BayesianOptimizer(int dims, uint64_t seed) : BayesianOptimizer(dims, seed, Options()) {}
-  BayesianOptimizer(int dims, uint64_t seed, Options options);
+  BayesianOptimizer(int dims, uint64_t seed);
 
   std::vector<double> Suggest() override;
   void Observe(const std::vector<double>& x, double y) override;
-  const std::string& name() const override { return name_; }
   int dims() const override { return dims_; }
 
   // Posterior access (used by the Figure 9 bench to plot the GP belief).
@@ -55,10 +44,8 @@ class BayesianOptimizer : public ParamSearch {
 
  private:
   int dims_;
-  Options options_;
   Rng rng_;
   GaussianProcess gp_;
-  std::string name_ = "bayesian";
 };
 
 class RandomSearch : public ParamSearch {
@@ -66,13 +53,11 @@ class RandomSearch : public ParamSearch {
   RandomSearch(int dims, uint64_t seed);
   std::vector<double> Suggest() override;
   void Observe(const std::vector<double>& /*x*/, double /*y*/) override {}
-  const std::string& name() const override { return name_; }
   int dims() const override { return dims_; }
 
  private:
   int dims_;
   Rng rng_;
-  std::string name_ = "random";
 };
 
 // Sweeps a regular lattice with `points_per_dim` points per dimension, in
@@ -82,7 +67,6 @@ class GridSearch : public ParamSearch {
   GridSearch(int dims, int points_per_dim);
   std::vector<double> Suggest() override;
   void Observe(const std::vector<double>& /*x*/, double /*y*/) override {}
-  const std::string& name() const override { return name_; }
   int dims() const override { return dims_; }
   int total_points() const;
 
@@ -90,7 +74,6 @@ class GridSearch : public ParamSearch {
   int dims_;
   int points_per_dim_;
   int64_t next_ = 0;
-  std::string name_ = "grid";
 };
 
 // Hill climbing with momentum on a noisy objective: estimates the gradient by
@@ -99,27 +82,16 @@ class GridSearch : public ParamSearch {
 // the §6.3 "SGD with momentum" baseline.
 class SgdMomentumSearch : public ParamSearch {
  public:
-  struct Options {
-    double step = 0.15;
-    double momentum = 0.9;
-    double probe_delta = 0.08;
-    int stall_restart = 4;  // restarts after this many non-improving steps
-  };
-
-  SgdMomentumSearch(int dims, uint64_t seed) : SgdMomentumSearch(dims, seed, Options()) {}
-  SgdMomentumSearch(int dims, uint64_t seed, Options options);
+  SgdMomentumSearch(int dims, uint64_t seed);
   std::vector<double> Suggest() override;
   void Observe(const std::vector<double>& x, double y) override;
-  const std::string& name() const override { return name_; }
   int dims() const override { return dims_; }
 
  private:
   void Restart();
 
   int dims_;
-  Options options_;
   Rng rng_;
-  std::string name_ = "sgd-momentum";
 
   std::vector<double> current_;
   std::vector<double> velocity_;

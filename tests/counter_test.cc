@@ -1,12 +1,13 @@
 // Deterministic work-count gate. One reference job per wiring branch of the
 // training-job runtime (PS push/pull pipelining, TF's vanilla push/pull split,
 // TF's barrier-crossing Dependency Proxies, async PS, imperative hooks, the
-// NCCL negotiation cycle, chaos, the dynamic fabric with delayed PS
-// notifications, and both co-scheduling policies) must reproduce the
-// recorded simulator event count, admitted subtasks and per-iteration BP-end
-// times exactly. Unlike a wall-clock gate this neither flakes nor lets a 30%
-// regression through: any change to the event trajectory fails here, and an
-// intentional one updates the table from the values the failure prints.
+// NCCL negotiation cycle, chaos on PS and on the ring's master Core, the
+// dynamic fabric with delayed PS notifications, and both co-scheduling
+// policies) must reproduce the recorded simulator event count, admitted
+// subtasks and per-iteration BP-end times exactly. Unlike a wall-clock gate
+// this neither flakes nor lets a 30% regression through: any change to the
+// event trajectory fails here, and an intentional one updates the table from
+// the values the failure prints.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -119,6 +120,10 @@ std::vector<Case> Cases() {
        {Chaotic(vgg_ps, 7)},
        std::nullopt,
        {{20685, 4674, {188568399, 416338361, 637828511}}}},
+      {"Vgg16MxnetNcclRdmaChaos7",
+       {Chaotic(Job(Vgg16(), Setup::MxnetNcclRdma(), SchedMode::kByteScheduler), 7)},
+       std::nullopt,
+       {{953, 259, {168421039, 1722575419, 3264230384}}}},
       {"Vgg16MxnetPsTcpVolatileDelayedNotify",
        {Volatile(Job(Vgg16(), Setup::MxnetPsTcp(), SchedMode::kByteScheduler))},
        std::nullopt,

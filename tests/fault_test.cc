@@ -173,12 +173,17 @@ class FlakyBackend : public CommBackend {
   int fail_first_;
 };
 
-SchedulerConfig RetryConfig(Bytes credit, SimTime timeout, double backoff = 2.0,
-                            int max_retries = 12) {
-  SchedulerConfig cfg = SchedulerConfig::ByteScheduler(SchedulerConfig::kNoPartition, credit);
-  cfg.retry.timeout = timeout;
-  cfg.retry.backoff = backoff;
-  cfg.retry.max_retries = max_retries;
+SchedulerConfig WholeTensors(Bytes credit) {
+  return SchedulerConfig::ByteScheduler(SchedulerConfig::kNoPartition, credit);
+}
+
+// A plan that injects nothing and carries only the recovery policy: a Core
+// given its injector arms timeout/retry recovery with these knobs.
+FaultPlanConfig RetryPlan(SimTime timeout, double backoff = 2.0, int max_retries = 12) {
+  FaultPlanConfig cfg;
+  cfg.retry_timeout = timeout;
+  cfg.retry_backoff = backoff;
+  cfg.max_retries = max_retries;
   return cfg;
 }
 
@@ -193,8 +198,9 @@ CommTaskDesc PushDesc(int layer, Bytes bytes) {
 
 TEST(CoreRecoveryTest, TimeoutRestoresCreditAndRetries) {
   Simulator sim;
+  FaultInjector faults(RetryPlan(SimTime::Millis(10)), &sim);
   FlakyBackend backend(/*fail_first=*/1);
-  SchedulerCore core(RetryConfig(MiB(1), SimTime::Millis(10)), &backend, 0, &sim);
+  SchedulerCore core(WholeTensors(MiB(1)), &backend, 0, &sim, &faults);
 
   bool finished = false;
   CommTaskDesc desc = PushDesc(0, KiB(256));
@@ -221,8 +227,9 @@ TEST(CoreRecoveryTest, TimeoutRestoresCreditAndRetries) {
 
 TEST(CoreRecoveryTest, LateCompletionOfTimedOutAttemptIsIgnored) {
   Simulator sim;
+  FaultInjector faults(RetryPlan(SimTime::Millis(10)), &sim);
   FlakyBackend backend(/*fail_first=*/1);
-  SchedulerCore core(RetryConfig(MiB(1), SimTime::Millis(10)), &backend, 0, &sim);
+  SchedulerCore core(WholeTensors(MiB(1)), &backend, 0, &sim, &faults);
 
   int finish_count = 0;
   CommTaskDesc desc = PushDesc(0, KiB(256));
@@ -245,37 +252,29 @@ TEST(CoreRecoveryTest, LateCompletionOfTimedOutAttemptIsIgnored) {
   EXPECT_EQ(core.credit(), core.credit_cap());
 }
 
-TEST(CoreRecoveryTest, AbandonsAfterRetryBudgetAndReportsSubtask) {
-  Simulator sim;
-  FlakyBackend backend(/*fail_first=*/1000);  // nothing ever completes
-  SchedulerConfig cfg = RetryConfig(MiB(1), SimTime::Millis(1), /*backoff=*/1.0,
-                                    /*max_retries=*/2);
-  std::vector<SubCommTask> abandoned;
-  cfg.retry.on_abandon = [&](const SubCommTask& subtask) { abandoned.push_back(subtask); };
-  SchedulerCore core(cfg, &backend, 0, &sim);
-
-  bool finished = false;
-  CommTaskDesc desc = PushDesc(3, KiB(64));
-  desc.on_finish = [&] { finished = true; };
-  core.NotifyReady(core.Enqueue(std::move(desc)));
-  sim.Run();
-
-  EXPECT_EQ(backend.started.size(), 3u);  // initial + 2 retries
-  EXPECT_EQ(core.timeouts_fired(), 3u);
-  EXPECT_EQ(core.retries(), 2u);
-  EXPECT_EQ(core.subtasks_abandoned(), 1u);
-  ASSERT_EQ(abandoned.size(), 1u);
-  EXPECT_EQ(abandoned[0].layer, 3);
-  EXPECT_FALSE(finished);
-  EXPECT_EQ(core.credit(), core.credit_cap());  // restored even on abandon
-  EXPECT_EQ(core.subtasks_in_flight(), 0u);
+TEST(CoreRecoveryDeathTest, AbortsAfterRetryBudget) {
+  // Nothing ever completes: the initial attempt and both retries time out,
+  // and the exhausted budget stops the run rather than leak the partition.
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        FaultInjector faults(RetryPlan(SimTime::Millis(1), /*backoff=*/1.0,
+                                       /*max_retries=*/2),
+                             &sim);
+        FlakyBackend backend(/*fail_first=*/1000);
+        SchedulerCore core(WholeTensors(MiB(1)), &backend, 0, &sim, &faults);
+        core.NotifyReady(core.Enqueue(PushDesc(3, KiB(64))));
+        sim.Run();
+      },
+      "subtask exhausted its retry budget");
 }
 
 TEST(CoreRecoveryTest, RetryKeepsOriginalPriorityOverNewerArrivals) {
   Simulator sim;
+  FaultInjector faults(RetryPlan(SimTime::Millis(10)), &sim);
   FlakyBackend backend(/*fail_first=*/1);
   // Credit admits exactly one 256 KiB subtask at a time.
-  SchedulerCore core(RetryConfig(KiB(256), SimTime::Millis(10)), &backend, 0, &sim);
+  SchedulerCore core(WholeTensors(KiB(256)), &backend, 0, &sim, &faults);
 
   core.NotifyReady(core.Enqueue(PushDesc(0, KiB(256))));
   core.NotifyReady(core.Enqueue(PushDesc(1, KiB(256))));  // queued behind layer 0
@@ -298,9 +297,8 @@ TEST(CoreRecoveryTest, RetryKeepsOriginalPriorityOverNewerArrivals) {
 
 TEST(CoreRecoveryTest, DisabledRecoveryKeepsLegacyBehaviour) {
   FlakyBackend backend(/*fail_first=*/0);
-  // No Simulator, no retry policy: the pre-recovery code path.
-  SchedulerCore core(SchedulerConfig::ByteScheduler(SchedulerConfig::kNoPartition, MiB(1)),
-                     &backend);
+  // No Simulator, no FaultInjector: the pre-recovery code path.
+  SchedulerCore core(WholeTensors(MiB(1)), &backend);
   bool finished = false;
   CommTaskDesc desc = PushDesc(0, KiB(128));
   desc.on_finish = [&] { finished = true; };
@@ -313,27 +311,37 @@ TEST(CoreRecoveryTest, DisabledRecoveryKeepsLegacyBehaviour) {
 
 // ---- PS backend push retransmission ---------------------------------------
 
-TEST(PsRetransmitTest, LostPushDataLegIsRetransmittedAndDeduped) {
-  Simulator sim;
-  // Drops are certain inside [0, 1 ms); the 2 ms ack timeout retransmits
-  // after the window, so exactly one retransmission succeeds.
-  FaultInjector faults(CertainDropPlan(SimTime::Millis(1)), &sim);
+PsConfig OneWorkerPs(FaultInjector* faults) {
   PsConfig cfg;
   cfg.num_workers = 1;
   cfg.num_shards = 1;
-  cfg.faults = &faults;
-  cfg.push_ack_timeout = SimTime::Millis(2);
-  PsBackend ps(&sim, cfg);
+  cfg.faults = faults;
+  return cfg;
+}
 
-  int aggregations = 0;
-  ps.AddAggregationListener([&](int64_t, int, int) { ++aggregations; });
-
+SubCommTask OnePush() {
   SubCommTask push;
   push.worker = 0;
   push.layer = 0;
   push.tensor_id = 0;
   push.bytes = KiB(64);
   push.type = CommOpType::kPush;
+  return push;
+}
+
+TEST(PsRetransmitTest, LostPushDataLegIsRetransmittedAndDeduped) {
+  Simulator sim;
+  // Drops are certain inside [0, 1 ms); the 2 ms ack timeout retransmits
+  // after the window, so exactly one retransmission succeeds.
+  FaultPlanConfig plan = CertainDropPlan(SimTime::Millis(1));
+  plan.retry_timeout = SimTime::Millis(2);
+  FaultInjector faults(plan, &sim);
+  PsBackend ps(&sim, OneWorkerPs(&faults));
+
+  int aggregations = 0;
+  ps.AddAggregationListener([&](int64_t, int, int) { ++aggregations; });
+
+  const SubCommTask push = OnePush();
   bool push_acked = false;
   ps.Start(push, [&] { push_acked = true; });
   sim.Run();
@@ -351,6 +359,24 @@ TEST(PsRetransmitTest, LostPushDataLegIsRetransmittedAndDeduped) {
   ps.Start(pull, [&] { pulled = true; });
   sim.Run();
   EXPECT_TRUE(pulled);
+}
+
+TEST(PsRetransmitDeathTest, AbortsAfterRetransmitBudget) {
+  // Every message is lost for 50 ms, while the original and both
+  // retransmits leave by 6 ms (2 ms timeout, backoff 2): the third ack
+  // timeout finds the budget spent.
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        FaultPlanConfig plan = CertainDropPlan(SimTime::Millis(50));
+        plan.retry_timeout = SimTime::Millis(2);
+        plan.max_retries = 2;
+        FaultInjector faults(plan, &sim);
+        PsBackend ps(&sim, OneWorkerPs(&faults));
+        ps.Start(OnePush(), [] {});
+        sim.Run();
+      },
+      "push data leg exhausted its retransmit budget");
 }
 
 // ---- chaos invariant grid -------------------------------------------------
@@ -396,15 +422,9 @@ HarnessOutcome RunPsChaosHarness(const FaultPlanConfig& plan_cfg, int rounds) {
   ps_cfg.num_shards = 2;
   ps_cfg.synchronous = true;
   ps_cfg.faults = &faults;
-  ps_cfg.push_ack_timeout = plan_cfg.retry_timeout;
-  ps_cfg.retry_backoff = plan_cfg.retry_backoff;
-  ps_cfg.max_push_retries = plan_cfg.max_retries;
   PsBackend ps(&sim, ps_cfg);
 
-  SchedulerConfig sched = SchedulerConfig::ByteScheduler(KiB(128), KiB(512));
-  sched.retry.timeout = plan_cfg.retry_timeout;
-  sched.retry.backoff = plan_cfg.retry_backoff;
-  sched.retry.max_retries = plan_cfg.max_retries;
+  const SchedulerConfig sched = SchedulerConfig::ByteScheduler(KiB(128), KiB(512));
   std::vector<std::unique_ptr<SchedulerCore>> cores;
   for (int w = 0; w < kWorkers; ++w) {
     cores.push_back(std::make_unique<SchedulerCore>(sched, &ps, w, &sim, &faults));

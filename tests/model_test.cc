@@ -87,8 +87,10 @@ TEST(ZooTest, TransformerEmbeddingAtInput) {
 TEST(ZooTest, ModelByNameRoundTrips) {
   for (const char* name :
        {"vgg16", "vgg19", "alexnet", "resnet50", "transformer", "bert-large"}) {
-    EXPECT_EQ(ModelByName(name).name, name);
+    ASSERT_TRUE(ModelByName(name).has_value()) << name;
+    EXPECT_EQ(ModelByName(name)->name, name);
   }
+  EXPECT_FALSE(ModelByName("vgg").has_value());
 }
 
 TEST(ZooTest, BertLargeShape) {

@@ -17,6 +17,7 @@
 #include "src/comm/backend.h"
 #include "src/common/rng.h"
 #include "src/core/scheduler_core.h"
+#include "src/fault/fault_injector.h"
 #include "src/model/zoo.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
@@ -52,7 +53,7 @@ class SpeedupSweepTest : public ::testing::TestWithParam<SweepParam> {};
 TEST_P(SpeedupSweepTest, SchedulingNeverLosesAndStaysUnderLinear) {
   const auto& [model_name, setup_idx, machines] = GetParam();
   JobConfig job;
-  job.model = ModelByName(model_name);
+  job.model = ModelByName(model_name).value();
   job.setup = SetupByIndex(setup_idx);
   job.num_machines = machines;
   job.bandwidth = Bandwidth::Gbps(100);
@@ -245,8 +246,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorOracleFuzzTest,
 // the preemption count (admissions that outrank the one before).
 class CoreModel {
  public:
-  explicit CoreModel(const SchedulerConfig& config)
-      : config_(config), credit_(config.credit_bytes) {}
+  CoreModel(const SchedulerConfig& config, SimTime retry_timeout)
+      : config_(config), retry_timeout_(retry_timeout), credit_(config.credit_bytes) {}
 
   CommTaskId Enqueue(int layer, CommOpType type, Bytes bytes) {
     Task task{layer, type, {}, {}};
@@ -369,7 +370,7 @@ class CoreModel {
       queue_.erase(queue_.begin());
       const Bytes charged = charges ? std::min(bytes, credit_) : 0;
       credit_ -= charged;
-      const int64_t deadline = now_ + (config_.retry.timeout.nanos() << q.attempts);
+      const int64_t deadline = now_ + (retry_timeout_.nanos() << q.attempts);
       timers_.insert({deadline, attempts_.size()});
       attempts_.push_back(Attempt{key, q.task, q.partition, q.attempts, charged, deadline, true});
       admitted_.emplace_back(q.task, q.partition);
@@ -377,6 +378,7 @@ class CoreModel {
   }
 
   SchedulerConfig config_;
+  SimTime retry_timeout_;
   Bytes credit_;
   int64_t now_ = 0;
   uint64_t next_seq_ = 0;
@@ -413,15 +415,18 @@ TEST_P(CoreOracleTest, AdmissionOrderMatchesOrderedMapReference) {
   if (GetParam() % 3 == 0) {
     config.policy = SchedulerConfig::Policy::kFifo;
   }
-  config.retry.timeout = SimTime::Micros(5);
-  config.retry.backoff = 2.0;
-  config.retry.max_retries = 40;
+  // A plan that injects nothing and carries only the recovery policy.
+  FaultPlanConfig plan;
+  plan.retry_timeout = SimTime::Micros(5);
+  plan.retry_backoff = 2.0;
+  plan.max_retries = 40;
   Simulator sim;
+  FaultInjector faults(plan, &sim);
   AdmissionLog backend;
   MetricsRegistry metrics;
   ObsContext obs(nullptr, &metrics);
-  SchedulerCore core(config, &backend, 0, &sim, nullptr, &obs);
-  CoreModel model(config);
+  SchedulerCore core(config, &backend, 0, &sim, &faults, &obs);
+  CoreModel model(config, plan.retry_timeout);
   const Histogram* queue_depth = metrics.histogram("sched.w0.queue_depth");
   const Counter* preemptions = metrics.counter("sched.w0.preemptions");
 

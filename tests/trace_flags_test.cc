@@ -87,7 +87,7 @@ TEST(TraceRecorderTest, TrackIdsFollowFirstUseOrder) {
 TEST(TraceRecorderTest, FlowEventsAndArgs) {
   TraceRecorder trace;
   trace.AddSpan("sched", "admit", SimTime::Micros(0), SimTime::Micros(2),
-                {TraceArg::Int("bytes", 4096), TraceArg::Str("tensor", "fc1")});
+                {TraceArg::Int("bytes", 4096), TraceArg::Int("partition", -3)});
   trace.AddFlow("sched", "t0.p0", SimTime::Micros(2), 7, FlowPhase::kStart);
   trace.AddFlow("link", "t0.p0", SimTime::Micros(5), 7, FlowPhase::kStep);
   trace.AddFlow("sched", "t0.p0", SimTime::Micros(9), 7, FlowPhase::kEnd);
@@ -102,9 +102,9 @@ TEST(TraceRecorderTest, FlowEventsAndArgs) {
   EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"flow\""), std::string::npos);
   EXPECT_NE(json.find("\"id\":7"), std::string::npos);
-  // Typed args rendered into the span's args object.
+  // Integer args rendered into the span's args object.
   EXPECT_NE(json.find("\"bytes\":4096"), std::string::npos);
-  EXPECT_NE(json.find("\"tensor\":\"fc1\""), std::string::npos);
+  EXPECT_NE(json.find("\"partition\":-3"), std::string::npos);
 }
 
 TEST(TraceRecorderTest, JobProducesCoherentTrace) {
