@@ -80,7 +80,7 @@ bool LoadTrace(const std::string& path, obs::CpInput* out) {
   }
   std::string error;
   if (!obs::LoadCpInputFromChromeTrace(text, out, &error)) {
-    std::fprintf(stderr, "error: %s is not a Chrome trace array (%s)\n", path.c_str(),
+    std::fprintf(stderr, "error: %s is not a valid Chrome trace (%s)\n", path.c_str(),
                  error.c_str());
     return false;
   }

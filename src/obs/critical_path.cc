@@ -336,8 +336,16 @@ bool LoadCpInputFromChromeTrace(const std::string& json, CpInput* out, std::stri
       track_names[static_cast<int>(tid->IntOr(0))] = track->str;
     }
   }
-  // Pass 2: spans and flow points, with tracks resolved.
-  for (const JsonValue& ev : root.array) {
+  // Pass 2: spans and flow points, with tracks resolved. A span or flow
+  // point without a numeric time is an error.
+  const auto reject = [error](size_t index, const char* what) {
+    if (error != nullptr) {
+      *error = "event " + std::to_string(index) + ": " + what;
+    }
+    return false;
+  };
+  for (size_t index = 0; index < root.array.size(); ++index) {
+    const JsonValue& ev = root.array[index];
     if (!ev.is_object()) {
       continue;
     }
@@ -353,13 +361,19 @@ bool LoadCpInputFromChromeTrace(const std::string& json, CpInput* out, std::stri
     const JsonValue* name = ev.Find("name");
     switch (ph->str[0]) {
       case 'X': {
+        const JsonValue* dur = ev.Find("dur");
+        if (ts == nullptr || !ts->is_number()) {
+          return reject(index, "\"X\" span without a numeric ts");
+        }
+        if (dur == nullptr || !dur->is_number() || dur->number < 0) {
+          return reject(index, "\"X\" span without a non-negative numeric dur");
+        }
         CpSpan span;
         span.tid = tid;
         span.track = track;
         span.name = name != nullptr ? name->StringOr("") : "";
-        span.ts_us = ts != nullptr ? ts->NumberOr(0.0) : 0.0;
-        const JsonValue* dur = ev.Find("dur");
-        span.dur_us = dur != nullptr ? dur->NumberOr(0.0) : 0.0;
+        span.ts_us = ts->number;
+        span.dur_us = dur->number;
         const JsonValue* args = ev.Find("args");
         if (args != nullptr) {
           const JsonValue* attempt = args->Find("attempt");
@@ -375,11 +389,14 @@ bool LoadCpInputFromChromeTrace(const std::string& json, CpInput* out, std::stri
       case 'f': {
         const JsonValue* id = ev.Find("id");
         if (id != nullptr && id->is_number()) {
+          if (ts == nullptr || !ts->is_number()) {
+            return reject(index, "flow point without a numeric ts");
+          }
           CpFlowPoint point;
           point.tid = tid;
           point.track = track;
           point.name = name != nullptr ? name->StringOr("") : "";
-          point.ts_us = ts != nullptr ? ts->NumberOr(0.0) : 0.0;
+          point.ts_us = ts->number;
           point.ph = ph->str[0];
           out->flows[static_cast<uint64_t>(id->number)].push_back(std::move(point));
         }

@@ -126,7 +126,9 @@ void WriteCriticalPathCsv(const CriticalPathReport& report, std::ostream& os);
 
 // Fills a CpInput from Chrome trace-event JSON (the TraceRecorder format:
 // thread_name metadata + X/s/t/f events). Returns false (with *error set)
-// on malformed JSON.
+// on malformed JSON, on an "X" span whose ts is missing or not a number or
+// whose dur is missing, not a number or negative, and on a flow point
+// without a numeric ts; the error names the event's index in the array.
 bool LoadCpInputFromChromeTrace(const std::string& json, CpInput* out, std::string* error);
 
 }  // namespace bsched::obs

@@ -13,8 +13,11 @@
 // corner, where state that grows with partition count (queued partitions,
 // queued link messages, PS hops) dominates, and Figure 4's heaviest cell,
 // where pulls, which take no credit, fill the shard egress and worker
-// downlink queues. A queued link message that grows back from its 24 bytes
-// (say, by carrying its callbacks again) trips these peak bounds.
+// downlink queues. A queued link message that grows back from its 16 bytes
+// (say, by carrying its callbacks again), or a PS hop or Core record that
+// grows past its 64-byte cache line, trips these peak bounds. The counting
+// operators also replace the std::align_val_t overloads: the alignas(64)
+// pool chunks are allocated through them.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -37,8 +40,16 @@ std::atomic<uint64_t> g_allocs{0};
 std::atomic<int64_t> g_live_bytes{0};
 std::atomic<int64_t> g_peak_bytes{0};
 
-void* CountedAlloc(size_t size) {
-  void* p = std::malloc(size == 0 ? 1 : size);
+// `align` is 0 for the plain overloads and the requested alignment for the
+// std::align_val_t ones, which over-aligned types (the alignas(64) pool
+// records) allocate through.
+void* CountedAlloc(size_t size, size_t align = 0) {
+  void* p = nullptr;
+  if (align == 0) {
+    p = std::malloc(size == 0 ? 1 : size);
+  } else if (posix_memalign(&p, std::max(align, sizeof(void*)), size == 0 ? 1 : size) != 0) {
+    p = nullptr;
+  }
   if (p == nullptr) {
     throw std::bad_alloc();
   }
@@ -72,6 +83,16 @@ void operator delete(void* p) noexcept { CountedFree(p); }
 void operator delete[](void* p) noexcept { CountedFree(p); }
 void operator delete(void* p, size_t) noexcept { CountedFree(p); }
 void operator delete[](void* p, size_t) noexcept { CountedFree(p); }
+void* operator new(size_t size, std::align_val_t align) {
+  return CountedAlloc(size, static_cast<size_t>(align));
+}
+void* operator new[](size_t size, std::align_val_t align) {
+  return CountedAlloc(size, static_cast<size_t>(align));
+}
+void operator delete(void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete(void* p, size_t, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, size_t, std::align_val_t) noexcept { CountedFree(p); }
 
 namespace bsched {
 namespace {
@@ -98,14 +119,17 @@ constexpr double kCoscheduleBound = 0.06;
 // 2.99, 18.43 and 15.64 MiB; no peak fell by more than 5%, so the bounds
 // stayed. Before a queued link message shrank from 24 to 16 bytes they
 // peaked at 1.00, 2.77, 10.67, 2.98, 17.85 and 14.93 MiB; again no peak fell
-// by more than 5%.
+// by more than 5%. Before a PS hop shrank from 136 to 64 bytes and a Core
+// record from 104 to 64 bytes (one cache line each), they peaked at 0.99,
+// 2.77, 10.42, 2.98, 17.18 and 14.43 MiB, under bounds of 1.19, 3.04, 12.0,
+// 3.27, 20.3 and 17.2 MiB.
 constexpr int64_t MiBytes(double mib) { return static_cast<int64_t>(mib * (1 << 20)); }
-constexpr int64_t kCoschedulePeakBytes = MiBytes(1.19);              // 0.99 MiB
-constexpr int64_t kVgg16SmallCreditPeakBytes = MiBytes(3.04);        // 2.77 MiB
-constexpr int64_t kVgg16LargeCreditPeakBytes = MiBytes(12.0);        // 10.42 MiB
-constexpr int64_t kTransformerSmallCreditPeakBytes = MiBytes(3.27);  // 2.98 MiB
-constexpr int64_t kTransformerLargeCreditPeakBytes = MiBytes(20.3);  // 17.18 MiB
-constexpr int64_t kFig04HeaviestCellPeakBytes = MiBytes(17.2);       // 14.43 MiB
+constexpr int64_t kCoschedulePeakBytes = MiBytes(0.97);              // 0.88 MiB
+constexpr int64_t kVgg16SmallCreditPeakBytes = MiBytes(2.70);        // 2.45 MiB
+constexpr int64_t kVgg16LargeCreditPeakBytes = MiBytes(7.6);         // 6.88 MiB
+constexpr int64_t kTransformerSmallCreditPeakBytes = MiBytes(2.94);  // 2.67 MiB
+constexpr int64_t kTransformerLargeCreditPeakBytes = MiBytes(13.5);  // 12.25 MiB
+constexpr int64_t kFig04HeaviestCellPeakBytes = MiBytes(12.6);       // 11.44 MiB
 
 struct Sample {
   uint64_t allocs = 0;

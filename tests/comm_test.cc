@@ -177,6 +177,33 @@ AllReduceConfig IdealRing(int workers) {
   return cfg;
 }
 
+// A hop stores the size and tensor id in 32 bits and the worker and shard in
+// 16: a value that does not fit aborts instead of wrapping.
+TEST(PsBackendDeathTest, RejectsValuesWiderThanAHopField) {
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        PsBackend ps(&sim, IdealPs(1, 1));
+        ps.Start(MakeSub(0, 0, 0, Bytes{1} << 32, CommOpType::kPush), [] {});
+      },
+      "at most 4 GiB");
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        PsBackend ps(&sim, IdealPs(1, 1));
+        SubCommTask pull = MakeSub(0, 0, 0, KiB(4), CommOpType::kPull);
+        pull.tensor_id = int64_t{1} << 32;
+        ps.Start(pull, [] {});
+      },
+      "tensor id is 32 bits");
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        PsBackend ps(&sim, IdealPs(1, (1 << 16) + 1));
+      },
+      "num_shards <= UINT16_MAX");
+}
+
 TEST(AllReduceBackendTest, RingTimeFormula) {
   Simulator sim;
   AllReduceBackend ar(&sim, IdealRing(4));

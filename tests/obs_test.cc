@@ -13,6 +13,7 @@
 #include "src/common/trace.h"
 #include "src/exec/sweep_runner.h"
 #include "src/model/zoo.h"
+#include "src/obs/critical_path.h"
 #include "src/obs/json_lite.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
@@ -234,6 +235,48 @@ TEST(ObsJobTest, TraceRoundTripsThroughParser) {
     }
   }
   EXPECT_TRUE(end_to_end);
+}
+
+// A span or flow point without a numeric time is rejected, and the error
+// names its event index.
+TEST(ChromeTraceLoaderTest, RejectsSpansAndFlowPointsWithoutNumericTimes) {
+  const std::string name = R"({"ph":"M","name":"thread_name","pid":1,"tid":1,)"
+                           R"("args":{"name":"sched/w0"}},)";
+  const struct {
+    std::string json;
+    std::string error;
+  } cases[] = {
+      {"[" + name + R"({"ph":"X","name":"a","ts":"abc","dur":1,"pid":1,"tid":1}])",
+       "event 1: \"X\" span without a numeric ts"},
+      {"[" + name + R"({"ph":"X","name":"a","dur":1,"pid":1,"tid":1}])",
+       "event 1: \"X\" span without a numeric ts"},
+      {"[" + name + R"({"ph":"X","name":"a","ts":1,"pid":1,"tid":1}])",
+       "event 1: \"X\" span without a non-negative numeric dur"},
+      {"[" + name + R"({"ph":"X","name":"a","ts":1,"dur":null,"pid":1,"tid":1}])",
+       "event 1: \"X\" span without a non-negative numeric dur"},
+      {"[" + name + R"({"ph":"X","name":"a","ts":1,"dur":-2,"pid":1,"tid":1}])",
+       "event 1: \"X\" span without a non-negative numeric dur"},
+      {"[" + name + R"({"ph":"X","name":"a","ts":1,"dur":2,"pid":1,"tid":1},)"
+                    R"({"ph":"s","name":"f","id":7,"pid":1,"tid":1}])",
+       "event 2: flow point without a numeric ts"},
+  };
+  for (const auto& c : cases) {
+    obs::CpInput in;
+    std::string error;
+    EXPECT_FALSE(obs::LoadCpInputFromChromeTrace(c.json, &in, &error)) << c.json;
+    EXPECT_EQ(error, c.error) << c.json;
+  }
+  // The same events with numeric times load.
+  obs::CpInput in;
+  std::string error;
+  ASSERT_TRUE(obs::LoadCpInputFromChromeTrace(
+      "[" + name + R"({"ph":"X","name":"a","ts":1,"dur":0,"pid":1,"tid":1},)"
+                   R"({"ph":"s","name":"f","id":7,"ts":1,"pid":1,"tid":1}])",
+      &in, &error))
+      << error;
+  ASSERT_EQ(in.spans.size(), 1u);
+  EXPECT_EQ(in.spans[0].track, "sched/w0");
+  EXPECT_EQ(in.flows.at(7).size(), 1u);
 }
 
 TEST(ObsJobTest, MetricsRoundTripsWithAcceptanceKeys) {
