@@ -14,7 +14,7 @@
 //
 // Flags: --jobs N          sweep workers (default: hardware concurrency)
 //        --model NAME      zoo model (default resnet50)
-//        --gbps F          per-NIC bandwidth (default 25)
+//        --gbps F          per-NIC bandwidth, > 0 (default 25)
 //        --seed N          dynamics seed (default 3)
 //        --csv PATH        also write the rows as CSV
 //        --check-determinism  recompute the sweep at --jobs 1 and require
@@ -22,6 +22,7 @@
 //        --require-growing-gain  fail unless ByteScheduler's gain over
 //                          vanilla is larger at the highest amplitude than
 //                          at amplitude 0 (the figure's acceptance check)
+// An unknown flag, an unknown --model or a --gbps <= 0 exits 2.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -137,6 +138,14 @@ int main(int argc, char** argv) {
   const std::string csv_path = flags.GetString("csv", "");
   const bool check_determinism = flags.GetBool("check-determinism", false);
   const bool require_growing_gain = flags.GetBool("require-growing-gain", false);
+  // A bad value exits 2 naming the flag, as bschedctl does, instead of
+  // aborting inside the sweep.
+  if (!ModelByName(spec.model).has_value()) {
+    flags.RejectValue("model", "a zoo model name");
+  }
+  if (spec.gbps <= 0) {
+    flags.RejectValue("gbps", "a positive number");
+  }
 
   // "shards=1" is literal text: perfbench/reference/eval.txt pins this header.
   std::printf("Figure 15: volatility sweep (%s, mxnet ps tcp, 2 machines, %.0f Gbps, "

@@ -30,14 +30,16 @@
 //                        --critical-path iteration reaches --min-coverage
 //                        and --trace-b track ids match.
 //        --min-coverage=F  critical-path coverage --check requires per
-//                        iteration (default 0.95)
-// Any other flag is rejected with exit status 2.
+//                        iteration, in [0, 1] (default 0.95)
+// Any other flag, a negative --top-k or a --min-coverage outside [0, 1] is
+// rejected with exit status 2.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -52,12 +54,6 @@
 
 namespace bsched {
 namespace {
-
-struct MetricsData {
-  std::map<std::string, uint64_t> counters;
-  std::map<std::string, int64_t> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
-};
 
 bool ReadFile(const std::string& path, std::string* out) {
   std::ifstream in(path);
@@ -87,7 +83,7 @@ bool LoadTrace(const std::string& path, obs::CpInput* out) {
   return true;
 }
 
-bool LoadMetrics(const std::string& path, MetricsData* out) {
+bool LoadMetrics(const std::string& path, MetricsSnapshot* out) {
   std::string text;
   if (!ReadFile(path, &text)) {
     std::fprintf(stderr, "error: cannot read metrics %s\n", path.c_str());
@@ -358,7 +354,7 @@ TraceSummary ReportTrace(const obs::CpInput& trace) {
   return summary;
 }
 
-void ReportMetrics(const MetricsData& metrics) {
+void ReportMetrics(const MetricsSnapshot& metrics) {
   if (!metrics.counters.empty()) {
     Table table({"counter", "value"});
     for (const auto& [name, value] : metrics.counters) {
@@ -497,7 +493,7 @@ bool CheckTrackStability(const obs::CpInput& a, const obs::CpInput& b) {
 // Acceptance validation: the artifacts carry an end-to-end partition arc and
 // the scheduler/link/fault metrics the figures rely on.
 bool CheckArtifacts(bool have_trace, const TraceSummary& trace_summary, bool have_metrics,
-                    const MetricsData& metrics) {
+                    const MetricsSnapshot& metrics) {
   bool ok = true;
   if (have_trace && trace_summary.multi_track_arcs < 1) {
     std::fprintf(stderr, "CHECK FAILED: no flow arc crosses >= 3 tracks\n");
@@ -565,9 +561,17 @@ int main(int argc, char** argv) {
   }
   const std::string cp_csv_path = flags.GetString("critical-path-csv", "");
   const bool critical_path = flags.GetBool("critical-path", false) || !cp_csv_path.empty();
-  const int top_k = static_cast<int>(flags.GetInt("top-k", 5));
+  const int64_t top_k = flags.GetInt("top-k", 5);
   const double min_coverage = flags.GetDouble("min-coverage", 0.95);
   const bool check = flags.GetBool("check", false);
+  // A value outside its range exits 2 naming the flag: a negative --top-k
+  // would list every arc, and a --min-coverage below 0 would pass any trace.
+  if (top_k < 0 || top_k > std::numeric_limits<int>::max()) {
+    flags.RejectValue("top-k", "a whole number >= 0");
+  }
+  if (min_coverage < 0 || min_coverage > 1) {
+    flags.RejectValue("min-coverage", "a number in [0, 1]");
+  }
   if (trace_path.empty() && metrics_path.empty() && timeseries_path.empty()) {
     std::fprintf(stderr,
                  "usage: obs_report --trace=trace.json --metrics=metrics.json\n"
@@ -606,7 +610,7 @@ int main(int argc, char** argv) {
 
   obs::CriticalPathReport cp_report;
   if (critical_path) {
-    cp_report = ReportCriticalPath(trace, top_k, cp_csv_path);
+    cp_report = ReportCriticalPath(trace, static_cast<int>(top_k), cp_csv_path);
   }
 
   TimelineData timeline;
@@ -618,7 +622,7 @@ int main(int argc, char** argv) {
     ReportTimeline(timeline);
   }
 
-  MetricsData metrics;
+  MetricsSnapshot metrics;
   const bool have_metrics = !metrics_path.empty();
   if (have_metrics) {
     if (!LoadMetrics(metrics_path, &metrics)) {

@@ -70,40 +70,35 @@ int main(int argc, char** argv) {
   }
 
   // Every value is range-checked here, so a bad one exits 2 naming the flag
-  // (in the shape Flags reports a malformed number) instead of aborting on an
+  // (Flags::RejectValue, as for a malformed number) instead of aborting on an
   // invariant deep inside the run. Counts are stored as int and KiB become
   // bytes, which bounds the rest.
-  const auto bad = [&](const char* flag, const char* what) {
-    std::fprintf(stderr, "%s: --%s needs %s, got '%s'\n", argv[0], flag, what,
-                 flags.GetString(flag, "").c_str());
-    return 2;
-  };
   constexpr int64_t kMaxCount = std::numeric_limits<int>::max();
   constexpr int64_t kMaxKb = std::numeric_limits<Bytes>::max() / 1024;
   JobConfig job;
   const std::optional<ModelProfile> model = ModelByName(flags.GetString("model", "vgg16"));
   if (!model.has_value()) {
-    return bad("model", "a zoo model name");
+    flags.RejectValue("model", "a zoo model name");
   }
   job.model = *model;
   bool setup_ok = false;
   job.setup = SetupByName(flags.GetString("setup", "mxnet-ps-rdma"), &setup_ok);
   if (!setup_ok) {
-    return bad("setup", "a setup listed in --help");
+    flags.RejectValue("setup", "a setup listed in --help");
   }
   const int64_t machines = flags.GetInt("machines", 4);
   if (machines < 1 || machines > kMaxCount) {
-    return bad("machines", "a whole number >= 1");
+    flags.RejectValue("machines", "a whole number >= 1");
   }
   job.num_machines = static_cast<int>(machines);
   const double gbps = flags.GetDouble("gbps", 100);
   if (gbps <= 0) {
-    return bad("gbps", "a positive number");
+    flags.RejectValue("gbps", "a positive number");
   }
   job.bandwidth = Bandwidth::Gbps(gbps);
   const int64_t iters = flags.GetInt("iters", 5);
   if (iters < 1 || iters > kMaxCount) {
-    return bad("iters", "a whole number >= 1");
+    flags.RejectValue("iters", "a whole number >= 1");
   }
   job.measure_iters = static_cast<int>(iters);
   job.ps_async = flags.GetBool("async", false);
@@ -120,16 +115,16 @@ int main(int argc, char** argv) {
     // 0 KiB means no partitioning; the credit must admit something.
     const int64_t partition_kb = flags.GetInt("partition-kb", tuned.partition_bytes / 1024);
     if (partition_kb < 0 || partition_kb > kMaxKb) {
-      return bad("partition-kb", "a whole number >= 0");
+      flags.RejectValue("partition-kb", "a whole number >= 0");
     }
     const int64_t credit_kb = flags.GetInt("credit-kb", tuned.credit_bytes / 1024);
     if (credit_kb < 1 || credit_kb > kMaxKb) {
-      return bad("credit-kb", "a whole number >= 1");
+      flags.RejectValue("credit-kb", "a whole number >= 1");
     }
     job.partition_bytes = KiB(partition_kb);
     job.credit_bytes = KiB(credit_kb);
   } else {
-    return bad("mode", "baseline, bytescheduler or p3");
+    flags.RejectValue("mode", "baseline, bytescheduler or p3");
   }
 
   TraceRecorder trace;

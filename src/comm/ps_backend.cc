@@ -25,76 +25,61 @@ PsBackend::PsBackend(Simulator* sim, const PsConfig& config) : sim_(sim), config
   TransportModel receiver = config_.transport;
   receiver.serial_overhead = SimTime();
   receiver.latency = SimTime();
-  for (int w = 0; w < config_.num_workers; ++w) {
+  const int workers = config_.num_workers;
+  const int shards = config_.num_shards;
+  links_.resize(2 * static_cast<size_t>(workers + shards));
+  for (int w = 0; w < workers; ++w) {
     const std::string name = "worker" + std::to_string(w);
-    uplinks_.push_back(
-        std::make_unique<Link>(sim_, name + ".up", config_.link_rate, config_.transport));
-    downlinks_.push_back(
-        std::make_unique<Link>(sim_, name + ".down", config_.link_rate, receiver));
+    links_[w] = std::make_unique<Link>(sim_, name + ".up", config_.link_rate, config_.transport);
+    links_[workers + w] = std::make_unique<Link>(sim_, name + ".down", config_.link_rate, receiver);
   }
-  for (int s = 0; s < config_.num_shards; ++s) {
+  for (int s = 0; s < shards; ++s) {
     const std::string name = "shard" + std::to_string(s);
-    ingresses_.push_back(std::make_unique<Link>(sim_, name + ".in", config_.link_rate, receiver));
-    egresses_.push_back(
-        std::make_unique<Link>(sim_, name + ".out", config_.link_rate, config_.transport));
+    links_[2 * workers + s] =
+        std::make_unique<Link>(sim_, name + ".in", config_.link_rate, receiver);
+    links_[2 * workers + shards + s] =
+        std::make_unique<Link>(sim_, name + ".out", config_.link_rate, config_.transport);
     shard_cpus_.push_back(std::make_unique<Resource>(sim_, name + ".cpu"));
   }
   // Every flight's token is its hop; each link role lands it on its next step.
-  for (auto& link : uplinks_) {
-    link->SetFlightHandlers([this](uint32_t hop) { OnPushFlushed(hop); },
-                            [this](uint32_t hop, SimTime wire) {
-                              Land(hop, wire, &PsBackend::OnPushAtShard);
-                            });
+  for (int w = 0; w < workers; ++w) {
+    worker_uplink(w).SetFlightHandlers([this](uint32_t hop) { OnPushFlushed(hop); },
+                                       [this](uint32_t hop, SimTime wire) {
+                                         Land(hop, wire, &PsBackend::OnPushAtShard);
+                                       });
   }
-  for (auto& link : ingresses_) {
-    link->SetFlightHandlers(nullptr, [this](uint32_t hop, SimTime wire) {
+  for (int s = 0; s < shards; ++s) {
+    ingress(s)->SetFlightHandlers(nullptr, [this](uint32_t hop, SimTime wire) {
       Land(hop, wire, &PsBackend::OnPushArrived);
     });
-  }
-  for (auto& link : egresses_) {
-    link->SetFlightHandlers(nullptr, [this](uint32_t hop, SimTime wire) {
+    egress(s)->SetFlightHandlers(nullptr, [this](uint32_t hop, SimTime wire) {
       Land(hop, wire, &PsBackend::OnPullAtWorker);
     });
   }
-  workers_.resize(static_cast<size_t>(config_.num_workers));
-  shards_.resize(static_cast<size_t>(config_.num_shards));
-  arrived_words_ = (config_.num_workers + 63) / 64;
-  push_retransmits_.assign(static_cast<size_t>(config_.num_workers), 0);
-  stale_push_drops_.assign(static_cast<size_t>(config_.num_shards), 0);
-  if (config_.faults != nullptr) {
-    for (auto& link : uplinks_) link->SetFaultInjector(config_.faults);
-    for (auto& link : downlinks_) link->SetFaultInjector(config_.faults);
-    for (auto& link : ingresses_) link->SetFaultInjector(config_.faults);
-    for (auto& link : egresses_) link->SetFaultInjector(config_.faults);
-  }
-  if (config_.obs != nullptr) {
-    for (auto& link : uplinks_) link->SetObs(config_.obs);
-    for (auto& link : downlinks_) link->SetObs(config_.obs);
-    for (auto& link : ingresses_) link->SetObs(config_.obs);
-    for (auto& link : egresses_) link->SetObs(config_.obs);
-  }
-  if (config_.dynamics != nullptr && config_.dynamics->enabled()) {
-    const NetDynamicsConfig& dyn = *config_.dynamics;
+  arrived_words_ = (workers + 63) / 64;
+  const NetDynamicsConfig* dyn =
+      config_.dynamics != nullptr && config_.dynamics->enabled() ? config_.dynamics : nullptr;
+  for (size_t i = 0; i < links_.size(); ++i) {
+    Link& link = *links_[i];
+    if (config_.faults != nullptr) link.SetFaultInjector(config_.faults);
+    if (config_.obs != nullptr) link.SetObs(config_.obs);
     // Each link's schedule is keyed on its stable name; the asymmetric
     // down_scale derates the worker receive direction.
-    for (auto& link : uplinks_) link->SetRateModel(BuildLinkRateModel(dyn, link->name(), false));
-    for (auto& link : downlinks_) link->SetRateModel(BuildLinkRateModel(dyn, link->name(), true));
-    for (auto& link : ingresses_) link->SetRateModel(BuildLinkRateModel(dyn, link->name(), false));
-    for (auto& link : egresses_) link->SetRateModel(BuildLinkRateModel(dyn, link->name(), false));
-    if (dyn.aimd.enable) {
-      for (int w = 0; w < config_.num_workers; ++w) {
-        rate_ctrl_.push_back(std::make_unique<RateController>(uplinks_[w].get()));
-      }
+    if (dyn != nullptr) {
+      const bool down = i >= static_cast<size_t>(workers) && i < 2 * static_cast<size_t>(workers);
+      link.SetRateModel(BuildLinkRateModel(*dyn, link.name(), down));
+    }
+  }
+  if (dyn != nullptr && dyn->aimd.enable) {
+    for (int w = 0; w < workers; ++w) {
+      rate_ctrl_.push_back(std::make_unique<RateController>(&worker_uplink(w)));
     }
   }
 }
 
 uint64_t PsBackend::link_repaces() const {
   uint64_t total = 0;
-  for (const auto& link : uplinks_) total += link->repace_events();
-  for (const auto& link : downlinks_) total += link->repace_events();
-  for (const auto& link : ingresses_) total += link->repace_events();
-  for (const auto& link : egresses_) total += link->repace_events();
+  for (const auto& link : links_) total += link->repace_events();
   return total;
 }
 
@@ -117,35 +102,27 @@ uint32_t PsBackend::SlotIndex::Get(int64_t tensor_id, int partition) {
   return row[partition];
 }
 
-uint32_t PsBackend::WorkerSlot(int worker, int64_t tensor_id, int partition) {
-  WorkerState& ws = workers_[worker];
-  const uint32_t slot = ws.index.Get(tensor_id, partition);
-  if (slot == ws.rounds.size()) {
-    ws.rounds.emplace_back();
+uint32_t PsBackend::Slot(int64_t tensor_id, int partition) {
+  const uint32_t slot = slots_.Get(tensor_id, partition);
+  if (slot == aggregated_.size()) {
+    aggregated_.push_back(0);
+    arrived_.resize(arrived_.size() + arrived_words_, 0);
+    arrivals_.push_back(0);
+    pending_head_.push_back(kNone);
+    pending_tail_.push_back(kNone);
+    push_rounds_.resize(push_rounds_.size() + config_.num_workers);
+    accepted_round_.resize(accepted_round_.size() + config_.num_workers, 0);
     if (config_.faults != nullptr) {
-      ws.acks.emplace_back();
+      acks_.resize(acks_.size() + config_.num_workers);
     }
   }
   return slot;
 }
 
-uint32_t PsBackend::ShardSlot(int shard, int64_t tensor_id, int partition) {
-  ShardState& ss = shards_[shard];
-  const uint32_t slot = ss.index.Get(tensor_id, partition);
-  if (slot == ss.aggregated.size()) {
-    ss.aggregated.push_back(0);
-    ss.arrived.resize(ss.arrived.size() + arrived_words_, 0);
-    ss.arrivals.push_back(0);
-    ss.accepted_round.resize(ss.accepted_round.size() + config_.num_workers, 0);
-    ss.pending_head.push_back(kNone);
-    ss.pending_tail.push_back(kNone);
-  }
-  return slot;
-}
-
-uint32_t PsBackend::NewHop(const Leg& leg, uint64_t flow) {
+uint32_t PsBackend::NewHop(uint32_t slot, const Leg& leg, uint64_t flow) {
   const uint32_t hop = hops_.Acquire();
   hops_[hop].leg = leg;
+  hops_[hop].slot = slot;
   if (Tracing()) {
     if (hop >= hop_trace_.size()) {
       hop_trace_.resize(hops_.size());
@@ -202,19 +179,20 @@ void PsBackend::Start(const SubCommTask& subtask, std::function<void()> on_finis
   leg.layer = subtask.layer;
   leg.worker = static_cast<uint16_t>(subtask.worker);
   leg.shard = static_cast<uint16_t>(ShardFor(subtask.tensor_id, subtask.partition));
+  const uint32_t slot = Slot(subtask.tensor_id, subtask.partition);
   switch (subtask.type) {
     case CommOpType::kPush:
-      HandlePush(subtask, leg, std::move(on_finish));
+      HandlePush(subtask, slot, leg, std::move(on_finish));
       return;
     case CommOpType::kPull:
-      HandlePull(subtask, leg, std::move(on_finish));
+      HandlePull(subtask, slot, leg, std::move(on_finish));
       return;
     case CommOpType::kAllReduce:
       BSCHED_CHECK(false && "PS backend cannot execute all-reduce tasks");
   }
 }
 
-void PsBackend::HandlePush(const SubCommTask& subtask, Leg leg,
+void PsBackend::HandlePush(const SubCommTask& subtask, uint32_t slot, Leg leg,
                            std::function<void()> on_finish) {
   // Aggregation round for this slot from this worker: the data leg and any
   // retransmits of it all carry this round number, letting the shard drop a
@@ -222,17 +200,16 @@ void PsBackend::HandlePush(const SubCommTask& subtask, Leg leg,
   // opens a new round; a Core-level retry re-enters here with the *same*
   // task id and must stay in its round, or its duplicate copy would count
   // as a phantom arrival in the next one.
-  PushRound& prev =
-      workers_[leg.worker].rounds[WorkerSlot(leg.worker, leg.tensor, leg.partition)];
+  PushRound& prev = push_rounds_[SlotWorker(slot, leg.worker)];
   if (prev.task != subtask.task || prev.round == 0) {
     BSCHED_CHECK(prev.round < UINT32_MAX);
     prev.task = subtask.task;
     ++prev.round;
   }
   leg.round = prev.round;
-  const uint32_t hop = NewHop(leg, subtask.flow);
+  const uint32_t hop = NewHop(slot, leg, subtask.flow);
   hops_[hop].on_finish = std::move(on_finish);
-  uplinks_[leg.worker]->SendFlight(leg.bytes, hop, /*flush=*/true);
+  worker_uplink(leg.worker).SendFlight(leg.bytes, hop, /*flush=*/true);
 }
 
 void PsBackend::OnPushFlushed(uint32_t hop) {
@@ -256,7 +233,7 @@ void PsBackend::OnPushFlushed(uint32_t hop) {
     }
   }
   if (config_.faults != nullptr) {
-    ArmPushAckTimer(leg, flow, /*attempt=*/0);
+    ArmPushAckTimer(h.slot, leg, flow, /*attempt=*/0);
   }
   sim_->Schedule(config_.control_latency, std::move(h.on_finish));
 }
@@ -265,20 +242,19 @@ void PsBackend::OnPushAtShard(uint32_t hop) {
   // Store-and-forward: after the wire flight the partition serializes into
   // the shard NIC, where copies from all workers contend.
   const Leg& leg = hops_[hop].leg;
-  ingresses_[leg.shard]->SendFlight(leg.bytes, hop, /*flush=*/false);
+  ingress(leg.shard)->SendFlight(leg.bytes, hop, /*flush=*/false);
 }
 
-void PsBackend::SendPushData(const Leg& leg, uint64_t flow) {
+void PsBackend::SendPushData(uint32_t slot, const Leg& leg, uint64_t flow) {
   // Retransmission path: re-occupies the uplink (a resend spends real
   // bandwidth) but carries no flush callback — credit was already returned.
-  const uint32_t hop = NewHop(leg, flow);
-  uplinks_[leg.worker]->SendFlight(leg.bytes, hop, /*flush=*/false);
+  const uint32_t hop = NewHop(slot, leg, flow);
+  worker_uplink(leg.worker).SendFlight(leg.bytes, hop, /*flush=*/false);
 }
 
-void PsBackend::ArmPushAckTimer(const Leg& leg, uint64_t flow, int attempt) {
+void PsBackend::ArmPushAckTimer(uint32_t slot, const Leg& leg, uint64_t flow, int attempt) {
   const int worker = leg.worker;
-  const uint32_t slot = WorkerSlot(worker, leg.tensor, leg.partition);
-  PendingAck& ack = workers_[worker].acks[slot];
+  PendingAck& ack = acks_[SlotWorker(slot, worker)];
   // Supersede a stale timer left by a previous aggregation round of the same
   // (tensor, partition, worker) slot (async mode reuses slots freely).
   ack.timer.Cancel();
@@ -288,30 +264,30 @@ void PsBackend::ArmPushAckTimer(const Leg& leg, uint64_t flow, int attempt) {
   ack.armed = true;
   const FaultPlanConfig& policy = config_.faults->config();
   const SimTime timeout = BackoffTimeout(policy.retry_timeout, policy.retry_backoff, attempt);
-  ack.timer = sim_->Schedule(timeout, [this, worker, slot] { OnAckTimeout(worker, slot); });
+  ack.timer = sim_->Schedule(timeout, [this, slot, worker] { OnAckTimeout(slot, worker); });
 }
 
-void PsBackend::OnAckTimeout(int worker, uint32_t slot) {
-  PendingAck& ack = workers_[worker].acks[slot];
+void PsBackend::OnAckTimeout(uint32_t slot, int worker) {
+  PendingAck& ack = acks_[SlotWorker(slot, worker)];
   ack.armed = false;
   const Leg leg = ack.leg;
   const uint64_t flow = ack.flow;
   const int attempt = ack.attempt;
   BSCHED_CHECK(attempt < config_.faults->config().max_retries &&
                "push data leg exhausted its retransmit budget");
-  ++push_retransmits_[worker];
+  ++push_retransmits_;
   config_.faults->RecordBackendRetransmit(worker, leg.layer, leg.partition, attempt + 1);
   if (!rate_ctrl_.empty()) {
     // Loss signal: the data leg timed out, so back off this worker's
     // uplink before spending bandwidth on the retransmit.
     rate_ctrl_[worker]->OnLoss();
   }
-  ArmPushAckTimer(leg, flow, attempt + 1);
-  SendPushData(leg, flow);
+  ArmPushAckTimer(slot, leg, flow, attempt + 1);
+  SendPushData(slot, leg, flow);
 }
 
-void PsBackend::CancelPushAck(int worker, int64_t tensor_id, int partition) {
-  PendingAck& ack = workers_[worker].acks[WorkerSlot(worker, tensor_id, partition)];
+void PsBackend::CancelPushAck(uint32_t slot, int worker) {
+  PendingAck& ack = acks_[SlotWorker(slot, worker)];
   if (!ack.armed) {
     return;
   }
@@ -354,13 +330,11 @@ void PsBackend::RecordUpdateSpan(uint32_t hop) {
 }
 
 void PsBackend::OnPushArrived(uint32_t hop) {
-  Hop& h = hops_[hop];
+  const Hop& h = hops_[hop];
   const Leg& leg = h.leg;
+  const uint32_t slot = h.slot;
   const int worker = leg.worker;
   const int shard = leg.shard;
-  ShardState& ss = shards_[shard];
-  const uint32_t slot = ShardSlot(shard, leg.tensor, leg.partition);
-  h.slot = slot;
   {
     // Round guard: drop a copy whose round was already counted — its ack
     // timer fired while the original was merely slow (long outage window or
@@ -377,10 +351,9 @@ void PsBackend::OnPushArrived(uint32_t hop) {
     // cancelled: it retransmits, each retransmit is dropped here again, and
     // the retry budget runs out at the CHECK in OnAckTimeout ("push data leg
     // exhausted its retransmit budget").
-    uint32_t& accepted =
-        ss.accepted_round[static_cast<size_t>(slot) * config_.num_workers + worker];
+    uint32_t& accepted = accepted_round_[SlotWorker(slot, worker)];
     if (leg.round <= accepted) {
-      ++stale_push_drops_[shard];
+      ++stale_push_drops_;
       FreeHop(hop);
       return;
     }
@@ -393,11 +366,9 @@ void PsBackend::OnPushArrived(uint32_t hop) {
       // deterministic retransmit, the race a real unreliable-datagram PS
       // pays.
       sim_->Schedule(config_.control_latency,
-                     [this, worker, tensor = leg.tensor, partition = leg.partition] {
-                       CancelPushAck(worker, tensor, partition);
-                     });
+                     [this, slot, worker] { CancelPushAck(slot, worker); });
     } else {
-      CancelPushAck(worker, leg.tensor, leg.partition);
+      CancelPushAck(slot, worker);
     }
   }
   const SimTime update_time = ScaledUpdateTime(shard, leg.bytes);
@@ -413,18 +384,18 @@ void PsBackend::OnPushArrived(uint32_t hop) {
     // A bitset, not a counter: a retransmitted copy racing its
     // merely-delayed original must not count the same worker twice within
     // a round.
-    uint64_t* arrived = &ss.arrived[static_cast<size_t>(slot) * arrived_words_];
+    uint64_t* arrived = &arrived_[static_cast<size_t>(slot) * arrived_words_];
     const uint64_t bit = uint64_t{1} << (worker % 64);
     if ((arrived[worker / 64] & bit) == 0) {
       arrived[worker / 64] |= bit;
-      ++ss.arrivals[slot];
+      ++arrivals_[slot];
     }
-    if (ss.arrivals[slot] < config_.num_workers) {
+    if (arrivals_[slot] < config_.num_workers) {
       FreeHop(hop);
       return;
     }
     std::fill(arrived, arrived + arrived_words_, 0);
-    ss.arrivals[slot] = 0;
+    arrivals_[slot] = 0;
   }
   // Sync: all workers' gradients for this partition arrived. Async: apply
   // each worker's gradient on arrival; parameters become pullable after the
@@ -435,18 +406,16 @@ void PsBackend::OnPushArrived(uint32_t hop) {
 
 void PsBackend::OnUpdated(uint32_t hop) {
   const Hop& h = hops_[hop];
-  const int shard = h.leg.shard;
   const uint32_t slot = h.slot;
   const int64_t tensor = h.leg.tensor;
   const int partition = h.leg.partition;
   const uint32_t bytes = h.leg.bytes;
   RecordUpdateSpan(hop);
   FreeHop(hop);
-  ShardState& ss = shards_[shard];
-  ss.aggregated[slot] = 1;
-  uint32_t pull = ss.pending_head[slot];
-  ss.pending_head[slot] = kNone;
-  ss.pending_tail[slot] = kNone;
+  aggregated_[slot] = 1;
+  uint32_t pull = pending_head_[slot];
+  pending_head_[slot] = kNone;
+  pending_tail_[slot] = kNone;
   while (pull != kNone) {
     Hop& p = hops_[pull];
     const uint32_t next = p.next;
@@ -479,25 +448,23 @@ void PsBackend::OnUpdated(uint32_t hop) {
   }
 }
 
-void PsBackend::HandlePull(const SubCommTask& subtask, const Leg& leg,
+void PsBackend::HandlePull(const SubCommTask& subtask, uint32_t slot, const Leg& leg,
                            std::function<void()> on_finish) {
-  const uint32_t hop = NewHop(leg, subtask.flow);
+  const uint32_t hop = NewHop(slot, leg, subtask.flow);
   hops_[hop].on_finish = std::move(on_finish);
   // Pull request reaches the shard after a control-message latency.
   Forward(config_.control_latency, hop, &PsBackend::OnPullRequest);
 }
 
 void PsBackend::OnPullRequest(uint32_t hop) {
-  const Leg& leg = hops_[hop].leg;
-  ShardState& ss = shards_[leg.shard];
-  const uint32_t slot = ShardSlot(leg.shard, leg.tensor, leg.partition);
-  if (!ss.aggregated[slot]) {
-    if (ss.pending_tail[slot] == kNone) {
-      ss.pending_head[slot] = hop;
+  const uint32_t slot = hops_[hop].slot;
+  if (!aggregated_[slot]) {
+    if (pending_tail_[slot] == kNone) {
+      pending_head_[slot] = hop;
     } else {
-      hops_[ss.pending_tail[slot]].next = hop;
+      hops_[pending_tail_[slot]].next = hop;
     }
-    ss.pending_tail[slot] = hop;
+    pending_tail_[slot] = hop;
     return;
   }
   DeliverPull(hop);
@@ -520,7 +487,7 @@ void PsBackend::DeliverPull(uint32_t hop) {
       on_finish();
     };
   }
-  egresses_[h.leg.shard]->SendFlight(h.leg.bytes, hop, /*flush=*/false);
+  egress(h.leg.shard)->SendFlight(h.leg.bytes, hop, /*flush=*/false);
 }
 
 void PsBackend::OnPullAtWorker(uint32_t hop) {
@@ -529,17 +496,17 @@ void PsBackend::OnPullAtWorker(uint32_t hop) {
   const Bytes bytes = h.leg.bytes;
   std::function<void()> on_finish = std::move(h.on_finish);
   FreeHop(hop);
-  downlinks_[worker]->Send(bytes, std::move(on_finish));
+  worker_downlink(worker).Send(bytes, std::move(on_finish));
 }
 
 Bytes PsBackend::shard_bytes_in(int shard) const {
   BSCHED_CHECK(shard >= 0 && shard < config_.num_shards);
-  return ingresses_[shard]->bytes_sent();
+  return ingress(shard)->bytes_sent();
 }
 
 Bytes PsBackend::shard_bytes_out(int shard) const {
   BSCHED_CHECK(shard >= 0 && shard < config_.num_shards);
-  return egresses_[shard]->bytes_sent();
+  return egress(shard)->bytes_sent();
 }
 
 double PsBackend::ShardLoadImbalance() const {
@@ -560,10 +527,7 @@ void PsBackend::ExportMetrics() {
   if (config_.obs == nullptr || config_.obs->metrics() == nullptr) {
     return;
   }
-  for (auto& link : uplinks_) link->ExportMetrics();
-  for (auto& link : downlinks_) link->ExportMetrics();
-  for (auto& link : ingresses_) link->ExportMetrics();
-  for (auto& link : egresses_) link->ExportMetrics();
+  for (auto& link : links_) link->ExportMetrics();
   MetricsRegistry* m = config_.obs->metrics();
   for (int s = 0; s < config_.num_shards; ++s) {
     const std::string prefix = "ps.shard" + std::to_string(s);
@@ -583,24 +547,20 @@ void PsBackend::ExportMetrics() {
 std::string PsBackend::DebugString() const {
   int pending_pulls = 0;
   int waiting_slots = 0;
-  for (const ShardState& ss : shards_) {
-    for (size_t slot = 0; slot < ss.arrivals.size(); ++slot) {
-      for (uint32_t pull = ss.pending_head[slot]; pull != kNone; pull = hops_[pull].next) {
-        ++pending_pulls;
-      }
-      if (ss.arrivals[slot] > 0) {
-        ++waiting_slots;
-      }
+  for (size_t slot = 0; slot < arrivals_.size(); ++slot) {
+    for (uint32_t pull = pending_head_[slot]; pull != kNone; pull = hops_[pull].next) {
+      ++pending_pulls;
+    }
+    if (arrivals_[slot] > 0) {
+      ++waiting_slots;
     }
   }
   std::string out = "ps pending_pulls=" + std::to_string(pending_pulls) +
                     " slots_awaiting_arrivals=" + std::to_string(waiting_slots);
   if (config_.faults != nullptr) {
     size_t unacked = 0;
-    for (const WorkerState& ws : workers_) {
-      for (const PendingAck& ack : ws.acks) {
-        unacked += ack.armed ? 1 : 0;
-      }
+    for (const PendingAck& ack : acks_) {
+      unacked += ack.armed ? 1 : 0;
     }
     out += " unacked_pushes=" + std::to_string(unacked) +
            " retransmits=" + std::to_string(push_retransmits());

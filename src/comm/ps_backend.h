@@ -30,22 +30,25 @@
 // systems also accept — but never lose or double-aggregate a round.) Control
 // messages are assumed reliable.
 //
-// State layout: every (tensor, partition) slot an entity touches gets a
-// compact id from that entity's SlotIndex, and all per-slot state — push
-// rounds and ack timers per worker, aggregation bitsets, accepted rounds and
-// pending-pull FIFOs per PS shard — lives in vectors indexed by it. Ids are
-// never raw tensor ids: co-scheduled jobs offset theirs by 1 << 20. A push
-// data leg or pull in flight is one pooled Hop record named by its index:
-// one 64-byte cache line holding the completion callback, the Leg the hop
-// steps read (size, tensor, partition, layer, worker, shard, round, narrowed
-// to 32 and 16 bits and CHECKed at Start) and the shard slot and
-// pending-pull link. Trace-only hop state (flow id, submit time, update
-// time) lives in a side vector indexed by hop, sized only while tracing. A
-// link carries the index as its message token to flight handlers installed
-// once per link role, and the shard CPU and Forward callbacks capture only
-// {this, hop index}, which std::function and EventFn store inline, so a
-// job's steady state allocates nothing here. Only a pull's last leg, the
-// worker downlink, parks its completion callback in the link (Link::Send).
+// State layout: Start gives every (tensor, partition) one backend-wide slot
+// id from the backend's single SlotIndex, and the hop carries it to every
+// step, so each hop looks its key up once. Per-slot state (aggregation flag,
+// arrival bitset and count, pending-pull FIFO) lives in vectors indexed by
+// slot; per-(slot, worker) state (the sender's push round, the shard's
+// accepted round and, with faults, the ack timer) in vectors indexed by
+// slot * num_workers + worker. Ids are never raw tensor ids: co-scheduled
+// jobs offset theirs by 1 << 20. A push data leg or pull in flight is one
+// pooled Hop record named by its index: one 64-byte cache line holding the
+// completion callback, the Leg the hop steps read (size, tensor, partition,
+// layer, worker, shard, round, narrowed to 32 and 16 bits and CHECKed at
+// Start), the leg's slot and the pending-pull link. Trace-only hop state
+// (flow id, submit time, update time) lives in a side vector indexed by hop,
+// sized only while tracing. A link carries the index as its message token to
+// flight handlers installed once per link role, and the shard CPU and
+// Forward callbacks capture only {this, hop index}, which std::function and
+// EventFn store inline, so a job's steady state allocates nothing here. Only
+// a pull's last leg, the worker downlink, parks its completion callback in
+// the link (Link::Send).
 #ifndef SRC_COMM_PS_BACKEND_H_
 #define SRC_COMM_PS_BACKEND_H_
 
@@ -141,16 +144,12 @@ class PsBackend : public CommBackend {
   // Max-over-mean shard egress load; 1.0 == perfectly balanced.
   double ShardLoadImbalance() const;
 
-  Link& worker_uplink(int worker) { return *uplinks_[worker]; }
-  Link& worker_downlink(int worker) { return *downlinks_[worker]; }
+  Link& worker_uplink(int worker) { return *links_[worker]; }
+  Link& worker_downlink(int worker) { return *links_[config_.num_workers + worker]; }
 
   // Retransmissions attempted for lost push data legs (0 without faults),
-  // summed over workers.
-  uint64_t push_retransmits() const {
-    uint64_t total = 0;
-    for (uint64_t r : push_retransmits_) total += r;
-    return total;
-  }
+  // over all workers.
+  uint64_t push_retransmits() const { return push_retransmits_; }
 
   // AIMD rate-control activity (0 without dynamics), summed over workers.
   uint64_t rate_ctrl_decreases() const {
@@ -168,12 +167,8 @@ class PsBackend : public CommBackend {
 
   // Stale retransmitted push copies dropped at the shard because their round
   // was already counted (both the original and the retransmit arrived),
-  // summed over shards.
-  uint64_t stale_push_drops() const {
-    uint64_t total = 0;
-    for (uint64_t d : stale_push_drops_) total += d;
-    return total;
-  }
+  // over all shards.
+  uint64_t stale_push_drops() const { return stale_push_drops_; }
 
   // Exports end-of-run metrics (per-link busy time, per-shard bytes/CPU
   // time, retransmit count) into the obs registry. No-op without obs.
@@ -182,13 +177,12 @@ class PsBackend : public CommBackend {
  private:
   static constexpr uint32_t kNone = UINT32_MAX;
 
-  // Compact ids for the (tensor, partition) slots one entity has touched,
+  // Compact ids for the (tensor, partition) slots the backend has touched,
   // assigned in first-touch order.
   class SlotIndex {
    public:
-    // The slot's id; a new slot gets id size() (callers grow their vectors).
+    // The slot's id; a new slot gets the next id (Slot grows the vectors).
     uint32_t Get(int64_t tensor_id, int partition);
-    uint32_t size() const { return size_; }
 
    private:
     std::unordered_map<int64_t, uint32_t> tensors_;  // tensor id -> row of parts_
@@ -214,7 +208,7 @@ class PsBackend : public CommBackend {
   struct alignas(64) Hop {
     std::function<void()> on_finish;  // empty for retransmitted legs
     Leg leg;
-    uint32_t slot = kNone;  // shard-local slot, set at the shard
+    uint32_t slot = kNone;  // the leg's slot, set at Start
     uint32_t next = kNone;  // pending-pull FIFO link
   };
   static_assert(sizeof(Hop) == 64 && alignof(Hop) == 64, "a hop is one cache line");
@@ -246,48 +240,28 @@ class PsBackend : public CommBackend {
     int attempt = 0;
     bool armed = false;
   };
-  // Per-worker state.
-  struct WorkerState {
-    SlotIndex index;
-    std::vector<PushRound> rounds;  // by worker-local slot
-    std::vector<PendingAck> acks;   // by worker-local slot; faults only
-  };
-  // Aggregation state of one PS shard by shard-local slot.
-  struct ShardState {
-    SlotIndex index;
-    std::vector<uint8_t> aggregated;
-    // Workers whose gradient copy arrived this aggregation round: a bitset
-    // (arrived_words_ words per slot) plus its popcount, so retransmitted
-    // duplicates cannot inflate the round.
-    std::vector<uint64_t> arrived;
-    std::vector<int> arrivals;
-    // Highest push round accepted per (slot, worker). Every data leg carries
-    // its sender-side round number; a copy at or below the accepted round is
-    // a stale duplicate — its retransmit timer fired while the original was
-    // merely slow (a long outage or a heavily derated volatile link), both
-    // copies arrived, and counting the second would pollute the *next*
-    // aggregation round for this slot.
-    std::vector<uint32_t> accepted_round;
-    // FIFO of pull hops admitted before aggregation completed.
-    std::vector<uint32_t> pending_head;
-    std::vector<uint32_t> pending_tail;
-  };
-
   bool Tracing() const;
   void RecordUpdateSpan(uint32_t hop);
   int ShardFor(int64_t tensor_id, int partition) const;
-  // Slot ids, growing the owner's vectors on first touch.
-  uint32_t WorkerSlot(int worker, int64_t tensor_id, int partition);
-  uint32_t ShardSlot(int shard, int64_t tensor_id, int partition);
+  // The slot id of (tensor, partition), growing the slot vectors on first
+  // touch.
+  uint32_t Slot(int64_t tensor_id, int partition);
+  // Index of (slot, worker) in the per-(slot, worker) vectors.
+  size_t SlotWorker(uint32_t slot, int worker) const {
+    return static_cast<size_t>(slot) * config_.num_workers + worker;
+  }
 
-  // A hop carrying `leg`; while tracing, its trace state starts at `flow`
-  // and now.
-  uint32_t NewHop(const Leg& leg, uint64_t flow);
+  // A hop carrying `leg` of `slot`; while tracing, its trace state starts at
+  // `flow` and now.
+  uint32_t NewHop(uint32_t slot, const Leg& leg, uint64_t flow);
   void FreeHop(uint32_t hop);
 
-  // `subtask` supplies the push task id and the trace flow; `leg` the rest.
-  void HandlePush(const SubCommTask& subtask, Leg leg, std::function<void()> on_finish);
-  void HandlePull(const SubCommTask& subtask, const Leg& leg, std::function<void()> on_finish);
+  // `subtask` supplies the push task id and the trace flow; `slot` and `leg`
+  // the rest.
+  void HandlePush(const SubCommTask& subtask, uint32_t slot, Leg leg,
+                  std::function<void()> on_finish);
+  void HandlePull(const SubCommTask& subtask, uint32_t slot, const Leg& leg,
+                  std::function<void()> on_finish);
   // Hop steps, in path order. Push: uplink flush -> ingress -> arrival ->
   // shard update. Pull: request at the shard -> egress -> downlink.
   void OnPushFlushed(uint32_t hop);
@@ -302,12 +276,16 @@ class PsBackend : public CommBackend {
 
   // Retransmits a push data leg: a new hop with no flush callback. `flow`
   // is the leg's trace flow arc (0 when untraced).
-  void SendPushData(const Leg& leg, uint64_t flow);
-  void ArmPushAckTimer(const Leg& leg, uint64_t flow, int attempt);
-  void OnAckTimeout(int worker, uint32_t slot);
+  void SendPushData(uint32_t slot, const Leg& leg, uint64_t flow);
+  void ArmPushAckTimer(uint32_t slot, const Leg& leg, uint64_t flow, int attempt);
+  void OnAckTimeout(uint32_t slot, int worker);
   // The shard saw the slot's push from `worker`: stop its ack timer.
-  void CancelPushAck(int worker, int64_t tensor_id, int partition);
+  void CancelPushAck(uint32_t slot, int worker);
   SimTime ScaledUpdateTime(int shard, Bytes bytes) const;
+  Link* ingress(int shard) const { return links_[2 * config_.num_workers + shard].get(); }
+  Link* egress(int shard) const {
+    return links_[2 * config_.num_workers + config_.num_shards + shard].get();
+  }
   // Runs `step` for `hop` `delay` from now (inline when delay is zero, as
   // Link::Send delivers a zero wire flight).
   void Forward(SimTime delay, uint32_t hop, HopStep step);
@@ -317,21 +295,40 @@ class PsBackend : public CommBackend {
 
   Simulator* sim_;
   PsConfig config_;
-  // Sender-side links pay the per-message overhead θ; receiver-side links
-  // model serialization into the receiving NIC only.
-  std::vector<std::unique_ptr<Link>> uplinks_;     // worker -> network
-  std::vector<std::unique_ptr<Link>> downlinks_;   // network -> worker
-  std::vector<std::unique_ptr<Link>> ingresses_;   // network -> shard
-  std::vector<std::unique_ptr<Link>> egresses_;    // shard -> network
+  // Every link, by role: worker uplinks (worker -> network), worker
+  // downlinks (network -> worker), shard ingresses (network -> shard), shard
+  // egresses (shard -> network). Sender-side links (uplinks, egresses) pay
+  // the per-message overhead θ; receiver-side links model serialization into
+  // the receiving NIC only.
+  std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<Resource>> shard_cpus_;
-  std::vector<WorkerState> workers_;
-  std::vector<ShardState> shards_;
-  int arrived_words_ = 1;  // bitset words per slot in ShardState::arrived
+
+  SlotIndex slots_;
+  // Per slot: aggregated since its first update; the workers whose gradient
+  // copy arrived this aggregation round, as a bitset (arrived_words_ words
+  // per slot) plus its popcount, so retransmitted duplicates cannot inflate
+  // the round; and the FIFO of pull hops admitted before aggregation
+  // completed.
+  std::vector<uint8_t> aggregated_;
+  std::vector<uint64_t> arrived_;
+  std::vector<int> arrivals_;
+  std::vector<uint32_t> pending_head_;
+  std::vector<uint32_t> pending_tail_;
+  int arrived_words_ = 1;
+  // Per (slot, worker), at SlotWorker: the sender's push round; the highest
+  // round the shard accepted, so a copy at or below it is a stale duplicate
+  // (its retransmit timer fired while the original was merely slow, both
+  // copies arrived, and counting the second would pollute the *next*
+  // aggregation round for this slot); and the ack timer (faults only).
+  std::vector<PushRound> push_rounds_;
+  std::vector<uint32_t> accepted_round_;
+  std::vector<PendingAck> acks_;
+
   Pool<Hop> hops_;
   std::vector<HopTrace> hop_trace_;  // by hop; empty unless tracing
   std::vector<std::function<void(int64_t tensor_id, int partition, int worker)>> listeners_;
-  std::vector<uint64_t> push_retransmits_;  // per worker
-  std::vector<uint64_t> stale_push_drops_;  // per shard
+  uint64_t push_retransmits_ = 0;
+  uint64_t stale_push_drops_ = 0;
   // Per-worker AIMD controllers on the uplinks (empty unless dynamics with
   // aimd.enable).
   std::vector<std::unique_ptr<RateController>> rate_ctrl_;

@@ -79,11 +79,15 @@ T Flags::GetNumber(const std::string& name, T def, const char* what) const {
     ok = ok && std::isfinite(value);
   }
   if (!ok) {
-    std::fprintf(stderr, "%s: --%s needs %s, got '%s'\n", program_.c_str(), name.c_str(), what,
-                 text.c_str());
-    std::exit(2);
+    RejectValue(name, what);
   }
   return value;
+}
+
+void Flags::RejectValue(const std::string& name, const char* what) const {
+  std::fprintf(stderr, "%s: --%s needs %s, got '%s'\n", program_.c_str(), name.c_str(), what,
+               GetString(name, "").c_str());
+  std::exit(2);
 }
 
 int64_t Flags::GetInt(const std::string& name, int64_t def) const {

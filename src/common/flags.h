@@ -25,6 +25,9 @@ class Flags {
   int64_t GetInt(const std::string& name, int64_t def) const;
   double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def) const;
+  // Prints "<program>: --<name> needs <what>, got '<value>'" to stderr and
+  // exits with status 2: the one report of a value outside its flag's range.
+  [[noreturn]] void RejectValue(const std::string& name, const char* what) const;
 
   // Arguments that were not --flags, in order.
   const std::vector<std::string>& positional() const { return positional_; }

@@ -1,5 +1,6 @@
-# Runs one evaluation binary and checks it; the ctest labels golden and
-# flags call it in one of three modes:
+# Runs one evaluation binary and checks it, or checks the goldens against the
+# benchmark reference; the ctest labels golden and flags call it in one of
+# four modes:
 #   cmake -DBIN=<binary> -DGOLDEN=<file> -DACTUAL=<file> [-DCSV=ON] [-DUPDATE=ON]
 #         -P bench_check.cmake
 #     runs BIN --jobs 4, writes its stdout to ACTUAL and requires it to equal
@@ -13,12 +14,34 @@
 #     TRACE_SHA256 (UPDATE=ON rewrites GOLDEN and TRACE_SHA256 instead);
 #   cmake -DBIN=<binary> -DARGS=<arg;arg> -DEXPECT_EXIT=<n> -P bench_check.cmake
 #     runs BIN ARGS and requires exit status n.
+#   cmake -DGOLDENS=<dir> -DBINARIES=<bin;bin> -DREFERENCE=<file> -P bench_check.cmake
+#     requires each GOLDENS/<bin>.txt to hash to the sha256 that REFERENCE
+#     (perfbench/reference/eval.txt: "<bin> <sha256> <events>" lines) records
+#     for bin; runs nothing.
 if(DEFINED EXPECT_EXIT)
   execute_process(COMMAND ${BIN} ${ARGS} RESULT_VARIABLE rc OUTPUT_QUIET)
   if(NOT rc STREQUAL EXPECT_EXIT)
     list(JOIN ARGS " " args_text)
     message(FATAL_ERROR "${BIN} ${args_text}: exit status ${rc}, want ${EXPECT_EXIT}")
   endif()
+  return()
+endif()
+
+if(DEFINED REFERENCE)
+  file(STRINGS ${REFERENCE} reference_lines REGEX "^[a-z0-9_]+ [0-9a-f]+ ")
+  foreach(bin ${BINARIES})
+    file(SHA256 ${GOLDENS}/${bin}.txt golden_hash)
+    set(want_hash "")
+    foreach(line ${reference_lines})
+      if(line MATCHES "^${bin} ([0-9a-f]+) ")
+        set(want_hash ${CMAKE_MATCH_1})
+      endif()
+    endforeach()
+    if(NOT golden_hash STREQUAL want_hash)
+      message(FATAL_ERROR "${GOLDENS}/${bin}.txt hashes to ${golden_hash}, "
+                          "${REFERENCE} records '${want_hash}'")
+    endif()
+  endforeach()
   return()
 endif()
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -165,6 +166,101 @@ TEST(PsBackendTest, AggregationListenerFires) {
   ASSERT_EQ(aggregated.size(), 2u);
   EXPECT_EQ(aggregated[0], (std::tuple<int, int, int>{3, 1, 0}));
   EXPECT_EQ(aggregated[1], (std::tuple<int, int, int>{3, 1, 1}));
+}
+
+// ---- the backend's one slot table ----------------------------------------
+//
+// Every (tensor, partition) gets one slot at Start, shared by the pushes and
+// pulls of all workers and by its shard.
+
+SubCommTask WithTensor(SubCommTask st, int64_t tensor_id) {
+  st.tensor_id = tensor_id;
+  return st;
+}
+
+TEST(PsSlotTableTest, PullBeforeAnyPushWaitsForEveryWorkerThenDeliversPushSize) {
+  Simulator sim;
+  PsBackend ps(&sim, IdealPs(2, 1));
+  bool pulled = false;
+  // The pull asks for 4 KiB; it is sent the aggregated push's 1 MiB.
+  ps.Start(MakeSub(0, 0, 0, KiB(4), CommOpType::kPull), [&] { pulled = true; });
+  sim.Run();
+  EXPECT_FALSE(pulled);
+  EXPECT_NE(ps.DebugString().find("pending_pulls=1"), std::string::npos);
+  ps.Start(MakeSub(0, 0, 0, MiB(1), CommOpType::kPush), [] {});
+  sim.Run();
+  EXPECT_FALSE(pulled);  // worker 1's copy is still missing
+  ps.Start(MakeSub(1, 0, 0, MiB(1), CommOpType::kPush), [] {});
+  sim.Run();
+  EXPECT_TRUE(pulled);
+  EXPECT_EQ(ps.worker_downlink(0).bytes_sent(), MiB(1));
+  EXPECT_NE(ps.DebugString().find("pending_pulls=0"), std::string::npos);
+}
+
+TEST(PsSlotTableTest, CoScheduledTensorIdsGetDistinctSlots) {
+  // Co-scheduled jobs offset their tensor ids by 1 << 20: tensors a and b
+  // share layer, partition and (one shard) shard, but not their slot.
+  constexpr int64_t kA = 7;
+  constexpr int64_t kB = kA + (int64_t{1} << 20);
+  Simulator sim;
+  PsBackend ps(&sim, IdealPs(2, 1));
+  std::vector<int64_t> aggregated;
+  ps.AddAggregationListener([&](int64_t tensor, int, int) { aggregated.push_back(tensor); });
+  bool pulled_b = false;
+  ps.Start(WithTensor(MakeSub(0, 7, 0, KiB(4), CommOpType::kPull), kB), [&] { pulled_b = true; });
+  for (int w = 0; w < 2; ++w) {
+    ps.Start(WithTensor(MakeSub(w, 7, 0, MiB(1), CommOpType::kPush), kA), [] {});
+  }
+  sim.Run();
+  // Aggregating a releases nothing parked on b.
+  EXPECT_EQ(aggregated, (std::vector<int64_t>{kA, kA}));
+  EXPECT_FALSE(pulled_b);
+  EXPECT_NE(ps.DebugString().find("pending_pulls=1"), std::string::npos);
+  bool pulled_a = false;
+  ps.Start(WithTensor(MakeSub(1, 7, 0, MiB(1), CommOpType::kPull), kA), [&] { pulled_a = true; });
+  sim.Run();
+  EXPECT_TRUE(pulled_a);
+  EXPECT_FALSE(pulled_b);
+  for (int w = 0; w < 2; ++w) {
+    ps.Start(WithTensor(MakeSub(w, 7, 0, KiB(256), CommOpType::kPush), kB), [] {});
+  }
+  sim.Run();
+  EXPECT_TRUE(pulled_b);
+  EXPECT_EQ(aggregated, (std::vector<int64_t>{kA, kA, kB, kB}));
+  EXPECT_EQ(ps.worker_downlink(0).bytes_sent(), KiB(256));  // b's pushes
+  EXPECT_EQ(ps.worker_downlink(1).bytes_sent(), MiB(1));    // a's pushes
+}
+
+TEST(PsSlotTableTest, AckingOneSlotLeavesAnotherSlotsTimerArmed) {
+  // Every message sent in [0, 1 ms) is lost: tensor 1's data leg leaves at 0
+  // and is lost, tensor 0's leaves at 2 ms and is acked. Tensor 1's ack timer
+  // (5 ms after its flush) must survive that ack and retransmit.
+  Simulator sim;
+  FaultPlanConfig plan;
+  plan.seed = 5;
+  plan.horizon = SimTime::Millis(1);
+  plan.site_prob = 1.0;
+  plan.drop_episodes = 1;
+  plan.drop_prob = 1.0;
+  plan.drop_len = SimTime::Millis(1);
+  plan.retry_timeout = SimTime::Millis(5);
+  FaultInjector faults(plan, &sim);
+  PsConfig cfg = IdealPs(1, 1);
+  cfg.faults = &faults;
+  PsBackend ps(&sim, cfg);
+  int aggregations = 0;
+  ps.AddAggregationListener([&](int64_t, int, int) { ++aggregations; });
+  ps.Start(MakeSub(0, 1, 0, KiB(64), CommOpType::kPush), [] {});
+  sim.Schedule(SimTime::Millis(2),
+               [&] { ps.Start(MakeSub(0, 0, 0, KiB(64), CommOpType::kPush), [] {}); });
+  sim.Run(SimTime::Millis(3));
+  EXPECT_EQ(aggregations, 1);  // tensor 0 only
+  EXPECT_NE(ps.DebugString().find("unacked_pushes=1"), std::string::npos) << ps.DebugString();
+  EXPECT_EQ(ps.push_retransmits(), 0u);
+  sim.Run();
+  EXPECT_EQ(ps.push_retransmits(), 1u);
+  EXPECT_EQ(aggregations, 2);
+  EXPECT_NE(ps.DebugString().find("unacked_pushes=0"), std::string::npos) << ps.DebugString();
 }
 
 AllReduceConfig IdealRing(int workers) {

@@ -25,9 +25,9 @@
 namespace bsched {
 namespace {
 
-// ---- ParallelFor (SweepRunnerTest is named after sweep_runner.h) ---------
+// ---- ParallelFor --------------------------------------------------------
 
-TEST(SweepRunnerTest, ResultsComeBackInInputOrder) {
+TEST(ParallelForTest, ResultsComeBackInInputOrder) {
   const std::vector<int> results = ParallelFor(
       64,
       [](size_t i) {
@@ -43,12 +43,12 @@ TEST(SweepRunnerTest, ResultsComeBackInInputOrder) {
   }
 }
 
-TEST(SweepRunnerTest, SerialAndParallelProduceIdenticalResults) {
+TEST(ParallelForTest, SerialAndParallelProduceIdenticalResults) {
   const auto body = [](size_t i) { return 3.0 * static_cast<double>(i) + 1.0; };
   EXPECT_EQ(ParallelFor(33, body, 1), ParallelFor(33, body, 8));
 }
 
-TEST(SweepRunnerTest, VoidBodyRunsEveryIndexExactlyOnce) {
+TEST(ParallelForTest, VoidBodyRunsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(50);
   ParallelFor(50, [&hits](size_t i) { ++hits[i]; }, 4);
   for (const std::atomic<int>& h : hits) {
@@ -56,14 +56,14 @@ TEST(SweepRunnerTest, VoidBodyRunsEveryIndexExactlyOnce) {
   }
 }
 
-TEST(SweepRunnerTest, ZeroAndSingleItemSweeps) {
+TEST(ParallelForTest, ZeroAndSingleItemSweeps) {
   EXPECT_TRUE(ParallelFor(0, [](size_t) { return 1; }, 4).empty());
   const std::vector<int> one = ParallelFor(1, [](size_t i) { return static_cast<int>(i); }, 4);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0], 0);
 }
 
-TEST(SweepRunnerTest, LowestIndexExceptionPropagates) {
+TEST(ParallelForTest, LowestIndexExceptionPropagates) {
   try {
     ParallelFor(
         16,
@@ -80,7 +80,7 @@ TEST(SweepRunnerTest, LowestIndexExceptionPropagates) {
   }
 }
 
-TEST(SweepRunnerTest, SerialExceptionPropagates) {
+TEST(ParallelForTest, SerialExceptionPropagates) {
   int started = 0;
   EXPECT_THROW(ParallelFor(
                    4,
@@ -93,7 +93,7 @@ TEST(SweepRunnerTest, SerialExceptionPropagates) {
   EXPECT_EQ(started, 1);  // items after the first throw never start
 }
 
-TEST(SweepRunnerTest, DefaultJobsOverride) {
+TEST(ParallelForTest, DefaultJobsOverride) {
   const int before = DefaultJobs();
   SetDefaultJobs(3);
   EXPECT_EQ(DefaultJobs(), 3);
@@ -116,7 +116,7 @@ TEST(SweepRunnerTest, DefaultJobsOverride) {
   EXPECT_GE(before, 1);
 }
 
-TEST(SweepRunnerTest, UsesMultipleThreadsWhenParallel) {
+TEST(ParallelForTest, UsesMultipleThreadsWhenParallel) {
   std::mutex mu;
   std::set<std::thread::id> ids;
   std::atomic<int> arrived{0};
@@ -177,14 +177,14 @@ TEST(ParallelGridTest, ScalingGridIsBitIdenticalAcrossWorkerCounts) {
   }
 }
 
-// ---- sweep-shard determinism oracle ---------------------------------------
+// ---- --jobs 1 vs --jobs 4 determinism oracle ----------------------------
 //
 // A figure sweep runs on --jobs N threads. Every job runs on its own
 // Simulator, so each observable below must be bit-identical whether the
 // sweep runs with --jobs 1 or --jobs 4. The jobs use
 // JobConfig::delayed_notify, the PS notification path fig15 runs.
 
-std::vector<JobConfig> ShardedOracleSweep() {
+std::vector<JobConfig> JobsOracleSweep() {
   std::vector<JobConfig> sweep;
   for (int machines : {2, 3, 4}) {
     JobConfig job = bench::WithMode(
@@ -198,10 +198,10 @@ std::vector<JobConfig> ShardedOracleSweep() {
   return sweep;
 }
 
-// Runs `body` on every job of ShardedOracleSweep() on `jobs` threads.
+// Runs `body` on every job of JobsOracleSweep() on `jobs` threads.
 template <typename Fn>
-auto RunShardedSweep(int jobs, Fn body) {
-  const std::vector<JobConfig> sweep = ShardedOracleSweep();
+auto RunJobsOracleSweep(int jobs, Fn body) {
+  const std::vector<JobConfig> sweep = JobsOracleSweep();
   return ParallelFor(sweep.size(), [&](size_t i) { return body(sweep[i]); }, jobs);
 }
 
@@ -218,10 +218,10 @@ void ExpectBitIdentical(const JobResult& a, const JobResult& b) {
   }
 }
 
-TEST(ShardedDeterminismTest, ResultsAreBitIdenticalAcrossShardCounts) {
+TEST(SweepJobsDeterminismTest, ResultsAreBitIdenticalAtJobs1And4) {
   auto run = [](const JobConfig& job) { return RunTrainingJob(job); };
-  const std::vector<JobResult> one = RunShardedSweep(1, run);
-  const std::vector<JobResult> four = RunShardedSweep(4, run);
+  const std::vector<JobResult> one = RunJobsOracleSweep(1, run);
+  const std::vector<JobResult> four = RunJobsOracleSweep(4, run);
   ASSERT_EQ(one.size(), four.size());
   for (size_t i = 0; i < one.size(); ++i) {
     SCOPED_TRACE("job " + std::to_string(i));
@@ -230,7 +230,7 @@ TEST(ShardedDeterminismTest, ResultsAreBitIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ShardedDeterminismTest, MetricsSnapshotIsByteIdenticalAcrossShardCounts) {
+TEST(SweepJobsDeterminismTest, MetricsSnapshotIsByteIdenticalAtJobs1And4) {
   // Each job's exported metrics snapshot must serialize to the same bytes.
   auto snapshot_json = [](JobConfig job) {
     MetricsRegistry metrics;
@@ -240,12 +240,12 @@ TEST(ShardedDeterminismTest, MetricsSnapshotIsByteIdenticalAcrossShardCounts) {
     metrics.Snapshot().WriteJson(out);
     return out.str();
   };
-  const std::vector<std::string> one = RunShardedSweep(1, snapshot_json);
+  const std::vector<std::string> one = RunJobsOracleSweep(1, snapshot_json);
   EXPECT_FALSE(one.front().empty());
-  EXPECT_EQ(one, RunShardedSweep(4, snapshot_json));
+  EXPECT_EQ(one, RunJobsOracleSweep(4, snapshot_json));
 }
 
-TEST(ShardedDeterminismTest, TimeSeriesCsvIsByteIdenticalAcrossShardCounts) {
+TEST(SweepJobsDeterminismTest, TimeSeriesCsvIsByteIdenticalAtJobs1And4) {
   // The sim-time sampling pipeline merges per-scope series in fixed
   // (time, scope) order, so the exported CSV (tick times, instantaneous
   // values and per-window sketch percentiles alike) must not depend on how
@@ -258,14 +258,14 @@ TEST(ShardedDeterminismTest, TimeSeriesCsvIsByteIdenticalAcrossShardCounts) {
     RunTrainingJob(job);
     return recorder.ToCsv();
   };
-  const std::vector<std::string> one = RunShardedSweep(1, series_csv);
+  const std::vector<std::string> one = RunJobsOracleSweep(1, series_csv);
   for (const std::string& csv : one) {
     // Sanity: the series actually carries sampled rows, not just the header.
     EXPECT_NE(csv.find(",w0,"), std::string::npos)
         << "expected worker-0 sample rows in:\n"
         << csv.substr(0, 400);
   }
-  EXPECT_EQ(one, RunShardedSweep(4, series_csv));
+  EXPECT_EQ(one, RunJobsOracleSweep(4, series_csv));
 }
 
 // ---- delayed PS notifications -------------------------------------------

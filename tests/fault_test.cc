@@ -710,7 +710,7 @@ NetDynamicsConfig VolatileFabric(uint64_t seed) {
   return dyn;
 }
 
-// ---- sweep-shard chaos determinism ----------------------------------------
+// ---- --jobs 1 vs --jobs 4 chaos determinism -----------------------------
 //
 // With JobConfig::delayed_notify the shard's push-ack cancel is a control
 // message, so a retransmit timer can fire while the ack is in flight and
@@ -778,7 +778,7 @@ void ExpectSameRecovery(const JobResult& a, const JobResult& b) {
   EXPECT_EQ(a.link_repaces, b.link_repaces);
 }
 
-TEST(ChaosShardBoundaryTest, RecoveryIsBitIdenticalAcrossShardCounts) {
+TEST(ChaosSweepJobsTest, RecoveryIsBitIdenticalAtJobs1And4) {
   const std::vector<uint64_t> seeds = {1, 2, 3, 4};
   const std::vector<ChaosRun> one = RunChaosSweep(1, seeds, /*volatile_fabric=*/false);
   const std::vector<ChaosRun> four = RunChaosSweep(4, seeds, /*volatile_fabric=*/false);
@@ -790,10 +790,10 @@ TEST(ChaosShardBoundaryTest, RecoveryIsBitIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ChaosShardBoundaryTest, TimeSeriesCsvIsByteIdenticalAcrossShardCounts) {
+TEST(ChaosSweepJobsTest, TimeSeriesCsvIsByteIdenticalAtJobs1And4) {
   // The sampling tick chains interleave with retransmission recovery; the
   // exported series, including the per-window sketches that see the
-  // recovery spikes, must still not depend on the sweep's shard count.
+  // recovery spikes, must still not depend on the sweep's --jobs value.
   const std::vector<uint64_t> seeds = {1, 3};
   const std::vector<ChaosRun> one = RunChaosSweep(1, seeds, /*volatile_fabric=*/false);
   const std::vector<ChaosRun> four = RunChaosSweep(4, seeds, /*volatile_fabric=*/false);
@@ -805,7 +805,7 @@ TEST(ChaosShardBoundaryTest, TimeSeriesCsvIsByteIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ChaosShardBoundaryTest, VolatileFabricRecoveryIsBitIdenticalAcrossShardCounts) {
+TEST(ChaosSweepJobsTest, VolatileFabricRecoveryIsBitIdenticalAtJobs1And4) {
   const std::vector<uint64_t> seeds = {1, 2, 3, 4};
   const std::vector<ChaosRun> one = RunChaosSweep(1, seeds, /*volatile_fabric=*/true);
   const std::vector<ChaosRun> four = RunChaosSweep(4, seeds, /*volatile_fabric=*/true);
