@@ -29,7 +29,7 @@ double SpeedWith(Bandwidth bw, Bytes partition, Bytes credit) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::InitBenchJobs(argc, argv);
+  bench::InitObsBenchJobs(argc, argv);
   const std::vector<Bytes> sizes = {KiB(80),  KiB(160), KiB(240), KiB(320),
                                     KiB(400), KiB(480), KiB(560), KiB(640), KiB(750)};
   std::printf("Figure 4: VGG16, MXNet PS TCP, FIFO scheduling, 32 GPUs\n\n");

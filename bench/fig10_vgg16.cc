@@ -5,7 +5,7 @@
 #include "src/model/zoo.h"
 
 int main(int argc, char** argv) {
-  bsched::bench::InitBenchJobs(argc, argv);
+  bsched::bench::InitObsBenchJobs(argc, argv);
   bsched::bench::PrintScalingFigure("Figure 10: training VGG16", bsched::Vgg16(),
                                     /*include_p3=*/true);
   return 0;

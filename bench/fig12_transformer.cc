@@ -4,7 +4,7 @@
 #include "src/model/zoo.h"
 
 int main(int argc, char** argv) {
-  bsched::bench::InitBenchJobs(argc, argv);
+  bsched::bench::InitObsBenchJobs(argc, argv);
   bsched::bench::PrintScalingFigure("Figure 12: training Transformer", bsched::Transformer(),
                                     /*include_p3=*/true);
   return 0;

@@ -82,7 +82,7 @@ void RunPane(const char* label, const ModelProfile& model, const Setup& setup) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::InitBenchJobs(argc, argv);
+  bench::InitObsBenchJobs(argc, argv);
   std::printf("Figure 13: speed vs bandwidth, 32 GPUs, baseline / fixed / tuned scheduler\n\n");
   struct Pane {
     const char* label;

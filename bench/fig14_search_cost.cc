@@ -107,7 +107,7 @@ void RunPane(const char* label, const ModelProfile& model, const Setup& setup) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::InitBenchJobs(argc, argv);
+  bench::InitObsBenchJobs(argc, argv);
   std::printf("Figure 14: search cost of auto-tuning algorithms (trials to reach the\n"
               "grid-search optimum; %d seeds each)\n\n", kRepeats);
   RunPane("VGG16, MXNet PS RDMA", Vgg16(), Setup::MxnetPsRdma());

@@ -14,7 +14,7 @@
 //
 // Flags: --jobs N          sweep workers (default: hardware concurrency)
 //        --model NAME      zoo model (default resnet50)
-//        --gbps F          per-NIC bandwidth, > 0 (default 25)
+//        --gbps F          per-NIC bandwidth, >= 1e-6 (default 25)
 //        --seed N          dynamics seed (default 3)
 //        --csv PATH        also write the rows as CSV
 //        --check-determinism  recompute the sweep at --jobs 1 and require
@@ -22,7 +22,7 @@
 //        --require-growing-gain  fail unless ByteScheduler's gain over
 //                          vanilla is larger at the highest amplitude than
 //                          at amplitude 0 (the figure's acceptance check)
-// An unknown flag, an unknown --model or a --gbps <= 0 exits 2.
+// An unknown flag, an unknown --model or a --gbps below 1e-6 exits 2.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
                                          "require-growing-gain"});
   SweepSpec spec;
   spec.model = flags.GetString("model", spec.model);
-  spec.gbps = flags.GetDouble("gbps", spec.gbps);
+  spec.gbps = flags.GetGbps("gbps", spec.gbps);
   spec.seed = static_cast<uint64_t>(
       flags.GetInt("seed", static_cast<int64_t>(spec.seed)));
   const std::string csv_path = flags.GetString("csv", "");
@@ -142,9 +142,6 @@ int main(int argc, char** argv) {
   // aborting inside the sweep.
   if (!ModelByName(spec.model).has_value()) {
     flags.RejectValue("model", "a zoo model name");
-  }
-  if (spec.gbps <= 0) {
-    flags.RejectValue("gbps", "a positive number");
   }
 
   // "shards=1" is literal text: perfbench/reference/eval.txt pins this header.

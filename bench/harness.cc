@@ -3,21 +3,28 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 
 #include "src/common/flags.h"
-#include "src/common/trace.h"
 #include "src/exec/sweep_runner.h"
-#include "src/obs/metrics.h"
-#include "src/obs/timeseries.h"
+#include "src/runtime/obs_artifacts.h"
 
 namespace bsched {
 namespace bench {
 namespace {
 
-// Artifact paths captured by InitBenchJobs for MaybeWriteObsArtifacts.
+// Artifact paths captured by InitObsBenchJobs for MaybeWriteObsArtifacts.
 ObsFlags g_obs_flags;
+
+// Parses --jobs plus the `known` flags; exits 2 on a bad one.
+Flags InitFlags(int argc, const char* const* argv, std::vector<std::string_view> known) {
+  const Flags flags(argc, argv);
+  known.push_back("jobs");
+  if (!flags.CheckNames(argv[0], known) || !SetDefaultJobsFromFlags(flags, argv[0])) {
+    std::exit(2);
+  }
+  return flags;
+}
 
 }  // namespace
 
@@ -135,18 +142,13 @@ void PrintScalingFigure(const std::string& title, const ModelProfile& model, boo
 
 int InitBenchJobs(int argc, const char* const* argv,
                   std::initializer_list<std::string_view> extra) {
-  const Flags flags(argc, argv);
-  std::vector<std::string_view> known = {"jobs",       "trace",        "metrics",
-                                         "timeseries", "sample-every", "obs"};
-  known.insert(known.end(), extra);
-  if (!flags.CheckNames(argv[0], known)) {
-    std::exit(2);
-  }
-  if (!SetDefaultJobsFromFlags(flags, argv[0])) {
-    std::exit(2);
-  }
-  g_obs_flags = ParseObsFlags(flags);
+  InitFlags(argc, argv, extra);
   return DefaultJobs();
+}
+
+void InitObsBenchJobs(int argc, const char* const* argv) {
+  g_obs_flags = ParseObsFlags(
+      InitFlags(argc, argv, {"trace", "metrics", "timeseries", "sample-every", "obs"}));
 }
 
 void MaybeWriteObsArtifacts(const JobConfig& job) {
@@ -156,37 +158,12 @@ void MaybeWriteObsArtifacts(const JobConfig& job) {
   // One representative ByteScheduler run, executed serially on this thread:
   // the TraceRecorder is not thread-safe, so the figure sweeps above run
   // uninstrumented and this rerun owns all sinks exclusively.
-  TraceRecorder trace;
-  MetricsRegistry metrics;
-  const bool want_timeseries = !g_obs_flags.timeseries_path.empty();
-  TimeSeriesRecorder timeseries(
-      &metrics, SimTime::Micros(g_obs_flags.sample_every_us > 0 ? g_obs_flags.sample_every_us
-                                                                : 100));
+  ObsArtifacts artifacts(g_obs_flags);
   JobConfig run = WithMode(job, SchedMode::kByteScheduler);
-  run.trace = g_obs_flags.trace_path.empty() ? nullptr : &trace;
-  // The time-series recorder samples metric handles, so it implies metrics.
-  run.metrics =
-      g_obs_flags.metrics_path.empty() && !want_timeseries ? nullptr : &metrics;
-  run.timeseries = want_timeseries ? &timeseries : nullptr;
+  artifacts.Attach(&run);
   RunTrainingJob(run);
-  if (!g_obs_flags.trace_path.empty()) {
-    std::ofstream out(g_obs_flags.trace_path);
-    trace.WriteChromeTrace(out);
-    std::printf("trace artifact  : %s (%zu events, %s on %s)\n", g_obs_flags.trace_path.c_str(),
-                trace.num_events(), run.model.name.c_str(), run.setup.name.c_str());
-  }
-  if (!g_obs_flags.metrics_path.empty()) {
-    std::ofstream out(g_obs_flags.metrics_path);
-    metrics.Snapshot().WriteJson(out);
-    std::printf("metrics artifact: %s\n", g_obs_flags.metrics_path.c_str());
-  }
-  if (want_timeseries) {
-    std::ofstream out(g_obs_flags.timeseries_path);
-    timeseries.WriteCsv(out);
-    std::printf("timeseries artifact: %s (%llu ticks @ %lldus)\n",
-                g_obs_flags.timeseries_path.c_str(),
-                static_cast<unsigned long long>(timeseries.total_ticks()),
-                static_cast<long long>(g_obs_flags.sample_every_us));
+  if (!artifacts.Write()) {
+    std::exit(1);
   }
 }
 

@@ -64,23 +64,26 @@ void PrintScalingFigure(const std::string& title, const ModelProfile& model, boo
 std::string GainPercent(double sched, double baseline);
 
 // Parses the common bench flags (--jobs N, default hardware concurrency) and
-// installs the result as the process-wide sweep worker count, plus the
-// shared observability flags (--trace / --metrics / --timeseries /
-// --sample-every / --obs) consumed by MaybeWriteObsArtifacts. Returns the
+// installs the result as the process-wide sweep worker count. Returns the
 // effective jobs value. `extra` names the binary's own flags. A malformed
 // token (a single dash such as "-jobs", or a bare "--"), a --name outside
-// the shared and extra names, or a --jobs value that is not a whole positive
+// --jobs and the extra names, or a --jobs value that is not a whole positive
 // number prints an error to stderr and exits with status 2 instead of
 // running the defaults.
 int InitBenchJobs(int argc, const char* const* argv,
                   std::initializer_list<std::string_view> extra = {});
 
-// When InitBenchJobs saw --trace/--metrics/--timeseries/--sample-every/
-// --obs: reruns `job` (forced to ByteScheduler mode, serially — the trace
-// sink is single-threaded) with the observability sinks attached and writes
-// the requested artifact files (Chrome trace, metrics snapshot, sim-time
-// series CSV). No-op otherwise. PrintScalingFigure calls this with its first
-// (setup, GPU count) cell, so every figure binary emits artifacts for free.
+// InitBenchJobs for the binaries that write observability artifacts (fig04,
+// fig10-12, fig13, fig14): also accepts the shared --trace / --metrics /
+// --timeseries / --sample-every / --obs flags (src/common/flags.h) consumed
+// by MaybeWriteObsArtifacts.
+void InitObsBenchJobs(int argc, const char* const* argv);
+
+// When InitObsBenchJobs saw an obs flag: reruns `job` (forced to
+// ByteScheduler mode, serially — the trace sink is single-threaded) with an
+// ObsArtifacts owner attached and writes the requested files. Exits 1 when
+// one cannot be written. No-op otherwise. PrintScalingFigure calls this with
+// its first (setup, GPU count) cell.
 void MaybeWriteObsArtifacts(const JobConfig& job);
 
 }  // namespace bench

@@ -4,13 +4,15 @@
 // wall-clock of one reference figure sweep at --jobs 1 vs --jobs N, then
 // writes BENCH_sim.json so future PRs can compare against this baseline.
 //
-// The event loop is measured twice in one process, in alternating rounds:
-// with sampling off (the bare Simulator) and with sampling on (a
-// TimeSeriesRecorder ticking on the same Simulator every simulated
-// millisecond). Both sides must agree on the workload checksum, or the run
-// exits 1. Two gates then apply, each confirmed by an independent re-measure
-// before it fails the run (exit 1):
-//  - sampling overhead (1 - on/off) above kMaxSamplingOverhead;
+// The event loop is measured twice in one process, interleaved within each
+// round: with sampling off (a bare Simulator) and with sampling on (a
+// TimeSeriesRecorder ticking on a second Simulator every simulated
+// millisecond), the two advanced in alternating blocks of events. Both sides
+// must agree on the workload checksum, or the run exits 1. Two gates then
+// apply, each confirmed by an independent re-measure before it fails the
+// run (exit 1):
+//  - sampling overhead (1 - off CPU time / on CPU time) above
+//    kMaxSamplingOverhead;
 //  - when the output file from a previous run exists (or --baseline points
 //    at one), sampling-off churn throughput more than --max-regression below
 //    it — the cross-build `ctest -L perf` regression gate. A baseline file
@@ -21,7 +23,7 @@
 //        --out PATH        output JSON path (default: BENCH_sim.json)
 //        --baseline PATH   prior BENCH_sim.json to gate against (default: --out)
 //        --churn-events N  events per churn round, > 0 (default: 300000)
-//        --rounds N        churn rounds per side, best-of, > 0 (default: 3)
+//        --rounds N        interleaved churn rounds, > 0 (default: 3)
 //        --skip-sweep      measure the event loop only (quick smoke mode)
 //        --max-regression F  allowed churn slowdown vs baseline
 //                            (default 0.10 — the >10% regression gate)
@@ -53,10 +55,10 @@
 namespace bsched {
 namespace {
 
-// Largest allowed sampling overhead, 1 - (sampling-on rate / sampling-off
-// rate). Both sides run in one process in alternating rounds, so host
-// noise hits them alike; see EXPERIMENTS.md §Benchmark methodology for the
-// measured spread behind this bound.
+// Largest allowed sampling overhead, 1 - (sampling-off CPU time /
+// sampling-on CPU time). Both sides run interleaved in blocks of events, so
+// host noise hits them alike; see EXPERIMENTS.md §Benchmark methodology for
+// the measured spread behind this bound.
 constexpr double kMaxSamplingOverhead = 0.15;
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -79,103 +81,112 @@ double CpuSeconds() {
 // reschedules a successor carrying ~40 bytes of captured state, arms a
 // "retry timer" a few steps out, and cancels the previous timer — so a
 // third of all scheduled events die cancelled, some only at queue head.
-uint64_t RunChurn(Simulator& sim, int events) {
-  uint64_t checksum = 0;
-  EventHandle retry_timer;
-  int remaining = events;
-  std::function<void(int)> chain = [&](int lane) {
-    checksum += static_cast<uint64_t>(lane);
-    if (--remaining <= 0) {
-      return;
+// Each Churn owns its Simulator, which the caller steps in blocks of events,
+// so two of them can run interleaved on one thread.
+struct Churn {
+  // With `sampling`, a TimeSeriesRecorder scope ticks on the churn simulator
+  // every simulated millisecond, sampling a counter, a gauge and a sketch
+  // from a registry populated before the run. The churn sim advances ~100ns
+  // per link plus the 50ms retry-timer tail, so tick events interleave
+  // throughout: the cost measured is the recorder's timer chain and row
+  // formatting on top of the identical event-loop work.
+  Churn(int events, bool sampling) : remaining(events) {
+    if (sampling) {
+      registry.counter("churn.links")->Inc(static_cast<uint64_t>(events));
+      registry.gauge("churn.lane")->Set(events);
+      Histogram* payload = registry.histogram("churn.payload");
+      for (int i = 0; i < 16; ++i) {
+        payload->Observe(100 + i);
+      }
+      recorder.emplace(&registry, SimTime::Millis(1));
+      const int scope =
+          recorder->AddScope("churn", &sim, [this] { return sim.PendingEvents() > 0; });
+      recorder->SampleCounter(scope, "churn.links");
+      recorder->SampleGauge(scope, "churn.lane");
+      recorder->SampleSketch(scope, "churn.payload");
+      recorder->Start();
     }
-    retry_timer.Cancel();
-    // The successor captures the lane, a payload, and the chain itself.
-    const int64_t payload = remaining;
-    sim.Schedule(SimTime::Nanos(100 + lane), [&chain, lane, payload] {
-      chain((lane + static_cast<int>(payload)) % 7);
-    });
-    retry_timer = sim.Schedule(SimTime::Millis(50), [&checksum] { checksum += 1; });
-  };
-  chain(0);
-  sim.Run();
-  return checksum;
-}
+    chain = [this](int lane) {
+      checksum += static_cast<uint64_t>(lane);
+      if (--remaining <= 0) {
+        return;
+      }
+      retry_timer.Cancel();
+      // The successor captures the lane, a payload, and the chain itself.
+      const int64_t payload = remaining;
+      sim.Schedule(SimTime::Nanos(100 + lane), [this, lane, payload] {
+        chain((lane + static_cast<int>(payload)) % 7);
+      });
+      retry_timer = sim.Schedule(SimTime::Millis(50), [this] { checksum += 1; });
+    };
+    chain(0);
+  }
+  // The callbacks hold `this`.
+  Churn(const Churn&) = delete;
+  Churn& operator=(const Churn&) = delete;
 
-struct ChurnRound {
-  double events_per_sec = 0.0;
-  uint64_t checksum = 0;
-  uint64_t ticks = 0;  // recorder ticks; 0 with sampling off
-};
-
-// One timed churn round. With `sampling`, a TimeSeriesRecorder scope ticks
-// on the churn simulator every simulated millisecond, sampling a counter, a
-// gauge and a sketch from a registry populated before the run. The churn
-// sim advances ~100ns per link plus the 50ms retry-timer tail, so the round
-// sees tick events interleaved throughout: the cost measured is the
-// recorder's timer chain and row formatting on top of the identical
-// event-loop work.
-ChurnRound MeasureRound(int events, bool sampling) {
   Simulator sim;
   MetricsRegistry registry;
   std::optional<TimeSeriesRecorder> recorder;
-  if (sampling) {
-    registry.counter("churn.links")->Inc(static_cast<uint64_t>(events));
-    registry.gauge("churn.lane")->Set(events);
-    Histogram* payload = registry.histogram("churn.payload");
-    for (int i = 0; i < 16; ++i) {
-      payload->Observe(100 + i);
-    }
-    recorder.emplace(&registry, SimTime::Millis(1));
-    const int scope =
-        recorder->AddScope("churn", &sim, [&sim] { return sim.PendingEvents() > 0; });
-    recorder->SampleCounter(scope, "churn.links");
-    recorder->SampleGauge(scope, "churn.lane");
-    recorder->SampleSketch(scope, "churn.payload");
-    recorder->Start();
-  }
-  ChurnRound round;
-  const double start = CpuSeconds();
-  round.checksum = RunChurn(sim, events);
-  const double sec = CpuSeconds() - start;
-  // ~2 scheduled events (successor + retry timer) per fired chain link.
-  round.events_per_sec = 2.0 * events / sec;
-  round.ticks = recorder ? recorder->total_ticks() : 0;
-  return round;
-}
+  std::function<void(int)> chain;
+  EventHandle retry_timer;
+  uint64_t checksum = 0;
+  int remaining;
+};
+
+// Events each side fires before the other side's turn: ~0.3 ms of CPU, so
+// both sides sample the host at the same speed even when it shifts mid-round.
+constexpr int kBlockEvents = 8192;
 
 struct ChurnResult {
   double events_per_sec = 0.0;           // best sampling-off round
   double sampling_events_per_sec = 0.0;  // best sampling-on round
-  uint64_t sampling_ticks = 0;           // ticks in the best sampling-on round
+  uint64_t sampling_ticks = 0;           // ticks per sampling-on round
   uint64_t checksum = 0;
   bool checksums_agree = true;
+  // CPU time each side spent over all rounds, on identical work.
+  double off_cpu_sec = 0.0;
+  double on_cpu_sec = 0.0;
 
-  double sampling_overhead() const { return 1.0 - sampling_events_per_sec / events_per_sec; }
+  double sampling_overhead() const { return 1.0 - off_cpu_sec / on_cpu_sec; }
 };
 
-// Best-of `rounds` per side. Round r runs sampling off then on when r is
-// even and on then off when r is odd, so drift in host speed during the run
-// does not favour either side.
+// `rounds` rounds, each running a sampling-off and a sampling-on churn side
+// by side: the two simulators advance in alternating blocks of kBlockEvents,
+// and each side's CPU time is summed over its own blocks. Which side goes
+// first alternates by round. The rates are best-of-rounds per side; the
+// overhead compares the CPU totals, which were spent on the same host
+// windows.
 ChurnResult MeasureChurn(int events, int rounds) {
-  ChurnResult best;
-  bool first = true;
+  ChurnResult result;
   for (int r = 0; r < rounds; ++r) {
-    for (const bool sampling : {r % 2 == 1, r % 2 == 0}) {
-      const ChurnRound round = MeasureRound(events, sampling);
-      if (first) {
-        best.checksum = round.checksum;
-        first = false;
-      }
-      best.checksums_agree = best.checksums_agree && round.checksum == best.checksum;
-      if (!sampling) {
-        best.events_per_sec = std::max(best.events_per_sec, round.events_per_sec);
-      } else if (round.events_per_sec > best.sampling_events_per_sec) {
-        best.sampling_events_per_sec = round.events_per_sec;
-        best.sampling_ticks = round.ticks;
+    Churn off(events, /*sampling=*/false);
+    Churn on(events, /*sampling=*/true);
+    Simulator* sims[2] = {&off.sim, &on.sim};
+    double sec[2] = {0.0, 0.0};  // CPU seconds of off, on
+    while (!off.sim.Empty() || !on.sim.Empty()) {
+      for (int k = 0; k < 2; ++k) {
+        const int i = (k + r) % 2;
+        const double start = CpuSeconds();
+        for (int n = 0; n < kBlockEvents && sims[i]->Step(); ++n) {
+        }
+        sec[i] += CpuSeconds() - start;
       }
     }
+    if (r == 0) {
+      result.checksum = off.checksum;
+    }
+    result.checksums_agree = result.checksums_agree && off.checksum == result.checksum &&
+                             on.checksum == result.checksum;
+    // ~2 scheduled events (successor + retry timer) per fired chain link.
+    result.events_per_sec = std::max(result.events_per_sec, 2.0 * events / sec[0]);
+    result.sampling_events_per_sec =
+        std::max(result.sampling_events_per_sec, 2.0 * events / sec[1]);
+    result.sampling_ticks = on.recorder->total_ticks();
+    result.off_cpu_sec += sec[0];
+    result.on_cpu_sec += sec[1];
   }
-  return best;
+  return result;
 }
 
 // ---- reference figure sweep -----------------------------------------------

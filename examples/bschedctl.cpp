@@ -8,15 +8,14 @@
 //   bschedctl --model resnet50 --partition-kb 2048 --credit-kb 10240 --async
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <optional>
 #include <string>
 
 #include "src/common/flags.h"
-#include "src/common/trace.h"
 #include "src/model/zoo.h"
 #include "src/runtime/cluster.h"
+#include "src/runtime/obs_artifacts.h"
 #include "src/runtime/training_job.h"
 
 using namespace bsched;
@@ -91,11 +90,7 @@ int main(int argc, char** argv) {
     flags.RejectValue("machines", "a whole number >= 1");
   }
   job.num_machines = static_cast<int>(machines);
-  const double gbps = flags.GetDouble("gbps", 100);
-  if (gbps <= 0) {
-    flags.RejectValue("gbps", "a positive number");
-  }
-  job.bandwidth = Bandwidth::Gbps(gbps);
+  job.bandwidth = Bandwidth::Gbps(flags.GetGbps("gbps", 100));
   const int64_t iters = flags.GetInt("iters", 5);
   if (iters < 1 || iters > kMaxCount) {
     flags.RejectValue("iters", "a whole number >= 1");
@@ -127,12 +122,9 @@ int main(int argc, char** argv) {
     flags.RejectValue("mode", "baseline, bytescheduler or p3");
   }
 
-  TraceRecorder trace;
-  const std::string trace_path = ParseObsFlags(flags).trace_path;
-  if (!trace_path.empty()) {
-    job.trace = &trace;
-  }
-
+  // Of the obs flags only --trace passes CheckNames above.
+  ObsArtifacts artifacts(ParseObsFlags(flags));
+  artifacts.Attach(&job);
   const JobResult result = RunTrainingJob(job);
   std::printf("model           : %s (%s params)\n", job.model.name.c_str(),
               FormatBytes(job.model.TotalParamBytes()).c_str());
@@ -154,15 +146,5 @@ int main(int argc, char** argv) {
   }
   std::printf("simulator events: %llu\n", static_cast<unsigned long long>(result.sim_events));
 
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-      return 1;
-    }
-    trace.WriteChromeTrace(out);
-    std::printf("trace           : %s (%zu events; open in chrome://tracing)\n",
-                trace_path.c_str(), trace.num_events());
-  }
-  return 0;
+  return artifacts.Write() ? 0 : 1;
 }

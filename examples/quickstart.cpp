@@ -28,16 +28,13 @@
 //        --obs           shorthand for --trace --metrics --timeseries
 //                        Inspect the artifacts with: ./build/bench/obs_report
 #include <cstdio>
-#include <fstream>
 #include <vector>
 
 #include "src/common/flags.h"
-#include "src/common/trace.h"
 #include "src/exec/sweep_runner.h"
 #include "src/model/zoo.h"
-#include "src/obs/metrics.h"
-#include "src/obs/timeseries.h"
 #include "src/runtime/cluster.h"
+#include "src/runtime/obs_artifacts.h"
 #include "src/runtime/training_job.h"
 
 int main(int argc, char** argv) {
@@ -59,12 +56,9 @@ int main(int argc, char** argv) {
       flags.GetBool("volatility", false)
           ? 1
           : static_cast<uint64_t>(flags.GetInt("volatility", 1));
-  const ObsFlags obs = ParseObsFlags(flags);
-  TraceRecorder trace;
-  MetricsRegistry metrics;
-  const bool want_timeseries = !obs.timeseries_path.empty();
-  TimeSeriesRecorder timeseries(
-      &metrics, SimTime::Micros(obs.sample_every_us > 0 ? obs.sample_every_us : 100));
+  // The obs sinks observe one job: the ByteScheduler job, or with --chaos
+  // the chaos rerun, so its trace shows the retry/retransmit activity.
+  ObsArtifacts artifacts(ParseObsFlags(flags));
 
   JobConfig job;
   job.model = Vgg16();
@@ -85,18 +79,9 @@ int main(int argc, char** argv) {
       run.mode = SchedMode::kByteScheduler;
       run.partition_bytes = tuned.partition_bytes;
       run.credit_bytes = tuned.credit_bytes;
-      if (obs.enabled() && !chaos) {
-        // Observe the ByteScheduler job (the interesting schedule). The
-        // sinks are attached to exactly one job — a TraceRecorder is not
-        // thread-safe — and read only after ParallelFor joins. With --chaos
-        // the sinks go to the chaos rerun below instead, so its trace shows
-        // the retry/retransmit activity.
-        run.trace = obs.trace_path.empty() ? nullptr : &trace;
-        // The time-series recorder samples metric handles, so it needs the
-        // registry even when no snapshot file was requested.
-        run.metrics =
-            obs.metrics_path.empty() && !want_timeseries ? nullptr : &metrics;
-        run.timeseries = want_timeseries ? &timeseries : nullptr;
+      if (!chaos) {
+        // Read only after ParallelFor joins.
+        artifacts.Attach(&run);
       }
     }
     return RunTrainingJob(run);
@@ -121,13 +106,9 @@ int main(int argc, char** argv) {
     job.partition_bytes = tuned.partition_bytes;
     job.credit_bytes = tuned.credit_bytes;
     job.chaos = FaultPlanConfig::Chaos(chaos_seed);
-    if (obs.enabled()) {
-      job.trace = obs.trace_path.empty() ? nullptr : &trace;
-      job.metrics =
-          obs.metrics_path.empty() && !want_timeseries ? nullptr : &metrics;
-      job.timeseries = want_timeseries ? &timeseries : nullptr;
-    }
-    const JobResult chaotic = RunTrainingJob(job);
+    JobConfig observed = job;
+    artifacts.Attach(&observed);
+    const JobResult chaotic = RunTrainingJob(observed);
     std::printf("  chaos (seed %llu): %8.1f images/sec (%+.1f%% vs fault-free)\n",
                 static_cast<unsigned long long>(chaos_seed), chaotic.samples_per_sec,
                 100.0 * (chaotic.samples_per_sec / scheduled.samples_per_sec - 1.0));
@@ -138,11 +119,6 @@ int main(int argc, char** argv) {
     job.mode = SchedMode::kByteScheduler;
     job.partition_bytes = tuned.partition_bytes;
     job.credit_bytes = tuned.credit_bytes;
-    // The obs sinks (if any) already observed the calm ByteScheduler job or
-    // the chaos rerun above; each recorder attaches to exactly one run.
-    job.trace = nullptr;
-    job.metrics = nullptr;
-    job.timeseries = nullptr;
     NetDynamicsConfig dyn;
     dyn.seed = volatility_seed;
     dyn.volatility_amplitude = 0.7;
@@ -161,29 +137,5 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stormy.link_repaces));
   }
 
-  if (!obs.trace_path.empty()) {
-    std::ofstream out(obs.trace_path);
-    trace.WriteChromeTrace(out);
-    std::printf("  trace          : %s (%zu events; open in ui.perfetto.dev)\n",
-                obs.trace_path.c_str(), trace.num_events());
-  }
-  if (!obs.metrics_path.empty()) {
-    std::ofstream out(obs.metrics_path);
-    metrics.Snapshot().WriteJson(out);
-    std::printf("  metrics        : %s\n", obs.metrics_path.c_str());
-  }
-  if (want_timeseries) {
-    std::ofstream out(obs.timeseries_path);
-    timeseries.WriteCsv(out);
-    std::printf("  timeseries     : %s (%llu ticks @ %lldus)\n", obs.timeseries_path.c_str(),
-                static_cast<unsigned long long>(timeseries.total_ticks()),
-                static_cast<long long>(obs.sample_every_us));
-  }
-  if (obs.enabled()) {
-    std::printf("  inspect with   : obs_report --trace=%s --metrics=%s --timeseries=%s\n",
-                obs.trace_path.empty() ? "<none>" : obs.trace_path.c_str(),
-                obs.metrics_path.empty() ? "<none>" : obs.metrics_path.c_str(),
-                obs.timeseries_path.empty() ? "<none>" : obs.timeseries_path.c_str());
-  }
-  return 0;
+  return artifacts.Write() ? 0 : 1;
 }

@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <type_traits>
 
+#include "src/common/units.h"
+
 namespace bsched {
 
 Flags::Flags(int argc, const char* const* argv) : program_(argc > 0 ? argv[0] : "") {
@@ -98,6 +100,14 @@ double Flags::GetDouble(const std::string& name, double def) const {
   return GetNumber<double>(name, def, "a finite number");
 }
 
+double Flags::GetGbps(const std::string& name, double def) const {
+  const double gbps = GetDouble(name, def);
+  if (gbps < Bandwidth::kMinGbps) {
+    RejectValue(name, "a bandwidth of at least 1e-06 Gbps");
+  }
+  return gbps;
+}
+
 bool Flags::GetBool(const std::string& name, bool def) const {
   auto it = values_.find(name);
   if (it == values_.end()) {
@@ -108,17 +118,15 @@ bool Flags::GetBool(const std::string& name, bool def) const {
 
 namespace {
 
-// "--trace" parses as the boolean "true"; treat that (and an explicit empty
-// value) as "enabled with the default path".
+// One sink's path: the flag's value, or `def` when it is bare ("--trace"
+// parses as the boolean "true") or empty, or when it is absent and --obs
+// enables every sink; "" (off) otherwise.
 std::string PathOrDefault(const Flags& flags, const std::string& name, const char* def) {
   if (!flags.Has(name)) {
-    return "";
+    return flags.GetBool("obs", false) ? def : "";
   }
   const std::string value = flags.GetString(name, "");
-  if (value.empty() || value == "true") {
-    return def;
-  }
-  return value;
+  return value.empty() || value == "true" ? def : value;
 }
 
 }  // namespace
@@ -128,24 +136,17 @@ ObsFlags ParseObsFlags(const Flags& flags) {
   obs.trace_path = PathOrDefault(flags, "trace", "trace.json");
   obs.metrics_path = PathOrDefault(flags, "metrics", "metrics.json");
   obs.timeseries_path = PathOrDefault(flags, "timeseries", "timeseries.csv");
-  if (flags.GetBool("obs", false)) {
-    if (obs.trace_path.empty()) {
-      obs.trace_path = "trace.json";
-    }
-    if (obs.metrics_path.empty()) {
-      obs.metrics_path = "metrics.json";
-    }
-    if (obs.timeseries_path.empty()) {
-      obs.timeseries_path = "timeseries.csv";
-    }
+  // The cadence becomes SimTime::Micros(us), whose nanoseconds must fit in
+  // int64. --sample-every alone implies time-series sampling at it.
+  const int64_t sample_every_us = flags.GetInt("sample-every", 100);
+  if (sample_every_us < 1 || sample_every_us > INT64_MAX / 1000) {
+    flags.RejectValue("sample-every", "a whole number of microseconds in [1, 9223372036854775]");
   }
-  // --sample-every alone implies time-series sampling at that cadence.
-  const int64_t sample_every_us = flags.GetInt("sample-every", 0);
-  if (sample_every_us > 0 && obs.timeseries_path.empty()) {
+  if (flags.Has("sample-every") && obs.timeseries_path.empty()) {
     obs.timeseries_path = "timeseries.csv";
   }
   if (!obs.timeseries_path.empty()) {
-    obs.sample_every_us = sample_every_us > 0 ? sample_every_us : 100;
+    obs.sample_every_us = sample_every_us;
   }
   return obs;
 }

@@ -24,6 +24,9 @@ class Flags {
   // typo cannot silently run as 0 or as the default.
   int64_t GetInt(const std::string& name, int64_t def) const;
   double GetDouble(const std::string& name, double def) const;
+  // A bandwidth in Gbps: GetDouble, and a value below Bandwidth::kMinGbps
+  // (where one transfer time would overflow SimTime) exits 2 like above.
+  double GetGbps(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def) const;
   // Prints "<program>: --<name> needs <what>, got '<value>'" to stderr and
   // exits with status 2: the one report of a value outside its flag's range.
@@ -57,8 +60,8 @@ struct ObsFlags {
   std::string trace_path;       // empty = tracing off
   std::string metrics_path;     // empty = metrics off
   std::string timeseries_path;  // empty = time-series sampling off
-  // Sampling cadence in simulated microseconds (only meaningful when
-  // timeseries_path is set; defaults to 100us).
+  // Sampling cadence in simulated microseconds: 100 by default when
+  // timeseries_path is set, 0 otherwise.
   int64_t sample_every_us = 0;
 
   bool enabled() const {
@@ -70,7 +73,8 @@ struct ObsFlags {
 // respective sink (default paths "trace.json" / "metrics.json" /
 // "timeseries.csv" when no value is given); bare --obs enables all three
 // with default paths. --sample-every=<us> sets the sampling cadence (and
-// implies --timeseries when given alone; default 100us).
+// implies --timeseries when given alone; default 100us); a cadence below 1us
+// or beyond SimTime's range exits 2 through Flags::RejectValue.
 ObsFlags ParseObsFlags(const Flags& flags);
 
 }  // namespace bsched

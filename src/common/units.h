@@ -71,6 +71,11 @@ class Bandwidth {
   static constexpr Bandwidth Gbps(double v) { return BytesPerSec(v * 1e9 / 8.0); }
   static constexpr Bandwidth Mbps(double v) { return BytesPerSec(v * 1e6 / 8.0); }
 
+  // The smallest bandwidth a command line accepts (1 kbit/s): at it a 4 GiB
+  // message (the most a PS hop carries) takes ~3.4e16 ns, 1/268 of
+  // SimTime's int64 nanoseconds, so transfer times cannot overflow.
+  static constexpr double kMinGbps = 1e-6;
+
   constexpr double bytes_per_sec() const { return bytes_per_sec_; }
   constexpr double ToGbps() const { return bytes_per_sec_ * 8.0 / 1e9; }
 

@@ -1,6 +1,5 @@
 #include "src/obs/timeseries.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <utility>
@@ -32,6 +31,13 @@ void AppendInt(std::string* out, int64_t v) {
   out->append(buf, static_cast<size_t>(len));
 }
 
+// A counter/gauge/probe row's tail: kind, value, empty sketch columns.
+void AppendValue(std::string* out, const char* kind, int64_t v) {
+  *out += kind;
+  AppendInt(out, v);
+  *out += ",,,,,";
+}
+
 }  // namespace
 
 TimeSeriesRecorder::TimeSeriesRecorder(MetricsRegistry* registry, SimTime interval)
@@ -45,79 +51,61 @@ int TimeSeriesRecorder::AddScope(const std::string& name, Simulator* sim,
   BSCHED_CHECK(!started_);
   BSCHED_CHECK(sim != nullptr);
   BSCHED_CHECK(active != nullptr);
-  auto scope = std::make_unique<Scope>();
-  scope->name = name;
-  scope->sim = sim;
-  scope->active = std::move(active);
-  scopes_.push_back(std::move(scope));
+  BSCHED_CHECK((scopes_.empty() || sim == sim_) &&
+               "every scope of a TimeSeriesRecorder samples one simulator");
+  sim_ = sim;
+  scopes_.push_back(Scope{name, std::move(active), {}});
   return static_cast<int>(scopes_.size()) - 1;
 }
 
-void TimeSeriesRecorder::SampleCounter(int scope, const std::string& metric) {
+TimeSeriesRecorder::Source& TimeSeriesRecorder::AddSource(int scope, Source::Kind kind,
+                                                          const std::string& metric) {
   BSCHED_CHECK(!started_);
-  Source src;
-  src.kind = Source::Kind::kCounter;
+  Source& src = scopes_.at(scope).sources.emplace_back();
+  src.kind = kind;
   src.name = metric;
-  src.counter = registry_->counter(metric);
-  scopes_.at(scope)->sources.push_back(std::move(src));
+  return src;
+}
+
+void TimeSeriesRecorder::SampleCounter(int scope, const std::string& metric) {
+  AddSource(scope, Source::Kind::kCounter, metric).counter = registry_->counter(metric);
 }
 
 void TimeSeriesRecorder::SampleGauge(int scope, const std::string& metric) {
-  BSCHED_CHECK(!started_);
-  Source src;
-  src.kind = Source::Kind::kGauge;
-  src.name = metric;
-  src.gauge = registry_->gauge(metric);
-  scopes_.at(scope)->sources.push_back(std::move(src));
+  AddSource(scope, Source::Kind::kGauge, metric).gauge = registry_->gauge(metric);
 }
 
 void TimeSeriesRecorder::SampleSketch(int scope, const std::string& metric) {
-  BSCHED_CHECK(!started_);
-  Source src;
-  src.kind = Source::Kind::kSketch;
-  src.name = metric;
+  Source& src = AddSource(scope, Source::Kind::kSketch, metric);
   src.hist = registry_->histogram(metric);
   src.last_buckets.assign(Histogram::kNumBuckets, 0);
-  scopes_.at(scope)->sources.push_back(std::move(src));
 }
 
 void TimeSeriesRecorder::SampleProbe(int scope, const std::string& metric,
                                      std::function<int64_t()> probe) {
-  BSCHED_CHECK(!started_);
   BSCHED_CHECK(probe != nullptr);
-  Source src;
-  src.kind = Source::Kind::kProbe;
-  src.name = metric;
-  src.probe = std::move(probe);
-  scopes_.at(scope)->sources.push_back(std::move(src));
+  AddSource(scope, Source::Kind::kProbe, metric).probe = std::move(probe);
 }
 
 void TimeSeriesRecorder::SampleScope(Scope* scope) {
-  Tick tick;
-  tick.time_ns = scope->sim->Now().nanos();
-  std::string& rows = tick.rows;
+  ++total_ticks_;
+  const int64_t time_ns = sim_->Now().nanos();
   for (Source& src : scope->sources) {
-    AppendInt(&rows, tick.time_ns);
-    rows += ',';
-    rows += scope->name;
-    rows += ',';
-    rows += src.name;
-    rows += ',';
+    AppendInt(&rows_, time_ns);
+    rows_ += ',';
+    rows_ += scope->name;
+    rows_ += ',';
+    rows_ += src.name;
+    rows_ += ',';
     switch (src.kind) {
       case Source::Kind::kCounter:
-        rows += "counter,";
-        AppendInt(&rows, static_cast<int64_t>(src.counter->value()));
-        rows += ",,,,,";
+        AppendValue(&rows_, "counter,", static_cast<int64_t>(src.counter->value()));
         break;
       case Source::Kind::kGauge:
-        rows += "gauge,";
-        AppendInt(&rows, src.gauge->value());
-        rows += ",,,,,";
+        AppendValue(&rows_, "gauge,", src.gauge->value());
         break;
       case Source::Kind::kProbe:
-        rows += "probe,";
-        AppendInt(&rows, src.probe());
-        rows += ",,,,,";
+        AppendValue(&rows_, "probe,", src.probe());
         break;
       case Source::Kind::kSketch: {
         // Per-window delta of the histogram: the bucket counts that landed
@@ -138,30 +126,28 @@ void TimeSeriesRecorder::SampleScope(Scope* scope) {
         window.sum = cur_sum - src.last_sum;
         src.last_sum = cur_sum;
         const std::vector<double> p = window.Percentiles({50.0, 95.0, 99.0});
-        rows += "sketch,,";
-        AppendInt(&rows, static_cast<int64_t>(window.count));
-        rows += ',';
-        AppendInt(&rows, window.sum);
-        rows += ',';
-        AppendDouble(&rows, p[0]);
-        rows += ',';
-        AppendDouble(&rows, p[1]);
-        rows += ',';
-        AppendDouble(&rows, p[2]);
+        rows_ += "sketch,,";
+        AppendInt(&rows_, static_cast<int64_t>(window.count));
+        rows_ += ',';
+        AppendInt(&rows_, window.sum);
+        for (const double q : p) {
+          rows_ += ',';
+          AppendDouble(&rows_, q);
+        }
         break;
       }
     }
-    rows += '\n';
+    rows_ += '\n';
   }
-  scope->ticks.push_back(std::move(tick));
 }
 
 void TimeSeriesRecorder::Start() {
   BSCHED_CHECK(!started_ && "TimeSeriesRecorder::Start() must be called exactly once");
   started_ = true;
-  for (auto& scope : scopes_) {
-    Scope* s = scope.get();
-    s->sim->SchedulePeriodic(interval_, [this, s] {
+  // Scopes are fixed once started, so their addresses are stable.
+  for (Scope& scope : scopes_) {
+    Scope* s = &scope;
+    sim_->SchedulePeriodic(interval_, [this, s] {
       SampleScope(s);
       return s->active();
     });
@@ -169,47 +155,13 @@ void TimeSeriesRecorder::Start() {
 }
 
 void TimeSeriesRecorder::WriteCsv(std::ostream& os) const {
-  os << "time_ns,scope,metric,kind,value,count,sum,p50,p95,p99\n";
-  // Merge per-scope series in fixed (time, scope) order, so the merged stream
-  // does not depend on the order in which scopes' ticks fired.
-  struct Ref {
-    int64_t time_ns;
-    size_t scope;
-    size_t tick;
-  };
-  std::vector<Ref> refs;
-  for (size_t si = 0; si < scopes_.size(); ++si) {
-    const Scope& scope = *scopes_[si];
-    for (size_t ti = 0; ti < scope.ticks.size(); ++ti) {
-      refs.push_back(Ref{scope.ticks[ti].time_ns, si, ti});
-    }
-  }
-  std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
-    if (a.time_ns != b.time_ns) {
-      return a.time_ns < b.time_ns;
-    }
-    if (a.scope != b.scope) {
-      return a.scope < b.scope;
-    }
-    return a.tick < b.tick;
-  });
-  for (const Ref& ref : refs) {
-    os << scopes_[ref.scope]->ticks[ref.tick].rows;
-  }
+  os << "time_ns,scope,metric,kind,value,count,sum,p50,p95,p99\n" << rows_;
 }
 
 std::string TimeSeriesRecorder::ToCsv() const {
   std::ostringstream os;
   WriteCsv(os);
   return os.str();
-}
-
-uint64_t TimeSeriesRecorder::total_ticks() const {
-  uint64_t total = 0;
-  for (const auto& scope : scopes_) {
-    total += scope->ticks.size();
-  }
-  return total;
 }
 
 }  // namespace bsched

@@ -6,10 +6,12 @@
 // (ROADMAP item 3).
 //
 // Sampling is driven by ordinary Simulator timer events, grouped into
-// *scopes*: each scope binds to the job's simulator and samples one worker's
-// metrics (its scheduler, NIC links and GPU). Per-scope series are merged in
-// fixed (time, scope) order at export, which makes the CSV byte-identical at
-// any --jobs N.
+// *scopes*: every scope binds to the one simulator the recorder samples and
+// reads one worker's metrics (its scheduler, NIC links and GPU). Ticks append
+// their rows to one buffer in firing order. Every scope's chain is armed in
+// scope order at the same interval, so at each time the ticks fire in scope
+// order: the CSV comes out in (time, scope) order, byte-identical at any
+// --jobs N.
 //
 // Zero-cost when disabled: a job with no recorder schedules no tick events
 // and the simulation is bit-identical to a build without this file. An
@@ -20,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -42,14 +43,14 @@ class TimeSeriesRecorder {
   TimeSeriesRecorder& operator=(const TimeSeriesRecorder&) = delete;
 
   MetricsRegistry* registry() const { return registry_; }
-  SimTime interval() const { return interval_; }
-  bool started() const { return started_; }
 
-  // Registers a sampling scope on `sim`. Every source added to the scope
-  // must be written only by events running on `sim`. `active` is polled
-  // after each sample: the first tick on which it returns false records the
-  // scope's final row and stops the chain, so the predicate must eventually
-  // go false for the simulation to drain (e.g. "engine not AllDone yet").
+  // Registers a sampling scope on `sim`. A recorder samples one simulator:
+  // `sim` must be the first scope's (a CHECK failure otherwise), and every
+  // source added to the scope must be written only by events running on it.
+  // `active` is polled after each sample: the first tick on which it returns
+  // false records the scope's final row and stops the chain, so the
+  // predicate must eventually go false for the simulation to drain (e.g.
+  // "engine not AllDone yet").
   // Returns the scope id.
   int AddScope(const std::string& name, Simulator* sim, std::function<bool()> active);
 
@@ -69,15 +70,15 @@ class TimeSeriesRecorder {
   // the simulation runs.
   void Start();
 
-  // Merged CSV across all scopes in fixed (time, scope) order:
+  // The CSV of every scope's rows in (time, scope) order:
   //   time_ns,scope,metric,kind,value,count,sum,p50,p95,p99
   // Counter/gauge/probe rows fill `value`; sketch rows fill the window
   // aggregate columns. Byte-deterministic for deterministic simulations.
   void WriteCsv(std::ostream& os) const;
   std::string ToCsv() const;
 
-  // Total tick rows recorded across all scopes (test / overhead probe).
-  uint64_t total_ticks() const;
+  // Total ticks recorded across all scopes (test / overhead probe).
+  uint64_t total_ticks() const { return total_ticks_; }
 
  private:
   struct Source {
@@ -93,28 +94,24 @@ class TimeSeriesRecorder {
     int64_t last_sum = 0;
   };
 
-  // One sampled row group: every source's formatted CSV rows for one tick.
-  struct Tick {
-    int64_t time_ns = 0;
-    std::string rows;
-  };
-
   struct Scope {
     std::string name;
-    Simulator* sim = nullptr;
     std::function<bool()> active;
     std::vector<Source> sources;
-    // Appended by the scope's tick chain; read at export after the run.
-    std::vector<Tick> ticks;
   };
 
+  Source& AddSource(int scope, Source::Kind kind, const std::string& metric);
   void SampleScope(Scope* scope);
 
   MetricsRegistry* registry_;
   SimTime interval_;
   bool started_ = false;
-  // unique_ptr: scope addresses must stay stable once handed to tick chains.
-  std::vector<std::unique_ptr<Scope>> scopes_;
+  // The simulator every scope samples; set by the first AddScope.
+  Simulator* sim_ = nullptr;
+  // Every tick's formatted CSV rows, appended in firing order.
+  std::string rows_;
+  uint64_t total_ticks_ = 0;
+  std::vector<Scope> scopes_;
 };
 
 }  // namespace bsched

@@ -126,12 +126,10 @@ class TrainingJob {
   TrainingJob(const JobConfig& config, Fabric& fabric,
               std::span<const std::unique_ptr<SchedulerCore>> cores, int64_t tensor_offset)
       : config_(config), fabric_(fabric), cores_(cores), tensor_offset_(tensor_offset) {
-    if (config_.timeseries != nullptr) {
-      BSCHED_CHECK(config_.metrics != nullptr &&
-                   "timeseries sampling reads metric handles; set JobConfig::metrics too");
-      BSCHED_CHECK(config_.timeseries->registry() == config_.metrics &&
-                   "the recorder must be registered against this job's metrics registry");
-    }
+    BSCHED_CHECK((config_.timeseries == nullptr ||
+                  config_.timeseries->registry() == config_.metrics) &&
+                 "timeseries sampling reads this job's metric handles; set JobConfig::metrics "
+                 "to the recorder's registry");
     BSCHED_CHECK(config_.num_machines >= 1);
     BSCHED_CHECK(config_.warmup_iters >= 1);
     BSCHED_CHECK(config_.measure_iters >= 1);

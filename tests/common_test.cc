@@ -257,5 +257,17 @@ TEST(FlagsTest, NumbersMustBeWholeFiniteTokens) {
   EXPECT_EQ(flags.GetInt("absent", 42), 42);
 }
 
+// A bandwidth below Bandwidth::kMinGbps would overflow SimTime in a transfer
+// time (1e-300 Gbps used to abort on a negative delay): it exits 2.
+TEST(FlagsTest, GbpsHasAFloor) {
+  const char* argv[] = {"prog", "--floor=1e-6", "--tiny=1e-300", "--zero=0"};
+  const Flags flags(4, argv);
+  EXPECT_DOUBLE_EQ(flags.GetGbps("floor", 100), Bandwidth::kMinGbps);
+  EXPECT_DOUBLE_EQ(flags.GetGbps("absent", 100), 100.0);
+  EXPECT_EXIT(flags.GetGbps("tiny", 100), ::testing::ExitedWithCode(2),
+              "prog: --tiny needs a bandwidth of at least 1e-06 Gbps, got '1e-300'");
+  EXPECT_EXIT(flags.GetGbps("zero", 100), ::testing::ExitedWithCode(2), "'0'");
+}
+
 }  // namespace
 }  // namespace bsched

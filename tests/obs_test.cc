@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/trace.h"
 #include "src/exec/sweep_runner.h"
 #include "src/model/zoo.h"
@@ -18,6 +19,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/runtime/cluster.h"
+#include "src/runtime/obs_artifacts.h"
 #include "src/runtime/training_job.h"
 
 namespace bsched {
@@ -345,6 +347,42 @@ TEST(ObsJobTest, ChaosJobExportsRetryCounters) {
   EXPECT_EQ(snap.counters.at("fault.backend_retransmits"),
             result.fault_stats.backend_retransmits);
   EXPECT_EQ(snap.counters.at("fault.drops_injected"), result.fault_stats.drops_injected);
+}
+
+// ---- artifact owner ----------------------------------------------------------
+
+TEST(ObsArtifactsTest, TimeSeriesAttachesTheMetricsRegistryToo) {
+  ObsFlags flags;
+  flags.timeseries_path = "timeseries.csv";
+  flags.sample_every_us = 100;
+  ObsArtifacts artifacts(flags);
+  JobConfig job = SmallJob();
+  artifacts.Attach(&job);
+  EXPECT_EQ(job.trace, nullptr);
+  ASSERT_NE(job.metrics, nullptr);
+  ASSERT_NE(job.timeseries, nullptr);
+  EXPECT_EQ(job.timeseries->registry(), job.metrics);
+  RunTrainingJob(job);
+  EXPECT_GT(job.timeseries->total_ticks(), 0u);
+}
+
+TEST(ObsArtifactsTest, WriteFailsOnAnUnwritablePath) {
+  ObsFlags flags;
+  flags.metrics_path = "/nonexistent-dir/metrics.json";
+  ObsArtifacts artifacts(flags);
+  JobConfig job = SmallJob();
+  artifacts.Attach(&job);
+  EXPECT_FALSE(artifacts.Write());
+}
+
+TEST(ObsArtifactsDeathTest, SecondAttachCheckFails) {
+  ObsFlags flags;
+  flags.trace_path = "trace.json";
+  ObsArtifacts artifacts(flags);
+  JobConfig first = SmallJob();
+  artifacts.Attach(&first);
+  JobConfig second = SmallJob();
+  EXPECT_DEATH(artifacts.Attach(&second), "exactly one job");
 }
 
 TEST(MetricsSnapshotTest, CsvShape) {

@@ -1,6 +1,7 @@
 // Time-series recorder + critical-path analyzer suite: sampling cadence and
-// stop semantics, (time, scope) merge determinism, zero perturbation of the
-// simulated trajectory, byte-identical CSV across sweep worker counts, and
+// stop semantics, (time, scope) row order on one simulator, zero
+// perturbation of the simulated trajectory, byte-identical CSV across sweep
+// worker counts, and
 // the per-iteration longest-path decomposition — synthetic inputs, a round
 // trip through the Chrome-trace loader, and a real fig04-style run that must
 // decompose >= 95% of every iteration's wall clock.
@@ -78,28 +79,36 @@ TEST(TimeSeriesRecorderTest, SketchRowsCarryPerWindowDeltas) {
   EXPECT_NE(csv.find("300000,s,h,sketch,,1,1000,"), std::string::npos) << csv;
 }
 
-TEST(TimeSeriesRecorderTest, MergesScopesInTimeThenRegistrationOrder) {
-  // Two scopes on two simulators run in opposite order; the merged CSV must
-  // come out in (time, scope) order regardless.
+TEST(TimeSeriesRecorderTest, ScopesOnOneSimulatorInterleaveInTimeThenScopeOrder) {
+  // Each tick appends its rows as it fires; both chains run at one cadence on
+  // one simulator, so the rows come out in (time, scope) order. Scope a stops
+  // first: its last row is at 200us, b's at 300us.
+  Simulator sim;
+  MetricsRegistry registry;
+  TimeSeriesRecorder rec(&registry, SimTime::Micros(100));
+  const int a = rec.AddScope("a", &sim, [&sim] { return sim.Now() < SimTime::Micros(200); });
+  const int b = rec.AddScope("b", &sim, [&sim] { return sim.Now() < SimTime::Micros(300); });
+  rec.SampleCounter(a, "c");
+  rec.SampleGauge(b, "g");
+  rec.Start();
+  sim.Run();
+  EXPECT_EQ(rec.total_ticks(), 5u);
+  EXPECT_EQ(rec.ToCsv(),
+            "time_ns,scope,metric,kind,value,count,sum,p50,p95,p99\n"
+            "100000,a,c,counter,0,,,,,\n"
+            "100000,b,g,gauge,0,,,,,\n"
+            "200000,a,c,counter,0,,,,,\n"
+            "200000,b,g,gauge,0,,,,,\n"
+            "300000,b,g,gauge,0,,,,,\n");
+}
+
+TEST(TimeSeriesRecorderDeathTest, ScopesOnASecondSimulatorCheckFail) {
   Simulator sim_a;
   Simulator sim_b;
   MetricsRegistry registry;
   TimeSeriesRecorder rec(&registry, SimTime::Micros(100));
-  const int a =
-      rec.AddScope("a", &sim_a, [&sim_a] { return sim_a.Now() < SimTime::Micros(200); });
-  const int b =
-      rec.AddScope("b", &sim_b, [&sim_b] { return sim_b.Now() < SimTime::Micros(200); });
-  rec.SampleCounter(a, "c");
-  rec.SampleCounter(b, "c");
-  rec.Start();
-  sim_b.Run();
-  sim_a.Run();
-  EXPECT_EQ(rec.ToCsv(),
-            "time_ns,scope,metric,kind,value,count,sum,p50,p95,p99\n"
-            "100000,a,c,counter,0,,,,,\n"
-            "100000,b,c,counter,0,,,,,\n"
-            "200000,a,c,counter,0,,,,,\n"
-            "200000,b,c,counter,0,,,,,\n");
+  rec.AddScope("a", &sim_a, [] { return false; });
+  EXPECT_DEATH(rec.AddScope("b", &sim_b, [] { return false; }), "one simulator");
 }
 
 JobConfig SmallSampledJob() {

@@ -209,6 +209,27 @@ TEST(ObsFlagsTest, ObsKeepsExplicitPaths) {
   EXPECT_EQ(obs.metrics_path, "metrics.json");
 }
 
+TEST(ObsFlagsTest, SampleEverySetsCadenceAndImpliesTimeseries) {
+  const char* argv[] = {"prog", "--sample-every=250"};
+  const ObsFlags obs = ParseObsFlags(Flags(2, argv));
+  EXPECT_EQ(obs.timeseries_path, "timeseries.csv");
+  EXPECT_EQ(obs.sample_every_us, 250);
+  const char* bare[] = {"prog", "--timeseries"};
+  EXPECT_EQ(ParseObsFlags(Flags(2, bare)).sample_every_us, 100);
+}
+
+TEST(ObsFlagsTest, RejectsCadenceOutsideSimTime) {
+  // Zero and negative cadences used to fall back to 100us or sample nothing;
+  // above INT64_MAX / 1000 us, SimTime::Micros would overflow.
+  for (const char* value : {"0", "-5", "9223372036854776"}) {
+    const char* argv[] = {"prog", "--sample-every", value};
+    EXPECT_EXIT(ParseObsFlags(Flags(3, argv)), ::testing::ExitedWithCode(2),
+                "prog: --sample-every needs .*microseconds") << value;
+  }
+  const char* max[] = {"prog", "--sample-every", "9223372036854775"};
+  EXPECT_EQ(ParseObsFlags(Flags(3, max)).sample_every_us, 9223372036854775);
+}
+
 TEST(PerLayerPartitionTest, OverridesUniformSize) {
   JobConfig job;
   job.model = Vgg16();
