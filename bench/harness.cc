@@ -84,7 +84,7 @@ std::vector<ScalingPane> ComputeScalingGrid(const ModelProfile& model, bool incl
         const JobConfig base = MakeJob(model, setup, gpus / kGpusPerMachine, Bandwidth::Gbps(100));
         cell.baseline = RunSpeed(WithMode(base, SchedMode::kVanilla));
         cell.sched = RunSpeed(WithMode(base, SchedMode::kByteScheduler));
-        cell.linear = PaperLinearScaling(WithMode(base, SchedMode::kVanilla));
+        cell.linear = LinearScalingSpeed(model, base.total_gpus());
         if (p3_pane) {
           cell.has_p3 = true;
           cell.p3 = RunSpeed(WithMode(base, SchedMode::kP3));

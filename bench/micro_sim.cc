@@ -1,8 +1,8 @@
 // Perf baseline harness: measures the discrete-event loop on a synthetic
 // churn workload (schedule / cancel / nested reschedule, the pattern the
-// scheduler's retry timers and transport completions produce) and the
-// wall-clock of one reference figure sweep at --jobs 1 vs --jobs N, then
-// writes BENCH_sim.json so future PRs can compare against this baseline.
+// scheduler's retry timers and transport completions produce), then writes
+// BENCH_sim.json so later builds can compare against this baseline. Figure
+// wall-clock is perfbench's paper_eval workload, not this tool's.
 //
 // The event loop is measured twice in one process, interleaved within each
 // round: with sampling off (a bare Simulator) and with sampling on (a
@@ -19,19 +19,16 @@
 //    that exists but does not parse, or lacks a positive
 //    event_loop.events_per_sec, exits 1 instead of skipping the gate.
 //
-// Flags: --jobs N          parallel sweep workers (default: hardware concurrency)
-//        --out PATH        output JSON path (default: BENCH_sim.json)
+// Flags: --out PATH        output JSON path (default: BENCH_sim.json)
 //        --baseline PATH   prior BENCH_sim.json to gate against (default: --out)
 //        --churn-events N  events per churn round, > 0 (default: 300000)
 //        --rounds N        interleaved churn rounds, > 0 (default: 3)
-//        --skip-sweep      measure the event loop only (quick smoke mode)
 //        --max-regression F  allowed churn slowdown vs baseline
 //                            (default 0.10 — the >10% regression gate)
 // A non-positive --churn-events or --rounds exits 2 before anything runs.
 // The regression default assumes reasonably quiet hardware; CI on
 // oversubscribed containers passes a wider value (see bench/CMakeLists.txt).
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <ctime>
@@ -45,8 +42,6 @@
 
 #include "bench/harness.h"
 #include "src/common/flags.h"
-#include "src/exec/sweep_runner.h"
-#include "src/model/zoo.h"
 #include "src/obs/json_lite.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeseries.h"
@@ -60,10 +55,6 @@ namespace {
 // host noise hits them alike; see EXPERIMENTS.md §Benchmark methodology for
 // the measured spread behind this bound.
 constexpr double kMaxSamplingOverhead = 0.15;
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
 
 // Process CPU time. The churn rates are computed from this rather than wall
 // time: on shared/oversubscribed containers a measurement window can lose the
@@ -189,23 +180,6 @@ ChurnResult MeasureChurn(int events, int rounds) {
   return result;
 }
 
-// ---- reference figure sweep -----------------------------------------------
-
-double MeasureSweep(int jobs) {
-  const auto start = std::chrono::steady_clock::now();
-  const std::vector<bench::ScalingPane> grid =
-      bench::ComputeScalingGrid(Vgg16(), /*include_p3=*/true, jobs);
-  double sink = 0.0;
-  for (const bench::ScalingPane& pane : grid) {
-    for (const bench::ScalingCell& cell : pane.cells) {
-      sink += cell.sched;
-    }
-  }
-  const double sec = SecondsSince(start);
-  std::printf("  figure sweep (vgg16 grid, jobs=%d): %.3f s (checksum %.1f)\n", jobs, sec, sink);
-  return sec;
-}
-
 // Reads the previous run's sampling-off churn throughput into *rate. A
 // missing file leaves *rate at 0 (no gate, as on a first run); a file that
 // exists but does not parse or lacks a positive event_loop.events_per_sec
@@ -235,14 +209,12 @@ int main(int argc, char** argv) {
   using namespace bsched;
 
   const Flags flags(argc, argv);
-  const int jobs = bench::InitBenchJobs(
-      argc, argv,
-      {"out", "baseline", "churn-events", "rounds", "skip-sweep", "max-regression"});
+  bench::InitBenchJobs(argc, argv,
+                       {"out", "baseline", "churn-events", "rounds", "max-regression"});
   const std::string out_path = flags.GetString("out", "BENCH_sim.json");
   const std::string baseline_path = flags.GetString("baseline", out_path);
   const int64_t churn_events = flags.GetInt("churn-events", 300000);
   const int64_t rounds = flags.GetInt("rounds", 3);
-  const bool skip_sweep = flags.GetBool("skip-sweep", false);
   const double max_regression = flags.GetDouble("max-regression", 0.10);
   const int host_cpus = static_cast<int>(std::thread::hardware_concurrency());
   if (churn_events <= 0 || churn_events > INT32_MAX || rounds <= 0 || rounds > INT32_MAX) {
@@ -259,8 +231,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("micro_sim: event-loop and sweep perf baseline (jobs=%d, host_cpus=%d)\n", jobs,
-              host_cpus);
+  std::printf("micro_sim: event-loop perf baseline (host_cpus=%d)\n", host_cpus);
 
   // Shared-container noise routinely exceeds 10% in a single measurement
   // window, so a gate miss is confirmed with an independent re-measure and
@@ -287,15 +258,6 @@ int main(int argc, char** argv) {
               100.0 * churn.sampling_overhead(),
               static_cast<unsigned long long>(churn.sampling_ticks));
 
-  double serial_sec = 0.0;
-  double parallel_sec = 0.0;
-  if (!skip_sweep) {
-    serial_sec = MeasureSweep(1);
-    parallel_sec = MeasureSweep(jobs);
-    std::printf("  sweep speedup at jobs=%d: %.2fx\n", jobs,
-                parallel_sec > 0 ? serial_sec / parallel_sec : 0.0);
-  }
-
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -303,8 +265,6 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"benchmark\": \"micro_sim\",\n");
-  std::fprintf(out, "  \"jobs\": %d,\n", jobs);
-  std::fprintf(out, "  \"hardware_concurrency\": %d,\n", DefaultJobs());
   std::fprintf(out, "  \"host_cpus\": %d,\n", host_cpus);
   std::fprintf(out, "  \"event_loop\": {\n");
   std::fprintf(out, "    \"workload\": \"churn\",\n");
@@ -315,16 +275,6 @@ int main(int argc, char** argv) {
   std::fprintf(out, "    \"sampling_ticks\": %llu,\n",
                static_cast<unsigned long long>(churn.sampling_ticks));
   std::fprintf(out, "    \"sampling_overhead\": %.4f\n", churn.sampling_overhead());
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"figure_sweep\": {\n");
-  std::fprintf(out, "    \"model\": \"vgg16\",\n");
-  std::fprintf(out, "    \"cells\": 20,\n");
-  std::fprintf(out, "    \"measured\": %s,\n", skip_sweep ? "false" : "true");
-  std::fprintf(out, "    \"serial_sec\": %.4f,\n", serial_sec);
-  std::fprintf(out, "    \"parallel_jobs\": %d,\n", jobs);
-  std::fprintf(out, "    \"parallel_sec\": %.4f,\n", parallel_sec);
-  std::fprintf(out, "    \"speedup\": %.3f\n",
-               parallel_sec > 0 ? serial_sec / parallel_sec : 0.0);
   std::fprintf(out, "  }\n");
   std::fprintf(out, "}\n");
   std::fclose(out);

@@ -138,9 +138,10 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
   std::printf("iteration time  : %s\n", result.avg_iter_time.ToString().c_str());
+  const double linear = LinearScalingSpeed(job.model, job.total_gpus());
   std::printf("training speed  : %.1f %s/sec (%.1f%% of linear scaling)\n",
               result.samples_per_sec, job.model.sample_unit.c_str(),
-              100.0 * result.samples_per_sec / PaperLinearScaling(job));
+              100.0 * result.samples_per_sec / linear);
   if (job.setup.arch == ArchType::kPs) {
     std::printf("shard imbalance : %.2fx\n", result.shard_load_imbalance);
   }

@@ -64,25 +64,23 @@ int main(int argc, char** argv) {
   job.model = Vgg16();
   job.setup = Setup::MxnetPsRdma();
   job.num_machines = 4;  // 32 GPUs
-  job.bandwidth = Bandwidth::Gbps(100);
+  job.bandwidth = Bandwidth::Gbps(100);  // mode: vanilla, the default
 
   // Vanilla MXNet (FIFO transmission of whole tensors) and ByteScheduler
   // (priority scheduling + tensor partitioning + credits) are independent
   // simulations: evaluate them concurrently.
   const TunedParams tuned =
       DefaultTunedParams(job.model, job.setup.arch, job.setup.transport, job.bandwidth);
+  // The fault-free ByteScheduler job; the --chaos and --volatility reruns
+  // each start from a copy of it, so neither inherits the other's fabric.
+  JobConfig bytescheduler = job;
+  bytescheduler.mode = SchedMode::kByteScheduler;
+  bytescheduler.partition_bytes = tuned.partition_bytes;
+  bytescheduler.credit_bytes = tuned.credit_bytes;
   const std::vector<JobResult> results = ParallelFor(2, [&](size_t i) {
-    JobConfig run = job;
-    if (i == 0) {
-      run.mode = SchedMode::kVanilla;
-    } else {
-      run.mode = SchedMode::kByteScheduler;
-      run.partition_bytes = tuned.partition_bytes;
-      run.credit_bytes = tuned.credit_bytes;
-      if (!chaos) {
-        // Read only after ParallelFor joins.
-        artifacts.Attach(&run);
-      }
+    JobConfig run = i == 0 ? job : bytescheduler;
+    if (i == 1 && !chaos) {
+      artifacts.Attach(&run);  // read only after ParallelFor joins
     }
     return RunTrainingJob(run);
   });
@@ -102,11 +100,8 @@ int main(int argc, char** argv) {
               100.0 * (scheduled.samples_per_sec / baseline.samples_per_sec - 1.0));
 
   if (chaos) {
-    job.mode = SchedMode::kByteScheduler;
-    job.partition_bytes = tuned.partition_bytes;
-    job.credit_bytes = tuned.credit_bytes;
-    job.chaos = FaultPlanConfig::Chaos(chaos_seed);
-    JobConfig observed = job;
+    JobConfig observed = bytescheduler;
+    observed.chaos = FaultPlanConfig::Chaos(chaos_seed);
     artifacts.Attach(&observed);
     const JobResult chaotic = RunTrainingJob(observed);
     std::printf("  chaos (seed %llu): %8.1f images/sec (%+.1f%% vs fault-free)\n",
@@ -116,9 +111,7 @@ int main(int argc, char** argv) {
   }
 
   if (volatility) {
-    job.mode = SchedMode::kByteScheduler;
-    job.partition_bytes = tuned.partition_bytes;
-    job.credit_bytes = tuned.credit_bytes;
+    JobConfig stormy_job = bytescheduler;
     NetDynamicsConfig dyn;
     dyn.seed = volatility_seed;
     dyn.volatility_amplitude = 0.7;
@@ -126,8 +119,8 @@ int main(int argc, char** argv) {
     dyn.cross_load = 0.5;
     dyn.down_scale = 0.8;
     dyn.aimd.enable = true;
-    job.dynamics = dyn;
-    const JobResult stormy = RunTrainingJob(job);
+    stormy_job.dynamics = dyn;
+    const JobResult stormy = RunTrainingJob(stormy_job);
     std::printf("  volatility (seed %llu): %8.1f images/sec (%+.1f%% vs calm fabric)\n",
                 static_cast<unsigned long long>(volatility_seed), stormy.samples_per_sec,
                 100.0 * (stormy.samples_per_sec / scheduled.samples_per_sec - 1.0));

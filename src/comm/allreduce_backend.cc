@@ -28,7 +28,7 @@ AllReduceConfig AllReduceConfig::Nccl(int num_workers, Bandwidth link_rate,
 }
 
 AllReduceBackend::AllReduceBackend(Simulator* sim, const AllReduceConfig& config)
-    : sim_(sim), config_(config), ring_(std::make_unique<Resource>(sim, "ring")) {
+    : sim_(sim), config_(config), ring_(std::make_unique<Resource>(sim)) {
   BSCHED_CHECK(sim_ != nullptr);
   BSCHED_CHECK(config_.num_workers >= 1);
   if (config_.faults != nullptr) {

@@ -39,7 +39,7 @@ PsBackend::PsBackend(Simulator* sim, const PsConfig& config) : sim_(sim), config
         std::make_unique<Link>(sim_, name + ".in", config_.link_rate, receiver);
     links_[2 * workers + shards + s] =
         std::make_unique<Link>(sim_, name + ".out", config_.link_rate, config_.transport);
-    shard_cpus_.push_back(std::make_unique<Resource>(sim_, name + ".cpu"));
+    shard_cpus_.push_back(std::make_unique<Resource>(sim_));
   }
   // Every flight's token is its hop; each link role lands it on its next step.
   for (int w = 0; w < workers; ++w) {

@@ -69,7 +69,6 @@ class Bandwidth {
     return b;
   }
   static constexpr Bandwidth Gbps(double v) { return BytesPerSec(v * 1e9 / 8.0); }
-  static constexpr Bandwidth Mbps(double v) { return BytesPerSec(v * 1e6 / 8.0); }
 
   // The smallest bandwidth a command line accepts (1 kbit/s): at it a 4 GiB
   // message (the most a PS hop carries) takes ~3.4e16 ns, 1/268 of

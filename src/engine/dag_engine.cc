@@ -8,10 +8,9 @@ namespace bsched {
 
 DagEngine::DagEngine(Simulator* sim) : sim_(sim) { BSCHED_CHECK(sim_ != nullptr); }
 
-OpId DagEngine::AddOp(std::string name, OpFn fn) {
+OpId DagEngine::AddOp(OpFn fn) {
   BSCHED_CHECK(!started_);
   OpNode node;
-  node.name = std::move(name);
   node.fn = std::move(fn);
   ops_.push_back(std::move(node));
   return static_cast<OpId>(ops_.size() - 1);
@@ -65,11 +64,6 @@ void DagEngine::OnOpDone(OpId id) {
       Launch(dep);
     }
   }
-}
-
-const std::string& DagEngine::OpName(OpId id) const {
-  BSCHED_CHECK(id >= 0 && id < static_cast<OpId>(ops_.size()));
-  return ops_[id].name;
 }
 
 bool DagEngine::OpDone(OpId id) const {

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -31,8 +30,9 @@ class DagEngine {
   DagEngine(const DagEngine&) = delete;
   DagEngine& operator=(const DagEngine&) = delete;
 
-  // Adds an operation; ops may be added only before Start().
-  OpId AddOp(std::string name, OpFn fn);
+  // Adds an operation; ops may be added only before Start(). Ops are
+  // anonymous: the OpId is their only handle.
+  OpId AddOp(OpFn fn);
 
   // Declares that `before` must complete before `after` starts.
   void AddDep(OpId before, OpId after);
@@ -44,12 +44,10 @@ class DagEngine {
   bool started() const { return started_; }
   bool AllDone() const { return ops_completed_ == ops_.size(); }
   size_t ops_completed() const { return ops_completed_; }
-  const std::string& OpName(OpId id) const;
   bool OpDone(OpId id) const;
 
  private:
   struct OpNode {
-    std::string name;
     OpFn fn;
     std::vector<OpId> dependents;
     int indegree = 0;

@@ -24,30 +24,26 @@ OpId ImperativeEngine::Chain(OpId op) {
   return op;
 }
 
-OpId ImperativeEngine::Post(std::string name, DagEngine::OpFn fn) {
-  return Chain(dag_.AddOp(std::move(name), std::move(fn)));
-}
+OpId ImperativeEngine::Post(DagEngine::OpFn fn) { return Chain(dag_.AddOp(std::move(fn))); }
 
-OpId ImperativeEngine::PostForward(int layer, std::string name, DagEngine::OpFn fn) {
+OpId ImperativeEngine::PostForward(int layer, DagEngine::OpFn fn) {
   auto hook = forward_pre_hooks_.find(layer);
   if (hook != forward_pre_hooks_.end()) {
-    Chain(dag_.AddOp(name + ".pre_hook", hook->second));
+    Chain(dag_.AddOp(hook->second));
   }
-  return Chain(dag_.AddOp(std::move(name), std::move(fn)));
+  return Chain(dag_.AddOp(std::move(fn)));
 }
 
-OpId ImperativeEngine::PostBackward(int layer, std::string name, DagEngine::OpFn fn) {
-  const OpId op = Chain(dag_.AddOp(std::move(name), std::move(fn)));
+OpId ImperativeEngine::PostBackward(int layer, DagEngine::OpFn fn) {
+  const OpId op = Chain(dag_.AddOp(std::move(fn)));
   auto hook = backward_hooks_.find(layer);
   if (hook != backward_hooks_.end()) {
-    Chain(dag_.AddOp(dag_.OpName(op) + ".hook", hook->second));
+    Chain(dag_.AddOp(hook->second));
   }
   return op;
 }
 
-OpId ImperativeEngine::PostBackground(std::string name, DagEngine::OpFn fn) {
-  return dag_.AddOp(std::move(name), std::move(fn));
-}
+OpId ImperativeEngine::PostBackground(DagEngine::OpFn fn) { return dag_.AddOp(std::move(fn)); }
 
 void ImperativeEngine::After(OpId before, OpId after) { dag_.AddDep(before, after); }
 

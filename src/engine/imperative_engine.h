@@ -4,12 +4,12 @@
 // PyTorch) and are spliced into the stream around the layer's ops — this is
 // how the PyTorch plugin inserts Dependency Proxies without engine changes
 // (§3.3, §5). Background ops model communication launched on side threads
-// (e.g. Horovod), ordered only by explicit dependencies.
+// (e.g. Horovod), ordered only by explicit dependencies. Ops, hook ops
+// included, are anonymous DagEngine ops: each Post* returns the OpId.
 #ifndef SRC_ENGINE_IMPERATIVE_ENGINE_H_
 #define SRC_ENGINE_IMPERATIVE_ENGINE_H_
 
 #include <map>
-#include <string>
 
 #include "src/engine/dag_engine.h"
 
@@ -28,13 +28,13 @@ class ImperativeEngine {
   void RegisterBackwardHook(int layer, DagEngine::OpFn hook);
 
   // Stream ops: strictly FIFO with everything else posted to the stream.
-  OpId Post(std::string name, DagEngine::OpFn fn);
-  OpId PostForward(int layer, std::string name, DagEngine::OpFn fn);
-  OpId PostBackward(int layer, std::string name, DagEngine::OpFn fn);
+  OpId Post(DagEngine::OpFn fn);
+  OpId PostForward(int layer, DagEngine::OpFn fn);
+  OpId PostBackward(int layer, DagEngine::OpFn fn);
 
   // Off-stream op (communication library thread). Runs when its explicit
   // dependencies (if any) are done.
-  OpId PostBackground(std::string name, DagEngine::OpFn fn);
+  OpId PostBackground(DagEngine::OpFn fn);
 
   // Explicit extra dependency edge (e.g. barrier waits on communication).
   void After(OpId before, OpId after);

@@ -20,6 +20,16 @@ std::string FaultStats::DebugString() const {
          " credit_restored=" + FormatBytes(credit_restored) + "]";
 }
 
+namespace {
+
+// "<kind> w<worker> L<layer>.p<partition> #<attempt>": one recovery instant.
+std::string RecoveryName(const char* kind, int worker, int layer, int partition, int attempt) {
+  return std::string(kind) + " w" + std::to_string(worker) + " L" + std::to_string(layer) + ".p" +
+         std::to_string(partition) + " #" + std::to_string(attempt);
+}
+
+}  // namespace
+
 FaultInjector::FaultInjector(const FaultPlanConfig& config, Simulator* sim, TraceRecorder* trace)
     : plan_(config), sim_(sim), trace_(trace) {
   BSCHED_CHECK(sim_ != nullptr);
@@ -31,12 +41,6 @@ FaultInjector::FaultInjector(const FaultPlanConfig& config, Simulator* sim, Trac
   }
 }
 
-void FaultInjector::Instant(const std::string& track, const std::string& name) {
-  if (trace_ != nullptr) {
-    trace_->AddInstant(track, name, sim_->Now());
-  }
-}
-
 FaultInjector::MessageFault FaultInjector::OnMessageSend(uint64_t site_hash) {
   const SimTime now = sim_->Now();
   ++stats_.messages_seen;
@@ -45,14 +49,18 @@ FaultInjector::MessageFault FaultInjector::OnMessageSend(uint64_t site_hash) {
   if (plan_.DropMessage(site_hash, msg_index, now)) {
     fate.drop = true;
     ++stats_.drops_injected;
-    Instant("faults/injected", "drop");
+    if (trace_ != nullptr) {
+      trace_->AddInstant("faults/injected", "drop", now);
+    }
     return fate;
   }
   fate.delay = plan_.ExtraLatency(site_hash, now);
   if (fate.delay.nanos() > 0) {
     ++stats_.delays_injected;
     stats_.delay_injected_total += fate.delay;
-    Instant("faults/injected", "delay+" + fate.delay.ToString());
+    if (trace_ != nullptr) {
+      trace_->AddInstant("faults/injected", "delay+" + fate.delay.ToString(), now);
+    }
   }
   return fate;
 }
@@ -63,7 +71,9 @@ SimTime FaultInjector::ScaleCompute(int worker, SimTime duration) {
     return duration;
   }
   ++stats_.compute_slowdowns;
-  Instant("faults/injected", "straggler w" + std::to_string(worker));
+  if (trace_ != nullptr) {
+    trace_->AddInstant("faults/injected", "straggler w" + std::to_string(worker), sim_->Now());
+  }
   return SimTime(static_cast<int64_t>(static_cast<double>(duration.nanos()) * factor));
 }
 
@@ -73,7 +83,9 @@ SimTime FaultInjector::ScaleShard(int shard, SimTime duration) {
     return duration;
   }
   ++stats_.shard_slowdowns;
-  Instant("faults/injected", "shard_slow s" + std::to_string(shard));
+  if (trace_ != nullptr) {
+    trace_->AddInstant("faults/injected", "shard_slow s" + std::to_string(shard), sim_->Now());
+  }
   return SimTime(static_cast<int64_t>(static_cast<double>(duration.nanos()) * factor));
 }
 
@@ -81,9 +93,10 @@ void FaultInjector::RecordCoreTimeout(int worker, int layer, int partition, int 
                                       Bytes restored) {
   ++stats_.core_timeouts;
   stats_.credit_restored += restored;
-  Instant("faults/recovery", "timeout w" + std::to_string(worker) + " L" + std::to_string(layer) +
-                                 ".p" + std::to_string(partition) + " #" +
-                                 std::to_string(attempt));
+  if (trace_ != nullptr) {
+    trace_->AddInstant("faults/recovery", RecoveryName("timeout", worker, layer, partition, attempt),
+                       sim_->Now());
+  }
 }
 
 void FaultInjector::RecordCoreRetry() {
@@ -100,9 +113,10 @@ void FaultInjector::RecordAbandon() {
 
 void FaultInjector::RecordBackendRetransmit(int worker, int layer, int partition, int attempt) {
   ++stats_.backend_retransmits;
-  Instant("faults/recovery", "retransmit w" + std::to_string(worker) + " L" +
-                                 std::to_string(layer) + ".p" + std::to_string(partition) + " #" +
-                                 std::to_string(attempt));
+  if (trace_ != nullptr) {
+    trace_->AddInstant("faults/recovery",
+                       RecoveryName("retransmit", worker, layer, partition, attempt), sim_->Now());
+  }
 }
 
 }  // namespace bsched

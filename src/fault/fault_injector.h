@@ -83,8 +83,6 @@ class FaultInjector {
   std::string DebugString() const { return stats_.DebugString(); }
 
  private:
-  void Instant(const std::string& track, const std::string& name);
-
   FaultPlan plan_;
   Simulator* sim_;
   TraceRecorder* trace_;

@@ -148,19 +148,4 @@ void MetricsSnapshot::WriteJson(std::ostream& os) const {
   os << "}\n";
 }
 
-void MetricsSnapshot::WriteCsv(std::ostream& os) const {
-  os << "kind,name,value,count,sum,p50,p95,p99\n";
-  for (const auto& [name, v] : counters) {
-    os << "counter," << name << "," << v << ",,,,,\n";
-  }
-  for (const auto& [name, v] : gauges) {
-    os << "gauge," << name << "," << v << ",,,,,\n";
-  }
-  for (const auto& [name, h] : histograms) {
-    const std::vector<double> p = h.Percentiles({50.0, 95.0, 99.0});
-    os << "histogram," << name << ",," << h.count << "," << h.sum << "," << p[0] << ","
-       << p[1] << "," << p[2] << "\n";
-  }
-}
-
 }  // namespace bsched

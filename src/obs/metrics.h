@@ -107,7 +107,6 @@ struct MetricsSnapshot {
   std::map<std::string, HistogramSnapshot> histograms;
 
   void WriteJson(std::ostream& os) const;
-  void WriteCsv(std::ostream& os) const;
 };
 
 // Get-or-create registry of named metrics. Handles are stable for the

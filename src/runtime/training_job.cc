@@ -219,7 +219,7 @@ class TrainingJob {
 
   void BuildWorkers() {
     for (int w = 0; w < sim_workers_; ++w) {
-      gpus_.push_back(std::make_unique<Resource>(&fabric_.sim, "gpu" + std::to_string(w)));
+      gpus_.push_back(std::make_unique<Resource>(&fabric_.sim));
       if (IsImperative(config_.setup.framework)) {
         imp_engines_.push_back(std::make_unique<ImperativeEngine>(&fabric_.sim));
         engines_.push_back(&imp_engines_.back()->dag());
@@ -273,27 +273,31 @@ class TrainingJob {
 
   // ---- shared plugin actions ----------------------------------------------
 
-  // GPU compute op; optionally records a trace span and the BP-end timestamp
-  // of iteration `bp_end_iter` (>= 0 only for each iteration's last BP op).
-  DagEngine::OpFn ComputeOp(int worker, SimTime duration, std::string name = "",
-                            int bp_end_iter = -1) {
+  // GPU compute op of `layer`'s forward or backward pass in iteration
+  // `iter`. The last BP op (layer 0) records the iteration's BP-end
+  // timestamp; a traced job records the op as an f<iter>_<layer> or
+  // b<iter>_<layer> span, the names the critical-path analyzer reads.
+  DagEngine::OpFn ComputeOp(int worker, int iter, int layer, bool backward) {
+    const Layer& l = config_.model.layers[layer];
+    const SimTime duration = backward ? l.bp_time : l.fp_time;
     Resource* gpu = gpus_[worker].get();
-    return [this, gpu, worker, duration, name = std::move(name),
-            bp_end_iter](DagEngine::Done done) {
+    return [this, gpu, worker, duration, iter, layer, backward](DagEngine::Done done) {
       const SimTime queued_at = fabric_.sim.Now();
       SimTime effective = duration;
       if (fabric_.faults != nullptr) {
         // Straggler episode: this worker's kernels run slower for a while.
         effective = fabric_.faults->ScaleCompute(worker, effective);
       }
-      gpu->Submit(effective, [this, worker, queued_at, name, bp_end_iter,
+      gpu->Submit(effective, [this, worker, queued_at, iter, layer, backward,
                              done = std::move(done)] {
-        if (bp_end_iter >= 0) {
-          iter_bp_end_[bp_end_iter] = std::max(iter_bp_end_[bp_end_iter], fabric_.sim.Now());
+        if (backward && layer == 0) {
+          iter_bp_end_[iter] = std::max(iter_bp_end_[iter], fabric_.sim.Now());
         }
         if (config_.trace != nullptr) {
-          config_.trace->AddSpan("worker" + std::to_string(worker) + "/gpu", name, queued_at,
-                                 fabric_.sim.Now());
+          config_.trace->AddSpan(
+              "worker" + std::to_string(worker) + "/gpu",
+              (backward ? "b" : "f") + std::to_string(iter) + "_" + std::to_string(layer),
+              queued_at, fabric_.sim.Now());
         }
         done();
       });
@@ -342,7 +346,9 @@ class TrainingJob {
     desc.layer = layer;
     desc.tensor_bytes = l.param_bytes;
     desc.type = type;
-    desc.name = l.name + "." + ToString(type);
+    if (config_.trace != nullptr) {
+      desc.name = l.name + "." + ToString(type);  // read only by the Core's trace
+    }
     desc.tensor_id = tensor_offset_ + layer;
     desc.partition_bytes_override = PartitionOverride(layer);
     desc.on_finish = std::move(on_finish);
@@ -429,7 +435,6 @@ class TrainingJob {
     DagEngine& dag = *engines_[worker];
     const bool barrier = HasGlobalBarrier(config_.setup.framework);
     const bool scheduled = config_.mode != SchedMode::kVanilla;
-    const ModelProfile& model = config_.model;
 
     // ByteScheduler on a barrier framework (Fig. 7) crosses the barrier: the
     // next iteration's forward ops wait on the layer's Dependency Proxy.
@@ -442,8 +447,7 @@ class TrainingJob {
       // Forward chain.
       std::vector<OpId> f(num_layers_);
       for (int i = 0; i < num_layers_; ++i) {
-        const std::string name = "f" + std::to_string(k) + "_" + std::to_string(i);
-        f[i] = dag.AddOp(name, ComputeOp(worker, model.layers[i].fp_time, name));
+        f[i] = dag.AddOp(ComputeOp(worker, k, i, /*backward=*/false));
         if (i > 0) {
           dag.AddDep(f[i - 1], f[i]);
         }
@@ -458,8 +462,7 @@ class TrainingJob {
             dag.AddDep(prev_comm[i], f[i]);
           }
           if (crossing && k > 0) {
-            OpId proxy_op = dag.AddOp("proxy_f" + std::to_string(k) + "_" + std::to_string(i),
-                                      Proxy(worker, i).WaitFor(k));
+            OpId proxy_op = dag.AddOp(Proxy(worker, i).WaitFor(k));
             dag.AddDep(proxy_op, f[i]);
             if (i > 0) {
               // The proxy guards this layer's forward op within the chain.
@@ -477,10 +480,7 @@ class TrainingJob {
       // Backward chain.
       std::vector<OpId> b(num_layers_);
       for (int i = num_layers_ - 1; i >= 0; --i) {
-        const std::string name = "b" + std::to_string(k) + "_" + std::to_string(i);
-        // The last BP op (layer 0) marks the iteration's BP end.
-        b[i] = dag.AddOp(name,
-                         ComputeOp(worker, model.layers[i].bp_time, name, i == 0 ? k : -1));
+        b[i] = dag.AddOp(ComputeOp(worker, k, i, /*backward=*/true));
         if (i == num_layers_ - 1) {
           dag.AddDep(f[num_layers_ - 1], b[i]);
         } else {
@@ -497,9 +497,8 @@ class TrainingJob {
       std::vector<OpId> comm(num_layers_);
       std::fill(prev_comm.begin(), prev_comm.end(), kInvalidOp);
       for (int i = 0; i < num_layers_; ++i) {
-        const std::string name = "comm" + std::to_string(k) + "_" + std::to_string(i);
         if (tf_vanilla_ps) {
-          comm[i] = dag.AddOp(name, [this, worker, i](DagEngine::Done done) {
+          comm[i] = dag.AddOp([this, worker, i](DagEngine::Done done) {
             StartPsPush(worker, i, std::move(done));
           });
         } else if (crossing) {
@@ -507,14 +506,14 @@ class TrainingJob {
           // and returns so the barrier can pass; the layer's Dependency Proxy
           // blocks the next iteration's forward op until notify_finish.
           DependencyProxy* proxy = &Proxy(worker, i);
-          comm[i] = dag.AddOp(name, [this, worker, i, proxy](DagEngine::Done done) {
+          comm[i] = dag.AddOp([this, worker, i, proxy](DagEngine::Done done) {
             StartCommTensor(worker, i, [proxy] { proxy->Release(); });
             done();  // returns immediately: communication runs out-of-engine
           });
         } else {
           // Vanilla, or ByteScheduler on a barrier-free framework (Fig. 6):
           // the engine op completes when the communication finishes.
-          comm[i] = dag.AddOp(name, [this, worker, i](DagEngine::Done done) {
+          comm[i] = dag.AddOp([this, worker, i](DagEngine::Done done) {
             StartCommTensor(worker, i, std::move(done));
           });
           prev_comm[i] = comm[i];
@@ -523,7 +522,7 @@ class TrainingJob {
       }
 
       if (barrier) {
-        OpId barrier_op = dag.AddOp("barrier" + std::to_string(k), nullptr);
+        OpId barrier_op = dag.AddOp(nullptr);
         for (int i = 0; i < num_layers_; ++i) {
           dag.AddDep(comm[i], barrier_op);
         }
@@ -532,11 +531,9 @@ class TrainingJob {
           // Step-start variable reads: issued after the barrier, each gating
           // its layer's forward op of the next iteration.
           for (int i = 0; i < num_layers_; ++i) {
-            OpId pull_op = dag.AddOp(
-                "read_var" + std::to_string(k) + "_" + std::to_string(i),
-                [this, worker, i](DagEngine::Done done) {
-                  StartPsPull(worker, i, std::move(done));
-                });
+            OpId pull_op = dag.AddOp([this, worker, i](DagEngine::Done done) {
+              StartPsPull(worker, i, std::move(done));
+            });
             dag.AddDep(barrier_op, pull_op);
             prev_comm[i] = pull_op;
           }
@@ -550,7 +547,6 @@ class TrainingJob {
   void BuildImperativeWorker(int worker) {
     ImperativeEngine& eng = *imp_engines_[worker];
     const bool scheduled = config_.mode != SchedMode::kVanilla;
-    const ModelProfile& model = config_.model;
 
     if (scheduled) {
       for (int i = 0; i < num_layers_; ++i) {
@@ -572,29 +568,24 @@ class TrainingJob {
 
     for (int k = 0; k < total_iters_; ++k) {
       for (int i = 0; i < num_layers_; ++i) {
-        const std::string name = "f" + std::to_string(k) + "_" + std::to_string(i);
-        eng.PostForward(i, name, ComputeOp(worker, model.layers[i].fp_time, name));
+        eng.PostForward(i, ComputeOp(worker, k, i, /*backward=*/false));
       }
       std::vector<OpId> comm_ops;
       for (int i = num_layers_ - 1; i >= 0; --i) {
-        const std::string name = "b" + std::to_string(k) + "_" + std::to_string(i);
-        OpId b_op = eng.PostBackward(
-            i, name, ComputeOp(worker, model.layers[i].bp_time, name, i == 0 ? k : -1));
+        OpId b_op = eng.PostBackward(i, ComputeOp(worker, k, i, /*backward=*/true));
         if (!scheduled) {
           // Vanilla Horovod: background all-reduce launched in gradient-ready
           // order; the optimizer step below waits for all of them.
-          OpId comm = eng.PostBackground(
-              "comm" + std::to_string(k) + "_" + std::to_string(i),
-              [this, worker, i](DagEngine::Done done) {
-                StartCommTensor(worker, i, std::move(done));
-              });
+          OpId comm = eng.PostBackground([this, worker, i](DagEngine::Done done) {
+            StartCommTensor(worker, i, std::move(done));
+          });
           eng.After(b_op, comm);
           comm_ops.push_back(comm);
         }
       }
       // optimizer.step(): the inter-iteration global barrier of Fig. 3. With
       // ByteScheduler it no longer waits for communication (§3.4).
-      OpId step = eng.Post("step" + std::to_string(k), nullptr);
+      OpId step = eng.Post(nullptr);
       for (OpId comm : comm_ops) {
         eng.After(comm, step);
       }
@@ -781,13 +772,6 @@ std::vector<JobResult> RunCoscheduledPsJobs(const std::vector<JobConfig>& jobs,
 double LinearScalingSpeed(const ModelProfile& model, int total_gpus) {
   const double iter_sec = model.TotalComputeTime().ToSeconds();
   return total_gpus * model.batch_per_gpu / iter_sec;
-}
-
-double PaperLinearScaling(const JobConfig& config) {
-  // The paper's reference is the one-machine *local* training speed (all
-  // GPUs on one box, no cross-machine network) multiplied by the machine
-  // count — which is compute-bound in this substrate for every model.
-  return LinearScalingSpeed(config.model, config.total_gpus());
 }
 
 TunedParams DefaultTunedParams(const ModelProfile& model, ArchType arch,

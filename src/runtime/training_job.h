@@ -137,12 +137,11 @@ struct JobResult {
 JobResult RunTrainingJob(const JobConfig& config);
 
 // Ideal compute-bound speed: single-device compute-only throughput times the
-// device count. An absolute upper bound for any schedule.
+// device count. An absolute upper bound for any schedule, and the paper's
+// "linear scaling" bar (§6.1): the one-machine local training speed (no
+// cross-machine network) times the machine count is compute-bound in this
+// substrate for every model.
 double LinearScalingSpeed(const ModelProfile& model, int total_gpus);
-
-// The paper's "linear scaling" bar (§6.1): the one-machine local training
-// speed (no cross-machine network) multiplied by the machine count.
-double PaperLinearScaling(const JobConfig& config);
 
 // Heuristic tuned (partition, credit) defaults per architecture/transport/
 // bandwidth, matching the trends of the paper's Table 1 (PS wants MB-scale

@@ -6,9 +6,7 @@
 
 namespace bsched {
 
-Resource::Resource(Simulator* sim, std::string name) : sim_(sim), name_(std::move(name)) {
-  BSCHED_CHECK(sim_ != nullptr);
-}
+Resource::Resource(Simulator* sim) : sim_(sim) { BSCHED_CHECK(sim_ != nullptr); }
 
 void Resource::Submit(SimTime duration, EventFn on_done) {
   BSCHED_CHECK(duration.nanos() >= 0);

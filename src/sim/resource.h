@@ -1,14 +1,14 @@
-// A serialized FIFO resource: the building block for network links, PS shard
-// NICs, GPU compute streams, and the all-reduce ring. Jobs submitted to a
-// Resource execute one at a time, in submission order, each occupying the
-// resource for its stated duration. This mirrors the paper's observation that
-// the underlying communication stacks are "inherently based on FIFO queues":
-// schedulers control *admission order*, never preempt an in-flight job.
+// A serialized FIFO resource: the GPU compute streams, the PS shard CPUs and
+// the all-reduce ring. Jobs submitted to a Resource execute one at a time, in
+// submission order, each occupying the resource for its stated duration. This
+// mirrors the paper's observation that the underlying communication stacks
+// are "inherently based on FIFO queues": schedulers control *admission
+// order*, never preempt an in-flight job. A Resource is anonymous: its owner
+// names it where a trace or metric needs a name.
 #ifndef SRC_SIM_RESOURCE_H_
 #define SRC_SIM_RESOURCE_H_
 
 #include <cstdint>
-#include <string>
 
 #include "src/common/units.h"
 #include "src/sim/fifo_ring.h"
@@ -18,7 +18,7 @@ namespace bsched {
 
 class Resource {
  public:
-  Resource(Simulator* sim, std::string name);
+  explicit Resource(Simulator* sim);
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
 
@@ -31,7 +31,6 @@ class Resource {
 
   bool busy() const { return busy_; }
   size_t queue_length() const { return queue_.size(); }
-  const std::string& name() const { return name_; }
 
   // Total time the resource has been occupied (for utilization reporting).
   SimTime busy_time() const { return busy_time_; }
@@ -51,7 +50,6 @@ class Resource {
   void OnJobDone();
 
   Simulator* sim_;
-  std::string name_;
   bool busy_ = false;
   SimTime current_job_end_;
   Job current_;

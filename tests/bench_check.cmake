@@ -1,6 +1,6 @@
 # Runs one evaluation binary and checks it, or checks the goldens against the
 # benchmark reference; the ctest labels golden and flags call it in one of
-# four modes:
+# five modes:
 #   cmake -DBIN=<binary> -DGOLDEN=<file> -DACTUAL=<file> [-DCSV=ON] [-DUPDATE=ON]
 #         -P bench_check.cmake
 #     runs BIN --jobs 4, writes its stdout to ACTUAL and requires it to equal
@@ -14,6 +14,10 @@
 #     TRACE_SHA256 (UPDATE=ON rewrites GOLDEN and TRACE_SHA256 instead);
 #   cmake -DBIN=<binary> -DARGS=<arg;arg> -DEXPECT_EXIT=<n> -P bench_check.cmake
 #     runs BIN ARGS and requires exit status n.
+#   cmake -DBIN=<binary> -DARGS=<arg;arg> -DARGS_B=<arg;arg> -DSAME_LINES=<re;re>
+#         -P bench_check.cmake
+#     runs BIN ARGS and BIN ARGS_B; each SAME_LINES regex must match both
+#     stdouts, and the two must agree from the match to the end of its line.
 #   cmake -DGOLDENS=<dir> -DBINARIES=<bin;bin> -DREFERENCE=<file> -P bench_check.cmake
 #     requires each GOLDENS/<bin>.txt to hash to the sha256 that REFERENCE
 #     (perfbench/reference/eval.txt: "<bin> <sha256> <events>" lines) records
@@ -23,6 +27,28 @@ if(DEFINED EXPECT_EXIT)
   if(NOT rc STREQUAL EXPECT_EXIT)
     list(JOIN ARGS " " args_text)
     message(FATAL_ERROR "${BIN} ${args_text}: exit status ${rc}, want ${EXPECT_EXIT}")
+  endif()
+  return()
+endif()
+
+if(DEFINED SAME_LINES)
+  foreach(run ARGS ARGS_B)
+    execute_process(COMMAND ${BIN} ${${run}} OUTPUT_VARIABLE out RESULT_VARIABLE rc)
+    list(JOIN ${run} " " args_text)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "${BIN} ${args_text}: exit status ${rc}")
+    endif()
+    set(lines_${run} "")
+    foreach(re ${SAME_LINES})
+      string(REGEX MATCH "${re}[^\n]*" line "${out}")
+      if(line STREQUAL "")
+        message(FATAL_ERROR "${BIN} ${args_text}: no line matches '${re}'")
+      endif()
+      string(APPEND lines_${run} "${line}\n")
+    endforeach()
+  endforeach()
+  if(NOT lines_ARGS STREQUAL lines_ARGS_B)
+    message(FATAL_ERROR "lines differ:\n${lines_ARGS}vs\n${lines_ARGS_B}")
   endif()
   return()
 endif()

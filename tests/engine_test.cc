@@ -26,9 +26,9 @@ TEST(DagEngineTest, ChainExecutesInOrder) {
   Simulator sim;
   DagEngine dag(&sim);
   std::vector<std::string> log;
-  OpId a = dag.AddOp("a", TimedOp(&sim, SimTime::Micros(5), &log, "a"));
-  OpId b = dag.AddOp("b", TimedOp(&sim, SimTime::Micros(1), &log, "b"));
-  OpId c = dag.AddOp("c", TimedOp(&sim, SimTime::Micros(1), &log, "c"));
+  OpId a = dag.AddOp(TimedOp(&sim, SimTime::Micros(5), &log, "a"));
+  OpId b = dag.AddOp(TimedOp(&sim, SimTime::Micros(1), &log, "b"));
+  OpId c = dag.AddOp(TimedOp(&sim, SimTime::Micros(1), &log, "c"));
   dag.AddDep(a, b);
   dag.AddDep(b, c);
   dag.Start();
@@ -42,8 +42,8 @@ TEST(DagEngineTest, IndependentOpsRunConcurrently) {
   Simulator sim;
   DagEngine dag(&sim);
   std::vector<std::string> log;
-  dag.AddOp("slow", TimedOp(&sim, SimTime::Micros(10), &log, "slow"));
-  dag.AddOp("fast", TimedOp(&sim, SimTime::Micros(1), &log, "fast"));
+  dag.AddOp(TimedOp(&sim, SimTime::Micros(10), &log, "slow"));
+  dag.AddOp(TimedOp(&sim, SimTime::Micros(1), &log, "fast"));
   dag.Start();
   sim.Run();
   EXPECT_EQ(log, (std::vector<std::string>{"fast", "slow"}));
@@ -54,10 +54,10 @@ TEST(DagEngineTest, DiamondJoinWaitsForBothBranches) {
   Simulator sim;
   DagEngine dag(&sim);
   std::vector<std::string> log;
-  OpId src = dag.AddOp("src", nullptr);
-  OpId l = dag.AddOp("l", TimedOp(&sim, SimTime::Micros(3), &log, "l"));
-  OpId r = dag.AddOp("r", TimedOp(&sim, SimTime::Micros(9), &log, "r"));
-  OpId sink = dag.AddOp("sink", TimedOp(&sim, SimTime::Micros(1), &log, "sink"));
+  OpId src = dag.AddOp(nullptr);
+  OpId l = dag.AddOp(TimedOp(&sim, SimTime::Micros(3), &log, "l"));
+  OpId r = dag.AddOp(TimedOp(&sim, SimTime::Micros(9), &log, "r"));
+  OpId sink = dag.AddOp(TimedOp(&sim, SimTime::Micros(1), &log, "sink"));
   dag.AddDep(src, l);
   dag.AddDep(src, r);
   dag.AddDep(l, sink);
@@ -71,9 +71,9 @@ TEST(DagEngineTest, DiamondJoinWaitsForBothBranches) {
 TEST(DagEngineTest, NullOpIsInstantNoOp) {
   Simulator sim;
   DagEngine dag(&sim);
-  OpId barrier = dag.AddOp("barrier", nullptr);
+  OpId barrier = dag.AddOp(nullptr);
   bool after_ran = false;
-  OpId after = dag.AddOp("after", [&](DagEngine::Done done) {
+  OpId after = dag.AddOp([&](DagEngine::Done done) {
     after_ran = true;
     done();
   });
@@ -84,11 +84,10 @@ TEST(DagEngineTest, NullOpIsInstantNoOp) {
   EXPECT_EQ(sim.Now().nanos(), 0);
 }
 
-TEST(DagEngineTest, OpNamesAndDoneFlags) {
+TEST(DagEngineTest, OpDoneFlags) {
   Simulator sim;
   DagEngine dag(&sim);
-  OpId a = dag.AddOp("alpha", nullptr);
-  EXPECT_EQ(dag.OpName(a), "alpha");
+  OpId a = dag.AddOp(nullptr);
   EXPECT_FALSE(dag.OpDone(a));
   dag.Start();
   sim.Run();
@@ -101,7 +100,7 @@ TEST(DagEngineTest, LongChainDoesNotOverflowStack) {
   DagEngine dag(&sim);
   OpId prev = kInvalidOp;
   for (int i = 0; i < 50'000; ++i) {
-    OpId op = dag.AddOp("op", nullptr);
+    OpId op = dag.AddOp(nullptr);
     if (prev != kInvalidOp) {
       dag.AddDep(prev, op);
     }
@@ -114,7 +113,7 @@ TEST(DagEngineTest, LongChainDoesNotOverflowStack) {
 
 // Successor op that records whether it ran.
 OpId AddFlagOp(DagEngine* dag, bool* ran) {
-  return dag->AddOp("next", [ran](DagEngine::Done done) {
+  return dag->AddOp([ran](DagEngine::Done done) {
     *ran = true;
     done();
   });
@@ -124,7 +123,7 @@ TEST(ProxyTest, OpWaitsForKReleases) {
   Simulator sim;
   DagEngine dag(&sim);
   DependencyProxy proxy;
-  OpId p = dag.AddOp("proxy", proxy.WaitFor(3));
+  OpId p = dag.AddOp(proxy.WaitFor(3));
   bool after = false;
   dag.AddDep(p, AddFlagOp(&dag, &after));
   dag.Start();
@@ -142,7 +141,7 @@ TEST(ProxyTest, EngineStartThenRelease) {
   Simulator sim;
   DagEngine dag(&sim);
   DependencyProxy proxy;
-  OpId p = dag.AddOp("proxy", proxy.WaitFor(1));
+  OpId p = dag.AddOp(proxy.WaitFor(1));
   bool after = false;
   dag.AddDep(p, AddFlagOp(&dag, &after));
   dag.Start();
@@ -162,7 +161,7 @@ TEST(ProxyTest, ReleaseBeforeStartCompletesImmediately) {
   DagEngine dag(&sim);
   DependencyProxy proxy;
   proxy.Release();  // scheduler released before the engine reached the proxy
-  OpId p = dag.AddOp("proxy", proxy.WaitFor(1));
+  OpId p = dag.AddOp(proxy.WaitFor(1));
   bool after = false;
   dag.AddDep(p, AddFlagOp(&dag, &after));
   dag.Start();
@@ -176,8 +175,8 @@ TEST(ImperativeEngineTest, StreamOpsRunInPostOrder) {
   std::vector<std::string> log;
   // Post a slow op first and a fast op second: FIFO stream order must hold
   // even though the second op is shorter.
-  eng.Post("slow", TimedOp(&sim, SimTime::Micros(10), &log, "slow"));
-  eng.Post("fast", TimedOp(&sim, SimTime::Micros(1), &log, "fast"));
+  eng.Post(TimedOp(&sim, SimTime::Micros(10), &log, "slow"));
+  eng.Post(TimedOp(&sim, SimTime::Micros(1), &log, "fast"));
   eng.Start();
   sim.Run();
   EXPECT_EQ(log, (std::vector<std::string>{"slow", "fast"}));
@@ -188,8 +187,8 @@ TEST(ImperativeEngineTest, BackgroundOpsRunOffStream) {
   Simulator sim;
   ImperativeEngine eng(&sim);
   std::vector<std::string> log;
-  eng.Post("compute", TimedOp(&sim, SimTime::Micros(10), &log, "compute"));
-  eng.PostBackground("comm", TimedOp(&sim, SimTime::Micros(2), &log, "comm"));
+  eng.Post(TimedOp(&sim, SimTime::Micros(10), &log, "compute"));
+  eng.PostBackground(TimedOp(&sim, SimTime::Micros(2), &log, "comm"));
   eng.Start();
   sim.Run();
   EXPECT_EQ(log, (std::vector<std::string>{"comm", "compute"}));
@@ -202,7 +201,7 @@ TEST(ImperativeEngineTest, ForwardPreHookBlocksStream) {
   std::vector<std::string> log;
   DependencyProxy proxy;
   eng.RegisterForwardPreHook(0, proxy.WaitFor(1));
-  eng.PostForward(0, "f0", TimedOp(&sim, SimTime::Micros(1), &log, "f0"));
+  eng.PostForward(0, TimedOp(&sim, SimTime::Micros(1), &log, "f0"));
   eng.Start();
   sim.Run();
   EXPECT_TRUE(log.empty());  // blocked by the un-released hook
@@ -220,7 +219,7 @@ TEST(ImperativeEngineTest, ForwardPreHookCountsIterationsAcrossCopies) {
   // wait for k releases, so the count cannot live in the copy.
   eng.RegisterForwardPreHook(0, proxy.WaitForNext());
   for (const char* name : {"f0", "f1", "f2"}) {
-    eng.PostForward(0, name, TimedOp(&sim, SimTime::Micros(1), &log, name));
+    eng.PostForward(0, TimedOp(&sim, SimTime::Micros(1), &log, name));
   }
   eng.Start();
   sim.Run();
@@ -241,8 +240,8 @@ TEST(ImperativeEngineTest, BackwardHookRunsAfterLayer) {
     log.push_back("hook3");
     done();
   });
-  eng.PostBackward(3, "b3", TimedOp(&sim, SimTime::Micros(1), &log, "b3"));
-  eng.PostBackward(2, "b2", TimedOp(&sim, SimTime::Micros(1), &log, "b2"));
+  eng.PostBackward(3, TimedOp(&sim, SimTime::Micros(1), &log, "b3"));
+  eng.PostBackward(2, TimedOp(&sim, SimTime::Micros(1), &log, "b2"));
   eng.Start();
   sim.Run();
   EXPECT_EQ(log, (std::vector<std::string>{"b3", "hook3", "b2"}));
@@ -252,8 +251,8 @@ TEST(ImperativeEngineTest, AfterAddsExplicitDependency) {
   Simulator sim;
   ImperativeEngine eng(&sim);
   std::vector<std::string> log;
-  OpId comm = eng.PostBackground("comm", TimedOp(&sim, SimTime::Micros(20), &log, "comm"));
-  OpId step = eng.Post("step", TimedOp(&sim, SimTime::Micros(1), &log, "step"));
+  OpId comm = eng.PostBackground(TimedOp(&sim, SimTime::Micros(20), &log, "comm"));
+  OpId step = eng.Post(TimedOp(&sim, SimTime::Micros(1), &log, "step"));
   eng.After(comm, step);  // optimizer.step waits for communication
   eng.Start();
   sim.Run();

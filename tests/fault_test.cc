@@ -7,7 +7,9 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -21,6 +23,7 @@
 #include "src/fault/fault_plan.h"
 #include "src/model/zoo.h"
 #include "src/net/net_dynamics.h"
+#include "src/obs/json_lite.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeseries.h"
 #include "src/runtime/cluster.h"
@@ -650,6 +653,60 @@ TEST(ChaosEndToEndTest, FaultTracksAppearInTrace) {
   }
   EXPECT_TRUE(has_plan);
   EXPECT_EQ(has_injected, result.fault_stats.any_injected());
+}
+
+// Every injected fault and every recovery leaves one instant on its trace
+// track, and the instant names keep their format.
+TEST(ChaosEndToEndTest, FaultInstantsMatchTheLedger) {
+  TraceRecorder trace;
+  JobConfig job = ChaosJobConfig(Setup::MxnetPsRdma(), 7);
+  job.trace = &trace;
+  const JobResult result = RunTrainingJob(job);
+  ExpectRecovered(result);
+  std::ostringstream os;
+  trace.WriteChromeTrace(os);
+  obs::JsonValue events;
+  std::string error;
+  ASSERT_TRUE(obs::ParseJson(os.str(), &events, &error)) << error;
+
+  std::map<int64_t, std::string> tracks;  // tid -> track name
+  for (const obs::JsonValue& ev : events.array) {
+    if (ev.Find("ph")->str == "M") {
+      tracks[ev.Find("tid")->IntOr(-1)] = ev.Find("args")->Find("name")->str;
+    }
+  }
+  const std::vector<std::pair<std::string, std::regex>> kinds = {
+      {"faults/injected", std::regex("drop")},
+      {"faults/injected", std::regex(R"(delay\+[0-9.]+(ns|us|ms|s))")},
+      {"faults/injected", std::regex(R"(straggler w[0-9]+)")},
+      {"faults/injected", std::regex(R"(shard_slow s[0-9]+)")},
+      {"faults/recovery", std::regex(R"(timeout w[0-9]+ L[0-9]+\.p[0-9]+ #[0-9]+)")},
+      {"faults/recovery", std::regex(R"(retransmit w[0-9]+ L[0-9]+\.p[0-9]+ #[0-9]+)")},
+  };
+  std::vector<uint64_t> counts(kinds.size(), 0);
+  for (const obs::JsonValue& ev : events.array) {
+    if (ev.Find("ph")->str != "i") {
+      continue;
+    }
+    const std::string& track = tracks[ev.Find("tid")->IntOr(-1)];
+    const std::string& name = ev.Find("name")->str;
+    size_t k = 0;
+    while (k < kinds.size() &&
+           !(kinds[k].first == track && std::regex_match(name, kinds[k].second))) {
+      ++k;
+    }
+    ASSERT_LT(k, kinds.size()) << "unexpected instant '" << name << "' on " << track;
+    ++counts[k];
+  }
+  const FaultStats& stats = result.fault_stats;
+  EXPECT_EQ(counts[0], stats.drops_injected);
+  EXPECT_EQ(counts[1], stats.delays_injected);
+  EXPECT_EQ(counts[2], stats.compute_slowdowns);
+  EXPECT_EQ(counts[3], stats.shard_slowdowns);
+  EXPECT_EQ(counts[4], stats.core_timeouts);
+  EXPECT_EQ(counts[5], stats.backend_retransmits);
+  EXPECT_GT(stats.drops_injected, 0u);
+  EXPECT_GT(stats.delays_injected, 0u);
 }
 
 // ---- determinism & zero-cost regressions ----------------------------------

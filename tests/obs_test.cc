@@ -385,20 +385,6 @@ TEST(ObsArtifactsDeathTest, SecondAttachCheckFails) {
   EXPECT_DEATH(artifacts.Attach(&second), "exactly one job");
 }
 
-TEST(MetricsSnapshotTest, CsvShape) {
-  MetricsRegistry reg;
-  reg.counter("c")->Inc(2);
-  reg.gauge("g")->Set(5);
-  reg.histogram("h")->Observe(10);
-  std::ostringstream os;
-  reg.Snapshot().WriteCsv(os);
-  const std::string csv = os.str();
-  EXPECT_EQ(csv.rfind("kind,name,value,count,sum,p50,p95,p99", 0), 0u);
-  EXPECT_NE(csv.find("counter,c,2"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,g,5"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,h"), std::string::npos);
-}
-
 // ---- ObsContext flow bookkeeping ------------------------------------------
 
 TEST(ObsContextTest, FlowLifecycle) {

@@ -70,7 +70,7 @@ TEST_P(SpeedupSweepTest, SchedulingNeverLosesAndStaysUnderLinear) {
   job.credit_bytes = tuned.credit_bytes;
   const JobResult sched = RunTrainingJob(job);
 
-  const double linear = PaperLinearScaling(job);
+  const double linear = LinearScalingSpeed(job.model, job.total_gpus());
   EXPECT_GT(baseline.samples_per_sec, 0.0);
   // ByteScheduler never loses to the baseline (±0.5% tolerance).
   EXPECT_GE(sched.samples_per_sec, baseline.samples_per_sec * 0.995);

@@ -222,7 +222,7 @@ TEST(TrainingJobTest, BertLargeEndToEnd) {
   const double sched =
       RunTrainingJob(WithMode(base, SchedMode::kByteScheduler)).samples_per_sec;
   EXPECT_GT(sched, baseline * 1.15);
-  EXPECT_LE(sched, PaperLinearScaling(base) * 1.005);
+  EXPECT_LE(sched, LinearScalingSpeed(base.model, base.total_gpus()) * 1.005);
 }
 
 TEST(TrainingJobTest, VanillaAllReduceSendsWholeTensors) {

@@ -435,7 +435,7 @@ TEST(EventFnTest, MovesTransferOwnership) {
 
 TEST(ResourceTest, IdleResourceStartsImmediately) {
   Simulator sim;
-  Resource r(&sim, "r");
+  Resource r(&sim);
   SimTime done_at;
   r.Submit(SimTime::Micros(10), [&] { done_at = sim.Now(); });
   EXPECT_TRUE(r.busy());
@@ -446,7 +446,7 @@ TEST(ResourceTest, IdleResourceStartsImmediately) {
 
 TEST(ResourceTest, JobsSerializeFifo) {
   Simulator sim;
-  Resource r(&sim, "r");
+  Resource r(&sim);
   std::vector<int64_t> done_times;
   for (int i = 0; i < 3; ++i) {
     r.Submit(SimTime::Micros(10), [&] { done_times.push_back(sim.Now().nanos()); });
@@ -460,7 +460,7 @@ TEST(ResourceTest, JobsSerializeFifo) {
 
 TEST(ResourceTest, SubmitFromCompletionCallback) {
   Simulator sim;
-  Resource r(&sim, "r");
+  Resource r(&sim);
   SimTime second_done;
   r.Submit(SimTime::Micros(5), [&] {
     r.Submit(SimTime::Micros(7), [&] { second_done = sim.Now(); });
@@ -471,7 +471,7 @@ TEST(ResourceTest, SubmitFromCompletionCallback) {
 
 TEST(ResourceTest, ZeroDurationJob) {
   Simulator sim;
-  Resource r(&sim, "r");
+  Resource r(&sim);
   bool done = false;
   r.Submit(SimTime::Nanos(0), [&] { done = true; });
   sim.Run();
@@ -481,7 +481,7 @@ TEST(ResourceTest, ZeroDurationJob) {
 
 TEST(ResourceTest, EmptyCallbackAllowed) {
   Simulator sim;
-  Resource r(&sim, "r");
+  Resource r(&sim);
   r.Submit(SimTime::Micros(1), nullptr);
   r.Submit(SimTime::Micros(1), nullptr);
   sim.Run();
@@ -490,7 +490,7 @@ TEST(ResourceTest, EmptyCallbackAllowed) {
 
 TEST(ResourceTest, DrainTimeAccountsForQueue) {
   Simulator sim;
-  Resource r(&sim, "r");
+  Resource r(&sim);
   r.Submit(SimTime::Micros(10), nullptr);
   r.Submit(SimTime::Micros(5), nullptr);
   EXPECT_EQ(r.DrainTime(), SimTime::Micros(15));
@@ -500,8 +500,8 @@ TEST(ResourceTest, DrainTimeAccountsForQueue) {
 
 TEST(ResourceTest, InterleavedWithOtherResources) {
   Simulator sim;
-  Resource a(&sim, "a");
-  Resource b(&sim, "b");
+  Resource a(&sim);
+  Resource b(&sim);
   std::vector<std::string> order;
   a.Submit(SimTime::Micros(10), [&] { order.push_back("a"); });
   b.Submit(SimTime::Micros(5), [&] { order.push_back("b"); });

@@ -7,6 +7,7 @@
 // decompose >= 95% of every iteration's wall clock.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -370,6 +371,45 @@ TEST(CriticalPathTest, Fig04StyleRunCoverageIsAtLeast95Percent) {
   }
   EXPECT_GE(report.MinCoverage(), 0.95);
   EXPECT_FALSE(report.stragglers.empty());
+}
+
+// The analyzer finds iteration ends by name: a worker's b<k>_0 GPU span. Both
+// engines name each compute span f<k>_<i> or b<k>_<i>, once per layer and
+// iteration, so every warmup and measured iteration gets its window.
+TEST(CriticalPathTest, BothEnginesNameComputeSpansForTheAnalyzer) {
+  for (const bsched::Setup& setup : {Setup::PyTorchNcclTcp(), Setup::MxnetPsRdma()}) {
+    SCOPED_TRACE(setup.name);
+    TraceRecorder trace;
+    JobConfig job = bench::WithMode(
+        bench::MakeJob(Vgg16(), setup, /*num_machines=*/2, Bandwidth::Gbps(25)),
+        SchedMode::kByteScheduler);
+    job.warmup_iters = 1;
+    job.measure_iters = 2;
+    job.trace = &trace;
+    RunTrainingJob(job);
+
+    std::ostringstream os;
+    trace.WriteChromeTrace(os);
+    obs::CpInput in;
+    std::string error;
+    ASSERT_TRUE(obs::LoadCpInputFromChromeTrace(os.str(), &in, &error)) << error;
+    std::multiset<std::string> want;
+    for (int k = 0; k < 3; ++k) {
+      for (int i = 0; i < job.model.num_layers(); ++i) {
+        const std::string suffix = std::to_string(k) + "_" + std::to_string(i);
+        want.insert("f" + suffix);
+        want.insert("b" + suffix);
+      }
+    }
+    std::multiset<std::string> got;
+    for (const obs::CpSpan& span : in.spans) {
+      if (span.track == "worker0/gpu") {
+        got.insert(span.name);
+      }
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(obs::AnalyzeCriticalPath(in, 5).iterations.size(), 3u);  // 1 warmup + 2 measured
+  }
 }
 
 }  // namespace
