@@ -7,17 +7,22 @@
 // The event loop is measured twice in one process, interleaved within each
 // round: with sampling off (a bare Simulator) and with sampling on (a
 // TimeSeriesRecorder ticking on a second Simulator every simulated
-// millisecond), the two advanced in alternating blocks of events. Both sides
-// must agree on the workload checksum, or the run exits 1. Two gates then
-// apply, each confirmed by an independent re-measure before it fails the
-// run (exit 1):
+// millisecond), the two advanced in alternating blocks of events, each block
+// followed by one of a fixed calibration loop that reads the host's speed.
+// Both churn sides must agree on the workload checksum, or the run exits 1.
+// Two gates then apply, each confirmed by an independent re-measure before
+// it fails the run (exit 1):
 //  - sampling overhead (1 - off CPU time / on CPU time) above
 //    kMaxSamplingOverhead;
 //  - when the output file from a previous run exists (or --baseline points
-//    at one), sampling-off churn throughput more than --max-regression below
-//    it — the cross-build `ctest -L perf` regression gate. A baseline file
-//    that exists but does not parse, or lacks a positive
-//    event_loop.events_per_sec, exits 1 instead of skipping the gate.
+//    at one), sampling-off churn events per calibration unit more than
+//    --max-regression below it — the cross-build `ctest -L perf` regression
+//    gate. The host's raw rate jumps between speed modes from one process to
+//    the next, and the calibration rate moves with it. A baseline file that
+//    exists but does not parse, or lacks a positive
+//    event_loop.events_per_sec, exits 1 instead of skipping the gate; one
+//    without event_loop.events_per_calibration_unit (an older build's)
+//    skips it for this run.
 //
 // Flags: --out PATH        output JSON path (default: BENCH_sim.json)
 //        --baseline PATH   prior BENCH_sim.json to gate against (default: --out)
@@ -29,6 +34,7 @@
 // The regression default assumes reasonably quiet hardware; CI on
 // oversubscribed containers passes a wider value (see bench/CMakeLists.txt).
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <ctime>
@@ -38,9 +44,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "bench/harness.h"
 #include "src/common/flags.h"
 #include "src/obs/json_lite.h"
 #include "src/obs/metrics.h"
@@ -129,6 +133,45 @@ struct Churn {
 // both sides sample the host at the same speed even when it shifts mid-round.
 constexpr int kBlockEvents = 8192;
 
+// ---- calibration ----------------------------------------------------------
+
+// The host-speed yardstick: each unit pops the earliest key of a fixed
+// binary min-heap and pushes a later one — the queue work of an event loop,
+// with no events, callbacks or allocation — so its rate moves with the
+// host's speed mode and not with this repository's code.
+struct Calibration {
+  static constexpr int kBlockUnits = 4096;  // one block: ~0.5 ms of CPU
+
+  Calibration() {
+    for (uint64_t& key : heap) {
+      key = Next();
+    }
+    std::make_heap(heap.begin(), heap.end(), std::greater<>());
+  }
+
+  void RunBlock() {
+    for (int i = 0; i < kBlockUnits; ++i) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+      heap.back() += 1 + Next();
+      std::push_heap(heap.begin(), heap.end(), std::greater<>());
+    }
+  }
+
+  // xorshift64, reduced to 20 bits.
+  uint64_t Next() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state % (1 << 20);
+  }
+
+  std::array<uint64_t, 1 << 14> heap;
+  uint64_t state = 0x9E3779B97F4A7C15ull;
+};
+
+// Written once per measurement, so the compiler cannot drop the calibration.
+volatile uint64_t calibration_sink = 0;
+
 struct ChurnResult {
   double events_per_sec = 0.0;           // best sampling-off round
   double sampling_events_per_sec = 0.0;  // best sampling-on round
@@ -138,18 +181,26 @@ struct ChurnResult {
   // CPU time each side spent over all rounds, on identical work.
   double off_cpu_sec = 0.0;
   double on_cpu_sec = 0.0;
+  double calibration_units_per_sec = 0.0;
+  // Sampling-off churn events per calibration unit over all rounds: the
+  // churn rate in host-speed units, which the cross-build gate compares.
+  double events_per_calibration_unit = 0.0;
 
   double sampling_overhead() const { return 1.0 - off_cpu_sec / on_cpu_sec; }
 };
 
 // `rounds` rounds, each running a sampling-off and a sampling-on churn side
-// by side: the two simulators advance in alternating blocks of kBlockEvents,
-// and each side's CPU time is summed over its own blocks. Which side goes
-// first alternates by round. The rates are best-of-rounds per side; the
-// overhead compares the CPU totals, which were spent on the same host
-// windows.
+// and the calibration side by side: the two simulators advance in
+// alternating blocks of kBlockEvents, each followed by a calibration block,
+// and each side's CPU time is summed over its own blocks. Which churn side
+// goes first alternates by round. The rates are best-of-rounds per side; the
+// overhead and the calibration ratio compare CPU totals, which were spent on
+// the same host windows.
 ChurnResult MeasureChurn(int events, int rounds) {
   ChurnResult result;
+  Calibration calibration;
+  double calibration_sec = 0.0;
+  double calibration_units = 0.0;
   for (int r = 0; r < rounds; ++r) {
     Churn off(events, /*sampling=*/false);
     Churn on(events, /*sampling=*/true);
@@ -158,10 +209,14 @@ ChurnResult MeasureChurn(int events, int rounds) {
     while (!off.sim.Empty() || !on.sim.Empty()) {
       for (int k = 0; k < 2; ++k) {
         const int i = (k + r) % 2;
-        const double start = CpuSeconds();
+        double start = CpuSeconds();
         for (int n = 0; n < kBlockEvents && sims[i]->Step(); ++n) {
         }
         sec[i] += CpuSeconds() - start;
+        start = CpuSeconds();
+        calibration.RunBlock();
+        calibration_sec += CpuSeconds() - start;
+        calibration_units += Calibration::kBlockUnits;
       }
     }
     if (r == 0) {
@@ -177,15 +232,20 @@ ChurnResult MeasureChurn(int events, int rounds) {
     result.off_cpu_sec += sec[0];
     result.on_cpu_sec += sec[1];
   }
+  calibration_sink = calibration.heap.front();
+  result.calibration_units_per_sec = calibration_units / calibration_sec;
+  result.events_per_calibration_unit =
+      2.0 * events * rounds / result.off_cpu_sec / result.calibration_units_per_sec;
   return result;
 }
 
-// Reads the previous run's sampling-off churn throughput into *rate. A
-// missing file leaves *rate at 0 (no gate, as on a first run); a file that
-// exists but does not parse or lacks a positive event_loop.events_per_sec
-// returns false.
-bool ReadBaseline(const std::string& path, double* rate) {
-  *rate = 0.0;
+// Reads the previous run's sampling-off churn events per calibration unit
+// into *ratio. A missing file leaves *ratio at 0 (no gate, as on a first
+// run), and so does a file written before the ratio was recorded; a file
+// that exists but does not parse or lacks a positive
+// event_loop.events_per_sec returns false.
+bool ReadBaseline(const std::string& path, double* ratio) {
+  *ratio = 0.0;
   std::ifstream in(path);
   if (!in) {
     return true;
@@ -197,9 +257,12 @@ bool ReadBaseline(const std::string& path, double* rate) {
     return false;
   }
   const obs::JsonValue* loop = root.Find("event_loop");
-  const obs::JsonValue* value = loop != nullptr ? loop->Find("events_per_sec") : nullptr;
-  *rate = value != nullptr ? value->NumberOr(0.0) : 0.0;
-  return *rate > 0.0;
+  const auto field = [loop](const char* name) {
+    const obs::JsonValue* value = loop != nullptr ? loop->Find(name) : nullptr;
+    return value != nullptr ? value->NumberOr(0.0) : 0.0;
+  };
+  *ratio = field("events_per_calibration_unit");
+  return field("events_per_sec") > 0.0;
 }
 
 }  // namespace
@@ -209,8 +272,9 @@ int main(int argc, char** argv) {
   using namespace bsched;
 
   const Flags flags(argc, argv);
-  bench::InitBenchJobs(argc, argv,
-                       {"out", "baseline", "churn-events", "rounds", "max-regression"});
+  if (!flags.CheckNames(argv[0], {"out", "baseline", "churn-events", "rounds", "max-regression"})) {
+    return 2;
+  }
   const std::string out_path = flags.GetString("out", "BENCH_sim.json");
   const std::string baseline_path = flags.GetString("baseline", out_path);
   const int64_t churn_events = flags.GetInt("churn-events", 300000);
@@ -223,8 +287,8 @@ int main(int argc, char** argv) {
   }
 
   // Read the gate baseline before this run overwrites the file.
-  double baseline_rate = 0.0;
-  if (!ReadBaseline(baseline_path, &baseline_rate)) {
+  double baseline_ratio = 0.0;
+  if (!ReadBaseline(baseline_path, &baseline_ratio)) {
     std::fprintf(stderr,
                  "%s: baseline %s is not JSON with a positive event_loop.events_per_sec\n",
                  argv[0], baseline_path.c_str());
@@ -238,13 +302,13 @@ int main(int argc, char** argv) {
   // fails only when it survives both samples.
   const int events = static_cast<int>(churn_events);
   const ChurnResult churn = MeasureChurn(events, static_cast<int>(rounds));
-  double gated_rate = churn.events_per_sec;
+  double gated_ratio = churn.events_per_calibration_unit;
   double gated_overhead = churn.sampling_overhead();
   bool checksums_agree = churn.checksums_agree;
-  const double floor = (1.0 - max_regression) * baseline_rate;
-  if (gated_rate < floor || gated_overhead > kMaxSamplingOverhead) {
+  const double floor = (1.0 - max_regression) * baseline_ratio;
+  if (gated_ratio < floor || gated_overhead > kMaxSamplingOverhead) {
     const ChurnResult confirm = MeasureChurn(events, static_cast<int>(rounds));
-    gated_rate = std::max(gated_rate, confirm.events_per_sec);
+    gated_ratio = std::max(gated_ratio, confirm.events_per_calibration_unit);
     gated_overhead = std::min(gated_overhead, confirm.sampling_overhead());
     checksums_agree = checksums_agree && confirm.checksums_agree &&
                       confirm.checksum == churn.checksum;
@@ -257,6 +321,8 @@ int main(int argc, char** argv) {
               churn.events_per_sec / 1e6, churn.sampling_events_per_sec / 1e6,
               100.0 * churn.sampling_overhead(),
               static_cast<unsigned long long>(churn.sampling_ticks));
+  std::printf("  calibration: %.2fM units/sec, %.4f churn events per unit\n",
+              churn.calibration_units_per_sec / 1e6, churn.events_per_calibration_unit);
 
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -274,7 +340,10 @@ int main(int argc, char** argv) {
   std::fprintf(out, "    \"sampling_events_per_sec\": %.0f,\n", churn.sampling_events_per_sec);
   std::fprintf(out, "    \"sampling_ticks\": %llu,\n",
                static_cast<unsigned long long>(churn.sampling_ticks));
-  std::fprintf(out, "    \"sampling_overhead\": %.4f\n", churn.sampling_overhead());
+  std::fprintf(out, "    \"sampling_overhead\": %.4f,\n", churn.sampling_overhead());
+  std::fprintf(out, "    \"calibration_units_per_sec\": %.0f,\n", churn.calibration_units_per_sec);
+  std::fprintf(out, "    \"events_per_calibration_unit\": %.6f\n",
+               churn.events_per_calibration_unit);
   std::fprintf(out, "  }\n");
   std::fprintf(out, "}\n");
   std::fclose(out);
@@ -290,15 +359,16 @@ int main(int argc, char** argv) {
     std::printf("  sampling gate: %+.1f%% overhead (bound %.0f%%, ok)\n", 100.0 * gated_overhead,
                 100.0 * kMaxSamplingOverhead);
   }
-  if (baseline_rate > 0.0) {
-    if (gated_rate < floor) {
+  if (baseline_ratio > 0.0) {
+    if (gated_ratio < floor) {
       std::fprintf(stderr,
-                   "PERF GATE: churn throughput regressed >%.0f%% vs %s (%.0f -> %.0f events/sec)\n",
-                   100.0 * max_regression, baseline_path.c_str(), baseline_rate, gated_rate);
+                   "PERF GATE: churn throughput regressed >%.0f%% vs %s (%.4f -> %.4f events per "
+                   "calibration unit)\n",
+                   100.0 * max_regression, baseline_path.c_str(), baseline_ratio, gated_ratio);
       status = 1;
     } else {
-      std::printf("  perf gate: %.0f events/sec vs baseline %.0f (ok)\n", gated_rate,
-                  baseline_rate);
+      std::printf("  perf gate: %.4f events per calibration unit vs baseline %.4f (ok)\n",
+                  gated_ratio, baseline_ratio);
     }
   }
   return status;

@@ -12,9 +12,8 @@
 // Flags: --trace=PATH    Chrome trace JSON (as written by --trace)
 //        --metrics=PATH  metrics snapshot JSON (as written by --metrics)
 //        --timeseries=PATH  sim-time series CSV (as written by --timeseries);
-//                        prints the --timeline section (per scope/metric
+//                        prints the timeline section (per scope/metric
 //                        aggregate of the sampled series)
-//        --timeline      synonym: implies --timeseries with its default path
 //        --critical-path replay the trace's flow arcs into a per-iteration
 //                        critical-path decomposition (compute / transport /
 //                        credit-wait / recovery) plus top-k stragglers
@@ -32,17 +31,23 @@
 //        --min-coverage=F  critical-path coverage --check requires per
 //                        iteration, in [0, 1] (default 0.95)
 // Any other flag, a negative --top-k or a --min-coverage outside [0, 1] is
-// rejected with exit status 2.
+// rejected with exit status 2. So is a malformed input file: a trace that is
+// not a Chrome trace, a time-series cell the report reads (time, value,
+// count, p99) that is not a number, or a metrics counter, gauge or histogram
+// field that is not a whole number; the error names the file and the event,
+// row or key.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -83,6 +88,17 @@ bool LoadTrace(const std::string& path, obs::CpInput* out) {
   return true;
 }
 
+// A metrics value the report reads: a JSON number that is a whole number in
+// [min, 2^63).
+bool WholeNumber(const obs::JsonValue& v, int64_t min, int64_t* out) {
+  if (!v.is_number() || v.number != std::floor(v.number) ||
+      v.number < static_cast<double>(min) || v.number >= 0x1p63) {
+    return false;
+  }
+  *out = static_cast<int64_t>(v.number);
+  return true;
+}
+
 bool LoadMetrics(const std::string& path, MetricsSnapshot* out) {
   std::string text;
   if (!ReadFile(path, &text)) {
@@ -96,30 +112,51 @@ bool LoadMetrics(const std::string& path, MetricsSnapshot* out) {
                  error.c_str());
     return false;
   }
+  // Reads `v` into `out`, or reports `section`."`key`" and fails.
+  const auto read = [&path](const obs::JsonValue& v, int64_t min, const char* section,
+                            const std::string& key, int64_t* out) {
+    if (WholeNumber(v, min, out)) {
+      return true;
+    }
+    std::fprintf(stderr, "error: %s: %s.\"%s\" is not a whole number%s\n", path.c_str(),
+                 section, key.c_str(), min == 0 ? " >= 0" : "");
+    return false;
+  };
+  constexpr int64_t kAny = std::numeric_limits<int64_t>::min();
+  int64_t n = 0;
   if (const obs::JsonValue* counters = root.Find("counters"); counters != nullptr) {
     for (const auto& [name, value] : counters->object) {
-      out->counters[name] = static_cast<uint64_t>(value.IntOr(0));
+      if (!read(value, 0, "counters", name, &n)) return false;
+      out->counters[name] = static_cast<uint64_t>(n);
     }
   }
   if (const obs::JsonValue* gauges = root.Find("gauges"); gauges != nullptr) {
     for (const auto& [name, value] : gauges->object) {
-      out->gauges[name] = value.IntOr(0);
+      if (!read(value, kAny, "gauges", name, &out->gauges[name])) return false;
     }
   }
   if (const obs::JsonValue* histograms = root.Find("histograms"); histograms != nullptr) {
     for (const auto& [name, value] : histograms->object) {
       HistogramSnapshot snap;
-      snap.count = static_cast<uint64_t>(value.Find("count") != nullptr
-                                             ? value.Find("count")->IntOr(0)
-                                             : 0);
-      snap.sum = value.Find("sum") != nullptr ? value.Find("sum")->IntOr(0) : 0;
+      const obs::JsonValue* count = value.Find("count");
+      const obs::JsonValue* sum = value.Find("sum");
+      if ((count != nullptr && !read(*count, 0, "histograms", name + ".count", &n)) ||
+          (sum != nullptr && !read(*sum, kAny, "histograms", name + ".sum", &snap.sum))) {
+        return false;
+      }
+      snap.count = count != nullptr ? static_cast<uint64_t>(n) : 0;
       if (const obs::JsonValue* buckets = value.Find("buckets");
           buckets != nullptr && buckets->is_array()) {
         for (const obs::JsonValue& pair : buckets->array) {
-          if (pair.is_array() && pair.array.size() == 2) {
-            snap.buckets.emplace_back(static_cast<int>(pair.array[0].IntOr(0)),
-                                      static_cast<uint64_t>(pair.array[1].IntOr(0)));
+          int64_t bucket = 0;
+          if (!pair.is_array() || pair.array.size() != 2 ||
+              !WholeNumber(pair.array[0], std::numeric_limits<int>::min(), &bucket) ||
+              bucket > std::numeric_limits<int>::max() || !WholeNumber(pair.array[1], 0, &n)) {
+            std::fprintf(stderr, "error: %s: histograms.\"%s.buckets\" holds a malformed pair\n",
+                         path.c_str(), name.c_str());
+            return false;
           }
+          snap.buckets.emplace_back(static_cast<int>(bucket), static_cast<uint64_t>(n));
         }
       }
       out->histograms[name] = std::move(snap);
@@ -162,6 +199,18 @@ std::vector<std::string> SplitCsvRow(const std::string& line) {
   }
 }
 
+// One cell the report reads: the whole text is one number (for a floating
+// `T`, a finite one).
+template <typename T>
+bool ParseCell(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  if constexpr (std::is_floating_point_v<T>) {
+    return ec == std::errc() && ptr == end && std::isfinite(*out);
+  }
+  return ec == std::errc() && ptr == end;
+}
+
 bool LoadTimeline(const std::string& path, TimelineData* out) {
   std::string text;
   if (!ReadFile(path, &text)) {
@@ -174,16 +223,26 @@ bool LoadTimeline(const std::string& path, TimelineData* out) {
     std::fprintf(stderr, "error: %s is not a TimeSeriesRecorder CSV\n", path.c_str());
     return false;
   }
+  size_t line_no = 1;
+  // Reports the row and the column of a cell that is not a number.
+  const auto bad_cell = [&path, &line_no](const char* column, const std::string& cell) {
+    std::fprintf(stderr, "error: %s line %zu: %s '%s' is not a number\n", path.c_str(), line_no,
+                 column, cell.c_str());
+    return false;
+  };
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty()) {
       continue;
     }
     const std::vector<std::string> f = SplitCsvRow(line);
     if (f.size() < 10) {
-      std::fprintf(stderr, "error: malformed timeseries row: %s\n", line.c_str());
+      std::fprintf(stderr, "error: %s line %zu: malformed timeseries row: %s\n", path.c_str(),
+                   line_no, line.c_str());
       return false;
     }
-    const int64_t time_ns = std::strtoll(f[0].c_str(), nullptr, 10);
+    int64_t time_ns = 0;
+    if (!ParseCell(f[0], &time_ns)) return bad_cell("time_ns", f[0]);
     if (out->rows == 0) {
       out->first_ns = time_ns;
     } else if (out->second_ns == 0 && time_ns > out->first_ns) {
@@ -195,10 +254,14 @@ bool LoadTimeline(const std::string& path, TimelineData* out) {
     agg.kind = f[3];
     ++agg.ticks;
     if (f[3] == "sketch") {
-      agg.count += static_cast<uint64_t>(std::strtoll(f[5].c_str(), nullptr, 10));
-      agg.peak_p99 = std::max(agg.peak_p99, std::strtod(f[9].c_str(), nullptr));
+      uint64_t count = 0;
+      double p99 = 0.0;
+      if (!ParseCell(f[5], &count)) return bad_cell("count", f[5]);
+      if (!ParseCell(f[9], &p99)) return bad_cell("p99", f[9]);
+      agg.count += count;
+      agg.peak_p99 = std::max(agg.peak_p99, p99);
     } else {
-      agg.last = std::strtod(f[4].c_str(), nullptr);
+      if (!ParseCell(f[4], &agg.last)) return bad_cell("value", f[4]);
       agg.peak = std::max(agg.peak, agg.last);
     }
   }
@@ -547,7 +610,7 @@ int main(int argc, char** argv) {
   using namespace bsched;
 
   const Flags flags(argc, argv);
-  if (!flags.CheckNames(argv[0], {"trace", "metrics", "timeseries", "timeline", "critical-path",
+  if (!flags.CheckNames(argv[0], {"trace", "metrics", "timeseries", "critical-path",
                                   "critical-path-csv", "top-k", "trace-b", "check",
                                   "min-coverage"})) {
     return 2;
@@ -555,10 +618,7 @@ int main(int argc, char** argv) {
   const std::string trace_path = flags.GetString("trace", "");
   const std::string metrics_path = flags.GetString("metrics", "");
   const std::string trace_b_path = flags.GetString("trace-b", "");
-  std::string timeseries_path = flags.GetString("timeseries", "");
-  if (timeseries_path.empty() && flags.GetBool("timeline", false)) {
-    timeseries_path = "timeseries.csv";
-  }
+  const std::string timeseries_path = flags.GetString("timeseries", "");
   const std::string cp_csv_path = flags.GetString("critical-path-csv", "");
   const bool critical_path = flags.GetBool("critical-path", false) || !cp_csv_path.empty();
   const int64_t top_k = flags.GetInt("top-k", 5);

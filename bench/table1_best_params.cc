@@ -11,7 +11,6 @@
 #include "src/exec/sweep_runner.h"
 #include "src/model/zoo.h"
 #include "src/tuning/auto_tuner.h"
-#include "src/tuning/search.h"
 
 using namespace bsched;
 
@@ -20,18 +19,23 @@ namespace {
 constexpr int kLattice = 8;
 
 // Profiles every lattice point concurrently, then picks the best in lattice
-// order, so the result does not depend on the worker count.
+// order (credit-major, partition-minor; the first of equal speeds wins), so
+// the result does not depend on the worker count. A point's unit
+// coordinates are i / (kLattice - 1), as in Figure 14's lattice.
 TunedParams GridBest(const ModelProfile& model, const Setup& setup) {
   JobConfig job = bench::MakeJob(model, setup, 4, Bandwidth::Gbps(100));
   job.measure_iters = 3;
   AutoTunerOptions opt;
   opt.partition_lo = KiB(256);
   const AutoTuner tuner(job, opt);
-  GridSearch grid(2, kLattice);
-  std::vector<TunedParams> points(static_cast<size_t>(grid.total_points()));
-  for (TunedParams& point : points) {
-    const std::vector<double> x = grid.Suggest();
-    point = TunedParams{tuner.PartitionFromUnit(x[0]), tuner.CreditFromUnit(x[1])};
+  std::vector<TunedParams> points;
+  points.reserve(kLattice * kLattice);
+  for (int j = 0; j < kLattice; ++j) {
+    for (int i = 0; i < kLattice; ++i) {
+      points.push_back(TunedParams{
+          tuner.PartitionFromUnit(static_cast<double>(i) / (kLattice - 1)),
+          tuner.CreditFromUnit(static_cast<double>(j) / (kLattice - 1))});
+    }
   }
   const std::vector<double> speeds =
       ParallelFor(points.size(), [&tuner, &points](size_t i) {

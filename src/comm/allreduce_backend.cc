@@ -4,7 +4,8 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/obs/obs.h"
+#include "src/common/trace.h"
+#include "src/obs/metrics.h"
 
 namespace bsched {
 
@@ -70,7 +71,7 @@ void AllReduceBackend::Start(const SubCommTask& subtask, std::function<void()> o
   }
   // The launch/negotiation phase runs host-side, concurrently with whatever
   // the ring is currently transferring; the ring pass itself serializes.
-  if (config_.obs != nullptr && config_.obs->tracing()) {
+  if (config_.trace != nullptr) {
     // Instrumented launch: the extra captures push this lambda past EventFn's
     // inline buffer, so it stays a separate path — the lean lambda below is
     // untouched when tracing is off.
@@ -82,7 +83,7 @@ void AllReduceBackend::Start(const SubCommTask& subtask, std::function<void()> o
                      ring_->Submit(ring_time, [this, bytes, layer, partition, flow, ring_time,
                                                on_finish = std::move(on_finish)]() mutable {
                        const SimTime end = sim_->Now();
-                       TraceRecorder* trace = config_.obs->trace();
+                       TraceRecorder* trace = config_.trace;
                        trace->AddSpan("ring",
                                       "L" + std::to_string(layer) + ".p" +
                                           std::to_string(partition),
@@ -104,10 +105,10 @@ void AllReduceBackend::Start(const SubCommTask& subtask, std::function<void()> o
 }
 
 void AllReduceBackend::ExportMetrics() {
-  if (config_.obs == nullptr || config_.obs->metrics() == nullptr) {
+  if (config_.metrics == nullptr) {
     return;
   }
-  MetricsRegistry* m = config_.obs->metrics();
+  MetricsRegistry* m = config_.metrics;
   m->gauge("ring.busy_ns")->Set(ring_busy_time().nanos());
   m->counter("ring.ops")->Inc(ops_completed());
 }

@@ -25,7 +25,8 @@
 
 namespace bsched {
 
-class ObsContext;
+class MetricsRegistry;
+class TraceRecorder;
 
 struct AllReduceConfig {
   int num_workers = 2;  // ring size (total GPUs)
@@ -48,9 +49,11 @@ struct AllReduceConfig {
   // Core's timeout/retry recovery relaunches it. Delays model transient ring
   // congestion before the operation enters the ring.
   FaultInjector* faults = nullptr;
-  // Observability (null disables): ring occupancy spans + flow hops on the
-  // "ring" track, ring metrics at export. Passive; never schedules events.
-  ObsContext* obs = nullptr;
+  // Observability (each null disables its layer): ring occupancy spans and
+  // flow hops on the "ring" track; ring metrics at export. Passive; never
+  // schedules events.
+  TraceRecorder* trace = nullptr;
+  MetricsRegistry* metrics = nullptr;
 
   // NCCL-like presets; latencies depend on the transport.
   static AllReduceConfig Nccl(int num_workers, Bandwidth link_rate,
@@ -70,8 +73,8 @@ class AllReduceBackend : public CommBackend {
   SimTime ring_busy_time() const { return ring_->busy_time(); }
   uint64_t ops_completed() const { return ring_->jobs_completed(); }
 
-  // Exports end-of-run ring metrics (ring.busy_ns, ring.ops) into the obs
-  // registry. No-op without obs.
+  // Exports end-of-run ring metrics (ring.busy_ns, ring.ops) into the
+  // metrics registry. No-op without one.
   void ExportMetrics();
 
  private:

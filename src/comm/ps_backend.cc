@@ -5,7 +5,8 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/obs/obs.h"
+#include "src/common/trace.h"
+#include "src/obs/metrics.h"
 
 namespace bsched {
 namespace {
@@ -47,6 +48,9 @@ PsBackend::PsBackend(Simulator* sim, const PsConfig& config) : sim_(sim), config
                                        [this](uint32_t hop, SimTime wire) {
                                          Land(hop, wire, &PsBackend::OnPushAtShard);
                                        });
+    worker_downlink(w).SetFlightHandlers(nullptr, [this](uint32_t hop, SimTime wire) {
+      Land(hop, wire, &PsBackend::OnPullLanded);
+    });
   }
   for (int s = 0; s < shards; ++s) {
     ingress(s)->SetFlightHandlers(nullptr, [this](uint32_t hop, SimTime wire) {
@@ -62,7 +66,7 @@ PsBackend::PsBackend(Simulator* sim, const PsConfig& config) : sim_(sim), config
   for (size_t i = 0; i < links_.size(); ++i) {
     Link& link = *links_[i];
     if (config_.faults != nullptr) link.SetFaultInjector(config_.faults);
-    if (config_.obs != nullptr) link.SetObs(config_.obs);
+    if (config_.metrics != nullptr) link.SetMetrics(config_.metrics);
     // Each link's schedule is keyed on its stable name; the asymmetric
     // down_scale derates the worker receive direction.
     if (dyn != nullptr) {
@@ -81,10 +85,6 @@ uint64_t PsBackend::link_repaces() const {
   uint64_t total = 0;
   for (const auto& link : links_) total += link->repace_events();
   return total;
-}
-
-bool PsBackend::Tracing() const {
-  return config_.obs != nullptr && config_.obs->tracing();
 }
 
 uint32_t PsBackend::SlotIndex::Get(int64_t tensor_id, int partition) {
@@ -123,7 +123,7 @@ uint32_t PsBackend::NewHop(uint32_t slot, const Leg& leg, uint64_t flow) {
   const uint32_t hop = hops_.Acquire();
   hops_[hop].leg = leg;
   hops_[hop].slot = slot;
-  if (Tracing()) {
+  if (config_.trace != nullptr) {
     if (hop >= hop_trace_.size()) {
       hop_trace_.resize(hops_.size());
     }
@@ -220,11 +220,11 @@ void PsBackend::OnPushFlushed(uint32_t hop) {
   Hop& h = hops_[hop];
   const Leg& leg = h.leg;
   uint64_t flow = 0;
-  if (Tracing()) {
+  if (config_.trace != nullptr) {
     const HopTrace& t = hop_trace_[hop];
     flow = t.flow;
     const std::string track = "net/worker" + std::to_string(leg.worker) + ".up";
-    TraceRecorder* trace = config_.obs->trace();
+    TraceRecorder* trace = config_.trace;
     trace->AddSpan(track, PartName(leg.tensor, leg.partition) + ".push", t.submit, sim_->Now(),
                    {TraceArg::Int("bytes", leg.bytes), TraceArg::Int("layer", leg.layer),
                     TraceArg::Int("shard", leg.shard)});
@@ -314,14 +314,14 @@ SimTime PsBackend::ScaledUpdateTime(int shard, Bytes bytes) const {
 // (the shard CPU is a FIFO resource: the job ran contiguously and just
 // ended).
 void PsBackend::RecordUpdateSpan(uint32_t hop) {
-  if (!Tracing()) {
+  if (config_.trace == nullptr) {
     return;
   }
   const Leg& leg = hops_[hop].leg;
   const HopTrace& t = hop_trace_[hop];
   const std::string track = "ps/shard" + std::to_string(leg.shard);
   const SimTime end = sim_->Now();
-  TraceRecorder* trace = config_.obs->trace();
+  TraceRecorder* trace = config_.trace;
   trace->AddSpan(track, PartName(leg.tensor, leg.partition) + ".update", end - t.update_time,
                  end, {TraceArg::Int("shard", leg.shard)});
   if (t.flow != 0) {
@@ -372,11 +372,11 @@ void PsBackend::OnPushArrived(uint32_t hop) {
     }
   }
   const SimTime update_time = ScaledUpdateTime(shard, leg.bytes);
-  if (Tracing()) {
+  if (config_.trace != nullptr) {
     HopTrace& t = hop_trace_[hop];
     if (t.flow != 0) {
-      config_.obs->trace()->AddFlow("ps/shard" + std::to_string(shard), "arrive", sim_->Now(),
-                                    t.flow, FlowPhase::kStep);
+      config_.trace->AddFlow("ps/shard" + std::to_string(shard), "arrive", sim_->Now(), t.flow,
+                             FlowPhase::kStep);
     }
     t.update_time = update_time;
   }
@@ -471,32 +471,35 @@ void PsBackend::OnPullRequest(uint32_t hop) {
 }
 
 void PsBackend::DeliverPull(uint32_t hop) {
-  Hop& h = hops_[hop];
-  if (Tracing()) {
-    // Wrap the completion so the downlink span and the flow hop are stamped
-    // at actual delivery time (after egress + downlink serialization).
-    h.on_finish = [this, leg = h.leg, flow = hop_trace_[hop].flow, submit = sim_->Now(),
-                   on_finish = std::move(h.on_finish)]() mutable {
-      const std::string track = "net/worker" + std::to_string(leg.worker) + ".down";
-      TraceRecorder* trace = config_.obs->trace();
-      trace->AddSpan(track, PartName(leg.tensor, leg.partition) + ".pull", submit, sim_->Now(),
-                     {TraceArg::Int("bytes", leg.bytes)});
-      if (flow != 0) {
-        trace->AddFlow(track, "deliver", sim_->Now(), flow, FlowPhase::kStep);
-      }
-      on_finish();
-    };
+  if (config_.trace != nullptr) {
+    // The pull span runs from here to the landing at the worker (after
+    // egress + downlink serialization).
+    hop_trace_[hop].submit = sim_->Now();
   }
-  egress(h.leg.shard)->SendFlight(h.leg.bytes, hop, /*flush=*/false);
+  const Leg& leg = hops_[hop].leg;
+  egress(leg.shard)->SendFlight(leg.bytes, hop, /*flush=*/false);
 }
 
 void PsBackend::OnPullAtWorker(uint32_t hop) {
+  const Leg& leg = hops_[hop].leg;
+  worker_downlink(leg.worker).SendFlight(leg.bytes, hop, /*flush=*/false);
+}
+
+void PsBackend::OnPullLanded(uint32_t hop) {
   Hop& h = hops_[hop];
-  const int worker = h.leg.worker;
-  const Bytes bytes = h.leg.bytes;
+  if (config_.trace != nullptr) {
+    const Leg& leg = h.leg;
+    const HopTrace& t = hop_trace_[hop];
+    const std::string track = "net/worker" + std::to_string(leg.worker) + ".down";
+    config_.trace->AddSpan(track, PartName(leg.tensor, leg.partition) + ".pull", t.submit,
+                           sim_->Now(), {TraceArg::Int("bytes", leg.bytes)});
+    if (t.flow != 0) {
+      config_.trace->AddFlow(track, "deliver", sim_->Now(), t.flow, FlowPhase::kStep);
+    }
+  }
   std::function<void()> on_finish = std::move(h.on_finish);
   FreeHop(hop);
-  worker_downlink(worker).Send(bytes, std::move(on_finish));
+  on_finish();
 }
 
 Bytes PsBackend::shard_bytes_in(int shard) const {
@@ -524,11 +527,11 @@ double PsBackend::ShardLoadImbalance() const {
 }
 
 void PsBackend::ExportMetrics() {
-  if (config_.obs == nullptr || config_.obs->metrics() == nullptr) {
+  if (config_.metrics == nullptr) {
     return;
   }
   for (auto& link : links_) link->ExportMetrics();
-  MetricsRegistry* m = config_.obs->metrics();
+  MetricsRegistry* m = config_.metrics;
   for (int s = 0; s < config_.num_shards; ++s) {
     const std::string prefix = "ps.shard" + std::to_string(s);
     m->gauge(prefix + ".bytes_in")->Set(shard_bytes_in(s));

@@ -43,12 +43,16 @@
 // layer, worker, shard, round, narrowed to 32 and 16 bits and CHECKed at
 // Start), the leg's slot and the pending-pull link. Trace-only hop state
 // (flow id, submit time, update time) lives in a side vector indexed by hop,
-// sized only while tracing. A link carries the index as its message token to
-// flight handlers installed once per link role, and the shard CPU and
-// Forward callbacks capture only {this, hop index}, which std::function and
-// EventFn store inline, so a job's steady state allocates nothing here. Only
-// a pull's last leg, the worker downlink, parks its completion callback in
-// the link (Link::Send).
+// sized only while tracing. Every leg, push or pull, travels as a flight: a
+// link carries the index as its message token to flight handlers installed
+// once per link role, and the shard CPU and Forward callbacks capture only
+// {this, hop index}, which std::function and EventFn store inline, so a
+// job's steady state allocates nothing here. A pull's hop lives until its
+// downlink flight lands, where the landing step records the pull span and
+// runs the completion.
+//
+// Observability: the backend writes the trace and metrics sinks in its
+// config, each nullable; its links get only the metrics.
 #ifndef SRC_COMM_PS_BACKEND_H_
 #define SRC_COMM_PS_BACKEND_H_
 
@@ -72,6 +76,9 @@
 
 namespace bsched {
 
+class MetricsRegistry;
+class TraceRecorder;
+
 struct PsConfig {
   int num_workers = 1;
   int num_shards = 1;
@@ -94,10 +101,12 @@ struct PsConfig {
   // policy (null disables both; the fault-free event sequence is then
   // byte-identical to a faultless build).
   FaultInjector* faults = nullptr;
-  // Observability (null disables): link metrics plus trace spans/flow steps
-  // on net/worker* and ps/shard* tracks. Instrumentation is passive — it
-  // never schedules events, so the event sequence is unchanged.
-  ObsContext* obs = nullptr;
+  // Observability (each null disables its layer): trace spans and flow
+  // steps on net/worker* and ps/shard* tracks; link, shard and retransmit
+  // metrics. Instrumentation is passive — it never schedules events, so the
+  // event sequence is unchanged.
+  TraceRecorder* trace = nullptr;
+  MetricsRegistry* metrics = nullptr;
 
   // Dynamic-network fabric (null disables: every link keeps its identity
   // schedule and runs at its nominal rate). When enabled, every link gets a
@@ -171,7 +180,7 @@ class PsBackend : public CommBackend {
   uint64_t stale_push_drops() const { return stale_push_drops_; }
 
   // Exports end-of-run metrics (per-link busy time, per-shard bytes/CPU
-  // time, retransmit count) into the obs registry. No-op without obs.
+  // time, retransmit count) into the metrics registry. No-op without one.
   void ExportMetrics();
 
  private:
@@ -215,7 +224,7 @@ class PsBackend : public CommBackend {
   // Trace-only hop state, by hop index (sized only while tracing).
   struct HopTrace {
     uint64_t flow = 0;    // the partition's flow arc (0 = untracked)
-    SimTime submit;       // when the hop started (a push's uplink span)
+    SimTime submit;       // push: start of its uplink span; pull: of its delivery
     SimTime update_time;  // push: shard update duration
   };
   // What a hop does next, on the entity it was forwarded to.
@@ -240,7 +249,6 @@ class PsBackend : public CommBackend {
     int attempt = 0;
     bool armed = false;
   };
-  bool Tracing() const;
   void RecordUpdateSpan(uint32_t hop);
   int ShardFor(int64_t tensor_id, int partition) const;
   // The slot id of (tensor, partition), growing the slot vectors on first
@@ -263,7 +271,8 @@ class PsBackend : public CommBackend {
   void HandlePull(const SubCommTask& subtask, uint32_t slot, const Leg& leg,
                   std::function<void()> on_finish);
   // Hop steps, in path order. Push: uplink flush -> ingress -> arrival ->
-  // shard update. Pull: request at the shard -> egress -> downlink.
+  // shard update. Pull: request at the shard -> egress -> downlink ->
+  // landing at the worker.
   void OnPushFlushed(uint32_t hop);
   void OnPushAtShard(uint32_t hop);
   void OnPushArrived(uint32_t hop);
@@ -273,6 +282,9 @@ class PsBackend : public CommBackend {
   // aggregating push's size when replayed from the pending FIFO.
   void DeliverPull(uint32_t hop);
   void OnPullAtWorker(uint32_t hop);
+  // The pull's data reached the worker: records its delivery span, frees
+  // the hop and runs the completion.
+  void OnPullLanded(uint32_t hop);
 
   // Retransmits a push data leg: a new hop with no flush callback. `flow`
   // is the leg's trace flow arc (0 when untraced).

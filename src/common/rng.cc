@@ -64,8 +64,4 @@ double Rng::NextGaussian() {
   return mag * std::cos(2.0 * M_PI * u2);
 }
 
-double Rng::Gaussian(double mean, double stddev) { return mean + stddev * NextGaussian(); }
-
-Rng Rng::Fork() { return Rng(NextU64() ^ 0xd1b54a32d192ed03ULL); }
-
 }  // namespace bsched

@@ -28,13 +28,6 @@ class Rng {
   // Standard normal via Box-Muller.
   double NextGaussian();
 
-  // Gaussian with the given mean and standard deviation.
-  double Gaussian(double mean, double stddev);
-
-  // Forks an independent stream; child streams are decorrelated from the
-  // parent regardless of how many draws the parent later makes.
-  Rng Fork();
-
  private:
   uint64_t s_[4];
   bool has_spare_gaussian_ = false;

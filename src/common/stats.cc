@@ -28,10 +28,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double Percentile(std::vector<double> values, double p) {
-  return PercentileInPlace(values, p);
-}
-
 double PercentileInPlace(std::span<double> values, double p) {
   if (values.empty()) {
     return 0.0;
@@ -52,22 +48,6 @@ double PercentileInPlace(std::span<double> values, double p) {
   const double hi_value =
       *std::min_element(values.begin() + static_cast<ptrdiff_t>(lo) + 1, values.end());
   return lo_value * (1.0 - frac) + hi_value * frac;
-}
-
-double Mean(const std::vector<double>& values) {
-  RunningStats s;
-  for (double v : values) {
-    s.Add(v);
-  }
-  return s.mean();
-}
-
-double StdDev(const std::vector<double>& values) {
-  RunningStats s;
-  for (double v : values) {
-    s.Add(v);
-  }
-  return s.stddev();
 }
 
 }  // namespace bsched

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace bsched {
 
@@ -31,17 +30,10 @@ class RunningStats {
 };
 
 // Percentile of a sample set with linear interpolation; p in [0, 100].
-// Returns 0 for an empty vector.
-double Percentile(std::vector<double> values, double p);
-
-// Same, but selects in place over the caller's storage (partial reorder via
-// std::nth_element, O(n) instead of a full sort) — no copy, no allocation.
-// Percentile() above forwards here with a by-value copy for callers that
-// need their vector untouched.
+// Returns 0 for an empty span. Selects in place over the caller's storage
+// (partial reorder via std::nth_element, O(n) instead of a full sort), so it
+// neither copies nor allocates, and leaves the values reordered.
 double PercentileInPlace(std::span<double> values, double p);
-
-double Mean(const std::vector<double>& values);
-double StdDev(const std::vector<double>& values);
 
 }  // namespace bsched
 

@@ -12,17 +12,6 @@ void Table::AddRow(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::AddNumericRow(const std::string& label, const std::vector<double>& values,
-                          int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size() + 1);
-  cells.push_back(label);
-  for (double v : values) {
-    cells.push_back(Num(v, precision));
-  }
-  AddRow(std::move(cells));
-}
-
 std::string Table::Num(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
@@ -53,22 +42,6 @@ void Table::RenderAscii(std::ostream& os) const {
     os << std::string(widths[c] + 2, '-') << "|";
   }
   os << "\n";
-  for (const auto& row : rows_) {
-    emit_row(row);
-  }
-}
-
-void Table::RenderCsv(std::ostream& os) const {
-  auto emit_row = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) {
-        os << ",";
-      }
-      os << row[c];
-    }
-    os << "\n";
-  };
-  emit_row(header_);
   for (const auto& row : rows_) {
     emit_row(row);
   }

@@ -1,5 +1,5 @@
-// Console table / CSV emitter used by the benchmark harness to print the
-// rows and series that each paper figure reports.
+// Console table emitter used by the benchmark harness to print the rows and
+// series that each paper figure reports.
 #ifndef SRC_COMMON_TABLE_H_
 #define SRC_COMMON_TABLE_H_
 
@@ -9,8 +9,8 @@
 
 namespace bsched {
 
-// Accumulates rows of string cells and renders them either as an aligned
-// ASCII table (for terminal inspection) or CSV (for plotting).
+// Accumulates rows of string cells and renders them as an aligned ASCII
+// table.
 class Table {
  public:
   explicit Table(std::vector<std::string> header);
@@ -18,14 +18,7 @@ class Table {
   // Adds one row; the row is padded or truncated to the header width.
   void AddRow(std::vector<std::string> cells);
 
-  // Convenience: formats each double with the given precision.
-  void AddNumericRow(const std::string& label, const std::vector<double>& values,
-                     int precision = 1);
-
-  size_t num_rows() const { return rows_.size(); }
-
   void RenderAscii(std::ostream& os) const;
-  void RenderCsv(std::ostream& os) const;
 
   // Formats a double compactly (fixed precision, no trailing spaces).
   static std::string Num(double v, int precision = 1);

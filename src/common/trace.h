@@ -8,7 +8,8 @@
 //  - flow events (Chrome phases "s"/"t"/"f"): points sharing a flow id are
 //    drawn as one connected arc across tracks, which is how a partition's
 //    life (queue admit -> link transit -> shard update -> pull -> finish)
-//    stays followable in Perfetto.
+//    stays followable in Perfetto. The recorder hands out the ids from one
+//    counter (NewFlowId), so every arc of one trace has its own id.
 // Track ids are assigned deterministically in first-use order, and the
 // thread-name metadata is emitted in that same order.
 #ifndef SRC_COMMON_TRACE_H_
@@ -62,6 +63,9 @@ class TraceRecorder {
   // end across whatever tracks the points landed on.
   void AddFlow(const std::string& track, const std::string& name, SimTime at, uint64_t flow_id,
                FlowPhase phase);
+  // A fresh flow id for a new arc: 1, 2, ... in call order, never 0 (0 means
+  // "no flow").
+  uint64_t NewFlowId() { return ++last_flow_id_; }
 
   size_t num_events() const { return events_.size(); }
   size_t num_flow_events() const { return num_flow_events_; }
@@ -94,6 +98,7 @@ class TraceRecorder {
 
   std::vector<Event> events_;
   size_t num_flow_events_ = 0;
+  uint64_t last_flow_id_ = 0;
   // Track name -> tid, assigned in first-use order.
   std::map<std::string, int> track_ids_;
 };

@@ -4,34 +4,37 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/trace.h"
 #include "src/fault/fault_injector.h"
-#include "src/obs/obs.h"
+#include "src/obs/metrics.h"
 
 namespace bsched {
 
 SchedulerCore::SchedulerCore(SchedulerConfig config, CommBackend* backend, int worker_id,
-                             Simulator* sim, FaultInjector* faults, ObsContext* obs)
+                             Simulator* sim, FaultInjector* faults, TraceRecorder* trace,
+                             MetricsRegistry* metrics)
     : config_(std::move(config)),
       backend_(backend),
       worker_id_(worker_id),
       sim_(sim),
       faults_(faults),
-      obs_(obs),
-      tracing_(obs != nullptr && obs->tracing() && sim != nullptr),
+      trace_(trace),
+      metrics_(metrics),
       credit_(config_.credit_bytes) {
   BSCHED_CHECK(backend_ != nullptr);
   BSCHED_CHECK(config_.credit_bytes > 0);
   BSCHED_CHECK((faults_ == nullptr || sim_ != nullptr) &&
                "retry recovery needs a Simulator for timeout timers");
-  if (obs_ != nullptr) {
+  BSCHED_CHECK((trace_ == nullptr || sim_ != nullptr) && "a trace needs a Simulator clock");
+  if (trace_ != nullptr) {
     track_ = "sched/w" + std::to_string(worker_id_);
-    if (obs_->metrics() != nullptr) {
-      const std::string prefix = "sched.w" + std::to_string(worker_id_);
-      m_queue_depth_ = obs_->metrics()->histogram(prefix + ".queue_depth");
-      m_credit_in_use_ = obs_->metrics()->histogram(prefix + ".credit_in_use");
-      m_partition_bytes_ = obs_->metrics()->histogram(prefix + ".partition_bytes");
-      m_preemptions_ = obs_->metrics()->counter(prefix + ".preemptions");
-    }
+  }
+  if (metrics_ != nullptr) {
+    const std::string prefix = "sched.w" + std::to_string(worker_id_);
+    m_queue_depth_ = metrics_->histogram(prefix + ".queue_depth");
+    m_credit_in_use_ = metrics_->histogram(prefix + ".credit_in_use");
+    m_partition_bytes_ = metrics_->histogram(prefix + ".partition_bytes");
+    m_preemptions_ = metrics_->counter(prefix + ".preemptions");
   }
 }
 
@@ -61,7 +64,7 @@ CommTaskId SchedulerCore::Enqueue(CommTaskDesc desc) {
   state.unit = unit <= 0 || unit >= desc.tensor_bytes ? desc.tensor_bytes : unit;
   const Bytes partitions = (desc.tensor_bytes + state.unit - 1) / state.unit;
   state.partition_notified.assign(static_cast<size_t>(partitions), false);
-  if (tracing_) {
+  if (trace_ != nullptr) {
     state.ready_at.assign(static_cast<size_t>(partitions), SimTime());
   }
   state.desc = std::move(desc);
@@ -127,7 +130,7 @@ uint32_t SchedulerCore::NewRecord(const QueueEntry& entry) {
   if (faults_ != nullptr && rec >= timeouts_.size()) {
     timeouts_.resize(records_.size());
   }
-  if (tracing_) {
+  if (trace_ != nullptr) {
     if (rec >= record_trace_.size()) {
       record_trace_.resize(records_.size());
     }
@@ -148,7 +151,7 @@ SubCommTask SchedulerCore::Subtask(uint32_t rec) const {
   subtask.partition = r.partition;
   subtask.bytes = r.bytes;
   subtask.type = r.type;
-  subtask.flow = tracing_ ? record_trace_[rec].flow : 0;
+  subtask.flow = trace_ != nullptr ? record_trace_[rec].flow : 0;
   return subtask;
 }
 
@@ -175,7 +178,7 @@ void SchedulerCore::PopHead() {
 void SchedulerCore::EnqueueRun(TaskState& state, CommTaskId id, int begin, int end) {
   std::fill(state.partition_notified.begin() + begin, state.partition_notified.begin() + end,
             true);
-  if (tracing_) {
+  if (trace_ != nullptr) {
     std::fill(state.ready_at.begin() + begin, state.ready_at.begin() + end, sim_->Now());
   }
   PushQueue(QueueEntry{KeyFor(state.desc, next_arrival_seq_), id, begin, end, kNoRecord});
@@ -210,7 +213,7 @@ void SchedulerCore::TrySchedule() {
       // Stamp the moment the head first starved on credit; RecordAdmit
       // splits the wait span there. No event is scheduled, so the
       // simulation trajectory is unchanged whether or not anyone traces.
-      if (tracing_ && !record_trace_[rec].credit_waiting) {
+      if (trace_ != nullptr && !record_trace_[rec].credit_waiting) {
         record_trace_[rec].credit_waiting = true;
         record_trace_[rec].credit_wait_since = sim_->Now();
       }
@@ -222,7 +225,7 @@ void SchedulerCore::TrySchedule() {
     credit_ -= charged;
     BSCHED_DCHECK(credit_ >= 0);
     ++subtasks_started_;
-    if (obs_ != nullptr) {
+    if (metrics_ != nullptr || trace_ != nullptr) {
       RecordAdmit(rec, charged, depth_before);
     }
     StartAttempt(rec, charged);
@@ -249,27 +252,23 @@ void SchedulerCore::RecordAdmit(uint32_t rec, Bytes charged, size_t queue_depth_
   last_admitted_key_ = key;
   has_last_admitted_ = true;
 
-  // Trace spans/flows need a clock; metrics above work without one.
-  if (!tracing_) {
+  if (trace_ == nullptr) {
     return;
   }
   RecordTrace& t = record_trace_[rec];
   // Assign (or continue) the partition's flow arc. Pushes and all-reduce
   // operations open the arc; a pull continues the arc its push opened, or
   // opens its own for pulls with no tracked push (e.g. step-start reads).
+  // A retried attempt keeps its arc.
   const SubCommTask st = Subtask(rec);
   FlowPhase phase = FlowPhase::kStep;
   if (t.flow == 0) {
-    if (st.type == CommOpType::kPull) {
-      t.flow = obs_->LookupPartitionFlow(st.worker, st.tensor_id, st.partition);
-      if (t.flow == 0) {
-        t.flow = obs_->BeginPartitionFlow(st.worker, st.tensor_id, st.partition);
-        phase = FlowPhase::kStart;
-      }
-    } else {
-      t.flow = obs_->BeginPartitionFlow(st.worker, st.tensor_id, st.partition);
+    uint64_t& open = flows_[{st.worker, st.tensor_id, st.partition}];
+    if (st.type != CommOpType::kPull || open == 0) {
+      open = trace_->NewFlowId();
       phase = FlowPhase::kStart;
     }
+    t.flow = open;
   }
 
   const std::string& name = Task(st.task).desc.name;
@@ -277,24 +276,23 @@ void SchedulerCore::RecordAdmit(uint32_t rec, Bytes charged, size_t queue_depth_
   const std::string base =
       tensor + ".p" + std::to_string(st.partition) + "." + ToString(st.type);
   const SimTime now = sim_->Now();
-  TraceRecorder* trace = obs_->trace();
   // Wait decomposition: queue-wait (ready → first credit starvation at the
   // head, or admit when credit never blocked) and credit-wait (starvation →
   // admit). The critical-path analyzer attributes the two separately.
   const SimTime wait_end = t.credit_waiting ? std::max(t.ready_at, t.credit_wait_since) : now;
   if (wait_end > t.ready_at) {
-    trace->AddSpan(track_, base + ".wait", t.ready_at, wait_end,
-                   {TraceArg::Int("layer", st.layer), TraceArg::Int("partition", st.partition),
-                    TraceArg::Int("bytes", st.bytes), TraceArg::Int("attempt", r.attempts),
-                    TraceArg::Int("charged", charged)});
+    trace_->AddSpan(track_, base + ".wait", t.ready_at, wait_end,
+                    {TraceArg::Int("layer", st.layer), TraceArg::Int("partition", st.partition),
+                     TraceArg::Int("bytes", st.bytes), TraceArg::Int("attempt", r.attempts),
+                     TraceArg::Int("charged", charged)});
   }
   if (t.credit_waiting && now > t.credit_wait_since) {
-    trace->AddSpan(track_, base + ".credit_wait", t.credit_wait_since, now,
-                   {TraceArg::Int("layer", st.layer), TraceArg::Int("partition", st.partition),
-                    TraceArg::Int("bytes", st.bytes), TraceArg::Int("attempt", r.attempts),
-                    TraceArg::Int("charged", charged)});
+    trace_->AddSpan(track_, base + ".credit_wait", t.credit_wait_since, now,
+                    {TraceArg::Int("layer", st.layer), TraceArg::Int("partition", st.partition),
+                     TraceArg::Int("bytes", st.bytes), TraceArg::Int("attempt", r.attempts),
+                     TraceArg::Int("charged", charged)});
   }
-  trace->AddFlow(track_, base + ".admit", now, t.flow, phase);
+  trace_->AddFlow(track_, base + ".admit", now, t.flow, phase);
 }
 
 void SchedulerCore::StartAttempt(uint32_t rec, Bytes charged) {
@@ -359,7 +357,7 @@ void SchedulerCore::OnAttemptTimeout(uint32_t rec, uint32_t generation) {
   // Requeue at the ORIGINAL priority key: the retry competes exactly where
   // the partition always belonged, not behind newer arrivals.
   ++r.attempts;
-  if (tracing_) {
+  if (trace_ != nullptr) {
     record_trace_[rec].ready_at = sim_->Now();
     record_trace_[rec].credit_waiting = false;
   }
@@ -373,12 +371,12 @@ void SchedulerCore::OnSubTaskFinish(uint32_t rec) {
   const int partition = r.partition;
   credit_ += r.charged;
   BSCHED_DCHECK(credit_ <= config_.credit_bytes);
-  if (tracing_ && record_trace_[rec].flow != 0 && r.type != CommOpType::kPush) {
+  if (trace_ != nullptr && record_trace_[rec].flow != 0 && r.type != CommOpType::kPush) {
     // The pull (or ring op) completing ends the partition's arc; a push's
     // arc stays open for its pull to continue.
     const SubCommTask st = Subtask(rec);
-    obs_->trace()->AddFlow(track_, "finish", sim_->Now(), st.flow, FlowPhase::kEnd);
-    obs_->EndPartitionFlow(st.worker, st.tensor_id, st.partition);
+    trace_->AddFlow(track_, "finish", sim_->Now(), st.flow, FlowPhase::kEnd);
+    flows_.erase({st.worker, st.tensor_id, st.partition});
   }
   records_.Release(rec);
   TaskState& state = Task(id);
@@ -408,10 +406,10 @@ void SchedulerCore::OnSubTaskFinish(uint32_t rec) {
 }
 
 void SchedulerCore::ExportMetrics() const {
-  if (obs_ == nullptr || obs_->metrics() == nullptr) {
+  if (metrics_ == nullptr) {
     return;
   }
-  MetricsRegistry* m = obs_->metrics();
+  MetricsRegistry* m = metrics_;
   const std::string prefix = "sched.w" + std::to_string(worker_id_);
   m->counter(prefix + ".subtasks_started")->Inc(subtasks_started_);
   m->counter(prefix + ".tasks_finished")->Inc(tasks_finished_);

@@ -37,13 +37,22 @@
 // only while tracing. A queued run carries no time: while tracing, its
 // partitions' ready times are stamped in the task, so an untraced Core reads
 // no clock when it enqueues.
+//
+// Observability: the Core writes the trace and metrics sinks it is given,
+// each nullable. While tracing it also keeps the partition-flow ledger, the
+// open flow arc of each (worker, tensor, partition): a push opens an arc, its
+// pull continues it (or opens one when no push did, as for the TF
+// step-start variable reads), and a finished pull or ring op closes it.
+// Flow ids come from the TraceRecorder's counter.
 #ifndef SRC_CORE_SCHEDULER_CORE_H_
 #define SRC_CORE_SCHEDULER_CORE_H_
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/comm/backend.h"
@@ -54,20 +63,23 @@
 namespace bsched {
 
 class FaultInjector;
-class ObsContext;
 class Counter;
 class Histogram;
+class MetricsRegistry;
+class TraceRecorder;
 
 class SchedulerCore {
  public:
   // `faults` (optional) arms timeout/retry recovery with its plan's policy
   // and receives recovery events for global fault statistics and trace
   // output; it requires `sim`, which hosts the timers.
-  // `obs` (optional) enables admit-time metrics and, when a Simulator is also
-  // present, queue-wait spans and partition flow arcs on track sched/w<id>.
+  // `trace` (optional) records queue-wait spans and partition flow arcs on
+  // track sched/w<id>; it requires `sim` for the clock. `metrics` (optional)
+  // receives admit-time histograms and, from ExportMetrics, end-of-run
+  // totals.
   SchedulerCore(SchedulerConfig config, CommBackend* backend, int worker_id = 0,
                 Simulator* sim = nullptr, FaultInjector* faults = nullptr,
-                ObsContext* obs = nullptr);
+                TraceRecorder* trace = nullptr, MetricsRegistry* metrics = nullptr);
   SchedulerCore(const SchedulerCore&) = delete;
   SchedulerCore& operator=(const SchedulerCore&) = delete;
 
@@ -107,8 +119,8 @@ class SchedulerCore {
   size_t subtasks_in_flight() const { return in_flight_; }
 
   // Exports end-of-run totals (sched.w<id>.subtasks_started, retries,
-  // timeouts, ...) into the obs metrics registry. Call once after the run;
-  // no-op without an obs context.
+  // timeouts, ...) into the metrics registry. Call once after the run;
+  // no-op without one.
   void ExportMetrics() const;
 
  private:
@@ -190,8 +202,9 @@ class SchedulerCore {
   // when it was the last partition.
   void PopHead();
 
-  // Records admit-time metrics/trace/flow for one admitted record; sets its
-  // flow. `queue_depth_before` is the queue length at pop time.
+  // Records admit-time metrics/trace/flow for one admitted record; while
+  // tracing, sets its flow. `queue_depth_before` is the queue length at pop
+  // time.
   void RecordAdmit(uint32_t rec, Bytes charged, size_t queue_depth_before);
 
   // The key of a partition with arrival seq `seq` of a task described by
@@ -211,10 +224,12 @@ class SchedulerCore {
   int worker_id_;
   Simulator* sim_;
   FaultInjector* faults_;
-  ObsContext* obs_;
-  // obs_ records a trace and sim_ gives it a clock.
-  bool tracing_;
+  TraceRecorder* trace_;
+  MetricsRegistry* metrics_;
   std::string track_;  // trace track name ("sched/w<id>")
+  // The open flow arc of each (worker, tensor id, partition); filled only
+  // while tracing.
+  std::map<std::tuple<int, int64_t, int>, uint64_t> flows_;
   // Cached metric handles (null when metrics are off).
   Histogram* m_queue_depth_ = nullptr;
   Histogram* m_credit_in_use_ = nullptr;

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/obs/obs.h"
+#include "src/obs/metrics.h"
 
 namespace bsched {
 
@@ -25,28 +25,27 @@ void Link::SetFaultInjector(FaultInjector* faults) {
   site_hash_ = FaultPlan::HashSite(name_);
 }
 
-void Link::SetObs(ObsContext* obs) {
-  obs_ = obs;
-  if (obs == nullptr || obs->metrics() == nullptr) {
-    obs_bytes_ = nullptr;
-    obs_msgs_ = nullptr;
-    obs_queue_ns_ = nullptr;
-    obs_inflight_ = nullptr;
+void Link::SetMetrics(MetricsRegistry* metrics) {
+  metrics_ = metrics;
+  if (metrics == nullptr) {
+    m_bytes_ = nullptr;
+    m_msgs_ = nullptr;
+    m_queue_ns_ = nullptr;
+    m_inflight_ = nullptr;
     return;
   }
-  MetricsRegistry* m = obs->metrics();
   const std::string prefix = "net." + name_;
-  obs_bytes_ = m->counter(prefix + ".bytes");
-  obs_msgs_ = m->counter(prefix + ".msgs");
-  obs_queue_ns_ = m->histogram(prefix + ".queue_ns");
-  obs_inflight_ = m->gauge(prefix + ".inflight_bytes");
+  m_bytes_ = metrics->counter(prefix + ".bytes");
+  m_msgs_ = metrics->counter(prefix + ".msgs");
+  m_queue_ns_ = metrics->histogram(prefix + ".queue_ns");
+  m_inflight_ = metrics->gauge(prefix + ".inflight_bytes");
 }
 
 void Link::ExportMetrics() {
-  if (obs_ == nullptr || obs_->metrics() == nullptr) {
+  if (metrics_ == nullptr) {
     return;
   }
-  obs_->metrics()->gauge("net." + name_ + ".busy_ns")->Set(busy_time().nanos());
+  metrics_->gauge("net." + name_ + ".busy_ns")->Set(busy_time().nanos());
 }
 
 SimTime Link::DrainTime() const {
@@ -71,13 +70,13 @@ void Link::SendFlight(Bytes size, uint32_t token, bool flush) {
 void Link::Enqueue(Msg msg) {
   const Bytes size = msg.size;
   bytes_sent_ += size;
-  if (obs_bytes_ != nullptr) {
-    obs_bytes_->Inc(static_cast<uint64_t>(size));
-    obs_msgs_->Inc();
+  if (m_bytes_ != nullptr) {
+    m_bytes_->Inc(static_cast<uint64_t>(size));
+    m_msgs_->Inc();
     // Sender-side queueing delay this message will experience behind the
     // work already on the wire. Passive: reads drain state, schedules nothing.
-    obs_queue_ns_->Observe((DrainTime() - sim_->Now()).nanos());
-    obs_inflight_->Add(size);
+    m_queue_ns_->Observe((DrainTime() - sim_->Now()).nanos());
+    m_inflight_->Add(size);
   }
   msgs_.push_back(msg);
   if (!busy_) {
@@ -115,8 +114,8 @@ void Link::FinishSend() {
   Msg msg = msgs_.pop_front();
   // Flush == left the NIC queue; decrement here so fault drops (which
   // never deliver) still settle the gauge.
-  if (obs_inflight_ != nullptr) {
-    obs_inflight_->Add(-msg.size);
+  if (m_inflight_ != nullptr) {
+    m_inflight_->Add(-msg.size);
   }
   if (msg.kind == kFlushed) {
     on_flushed_(msg.token);

@@ -19,6 +19,9 @@
 // flight's token is the sender's own index (the PS backend's hop), handed to
 // the flush and delivery handlers the sender installs once per link; a
 // Send's token indexes the link's pool of parked delivery callbacks.
+//
+// A link writes only metrics (SetMetrics); the spans and flow points of a
+// message in transit are the sender's to record.
 #ifndef SRC_NET_LINK_H_
 #define SRC_NET_LINK_H_
 
@@ -36,10 +39,10 @@
 
 namespace bsched {
 
-class ObsContext;
 class Counter;
 class Gauge;
 class Histogram;
+class MetricsRegistry;
 
 class Link {
  public:
@@ -108,10 +111,10 @@ class Link {
   // Null (the default) keeps the exact fault-free event sequence.
   void SetFaultInjector(FaultInjector* faults);
 
-  // Observability: registers and caches this link's metric handles
-  // (net.<name>.bytes/.msgs/.queue_ns/.inflight_bytes). Null obs (or obs
-  // without a metrics registry) keeps the hot path to one pointer check.
-  void SetObs(ObsContext* obs);
+  // Registers and caches this link's metric handles
+  // (net.<name>.bytes/.msgs/.queue_ns/.inflight_bytes). Null (the default)
+  // keeps the hot path to one pointer check.
+  void SetMetrics(MetricsRegistry* metrics);
   // Final gauges derived from accumulated state (net.<name>.busy_ns);
   // call once after the run.
   void ExportMetrics();
@@ -162,12 +165,12 @@ class Link {
   Bytes bytes_sent_ = 0;
   FaultInjector* faults_ = nullptr;
   uint64_t site_hash_ = 0;
-  ObsContext* obs_ = nullptr;
-  // Cached handles; obs_bytes_ doubles as the "instrumented?" flag.
-  Counter* obs_bytes_ = nullptr;
-  Counter* obs_msgs_ = nullptr;
-  Histogram* obs_queue_ns_ = nullptr;
-  Gauge* obs_inflight_ = nullptr;
+  MetricsRegistry* metrics_ = nullptr;
+  // Cached handles; m_bytes_ doubles as the "instrumented?" flag.
+  Counter* m_bytes_ = nullptr;
+  Counter* m_msgs_ = nullptr;
+  Histogram* m_queue_ns_ = nullptr;
+  Gauge* m_inflight_ = nullptr;
   // Messages submitted and not yet flushed, in FIFO (= flush) order; the
   // front one is in transmission while busy_.
   FifoRing<Msg> msgs_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -16,7 +15,6 @@
 #include "src/engine/dag_engine.h"
 #include "src/engine/imperative_engine.h"
 #include "src/engine/proxy.h"
-#include "src/obs/obs.h"
 #include "src/obs/timeseries.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulator.h"
@@ -44,15 +42,13 @@ SchedulerConfig SchedulerConfigFor(const JobConfig& config) {
   return SchedulerConfig::Vanilla();
 }
 
-// The substrate the jobs of one run share: the simulator, the observability
-// context, the fault injector and the communication backend (PS shards or
-// the all-reduce ring), built from one job's config. A job run alone gets
-// its own Fabric; co-scheduled jobs (§7) share one.
+// The substrate the jobs of one run share: the simulator, the fault
+// injector and the communication backend (PS shards or the all-reduce ring),
+// built from one job's config, which also supplies the trace and metrics
+// sinks the backend writes. A job run alone gets its own Fabric;
+// co-scheduled jobs (§7) share one.
 struct Fabric {
   explicit Fabric(const JobConfig& config) {
-    if (config.trace != nullptr || config.metrics != nullptr) {
-      obs.emplace(config.trace, config.metrics);
-    }
     if (config.chaos.has_value()) {
       faults = std::make_unique<FaultInjector>(*config.chaos, &sim, config.trace);
     }
@@ -65,7 +61,8 @@ struct Fabric {
       ps_config.transport = config.setup.transport;
       ps_config.synchronous = !config.ps_async;
       ps_config.faults = faults.get();
-      ps_config.obs = Obs();
+      ps_config.trace = config.trace;
+      ps_config.metrics = config.metrics;
       ps_config.delayed_notify = config.delayed_notify;
       if (dynamic) {
         ps_config.dynamics = &*config.dynamics;
@@ -83,18 +80,14 @@ struct Fabric {
         ar_config.nego_cycle = SimTime::Millis(5);
       }
       ar_config.faults = faults.get();
-      ar_config.obs = Obs();
+      ar_config.trace = config.trace;
+      ar_config.metrics = config.metrics;
       ar = std::make_unique<AllReduceBackend>(&sim, ar_config);
       backend = ar.get();
     }
   }
 
-  // Null when the job has neither a trace nor a metrics sink.
-  ObsContext* Obs() { return obs.has_value() ? &*obs : nullptr; }
-
   Simulator sim;
-  // Flow bookkeeping is single-threaded, one context per simulator.
-  std::optional<ObsContext> obs;
   std::unique_ptr<FaultInjector> faults;
   std::unique_ptr<PsBackend> ps;
   std::unique_ptr<AllReduceBackend> ar;
@@ -110,7 +103,8 @@ std::vector<std::unique_ptr<SchedulerCore>> MakeCores(const JobConfig& config,
   std::vector<std::unique_ptr<SchedulerCore>> cores;
   for (int w = 0; w < num_cores; ++w) {
     cores.push_back(std::make_unique<SchedulerCore>(sched, fabric.backend, w, &fabric.sim,
-                                                    fabric.faults.get(), fabric.Obs()));
+                                                    fabric.faults.get(), config.trace,
+                                                    config.metrics));
   }
   return cores;
 }

@@ -3,6 +3,12 @@
 // (vanilla FIFO path, or ByteScheduler with Dependency Proxies and barrier
 // crossing), runs it on the simulator, and reports steady-state training
 // speed — the metric every figure in the paper plots.
+//
+// Observability: the job hands its trace and metrics pointers straight to
+// each layer that writes them — the scheduler Cores, the PS or all-reduce
+// backend (whose links take only the metrics), the fault injector (only the
+// trace) and its own compute and per-tensor spans. Each pointer is nullable
+// and each layer checks its own.
 #ifndef SRC_RUNTIME_TRAINING_JOB_H_
 #define SRC_RUNTIME_TRAINING_JOB_H_
 

@@ -73,32 +73,6 @@ std::vector<double> RandomSearch::Suggest() {
   return x;
 }
 
-// ---- GridSearch -------------------------------------------------------------
-
-GridSearch::GridSearch(int dims, int points_per_dim)
-    : dims_(dims), points_per_dim_(points_per_dim) {
-  BSCHED_CHECK(points_per_dim_ >= 2);
-}
-
-int GridSearch::total_points() const {
-  int64_t total = 1;
-  for (int d = 0; d < dims_; ++d) {
-    total *= points_per_dim_;
-  }
-  return static_cast<int>(total);
-}
-
-std::vector<double> GridSearch::Suggest() {
-  int64_t idx = next_++ % total_points();
-  std::vector<double> x(dims_);
-  for (int d = 0; d < dims_; ++d) {
-    const int i = static_cast<int>(idx % points_per_dim_);
-    idx /= points_per_dim_;
-    x[d] = static_cast<double>(i) / (points_per_dim_ - 1);
-  }
-  return x;
-}
-
 // ---- SgdMomentumSearch ------------------------------------------------------
 
 SgdMomentumSearch::SgdMomentumSearch(int dims, uint64_t seed) : dims_(dims), rng_(seed) {

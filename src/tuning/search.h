@@ -1,8 +1,9 @@
 // Search strategies for the (partition, credit) knobs: the paper's Bayesian
-// Optimization tuner plus the three classic baselines it is compared against
-// in §6.3 / Figure 14 (grid search, random search, SGD with momentum). All
-// strategies operate on the unit hypercube; the AutoTuner maps coordinates to
-// byte sizes on a log scale.
+// Optimization tuner plus two of the classic baselines it is compared against
+// in §6.3 / Figure 14 (random search, SGD with momentum). The third, grid
+// search, needs no strategy: its cost is the whole lattice, which Figure 14
+// prints and Table 1 sweeps directly. All strategies operate on the unit
+// hypercube; the AutoTuner maps coordinates to byte sizes on a log scale.
 #ifndef SRC_TUNING_SEARCH_H_
 #define SRC_TUNING_SEARCH_H_
 
@@ -58,22 +59,6 @@ class RandomSearch : public ParamSearch {
  private:
   int dims_;
   Rng rng_;
-};
-
-// Sweeps a regular lattice with `points_per_dim` points per dimension, in
-// row-major order; wraps around if asked for more points.
-class GridSearch : public ParamSearch {
- public:
-  GridSearch(int dims, int points_per_dim);
-  std::vector<double> Suggest() override;
-  void Observe(const std::vector<double>& /*x*/, double /*y*/) override {}
-  int dims() const override { return dims_; }
-  int total_points() const;
-
- private:
-  int dims_;
-  int points_per_dim_;
-  int64_t next_ = 0;
 };
 
 // Hill climbing with momentum on a noisy objective: estimates the gradient by

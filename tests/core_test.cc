@@ -2,10 +2,12 @@
 
 #include <deque>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/comm/backend.h"
+#include "src/common/trace.h"
 #include "src/core/comm_task.h"
 #include "src/core/scheduler_core.h"
 
@@ -289,6 +291,51 @@ TEST(SchedulerCoreTest, WorkerIdPropagates) {
   core.NotifyReady(id);
   ASSERT_EQ(backend.started.size(), 1u);
   EXPECT_EQ(backend.started[0].worker, 3);
+}
+
+// A traced Core keeps the partition-flow ledger. A push opens an arc, its
+// pull continues it and the finished pull closes it; a pull with no open arc
+// and the next iteration's push each open a fresh one. Ids come from the
+// recorder's counter.
+TEST(SchedulerCoreTest, TracedCoreKeepsPartitionFlowArcs) {
+  Simulator sim;
+  TraceRecorder trace;
+  MockBackend backend;
+  SchedulerCore core(SchedulerConfig::ByteScheduler(MiB(1), SchedulerConfig::kUnlimited),
+                     &backend, 0, &sim, nullptr, &trace);
+  // Admits one single-partition op on tensor 7 and returns its arc.
+  auto admit = [&](CommOpType type) {
+    CommTaskDesc desc = MakeDesc(7, KiB(64), type);
+    desc.tensor_id = 7;
+    core.NotifyReady(core.Enqueue(std::move(desc)));
+    return backend.started.back().flow;
+  };
+  const uint64_t push = admit(CommOpType::kPush);
+  EXPECT_EQ(push, 1u);
+  backend.FinishOldest();  // a finished push leaves its arc open
+  EXPECT_EQ(admit(CommOpType::kPull), push);
+  backend.FinishOldest();  // the finished pull closes it
+  const uint64_t lone_pull = admit(CommOpType::kPull);
+  EXPECT_EQ(lone_pull, 2u);
+  backend.FinishOldest();
+  const uint64_t next_push = admit(CommOpType::kPush);
+  EXPECT_EQ(next_push, 3u);
+
+  std::ostringstream os;
+  trace.WriteChromeTrace(os);
+  const std::string json = os.str();
+  const auto has_point = [&json](const char* ph, uint64_t id) {
+    return json.find(std::string(R"({"ph":")") + ph + R"(","cat":"flow","id":)" +
+                     std::to_string(id) + ",") != std::string::npos;
+  };
+  EXPECT_TRUE(has_point("s", push));
+  EXPECT_TRUE(has_point("t", push));
+  EXPECT_TRUE(has_point("f", push));
+  EXPECT_TRUE(has_point("s", lone_pull));
+  EXPECT_TRUE(has_point("f", lone_pull));
+  EXPECT_TRUE(has_point("s", next_push));
+  EXPECT_FALSE(has_point("f", next_push));
+  EXPECT_EQ(trace.num_flow_events(), 6u);
 }
 
 TEST(SchedulerCoreTest, StressManyTasksConserveCredit) {

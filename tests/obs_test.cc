@@ -17,7 +17,6 @@
 #include "src/obs/critical_path.h"
 #include "src/obs/json_lite.h"
 #include "src/obs/metrics.h"
-#include "src/obs/obs.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/obs_artifacts.h"
 #include "src/runtime/training_job.h"
@@ -383,24 +382,6 @@ TEST(ObsArtifactsDeathTest, SecondAttachCheckFails) {
   artifacts.Attach(&first);
   JobConfig second = SmallJob();
   EXPECT_DEATH(artifacts.Attach(&second), "exactly one job");
-}
-
-// ---- ObsContext flow bookkeeping ------------------------------------------
-
-TEST(ObsContextTest, FlowLifecycle) {
-  TraceRecorder trace;
-  ObsContext obs(&trace, nullptr);
-  EXPECT_TRUE(obs.tracing());
-  EXPECT_EQ(obs.metrics(), nullptr);
-  const uint64_t flow = obs.BeginPartitionFlow(0, 7, 2);
-  EXPECT_NE(flow, 0u);
-  EXPECT_EQ(obs.LookupPartitionFlow(0, 7, 2), flow);
-  EXPECT_EQ(obs.LookupPartitionFlow(0, 7, 3), 0u);
-  // Reopening the same slot (next iteration) hands out a fresh id.
-  const uint64_t next = obs.BeginPartitionFlow(0, 7, 2);
-  EXPECT_NE(next, flow);
-  obs.EndPartitionFlow(0, 7, 2);
-  EXPECT_EQ(obs.LookupPartitionFlow(0, 7, 2), 0u);
 }
 
 }  // namespace

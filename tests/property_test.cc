@@ -20,7 +20,6 @@
 #include "src/fault/fault_injector.h"
 #include "src/model/zoo.h"
 #include "src/obs/metrics.h"
-#include "src/obs/obs.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/training_job.h"
 #include "src/sim/simulator.h"
@@ -424,8 +423,7 @@ TEST_P(CoreOracleTest, AdmissionOrderMatchesOrderedMapReference) {
   FaultInjector faults(plan, &sim);
   AdmissionLog backend;
   MetricsRegistry metrics;
-  ObsContext obs(nullptr, &metrics);
-  SchedulerCore core(config, &backend, 0, &sim, &faults, &obs);
+  SchedulerCore core(config, &backend, 0, &sim, &faults, nullptr, &metrics);
   CoreModel model(config, plan.retry_timeout);
   const Histogram* queue_depth = metrics.histogram("sched.w0.queue_depth");
   const Counter* preemptions = metrics.counter("sched.w0.preemptions");

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <set>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -141,30 +140,6 @@ TEST(RandomSearchTest, PointsInUnitCube) {
       EXPECT_LT(v, 1.0);
     }
   }
-}
-
-TEST(GridSearchTest, CoversLatticeExactlyOnce) {
-  GridSearch grid(2, 4);
-  EXPECT_EQ(grid.total_points(), 16);
-  std::set<std::pair<double, double>> seen;
-  for (int t = 0; t < 16; ++t) {
-    auto x = grid.Suggest();
-    seen.insert({x[0], x[1]});
-  }
-  EXPECT_EQ(seen.size(), 16u);
-  // Wraps around afterwards.
-  auto x = grid.Suggest();
-  EXPECT_TRUE(seen.count({x[0], x[1]}) > 0);
-}
-
-TEST(GridSearchTest, EndpointsIncluded) {
-  GridSearch grid(1, 5);
-  std::set<double> xs;
-  for (int t = 0; t < 5; ++t) {
-    xs.insert(grid.Suggest()[0]);
-  }
-  EXPECT_TRUE(xs.count(0.0) > 0);
-  EXPECT_TRUE(xs.count(1.0) > 0);
 }
 
 TEST(SgdMomentumTest, ClimbsSmoothObjective) {
