@@ -8,9 +8,9 @@
 //
 // The amplitude sweep's cells are independent simulations evaluated by
 // ParallelFor; rows are bit-identical at any --jobs value. Every cell
-// sets JobConfig::delayed_notify: the PS push-ack cancel and aggregation
-// notifications arrive as control messages, which is how the recorded rows
-// were produced.
+// sets JobConfig::delayed_notify: each worker's aggregation notification
+// arrives as a control message, which is how the recorded rows were
+// produced.
 //
 // Flags: --jobs N          sweep workers (default: hardware concurrency)
 //        --model NAME      zoo model (default resnet50)
@@ -22,7 +22,8 @@
 //        --require-growing-gain  fail unless ByteScheduler's gain over
 //                          vanilla is larger at the highest amplitude than
 //                          at amplitude 0 (the figure's acceptance check)
-// An unknown flag, an unknown --model or a --gbps below 1e-6 exits 2.
+// An unknown flag, an unknown --model, a --gbps below 1e-6 or a negative
+// --seed exits 2.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -133,8 +134,7 @@ int main(int argc, char** argv) {
   SweepSpec spec;
   spec.model = flags.GetString("model", spec.model);
   spec.gbps = flags.GetGbps("gbps", spec.gbps);
-  spec.seed = static_cast<uint64_t>(
-      flags.GetInt("seed", static_cast<int64_t>(spec.seed)));
+  spec.seed = flags.GetSeed("seed", spec.seed);
   const std::string csv_path = flags.GetString("csv", "");
   const bool check_determinism = flags.GetBool("check-determinism", false);
   const bool require_growing_gain = flags.GetBool("require-growing-gain", false);

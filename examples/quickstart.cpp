@@ -14,9 +14,10 @@
 //                        statistics.
 //        --volatility[=seed]  rerun the ByteScheduler job on a volatile
 //                        network fabric (seeded random-walk link drift,
-//                        on/off cross traffic, loss-driven AIMD pacing) and
-//                        print the rate-control activity. Deterministic:
-//                        the same seed always produces the same run.
+//                        on/off cross traffic, a derated receive direction)
+//                        and print its speed against the calm fabric.
+//                        Deterministic: the same seed always produces the
+//                        same run.
 //        --trace[=path]  write a Chrome/Perfetto trace of the ByteScheduler
 //                        job (default path trace.json)
 //        --metrics[=path] write its metrics snapshot (default metrics.json)
@@ -49,13 +50,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool chaos = flags.Has("chaos");
-  const uint64_t chaos_seed =
-      flags.GetBool("chaos", false) ? 1 : static_cast<uint64_t>(flags.GetInt("chaos", 1));
+  const uint64_t chaos_seed = flags.GetBool("chaos", false) ? 1 : flags.GetSeed("chaos", 1);
   const bool volatility = flags.Has("volatility");
   const uint64_t volatility_seed =
-      flags.GetBool("volatility", false)
-          ? 1
-          : static_cast<uint64_t>(flags.GetInt("volatility", 1));
+      flags.GetBool("volatility", false) ? 1 : flags.GetSeed("volatility", 1);
   // The obs sinks observe one job: the ByteScheduler job, or with --chaos
   // the chaos rerun, so its trace shows the retry/retransmit activity.
   ObsArtifacts artifacts(ParseObsFlags(flags));
@@ -118,16 +116,11 @@ int main(int argc, char** argv) {
     dyn.cross_flows = 2;
     dyn.cross_load = 0.5;
     dyn.down_scale = 0.8;
-    dyn.aimd.enable = true;
     stormy_job.dynamics = dyn;
     const JobResult stormy = RunTrainingJob(stormy_job);
     std::printf("  volatility (seed %llu): %8.1f images/sec (%+.1f%% vs calm fabric)\n",
                 static_cast<unsigned long long>(volatility_seed), stormy.samples_per_sec,
                 100.0 * (stormy.samples_per_sec / scheduled.samples_per_sec - 1.0));
-    std::printf("    aimd: %llu decreases, %llu increases; %llu in-flight repaces\n",
-                static_cast<unsigned long long>(stormy.rate_ctrl_decreases),
-                static_cast<unsigned long long>(stormy.rate_ctrl_increases),
-                static_cast<unsigned long long>(stormy.link_repaces));
   }
 
   return artifacts.Write() ? 0 : 1;

@@ -60,7 +60,6 @@ PsBackend::PsBackend(Simulator* sim, const PsConfig& config) : sim_(sim), config
       Land(hop, wire, &PsBackend::OnPullAtWorker);
     });
   }
-  arrived_words_ = (workers + 63) / 64;
   const NetDynamicsConfig* dyn =
       config_.dynamics != nullptr && config_.dynamics->enabled() ? config_.dynamics : nullptr;
   for (size_t i = 0; i < links_.size(); ++i) {
@@ -106,7 +105,6 @@ uint32_t PsBackend::Slot(int64_t tensor_id, int partition) {
   const uint32_t slot = slots_.Get(tensor_id, partition);
   if (slot == aggregated_.size()) {
     aggregated_.push_back(0);
-    arrived_.resize(arrived_.size() + arrived_words_, 0);
     arrivals_.push_back(0);
     pending_head_.push_back(kNone);
     pending_tail_.push_back(kNone);
@@ -360,16 +358,7 @@ void PsBackend::OnPushArrived(uint32_t hop) {
     accepted = leg.round;
   }
   if (config_.faults != nullptr) {
-    if (config_.delayed_notify) {
-      // The ack is a control message back to the worker and pays a control
-      // latency, so a timer may fire while it is in flight: a spurious but
-      // deterministic retransmit, the race a real unreliable-datagram PS
-      // pays.
-      sim_->Schedule(config_.control_latency,
-                     [this, slot, worker] { CancelPushAck(slot, worker); });
-    } else {
-      CancelPushAck(slot, worker);
-    }
+    CancelPushAck(slot, worker);
   }
   const SimTime update_time = ScaledUpdateTime(shard, leg.bytes);
   if (config_.trace != nullptr) {
@@ -381,20 +370,13 @@ void PsBackend::OnPushArrived(uint32_t hop) {
     t.update_time = update_time;
   }
   if (config_.synchronous) {
-    // A bitset, not a counter: a retransmitted copy racing its
-    // merely-delayed original must not count the same worker twice within
-    // a round.
-    uint64_t* arrived = &arrived_[static_cast<size_t>(slot) * arrived_words_];
-    const uint64_t bit = uint64_t{1} << (worker % 64);
-    if ((arrived[worker / 64] & bit) == 0) {
-      arrived[worker / 64] |= bit;
-      ++arrivals_[slot];
-    }
-    if (arrivals_[slot] < config_.num_workers) {
+    // A plain count: the round guard above already dropped every duplicate
+    // copy, and a worker's next round on this slot starts only after the
+    // slot aggregates, so each worker arrives at most once per round.
+    if (++arrivals_[slot] < config_.num_workers) {
       FreeHop(hop);
       return;
     }
-    std::fill(arrived, arrived + arrived_words_, 0);
     arrivals_[slot] = 0;
   }
   // Sync: all workers' gradients for this partition arrived. Async: apply

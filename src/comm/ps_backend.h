@@ -23,19 +23,21 @@
 // partition, worker); if the shard has not seen the copy when it fires, the
 // leg is retransmitted with exponential backoff, under the timeout, backoff
 // and retry budget of the injector's FaultPlanConfig, and exhausting the
-// budget aborts the run. Shards dedupe arrivals per worker within an
-// aggregation round, so a retransmit racing a merely-delayed original cannot
-// inflate the arrival count. (A stale copy surviving into the next round can
-// make that worker's arrival count early — a semantic staleness real async PS
-// systems also accept — but never lose or double-aggregate a round.) Control
-// messages are assumed reliable.
+// budget aborts the run. Every copy carries its push's aggregation round, and
+// the shard drops a copy at or below the round it already accepted from that
+// worker, so a retransmit racing a merely-delayed original is counted once.
+// That round guard is the only duplicate filter: in synchronous training a
+// worker's next round on a slot starts only after the slot aggregates, so a
+// synchronous round counts each worker at most once. Accepting a copy
+// cancels the worker's ack timer at once. Control messages are assumed
+// reliable.
 //
 // State layout: Start gives every (tensor, partition) one backend-wide slot
 // id from the backend's single SlotIndex, and the hop carries it to every
 // step, so each hop looks its key up once. Per-slot state (aggregation flag,
-// arrival bitset and count, pending-pull FIFO) lives in vectors indexed by
-// slot; per-(slot, worker) state (the sender's push round, the shard's
-// accepted round and, with faults, the ack timer) in vectors indexed by
+// arrival count, pending-pull FIFO) lives in vectors indexed by slot;
+// per-(slot, worker) state (the sender's push round, the shard's accepted
+// round and, with faults, the ack timer) in vectors indexed by
 // slot * num_workers + worker. Ids are never raw tensor ids: co-scheduled
 // jobs offset theirs by 1 << 20. A push data leg or pull in flight is one
 // pooled Hop record named by its index: one 64-byte cache line holding the
@@ -114,10 +116,10 @@ struct PsConfig {
   // optionally get AIMD rate controllers fed by the push ack timers.
   const NetDynamicsConfig* dynamics = nullptr;
 
-  // Delivers the shard's push-ack cancel and each worker's aggregation
-  // notification as control messages control_latency after the shard
-  // event, one event per worker, instead of as synchronous calls.
-  // fig15_volatility's recorded rows were produced in this mode.
+  // Delivers each worker's aggregation notification as a control message
+  // control_latency after the update, one event per worker, instead of as a
+  // synchronous call. fig15_volatility's recorded rows were produced in this
+  // mode. The push-ack cancel is synchronous either way.
   bool delayed_notify = false;
 };
 
@@ -317,16 +319,12 @@ class PsBackend : public CommBackend {
 
   SlotIndex slots_;
   // Per slot: aggregated since its first update; the workers whose gradient
-  // copy arrived this aggregation round, as a bitset (arrived_words_ words
-  // per slot) plus its popcount, so retransmitted duplicates cannot inflate
-  // the round; and the FIFO of pull hops admitted before aggregation
-  // completed.
+  // copy arrived this aggregation round (synchronous mode); and the FIFO of
+  // pull hops admitted before aggregation completed.
   std::vector<uint8_t> aggregated_;
-  std::vector<uint64_t> arrived_;
   std::vector<int> arrivals_;
   std::vector<uint32_t> pending_head_;
   std::vector<uint32_t> pending_tail_;
-  int arrived_words_ = 1;
   // Per (slot, worker), at SlotWorker: the sender's push round; the highest
   // round the shard accepted, so a copy at or below it is a stale duplicate
   // (its retransmit timer fired while the original was merely slow, both

@@ -108,6 +108,14 @@ double Flags::GetGbps(const std::string& name, double def) const {
   return gbps;
 }
 
+uint64_t Flags::GetSeed(const std::string& name, uint64_t def) const {
+  const int64_t seed = GetInt(name, static_cast<int64_t>(def));
+  if (seed < 0) {
+    RejectValue(name, "a non-negative seed");
+  }
+  return static_cast<uint64_t>(seed);
+}
+
 bool Flags::GetBool(const std::string& name, bool def) const {
   auto it = values_.find(name);
   if (it == values_.end()) {

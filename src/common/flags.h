@@ -27,6 +27,9 @@ class Flags {
   // A bandwidth in Gbps: GetDouble, and a value below Bandwidth::kMinGbps
   // (where one transfer time would overflow SimTime) exits 2 like above.
   double GetGbps(const std::string& name, double def) const;
+  // A seed: GetInt, and a negative value (which would wrap to a huge
+  // unsigned seed) exits 2 like above.
+  uint64_t GetSeed(const std::string& name, uint64_t def) const;
   bool GetBool(const std::string& name, bool def) const;
   // Prints "<program>: --<name> needs <what>, got '<value>'" to stderr and
   // exits with status 2: the one report of a value outside its flag's range.

@@ -333,11 +333,11 @@ void SchedulerCore::OnAttemptFinish(uint32_t rec, uint32_t generation) {
   OnSubTaskFinish(rec);
 }
 
-void SchedulerCore::OnAttemptTimeout(uint32_t rec, uint32_t generation) {
+void SchedulerCore::OnAttemptTimeout(uint32_t rec, [[maybe_unused]] uint32_t generation) {
   SubTaskRecord& r = records_[rec];
-  if (!r.in_flight || r.generation != generation) {
-    return;  // stale timer (attempt completed; Cancel raced the pop)
-  }
+  // OnAttemptFinish cancels exactly this attempt's timer, so a timer that
+  // fires belongs to the attempt in flight.
+  BSCHED_DCHECK(r.in_flight && r.generation == generation);
   r.in_flight = false;
   --in_flight_;
   ++timeouts_fired_;

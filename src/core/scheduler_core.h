@@ -14,7 +14,8 @@
 // attempt backs off exponentially; a partition that exhausts the budget
 // aborts the run. Completions of timed-out attempts are recognized by
 // generation and ignored, so a delayed (rather than lost) message can never
-// double-finish a partition or leak credit.
+// double-finish a partition or leak credit. A finishing attempt cancels its
+// own timer, so a timer that fires always belongs to the attempt in flight.
 //
 // Hot-path layout: the ready queue is a binary heap of *runs*. A run is a
 // block [next, end) of one task's partitions that became ready together and

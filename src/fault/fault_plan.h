@@ -100,13 +100,10 @@ class FaultPlan {
   bool DropMessage(uint64_t site_hash, uint64_t msg_index, SimTime now) const;
   // Added delivery delay: latency spikes plus OutageDeferral.
   SimTime ExtraLatency(uint64_t site_hash, SimTime now) const;
-  // Link-down semantics in one place: a down link is a link at rate 0 for the
-  // outage window, so a delivery attempted at `now` defers by the remaining
-  // zero-rate time of every active link-down episode. Both the discrete fault
-  // path (Link::FinishSend via ExtraLatency) and RateModel-based zero-rate
-  // schedules express outages through this window arithmetic; keeping it here
-  // keeps recovery counters identical between the two
-  // (tests/fault_test.cc cross-checks).
+  // Link-down semantics, the one model of an outage: a delivery attempted at
+  // `now` defers to the end of every active link-down episode on the site.
+  // Link::FinishSend applies it through ExtraLatency; a RateModel never takes
+  // a link to zero.
   SimTime OutageDeferral(uint64_t site_hash, SimTime now) const;
 
   // Multiplicative slowdown factors (1.0 == unaffected).

@@ -12,6 +12,10 @@ namespace bsched {
 Link::Link(Simulator* sim, std::string name, Bandwidth line_rate, const TransportModel& transport)
     : sim_(sim), line_rate_(line_rate), transport_(transport), name_(std::move(name)) {
   BSCHED_CHECK(sim_ != nullptr);
+  // With every schedule and controller scale positive too, Rate() is never 0,
+  // so a transfer always finishes.
+  BSCHED_CHECK(line_rate_.bytes_per_sec() > 0.0 && transport_.efficiency > 0.0 &&
+               transport_.goodput_cap.bytes_per_sec() > 0.0 && "a link needs a positive rate");
 }
 
 void Link::Send(Bytes size, std::function<void()> on_delivered) {
@@ -136,9 +140,8 @@ void Link::FinishSend() {
   if (faults_ != nullptr) {
     // Fault fate is decided at flush time: the sender's NIC accepted the
     // message, but the wire may lose or delay it. A link-down fault defers
-    // delivery to the outage's end — the discrete-fault face of "rate 0 for
-    // the outage window" (FaultPlan::OutageDeferral), shared with RateModel
-    // zero-rate segments.
+    // delivery to the outage's end (FaultPlan::OutageDeferral), the one model
+    // of an outage; a RateModel only derates a link, never to zero.
     const FaultInjector::MessageFault fate = faults_->OnMessageSend(site_hash_);
     if (fate.drop) {
       // Lost in the network; recovery retransmits. A Send's callback is
@@ -183,12 +186,6 @@ SimTime Link::FinishTime() const {
   while (true) {
     const SimTime next = model_.NextChangeAfter(t);
     const double rate = Rate(t);
-    if (rate <= 0.0) {
-      // Zero-rate window (outage segment); progress resumes at the next step.
-      BSCHED_CHECK(next < SimTime::Max() && "transfer stalled on a terminal zero-rate segment");
-      t = next;
-      continue;
-    }
     // Same arithmetic as Bandwidth::TransmitTime so a flat schedule lands on
     // the nanosecond TransportModel::MessageTime predicts.
     const SimTime fin = t + SimTime(static_cast<int64_t>(std::llround(remaining / rate * 1e9)));
@@ -208,11 +205,8 @@ void Link::DrainUntil(SimTime until) {
   SimTime t = anchor_;
   while (t < until) {
     const SimTime next = std::min(model_.NextChangeAfter(t), until);
-    const double rate = Rate(t);
-    if (rate > 0.0) {
-      remaining_ -= rate * (next - t).ToSeconds();
-      if (remaining_ < 0.0) remaining_ = 0.0;
-    }
+    remaining_ -= Rate(t) * (next - t).ToSeconds();
+    if (remaining_ < 0.0) remaining_ = 0.0;
     t = next;
   }
   anchor_ = until;

@@ -27,7 +27,7 @@ std::vector<RateStep> Dedup(std::vector<RateStep> steps) {
 RateModel::RateModel() : steps_{{SimTime(), 1.0}} {}
 
 RateModel RateModel::Constant(double scale) {
-  BSCHED_CHECK(scale >= 0.0 && "rate scale must be non-negative");
+  BSCHED_CHECK(scale > 0.0 && "rate scale must be positive");
   RateModel m;
   m.steps_ = {{SimTime(), scale}};
   return m;
@@ -37,7 +37,7 @@ RateModel RateModel::Piecewise(std::vector<RateStep> steps) {
   RateModel m;
   if (steps.empty()) return m;
   for (size_t i = 0; i < steps.size(); ++i) {
-    BSCHED_CHECK(steps[i].scale >= 0.0 && "rate scale must be non-negative");
+    BSCHED_CHECK(steps[i].scale > 0.0 && "rate scale must be positive");
     if (i > 0) BSCHED_CHECK(steps[i - 1].start < steps[i].start && "steps must be sorted, unique");
   }
   if (steps.front().start > SimTime()) {

@@ -1,11 +1,14 @@
 // Time-varying link capacity. A RateModel is a piecewise-constant schedule of
 // capacity multipliers ("scales") on the simulator clock: scale 1.0 is the
-// link's nominal line rate, 0.5 halves it, 0.0 is an outage. Schedules are
-// pure data built deterministically up front (seeded random-walk drift,
-// CASSINI-style on/off cross traffic, explicit steps), so a link's rate
-// trajectory is a pure function of (seed, link name, time) — the same
-// discipline FaultPlan uses. The Link consumes the schedule via ScaleAt/NextChangeAfter and
-// re-paces in-flight transfers across scale boundaries (src/net/link.cc).
+// link's nominal line rate, 0.5 halves it. Every scale is positive: a
+// schedule models cross traffic and drift, which never take a link to zero,
+// and a link-down window is the fault plan's (FaultPlan::OutageDeferral).
+// Schedules are pure data built deterministically up front (seeded
+// random-walk drift, CASSINI-style on/off cross traffic, explicit steps),
+// so a link's rate trajectory is a pure function of (seed, link name, time)
+// — the same discipline FaultPlan uses. The Link consumes the schedule via
+// ScaleAt/NextChangeAfter and re-paces in-flight transfers across scale
+// boundaries (src/net/link.cc).
 #ifndef SRC_NET_RATE_MODEL_H_
 #define SRC_NET_RATE_MODEL_H_
 
@@ -28,6 +31,7 @@ class RateModel {
   // Identity schedule (constant scale 1.0).
   RateModel();
 
+  // Constant and Piecewise CHECK that every scale is > 0.
   static RateModel Constant(double scale);
   // `steps` must be sorted by start with unique starts; a leading segment at
   // time 0 is synthesized (scale 1.0) when the first step starts later.
@@ -57,9 +61,8 @@ class RateModel {
   bool IsIdentity() const { return steps_.size() == 1 && steps_[0].scale == 1.0; }
   const std::vector<RateStep>& steps() const { return steps_; }
 
-  // Progress floor used by the stochastic builders: generated schedules never
-  // go below this, so every transfer eventually completes. Explicit Piecewise
-  // schedules may still carry zero-rate windows (bounded by the next step).
+  // Floor of the generated schedules: RandomWalk and CrossTraffic never
+  // derate a link below this share of its line rate.
   static constexpr double kMinScale = 0.05;
 
  private:

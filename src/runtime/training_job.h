@@ -80,12 +80,12 @@ struct JobConfig {
   // jobs.
   std::optional<NetDynamicsConfig> dynamics;
 
-  // PS jobs: the shard's push-ack cancel and each worker's aggregation
-  // notification arrive control_latency later, as their own events, instead
-  // of as synchronous calls (the PS backend's delayed_notify). Speeds stay
-  // within a few percent of the default; fig15_volatility sets it because
-  // its recorded rows were produced this way. Co-scheduled jobs must agree
-  // on it.
+  // PS jobs: each worker's aggregation notification arrives control_latency
+  // after the update, as its own event, instead of as a synchronous call
+  // (the PS backend's delayed_notify; the push-ack cancel is synchronous
+  // either way). Speeds stay within a few percent of the default;
+  // fig15_volatility sets it because its recorded rows were produced this
+  // way. Co-scheduled jobs must agree on it.
   bool delayed_notify = false;
 
   int warmup_iters = 2;

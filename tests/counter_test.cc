@@ -69,8 +69,10 @@ JobConfig Chaotic(JobConfig job, uint64_t seed) {
   return job;
 }
 
-// fig15's wiring: a volatile fabric with AIMD pacing and delayed PS
-// notifications.
+// A volatile fabric (random-walk drift and cross traffic, as fig15 runs)
+// with delayed PS notifications, as fig15 sets, plus AIMD enabled. Without a
+// FaultInjector no push-ack timer is armed, so AIMD never acts here; the
+// pinned values are those of this exact config.
 JobConfig Volatile(JobConfig job) {
   NetDynamicsConfig dyn;
   dyn.seed = 3;

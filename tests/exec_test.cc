@@ -271,10 +271,10 @@ TEST(SweepJobsDeterminismTest, TimeSeriesCsvIsByteIdenticalAtJobs1And4) {
 // ---- delayed PS notifications -------------------------------------------
 
 TEST(DelayedNotifyTest, SpeedTracksImmediateNotify) {
-  // JobConfig::delayed_notify turns the PS push-ack cancel and the
-  // aggregation notifications into control messages, so its trajectory is
-  // NOT bit-identical to the synchronous default, but the physics are the
-  // same control_latency, so steady-state speed must stay within 10%.
+  // JobConfig::delayed_notify turns the aggregation notifications into
+  // control messages, so its trajectory is NOT bit-identical to the
+  // synchronous default, but the physics are the same control_latency, so
+  // steady-state speed must stay within 10%.
   JobConfig job = bench::WithMode(
       bench::MakeJob(Vgg16(), Setup::MxnetPsTcp(), /*num_machines=*/3, Bandwidth::Gbps(10)),
       SchedMode::kByteScheduler);

@@ -382,6 +382,41 @@ TEST(PsRetransmitDeathTest, AbortsAfterRetransmitBudget) {
       "push data leg exhausted its retransmit budget");
 }
 
+TEST(PsRetransmitTest, DelayedNotifyCancelsTheAckAtArrival) {
+  // 1 GB/s ideal links: a 1 MB push flushes at 1 ms (its ack timer arms
+  // then) and reaches the shard at 2 ms; the 1 ms update ends at 3 ms. The
+  // 1.5 ms timeout ends at 2.5 ms, inside [arrival, arrival +
+  // control_latency): an ack cancel delivered control_latency after the
+  // arrival would let it fire once, spuriously. The cancel runs at the
+  // arrival, so nothing is retransmitted; delayed_notify still delays the
+  // aggregation notification by control_latency.
+  Simulator sim;
+  FaultInjector faults(RetryPlan(SimTime::Micros(1500)), &sim);
+  PsConfig cfg = OneWorkerPs(&faults);
+  cfg.link_rate = Bandwidth::Gbps(8);
+  cfg.transport = TransportModel::Ideal();
+  cfg.update_bytes_per_sec = 1e9;
+  cfg.update_fixed_overhead = SimTime();
+  cfg.control_latency = SimTime::Millis(1);
+  cfg.delayed_notify = true;
+  PsBackend ps(&sim, cfg);
+  std::vector<SimTime> notified;
+  ps.AddAggregationListener([&](int64_t, int, int worker) {
+    EXPECT_EQ(worker, 0);
+    notified.push_back(sim.Now());
+  });
+
+  SubCommTask push = OnePush();
+  push.bytes = 1'000'000;
+  ps.Start(push, [] {});
+  sim.Run();
+
+  EXPECT_EQ(ps.push_retransmits(), 0u);
+  EXPECT_EQ(faults.stats().backend_retransmits, 0u);
+  EXPECT_NE(ps.DebugString().find("unacked_pushes=0"), std::string::npos);
+  EXPECT_EQ(notified, std::vector<SimTime>{SimTime::Millis(4)});
+}
+
 // ---- chaos invariant grid -------------------------------------------------
 
 // Compressed chaos plan matched to the harness's ~10 ms of simulated traffic.
@@ -769,11 +804,11 @@ NetDynamicsConfig VolatileFabric(uint64_t seed) {
 
 // ---- --jobs 1 vs --jobs 4 chaos determinism -----------------------------
 //
-// With JobConfig::delayed_notify the shard's push-ack cancel is a control
-// message, so a retransmit timer can fire while the ack is in flight and
-// recovery takes a different path than with synchronous acks. It must still
-// be a pure function of the job: the result (every recovery counter and the
-// timing trajectory), the metrics snapshot and the sampled time series are
+// With JobConfig::delayed_notify each worker's aggregation notification is a
+// control message, so pulls are released later and recovery interleaves
+// differently than with synchronous notifications. It must still be a pure
+// function of the job: the result (every recovery counter and the timing
+// trajectory), the metrics snapshot and the sampled time series are
 // byte-identical whether the seed sweep runs with --jobs 1 or --jobs 4.
 
 struct ChaosRun {

@@ -300,16 +300,35 @@ TEST(RateModelTest, IdentityAndConstant) {
 
 TEST(RateModelTest, PiecewiseLookupAndBreakpoints) {
   RateModel m = RateModel::Piecewise(
-      {{SimTime::Millis(1), 0.5}, {SimTime::Millis(3), 0.0}, {SimTime::Millis(4), 1.0}});
+      {{SimTime::Millis(1), 0.5}, {SimTime::Millis(3), 0.25}, {SimTime::Millis(4), 1.0}});
   // A leading identity segment is synthesized before the first step.
   EXPECT_DOUBLE_EQ(m.ScaleAt(SimTime()), 1.0);
   EXPECT_DOUBLE_EQ(m.ScaleAt(SimTime::Millis(1)), 0.5);
   EXPECT_DOUBLE_EQ(m.ScaleAt(SimTime::Millis(2)), 0.5);
-  EXPECT_DOUBLE_EQ(m.ScaleAt(SimTime::Millis(3)), 0.0);
+  EXPECT_DOUBLE_EQ(m.ScaleAt(SimTime::Millis(3)), 0.25);
   EXPECT_DOUBLE_EQ(m.ScaleAt(SimTime::Millis(10)), 1.0);
   EXPECT_EQ(m.NextChangeAfter(SimTime()), SimTime::Millis(1));
   EXPECT_EQ(m.NextChangeAfter(SimTime::Millis(1)), SimTime::Millis(3));
   EXPECT_EQ(m.NextChangeAfter(SimTime::Millis(4)), SimTime::Max());
+}
+
+TEST(RateModelDeathTest, RejectsANonPositiveScale) {
+  // A schedule only derates a link; an outage is a fault plan's link-down
+  // window, not a zero-rate segment.
+  EXPECT_DEATH(RateModel::Constant(0.0), "rate scale must be positive");
+  EXPECT_DEATH(RateModel::Constant(-0.5), "rate scale must be positive");
+  EXPECT_DEATH(RateModel::Piecewise({{SimTime(), 1.0}, {SimTime::Millis(2), 0.0}}),
+               "rate scale must be positive");
+  EXPECT_DEATH(RateModel::Piecewise({{SimTime::Millis(1), -1.0}}), "rate scale must be positive");
+}
+
+TEST(LinkDeathTest, RejectsANonPositiveRate) {
+  Simulator sim;
+  TransportModel lossy = TransportModel::Ideal();
+  lossy.efficiency = 0.0;
+  EXPECT_DEATH(Link(&sim, "l", Bandwidth::Gbps(0), TransportModel::Ideal()),
+               "a link needs a positive rate");
+  EXPECT_DEATH(Link(&sim, "l", Bandwidth::Gbps(8), lossy), "a link needs a positive rate");
 }
 
 TEST(RateModelTest, BuildersAreDeterministicAndBounded) {
@@ -393,11 +412,6 @@ int64_t OracleFinishNs(const RateModel& model, const TransportModel& t, double l
         std::min(model.ScaleAt(at) * t.efficiency * line_bps,
                  t.goodput_cap.bytes_per_sec());
     const SimTime next = model.NextChangeAfter(at);
-    if (rate <= 0.0) {
-      EXPECT_LT(next, SimTime::Max()) << "stalled on a terminal zero-rate segment";
-      at = next;
-      continue;
-    }
     const SimTime fin = at + SimTime(static_cast<int64_t>(std::llround(remaining / rate * 1e9)));
     if (next == SimTime::Max() || fin <= next) {
       return fin.nanos();
@@ -451,20 +465,6 @@ TEST(RateModelOracleTest, CompletionMatchesScheduleIntegralAcrossSeeds) {
       start = flushes[i];  // FIFO: the next transfer starts at this flush
     }
   }
-}
-
-TEST(DynamicLinkTest, ZeroRateWindowStallsAndResumes) {
-  // 1 GB/s ideal link; the schedule cuts the rate to zero for [2ms, 5ms).
-  // A 4 MB transfer serializes 2 MB, stalls 3 ms, and finishes at 7 ms.
-  Simulator sim;
-  Link link(&sim, "l", Bandwidth::Gbps(8), TransportModel::Ideal());
-  link.SetRateModel(RateModel::Piecewise(
-      {{SimTime(), 1.0}, {SimTime::Millis(2), 0.0}, {SimTime::Millis(5), 1.0}}));
-  SimTime flushed;
-  link.SetFlightHandlers([&](uint32_t) { flushed = sim.Now(); }, nullptr);
-  link.SendFlight(4'000'000, /*token=*/0, /*flush=*/true);
-  sim.Run();
-  EXPECT_EQ(flushed, SimTime::Millis(7));
 }
 
 TEST(DynamicLinkTest, CtrlScaleRepacesInFlightTransfer) {

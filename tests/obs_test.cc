@@ -348,6 +348,36 @@ TEST(ObsJobTest, ChaosJobExportsRetryCounters) {
   EXPECT_EQ(snap.counters.at("fault.drops_injected"), result.fault_stats.drops_injected);
 }
 
+TEST(ObsJobTest, RingJobExportsRingCounters) {
+  // The ring backend's end-of-run metrics: one ring op per admitted
+  // all-reduce subtask, and the ring's busy time.
+  uint64_t vanilla_ops = 0;
+  for (const SchedMode mode : {SchedMode::kVanilla, SchedMode::kByteScheduler}) {
+    SCOPED_TRACE(mode == SchedMode::kVanilla ? "vanilla" : "bytescheduler");
+    MetricsRegistry metrics;
+    JobConfig job;
+    job.model = Vgg16();
+    job.setup = Setup::MxnetNcclRdma();
+    job.num_machines = 4;
+    job.mode = mode;
+    if (mode == SchedMode::kByteScheduler) {
+      job.partition_bytes = MiB(16);
+      job.credit_bytes = MiB(64);
+    }
+    job.metrics = &metrics;
+    const JobResult result = RunTrainingJob(job);
+    const MetricsSnapshot snap = metrics.Snapshot();
+    EXPECT_GT(result.subtasks_started, 0u);
+    EXPECT_EQ(snap.counters.at("ring.ops"), result.subtasks_started);
+    EXPECT_GT(snap.gauges.at("ring.busy_ns"), 0);
+    if (mode == SchedMode::kVanilla) {
+      vanilla_ops = result.subtasks_started;
+    } else {
+      EXPECT_GT(result.subtasks_started, vanilla_ops);  // partitioned tensors
+    }
+  }
+}
+
 // ---- artifact owner ----------------------------------------------------------
 
 TEST(ObsArtifactsTest, TimeSeriesAttachesTheMetricsRegistryToo) {
