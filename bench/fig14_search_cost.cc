@@ -27,16 +27,23 @@ constexpr int kRepeats = 8;
 constexpr int kMaxTrials = 64;  // grid needs the full lattice in the worst case
 
 // The true objective on the lattice, profiled once per (model, arch): 64
-// simulation runs regardless of how many algorithms/seeds search it.
+// simulation runs, evaluated concurrently, regardless of how many
+// algorithms/seeds search it.
 class LatticeObjective {
  public:
   explicit LatticeObjective(const AutoTuner& tuner) {
+    std::vector<TunedParams> points;
     for (int i = 0; i < kLattice; ++i) {
       for (int j = 0; j < kLattice; ++j) {
-        const double u = static_cast<double>(i) / (kLattice - 1);
-        const double v = static_cast<double>(j) / (kLattice - 1);
-        speed_[i][j] =
-            tuner.EvaluateConfigured(tuner.PartitionFromUnit(u), tuner.CreditFromUnit(v));
+        points.push_back(
+            TunedParams{tuner.PartitionFromUnit(static_cast<double>(i) / (kLattice - 1)),
+                        tuner.CreditFromUnit(static_cast<double>(j) / (kLattice - 1))});
+      }
+    }
+    const std::vector<double> speeds = bench::EvaluateLattice(tuner, points);
+    for (int i = 0; i < kLattice; ++i) {
+      for (int j = 0; j < kLattice; ++j) {
+        speed_[i][j] = speeds[i * kLattice + j];
         optimum_ = std::max(optimum_, speed_[i][j]);
       }
     }

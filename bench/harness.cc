@@ -8,6 +8,7 @@
 #include "src/common/flags.h"
 #include "src/exec/sweep_runner.h"
 #include "src/runtime/obs_artifacts.h"
+#include "src/tuning/auto_tuner.h"
 
 namespace bsched {
 namespace bench {
@@ -58,6 +59,16 @@ JobConfig WithMode(JobConfig job, SchedMode mode) {
 }
 
 double RunSpeed(const JobConfig& job) { return RunTrainingJob(job).samples_per_sec; }
+
+std::vector<double> EvaluateLattice(const AutoTuner& tuner, const std::vector<TunedParams>& points,
+                                    int jobs) {
+  return ParallelFor(
+      points.size(),
+      [&tuner, &points](size_t i) {
+        return tuner.EvaluateConfigured(points[i].partition_bytes, points[i].credit_bytes);
+      },
+      jobs);
+}
 
 std::string GainPercent(double sched, double baseline) {
   char buf[32];

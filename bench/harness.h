@@ -14,6 +14,9 @@
 #include "src/runtime/training_job.h"
 
 namespace bsched {
+
+class AutoTuner;
+
 namespace bench {
 
 // Default cluster scales of Figures 10-12.
@@ -62,6 +65,13 @@ std::vector<ScalingPane> ComputeScalingGrid(const ModelProfile& model, bool incl
 void PrintScalingFigure(const std::string& title, const ModelProfile& model, bool include_p3);
 
 std::string GainPercent(double sched, double baseline);
+
+// Profiles every (partition, credit) point through the const
+// AutoTuner::EvaluateConfigured, concurrently on ParallelFor (0 = the --jobs
+// worker count), and returns the speeds in input order: bit-identical at any
+// worker count.
+std::vector<double> EvaluateLattice(const AutoTuner& tuner, const std::vector<TunedParams>& points,
+                                    int jobs = 0);
 
 // Parses the common bench flags (--jobs N, default hardware concurrency) and
 // installs the result as the process-wide sweep worker count. Returns the

@@ -8,7 +8,6 @@
 
 #include "bench/harness.h"
 #include "src/common/table.h"
-#include "src/exec/sweep_runner.h"
 #include "src/model/zoo.h"
 #include "src/tuning/auto_tuner.h"
 
@@ -37,10 +36,7 @@ TunedParams GridBest(const ModelProfile& model, const Setup& setup) {
           tuner.CreditFromUnit(static_cast<double>(j) / (kLattice - 1))});
     }
   }
-  const std::vector<double> speeds =
-      ParallelFor(points.size(), [&tuner, &points](size_t i) {
-        return tuner.EvaluateConfigured(points[i].partition_bytes, points[i].credit_bytes);
-      });
+  const std::vector<double> speeds = bench::EvaluateLattice(tuner, points);
   TunedParams best{};
   double best_speed = 0.0;
   for (size_t i = 0; i < points.size(); ++i) {

@@ -34,6 +34,7 @@ PsBackend::PsBackend(Simulator* sim, const PsConfig& config) : sim_(sim), config
     links_[w] = std::make_unique<Link>(sim_, name + ".up", config_.link_rate, config_.transport);
     links_[workers + w] = std::make_unique<Link>(sim_, name + ".down", config_.link_rate, receiver);
   }
+  tail_flight_.assign(static_cast<size_t>(workers), kNone);
   for (int s = 0; s < shards; ++s) {
     const std::string name = "shard" + std::to_string(s);
     links_[2 * workers + s] =
@@ -43,11 +44,13 @@ PsBackend::PsBackend(Simulator* sim, const PsConfig& config) : sim_(sim), config
     shard_cpus_.push_back(std::make_unique<Resource>(sim_));
   }
   // Every flight's token is its hop; each link role lands it on its next step.
+  // An uplink entry's token is a PushFlight, which names each partition by
+  // its hop at the head of the queue.
   for (int w = 0; w < workers; ++w) {
-    worker_uplink(w).SetFlightHandlers([this](uint32_t hop) { OnPushFlushed(hop); },
-                                       [this](uint32_t hop, SimTime wire) {
-                                         Land(hop, wire, &PsBackend::OnPushAtShard);
-                                       });
+    worker_uplink(w).SetFlightHandlers(
+        [this](uint32_t hop) { OnPushFlushed(hop); },
+        [this](uint32_t hop, SimTime wire) { Land(hop, wire, &PsBackend::OnPushAtShard); },
+        [this](uint32_t flight) { return OnPushAtHead(flight); });
     worker_downlink(w).SetFlightHandlers(nullptr, [this](uint32_t hop, SimTime wire) {
       Land(hop, wire, &PsBackend::OnPullLanded);
     });
@@ -86,6 +89,12 @@ uint64_t PsBackend::link_repaces() const {
   return total;
 }
 
+uint64_t PsBackend::peak_link_entries() const {
+  uint64_t total = 0;
+  for (const auto& link : links_) total += link->peak_queue_entries();
+  return total;
+}
+
 uint32_t PsBackend::SlotIndex::Get(int64_t tensor_id, int partition) {
   const auto [it, added] = tensors_.try_emplace(tensor_id, static_cast<uint32_t>(parts_.size()));
   if (added) {
@@ -108,16 +117,16 @@ uint32_t PsBackend::Slot(int64_t tensor_id, int partition) {
     arrivals_.push_back(0);
     pending_head_.push_back(kNone);
     pending_tail_.push_back(kNone);
-    push_rounds_.resize(push_rounds_.size() + config_.num_workers);
-    accepted_round_.resize(accepted_round_.size() + config_.num_workers, 0);
     if (config_.faults != nullptr) {
+      push_rounds_.resize(push_rounds_.size() + config_.num_workers);
+      accepted_round_.resize(accepted_round_.size() + config_.num_workers, 0);
       acks_.resize(acks_.size() + config_.num_workers);
     }
   }
   return slot;
 }
 
-uint32_t PsBackend::NewHop(uint32_t slot, const Leg& leg, uint64_t flow) {
+uint32_t PsBackend::NewHop(uint32_t slot, const Leg& leg, uint64_t flow, SimTime submit) {
   const uint32_t hop = hops_.Acquire();
   hops_[hop].leg = leg;
   hops_[hop].slot = slot;
@@ -125,14 +134,14 @@ uint32_t PsBackend::NewHop(uint32_t slot, const Leg& leg, uint64_t flow) {
     if (hop >= hop_trace_.size()) {
       hop_trace_.resize(hops_.size());
     }
-    hop_trace_[hop] = HopTrace{flow, sim_->Now(), SimTime()};
+    hop_trace_[hop] = HopTrace{flow, submit, SimTime()};
   }
   return hop;
 }
 
 void PsBackend::FreeHop(uint32_t hop) {
   Hop& h = hops_[hop];
-  h.on_finish = nullptr;
+  h.done = Flight::Done{};
   h.next = kNone;
   hops_.Release(hop);
 }
@@ -163,9 +172,8 @@ int PsBackend::ShardFor(int64_t tensor_id, int partition) const {
   return static_cast<int>((tensor_id + partition) % config_.num_shards);
 }
 
-void PsBackend::Start(const SubCommTask& subtask, std::function<void()> on_finish) {
+PsBackend::Leg PsBackend::LegOf(const SubCommTask& subtask) const {
   BSCHED_CHECK(subtask.worker >= 0 && subtask.worker < config_.num_workers);
-  BSCHED_CHECK(on_finish != nullptr);
   BSCHED_CHECK(subtask.bytes >= 0 && subtask.bytes <= UINT32_MAX &&
                "a PS hop carries at most 4 GiB");
   BSCHED_CHECK(subtask.tensor_id >= 0 && subtask.tensor_id <= UINT32_MAX &&
@@ -177,37 +185,100 @@ void PsBackend::Start(const SubCommTask& subtask, std::function<void()> on_finis
   leg.layer = subtask.layer;
   leg.worker = static_cast<uint16_t>(subtask.worker);
   leg.shard = static_cast<uint16_t>(ShardFor(subtask.tensor_id, subtask.partition));
-  const uint32_t slot = Slot(subtask.tensor_id, subtask.partition);
-  switch (subtask.type) {
-    case CommOpType::kPush:
-      HandlePush(subtask, slot, leg, std::move(on_finish));
-      return;
-    case CommOpType::kPull:
-      HandlePull(subtask, slot, leg, std::move(on_finish));
-      return;
-    case CommOpType::kAllReduce:
-      BSCHED_CHECK(false && "PS backend cannot execute all-reduce tasks");
-  }
+  return leg;
 }
 
-void PsBackend::HandlePush(const SubCommTask& subtask, uint32_t slot, Leg leg,
-                           std::function<void()> on_finish) {
-  // Aggregation round for this slot from this worker: the data leg and any
-  // retransmits of it all carry this round number, letting the shard drop a
-  // stale duplicate whose original also made it through. A fresh push task
-  // opens a new round; a Core-level retry re-enters here with the *same*
-  // task id and must stay in its round, or its duplicate copy would count
-  // as a phantom arrival in the next one.
-  PushRound& prev = push_rounds_[SlotWorker(slot, leg.worker)];
-  if (prev.task != subtask.task || prev.round == 0) {
-    BSCHED_CHECK(prev.round < UINT32_MAX);
-    prev.task = subtask.task;
-    ++prev.round;
+void PsBackend::Start(const SubCommTask& subtask, std::function<void()> on_finish) {
+  BSCHED_CHECK(on_finish != nullptr);
+  // A flight completing through `starts_`.
+  const uint32_t start = starts_.Acquire();
+  starts_[start] = std::move(on_finish);
+  StartFlight(Flight{subtask, Flight::Done{this, start, 0}});
+}
+
+void PsBackend::OnFlightDone(uint32_t start, uint32_t /*tag*/) {
+  // Release the slot before running the completion: it may Start again.
+  std::function<void()> on_finish = std::move(starts_[start]);
+  starts_[start] = nullptr;
+  starts_.Release(start);
+  on_finish();
+}
+
+void PsBackend::StartFlight(const Flight& flight) {
+  const SubCommTask& subtask = flight.subtask;
+  BSCHED_CHECK(subtask.type != CommOpType::kAllReduce &&
+               "PS backend cannot execute all-reduce tasks");
+  const Leg leg = LegOf(subtask);
+  if (subtask.type == CommOpType::kPull) {
+    const uint32_t hop = NewHop(Slot(subtask.tensor_id, subtask.partition), leg, subtask.flow,
+                                sim_->Now());
+    hops_[hop].done = flight.done;
+    // Pull request reaches the shard after a control-message latency.
+    Forward(config_.control_latency, hop, &PsBackend::OnPullRequest);
+    return;
   }
-  leg.round = prev.round;
-  const uint32_t hop = NewHop(slot, leg, subtask.flow);
-  hops_[hop].on_finish = std::move(on_finish);
-  worker_uplink(leg.worker).SendFlight(leg.bytes, hop, /*flush=*/true);
+  uint32_t& tail = tail_flight_[leg.worker];
+  if (tail != kNone && config_.trace == nullptr) {
+    // A flight that continues the PushFlight at the tail of the uplink (the
+    // same task's next partition, completing under the next tag, behind
+    // full-size partitions) extends it instead of queueing a new one, so a
+    // task's waiting partitions hold no per-partition state. (A trace stamps
+    // each flight's start and flow, so traced flights stay apart.)
+    PushFlight& pf = flights_[tail];
+    const uint32_t next_tag = pf.done.tag + static_cast<uint32_t>(pf.count);
+    const int next_partition = pf.leg.partition - pf.next + pf.count;
+    if (pf.done.owner == flight.done.owner && pf.done.id == flight.done.id &&
+        next_tag == flight.done.tag && pf.task == subtask.task &&
+        next_partition == leg.partition && pf.last_bytes == pf.leg.bytes) {
+      ++pf.count;
+      pf.last_bytes = leg.bytes;
+      worker_uplink(leg.worker).SendFlight(leg.bytes, tail, /*flush=*/true);
+      return;
+    }
+  }
+  tail = flights_.Acquire();
+  flights_[tail] =
+      PushFlight{flight.done, subtask.task, leg, leg.bytes, 0, 1, subtask.flow, sim_->Now()};
+  worker_uplink(leg.worker).SendFlight(leg.bytes, tail, /*flush=*/true);
+}
+
+uint32_t PsBackend::OnPushAtHead(uint32_t flight) {
+  PushFlight& pf = flights_[flight];
+  Leg leg = pf.leg;
+  if (pf.next == pf.count - 1) {
+    leg.bytes = pf.last_bytes;
+  }
+  leg.shard = static_cast<uint16_t>(ShardFor(leg.tensor, leg.partition));
+  const uint32_t slot = Slot(leg.tensor, leg.partition);
+  const bool retransmit = pf.done.owner == nullptr;
+  if (config_.faults != nullptr && !retransmit) {
+    // Aggregation round for this slot from this worker: the data leg and
+    // any retransmits of it all carry this round number, letting the shard
+    // drop a stale duplicate whose original also made it through. A fresh
+    // push task opens a new round; a Core-level retry re-enters with the
+    // *same* task id and must stay in its round, or its duplicate copy would
+    // count as a phantom arrival in the next one.
+    PushRound& prev = push_rounds_[SlotWorker(slot, leg.worker)];
+    if (prev.task != pf.task || prev.round == 0) {
+      BSCHED_CHECK(prev.round < UINT32_MAX);
+      prev.task = pf.task;
+      ++prev.round;
+    }
+    leg.round = prev.round;
+  }
+  const uint32_t hop = NewHop(slot, leg, pf.flow, pf.submit);
+  if (!retransmit) {
+    hops_[hop].done = pf.done;
+    hops_[hop].done.tag += static_cast<uint32_t>(pf.next);
+  }
+  ++pf.leg.partition;
+  if (++pf.next == pf.count) {
+    if (tail_flight_[leg.worker] == flight) {
+      tail_flight_[leg.worker] = kNone;
+    }
+    flights_.Release(flight);
+  }
+  return hop;
 }
 
 void PsBackend::OnPushFlushed(uint32_t hop) {
@@ -233,7 +304,7 @@ void PsBackend::OnPushFlushed(uint32_t hop) {
   if (config_.faults != nullptr) {
     ArmPushAckTimer(h.slot, leg, flow, /*attempt=*/0);
   }
-  sim_->Schedule(config_.control_latency, std::move(h.on_finish));
+  sim_->Schedule(config_.control_latency, h.done);
 }
 
 void PsBackend::OnPushAtShard(uint32_t hop) {
@@ -243,11 +314,14 @@ void PsBackend::OnPushAtShard(uint32_t hop) {
   ingress(leg.shard)->SendFlight(leg.bytes, hop, /*flush=*/false);
 }
 
-void PsBackend::SendPushData(uint32_t slot, const Leg& leg, uint64_t flow) {
+void PsBackend::SendPushData(const Leg& leg, uint64_t flow) {
   // Retransmission path: re-occupies the uplink (a resend spends real
   // bandwidth) but carries no flush callback — credit was already returned.
-  const uint32_t hop = NewHop(slot, leg, flow);
-  worker_uplink(leg.worker).SendFlight(leg.bytes, hop, /*flush=*/false);
+  const uint32_t f = flights_.Acquire();
+  flights_[f] =
+      PushFlight{Flight::Done{}, kInvalidCommTask, leg, leg.bytes, 0, 1, flow, sim_->Now()};
+  tail_flight_[leg.worker] = f;
+  worker_uplink(leg.worker).SendFlight(leg.bytes, f, /*flush=*/false);
 }
 
 void PsBackend::ArmPushAckTimer(uint32_t slot, const Leg& leg, uint64_t flow, int attempt) {
@@ -281,7 +355,7 @@ void PsBackend::OnAckTimeout(uint32_t slot, int worker) {
     rate_ctrl_[worker]->OnLoss();
   }
   ArmPushAckTimer(slot, leg, flow, attempt + 1);
-  SendPushData(slot, leg, flow);
+  SendPushData(leg, flow);
 }
 
 void PsBackend::CancelPushAck(uint32_t slot, int worker) {
@@ -333,22 +407,23 @@ void PsBackend::OnPushArrived(uint32_t hop) {
   const uint32_t slot = h.slot;
   const int worker = leg.worker;
   const int shard = leg.shard;
-  {
+  if (config_.faults != nullptr) {
     // Round guard: drop a copy whose round was already counted — its ack
     // timer fired while the original was merely slow (long outage window or
     // a heavily derated volatile link) and both copies arrived. Counting it
     // would seed the slot's *next* aggregation round with a phantom arrival.
     // Checked before the ack-cancel below: any pending timer now belongs to
-    // a newer round and must keep running.
+    // a newer round and must keep running. Only a FaultInjector creates
+    // duplicate copies.
     //
     // Known abort (not fixed here; a fix changes the fault-injected
-    // fingerprints): a Core retry of a push re-enters HandlePush with the
-    // same task, so it keeps the round, and when it flushes after that round
-    // was accepted here it arms a fresh ack timer. Its copies then arrive as
-    // stale and return below, before the ack-cancel, so that timer is never
-    // cancelled: it retransmits, each retransmit is dropped here again, and
-    // the retry budget runs out at the CHECK in OnAckTimeout ("push data leg
-    // exhausted its retransmit budget").
+    // fingerprints): a Core retry of a push re-enters with the same task, so
+    // it keeps the round, and when it flushes after that round was accepted
+    // here it arms a fresh ack timer. Its copies then arrive as stale and
+    // return below, before the ack-cancel, so that timer is never cancelled:
+    // it retransmits, each retransmit is dropped here again, and the retry
+    // budget runs out at the CHECK in OnAckTimeout ("push data leg exhausted
+    // its retransmit budget").
     uint32_t& accepted = accepted_round_[SlotWorker(slot, worker)];
     if (leg.round <= accepted) {
       ++stale_push_drops_;
@@ -356,8 +431,6 @@ void PsBackend::OnPushArrived(uint32_t hop) {
       return;
     }
     accepted = leg.round;
-  }
-  if (config_.faults != nullptr) {
     CancelPushAck(slot, worker);
   }
   const SimTime update_time = ScaledUpdateTime(shard, leg.bytes);
@@ -430,14 +503,6 @@ void PsBackend::OnUpdated(uint32_t hop) {
   }
 }
 
-void PsBackend::HandlePull(const SubCommTask& subtask, uint32_t slot, const Leg& leg,
-                           std::function<void()> on_finish) {
-  const uint32_t hop = NewHop(slot, leg, subtask.flow);
-  hops_[hop].on_finish = std::move(on_finish);
-  // Pull request reaches the shard after a control-message latency.
-  Forward(config_.control_latency, hop, &PsBackend::OnPullRequest);
-}
-
 void PsBackend::OnPullRequest(uint32_t hop) {
   const uint32_t slot = hops_[hop].slot;
   if (!aggregated_[slot]) {
@@ -479,9 +544,9 @@ void PsBackend::OnPullLanded(uint32_t hop) {
       config_.trace->AddFlow(track, "deliver", sim_->Now(), t.flow, FlowPhase::kStep);
     }
   }
-  std::function<void()> on_finish = std::move(h.on_finish);
+  const Flight::Done done = h.done;
   FreeHop(hop);
-  on_finish();
+  done();
 }
 
 Bytes PsBackend::shard_bytes_in(int shard) const {

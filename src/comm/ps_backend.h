@@ -32,26 +32,38 @@
 // cancels the worker's ack timer at once. Control messages are assumed
 // reliable.
 //
-// State layout: Start gives every (tensor, partition) one backend-wide slot
-// id from the backend's single SlotIndex, and the hop carries it to every
-// step, so each hop looks its key up once. Per-slot state (aggregation flag,
-// arrival count, pending-pull FIFO) lives in vectors indexed by slot;
-// per-(slot, worker) state (the sender's push round, the shard's accepted
-// round and, with faults, the ack timer) in vectors indexed by
-// slot * num_workers + worker. Ids are never raw tensor ids: co-scheduled
-// jobs offset theirs by 1 << 20. A push data leg or pull in flight is one
+// State layout: every (tensor, partition) gets one backend-wide slot id from
+// the backend's single SlotIndex, and the hop carries it to every step, so
+// each hop looks its key up once. Per-slot state (aggregation flag, arrival
+// count, pending-pull FIFO) lives in vectors indexed by slot; per-(slot,
+// worker) state in vectors indexed by slot * num_workers + worker. That
+// state exists only to recover from faults (the sender's push round, the
+// shard's accepted round and the ack timer), so it is sized only with a
+// FaultInjector: only an injector creates duplicate copies. Ids are never
+// raw tensor ids: co-scheduled jobs offset theirs by 1 << 20.
+//
+// Pushes wait on the uplink as PushFlights: a run of one push task's
+// consecutive partitions under one record and one uplink entry (two when its
+// last partition is shorter), without per-partition state. A push flight
+// from the Core that continues the uplink's tail PushFlight (the same task's
+// next partition, completing under the next tag) extends it, so the Core's
+// one-partition admissions queue one entry per task. A partition's hop is
+// built when the partition reaches the head of the uplink queue; a
+// retransmitted leg is a PushFlight of one that carries its round. The
+// uplink flushes in FIFO order, so building hops there moves no event. A
+// pull gets its hop at StartFlight. A data leg or pull on its way is one
 // pooled Hop record named by its index: one 64-byte cache line holding the
-// completion callback, the Leg the hop steps read (size, tensor, partition,
-// layer, worker, shard, round, narrowed to 32 and 16 bits and CHECKed at
-// Start), the leg's slot and the pending-pull link. Trace-only hop state
-// (flow id, submit time, update time) lives in a side vector indexed by hop,
-// sized only while tracing. Every leg, push or pull, travels as a flight: a
-// link carries the index as its message token to flight handlers installed
-// once per link role, and the shard CPU and Forward callbacks capture only
-// {this, hop index}, which std::function and EventFn store inline, so a
-// job's steady state allocates nothing here. A pull's hop lives until its
-// downlink flight lands, where the landing step records the pull span and
-// runs the completion.
+// completion, the Leg the hop steps read (size, tensor, partition, layer,
+// worker, shard, round, narrowed to 32 and 16 bits and CHECKed at
+// StartFlight), the leg's slot and the pending-pull link.
+// Trace-only hop state (flow id, submit time, update time) lives in a side
+// vector indexed by hop, sized only while tracing. A link carries the hop
+// index as its message token to flight handlers installed once per link
+// role, and the shard CPU and Forward callbacks capture only {this, hop
+// index}, which std::function and EventFn store inline, so a job's steady
+// state allocates nothing here. A pull's hop lives until its downlink flight
+// lands, where the landing step records the pull span and runs the
+// completion.
 //
 // Observability: the backend writes the trace and metrics sinks in its
 // config, each nullable; its links get only the metrics.
@@ -123,12 +135,16 @@ struct PsConfig {
   bool delayed_notify = false;
 };
 
-class PsBackend : public CommBackend {
+class PsBackend : public CommBackend, private FlightOwner {
  public:
   // `sim` hosts every entity (links, shard CPUs, timers).
   PsBackend(Simulator* sim, const PsConfig& config);
 
+  // A flight whose completion waits in `starts_`.
   void Start(const SubCommTask& subtask, std::function<void()> on_finish) override;
+  // A push flight joins the uplink's tail PushFlight when it continues it; a
+  // pull flight gets its hop.
+  void StartFlight(const Flight& flight) override;
 
   // Human-readable aggregation/pending state for diagnostics.
   std::string DebugString() const;
@@ -181,6 +197,11 @@ class PsBackend : public CommBackend {
   // over all shards.
   uint64_t stale_push_drops() const { return stale_push_drops_; }
 
+  // In-flight high-water marks: the most hops held at once, and the sum over
+  // every link of its most queued entries.
+  size_t peak_hops() const { return hops_.size(); }
+  uint64_t peak_link_entries() const;
+
   // Exports end-of-run metrics (per-link busy time, per-shard bytes/CPU
   // time, retransmit count) into the metrics registry. No-op without one.
   void ExportMetrics();
@@ -217,7 +238,7 @@ class PsBackend : public CommBackend {
   // the worker's Start to the shard update or the pull delivery: one cache
   // line, so a pooled hop never straddles two.
   struct alignas(64) Hop {
-    std::function<void()> on_finish;  // empty for retransmitted legs
+    Flight::Done done;  // the completion; empty for retransmitted legs
     Leg leg;
     uint32_t slot = kNone;  // the leg's slot, set at Start
     uint32_t next = kNone;  // pending-pull FIFO link
@@ -232,12 +253,29 @@ class PsBackend : public CommBackend {
   // What a hop does next, on the entity it was forwarded to.
   using HopStep = void (PsBackend::*)(uint32_t hop);
 
-  // Sender-side push round per slot: (last push task id, round). A new task
-  // id is a new aggregation round; a repeated id is a Core-level retry of the
-  // same push, which re-enters HandlePush but must keep its original round
-  // so the shard can recognise duplicate copies. The round rides the data
-  // leg and all its retransmits and is checked against the shard's accepted
-  // round.
+  // Consecutive push partitions of one task, from their start until the
+  // last reaches the head of the uplink. `leg` is the next partition's,
+  // except for its size and shard; every partition holds leg.bytes except
+  // the last, which holds last_bytes.
+  struct PushFlight {
+    // Partition i completes as `done` with tag + i; empty for a
+    // retransmitted leg, which carries its round in `leg`.
+    Flight::Done done;
+    CommTaskId task = kInvalidCommTask;  // the push task: its aggregation round
+    Leg leg;
+    uint32_t last_bytes = 0;
+    int32_t next = 0;  // index of the partition next at the head
+    int32_t count = 0;
+    uint64_t flow = 0;  // trace flow arc (a traced PushFlight holds one partition)
+    SimTime submit;     // start of the partitions' uplink spans
+  };
+  // Sender-side push round per (slot, worker), faults only: (last push task
+  // id, round). A new task id is a new aggregation round; a repeated id is a
+  // Core-level retry of the same push, which must keep its original round so
+  // the shard can recognise duplicate copies. The round is taken when the
+  // partition reaches the head of the uplink (the uplink is FIFO, so in
+  // start order); it rides the data leg and all its retransmits and is
+  // checked against the shard's accepted round.
   struct PushRound {
     CommTaskId task = kInvalidCommTask;
     uint32_t round = 0;
@@ -262,19 +300,18 @@ class PsBackend : public CommBackend {
   }
 
   // A hop carrying `leg` of `slot`; while tracing, its trace state starts at
-  // `flow` and now.
-  uint32_t NewHop(uint32_t slot, const Leg& leg, uint64_t flow);
+  // `flow` and `submit`.
+  uint32_t NewHop(uint32_t slot, const Leg& leg, uint64_t flow, SimTime submit);
   void FreeHop(uint32_t hop);
 
-  // `subtask` supplies the push task id and the trace flow; `slot` and `leg`
-  // the rest.
-  void HandlePush(const SubCommTask& subtask, uint32_t slot, Leg leg,
-                  std::function<void()> on_finish);
-  void HandlePull(const SubCommTask& subtask, uint32_t slot, const Leg& leg,
-                  std::function<void()> on_finish);
-  // Hop steps, in path order. Push: uplink flush -> ingress -> arrival ->
-  // shard update. Pull: request at the shard -> egress -> downlink ->
-  // landing at the worker.
+  // The leg of `subtask`, CHECKing that each field fits.
+  Leg LegOf(const SubCommTask& subtask) const;
+  void OnFlightDone(uint32_t start, uint32_t tag) override;
+  // Hop steps, in path order. Push: head of the uplink -> uplink flush ->
+  // ingress -> arrival -> shard update. Pull: request at the shard ->
+  // egress -> downlink -> landing at the worker.
+  // Builds the hop of push flight `flight`'s next partition and returns it.
+  uint32_t OnPushAtHead(uint32_t flight);
   void OnPushFlushed(uint32_t hop);
   void OnPushAtShard(uint32_t hop);
   void OnPushArrived(uint32_t hop);
@@ -288,9 +325,9 @@ class PsBackend : public CommBackend {
   // the hop and runs the completion.
   void OnPullLanded(uint32_t hop);
 
-  // Retransmits a push data leg: a new hop with no flush callback. `flow`
+  // Retransmits a push data leg: a flight of one with no flush callback. `flow`
   // is the leg's trace flow arc (0 when untraced).
-  void SendPushData(uint32_t slot, const Leg& leg, uint64_t flow);
+  void SendPushData(const Leg& leg, uint64_t flow);
   void ArmPushAckTimer(uint32_t slot, const Leg& leg, uint64_t flow, int attempt);
   void OnAckTimeout(uint32_t slot, int worker);
   // The shard saw the slot's push from `worker`: stop its ack timer.
@@ -325,15 +362,21 @@ class PsBackend : public CommBackend {
   std::vector<int> arrivals_;
   std::vector<uint32_t> pending_head_;
   std::vector<uint32_t> pending_tail_;
-  // Per (slot, worker), at SlotWorker: the sender's push round; the highest
-  // round the shard accepted, so a copy at or below it is a stale duplicate
-  // (its retransmit timer fired while the original was merely slow, both
-  // copies arrived, and counting the second would pollute the *next*
-  // aggregation round for this slot); and the ack timer (faults only).
+  // Per (slot, worker), at SlotWorker, faults only: the sender's push round;
+  // the highest round the shard accepted, so a copy at or below it is a
+  // stale duplicate (its retransmit timer fired while the original was
+  // merely slow, both copies arrived, and counting the second would pollute
+  // the *next* aggregation round for this slot); and the ack timer.
   std::vector<PushRound> push_rounds_;
   std::vector<uint32_t> accepted_round_;
   std::vector<PendingAck> acks_;
 
+  // Completions of Start calls, by the id their flight carries.
+  Pool<std::function<void()>> starts_;
+  Pool<PushFlight> flights_;
+  // Per worker: the push flight last queued on its uplink, while any of its
+  // partitions waits (kNone otherwise).
+  std::vector<uint32_t> tail_flight_;
   Pool<Hop> hops_;
   std::vector<HopTrace> hop_trace_;  // by hop; empty unless tracing
   std::vector<std::function<void(int64_t tensor_id, int partition, int worker)>> listeners_;

@@ -54,6 +54,7 @@ CommTaskId SchedulerCore::Enqueue(CommTaskDesc desc) {
   const uint32_t slot = tasks_.Acquire();
   task_index_.push_back(slot);
   TaskState& state = tasks_[slot];
+  state.id = id;
   state.partitions_finished = 0;
 
   // CommTask.partition(size): split into SubCommTasks no larger than the
@@ -66,6 +67,7 @@ CommTaskId SchedulerCore::Enqueue(CommTaskDesc desc) {
   state.partition_notified.assign(static_cast<size_t>(partitions), false);
   if (trace_ != nullptr) {
     state.ready_at.assign(static_cast<size_t>(partitions), SimTime());
+    state.flow.assign(static_cast<size_t>(partitions), 0);
   }
   state.desc = std::move(desc);
   return id;
@@ -155,6 +157,12 @@ SubCommTask SchedulerCore::Subtask(uint32_t rec) const {
   return subtask;
 }
 
+Bytes SchedulerCore::Charge(const TaskState& state, int partition) const {
+  return state.desc.type == CommOpType::kPull
+             ? 0
+             : std::min(state.PartitionBytes(partition), config_.credit_bytes);
+}
+
 void SchedulerCore::PushQueue(const QueueEntry& entry) {
   queued_ += static_cast<size_t>(entry.end - entry.next);
   queue_.push_back(entry);
@@ -221,6 +229,7 @@ void SchedulerCore::TrySchedule() {
     }
     const size_t depth_before = queued_;
     PopHead();
+    // Equal to Charge(): the credit covers the head, or the pool is full.
     const Bytes charged = charges_credit ? std::min(head.bytes, credit_) : 0;
     credit_ -= charged;
     BSCHED_DCHECK(credit_ >= 0);
@@ -228,7 +237,7 @@ void SchedulerCore::TrySchedule() {
     if (metrics_ != nullptr || trace_ != nullptr) {
       RecordAdmit(rec, charged, depth_before);
     }
-    StartAttempt(rec, charged);
+    StartAttempt(rec);
   }
   scheduling_ = false;
 }
@@ -270,6 +279,7 @@ void SchedulerCore::RecordAdmit(uint32_t rec, Bytes charged, size_t queue_depth_
     }
     t.flow = open;
   }
+  Task(st.task).flow[st.partition] = t.flow;
 
   const std::string& name = Task(st.task).desc.name;
   const std::string& tensor = !name.empty() ? name : "L" + std::to_string(st.layer);
@@ -295,15 +305,17 @@ void SchedulerCore::RecordAdmit(uint32_t rec, Bytes charged, size_t queue_depth_
   trace_->AddFlow(track_, base + ".admit", now, t.flow, phase);
 }
 
-void SchedulerCore::StartAttempt(uint32_t rec, Bytes charged) {
+void SchedulerCore::StartAttempt(uint32_t rec) {
   SubTaskRecord& r = records_[rec];
-  r.charged = charged;
-  // The backend gets a copy: a backend that completes synchronously re-enters
-  // the Core, which may release and reuse this record while Start still
-  // reads the subtask.
-  const SubCommTask subtask = Subtask(rec);
+  // The backend gets a copy of the subtask: a backend that completes
+  // synchronously re-enters the Core, which may reuse this record while
+  // StartFlight still reads the flight.
+  Flight flight{Subtask(rec), Flight::Done{this, 0, 0}};
   if (faults_ == nullptr) {
-    backend_->Start(subtask, [this, rec] { OnSubTaskFinish(rec); });
+    flight.done.id = task_index_[r.task];
+    flight.done.tag = static_cast<uint32_t>(r.partition);
+    records_.Release(rec);
+    backend_->StartFlight(flight);
     return;
   }
   const uint32_t generation = ++next_generation_;
@@ -314,7 +326,17 @@ void SchedulerCore::StartAttempt(uint32_t rec, Bytes charged) {
   const SimTime timeout = BackoffTimeout(policy.retry_timeout, policy.retry_backoff, r.attempts);
   timeouts_[rec] =
       sim_->Schedule(timeout, [this, rec, generation] { OnAttemptTimeout(rec, generation); });
-  backend_->Start(subtask, [this, rec, generation] { OnAttemptFinish(rec, generation); });
+  flight.done.id = rec;
+  flight.done.tag = generation;
+  backend_->StartFlight(flight);
+}
+
+void SchedulerCore::OnFlightDone(uint32_t id, uint32_t tag) {
+  if (faults_ != nullptr) {
+    OnAttemptFinish(id, tag);
+  } else {
+    OnSubTaskFinish(id, static_cast<int>(tag));
+  }
 }
 
 void SchedulerCore::OnAttemptFinish(uint32_t rec, uint32_t generation) {
@@ -330,7 +352,10 @@ void SchedulerCore::OnAttemptFinish(uint32_t rec, uint32_t generation) {
   r.in_flight = false;
   --in_flight_;
   timeouts_[rec].Cancel();
-  OnSubTaskFinish(rec);
+  const uint32_t slot = task_index_[r.task];
+  const int partition = r.partition;
+  records_.Release(rec);
+  OnSubTaskFinish(slot, partition);
 }
 
 void SchedulerCore::OnAttemptTimeout(uint32_t rec, [[maybe_unused]] uint32_t generation) {
@@ -342,10 +367,12 @@ void SchedulerCore::OnAttemptTimeout(uint32_t rec, [[maybe_unused]] uint32_t gen
   --in_flight_;
   ++timeouts_fired_;
   // Credit restoration: the lost attempt's bytes are no longer in flight.
-  credit_ += r.charged;
+  const TaskState& state = Task(r.task);
+  const Bytes charged = Charge(state, r.partition);
+  credit_ += charged;
   BSCHED_DCHECK(credit_ <= config_.credit_bytes);
-  const CommTaskDesc& desc = Task(r.task).desc;
-  faults_->RecordCoreTimeout(desc.worker, desc.layer, r.partition, r.attempts + 1, r.charged);
+  const CommTaskDesc& desc = state.desc;
+  faults_->RecordCoreTimeout(desc.worker, desc.layer, r.partition, r.attempts + 1, charged);
   if (r.attempts >= faults_->config().max_retries) {
     // A silently dropped partition would wedge training; stop here instead.
     ++subtasks_abandoned_;
@@ -365,21 +392,18 @@ void SchedulerCore::OnAttemptTimeout(uint32_t rec, [[maybe_unused]] uint32_t gen
   TrySchedule();
 }
 
-void SchedulerCore::OnSubTaskFinish(uint32_t rec) {
-  const SubTaskRecord& r = records_[rec];
-  const CommTaskId id = r.task;
-  const int partition = r.partition;
-  credit_ += r.charged;
+void SchedulerCore::OnSubTaskFinish(uint32_t slot, int partition) {
+  TaskState& state = tasks_[slot];
+  const CommTaskId id = state.id;
+  credit_ += Charge(state, partition);
   BSCHED_DCHECK(credit_ <= config_.credit_bytes);
-  if (trace_ != nullptr && record_trace_[rec].flow != 0 && r.type != CommOpType::kPush) {
+  if (trace_ != nullptr && state.flow[partition] != 0 && state.desc.type != CommOpType::kPush) {
     // The pull (or ring op) completing ends the partition's arc; a push's
     // arc stays open for its pull to continue.
-    const SubCommTask st = Subtask(rec);
-    trace_->AddFlow(track_, "finish", sim_->Now(), st.flow, FlowPhase::kEnd);
-    flows_.erase({st.worker, st.tensor_id, st.partition});
+    const CommTaskDesc& desc = state.desc;
+    trace_->AddFlow(track_, "finish", sim_->Now(), state.flow[partition], FlowPhase::kEnd);
+    flows_.erase({desc.worker, desc.tensor_id >= 0 ? desc.tensor_id : desc.layer, partition});
   }
-  records_.Release(rec);
-  TaskState& state = Task(id);
   ++state.partitions_finished;
 
   // Copy the callbacks out: both may re-enter the Core (enqueue/ready new

@@ -21,23 +21,29 @@
 // block [next, end) of one task's partitions that became ready together and
 // hold consecutive arrival seqs; its heap key is the front partition's
 // SubTaskKey. As in the paper's zero-copy CommTask.partition(), a queued
-// partition is only an offset into its task: the per-partition record is
-// built when the partition reaches the head of the queue. Admitting a run's
-// front advances the entry in place (next + 1, seq + 1) without a sift. Seqs
-// are unique and a run's seqs are reserved for it, so no other key lies
-// between two consecutive seqs of the run: the heap stays valid, and
-// partitions are admitted in exactly the order a heap (or ordered map) of
-// one entry per partition would admit them. Tasks and records are pooled
-// and reused across the run, and every callback the Core hands out captures
-// only `this` plus a record index and attempt generation — 16 bytes, which
-// std::function and EventFn store inline — so steady-state admission
-// allocates nothing. A record is one 64-byte cache line holding only what
-// admission and finish read; the recovery timer lives in a side vector
-// indexed like the pool and sized only with a FaultInjector, and the
-// trace-only stamps (flow arc, ready and credit-wait times) in one sized
-// only while tracing. A queued run carries no time: while tracing, its
-// partitions' ready times are stamped in the task, so an untraced Core reads
-// no clock when it enqueues.
+// partition is only an offset into its task: a record is built when the
+// partition reaches the head of the queue. Admitting a run's front advances
+// the entry in place (next + 1, seq + 1) without a sift. Seqs are unique and
+// a run's seqs are reserved for it, so no other key lies between two
+// consecutive seqs of the run: the heap stays valid, and partitions are
+// admitted in exactly the order a heap (or ordered map) of one entry per
+// partition would admit them. An admitted partition is handed to the
+// backend as a flight (StartFlight) with a 16-byte completion.
+//
+// Tasks and records are pooled and reused across the run, and every
+// completion the Core hands out names only the Core plus two indices (the
+// task's pool slot and the partition, or with recovery the record and the
+// attempt generation) — 16 bytes, which std::function and EventFn store
+// inline — so steady-state admission allocates nothing. Without recovery no
+// record outlives admission: a finishing partition's charge is recomputed
+// from its task, so a partition waiting in the backend holds no Core state.
+// A record is one 64-byte cache line holding only what admission, recovery
+// and finish read; the recovery timer lives in a side vector indexed like
+// the pool and sized only with a FaultInjector, and the trace-only stamps
+// (flow arc, ready and credit-wait times) in one sized only while tracing. A
+// queued run carries no time: while tracing, its partitions' ready times
+// (and, once admitted, flow arcs) are stamped in the task, so an untraced
+// Core reads no clock when it enqueues.
 //
 // Observability: the Core writes the trace and metrics sinks it is given,
 // each nullable. While tracing it also keeps the partition-flow ledger, the
@@ -69,7 +75,7 @@ class Histogram;
 class MetricsRegistry;
 class TraceRecorder;
 
-class SchedulerCore {
+class SchedulerCore : private FlightOwner {
  public:
   // `faults` (optional) arms timeout/retry recovery with its plan's policy
   // and receives recovery events for global fault statistics and trace
@@ -118,6 +124,9 @@ class SchedulerCore {
   uint64_t late_completions() const { return late_completions_; }
   uint64_t subtasks_abandoned() const { return subtasks_abandoned_; }
   size_t subtasks_in_flight() const { return in_flight_; }
+  // The most records (partitions at the head, and with recovery partitions
+  // in flight) held at once: the record pool never shrinks.
+  size_t peak_records() const { return records_.size(); }
 
   // Exports end-of-run totals (sched.w<id>.subtasks_started, retries,
   // timeouts, ...) into the metrics registry. Call once after the run;
@@ -132,10 +141,13 @@ class SchedulerCore {
   // partition holds `unit` bytes except a shorter last one.
   struct TaskState {
     CommTaskDesc desc;
+    CommTaskId id = kInvalidCommTask;
     Bytes unit = 0;
     std::vector<bool> partition_notified;  // one per partition
-    // When each partition became schedulable; only while tracing.
+    // Only while tracing, per partition: when it became schedulable, and its
+    // flow arc from admission to finish.
     std::vector<SimTime> ready_at;
+    std::vector<uint64_t> flow;
     int partitions_finished = 0;
 
     int num_partitions() const { return static_cast<int>(partition_notified.size()); }
@@ -143,16 +155,15 @@ class SchedulerCore {
   };
 
   // One partition from the moment it reaches the head of the queue until it
-  // finishes: at the head, admitted, and (with recovery) requeued after a
-  // timeout. Only what admission and finish read lives here, in one cache
-  // line; worker, layer and tensor id are read from the task when the
-  // SubCommTask is built, and the recovery timer and the trace stamps live
-  // in side vectors indexed like records_.
+  // is admitted; with recovery, until it finishes (a timeout requeues it
+  // with its record). Only what admission, recovery and finish read lives
+  // here, in one cache line; worker, layer and tensor id are read from the
+  // task when the SubCommTask is built, and the recovery timer and the trace
+  // stamps live in side vectors indexed like records_.
   struct alignas(64) SubTaskRecord {
     CommTaskId task = kInvalidCommTask;
     Bytes bytes = 0;
-    Bytes charged = 0;  // credit held by the admitted attempt
-    SubTaskKey key;     // original priority key, reused on requeue
+    SubTaskKey key;  // original priority key, reused on requeue
     int partition = 0;
     CommOpType type = CommOpType::kPush;
     int attempts = 0;         // attempts that already timed out
@@ -198,6 +209,10 @@ class SchedulerCore {
   uint32_t NewRecord(const QueueEntry& entry);
   // The SubCommTask the backend sees for record `rec`.
   SubCommTask Subtask(uint32_t rec) const;
+  // The credit an admitted `partition` of `state` holds: its bytes, or the
+  // whole pool for a partition larger than the pool (admitted only when the
+  // pool is full); none for a pull.
+  Bytes Charge(const TaskState& state, int partition) const;
   void PushQueue(const QueueEntry& entry);
   // Removes the head partition: advances its run in place, or pops the run
   // when it was the last partition.
@@ -214,11 +229,16 @@ class SchedulerCore {
   // Enqueues partitions [begin, end) of task `id` as one run.
   void EnqueueRun(TaskState& state, CommTaskId id, int begin, int end);
   void TrySchedule();
-  void StartAttempt(uint32_t rec, Bytes charged);
+  // Starts record `rec`'s partition as a flight. Without recovery the record
+  // is released here, and the partition reports its completion as (task
+  // slot, partition); with recovery, as (record, attempt generation).
+  void StartAttempt(uint32_t rec);
+  void OnFlightDone(uint32_t id, uint32_t tag) override;
   void OnAttemptFinish(uint32_t rec, uint32_t generation);
   void OnAttemptTimeout(uint32_t rec, uint32_t generation);
-  // Returns the record's credit, releases it and runs the task callbacks.
-  void OnSubTaskFinish(uint32_t rec);
+  // Returns `partition`'s credit and runs the callbacks of the task in pool
+  // slot `slot`.
+  void OnSubTaskFinish(uint32_t slot, int partition);
 
   SchedulerConfig config_;
   CommBackend* backend_;

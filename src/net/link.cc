@@ -21,7 +21,7 @@ Link::Link(Simulator* sim, std::string name, Bandwidth line_rate, const Transpor
 void Link::Send(Bytes size, std::function<void()> on_delivered) {
   const uint32_t token = callbacks_.Acquire();
   callbacks_[token] = std::move(on_delivered);
-  Enqueue(Msg{size, token, kCallback});
+  Enqueue(Msg{size, token});
 }
 
 void Link::SetFaultInjector(FaultInjector* faults) {
@@ -30,6 +30,7 @@ void Link::SetFaultInjector(FaultInjector* faults) {
 }
 
 void Link::SetMetrics(MetricsRegistry* metrics) {
+  BSCHED_CHECK(bytes_sent_ == 0 && !busy_ && "attach metrics before any traffic");
   metrics_ = metrics;
   if (metrics == nullptr) {
     m_bytes_ = nullptr;
@@ -52,28 +53,25 @@ void Link::ExportMetrics() {
   metrics_->gauge("net." + name_ + ".busy_ns")->Set(busy_time().nanos());
 }
 
-SimTime Link::DrainTime() const {
-  SimTime t = busy_ ? current_end_ : sim_->Now();
-  for (size_t i = busy_ ? 1 : 0; i < msgs_.size(); ++i) {
-    t += MessageTime(msgs_[i].size);
-  }
-  return t;
-}
-
 void Link::SetFlightHandlers(std::function<void(uint32_t)> on_flushed,
-                             std::function<void(uint32_t, SimTime)> deliver) {
+                             std::function<void(uint32_t, SimTime)> deliver,
+                             std::function<uint32_t(uint32_t)> on_head) {
   on_flushed_ = std::move(on_flushed);
   deliver_ = std::move(deliver);
+  on_head_ = std::move(on_head);
 }
 
 void Link::SendFlight(Bytes size, uint32_t token, bool flush) {
   BSCHED_CHECK(!flush || on_flushed_ != nullptr);
-  Enqueue(Msg{size, token, flush ? kFlushed : kFlight});
+  Msg msg{size, token};
+  msg.kind = flush ? kFlushed : kFlight;
+  Enqueue(msg);
 }
 
 void Link::Enqueue(Msg msg) {
   const Bytes size = msg.size;
   bytes_sent_ += size;
+  ++waiting_;
   if (m_bytes_ != nullptr) {
     m_bytes_->Inc(static_cast<uint64_t>(size));
     m_msgs_->Inc();
@@ -81,8 +79,17 @@ void Link::Enqueue(Msg msg) {
     // work already on the wire. Passive: reads drain state, schedules nothing.
     m_queue_ns_->Observe((DrainTime() - sim_->Now()).nanos());
     m_inflight_->Add(size);
+    waiting_time_ += MessageTime(size);
   }
-  msgs_.push_back(msg);
+  if (msg.kind != kCallback && !msgs_.empty() && msgs_.back().token == msg.token &&
+      msgs_.back().kind == msg.kind && msgs_.back().size == size &&
+      msgs_.back().count < kMaxRun) {
+    // The next message of the tail entry's run: extend it.
+    ++msgs_.back().count;
+  } else {
+    msgs_.push_back(msg);
+    peak_entries_ = std::max(peak_entries_, msgs_.size());
+  }
   if (!busy_) {
     StartNext();
   }
@@ -93,9 +100,15 @@ void Link::StartNext() {
   if (msgs_.empty()) {
     return;
   }
+  const Msg msg = msgs_.front();
+  --waiting_;
+  if (m_bytes_ != nullptr) {
+    waiting_time_ = waiting_time_ - MessageTime(msg.size);
+  }
+  current_token_ = msg.kind != kCallback && on_head_ != nullptr ? on_head_(msg.token) : msg.token;
   busy_ = true;
   busy_since_ = sim_->Now();
-  remaining_ = static_cast<double>(msgs_.front().size);
+  remaining_ = static_cast<double>(msg.size);
   anchor_ = sim_->Now() + transport_.serial_overhead;
   ScheduleCompletion();
 }
@@ -115,7 +128,13 @@ void Link::OnSent() {
 
 void Link::FinishSend() {
   // Pop before running callbacks: they may send on this link again.
-  Msg msg = msgs_.pop_front();
+  Msg msg = msgs_.front();
+  msg.token = current_token_;
+  if (msg.count > 1) {
+    --msgs_.front().count;
+  } else {
+    msgs_.pop_front();
+  }
   // Flush == left the NIC queue; decrement here so fault drops (which
   // never deliver) still settle the gauge.
   if (m_inflight_ != nullptr) {

@@ -15,10 +15,16 @@
 // llround, same operation order), so a link nobody reconfigures is the
 // paper's fixed-bandwidth FIFO queue plus per-message overhead θ.
 //
-// A queued message is a 16-byte record: size, token and kind. A
-// flight's token is the sender's own index (the PS backend's hop), handed to
-// the flush and delivery handlers the sender installs once per link; a
-// Send's token indexes the link's pool of parked delivery callbacks.
+// A queue entry is a 16-byte record: size, token, kind and a message count.
+// A flight's token is the sender's own index, handed to the flush and
+// delivery handlers the sender installs once per link; a Send's token
+// indexes the link's pool of parked delivery callbacks. One entry can carry a
+// run of equal messages under one token (a PS push run): the
+// link transmits them back to back, and a sender that installs a head
+// handler names each message only when it reaches the head of the queue
+// (the PS backend builds the partition's hop there). With metrics attached,
+// the link keeps a running sum of its queued messages' nominal times, so the
+// queueing-delay histogram costs O(1) per message however long the backlog.
 //
 // A link writes only metrics (SetMetrics); the spans and flow points of a
 // message in transit are the sender's to record.
@@ -63,13 +69,18 @@ class Link {
   // flight (pipelined latency plus any injected delay) to `deliver(token,
   // wire_flight)`; the caller lands the message. A message the fault
   // injector drops calls `deliver(token, kDropped)`, so the caller can
-  // reclaim its state.
+  // reclaim its state. A flight behind an equal one (same size, token and
+  // flush) at the tail of the queue joins its entry.
   void SendFlight(Bytes size, uint32_t token, bool flush);
   // Installs SendFlight's handlers; call once, before the first flight.
   // Either may be null: flights then skip that step (and, without
-  // `deliver`, the fault fate too).
+  // `deliver`, the fault fate too). With `on_head`, each flight message's
+  // entry token is passed to on_head when the message reaches the head of
+  // the queue, and the token it returns is the one on_flushed and deliver
+  // receive.
   void SetFlightHandlers(std::function<void(uint32_t token)> on_flushed,
-                         std::function<void(uint32_t token, SimTime wire_flight)> deliver);
+                         std::function<void(uint32_t token, SimTime wire_flight)> deliver,
+                         std::function<uint32_t(uint32_t token)> on_head = nullptr);
   // Wire flight passed to SendFlight's `deliver` for a dropped message.
   static constexpr SimTime kDropped = SimTime::Max();
 
@@ -85,12 +96,12 @@ class Link {
   SimTime busy_time() const { return busy_time_; }
   uint64_t messages_sent() const { return msgs_done_; }
   // Messages waiting behind the one in transmission.
-  size_t queue_length() const { return msgs_.size() - (busy_ ? 1 : 0); }
+  size_t queue_length() const { return waiting_; }
   bool busy() const { return busy_; }
+  // The most entries the queue held at once, the one in transmission
+  // included.
+  size_t peak_queue_entries() const { return peak_entries_; }
   const std::string& name() const { return name_; }
-  // Virtual time at which all currently queued work will have drained
-  // (queued messages estimated at their nominal per-message rate).
-  SimTime DrainTime() const;
 
   // Replaces the capacity schedule (identity by default). Must be called
   // before any traffic.
@@ -113,7 +124,8 @@ class Link {
 
   // Registers and caches this link's metric handles
   // (net.<name>.bytes/.msgs/.queue_ns/.inflight_bytes). Null (the default)
-  // keeps the hot path to one pointer check.
+  // keeps the hot path to one pointer check. Must be called before any
+  // traffic.
   void SetMetrics(MetricsRegistry* metrics);
   // Final gauges derived from accumulated state (net.<name>.busy_ns);
   // call once after the run.
@@ -126,16 +138,23 @@ class Link {
     kFlight,    // SendFlight: deliver_(token, wire)
     kFlushed,   // SendFlight with flush: on_flushed_(token), then as kFlight
   };
-  // A message from submission to flush.
+  // `count` messages of `size` bytes from submission to flush; the front
+  // one is in transmission while busy_.
   struct Msg {
     Bytes size = 0;
     uint32_t token = 0;
-    uint8_t kind = kCallback;
+    uint32_t count : 30 = 1;
+    uint32_t kind : 2 = kCallback;
   };
   static_assert(sizeof(Msg) <= 16);
+  static constexpr uint32_t kMaxRun = (1u << 30) - 1;  // the most messages per entry
 
   void Enqueue(Msg msg);
-  // Starts transmitting msgs_.front(), if any.
+  // Virtual time at which all currently queued work will have drained
+  // (queued messages estimated at their nominal per-message rate). Metrics
+  // only: waiting_time_ is kept only while they are attached.
+  SimTime DrainTime() const { return (busy_ ? current_end_ : sim_->Now()) + waiting_time_; }
+  // Starts transmitting msgs_.front()'s next message, if any.
   void StartNext();
   // Occupancy end of the front message.
   void OnSent();
@@ -161,6 +180,13 @@ class Link {
   SimTime busy_since_;
   SimTime busy_time_;
   SimTime current_end_;  // occupancy end of the message in transmission
+  // The token the message in transmission delivers under (its entry's, or
+  // what on_head_ named it).
+  uint32_t current_token_ = 0;
+  // Messages queued behind the one in transmission, and (with metrics) the
+  // sum of their nominal MessageTimes.
+  size_t waiting_ = 0;
+  SimTime waiting_time_;
   uint64_t msgs_done_ = 0;
   Bytes bytes_sent_ = 0;
   FaultInjector* faults_ = nullptr;
@@ -171,13 +197,14 @@ class Link {
   Counter* m_msgs_ = nullptr;
   Histogram* m_queue_ns_ = nullptr;
   Gauge* m_inflight_ = nullptr;
-  // Messages submitted and not yet flushed, in FIFO (= flush) order; the
-  // front one is in transmission while busy_.
+  // Entries submitted and not yet flushed, in FIFO (= flush) order.
   FifoRing<Msg> msgs_;
+  size_t peak_entries_ = 0;
   // Delivery callbacks of queued Send messages, by token.
   Pool<std::function<void()>> callbacks_;
   std::function<void(uint32_t)> on_flushed_;
   std::function<void(uint32_t, SimTime)> deliver_;
+  std::function<uint32_t(uint32_t)> on_head_;
   RateModel model_;
   double ctrl_scale_ = 1.0;
   // Payload bytes left to serialize as of `anchor_` (transmission starts at

@@ -594,7 +594,9 @@ class TrainingJob {
     for (const auto& core : cores_) {
       result.subtasks_started += core->subtasks_started();
       result.subtasks_abandoned += core->subtasks_abandoned();
+      result.peaks.core_records += core->peak_records();
     }
+    result.peaks.sim_events = fabric_.sim.AllocatedSlots();
     result.iter_end_times = iter_bp_end_;
     if (fabric_.faults != nullptr) {
       result.fault_stats = fabric_.faults->stats();
@@ -612,6 +614,8 @@ class TrainingJob {
       result.rate_ctrl_decreases = ps->rate_ctrl_decreases();
       result.rate_ctrl_increases = ps->rate_ctrl_increases();
       result.link_repaces = ps->link_repaces();
+      result.peaks.ps_hops = ps->peak_hops();
+      result.peaks.link_entries = ps->peak_link_entries();
     }
     ExportMetrics(result);
     return result;

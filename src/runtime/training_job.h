@@ -136,6 +136,20 @@ struct JobResult {
   uint64_t rate_ctrl_decreases = 0;
   uint64_t rate_ctrl_increases = 0;
   uint64_t link_repaces = 0;
+  // In-flight high-water marks: the most records each structure held at
+  // once, summed over its instances (each instance's own peak). Deterministic
+  // work counts, so a change to what a job keeps in flight shows up as a
+  // diff. Co-scheduled jobs report the shared fabric's hops, link entries
+  // and events, and the Cores they ran on.
+  struct Peaks {
+    uint64_t core_records = 0;  // SchedulerCore records, over the job's Cores
+    uint64_t ps_hops = 0;       // PsBackend hops (0 for all-reduce)
+    uint64_t link_entries = 0;  // queued link entries, over every PS link
+    uint64_t sim_events = 0;    // pending simulator events
+
+    bool operator==(const Peaks&) const = default;
+  };
+  Peaks peaks;
 };
 
 // Runs the configured job to completion and reports steady-state speed

@@ -19,6 +19,7 @@ class FifoRing {
   size_t size() const { return size_; }
 
   T& front() { return buf_[head_]; }
+  T& back() { return buf_[(head_ + size_ - 1) & (buf_.size() - 1)]; }
   // i-th element from the front (0 == front()).
   const T& operator[](size_t i) const { return buf_[(head_ + i) & (buf_.size() - 1)]; }
 

@@ -9,15 +9,18 @@
 // backend, a deque in place of a link's message ring) trips them. The
 // co-scheduled run also gates peak live heap bytes: its second job's tensor
 // ids start at 1 << 20, so storage indexed by raw tensor id shows up as
-// megabytes. So do four points of the tuning lattice's small-partition
-// corner, where state that grows with partition count (queued partitions,
-// queued link messages, PS hops) dominates, and Figure 4's heaviest cell,
-// where pulls, which take no credit, fill the shard egress and worker
-// downlink queues. A queued link message that grows back from its 16 bytes
-// (say, by carrying its callbacks again), or a PS hop or Core record that
-// grows past its 64-byte cache line, trips these peak bounds. The counting
-// operators also replace the std::align_val_t overloads: the alignas(64)
-// pool chunks are allocated through them.
+// megabytes. So do five points of the tuning lattice's small-partition
+// row, where state that grows with partition count (queued partitions,
+// queued link messages, PS hops) dominates: its two corners, and the
+// Transformer's 148 MiB credit, where pull bursts peak. And so does Figure
+// 4's heaviest cell, where pulls, which take no credit, fill the shard
+// egress and worker downlink queues. A queued link message that grows back
+// from its 16 bytes (say, by carrying its callbacks again), a PS hop or
+// Core record that grows past its 64-byte cache line, or a push backlog
+// that holds per-partition state again (a Core record, hop or link entry
+// per waiting partition instead of one per run) trips these peak
+// bounds. The counting operators also replace the std::align_val_t
+// overloads: the alignas(64) pool chunks are allocated through them.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -32,6 +35,7 @@
 #include "src/model/zoo.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/training_job.h"
+#include "src/tuning/auto_tuner.h"
 
 namespace {
 
@@ -122,14 +126,20 @@ constexpr double kCoscheduleBound = 0.06;
 // by more than 5%. Before a PS hop shrank from 136 to 64 bytes and a Core
 // record from 104 to 64 bytes (one cache line each), they peaked at 0.99,
 // 2.77, 10.42, 2.98, 17.18 and 14.43 MiB, under bounds of 1.19, 3.04, 12.0,
-// 3.27, 20.3 and 17.2 MiB.
+// 3.27, 20.3 and 17.2 MiB. Before the Core released a partition's record at
+// admission and a task's push partitions waited on the uplink as one entry
+// without a hop, and before the PS round state was sized only with faults,
+// they peaked at 0.57 (the PS job), 0.74, 2.32, 6.52, 2.32, 11.36 and 10.10
+// MiB, under bounds of 0.97, 2.70, 7.6, 2.94, 13.5 and 12.6 MiB; the
+// Transformer 64 KiB / 148 MiB point, then ungated, at 8.24 MiB.
 constexpr int64_t MiBytes(double mib) { return static_cast<int64_t>(mib * (1 << 20)); }
-constexpr int64_t kCoschedulePeakBytes = MiBytes(0.97);              // 0.88 MiB
-constexpr int64_t kVgg16SmallCreditPeakBytes = MiBytes(2.70);        // 2.45 MiB
-constexpr int64_t kVgg16LargeCreditPeakBytes = MiBytes(7.6);         // 6.88 MiB
-constexpr int64_t kTransformerSmallCreditPeakBytes = MiBytes(2.94);  // 2.67 MiB
-constexpr int64_t kTransformerLargeCreditPeakBytes = MiBytes(13.5);  // 12.25 MiB
-constexpr int64_t kFig04HeaviestCellPeakBytes = MiBytes(12.6);       // 11.44 MiB
+constexpr int64_t kCoschedulePeakBytes = MiBytes(0.97);                // 0.71 MiB
+constexpr int64_t kVgg16SmallCreditPeakBytes = MiBytes(0.85);          // 0.77 MiB
+constexpr int64_t kVgg16LargeCreditPeakBytes = MiBytes(0.86);          // 0.77 MiB
+constexpr int64_t kTransformerSmallCreditPeakBytes = MiBytes(0.87);    // 0.79 MiB
+constexpr int64_t kTransformerPullBurstPeakBytes = MiBytes(5.1);       // 4.60 MiB
+constexpr int64_t kTransformerLargeCreditPeakBytes = MiBytes(4.5);     // 4.09 MiB
+constexpr int64_t kFig04HeaviestCellPeakBytes = MiBytes(8.6);          // 7.81 MiB
 
 struct Sample {
   uint64_t allocs = 0;
@@ -193,11 +203,31 @@ JobConfig LatticeJob(const ModelProfile& model, Bytes partition, Bytes credit) {
   return job;
 }
 
+// Prints a job's peak live bytes next to its in-flight high-water marks.
+void PrintPeak(const char* name, const Sample& sample, const JobResult& result) {
+  const JobResult::Peaks& p = result.peaks;
+  std::printf("%s: peak %.2f MiB live (%llu Core records, %llu PS hops, %llu link entries, "
+              "%llu events)\n",
+              name, static_cast<double>(sample.peak_bytes) / (1 << 20),
+              static_cast<unsigned long long>(p.core_records),
+              static_cast<unsigned long long>(p.ps_hops),
+              static_cast<unsigned long long>(p.link_entries),
+              static_cast<unsigned long long>(p.sim_events));
+}
+
+// The lattice's credit at unit coordinate j / 7, as Figure 14's 8x8 lattice
+// places it.
+Bytes LatticeCredit(int j) {
+  return AutoTuner(JobConfig(), AutoTunerOptions()).CreditFromUnit(j / 7.0);
+}
+
 int64_t LatticePeakBytes(const ModelProfile& model, Bytes credit, const char* name) {
-  const Sample sample =
-      Count([&] { return RunTrainingJob(LatticeJob(model, KiB(64), credit)).sim_events; });
-  std::printf("%s: peak %.2f MiB live\n", name,
-              static_cast<double>(sample.peak_bytes) / (1 << 20));
+  JobResult result;
+  const Sample sample = Count([&] {
+    result = RunTrainingJob(LatticeJob(model, KiB(64), credit));
+    return result.sim_events;
+  });
+  PrintPeak(name, sample, result);
   return sample.peak_bytes;
 }
 
@@ -272,15 +302,26 @@ TEST(AllocTest, LatticeCornerTransformerSmallCreditPeak) {
             kTransformerSmallCreditPeakBytes);
 }
 
+// The pull-burst peak of the small-partition row: most partitions
+// aggregate within a short window, so their pulls wait in the shard egress
+// queues at once.
+TEST(AllocTest, LatticeTransformerPullBurstPeak) {
+  EXPECT_LE(LatticePeakBytes(Transformer(), LatticeCredit(6), "transformer 64K/148M"),
+            kTransformerPullBurstPeakBytes);
+}
+
 TEST(AllocTest, LatticeCornerTransformerLargeCreditPeak) {
   EXPECT_LE(LatticePeakBytes(Transformer(), MiB(512), "transformer 64K/512M"),
             kTransformerLargeCreditPeakBytes);
 }
 
 TEST(AllocTest, Fig04HeaviestCellPeak) {
-  const Sample sample = Count([] { return RunTrainingJob(Fig04HeaviestCellJob()).sim_events; });
-  std::printf("fig04 80K/640K 1Gbps: peak %.2f MiB live\n",
-              static_cast<double>(sample.peak_bytes) / (1 << 20));
+  JobResult result;
+  const Sample sample = Count([&] {
+    result = RunTrainingJob(Fig04HeaviestCellJob());
+    return result.sim_events;
+  });
+  PrintPeak("fig04 80K/640K 1Gbps", sample, result);
   EXPECT_LE(sample.peak_bytes, kFig04HeaviestCellPeakBytes);
 }
 

@@ -1,15 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
+#include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/comm/backend.h"
+#include "src/comm/ps_backend.h"
 #include "src/common/trace.h"
 #include "src/core/comm_task.h"
 #include "src/core/scheduler_core.h"
+#include "src/fault/fault_injector.h"
+#include "src/sim/simulator.h"
 
 namespace bsched {
 namespace {
@@ -381,6 +388,233 @@ TEST(SchedulerCoreTest, PropertyAdmissionIsPriorityOrderedUnderSerialCredit) {
   for (int i = 1; i < 20; ++i) {
     EXPECT_EQ(backend.started[i].layer, i - 1) << "admission " << i;
   }
+}
+
+// ---- Flights ----------------------------------------------------------------
+
+// A backend that completes each partition inside Start (as perfbench's
+// InstantBackend does) or parks the completion for the test loop.
+class SyncOrDeferredBackend : public MockBackend {
+ public:
+  explicit SyncOrDeferredBackend(bool synchronous) : synchronous_(synchronous) {}
+
+  void Start(const SubCommTask& subtask, std::function<void()> on_finish) override {
+    MockBackend::Start(subtask, std::move(on_finish));
+    if (synchronous_) {
+      auto cb = std::move(pending.back());
+      pending.pop_back();
+      cb();
+    }
+  }
+
+ private:
+  bool synchronous_;
+};
+
+// What the differential test compares: every admission (task, partition) in
+// order; every completion in order, with the credit and admitted count right
+// after its credit came back (so each partition's charge shows); and the
+// credit, admitted count and queue length after each step of the test loop.
+struct AdmissionRun {
+  std::vector<std::tuple<CommTaskId, int>> admitted;
+  std::vector<std::tuple<CommTaskId, int, Bytes, uint64_t>> finished;
+  std::vector<std::tuple<Bytes, uint64_t, size_t>> steps;
+};
+
+// One randomized task mix on one Core. Tasks are push/pull pairs (PS) or
+// all-reduce ops. A push partition finishing readies its pull partition,
+// and a finished task readies the next waiting one, so completions re-enter
+// the Core with more urgent work. With `recovery`, the Core gets a
+// FaultInjector whose plan injects nothing and whose timers never fire (the
+// loop never runs the simulator): each admitted partition then keeps its
+// record until it finishes, where without one the record is released at
+// admission and the finishing partition's charge is recomputed.
+AdmissionRun RunMix(uint64_t seed, bool synchronous, bool recovery) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&rng](uint64_t n) { return static_cast<int>(rng() % n); };
+  const bool ps = pick(2) == 0;
+  const Bytes partition = KiB(1) * (1 + pick(8));
+  const Bytes credits[] = {partition, partition * (2 + pick(6)), partition / 2 + 1,
+                           SchedulerConfig::kUnlimited};
+  SchedulerConfig config = SchedulerConfig::ByteScheduler(partition, credits[pick(4)]);
+  if (pick(3) == 0) {
+    config.policy = SchedulerConfig::Policy::kFifo;
+  }
+  SyncOrDeferredBackend backend(synchronous);
+  Simulator sim;
+  FaultInjector faults(FaultPlanConfig{}, &sim);
+  SchedulerCore core(config, &backend, 0, recovery ? &sim : nullptr,
+                     recovery ? &faults : nullptr);
+  AdmissionRun run;
+  std::vector<CommTaskId> waiting;  // readied in order, by the loop or a finish
+  size_t next_ready = 0;
+  const auto ready_next = [&] {
+    if (next_ready < waiting.size()) {
+      core.NotifyReady(waiting[next_ready++]);
+    }
+  };
+  // Task ids are issued in Enqueue order from 0.
+  CommTaskId next_id = 0;
+  const auto enqueue = [&](CommTaskDesc desc) {
+    const CommTaskId id = next_id++;
+    auto chained = std::move(desc.on_partition_finish);
+    desc.on_partition_finish = [&run, &core, id, chained](int p) {
+      run.finished.emplace_back(id, p, core.credit(), core.subtasks_started());
+      if (chained) {
+        chained(p);
+      }
+    };
+    desc.on_finish = ready_next;
+    EXPECT_EQ(core.Enqueue(std::move(desc)), id);
+    return id;
+  };
+  const int num_tasks = 4 + pick(12);
+  for (int t = 0; t < num_tasks; ++t) {
+    const Bytes bytes = 1 + static_cast<Bytes>(rng() % static_cast<uint64_t>(9 * partition));
+    const int layer = pick(6);
+    if (!ps) {
+      waiting.push_back(enqueue(MakeDesc(layer, bytes, CommOpType::kAllReduce)));
+      continue;
+    }
+    const CommTaskId pull = enqueue(MakeDesc(layer, bytes, CommOpType::kPull));
+    CommTaskDesc push = MakeDesc(layer, bytes, CommOpType::kPush);
+    push.on_partition_finish = [&core, pull](int p) { core.NotifyReadyPartition(pull, p); };
+    waiting.push_back(enqueue(std::move(push)));
+  }
+  while (next_ready < waiting.size() || !backend.pending.empty()) {
+    if (next_ready < waiting.size() && (backend.pending.empty() || pick(3) == 0)) {
+      ready_next();
+    } else {
+      const auto it = backend.pending.begin() + pick(backend.pending.size());
+      auto cb = std::move(*it);
+      backend.pending.erase(it);
+      cb();
+    }
+    run.steps.emplace_back(core.credit(), core.subtasks_started(), core.queue_length());
+  }
+  for (const SubCommTask& st : backend.started) {
+    run.admitted.emplace_back(st.task, st.partition);
+  }
+  EXPECT_EQ(core.credit(), config.credit_bytes);
+  EXPECT_EQ(core.tasks_finished(), static_cast<uint64_t>(next_id));
+  EXPECT_EQ(core.subtasks_started(), backend.started.size());
+  EXPECT_EQ(core.retries(), 0u);
+  return run;
+}
+
+TEST(SchedulerCoreFlightTest, RecordFreeFlightsAdmitAsRecordHeldFlights) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    for (const bool synchronous : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + (synchronous ? " sync" : " deferred"));
+      const AdmissionRun held = RunMix(seed, synchronous, /*recovery=*/true);
+      const AdmissionRun freed = RunMix(seed, synchronous, /*recovery=*/false);
+      EXPECT_EQ(freed.admitted, held.admitted);
+      EXPECT_EQ(freed.finished, held.finished);
+      EXPECT_EQ(freed.steps, held.steps);
+    }
+  }
+}
+
+// Hands every flight to the PS through Start, whose completions are
+// std::functions under distinct ids, so no push flight continues another:
+// each push partition is its own uplink entry.
+class StartOnlyBackend : public CommBackend {
+ public:
+  explicit StartOnlyBackend(PsBackend* ps) : ps_(ps) {}
+  void Start(const SubCommTask& subtask, std::function<void()> on_finish) override {
+    ps_->Start(subtask, std::move(on_finish));
+  }
+
+ private:
+  PsBackend* ps_;
+};
+
+struct PsMixRun {
+  // (worker, layer, partition, finish time in ns) of every pull partition.
+  std::vector<std::tuple<int, int, int, int64_t>> pulled;
+  uint64_t events = 0;
+  uint64_t subtasks_started = 0;
+  uint64_t link_entries = 0;
+};
+
+// One randomized synchronous-PS iteration: every worker's Core pushes each
+// layer's gradient when its backward step readies it and pulls each
+// partition once it is pushed, under random credit, partition size, policy,
+// worker and shard counts. `merged` lets the Cores hand their flights to
+// the PS directly, so a task's consecutive push partitions share one uplink
+// entry; otherwise each partition is its own.
+PsMixRun RunPsMix(uint64_t seed, bool merged) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&rng](uint64_t n) { return static_cast<int>(rng() % n); };
+  const int workers = 1 + pick(3);
+  const Bytes partition = KiB(4) * (1 + pick(8));
+  const Bytes credits[] = {partition, partition * (2 + pick(6)), partition / 2 + 1,
+                           SchedulerConfig::kUnlimited};
+  SchedulerConfig config = SchedulerConfig::ByteScheduler(partition, credits[pick(4)]);
+  if (pick(3) == 0) {
+    config.policy = SchedulerConfig::Policy::kFifo;
+  }
+  Simulator sim;
+  PsConfig ps_config;
+  ps_config.num_workers = workers;
+  ps_config.num_shards = 1 + pick(3);
+  ps_config.link_rate = Bandwidth::Gbps(1 + pick(25));
+  ps_config.control_latency = SimTime::Micros(pick(20));
+  PsBackend ps(&sim, ps_config);
+  StartOnlyBackend start_only(&ps);
+  PsMixRun run;
+  std::vector<std::unique_ptr<SchedulerCore>> cores;
+  const int layers = 3 + pick(6);
+  std::vector<Bytes> sizes;
+  for (int l = 0; l < layers; ++l) {
+    sizes.push_back(1 + static_cast<Bytes>(rng() % static_cast<uint64_t>(9 * partition)));
+  }
+  for (int w = 0; w < workers; ++w) {
+    cores.push_back(std::make_unique<SchedulerCore>(
+        config, merged ? static_cast<CommBackend*>(&ps) : &start_only, w, &sim));
+    SchedulerCore& core = *cores.back();
+    for (int l = layers - 1; l >= 0; --l) {
+      CommTaskDesc pull_desc = MakeDesc(l, sizes[l], CommOpType::kPull);
+      pull_desc.worker = w;
+      pull_desc.on_partition_finish = [&run, &sim, w, l](int p) {
+        run.pulled.emplace_back(w, l, p, sim.Now().nanos());
+      };
+      const CommTaskId pull = core.Enqueue(std::move(pull_desc));
+      CommTaskDesc push_desc = MakeDesc(l, sizes[l], CommOpType::kPush);
+      push_desc.worker = w;
+      push_desc.on_partition_finish = [&core, pull](int p) { core.NotifyReadyPartition(pull, p); };
+      const CommTaskId push = core.Enqueue(std::move(push_desc));
+      // Backward reaches layer l after a random compute step.
+      sim.Schedule(SimTime::Micros(pick(40) * (layers - l)),
+                   [&core, push] { core.NotifyReady(push); });
+    }
+  }
+  sim.Run();
+  run.events = sim.processed_events();
+  for (const auto& core : cores) {
+    EXPECT_EQ(core->tasks_finished(), static_cast<uint64_t>(2 * layers));
+    run.subtasks_started += core->subtasks_started();
+  }
+  run.link_entries = ps.peak_link_entries();
+  return run;
+}
+
+TEST(SchedulerCoreFlightTest, PsUplinkRunsMatchOneEntryPerPartition) {
+  uint64_t merged_entries = 0;
+  uint64_t separate_entries = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const PsMixRun separate = RunPsMix(seed, /*merged=*/false);
+    const PsMixRun merged = RunPsMix(seed, /*merged=*/true);
+    EXPECT_EQ(merged.pulled, separate.pulled);
+    EXPECT_EQ(merged.events, separate.events);
+    EXPECT_EQ(merged.subtasks_started, separate.subtasks_started);
+    EXPECT_LE(merged.link_entries, separate.link_entries);
+    merged_entries += merged.link_entries;
+    separate_entries += separate.link_entries;
+  }
+  // Credit above one partition queues runs of a task's partitions.
+  EXPECT_LT(merged_entries, separate_entries);
 }
 
 }  // namespace

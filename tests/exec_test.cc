@@ -21,6 +21,7 @@
 #include "src/model/zoo.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeseries.h"
+#include "src/tuning/auto_tuner.h"
 
 namespace bsched {
 namespace {
@@ -216,6 +217,7 @@ void ExpectBitIdentical(const JobResult& a, const JobResult& b) {
   for (size_t i = 0; i < a.iter_end_times.size(); ++i) {
     EXPECT_EQ(a.iter_end_times[i], b.iter_end_times[i]) << "iter " << i;
   }
+  EXPECT_EQ(a.peaks, b.peaks);
 }
 
 TEST(SweepJobsDeterminismTest, ResultsAreBitIdenticalAtJobs1And4) {
@@ -227,6 +229,37 @@ TEST(SweepJobsDeterminismTest, ResultsAreBitIdenticalAtJobs1And4) {
     SCOPED_TRACE("job " + std::to_string(i));
     EXPECT_GT(one[i].samples_per_sec, 0.0);
     ExpectBitIdentical(one[i], four[i]);
+  }
+}
+
+TEST(SweepJobsDeterminismTest, LatticeSpeedsAreBitIdenticalAtJobs1And4) {
+  // The lattice helper of fig14 and table1 returns each point's speed in
+  // input order, bit-identical to a serial EvaluateConfigured, at any worker
+  // count; the points mix long push flights (large credit) with
+  // credit-bound ones.
+  // (bsched::Setup: the fixture base class has a Setup member.)
+  for (const bsched::Setup& setup :
+       {bsched::Setup::MxnetPsRdma(), bsched::Setup::MxnetNcclRdma()}) {
+    SCOPED_TRACE(setup.name);
+    const AutoTuner tuner(bench::MakeJob(Vgg16(), setup, 2, Bandwidth::Gbps(25)),
+                          AutoTunerOptions());
+    std::vector<TunedParams> points;
+    for (const auto& [u, v] : std::vector<std::pair<double, double>>{
+             {0.25, 1.0}, {1.0, 0.5}, {0.25, 0.0}, {0.5, 0.75}, {0.5, 0.0}}) {
+      points.push_back(TunedParams{tuner.PartitionFromUnit(u), tuner.CreditFromUnit(v)});
+    }
+    const std::vector<double> one = bench::EvaluateLattice(tuner, points, 1);
+    const std::vector<double> four = bench::EvaluateLattice(tuner, points, 4);
+    ASSERT_EQ(one.size(), points.size());
+    ASSERT_EQ(four.size(), points.size());
+    for (size_t i = 0; i < points.size(); ++i) {
+      SCOPED_TRACE("point " + std::to_string(i));
+      const double serial =
+          tuner.EvaluateConfigured(points[i].partition_bytes, points[i].credit_bytes);
+      EXPECT_GT(serial, 0.0);
+      EXPECT_EQ(std::memcmp(&one[i], &serial, sizeof(double)), 0);
+      EXPECT_EQ(std::memcmp(&four[i], &serial, sizeof(double)), 0);
+    }
   }
 }
 
