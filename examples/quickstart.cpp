@@ -49,11 +49,14 @@ int main(int argc, char** argv) {
   if (!SetDefaultJobsFromFlags(flags, argv[0])) {
     return 2;
   }
+  // --chaos and --volatility are either bare (seed 1) or take a seed.
+  const auto seed_of = [&flags](const std::string& name) {
+    return flags.GetString(name, "") == "true" ? 1 : flags.GetSeed(name, 1);
+  };
   const bool chaos = flags.Has("chaos");
-  const uint64_t chaos_seed = flags.GetBool("chaos", false) ? 1 : flags.GetSeed("chaos", 1);
+  const uint64_t chaos_seed = seed_of("chaos");
   const bool volatility = flags.Has("volatility");
-  const uint64_t volatility_seed =
-      flags.GetBool("volatility", false) ? 1 : flags.GetSeed("volatility", 1);
+  const uint64_t volatility_seed = seed_of("volatility");
   // The obs sinks observe one job: the ByteScheduler job, or with --chaos
   // the chaos rerun, so its trace shows the retry/retransmit activity.
   ObsArtifacts artifacts(ParseObsFlags(flags));

@@ -32,7 +32,10 @@ class FlightOwner {
 // One admitted partition and its completion.
 struct Flight {
   // The completion callback: 16 bytes, so std::function and EventFn store it
-  // inline. `id` and `tag` are the owner's names for the partition.
+  // inline. `id` and `tag` are the owner's names for the partition: for the
+  // Core, the task id and the partition (a retry adds its attempt in the
+  // high bits), so a task's consecutive partitions complete under
+  // consecutive tags.
   struct Done {
     FlightOwner* owner = nullptr;
     uint32_t id = 0;

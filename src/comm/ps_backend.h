@@ -47,8 +47,10 @@
 // last partition is shorter), without per-partition state. A push flight
 // from the Core that continues the uplink's tail PushFlight (the same task's
 // next partition, completing under the next tag) extends it, so the Core's
-// one-partition admissions queue one entry per task. A partition's hop is
-// built when the partition reaches the head of the uplink queue; a
+// one-partition admissions queue one entry per task, with or without a
+// FaultInjector (a Core retry's tag carries its attempt in the high bits,
+// so it continues only a run of retries of its own attempt). A partition's
+// hop is built when the partition reaches the head of the uplink queue; a
 // retransmitted leg is a PushFlight of one that carries its round. The
 // uplink flushes in FIFO order, so building hops there moves no event. A
 // pull gets its hop at StartFlight. A data leg or pull on its way is one

@@ -121,7 +121,14 @@ bool Flags::GetBool(const std::string& name, bool def) const {
   if (it == values_.end()) {
     return def;
   }
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& value = it->second;
+  if (value == "true" || value == "1" || value == "yes") {
+    return true;
+  }
+  if (value != "false" && value != "0" && value != "no") {
+    RejectValue(name, "true, false, 1, 0, yes or no");
+  }
+  return false;
 }
 
 namespace {

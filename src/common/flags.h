@@ -30,6 +30,8 @@ class Flags {
   // A seed: GetInt, and a negative value (which would wrap to a huge
   // unsigned seed) exits 2 like above.
   uint64_t GetSeed(const std::string& name, uint64_t def) const;
+  // A bare --name reads as true. The value must be true, false, 1, 0, yes or
+  // no; anything else exits 2 like above, so a typo cannot switch off a gate.
   bool GetBool(const std::string& name, bool def) const;
   // Prints "<program>: --<name> needs <what>, got '<value>'" to stderr and
   // exits with status 2: the one report of a value outside its flag's range.

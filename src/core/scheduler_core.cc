@@ -26,6 +26,9 @@ SchedulerCore::SchedulerCore(SchedulerConfig config, CommBackend* backend, int w
   BSCHED_CHECK((faults_ == nullptr || sim_ != nullptr) &&
                "retry recovery needs a Simulator for timeout timers");
   BSCHED_CHECK((trace_ == nullptr || sim_ != nullptr) && "a trace needs a Simulator clock");
+  BSCHED_CHECK((faults_ == nullptr ||
+                faults_->config().max_retries < (1 << (32 - kAttemptShift))) &&
+               "a retry's attempt fits a completion tag");
   if (trace_ != nullptr) {
     track_ = "sched/w" + std::to_string(worker_id_);
   }
@@ -39,17 +42,18 @@ SchedulerCore::SchedulerCore(SchedulerConfig config, CommBackend* backend, int w
 }
 
 SchedulerCore::TaskState& SchedulerCore::Task(CommTaskId id) {
-  BSCHED_CHECK(id >= 0 && id < next_task_id_ && task_index_[id] != kNoRecord);
+  BSCHED_CHECK(id >= 0 && id < next_task_id_ && task_index_[id] != kNoTask);
   return tasks_[task_index_[id]];
 }
 
 const SchedulerCore::TaskState& SchedulerCore::Task(CommTaskId id) const {
-  BSCHED_CHECK(id >= 0 && id < next_task_id_ && task_index_[id] != kNoRecord);
+  BSCHED_CHECK(id >= 0 && id < next_task_id_ && task_index_[id] != kNoTask);
   return tasks_[task_index_[id]];
 }
 
 CommTaskId SchedulerCore::Enqueue(CommTaskDesc desc) {
   BSCHED_CHECK(desc.tensor_bytes > 0);
+  BSCHED_CHECK(next_task_id_ < kNoTask && "a task id fits a completion's id");
   const CommTaskId id = next_task_id_++;
   const uint32_t slot = tasks_.Acquire();
   task_index_.push_back(slot);
@@ -64,10 +68,16 @@ CommTaskId SchedulerCore::Enqueue(CommTaskDesc desc) {
                                                        : config_.partition_bytes;
   state.unit = unit <= 0 || unit >= desc.tensor_bytes ? desc.tensor_bytes : unit;
   const Bytes partitions = (desc.tensor_bytes + state.unit - 1) / state.unit;
-  state.partition_notified.assign(static_cast<size_t>(partitions), false);
+  BSCHED_CHECK(partitions <= kPartitionMask + 1 && "a partition fits a completion tag");
+  const size_t n = static_cast<size_t>(partitions);
+  state.partition_notified.assign(n, false);
+  if (faults_ != nullptr) {
+    state.recovery.assign(n, Recovery{});
+  }
   if (trace_ != nullptr) {
-    state.ready_at.assign(static_cast<size_t>(partitions), SimTime());
-    state.flow.assign(static_cast<size_t>(partitions), 0);
+    state.ready_at.assign(n, SimTime());
+    state.credit_wait_since.assign(n, SimTime::Max());
+    state.flow.assign(n, 0);
   }
   state.desc = std::move(desc);
   return id;
@@ -119,41 +129,17 @@ SubTaskKey SchedulerCore::KeyFor(const CommTaskDesc& desc, uint64_t seq) const {
   return key;
 }
 
-uint32_t SchedulerCore::NewRecord(const QueueEntry& entry) {
-  const TaskState& state = Task(entry.task);
-  const uint32_t rec = records_.Acquire();
-  SubTaskRecord& r = records_[rec];
-  r = SubTaskRecord{};
-  r.task = entry.task;
-  r.bytes = state.PartitionBytes(entry.next);
-  r.key = entry.key;
-  r.partition = entry.next;
-  r.type = state.desc.type;
-  if (faults_ != nullptr && rec >= timeouts_.size()) {
-    timeouts_.resize(records_.size());
-  }
-  if (trace_ != nullptr) {
-    if (rec >= record_trace_.size()) {
-      record_trace_.resize(records_.size());
-    }
-    record_trace_[rec] = RecordTrace{};
-    record_trace_[rec].ready_at = state.ready_at[entry.next];
-  }
-  return rec;
-}
-
-SubCommTask SchedulerCore::Subtask(uint32_t rec) const {
-  const SubTaskRecord& r = records_[rec];
-  const CommTaskDesc& desc = Task(r.task).desc;
+SubCommTask SchedulerCore::Subtask(const TaskState& state, int partition) const {
+  const CommTaskDesc& desc = state.desc;
   SubCommTask subtask;
-  subtask.task = r.task;
+  subtask.task = state.id;
   subtask.worker = desc.worker;
   subtask.layer = desc.layer;
   subtask.tensor_id = desc.tensor_id >= 0 ? desc.tensor_id : desc.layer;
-  subtask.partition = r.partition;
-  subtask.bytes = r.bytes;
-  subtask.type = r.type;
-  subtask.flow = trace_ != nullptr ? record_trace_[rec].flow : 0;
+  subtask.partition = partition;
+  subtask.bytes = state.PartitionBytes(partition);
+  subtask.type = desc.type;
+  subtask.flow = trace_ != nullptr ? state.flow[partition] : 0;
   return subtask;
 }
 
@@ -176,7 +162,6 @@ void SchedulerCore::PopHead() {
     // The run's next partition holds the next seq, and no other entry's key
     // lies between the two, so the heap needs no sift.
     ++head.key.arrival_seq;
-    head.record = kNoRecord;
     return;
   }
   std::pop_heap(queue_.begin(), queue_.end(), QueueAfter());
@@ -189,7 +174,7 @@ void SchedulerCore::EnqueueRun(TaskState& state, CommTaskId id, int begin, int e
   if (trace_ != nullptr) {
     std::fill(state.ready_at.begin() + begin, state.ready_at.begin() + end, sim_->Now());
   }
-  PushQueue(QueueEntry{KeyFor(state.desc, next_arrival_seq_), id, begin, end, kNoRecord});
+  PushQueue(QueueEntry{KeyFor(state.desc, next_arrival_seq_), id, begin, end});
   next_arrival_seq_ += static_cast<uint64_t>(end - begin);
 }
 
@@ -201,56 +186,52 @@ void SchedulerCore::TrySchedule() {
   }
   scheduling_ = true;
   while (!queue_.empty()) {
-    // The head partition's record is built here, on first reaching the head:
-    // the credit-wait stamp below needs one.
-    if (queue_.front().record == kNoRecord) {
-      queue_.front().record = NewRecord(queue_.front());
-    }
-    const uint32_t rec = queue_.front().record;
-    SubTaskRecord& head = records_[rec];
+    const QueueEntry& head = queue_.front();
+    const SubTaskKey key = head.key;
+    const int partition = head.next;
+    TaskState& state = Task(head.task);
+    const Bytes bytes = state.PartitionBytes(partition);
     // Credits model the *sender's* buffer (§4.2): pushes and all-reduce
     // operations fill it; pull responses are sent by the server and consume
     // the server-side egress queue instead, so they admit freely.
-    const bool charges_credit = head.type != CommOpType::kPull;
+    const bool charges_credit = state.desc.type != CommOpType::kPull;
     // Algorithm 1 line 16: wait unless the credit covers the head subtask.
     // A subtask larger than the whole credit pool is admitted only when the
     // pool is full, otherwise it could never start.
-    const bool can_start = !charges_credit || credit_ >= head.bytes ||
+    const bool can_start = !charges_credit || credit_ >= bytes ||
                            credit_ == config_.credit_bytes;
     if (!can_start) {
       // Stamp the moment the head first starved on credit; RecordAdmit
       // splits the wait span there. No event is scheduled, so the
       // simulation trajectory is unchanged whether or not anyone traces.
-      if (trace_ != nullptr && !record_trace_[rec].credit_waiting) {
-        record_trace_[rec].credit_waiting = true;
-        record_trace_[rec].credit_wait_since = sim_->Now();
+      if (trace_ != nullptr && state.credit_wait_since[partition] == SimTime::Max()) {
+        state.credit_wait_since[partition] = sim_->Now();
       }
       break;
     }
     const size_t depth_before = queued_;
     PopHead();
     // Equal to Charge(): the credit covers the head, or the pool is full.
-    const Bytes charged = charges_credit ? std::min(head.bytes, credit_) : 0;
+    const Bytes charged = charges_credit ? std::min(bytes, credit_) : 0;
     credit_ -= charged;
     BSCHED_DCHECK(credit_ >= 0);
     ++subtasks_started_;
     if (metrics_ != nullptr || trace_ != nullptr) {
-      RecordAdmit(rec, charged, depth_before);
+      RecordAdmit(state, partition, key, charged, depth_before);
     }
-    StartAttempt(rec);
+    StartAttempt(state, partition, key.arrival_seq);
   }
   scheduling_ = false;
 }
 
-void SchedulerCore::RecordAdmit(uint32_t rec, Bytes charged, size_t queue_depth_before) {
-  const SubTaskRecord& r = records_[rec];
-  const SubTaskKey& key = r.key;
+void SchedulerCore::RecordAdmit(TaskState& state, int partition, const SubTaskKey& key,
+                                Bytes charged, size_t queue_depth_before) {
   if (m_queue_depth_ != nullptr) {
     m_queue_depth_->Observe(static_cast<int64_t>(queue_depth_before));
     m_credit_in_use_->Observe(config_.credit_bytes == SchedulerConfig::kUnlimited
                                   ? 0
                                   : config_.credit_bytes - credit_);
-    m_partition_bytes_->Observe(r.bytes);
+    m_partition_bytes_->Observe(state.PartitionBytes(partition));
     // A preemption in the paper's sense: this admission outranks the one
     // before it, i.e. a higher-priority partition jumped the FIFO order a
     // vanilla scheduler would have used.
@@ -264,116 +245,112 @@ void SchedulerCore::RecordAdmit(uint32_t rec, Bytes charged, size_t queue_depth_
   if (trace_ == nullptr) {
     return;
   }
-  RecordTrace& t = record_trace_[rec];
   // Assign (or continue) the partition's flow arc. Pushes and all-reduce
   // operations open the arc; a pull continues the arc its push opened, or
   // opens its own for pulls with no tracked push (e.g. step-start reads).
   // A retried attempt keeps its arc.
-  const SubCommTask st = Subtask(rec);
+  const SubCommTask st = Subtask(state, partition);
+  uint64_t& flow = state.flow[partition];
   FlowPhase phase = FlowPhase::kStep;
-  if (t.flow == 0) {
+  if (flow == 0) {
     uint64_t& open = flows_[{st.worker, st.tensor_id, st.partition}];
     if (st.type != CommOpType::kPull || open == 0) {
       open = trace_->NewFlowId();
       phase = FlowPhase::kStart;
     }
-    t.flow = open;
+    flow = open;
   }
-  Task(st.task).flow[st.partition] = t.flow;
 
-  const std::string& name = Task(st.task).desc.name;
+  const std::string& name = state.desc.name;
   const std::string& tensor = !name.empty() ? name : "L" + std::to_string(st.layer);
   const std::string base =
       tensor + ".p" + std::to_string(st.partition) + "." + ToString(st.type);
   const SimTime now = sim_->Now();
+  const SimTime ready_at = state.ready_at[partition];
+  const SimTime credit_wait_since = state.credit_wait_since[partition];
+  const bool credit_waiting = credit_wait_since != SimTime::Max();
+  const int64_t attempt = faults_ != nullptr ? state.recovery[partition].attempts : 0;
   // Wait decomposition: queue-wait (ready → first credit starvation at the
   // head, or admit when credit never blocked) and credit-wait (starvation →
   // admit). The critical-path analyzer attributes the two separately.
-  const SimTime wait_end = t.credit_waiting ? std::max(t.ready_at, t.credit_wait_since) : now;
-  if (wait_end > t.ready_at) {
-    trace_->AddSpan(track_, base + ".wait", t.ready_at, wait_end,
+  const SimTime wait_end = credit_waiting ? std::max(ready_at, credit_wait_since) : now;
+  if (wait_end > ready_at) {
+    trace_->AddSpan(track_, base + ".wait", ready_at, wait_end,
                     {TraceArg::Int("layer", st.layer), TraceArg::Int("partition", st.partition),
-                     TraceArg::Int("bytes", st.bytes), TraceArg::Int("attempt", r.attempts),
+                     TraceArg::Int("bytes", st.bytes), TraceArg::Int("attempt", attempt),
                      TraceArg::Int("charged", charged)});
   }
-  if (t.credit_waiting && now > t.credit_wait_since) {
-    trace_->AddSpan(track_, base + ".credit_wait", t.credit_wait_since, now,
+  if (credit_waiting && now > credit_wait_since) {
+    trace_->AddSpan(track_, base + ".credit_wait", credit_wait_since, now,
                     {TraceArg::Int("layer", st.layer), TraceArg::Int("partition", st.partition),
-                     TraceArg::Int("bytes", st.bytes), TraceArg::Int("attempt", r.attempts),
+                     TraceArg::Int("bytes", st.bytes), TraceArg::Int("attempt", attempt),
                      TraceArg::Int("charged", charged)});
   }
-  trace_->AddFlow(track_, base + ".admit", now, t.flow, phase);
+  trace_->AddFlow(track_, base + ".admit", now, flow, phase);
 }
 
-void SchedulerCore::StartAttempt(uint32_t rec) {
-  SubTaskRecord& r = records_[rec];
+void SchedulerCore::StartAttempt(TaskState& state, int partition, uint64_t seq) {
   // The backend gets a copy of the subtask: a backend that completes
-  // synchronously re-enters the Core, which may reuse this record while
+  // synchronously re-enters the Core, which may release this task while
   // StartFlight still reads the flight.
-  Flight flight{Subtask(rec), Flight::Done{this, 0, 0}};
-  if (faults_ == nullptr) {
-    flight.done.id = task_index_[r.task];
-    flight.done.tag = static_cast<uint32_t>(r.partition);
-    records_.Release(rec);
-    backend_->StartFlight(flight);
-    return;
+  Flight flight{Subtask(state, partition),
+                Flight::Done{this, static_cast<uint32_t>(state.id),
+                             static_cast<uint32_t>(partition)}};
+  if (faults_ != nullptr) {
+    Recovery& r = state.recovery[partition];
+    r.seq = seq;
+    r.in_flight = true;
+    ++in_flight_;
+    flight.done.tag |= r.attempts << kAttemptShift;
+    const FaultPlanConfig& policy = faults_->config();
+    const SimTime timeout =
+        BackoffTimeout(policy.retry_timeout, policy.retry_backoff, static_cast<int>(r.attempts));
+    r.timer = sim_->Schedule(timeout, [this, id = flight.done.id, partition] {
+      OnAttemptTimeout(id, partition);
+    });
   }
-  const uint32_t generation = ++next_generation_;
-  r.in_flight = true;
-  r.generation = generation;
-  ++in_flight_;
-  const FaultPlanConfig& policy = faults_->config();
-  const SimTime timeout = BackoffTimeout(policy.retry_timeout, policy.retry_backoff, r.attempts);
-  timeouts_[rec] =
-      sim_->Schedule(timeout, [this, rec, generation] { OnAttemptTimeout(rec, generation); });
-  flight.done.id = rec;
-  flight.done.tag = generation;
   backend_->StartFlight(flight);
 }
 
 void SchedulerCore::OnFlightDone(uint32_t id, uint32_t tag) {
-  if (faults_ != nullptr) {
-    OnAttemptFinish(id, tag);
-  } else {
-    OnSubTaskFinish(id, static_cast<int>(tag));
+  const int partition = static_cast<int>(tag & kPartitionMask);
+  if (faults_ == nullptr) {
+    OnSubTaskFinish(Task(id), partition);
+    return;
   }
-}
-
-void SchedulerCore::OnAttemptFinish(uint32_t rec, uint32_t generation) {
-  SubTaskRecord& r = records_[rec];
-  if (!r.in_flight || r.generation != generation) {
+  Recovery* r = task_index_[id] != kNoTask ? &Task(id).recovery[partition] : nullptr;
+  if (r == nullptr || !r->in_flight || r->attempts != tag >> kAttemptShift) {
     // A delayed copy of an attempt that already timed out (and was retried)
-    // or of a partition that already finished: the message was late, not
-    // lost. Counting it would double-finish the partition and leak credit.
+    // or of a partition or task that already finished: the message was late,
+    // not lost. Counting it would double-finish the partition and leak
+    // credit.
     ++late_completions_;
     faults_->RecordLateCompletion();
     return;
   }
-  r.in_flight = false;
+  r->in_flight = false;
   --in_flight_;
-  timeouts_[rec].Cancel();
-  const uint32_t slot = task_index_[r.task];
-  const int partition = r.partition;
-  records_.Release(rec);
-  OnSubTaskFinish(slot, partition);
+  r->timer.Cancel();
+  OnSubTaskFinish(Task(id), partition);
 }
 
-void SchedulerCore::OnAttemptTimeout(uint32_t rec, [[maybe_unused]] uint32_t generation) {
-  SubTaskRecord& r = records_[rec];
-  // OnAttemptFinish cancels exactly this attempt's timer, so a timer that
-  // fires belongs to the attempt in flight.
-  BSCHED_DCHECK(r.in_flight && r.generation == generation);
+void SchedulerCore::OnAttemptTimeout(CommTaskId id, int partition) {
+  TaskState& state = Task(id);
+  Recovery& r = state.recovery[partition];
+  // OnFlightDone cancels exactly this attempt's timer, so a timer that fires
+  // belongs to the attempt in flight.
+  BSCHED_DCHECK(r.in_flight);
   r.in_flight = false;
   --in_flight_;
   ++timeouts_fired_;
   // Credit restoration: the lost attempt's bytes are no longer in flight.
-  const TaskState& state = Task(r.task);
-  const Bytes charged = Charge(state, r.partition);
+  const Bytes charged = Charge(state, partition);
   credit_ += charged;
   BSCHED_DCHECK(credit_ <= config_.credit_bytes);
   const CommTaskDesc& desc = state.desc;
-  faults_->RecordCoreTimeout(desc.worker, desc.layer, r.partition, r.attempts + 1, charged);
-  if (r.attempts >= faults_->config().max_retries) {
+  faults_->RecordCoreTimeout(desc.worker, desc.layer, partition, static_cast<int>(r.attempts) + 1,
+                             charged);
+  if (static_cast<int>(r.attempts) >= faults_->config().max_retries) {
     // A silently dropped partition would wedge training; stop here instead.
     ++subtasks_abandoned_;
     faults_->RecordAbandon();
@@ -385,15 +362,14 @@ void SchedulerCore::OnAttemptTimeout(uint32_t rec, [[maybe_unused]] uint32_t gen
   // the partition always belonged, not behind newer arrivals.
   ++r.attempts;
   if (trace_ != nullptr) {
-    record_trace_[rec].ready_at = sim_->Now();
-    record_trace_[rec].credit_waiting = false;
+    state.ready_at[partition] = sim_->Now();
+    state.credit_wait_since[partition] = SimTime::Max();
   }
-  PushQueue(QueueEntry{r.key, r.task, r.partition, r.partition + 1, rec});
+  PushQueue(QueueEntry{KeyFor(desc, r.seq), id, partition, partition + 1});
   TrySchedule();
 }
 
-void SchedulerCore::OnSubTaskFinish(uint32_t slot, int partition) {
-  TaskState& state = tasks_[slot];
+void SchedulerCore::OnSubTaskFinish(TaskState& state, int partition) {
   const CommTaskId id = state.id;
   credit_ += Charge(state, partition);
   BSCHED_DCHECK(credit_ <= config_.credit_bytes);
@@ -407,7 +383,7 @@ void SchedulerCore::OnSubTaskFinish(uint32_t slot, int partition) {
   ++state.partitions_finished;
 
   // Copy the callbacks out: both may re-enter the Core (enqueue/ready new
-  // tasks), which may reuse this task's pool record.
+  // tasks), which may reuse this task's pool slot.
   const bool task_done =
       state.partitions_finished == state.num_partitions();
   auto on_partition_finish = state.desc.on_partition_finish;
@@ -418,7 +394,7 @@ void SchedulerCore::OnSubTaskFinish(uint32_t slot, int partition) {
     state.desc.on_finish = nullptr;
     state.desc.on_partition_finish = nullptr;
     tasks_.Release(task_index_[id]);
-    task_index_[id] = kNoRecord;
+    task_index_[id] = kNoTask;
   }
   if (on_partition_finish) {
     on_partition_finish(partition);

@@ -9,41 +9,40 @@
 // with a mock backend. The optional recovery layer is the one exception: it
 // is armed exactly when a FaultInjector is attached, reads its timeout,
 // backoff and retry budget from the injector's FaultPlanConfig, and needs the
-// Simulator for its per-subtask timers. On timeout the charged credit is
+// Simulator for its per-partition timers. On timeout the charged credit is
 // restored, the partition is requeued at its original priority, and the next
 // attempt backs off exponentially; a partition that exhausts the budget
-// aborts the run. Completions of timed-out attempts are recognized by
-// generation and ignored, so a delayed (rather than lost) message can never
+// aborts the run. A completion is late, and ignored, when its task has
+// finished, its partition is not in flight, or it names an attempt other than
+// the one in flight, so a delayed (rather than lost) message can never
 // double-finish a partition or leak credit. A finishing attempt cancels its
 // own timer, so a timer that fires always belongs to the attempt in flight.
 //
 // Hot-path layout: the ready queue is a binary heap of *runs*. A run is a
 // block [next, end) of one task's partitions that became ready together and
 // hold consecutive arrival seqs; its heap key is the front partition's
-// SubTaskKey. As in the paper's zero-copy CommTask.partition(), a queued
-// partition is only an offset into its task: a record is built when the
-// partition reaches the head of the queue. Admitting a run's front advances
-// the entry in place (next + 1, seq + 1) without a sift. Seqs are unique and
-// a run's seqs are reserved for it, so no other key lies between two
-// consecutive seqs of the run: the heap stays valid, and partitions are
+// SubTaskKey. As in the paper's zero-copy CommTask.partition(), a partition
+// is only an offset into its task, from NotifyReady to finish: the head
+// partition is read from its run and its task. Admitting a run's front
+// advances the entry in place (next + 1, seq + 1) without a sift. Seqs are
+// unique and a run's seqs are reserved for it, so no other key lies between
+// two consecutive seqs of the run: the heap stays valid, and partitions are
 // admitted in exactly the order a heap (or ordered map) of one entry per
 // partition would admit them. An admitted partition is handed to the
-// backend as a flight (StartFlight) with a 16-byte completion.
+// backend as a flight (StartFlight) whose 16-byte completion names the Core,
+// the task id and a tag: the partition, plus the attempt in the tag's high
+// bits for a retry. Task ids are never reused, so a late completion cannot
+// name a newer task that took its task's pool slot.
 //
-// Tasks and records are pooled and reused across the run, and every
-// completion the Core hands out names only the Core plus two indices (the
-// task's pool slot and the partition, or with recovery the record and the
-// attempt generation) — 16 bytes, which std::function and EventFn store
-// inline — so steady-state admission allocates nothing. Without recovery no
-// record outlives admission: a finishing partition's charge is recomputed
-// from its task, so a partition waiting in the backend holds no Core state.
-// A record is one 64-byte cache line holding only what admission, recovery
-// and finish read; the recovery timer lives in a side vector indexed like
-// the pool and sized only with a FaultInjector, and the trace-only stamps
-// (flow arc, ready and credit-wait times) in one sized only while tracing. A
-// queued run carries no time: while tracing, its partitions' ready times
-// (and, once admitted, flow arcs) are stamped in the task, so an untraced
-// Core reads no clock when it enqueues.
+// Tasks are pooled and reused across the run, and every completion and
+// timer fits the 16 bytes that std::function and EventFn store inline, so
+// steady-state admission allocates nothing. A finishing partition's charge
+// is recomputed from its task, so a partition waiting in the backend holds
+// no Core state. Per-partition side state lives in the task, in vectors
+// sized only when needed: the recovery state (attempt count, in-flight flag,
+// timer, arrival seq) only with a FaultInjector, and the trace-only stamps
+// (ready and credit-wait times, flow arc) only while tracing. A queued run
+// carries no time, so an untraced Core reads no clock when it enqueues.
 //
 // Observability: the Core writes the trace and metrics sinks it is given,
 // each nullable. While tracing it also keeps the partition-flow ledger, the
@@ -124,9 +123,6 @@ class SchedulerCore : private FlightOwner {
   uint64_t late_completions() const { return late_completions_; }
   uint64_t subtasks_abandoned() const { return subtasks_abandoned_; }
   size_t subtasks_in_flight() const { return in_flight_; }
-  // The most records (partitions at the head, and with recovery partitions
-  // in flight) held at once: the record pool never shrinks.
-  size_t peak_records() const { return records_.size(); }
 
   // Exports end-of-run totals (sched.w<id>.subtasks_started, retries,
   // timeouts, ...) into the metrics registry. Call once after the run;
@@ -134,19 +130,38 @@ class SchedulerCore : private FlightOwner {
   void ExportMetrics() const;
 
  private:
-  static constexpr uint32_t kNoRecord = UINT32_MAX;
+  static constexpr uint32_t kNoTask = UINT32_MAX;
+  // A completion's tag: the partition in the low bits, the attempt above.
+  static constexpr int kAttemptShift = 24;
+  static constexpr uint32_t kPartitionMask = (uint32_t{1} << kAttemptShift) - 1;
+
+  // Only with a FaultInjector, one per partition: its attempts' recovery
+  // state.
+  struct Recovery {
+    EventHandle timer;      // the timeout of the attempt in flight
+    uint64_t seq = 0;       // arrival seq, which rebuilds the key on requeue
+    uint32_t attempts = 0;  // attempts that already timed out
+    bool in_flight = false;
+  };
 
   // One CommTask from Enqueue until its last partition finishes; pooled, so
-  // a finished task's vector keeps its capacity for the next one. Every
+  // a finished task's vectors keep their capacity for the next one. Every
   // partition holds `unit` bytes except a shorter last one.
   struct TaskState {
     CommTaskDesc desc;
     CommTaskId id = kInvalidCommTask;
     Bytes unit = 0;
     std::vector<bool> partition_notified;  // one per partition
-    // Only while tracing, per partition: when it became schedulable, and its
-    // flow arc from admission to finish.
+    std::vector<Recovery> recovery;
+    // Only while tracing, per partition: when it became schedulable (admit
+    // time minus this is the queue-wait span); when, at the head of the
+    // queue, it first blocked on credit (SimTime::Max() while it has not),
+    // which splits the wait into queue-wait (behind higher-priority work)
+    // and credit-wait (Algorithm 1 line 16 starvation), the boundary the
+    // critical-path analyzer attributes separately; and its flow arc from
+    // admission to finish.
     std::vector<SimTime> ready_at;
+    std::vector<SimTime> credit_wait_since;
     std::vector<uint64_t> flow;
     int partitions_finished = 0;
 
@@ -154,49 +169,13 @@ class SchedulerCore : private FlightOwner {
     Bytes PartitionBytes(int p) const { return std::min(unit, desc.tensor_bytes - p * unit); }
   };
 
-  // One partition from the moment it reaches the head of the queue until it
-  // is admitted; with recovery, until it finishes (a timeout requeues it
-  // with its record). Only what admission, recovery and finish read lives
-  // here, in one cache line; worker, layer and tensor id are read from the
-  // task when the SubCommTask is built, and the recovery timer and the trace
-  // stamps live in side vectors indexed like records_.
-  struct alignas(64) SubTaskRecord {
-    CommTaskId task = kInvalidCommTask;
-    Bytes bytes = 0;
-    SubTaskKey key;  // original priority key, reused on requeue
-    int partition = 0;
-    CommOpType type = CommOpType::kPush;
-    int attempts = 0;         // attempts that already timed out
-    uint32_t generation = 0;  // stale-completion filter
-    bool in_flight = false;   // admitted attempt under timeout watch
-  };
-  static_assert(sizeof(SubTaskRecord) == 64 && alignof(SubTaskRecord) == 64,
-                "a record is one cache line");
-  // Trace-only record state; it feeds only RecordAdmit's spans and the flow
-  // arcs.
-  struct RecordTrace {
-    uint64_t flow = 0;  // trace flow arc (0 = untracked)
-    // When this partition became schedulable; admit time minus this is the
-    // queue-wait span.
-    SimTime ready_at;
-    // When this partition, at the head of the queue, first blocked on credit
-    // (valid when credit_waiting is set). Splits the wait span into
-    // queue-wait (behind higher-priority work) and credit-wait (Algorithm 1
-    // line 16 starvation) — the boundary the critical-path analyzer
-    // attributes separately.
-    SimTime credit_wait_since;
-    bool credit_waiting = false;
-  };
-
   // One run of ready partitions [next, end) of `task`; `key` is the front
-  // partition's key. `record` is the front's record once it has been built
-  // (at the head of the queue, or by a timeout requeue), else kNoRecord.
+  // partition's key.
   struct QueueEntry {
     SubTaskKey key;
     CommTaskId task;
     int next;
     int end;
-    uint32_t record;
   };
   // Min-heap order on the key: true when `a` is less urgent than `b`.
   struct QueueAfter {
@@ -205,10 +184,8 @@ class SchedulerCore : private FlightOwner {
 
   TaskState& Task(CommTaskId id);
   const TaskState& Task(CommTaskId id) const;
-  // Builds the record of the front partition of `entry`.
-  uint32_t NewRecord(const QueueEntry& entry);
-  // The SubCommTask the backend sees for record `rec`.
-  SubCommTask Subtask(uint32_t rec) const;
+  // The SubCommTask the backend sees for `partition` of `state`.
+  SubCommTask Subtask(const TaskState& state, int partition) const;
   // The credit an admitted `partition` of `state` holds: its bytes, or the
   // whole pool for a partition larger than the pool (admitted only when the
   // pool is full); none for a pull.
@@ -218,10 +195,11 @@ class SchedulerCore : private FlightOwner {
   // when it was the last partition.
   void PopHead();
 
-  // Records admit-time metrics/trace/flow for one admitted record; while
-  // tracing, sets its flow. `queue_depth_before` is the queue length at pop
-  // time.
-  void RecordAdmit(uint32_t rec, Bytes charged, size_t queue_depth_before);
+  // Records admit-time metrics/trace/flow for one admitted `partition` of
+  // `state` with priority `key`; while tracing, sets its flow.
+  // `queue_depth_before` is the queue length at pop time.
+  void RecordAdmit(TaskState& state, int partition, const SubTaskKey& key, Bytes charged,
+                   size_t queue_depth_before);
 
   // The key of a partition with arrival seq `seq` of a task described by
   // `desc`.
@@ -229,16 +207,13 @@ class SchedulerCore : private FlightOwner {
   // Enqueues partitions [begin, end) of task `id` as one run.
   void EnqueueRun(TaskState& state, CommTaskId id, int begin, int end);
   void TrySchedule();
-  // Starts record `rec`'s partition as a flight. Without recovery the record
-  // is released here, and the partition reports its completion as (task
-  // slot, partition); with recovery, as (record, attempt generation).
-  void StartAttempt(uint32_t rec);
+  // Starts `partition` of `state`, admitted with arrival seq `seq`, as a
+  // flight; with recovery, arms the attempt's timeout.
+  void StartAttempt(TaskState& state, int partition, uint64_t seq);
   void OnFlightDone(uint32_t id, uint32_t tag) override;
-  void OnAttemptFinish(uint32_t rec, uint32_t generation);
-  void OnAttemptTimeout(uint32_t rec, uint32_t generation);
-  // Returns `partition`'s credit and runs the callbacks of the task in pool
-  // slot `slot`.
-  void OnSubTaskFinish(uint32_t slot, int partition);
+  void OnAttemptTimeout(CommTaskId id, int partition);
+  // Returns `partition`'s credit and runs the callbacks of `state`.
+  void OnSubTaskFinish(TaskState& state, int partition);
 
   SchedulerConfig config_;
   CommBackend* backend_;
@@ -262,21 +237,15 @@ class SchedulerCore : private FlightOwner {
 
   CommTaskId next_task_id_ = 0;
   uint64_t next_arrival_seq_ = 0;
-  uint32_t next_generation_ = 0;
   Bytes credit_;
-  // Task pool, plus the pool index of every task id ever issued (kNoRecord
+  // Task pool, plus the pool index of every task id ever issued (kNoTask
   // once the task finished).
   Pool<TaskState> tasks_;
   std::vector<uint32_t> task_index_;
-  Pool<SubTaskRecord> records_;
-  // By record index, grown with records_: the recovery timers (only with a
-  // FaultInjector) and the trace stamps (only while tracing).
-  std::vector<EventHandle> timeouts_;
-  std::vector<RecordTrace> record_trace_;
   // Runs of ready partitions; front() is the head (lowest key).
   std::vector<QueueEntry> queue_;
   size_t queued_ = 0;     // partitions in queue_
-  size_t in_flight_ = 0;  // records under timeout watch
+  size_t in_flight_ = 0;  // partitions under timeout watch
   bool scheduling_ = false;
 
   uint64_t subtasks_started_ = 0;

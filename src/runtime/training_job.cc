@@ -594,7 +594,6 @@ class TrainingJob {
     for (const auto& core : cores_) {
       result.subtasks_started += core->subtasks_started();
       result.subtasks_abandoned += core->subtasks_abandoned();
-      result.peaks.core_records += core->peak_records();
     }
     result.peaks.sim_events = fabric_.sim.AllocatedSlots();
     result.iter_end_times = iter_bp_end_;

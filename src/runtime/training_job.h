@@ -140,9 +140,8 @@ struct JobResult {
   // once, summed over its instances (each instance's own peak). Deterministic
   // work counts, so a change to what a job keeps in flight shows up as a
   // diff. Co-scheduled jobs report the shared fabric's hops, link entries
-  // and events, and the Cores they ran on.
+  // and events.
   struct Peaks {
-    uint64_t core_records = 0;  // SchedulerCore records, over the job's Cores
     uint64_t ps_hops = 0;       // PsBackend hops (0 for all-reduce)
     uint64_t link_entries = 0;  // queued link entries, over every PS link
     uint64_t sim_events = 0;    // pending simulator events

@@ -86,21 +86,10 @@ void Simulator::SchedulePeriodic(SimTime interval, std::function<bool()> fn) {
   Schedule(interval, PeriodicEvent{this, interval, std::move(fn)});
 }
 
-uint32_t Simulator::AcquireSlot() {
-  if (!free_slots_.empty()) {
-    const uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  BSCHED_CHECK(slots_.size() <= kSlotMask && "more than 2^24 pending events");
-  slots_.emplace_back();
-  return static_cast<uint32_t>(slots_.size() - 1);
-}
-
-EventHandle Simulator::Enqueue(SimTime when, uint32_t slot) {
+EventHandle Simulator::Enqueue(SimTime when, uint32_t slot, Slot& s) {
   BSCHED_CHECK(next_seq_ < kMaxSeq && "more than 2^40 events scheduled");
   const uint64_t key = next_seq_++ << kSlotBits | slot;
-  slots_[slot].key = key;
+  s.key = key;
   heap_.emplace_back();
   SiftUp(heap_.data(), heap_.size() - 1, EventEntry{when, key});
   ++live_;
@@ -111,15 +100,18 @@ void Simulator::ReleaseSlot(uint32_t slot) {
   Slot& s = slots_[slot];
   s.key = kFreeKey;
   s.fn.Reset();
-  free_slots_.push_back(slot);
+  slots_.Release(slot);
 }
 
 void Simulator::Fire(const EventEntry& e) {
   // Move the callback out and release the slot first: the callback may
   // schedule new events, which can reuse this slot or grow the slot table.
+  // (The moved-from EventFn is empty, so the slot has nothing to destroy.)
   const uint32_t slot = static_cast<uint32_t>(e.key & kSlotMask);
-  EventFn fn = std::move(slots_[slot].fn);
-  ReleaseSlot(slot);
+  Slot& s = slots_[slot];
+  EventFn fn = std::move(s.fn);
+  s.key = kFreeKey;
+  slots_.Release(slot);
   --live_;
   now_ = e.when;
   ++processed_;

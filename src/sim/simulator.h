@@ -5,16 +5,17 @@
 // run on separate threads (see src/exec/sweep_runner.h); one job always runs
 // on exactly one Simulator.
 //
-// Hot-path design: events live in a pooled slot table (reused across the
-// run, so steady-state scheduling allocates nothing). Schedule() builds each
-// callback directly in its slot's small-buffer-optimized EventFn (no
-// per-event std::function heap allocation, and a trivially copyable callback
-// moves by memcpy). Each slot records the key of its pending queue entry, so
-// cancellation and liveness are one key comparison instead of a per-event
-// shared_ptr control block. Pending events are ordered by a 4-ary min-heap
-// of 16-byte (when, seq|slot) EventEntry records (src/sim/event_queue.h)
-// owned by the Simulator; cancelled entries still queued are lazily skipped,
-// and the heap is compacted when they pile up.
+// Hot-path design: events live in a pooled slot table (a Pool, reused across
+// the run, so steady-state scheduling allocates nothing, and growing it never
+// copies the slots). Schedule() builds each callback directly in its slot's
+// small-buffer-optimized EventFn (no per-event std::function heap
+// allocation, and a trivially copyable callback moves by memcpy). Each slot
+// records the key of its pending queue entry, so cancellation and liveness
+// are one key comparison instead of a per-event shared_ptr control block.
+// Pending events are ordered by a 4-ary min-heap of 16-byte (when, seq|slot)
+// EventEntry records (src/sim/event_queue.h) owned by the Simulator;
+// cancelled entries still queued are lazily skipped, and the heap is
+// compacted when they pile up.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/pool.h"
 #include "src/common/units.h"
 #include "src/sim/event_queue.h"
 
@@ -219,9 +221,12 @@ class Simulator {
   template <typename F>
   EventHandle ScheduleAt(SimTime when, F&& fn) {
     BSCHED_CHECK(when >= now_);
-    const uint32_t slot = AcquireSlot();
-    slots_[slot].fn.Emplace(std::forward<F>(fn));
-    return Enqueue(when, slot);
+    // A free slot's EventFn is empty.
+    const uint32_t slot = slots_.Acquire();
+    BSCHED_CHECK(slot <= kSlotMask && "more than 2^24 pending events");
+    Slot& s = slots_[slot];
+    s.fn.Emplace(std::forward<F>(fn));
+    return Enqueue(when, slot, s);
   }
 
   // Fires `fn` at Now() + interval and then every `interval` after, until it
@@ -271,10 +276,9 @@ class Simulator {
   bool EntryLive(const EventEntry& e) const {
     return slots_[e.key & kSlotMask].key == e.key;
   }
-  // Pops a free slot (or grows the table); its EventFn is empty.
-  uint32_t AcquireSlot();
-  // Keys the slot's event with the next seq and pushes its entry.
-  EventHandle Enqueue(SimTime when, uint32_t slot);
+  // Keys the event in `s`, slot `slot`, with the next seq and pushes its
+  // entry.
+  EventHandle Enqueue(SimTime when, uint32_t slot, Slot& s);
   // Fires `e`, which must be live: releases its slot, advances time, runs fn.
   void Fire(const EventEntry& e);
   // Forgets the slot's key (invalidating queued entries and handles),
@@ -292,8 +296,7 @@ class Simulator {
   uint64_t skipped_cancelled_ = 0;
   size_t live_ = 0;
   std::vector<EventEntry> heap_;  // 4-ary min-heap by (when, key)
-  std::vector<Slot> slots_;
-  std::vector<uint32_t> free_slots_;
+  Pool<Slot> slots_;
 };
 
 }  // namespace bsched

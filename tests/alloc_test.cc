@@ -15,11 +15,10 @@
 // Transformer's 148 MiB credit, where pull bursts peak. And so does Figure
 // 4's heaviest cell, where pulls, which take no credit, fill the shard
 // egress and worker downlink queues. A queued link message that grows back
-// from its 16 bytes (say, by carrying its callbacks again), a PS hop or
-// Core record that grows past its 64-byte cache line, or a push backlog
-// that holds per-partition state again (a Core record, hop or link entry
-// per waiting partition instead of one per run) trips these peak
-// bounds. The counting operators also replace the std::align_val_t
+// from its 16 bytes (say, by carrying its callbacks again), a PS hop that
+// grows past its 64-byte cache line, or a push backlog that holds
+// per-partition state again (a Core-side record, hop or link entry per
+// waiting partition instead of one per run) trips these peak bounds. The counting operators also replace the std::align_val_t
 // overloads: the alignas(64) pool chunks are allocated through them.
 #include <gtest/gtest.h>
 #include <malloc.h>
@@ -206,10 +205,8 @@ JobConfig LatticeJob(const ModelProfile& model, Bytes partition, Bytes credit) {
 // Prints a job's peak live bytes next to its in-flight high-water marks.
 void PrintPeak(const char* name, const Sample& sample, const JobResult& result) {
   const JobResult::Peaks& p = result.peaks;
-  std::printf("%s: peak %.2f MiB live (%llu Core records, %llu PS hops, %llu link entries, "
-              "%llu events)\n",
+  std::printf("%s: peak %.2f MiB live (%llu PS hops, %llu link entries, %llu events)\n",
               name, static_cast<double>(sample.peak_bytes) / (1 << 20),
-              static_cast<unsigned long long>(p.core_records),
               static_cast<unsigned long long>(p.ps_hops),
               static_cast<unsigned long long>(p.link_entries),
               static_cast<unsigned long long>(p.sim_events));

@@ -5,8 +5,8 @@
 // dynamic fabric with delayed PS notifications, and both co-scheduling
 // policies) must reproduce the recorded simulator event count, admitted
 // subtasks and per-iteration BP-end times exactly, and the in-flight
-// high-water marks of its Core records, PS hops, link queue entries and
-// pending events (JobResult::Peaks), so a change to what a job holds at once
+// high-water marks of its PS hops, link queue entries and pending events
+// (JobResult::Peaks), so a change to what a job holds at once
 // shows up here as a table diff. Unlike a wall-clock gate this neither flakes
 // nor lets a 30% regression through: any change to the
 // event trajectory fails here, and an intentional one updates the table from
@@ -32,7 +32,7 @@ struct Counts {
   uint64_t sim_events = 0;
   uint64_t subtasks_started = 0;
   std::vector<int64_t> iter_end_ns;
-  JobResult::Peaks peaks;  // {core_records, ps_hops, link_entries, sim_events}
+  JobResult::Peaks peaks;  // {ps_hops, link_entries, sim_events}
 
   bool operator==(const Counts&) const = default;
 };
@@ -97,53 +97,53 @@ std::vector<Case> Cases() {
       {"Vgg16MxnetPsRdmaByteScheduler",
        {vgg_ps},
        std::nullopt,
-       {{20013, 4596, {168421039, 377757279, 586667580}, {12, 61, 94, 30}}}},
+       {{20013, 4596, {168421039, 377757279, 586667580}, {61, 94, 30}}}},
       {"Vgg16TfPsTcpVanilla",
        {Job(Vgg16(), Setup::TensorFlowPsTcp(), SchedMode::kVanilla)},
        std::nullopt,
-       {{2010, 336, {168421039, 2424120699, 4411562072}, {2, 56, 145, 56}}}},
+       {{2010, 336, {168421039, 2424120699, 4411562072}, {56, 145, 56}}}},
       {"Vgg16TfPsTcpByteScheduler",
        {Job(Vgg16(), Setup::TensorFlowPsTcp(), SchedMode::kByteScheduler)},
        std::nullopt,
-       {{65473, 15276, {168421039, 976761790, 1784739684}, {16, 76, 93, 33}}}},
+       {{65473, 15276, {168421039, 976761790, 1784739684}, {76, 93, 33}}}},
       {"Vgg16MxnetPsRdmaAsync",
        {Async(vgg_ps)},
        std::nullopt,
-       {{21162, 4596, {168421039, 375866709, 582527580}, {14, 60, 87, 30}}}},
+       {{21162, 4596, {168421039, 375866709, 582527580}, {60, 87, 30}}}},
       {"Vgg16MxnetPsRdmaAsyncVanilla",
        {Async(Job(Vgg16(), Setup::MxnetPsRdma(), SchedMode::kVanilla))},
        std::nullopt,
-       {{1992, 336, {168421039, 698426349, 1158977950}, {2, 95, 169, 12}}}},
+       {{1992, 336, {168421039, 698426349, 1158977950}, {95, 169, 12}}}},
       {"ResNet50PyTorchNcclTcpByteScheduler",
        {Job(ResNet50(), Setup::PyTorchNcclTcp(), SchedMode::kByteScheduler)},
        std::nullopt,
-       {{435, 54, {94117625, 201901476, 309685327}, {4, 0, 0, 6}}}},
+       {{435, 54, {94117625, 201901476, 309685327}, {0, 0, 6}}}},
       {"Vgg16MxnetNcclRdmaVanilla",
        {Job(Vgg16(), Setup::MxnetNcclRdma(), SchedMode::kVanilla)},
        std::nullopt,
-       {{336, 48, {168421039, 579491979, 989491979}, {1, 0, 0, 4}}}},
+       {{336, 48, {168421039, 579491979, 989491979}, {0, 0, 4}}}},
       {"Vgg16MxnetPsRdmaChaos7",
        {Chaotic(vgg_ps, 7)},
        std::nullopt,
-       {{20685, 4674, {188568399, 416338361, 637828511}, {70, 66, 123, 136}}}},
+       {{20685, 4674, {188568399, 416338361, 637828511}, {66, 122, 136}}}},
       {"Vgg16MxnetNcclRdmaChaos7",
        {Chaotic(Job(Vgg16(), Setup::MxnetNcclRdma(), SchedMode::kByteScheduler), 7)},
        std::nullopt,
-       {{953, 259, {168421039, 1722575419, 3264230384}, {17, 0, 0, 17}}}},
+       {{953, 259, {168421039, 1722575419, 3264230384}, {0, 0, 17}}}},
       {"Vgg16MxnetPsTcpVolatileDelayedNotify",
        {Volatile(Job(Vgg16(), Setup::MxnetPsTcp(), SchedMode::kByteScheduler))},
        std::nullopt,
-       {{23337, 4812, {168421039, 597144422, 949553119}, {12, 185, 245, 21}}}},
+       {{23337, 4812, {168421039, 597144422, 949553119}, {185, 245, 21}}}},
       {"Vgg16TransformerIndependent",
        pair,
        CoschedulePolicy::kIndependent,
-       {{50217, 4596, {168421039, 584239338, 920761986}, {12, 189, 223, 30}},
-        {50217, 7008, {134736834, 766385356, 1383590319}, {28, 189, 223, 30}}}},
+       {{50217, 4596, {168421039, 584239338, 920761986}, {189, 223, 30}},
+        {50217, 7008, {134736834, 766385356, 1383590319}, {189, 223, 30}}}},
       {"Vgg16TransformerCoordinated",
        pair,
        CoschedulePolicy::kCoordinated,
-       {{50217, 11604, {168421039, 1015742994, 1541285456}, {34, 205, 237, 29}},
-        {50217, 11604, {134736834, 521824892, 966392178}, {34, 205, 237, 29}}}},
+       {{50217, 11604, {168421039, 1015742994, 1541285456}, {205, 237, 29}},
+        {50217, 11604, {134736834, 521824892, 966392178}, {205, 237, 29}}}},
   };
 }
 
@@ -162,8 +162,7 @@ void PrintTo(const Counts& counts, std::ostream* out) {
     *out << (i > 0 ? ", " : "") << counts.iter_end_ns[i];
   }
   const JobResult::Peaks& p = counts.peaks;
-  *out << "}, {" << p.core_records << ", " << p.ps_hops << ", " << p.link_entries << ", "
-       << p.sim_events << "}}";
+  *out << "}, {" << p.ps_hops << ", " << p.link_entries << ", " << p.sim_events << "}}";
 }
 
 void PrintTo(const Case& c, std::ostream* out) { *out << c.name; }

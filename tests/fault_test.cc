@@ -1,6 +1,7 @@
 // Chaos suite for the deterministic fault-injection fabric: plan determinism,
 // injector accounting, SchedulerCore timeout/retry recovery, PS push
-// retransmission, and scheduler invariants under seeded fault grids.
+// retransmission, the PS uplink's merged push runs with and without faults,
+// and scheduler invariants under seeded fault grids.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,9 +10,11 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <random>
 #include <regex>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -252,6 +255,42 @@ TEST(CoreRecoveryTest, LateCompletionOfTimedOutAttemptIsIgnored) {
   backend.FinishOldest();
   sim.Run();
   EXPECT_EQ(finish_count, 1);
+  EXPECT_EQ(core.credit(), core.credit_cap());
+}
+
+TEST(CoreRecoveryTest, LateCompletionAfterItsTaskSlotWasReused) {
+  Simulator sim;
+  FaultInjector faults(RetryPlan(SimTime::Millis(10)), &sim);
+  FlakyBackend backend(/*fail_first=*/1);
+  SchedulerCore core(WholeTensors(MiB(1)), &backend, 0, &sim, &faults);
+
+  // Task A's first attempt is lost and times out; its retry finishes A.
+  core.NotifyReady(core.Enqueue(PushDesc(0, KiB(256))));
+  sim.Run(SimTime::Millis(10));
+  backend.FinishOldest();
+  ASSERT_EQ(core.tasks_finished(), 1u);
+
+  // Task B takes A's pool slot, and its partition 0 is in flight on its
+  // first attempt, as A's lost one was.
+  bool b_finished = false;
+  CommTaskDesc desc = PushDesc(1, KiB(128));
+  desc.on_finish = [&] { b_finished = true; };
+  core.NotifyReady(core.Enqueue(std::move(desc)));
+  ASSERT_EQ(backend.started.size(), 3u);
+  const Bytes credit = core.credit();
+  EXPECT_EQ(credit, core.credit_cap() - KiB(128));
+
+  // A's lost attempt was only delayed. Its completion names finished task A,
+  // not whichever task holds A's slot now.
+  ASSERT_EQ(backend.swallowed.size(), 1u);
+  backend.swallowed[0]();
+  EXPECT_EQ(core.late_completions(), 1u);
+  EXPECT_FALSE(b_finished);
+  EXPECT_EQ(core.credit(), credit);
+
+  backend.FinishOldest();
+  sim.Run();
+  EXPECT_TRUE(b_finished);
   EXPECT_EQ(core.credit(), core.credit_cap());
 }
 
@@ -612,6 +651,170 @@ TEST(ChaosInvariantTest, ParallelGridMatchesSerialGrid) {
     EXPECT_EQ(serial[i].stats.core_timeouts, parallel[i].stats.core_timeouts) << i;
     EXPECT_EQ(serial[i].stats.backend_retransmits, parallel[i].stats.backend_retransmits) << i;
   }
+}
+
+// ---- uplink runs, with and without faults -------------------------------
+
+// Hands every flight to the PS through Start, whose completions are
+// std::functions under distinct ids, so no push flight continues another:
+// each push partition is its own uplink entry.
+class StartOnlyBackend : public CommBackend {
+ public:
+  explicit StartOnlyBackend(PsBackend* ps) : ps_(ps) {}
+  void Start(const SubCommTask& subtask, std::function<void()> on_finish) override {
+    ps_->Start(subtask, std::move(on_finish));
+  }
+
+ private:
+  PsBackend* ps_;
+};
+
+struct PsMixRun {
+  // (worker, layer, partition, finish time in ns) of every pull partition.
+  std::vector<std::tuple<int, int, int, int64_t>> pulled;
+  uint64_t events = 0;
+  uint64_t subtasks_started = 0;
+  uint64_t link_entries = 0;
+  uint64_t push_retransmits = 0;
+  uint64_t late_completions = 0;
+  uint64_t core_retries = 0;
+};
+
+// One randomized synchronous-PS iteration: every worker's Core pushes each
+// layer's gradient when its backward step readies it and pulls each
+// partition once it is pushed, under random credit, partition size, policy,
+// worker and shard counts. `merged` lets the Cores hand their flights to
+// the PS directly, so a task's consecutive push partitions share one uplink
+// entry; otherwise each partition is its own. With `plan`, the Cores and the
+// PS share a FaultInjector running it.
+PsMixRun RunPsMix(uint64_t seed, bool merged, const FaultPlanConfig* plan = nullptr) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&rng](uint64_t n) { return static_cast<int>(rng() % n); };
+  const int workers = 1 + pick(3);
+  const Bytes partition = KiB(4) * (1 + pick(8));
+  const Bytes credits[] = {partition, partition * (2 + pick(6)), partition / 2 + 1,
+                           SchedulerConfig::kUnlimited};
+  SchedulerConfig config = SchedulerConfig::ByteScheduler(partition, credits[pick(4)]);
+  if (pick(3) == 0) {
+    config.policy = SchedulerConfig::Policy::kFifo;
+  }
+  Simulator sim;
+  std::unique_ptr<FaultInjector> faults;
+  if (plan != nullptr) {
+    faults = std::make_unique<FaultInjector>(*plan, &sim);
+  }
+  PsConfig ps_config;
+  ps_config.num_workers = workers;
+  ps_config.num_shards = 1 + pick(3);
+  ps_config.link_rate = Bandwidth::Gbps(1 + pick(25));
+  ps_config.control_latency = SimTime::Micros(pick(20));
+  ps_config.faults = faults.get();
+  PsBackend ps(&sim, ps_config);
+  StartOnlyBackend start_only(&ps);
+  PsMixRun run;
+  std::vector<std::unique_ptr<SchedulerCore>> cores;
+  const int layers = 3 + pick(6);
+  std::vector<Bytes> sizes;
+  for (int l = 0; l < layers; ++l) {
+    sizes.push_back(1 + static_cast<Bytes>(rng() % static_cast<uint64_t>(9 * partition)));
+  }
+  for (int w = 0; w < workers; ++w) {
+    cores.push_back(std::make_unique<SchedulerCore>(
+        config, merged ? static_cast<CommBackend*>(&ps) : &start_only, w, &sim, faults.get()));
+    SchedulerCore& core = *cores.back();
+    for (int l = layers - 1; l >= 0; --l) {
+      CommTaskDesc pull_desc = PushDesc(l, sizes[l]);
+      pull_desc.type = CommOpType::kPull;
+      pull_desc.worker = w;
+      pull_desc.on_partition_finish = [&run, &sim, w, l](int p) {
+        run.pulled.emplace_back(w, l, p, sim.Now().nanos());
+      };
+      const CommTaskId pull = core.Enqueue(std::move(pull_desc));
+      CommTaskDesc push_desc = PushDesc(l, sizes[l]);
+      push_desc.worker = w;
+      push_desc.on_partition_finish = [&core, pull](int p) { core.NotifyReadyPartition(pull, p); };
+      const CommTaskId push = core.Enqueue(std::move(push_desc));
+      // Backward reaches layer l after a random compute step.
+      sim.Schedule(SimTime::Micros(pick(40) * (layers - l)),
+                   [&core, push] { core.NotifyReady(push); });
+    }
+  }
+  sim.Run();
+  run.events = sim.processed_events();
+  for (const auto& core : cores) {
+    EXPECT_EQ(core->tasks_finished(), static_cast<uint64_t>(2 * layers));
+    EXPECT_EQ(core->credit(), core->credit_cap());
+    run.subtasks_started += core->subtasks_started();
+    run.late_completions += core->late_completions();
+    run.core_retries += core->retries();
+  }
+  run.link_entries = ps.peak_link_entries();
+  run.push_retransmits = ps.push_retransmits();
+  return run;
+}
+
+// A plan that drops and delays messages over the few milliseconds a
+// RunPsMix iteration takes. Its Core retry timeout stays at the default
+// 25 ms: at 2 ms a Core retry of a push whose first copy the shard already
+// accepted runs the PS retransmit budget out and aborts (a known defect,
+// ROADMAP.md item 2).
+FaultPlanConfig MixFaults(uint64_t seed) {
+  FaultPlanConfig cfg;
+  cfg.seed = seed;
+  cfg.horizon = SimTime::Millis(4);
+  cfg.site_prob = 0.8;
+  cfg.drop_episodes = 2;
+  cfg.drop_prob = 0.5;
+  cfg.drop_len = SimTime::Millis(1);
+  cfg.latency_episodes = 2;
+  cfg.latency_spike = SimTime::Micros(100);
+  cfg.latency_len = SimTime::Millis(1);
+  return cfg;
+}
+
+// Runs `seeds` mixes with direct flights and with one uplink entry per
+// partition: they must admit, send and finish alike, and merged runs never
+// hold more link entries (in sum, fewer). Returns the merged runs' summed
+// counts.
+PsMixRun ExpectUplinkRunsMatch(uint64_t seeds, bool faults) {
+  PsMixRun total;
+  uint64_t separate_entries = 0;
+  for (uint64_t seed = 1; seed <= seeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const FaultPlanConfig plan = MixFaults(seed);
+    const FaultPlanConfig* plan_or_null = faults ? &plan : nullptr;
+    const PsMixRun separate = RunPsMix(seed, /*merged=*/false, plan_or_null);
+    const PsMixRun merged = RunPsMix(seed, /*merged=*/true, plan_or_null);
+    EXPECT_EQ(merged.pulled, separate.pulled);
+    EXPECT_EQ(merged.events, separate.events);
+    EXPECT_EQ(merged.subtasks_started, separate.subtasks_started);
+    EXPECT_EQ(merged.push_retransmits, separate.push_retransmits);
+    EXPECT_EQ(merged.late_completions, separate.late_completions);
+    EXPECT_EQ(merged.core_retries, separate.core_retries);
+    EXPECT_LE(merged.link_entries, separate.link_entries);
+    total.link_entries += merged.link_entries;
+    total.push_retransmits += merged.push_retransmits;
+    total.late_completions += merged.late_completions;
+    total.core_retries += merged.core_retries;
+    separate_entries += separate.link_entries;
+  }
+  // Credit above one partition queues runs of a task's partitions.
+  EXPECT_LT(total.link_entries, separate_entries);
+  return total;
+}
+
+TEST(SchedulerCoreFlightTest, PsUplinkRunsMatchOneEntryPerPartition) {
+  ExpectUplinkRunsMatch(200, /*faults=*/false);
+}
+
+// With faults a task's first attempts still complete under contiguous tags,
+// so they merge on the uplink, while retransmitted legs and retries go
+// their own way.
+TEST(SchedulerCoreFlightTest, PsUplinkRunsMatchOneEntryPerPartitionUnderFaults) {
+  const PsMixRun total = ExpectUplinkRunsMatch(200, /*faults=*/true);
+  // The plans must actually exercise recovery on both layers.
+  EXPECT_GT(total.push_retransmits, 0u);
+  EXPECT_GT(total.core_retries, 0u);
 }
 
 // ---- end-to-end chaos jobs ------------------------------------------------

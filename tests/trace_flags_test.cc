@@ -163,13 +163,21 @@ TEST(FlagsTest, BareFlagBeforeAnotherFlag) {
 }
 
 TEST(FlagsTest, BoolSpellings) {
-  const char* argv[] = {"prog", "--a=true", "--b=1", "--c=yes", "--d=false", "--e=0"};
-  Flags flags(6, argv);
+  const char* argv[] = {"prog", "--a=true", "--b=1", "--c=yes", "--d=false", "--e=0", "--f=no"};
+  Flags flags(7, argv);
   EXPECT_TRUE(flags.GetBool("a", false));
   EXPECT_TRUE(flags.GetBool("b", false));
   EXPECT_TRUE(flags.GetBool("c", false));
   EXPECT_FALSE(flags.GetBool("d", true));
   EXPECT_FALSE(flags.GetBool("e", true));
+  EXPECT_FALSE(flags.GetBool("f", true));
+}
+
+TEST(FlagsDeathTest, BadBoolExits2) {
+  const char* argv[] = {"prog", "--check=on"};
+  const Flags flags(2, argv);
+  EXPECT_EXIT(flags.GetBool("check", false), testing::ExitedWithCode(2),
+              "--check needs true, false, 1, 0, yes or no, got 'on'");
 }
 
 TEST(ObsFlagsTest, DisabledByDefault) {
