@@ -28,8 +28,8 @@ constexpr char kUsage[] = R"(usage: bschedctl [flags]
   --mode       baseline|bytescheduler|p3                  (default bytescheduler)
   --machines   worker machines, 8 GPUs each               (default 4)
   --gbps       network bandwidth in Gbps                  (default 100)
-  --partition-kb / --credit-kb   scheduler knobs (default: auto heuristic)
-  --async      asynchronous PS training
+  --partition-kb / --credit-kb   bytescheduler knobs (default: auto heuristic)
+  --async      asynchronous PS training (PS setups only)
   --iters      measured iterations                        (default 5)
   --trace[=path]  write a Chrome trace JSON                (default path trace.json)
 A value outside its flag's range exits with status 2.
@@ -70,8 +70,9 @@ int main(int argc, char** argv) {
 
   // Every value is range-checked here, so a bad one exits 2 naming the flag
   // (Flags::RejectValue, as for a malformed number) instead of aborting on an
-  // invariant deep inside the run. Counts are stored as int and KiB become
-  // bytes, which bounds the rest.
+  // invariant deep inside the run, and so does a flag the chosen setup or
+  // mode would ignore. Counts are stored as int and KiB become bytes, which
+  // bounds the rest.
   constexpr int64_t kMaxCount = std::numeric_limits<int>::max();
   constexpr int64_t kMaxKb = std::numeric_limits<Bytes>::max() / 1024;
   JobConfig job;
@@ -85,9 +86,14 @@ int main(int argc, char** argv) {
   if (!setup_ok) {
     flags.RejectValue("setup", "a setup listed in --help");
   }
+  const bool ps = job.setup.arch == ArchType::kPs;
+  // A PS hop names its worker and shard in 16 bits; a ring counts its GPUs
+  // in an int.
+  const int64_t max_machines = ps ? int64_t{UINT16_MAX} + 1 : kMaxCount / job.gpus_per_machine;
   const int64_t machines = flags.GetInt("machines", 4);
-  if (machines < 1 || machines > kMaxCount) {
-    flags.RejectValue("machines", "a whole number >= 1");
+  if (machines < 1 || machines > max_machines) {
+    flags.RejectValue("machines", ps ? "a whole number in [1, 65536] on a PS setup"
+                                     : "a whole number >= 1 that fits the GPU count");
   }
   job.num_machines = static_cast<int>(machines);
   job.bandwidth = Bandwidth::Gbps(flags.GetGbps("gbps", 100));
@@ -97,6 +103,9 @@ int main(int argc, char** argv) {
   }
   job.measure_iters = static_cast<int>(iters);
   job.ps_async = flags.GetBool("async", false);
+  if (job.ps_async && !ps) {
+    flags.RejectValue("async", "a PS setup");
+  }
 
   const std::string mode = flags.GetString("mode", "bytescheduler");
   if (mode == "baseline") {
@@ -120,6 +129,11 @@ int main(int argc, char** argv) {
     job.credit_bytes = KiB(credit_kb);
   } else {
     flags.RejectValue("mode", "baseline, bytescheduler or p3");
+  }
+  for (const char* knob : {"partition-kb", "credit-kb"}) {
+    if (job.mode != SchedMode::kByteScheduler && flags.Has(knob)) {
+      flags.RejectValue(knob, "--mode bytescheduler");
+    }
   }
 
   // Of the obs flags only --trace passes CheckNames above.

@@ -1,7 +1,7 @@
 #include "src/comm/allreduce_backend.h"
 
 #include <cmath>
-#include <utility>
+#include <string>
 
 #include "src/common/check.h"
 #include "src/common/trace.h"
@@ -49,9 +49,9 @@ SimTime AllReduceBackend::RingTime(Bytes bytes) const {
   return SimTime::Seconds(2.0 * (w - 1) * step_sec);
 }
 
-void AllReduceBackend::Start(const SubCommTask& subtask, std::function<void()> on_finish) {
+void AllReduceBackend::StartFlight(const Flight& flight) {
+  const SubCommTask& subtask = flight.subtask;
   BSCHED_CHECK(subtask.type == CommOpType::kAllReduce);
-  BSCHED_CHECK(on_finish != nullptr);
   // Optional negotiation quantization: the operation is agreed upon by all
   // workers only at the next coordination-cycle boundary.
   SimTime wait;
@@ -71,37 +71,33 @@ void AllReduceBackend::Start(const SubCommTask& subtask, std::function<void()> o
   }
   // The launch/negotiation phase runs host-side, concurrently with whatever
   // the ring is currently transferring; the ring pass itself serializes.
-  if (config_.trace != nullptr) {
-    // Instrumented launch: the extra captures push this lambda past EventFn's
-    // inline buffer, so it stays a separate path — the lean lambda below is
-    // untouched when tracing is off.
-    sim_->Schedule(wait + config_.launch_overhead,
-                   [this, bytes = subtask.bytes, layer = subtask.layer,
-                    partition = subtask.partition, flow = subtask.flow,
-                    on_finish = std::move(on_finish)]() mutable {
-                     const SimTime ring_time = RingTime(bytes);
-                     ring_->Submit(ring_time, [this, bytes, layer, partition, flow, ring_time,
-                                               on_finish = std::move(on_finish)]() mutable {
-                       const SimTime end = sim_->Now();
-                       TraceRecorder* trace = config_.trace;
-                       trace->AddSpan("ring",
-                                      "L" + std::to_string(layer) + ".p" +
-                                          std::to_string(partition),
-                                      end - ring_time, end,
-                                      {TraceArg::Int("bytes", bytes),
-                                       TraceArg::Int("layer", layer)});
-                       if (flow != 0) {
-                         trace->AddFlow("ring", "ring_done", end, flow, FlowPhase::kStep);
-                       }
-                       on_finish();
-                     });
-                   });
-    return;
+  const RingOp op{subtask.bytes, subtask.layer, subtask.partition, subtask.flow};
+  auto launch = [this, op, done = flight.done] {
+    if (config_.trace != nullptr) {
+      ring_ops_.push_back(op);
+    }
+    ring_->Submit(RingTime(op.bytes), [this, done] {
+      if (config_.trace != nullptr) {
+        RecordRingSpan();
+      }
+      done();
+    });
+  };
+  static_assert(EventFn::StorageOf<decltype(launch)>() == EventFn::Storage::kTrivial,
+                "the launch is stored inline");
+  sim_->Schedule(wait + config_.launch_overhead, launch);
+}
+
+void AllReduceBackend::RecordRingSpan() {
+  const RingOp op = ring_ops_.pop_front();
+  const SimTime end = sim_->Now();
+  TraceRecorder* trace = config_.trace;
+  trace->AddSpan("ring", "L" + std::to_string(op.layer) + ".p" + std::to_string(op.partition),
+                 end - RingTime(op.bytes), end,
+                 {TraceArg::Int("bytes", op.bytes), TraceArg::Int("layer", op.layer)});
+  if (op.flow != 0) {
+    trace->AddFlow("ring", "ring_done", end, op.flow, FlowPhase::kStep);
   }
-  sim_->Schedule(wait + config_.launch_overhead,
-                 [this, bytes = subtask.bytes, on_finish = std::move(on_finish)]() mutable {
-                   ring_->Submit(RingTime(bytes), std::move(on_finish));
-                 });
 }
 
 void AllReduceBackend::ExportMetrics() {
@@ -109,7 +105,7 @@ void AllReduceBackend::ExportMetrics() {
     return;
   }
   MetricsRegistry* m = config_.metrics;
-  m->gauge("ring.busy_ns")->Set(ring_busy_time().nanos());
+  m->gauge("ring.busy_ns")->Set(ring_->busy_time().nanos());
   m->counter("ring.ops")->Inc(ops_completed());
 }
 

@@ -16,10 +16,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "src/comm/backend.h"
 #include "src/fault/fault_injector.h"
 #include "src/net/transport.h"
+#include "src/sim/fifo_ring.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulator.h"
 
@@ -64,13 +66,15 @@ class AllReduceBackend : public CommBackend {
  public:
   AllReduceBackend(Simulator* sim, const AllReduceConfig& config);
 
-  void Start(const SubCommTask& subtask, std::function<void()> on_finish) override;
+  void Start(const SubCommTask& subtask, std::function<void()> on_finish) override {
+    StartAsFlight(subtask, std::move(on_finish));
+  }
+  // Launches after the negotiation wait; the ring pass completes the flight.
+  void StartFlight(const Flight& flight) override;
 
   // Ring time for one operation of `bytes` (excludes the launch overhead).
   SimTime RingTime(Bytes bytes) const;
 
-  const AllReduceConfig& config() const { return config_; }
-  SimTime ring_busy_time() const { return ring_->busy_time(); }
   uint64_t ops_completed() const { return ring_->jobs_completed(); }
 
   // Exports end-of-run ring metrics (ring.busy_ns, ring.ops) into the
@@ -78,10 +82,23 @@ class AllReduceBackend : public CommBackend {
   void ExportMetrics();
 
  private:
+  // What a ring span records of its operation: it rides the launch event.
+  struct RingOp {
+    Bytes bytes = 0;
+    int32_t layer = 0;
+    int32_t partition = 0;
+    uint64_t flow = 0;
+  };
+  // Records the span of the ring pass that just ended.
+  void RecordRingSpan();
+
   Simulator* sim_;
   AllReduceConfig config_;
   std::unique_ptr<Resource> ring_;
   uint64_t ring_site_hash_ = 0;
+  // While tracing, the operations on the ring in submission order: the ring
+  // is FIFO, so each pass's end pops the front.
+  FifoRing<RingOp> ring_ops_;
 };
 
 }  // namespace bsched

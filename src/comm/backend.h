@@ -5,16 +5,19 @@
 // work in FIFO order — the Core controls only admission order and in-flight
 // bytes, exactly as in the paper.
 //
-// The Core admits each partition as a *flight*: the partition plus a 16-byte
-// completion, handed over in one StartFlight call. A backend that can carry
-// flights compactly overrides StartFlight (the PS uplink queues a task's
-// consecutive push flights as one entry); the default runs Start.
+// A partition enters a backend as a *flight*: the partition plus a 16-byte
+// completion, in one StartFlight call; the Core admits every partition so.
+// The PS and ring backends take only flights: their Start is the one adapter,
+// StartAsFlight. StartFlight's default runs Start, for Start-only backends.
 #ifndef SRC_COMM_BACKEND_H_
 #define SRC_COMM_BACKEND_H_
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
+#include "src/common/check.h"
+#include "src/common/pool.h"
 #include "src/core/comm_task.h"
 
 namespace bsched {
@@ -47,19 +50,40 @@ struct Flight {
   Done done;
 };
 
-class CommBackend {
+class CommBackend : private FlightOwner {
  public:
   virtual ~CommBackend() = default;
 
-  // Admits one partition into the underlying stack. `on_finish` must be
-  // invoked exactly once, when the operation completes from the perspective
-  // of `subtask.worker` (push: ack received; pull: data delivered;
-  // all-reduce: ring pass complete).
+  // Admits one partition with a std::function completion, for callers
+  // outside the Core. `on_finish` must be invoked exactly once, when the
+  // operation completes from the perspective of `subtask.worker` (push: ack
+  // received; pull: data delivered; all-reduce: ring pass complete).
   virtual void Start(const SubCommTask& subtask, std::function<void()> on_finish) = 0;
 
   // Admits a flight: Start with flight.done as the completion, unless the
   // backend carries flights itself.
   virtual void StartFlight(const Flight& flight) { Start(flight.subtask, flight.done); }
+
+ protected:
+  // Start for a backend that carries flights: parks `on_finish` and starts a
+  // flight whose completion runs it.
+  void StartAsFlight(const SubCommTask& subtask, std::function<void()> on_finish) {
+    BSCHED_CHECK(on_finish != nullptr);
+    const uint32_t id = parked_.Acquire();
+    parked_[id] = std::move(on_finish);
+    StartFlight(Flight{subtask, Flight::Done{this, id, 0}});
+  }
+
+ private:
+  void OnFlightDone(uint32_t id, uint32_t /*tag*/) final {
+    // Release the slot before running the completion: it may Start again.
+    std::function<void()> on_finish = std::move(parked_[id]);
+    parked_[id] = nullptr;
+    parked_.Release(id);
+    on_finish();
+  }
+
+  Pool<std::function<void()>> parked_;  // StartAsFlight's callbacks, by flight id
 };
 
 }  // namespace bsched

@@ -35,6 +35,7 @@ PsBackend::PsBackend(Simulator* sim, const PsConfig& config) : sim_(sim), config
     links_[workers + w] = std::make_unique<Link>(sim_, name + ".down", config_.link_rate, receiver);
   }
   tail_flight_.assign(static_cast<size_t>(workers), kNone);
+  push_trace_.resize(static_cast<size_t>(workers));
   for (int s = 0; s < shards; ++s) {
     const std::string name = "shard" + std::to_string(s);
     links_[2 * workers + s] =
@@ -126,7 +127,7 @@ uint32_t PsBackend::Slot(int64_t tensor_id, int partition) {
   return slot;
 }
 
-uint32_t PsBackend::NewHop(uint32_t slot, const Leg& leg, uint64_t flow, SimTime submit) {
+uint32_t PsBackend::NewHop(uint32_t slot, const Leg& leg, const HopTrace& trace) {
   const uint32_t hop = hops_.Acquire();
   hops_[hop].leg = leg;
   hops_[hop].slot = slot;
@@ -134,7 +135,7 @@ uint32_t PsBackend::NewHop(uint32_t slot, const Leg& leg, uint64_t flow, SimTime
     if (hop >= hop_trace_.size()) {
       hop_trace_.resize(hops_.size());
     }
-    hop_trace_[hop] = HopTrace{flow, submit, SimTime()};
+    hop_trace_[hop] = trace;
   }
   return hop;
 }
@@ -188,42 +189,25 @@ PsBackend::Leg PsBackend::LegOf(const SubCommTask& subtask) const {
   return leg;
 }
 
-void PsBackend::Start(const SubCommTask& subtask, std::function<void()> on_finish) {
-  BSCHED_CHECK(on_finish != nullptr);
-  // A flight completing through `starts_`.
-  const uint32_t start = starts_.Acquire();
-  starts_[start] = std::move(on_finish);
-  StartFlight(Flight{subtask, Flight::Done{this, start, 0}});
-}
-
-void PsBackend::OnFlightDone(uint32_t start, uint32_t /*tag*/) {
-  // Release the slot before running the completion: it may Start again.
-  std::function<void()> on_finish = std::move(starts_[start]);
-  starts_[start] = nullptr;
-  starts_.Release(start);
-  on_finish();
-}
-
 void PsBackend::StartFlight(const Flight& flight) {
   const SubCommTask& subtask = flight.subtask;
   BSCHED_CHECK(subtask.type != CommOpType::kAllReduce &&
                "PS backend cannot execute all-reduce tasks");
   const Leg leg = LegOf(subtask);
   if (subtask.type == CommOpType::kPull) {
-    const uint32_t hop = NewHop(Slot(subtask.tensor_id, subtask.partition), leg, subtask.flow,
-                                sim_->Now());
+    const uint32_t hop = NewHop(Slot(subtask.tensor_id, subtask.partition), leg,
+                                HopTrace{subtask.flow, sim_->Now(), SimTime()});
     hops_[hop].done = flight.done;
     // Pull request reaches the shard after a control-message latency.
     Forward(config_.control_latency, hop, &PsBackend::OnPullRequest);
     return;
   }
   uint32_t& tail = tail_flight_[leg.worker];
-  if (tail != kNone && config_.trace == nullptr) {
+  if (tail != kNone) {
     // A flight that continues the PushFlight at the tail of the uplink (the
     // same task's next partition, completing under the next tag, behind
     // full-size partitions) extends it instead of queueing a new one, so a
-    // task's waiting partitions hold no per-partition state. (A trace stamps
-    // each flight's start and flow, so traced flights stay apart.)
+    // task's waiting partitions hold no per-partition state.
     PushFlight& pf = flights_[tail];
     const uint32_t next_tag = pf.done.tag + static_cast<uint32_t>(pf.count);
     const int next_partition = pf.leg.partition - pf.next + pf.count;
@@ -232,14 +216,21 @@ void PsBackend::StartFlight(const Flight& flight) {
         next_partition == leg.partition && pf.last_bytes == pf.leg.bytes) {
       ++pf.count;
       pf.last_bytes = leg.bytes;
-      worker_uplink(leg.worker).SendFlight(leg.bytes, tail, /*flush=*/true);
+      SendPush(leg, tail, subtask.flow);
       return;
     }
   }
   tail = flights_.Acquire();
-  flights_[tail] =
-      PushFlight{flight.done, subtask.task, leg, leg.bytes, 0, 1, subtask.flow, sim_->Now()};
-  worker_uplink(leg.worker).SendFlight(leg.bytes, tail, /*flush=*/true);
+  flights_[tail] = PushFlight{flight.done, subtask.task, leg, leg.bytes, 0, 1};
+  SendPush(leg, tail, subtask.flow);
+}
+
+void PsBackend::SendPush(const Leg& leg, uint32_t flight, uint64_t flow) {
+  // Queued first: an idle uplink reaches OnPushAtHead inside SendFlight.
+  if (config_.trace != nullptr) {
+    push_trace_[leg.worker].push_back(HopTrace{flow, sim_->Now(), SimTime()});
+  }
+  worker_uplink(leg.worker).SendFlight(leg.bytes, flight);
 }
 
 uint32_t PsBackend::OnPushAtHead(uint32_t flight) {
@@ -266,7 +257,8 @@ uint32_t PsBackend::OnPushAtHead(uint32_t flight) {
     }
     leg.round = prev.round;
   }
-  const uint32_t hop = NewHop(slot, leg, pf.flow, pf.submit);
+  const HopTrace t = config_.trace != nullptr ? push_trace_[leg.worker].pop_front() : HopTrace{};
+  const uint32_t hop = NewHop(slot, leg, t);
   if (!retransmit) {
     hops_[hop].done = pf.done;
     hops_[hop].done.tag += static_cast<uint32_t>(pf.next);
@@ -285,8 +277,12 @@ void PsBackend::OnPushFlushed(uint32_t hop) {
   // Sender-side completion (the stack flushed the partition): this is what
   // returns scheduler credit, after a small completion latency. From here the
   // data leg is the backend's responsibility; with faults enabled an ack
-  // timer guarantees it eventually reaches the shard.
+  // timer guarantees it eventually reaches the shard. A retransmitted leg
+  // has no completion: its timer is already armed and its span unrecorded.
   Hop& h = hops_[hop];
+  if (h.done.owner == nullptr) {
+    return;
+  }
   const Leg& leg = h.leg;
   uint64_t flow = 0;
   if (config_.trace != nullptr) {
@@ -311,17 +307,7 @@ void PsBackend::OnPushAtShard(uint32_t hop) {
   // Store-and-forward: after the wire flight the partition serializes into
   // the shard NIC, where copies from all workers contend.
   const Leg& leg = hops_[hop].leg;
-  ingress(leg.shard)->SendFlight(leg.bytes, hop, /*flush=*/false);
-}
-
-void PsBackend::SendPushData(const Leg& leg, uint64_t flow) {
-  // Retransmission path: re-occupies the uplink (a resend spends real
-  // bandwidth) but carries no flush callback — credit was already returned.
-  const uint32_t f = flights_.Acquire();
-  flights_[f] =
-      PushFlight{Flight::Done{}, kInvalidCommTask, leg, leg.bytes, 0, 1, flow, sim_->Now()};
-  tail_flight_[leg.worker] = f;
-  worker_uplink(leg.worker).SendFlight(leg.bytes, f, /*flush=*/false);
+  ingress(leg.shard)->SendFlight(leg.bytes, hop);
 }
 
 void PsBackend::ArmPushAckTimer(uint32_t slot, const Leg& leg, uint64_t flow, int attempt) {
@@ -355,7 +341,12 @@ void PsBackend::OnAckTimeout(uint32_t slot, int worker) {
     rate_ctrl_[worker]->OnLoss();
   }
   ArmPushAckTimer(slot, leg, flow, attempt + 1);
-  SendPushData(leg, flow);
+  // The retransmit re-occupies the uplink (a resend spends real bandwidth)
+  // as a flight of one with no completion: credit was already returned.
+  const uint32_t f = flights_.Acquire();
+  flights_[f] = PushFlight{Flight::Done{}, kInvalidCommTask, leg, leg.bytes, 0, 1};
+  tail_flight_[worker] = f;
+  SendPush(leg, f, flow);
 }
 
 void PsBackend::CancelPushAck(uint32_t slot, int worker) {
@@ -524,12 +515,12 @@ void PsBackend::DeliverPull(uint32_t hop) {
     hop_trace_[hop].submit = sim_->Now();
   }
   const Leg& leg = hops_[hop].leg;
-  egress(leg.shard)->SendFlight(leg.bytes, hop, /*flush=*/false);
+  egress(leg.shard)->SendFlight(leg.bytes, hop);
 }
 
 void PsBackend::OnPullAtWorker(uint32_t hop) {
   const Leg& leg = hops_[hop].leg;
-  worker_downlink(leg.worker).SendFlight(leg.bytes, hop, /*flush=*/false);
+  worker_downlink(leg.worker).SendFlight(leg.bytes, hop);
 }
 
 void PsBackend::OnPullLanded(uint32_t hop) {

@@ -43,23 +43,24 @@
 // raw tensor ids: co-scheduled jobs offset theirs by 1 << 20.
 //
 // Pushes wait on the uplink as PushFlights: a run of one push task's
-// consecutive partitions under one record and one uplink entry (two when its
-// last partition is shorter), without per-partition state. A push flight
-// from the Core that continues the uplink's tail PushFlight (the same task's
-// next partition, completing under the next tag) extends it, so the Core's
-// one-partition admissions queue one entry per task, with or without a
-// FaultInjector (a Core retry's tag carries its attempt in the high bits,
-// so it continues only a run of retries of its own attempt). A partition's
-// hop is built when the partition reaches the head of the uplink queue; a
-// retransmitted leg is a PushFlight of one that carries its round. The
-// uplink flushes in FIFO order, so building hops there moves no event. A
-// pull gets its hop at StartFlight. A data leg or pull on its way is one
+// consecutive partitions under one 64-byte record and one uplink entry (two
+// when its last partition is shorter), without per-partition state. A push
+// flight from the Core that continues the uplink's tail PushFlight (the same
+// task's next partition, completing under the next tag) extends it, so the
+// Core's one-partition admissions queue one entry per task, with or without
+// a FaultInjector or a trace (a Core retry's tag carries its attempt in the
+// high bits, so it continues only a run of retries of its own attempt). A
+// partition's hop is built when the partition reaches the head of the uplink
+// queue; a retransmitted leg is a PushFlight of one that carries its round.
+// The uplink flushes in FIFO order, so building hops there moves no event.
+// A pull gets its hop at StartFlight. A data leg or pull on its way is one
 // pooled Hop record named by its index: one 64-byte cache line holding the
 // completion, the Leg the hop steps read (size, tensor, partition, layer,
 // worker, shard, round, narrowed to 32 and 16 bits and CHECKed at
-// StartFlight), the leg's slot and the pending-pull link.
-// Trace-only hop state (flow id, submit time, update time) lives in a side
-// vector indexed by hop, sized only while tracing. A link carries the hop
+// StartFlight), the leg's slot and the pending-pull link. Trace-only hop
+// state (flow id, submit time, update time) lives in a side vector indexed
+// by hop, sized only while tracing; a push's waits in a per-worker FIFO in
+// uplink order until its hop is built. A link carries the hop
 // index as its message token to flight handlers installed once per link
 // role, and the shard CPU and Forward callbacks capture only {this, hop
 // index}, which std::function and EventFn store inline, so a job's steady
@@ -87,6 +88,7 @@
 #include "src/net/net_dynamics.h"
 #include "src/net/rate_controller.h"
 #include "src/net/transport.h"
+#include "src/sim/fifo_ring.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulator.h"
 
@@ -137,13 +139,14 @@ struct PsConfig {
   bool delayed_notify = false;
 };
 
-class PsBackend : public CommBackend, private FlightOwner {
+class PsBackend : public CommBackend {
  public:
   // `sim` hosts every entity (links, shard CPUs, timers).
   PsBackend(Simulator* sim, const PsConfig& config);
 
-  // A flight whose completion waits in `starts_`.
-  void Start(const SubCommTask& subtask, std::function<void()> on_finish) override;
+  void Start(const SubCommTask& subtask, std::function<void()> on_finish) override {
+    StartAsFlight(subtask, std::move(on_finish));
+  }
   // A push flight joins the uplink's tail PushFlight when it continues it; a
   // pull flight gets its hop.
   void StartFlight(const Flight& flight) override;
@@ -164,8 +167,6 @@ class PsBackend : public CommBackend, private FlightOwner {
       std::function<void(int64_t tensor_id, int partition, int worker)> fn) {
     listeners_.push_back(std::move(fn));
   }
-
-  const PsConfig& config() const { return config_; }
 
   // Load-balance introspection.
   Bytes shard_bytes_in(int shard) const;
@@ -256,10 +257,10 @@ class PsBackend : public CommBackend, private FlightOwner {
   using HopStep = void (PsBackend::*)(uint32_t hop);
 
   // Consecutive push partitions of one task, from their start until the
-  // last reaches the head of the uplink. `leg` is the next partition's,
-  // except for its size and shard; every partition holds leg.bytes except
-  // the last, which holds last_bytes.
-  struct PushFlight {
+  // last reaches the head of the uplink: one cache line. `leg` is the next
+  // partition's, except for its size and shard; every partition holds
+  // leg.bytes except the last, which holds last_bytes.
+  struct alignas(64) PushFlight {
     // Partition i completes as `done` with tag + i; empty for a
     // retransmitted leg, which carries its round in `leg`.
     Flight::Done done;
@@ -268,9 +269,8 @@ class PsBackend : public CommBackend, private FlightOwner {
     uint32_t last_bytes = 0;
     int32_t next = 0;  // index of the partition next at the head
     int32_t count = 0;
-    uint64_t flow = 0;  // trace flow arc (a traced PushFlight holds one partition)
-    SimTime submit;     // start of the partitions' uplink spans
   };
+  static_assert(sizeof(PushFlight) == 64, "a push flight is one cache line");
   // Sender-side push round per (slot, worker), faults only: (last push task
   // id, round). A new task id is a new aggregation round; a repeated id is a
   // Core-level retry of the same push, which must keep its original round so
@@ -301,14 +301,16 @@ class PsBackend : public CommBackend, private FlightOwner {
     return static_cast<size_t>(slot) * config_.num_workers + worker;
   }
 
-  // A hop carrying `leg` of `slot`; while tracing, its trace state starts at
-  // `flow` and `submit`.
-  uint32_t NewHop(uint32_t slot, const Leg& leg, uint64_t flow, SimTime submit);
+  // A hop carrying `leg` of `slot`; while tracing, its trace state starts
+  // as `trace`.
+  uint32_t NewHop(uint32_t slot, const Leg& leg, const HopTrace& trace);
   void FreeHop(uint32_t hop);
 
   // The leg of `subtask`, CHECKing that each field fits.
   Leg LegOf(const SubCommTask& subtask) const;
-  void OnFlightDone(uint32_t start, uint32_t tag) override;
+  // Queues one push message on `leg.worker`'s uplink as `flight`; while
+  // tracing, queues its flow and a start of now in uplink order too.
+  void SendPush(const Leg& leg, uint32_t flight, uint64_t flow);
   // Hop steps, in path order. Push: head of the uplink -> uplink flush ->
   // ingress -> arrival -> shard update. Pull: request at the shard ->
   // egress -> downlink -> landing at the worker.
@@ -327,9 +329,6 @@ class PsBackend : public CommBackend, private FlightOwner {
   // the hop and runs the completion.
   void OnPullLanded(uint32_t hop);
 
-  // Retransmits a push data leg: a flight of one with no flush callback. `flow`
-  // is the leg's trace flow arc (0 when untraced).
-  void SendPushData(const Leg& leg, uint64_t flow);
   void ArmPushAckTimer(uint32_t slot, const Leg& leg, uint64_t flow, int attempt);
   void OnAckTimeout(uint32_t slot, int worker);
   // The shard saw the slot's push from `worker`: stop its ack timer.
@@ -373,12 +372,13 @@ class PsBackend : public CommBackend, private FlightOwner {
   std::vector<uint32_t> accepted_round_;
   std::vector<PendingAck> acks_;
 
-  // Completions of Start calls, by the id their flight carries.
-  Pool<std::function<void()>> starts_;
   Pool<PushFlight> flights_;
   // Per worker: the push flight last queued on its uplink, while any of its
   // partitions waits (kNone otherwise).
   std::vector<uint32_t> tail_flight_;
+  // Per worker: the trace state of each push on its uplink, in uplink order
+  // (empty unless tracing).
+  std::vector<FifoRing<HopTrace>> push_trace_;
   Pool<Hop> hops_;
   std::vector<HopTrace> hop_trace_;  // by hop; empty unless tracing
   std::vector<std::function<void(int64_t tensor_id, int partition, int worker)>> listeners_;

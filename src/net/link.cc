@@ -61,12 +61,7 @@ void Link::SetFlightHandlers(std::function<void(uint32_t)> on_flushed,
   on_head_ = std::move(on_head);
 }
 
-void Link::SendFlight(Bytes size, uint32_t token, bool flush) {
-  BSCHED_CHECK(!flush || on_flushed_ != nullptr);
-  Msg msg{size, token};
-  msg.kind = flush ? kFlushed : kFlight;
-  Enqueue(msg);
-}
+void Link::SendFlight(Bytes size, uint32_t token) { Enqueue(Msg{size, token, 1, 1}); }
 
 void Link::Enqueue(Msg msg) {
   const Bytes size = msg.size;
@@ -81,8 +76,8 @@ void Link::Enqueue(Msg msg) {
     m_inflight_->Add(size);
     waiting_time_ += MessageTime(size);
   }
-  if (msg.kind != kCallback && !msgs_.empty() && msgs_.back().token == msg.token &&
-      msgs_.back().kind == msg.kind && msgs_.back().size == size &&
+  if (msg.flight && !msgs_.empty() && msgs_.back().token == msg.token &&
+      msgs_.back().flight && msgs_.back().size == size &&
       msgs_.back().count < kMaxRun) {
     // The next message of the tail entry's run: extend it.
     ++msgs_.back().count;
@@ -105,7 +100,7 @@ void Link::StartNext() {
   if (m_bytes_ != nullptr) {
     waiting_time_ = waiting_time_ - MessageTime(msg.size);
   }
-  current_token_ = msg.kind != kCallback && on_head_ != nullptr ? on_head_(msg.token) : msg.token;
+  current_token_ = msg.flight && on_head_ != nullptr ? on_head_(msg.token) : msg.token;
   busy_ = true;
   busy_since_ = sim_->Now();
   remaining_ = static_cast<double>(msg.size);
@@ -140,11 +135,11 @@ void Link::FinishSend() {
   if (m_inflight_ != nullptr) {
     m_inflight_->Add(-msg.size);
   }
-  if (msg.kind == kFlushed) {
+  if (msg.flight && on_flushed_ != nullptr) {
     on_flushed_(msg.token);
   }
   std::function<void()> on_delivered;
-  if (msg.kind == kCallback) {
+  if (!msg.flight) {
     // Release the slot before delivering: the callback may Send again.
     on_delivered = std::move(callbacks_[msg.token]);
     callbacks_[msg.token] = nullptr;
@@ -165,14 +160,14 @@ void Link::FinishSend() {
     if (fate.drop) {
       // Lost in the network; recovery retransmits. A Send's callback is
       // destroyed undelivered.
-      if (msg.kind != kCallback) {
+      if (msg.flight) {
         deliver_(msg.token, kDropped);
       }
       return;
     }
     total += fate.delay;
   }
-  if (msg.kind != kCallback) {
+  if (msg.flight) {
     deliver_(msg.token, total);
   } else if (total.nanos() == 0) {
     on_delivered();

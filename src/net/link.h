@@ -64,14 +64,14 @@ class Link {
   // Like Send, but for a sender that keeps its per-message state itself and
   // names it by `token`. At flush time (occupancy end, when the stack accepts
   // the next message; ps-lite-style push completions are flush-time events)
-  // the link calls the installed `on_flushed(token)` if `flush` is set, and
-  // then, instead of scheduling the delivery itself, hands the computed wire
-  // flight (pipelined latency plus any injected delay) to `deliver(token,
+  // the link calls the installed `on_flushed(token)`, and then, instead of
+  // scheduling the delivery itself, hands the computed wire flight
+  // (pipelined latency plus any injected delay) to `deliver(token,
   // wire_flight)`; the caller lands the message. A message the fault
   // injector drops calls `deliver(token, kDropped)`, so the caller can
-  // reclaim its state. A flight behind an equal one (same size, token and
-  // flush) at the tail of the queue joins its entry.
-  void SendFlight(Bytes size, uint32_t token, bool flush);
+  // reclaim its state. A flight behind an equal one (same size and token)
+  // at the tail of the queue joins its entry.
+  void SendFlight(Bytes size, uint32_t token);
   // Installs SendFlight's handlers; call once, before the first flight.
   // Either may be null: flights then skip that step (and, without
   // `deliver`, the fault fate too). With `on_head`, each flight message's
@@ -132,22 +132,17 @@ class Link {
   void ExportMetrics();
 
  private:
-  // What FinishSend does with a message at its flush.
-  enum Kind : uint8_t {
-    kCallback,  // Send: the token indexes callbacks_
-    kFlight,    // SendFlight: deliver_(token, wire)
-    kFlushed,   // SendFlight with flush: on_flushed_(token), then as kFlight
-  };
-  // `count` messages of `size` bytes from submission to flush; the front
-  // one is in transmission while busy_.
+  // `count` messages of `size` bytes from submission to flush; the front one
+  // is in transmission while busy_. A SendFlight message's flush runs
+  // on_flushed_ and deliver_; a Send message's token indexes callbacks_.
   struct Msg {
     Bytes size = 0;
     uint32_t token = 0;
-    uint32_t count : 30 = 1;
-    uint32_t kind : 2 = kCallback;
+    uint32_t count : 31 = 1;
+    uint32_t flight : 1 = 0;
   };
   static_assert(sizeof(Msg) <= 16);
-  static constexpr uint32_t kMaxRun = (1u << 30) - 1;  // the most messages per entry
+  static constexpr uint32_t kMaxRun = (1u << 31) - 1;  // the most messages per entry
 
   void Enqueue(Msg msg);
   // Virtual time at which all currently queued work will have drained

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <span>
 
 #include "src/common/stats.h"
@@ -27,23 +28,19 @@ int64_t Histogram::BucketLowerBound(int index) {
 }
 
 uint64_t Histogram::count() const {
-  uint64_t total = 0;
-  for (const auto& b : buckets_) {
-    total += b.load(std::memory_order_relaxed);
-  }
-  return total;
+  return std::accumulate(std::begin(buckets_), std::end(buckets_), uint64_t{0});
 }
 
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snap;
   for (int i = 0; i < kNumBuckets; ++i) {
-    const uint64_t c = buckets_[i].load(std::memory_order_relaxed);
+    const uint64_t c = buckets_[i];
     if (c > 0) {
       snap.buckets.emplace_back(i, c);
       snap.count += c;
     }
   }
-  snap.sum = sum_.load(std::memory_order_relaxed);
+  snap.sum = sum_;
   return snap;
 }
 
@@ -74,36 +71,27 @@ std::vector<double> HistogramSnapshot::Percentiles(const std::vector<double>& ps
   return out;
 }
 
-Counter* MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
+namespace {
+
+template <typename T>
+T* GetOrCreate(std::map<std::string, std::unique_ptr<T>>& metrics, const std::string& name) {
+  std::unique_ptr<T>& slot = metrics[name];
   if (slot == nullptr) {
-    slot = std::make_unique<Counter>();
+    slot = std::make_unique<T>();
   }
   return slot.get();
 }
 
-Gauge* MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Gauge>();
-  }
-  return slot.get();
-}
+}  // namespace
 
+Counter* MetricsRegistry::counter(const std::string& name) { return GetOrCreate(counters_, name); }
+Gauge* MetricsRegistry::gauge(const std::string& name) { return GetOrCreate(gauges_, name); }
 Histogram* MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Histogram>();
-  }
-  return slot.get();
+  return GetOrCreate(histograms_, name);
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
-  std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, c] : counters_) {
     snap.counters.emplace(name, c->value());
   }

@@ -1,20 +1,18 @@
 // Metrics registry for the observability layer: counters, gauges and
 // histograms with fixed log2 buckets. Designed for zero overhead when
 // disabled (subsystems hold nullptr handles and skip every call site) and a
-// lock-free fast path when enabled: handles are plain atomics updated with
-// relaxed operations, so concurrent simulations on the src/exec/ thread pool
-// can share one registry without contention or TSan reports. Registration
-// (get-or-create by name) takes a mutex; subsystems cache the returned
-// handles at setup time, keeping the hot path to a null check + atomic add.
+// plain-integer fast path when enabled. A registry belongs to one job on one
+// thread: parallel sweeps on the src/exec/ thread pool give each job its
+// own, so nothing here is synchronized. Subsystems cache the handles that
+// registration (get-or-create by name) returns at setup time, keeping the
+// hot path to a null check and an add.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -25,22 +23,22 @@ namespace bsched {
 // Monotonically increasing count (events, bytes, retries).
 class Counter {
  public:
-  void Inc(uint64_t delta = 1) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Inc(uint64_t delta = 1) { value_ += delta; }
+  uint64_t value() const { return value_; }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  uint64_t value_ = 0;
 };
 
 // Instantaneous level (bytes in flight, final credit, busy nanoseconds).
 class Gauge {
  public:
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Set(int64_t v) { value_ = v; }
+  void Add(int64_t delta) { value_ += delta; }
+  int64_t value() const { return value_; }
 
  private:
-  std::atomic<int64_t> value_{0};
+  int64_t value_ = 0;
 };
 
 // Exported state of one histogram: total count/sum plus the non-empty
@@ -61,15 +59,15 @@ struct HistogramSnapshot {
 
 // Fixed log2-bucket histogram over non-negative integer samples (bytes,
 // nanoseconds, queue depths). Bucket 0 holds v <= 0; bucket k (k >= 1) holds
-// v in [2^(k-1), 2^k - 1], i.e. the bit width of v. Observations are relaxed
-// atomic increments — no locks, no allocation.
+// v in [2^(k-1), 2^k - 1], i.e. the bit width of v. An observation is two
+// adds, with no allocation.
 class Histogram {
  public:
   static constexpr int kNumBuckets = 64;
 
   void Observe(int64_t v) {
-    buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
+    ++buckets_[BucketIndex(v)];
+    sum_ += v;
   }
 
   static int BucketIndex(int64_t v) {
@@ -86,21 +84,19 @@ class Histogram {
   static int64_t BucketLowerBound(int index);
 
   uint64_t count() const;
-  int64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  uint64_t bucket_count(int index) const {
-    return buckets_[index].load(std::memory_order_relaxed);
-  }
+  int64_t sum() const { return sum_; }
+  uint64_t bucket_count(int index) const { return buckets_[index]; }
 
   HistogramSnapshot Snapshot() const;
 
  private:
-  std::atomic<uint64_t> buckets_[kNumBuckets] = {};
-  std::atomic<int64_t> sum_{0};
+  uint64_t buckets_[kNumBuckets] = {};
+  int64_t sum_ = 0;
 };
 
 // Point-in-time export of a whole registry. Maps are name-sorted, so two
 // snapshots of identical metric state serialize byte-identically regardless
-// of registration order or thread interleaving.
+// of registration order.
 struct MetricsSnapshot {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, int64_t> gauges;
@@ -124,7 +120,6 @@ class MetricsRegistry {
   MetricsSnapshot Snapshot() const;
 
  private:
-  mutable std::mutex mu_;  // guards the maps; never held on the update path
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;

@@ -110,8 +110,7 @@ void TimeSeriesRecorder::SampleScope(Scope* scope) {
       case Source::Kind::kSketch: {
         // Per-window delta of the histogram: the bucket counts that landed
         // since the previous tick form a mergeable sketch of this window's
-        // observations. Sources are written only by this scope's simulator
-        // thread, so relaxed loads here are exact, not racy estimates.
+        // observations.
         HistogramSnapshot window;
         for (int i = 0; i < Histogram::kNumBuckets; ++i) {
           const uint64_t cur = src.hist->bucket_count(i);

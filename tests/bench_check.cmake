@@ -8,10 +8,12 @@
 #     CSV=ON the binary writes ACTUAL itself through --csv ACTUAL and its
 #     stdout is dropped;
 #   cmake -DBIN=<binary> -DGOLDEN=<file> -DACTUAL=<file> -DTRACE=<file>
-#         -DTRACE_SHA256=<file> [-DUPDATE=ON] -P bench_check.cmake
-#     runs BIN --metrics ACTUAL --trace TRACE and requires ACTUAL to equal
-#     GOLDEN byte for byte and TRACE's sha256 to equal the hash recorded in
-#     TRACE_SHA256 (UPDATE=ON rewrites GOLDEN and TRACE_SHA256 instead);
+#         -DTRACE_SHA256=<file> [-DARGS=<arg;arg>] [-DUPDATE=ON] -P bench_check.cmake
+#     runs BIN --metrics ACTUAL --trace TRACE (with ARGS: BIN ARGS
+#     --trace=TRACE, its stdout written to ACTUAL) and requires ACTUAL to
+#     equal GOLDEN byte for byte and TRACE's sha256 to equal the hash
+#     recorded in TRACE_SHA256 (UPDATE=ON rewrites GOLDEN and TRACE_SHA256
+#     instead);
 #   cmake -DBIN=<binary> -DARGS=<arg;arg> -DEXPECT_EXIT=<n> -P bench_check.cmake
 #     runs BIN ARGS and requires exit status n.
 #   cmake -DBIN=<binary> -DARGS=<arg;arg> -DARGS_B=<arg;arg> -DSAME_LINES=<re;re>
@@ -73,8 +75,13 @@ endif()
 
 if(DEFINED TRACE)
   file(REMOVE ${ACTUAL} ${TRACE})
-  set(cmd ${BIN} --metrics ${ACTUAL} --trace ${TRACE})
-  execute_process(COMMAND ${cmd} OUTPUT_QUIET RESULT_VARIABLE rc)
+  if(DEFINED ARGS)
+    set(cmd ${BIN} ${ARGS} --trace=${TRACE})
+    execute_process(COMMAND ${cmd} OUTPUT_FILE ${ACTUAL} RESULT_VARIABLE rc)
+  else()
+    set(cmd ${BIN} --metrics ${ACTUAL} --trace ${TRACE})
+    execute_process(COMMAND ${cmd} OUTPUT_QUIET RESULT_VARIABLE rc)
+  endif()
 elseif(CSV)
   file(REMOVE ${ACTUAL})
   set(cmd ${BIN} --jobs 4 --csv ${ACTUAL})

@@ -7,7 +7,10 @@
 // subtasks and per-iteration BP-end times exactly, and the in-flight
 // high-water marks of its PS hops, link queue entries and pending events
 // (JobResult::Peaks), so a change to what a job holds at once
-// shows up here as a table diff. Unlike a wall-clock gate this neither flakes
+// shows up here as a table diff. Every single-job case runs a second time
+// with a TraceRecorder attached and must match the same row: tracing records
+// a run, it never changes what the run queues or holds. Unlike a wall-clock
+// gate this neither flakes
 // nor lets a 30% regression through: any change to the
 // event trajectory fails here, and an intentional one updates the table from
 // the values the failure prints.
@@ -17,8 +20,10 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/trace.h"
 #include "src/fault/fault_plan.h"
 #include "src/model/zoo.h"
 #include "src/net/net_dynamics.h"
@@ -181,6 +186,31 @@ TEST_P(CounterTest, MatchesRecordedRun) {
 }
 
 INSTANTIATE_TEST_SUITE_P(WiringBranches, CounterTest, testing::ValuesIn(Cases()),
+                         [](const testing::TestParamInfo<Case>& info) { return info.param.name; });
+
+// The cases that run one job; co-scheduled jobs cannot be traced.
+std::vector<Case> SingleJobCases() {
+  std::vector<Case> cases;
+  for (Case& c : Cases()) {
+    if (!c.policy.has_value()) {
+      cases.push_back(std::move(c));
+    }
+  }
+  return cases;
+}
+
+class TracedCounterTest : public testing::TestWithParam<Case> {};
+
+TEST_P(TracedCounterTest, MatchesRecordedRun) {
+  const Case& c = GetParam();
+  TraceRecorder trace;
+  JobConfig job = c.jobs.front();
+  job.trace = &trace;
+  EXPECT_EQ(CountsOf(RunTrainingJob(job)), c.expected.front());
+  EXPECT_FALSE(trace.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(WiringBranches, TracedCounterTest, testing::ValuesIn(SingleJobCases()),
                          [](const testing::TestParamInfo<Case>& info) { return info.param.name; });
 
 }  // namespace

@@ -126,7 +126,7 @@ TEST(LinkTest, FlushesLandOnNominalMessageTime) {
       link.SetFlightHandlers([&](uint32_t) { flushes.push_back(sim.Now().nanos()); },
                              nullptr);
       for (size_t i = 0; i < sizes.size(); ++i) {
-        link.SendFlight(sizes[i], static_cast<uint32_t>(i), /*flush=*/true);
+        link.SendFlight(sizes[i], static_cast<uint32_t>(i));
       }
       sim.Run();
       ASSERT_EQ(flushes.size(), sizes.size());
@@ -173,7 +173,7 @@ TEST(LinkTest, SendFlightSeparatesFlushFromDelivery) {
         handed_off = sim.Now();
         sim.Schedule(wire, [&] { delivered = sim.Now(); });
       });
-  link.SendFlight(1'000'000, /*token=*/7, /*flush=*/true);
+  link.SendFlight(1'000'000, /*token=*/7);
   sim.Run();
   EXPECT_EQ(flushed, SimTime::Millis(1));
   // The wire flight is handed over at flush time; the caller lands it.
@@ -199,15 +199,15 @@ TEST(LinkTest, SendAndSendFlightShareOneFifo) {
                                  std::to_string(wire.nanos()));
                          });
   link.Send(1'000'000, [&] { stamp("send0"); });
-  link.SendFlight(1'000'000, /*token=*/11, /*flush=*/true);
-  link.SendFlight(1'000'000, /*token=*/12, /*flush=*/false);
+  link.SendFlight(1'000'000, /*token=*/11);
+  link.SendFlight(1'000'000, /*token=*/12);
   link.Send(1'000'000, [&] { stamp("send3"); });
-  link.SendFlight(1'000'000, /*token=*/14, /*flush=*/true);
+  link.SendFlight(1'000'000, /*token=*/14);
   sim.Run();
   const std::vector<std::string> expected = {
-      "send0@1200000",            "flush11@2000000", "deliver11+200000@2000000",
-      "deliver12+200000@3000000", "send3@4200000",   "flush14@5000000",
-      "deliver14+200000@5000000"};
+      "send0@1200000",   "flush11@2000000", "deliver11+200000@2000000",
+      "flush12@3000000", "deliver12+200000@3000000", "send3@4200000",
+      "flush14@5000000", "deliver14+200000@5000000"};
   EXPECT_EQ(log, expected);
   EXPECT_EQ(link.messages_sent(), 5u);
 }
@@ -233,9 +233,9 @@ TEST(LinkTest, DroppedMessagesReachTheirOwners) {
     dropped.push_back(token);
   });
   auto owner = std::make_shared<int>(0);
-  link.SendFlight(1'000'000, /*token=*/3, /*flush=*/false);
+  link.SendFlight(1'000'000, /*token=*/3);
   link.Send(1'000'000, [owner] { ++*owner; });
-  link.SendFlight(1'000'000, /*token=*/4, /*flush=*/false);
+  link.SendFlight(1'000'000, /*token=*/4);
   EXPECT_EQ(owner.use_count(), 2);
   sim.Run();
   EXPECT_EQ(dropped, (std::vector<uint32_t>{3, 4}));
@@ -452,7 +452,7 @@ TEST(RateModelOracleTest, CompletionMatchesScheduleIntegralAcrossSeeds) {
                            nullptr);
     for (int i = 0; i < kMsgs; ++i) {
       sizes.push_back(rng.UniformInt(1'000, 4'000'000));
-      link.SendFlight(sizes[i], static_cast<uint32_t>(i), /*flush=*/true);
+      link.SendFlight(sizes[i], static_cast<uint32_t>(i));
     }
     sim.Run();
     ASSERT_EQ(flushes.size(), static_cast<size_t>(kMsgs));
@@ -475,7 +475,7 @@ TEST(DynamicLinkTest, CtrlScaleRepacesInFlightTransfer) {
   Link link(&sim, "l", Bandwidth::Gbps(8), TransportModel::Ideal());
   SimTime flushed;
   link.SetFlightHandlers([&](uint32_t) { flushed = sim.Now(); }, nullptr);
-  link.SendFlight(8'000'000, /*token=*/0, /*flush=*/true);
+  link.SendFlight(8'000'000, /*token=*/0);
   sim.Schedule(SimTime::Millis(2), [&] { link.SetCtrlScale(0.5); });
   sim.Schedule(SimTime::Millis(5), [&] { link.SetCtrlScale(1.0); });
   sim.Run();

@@ -108,30 +108,6 @@ TEST(MetricsRegistryTest, StableHandles) {
   EXPECT_EQ(g->value(), -4);
 }
 
-// The TSan-visible proof that a shared registry is safe under ParallelFor's
-// threads: concurrent relaxed increments lose nothing.
-TEST(MetricsRegistryTest, ConcurrentIncrementsAreExact) {
-  MetricsRegistry reg;
-  Counter* counter = reg.counter("shared.counter");
-  Gauge* gauge = reg.gauge("shared.gauge");
-  Histogram* hist = reg.histogram("shared.hist");
-  constexpr int kTasks = 16;
-  constexpr int kPerTask = 10'000;
-  ParallelFor(
-      kTasks,
-      [&](size_t i) {
-        for (int k = 0; k < kPerTask; ++k) {
-          counter->Inc();
-          gauge->Add(1);
-          hist->Observe(static_cast<int64_t>(i) + 1);
-        }
-      },
-      4);
-  EXPECT_EQ(counter->value(), static_cast<uint64_t>(kTasks) * kPerTask);
-  EXPECT_EQ(gauge->value(), static_cast<int64_t>(kTasks) * kPerTask);
-  EXPECT_EQ(reg.histogram("shared.hist")->count(), static_cast<uint64_t>(kTasks) * kPerTask);
-}
-
 TEST(MetricsSnapshotTest, JsonIndependentOfRegistrationOrder) {
   MetricsRegistry a;
   a.counter("x")->Inc(3);
